@@ -18,7 +18,7 @@ from .data import (
     subset_tags,
     synth_gaussian_mixture,
 )
-from .evaluate import EvalReport, accuracy_report, confusion_matrix, predict, temperature_sweep
+from .evaluate import EvalReport, accuracy_report, confusion_matrix, predict
 from .gradcheck import finite_difference_gradient, run_gradient_checks
 from .losses import (
     BKDConfig,
@@ -33,7 +33,15 @@ from .losses import (
 )
 from .mathutils import Rng, log_sum_exp, one_hot, softmax_with_temperature
 from .mlp import LrSchedule, MlpParams, backward, forward, init_mlp, lr_at, sgd_momentum_step
-from .pipeline import MetricRow, TrainConfig, read_checkpoint, train_student, train_teacher, write_checkpoint
+from .pipeline import (
+    MetricRow,
+    TrainConfig,
+    read_checkpoint,
+    temperature_sweep,
+    train_student,
+    train_teacher,
+    write_checkpoint,
+)
 from .weights import effective_number_weights, normalize_weights
 
 __version__ = "0.1.0"

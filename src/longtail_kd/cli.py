@@ -16,7 +16,7 @@ from . import evaluate
 from .config import ConfigError, imbalance_profile, parse_config, render_config, train_config
 from .data import load_dataset, make_longtail_counts, save_dataset, subset_tags, synth_gaussian_mixture
 from .gradcheck import run_gradient_checks
-from .pipeline import metrics_to_csv, read_checkpoint, train_student, train_teacher
+from .pipeline import metrics_to_csv, read_checkpoint, temperature_sweep, train_student, train_teacher
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -147,7 +147,7 @@ def cmd_sweep_temp(args):
         teacher = read_checkpoint(args.teacher).params
     else:
         teacher, _ = train_teacher(train, test, train_config(cfg, loss="ce"))
-    rows = evaluate.temperature_sweep(train, test, teacher, train_config(cfg), args.temps)
+    rows = temperature_sweep(train, test, teacher, train_config(cfg), args.temps)
     _write(os.path.join(out, "sweep.csv"), evaluate.sweep_to_csv(rows))
     for T, acc in rows:
         print(f"T={T:g}: accuracy={acc:.4f}")
@@ -168,8 +168,6 @@ def build_parser():
     p.add_argument("--role", required=True, choices=("teacher", "student"))
     p.add_argument("--teacher", help="teacher checkpoint (required for --role student)")
     p.add_argument("--out", help="output directory (default: out_dir from the config)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="intra-batch fan-out; results are identical for any value")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset file")
@@ -189,8 +187,6 @@ def build_parser():
     p.add_argument("--temps", required=True, nargs="+", type=float)
     p.add_argument("--teacher", help="reuse this teacher checkpoint instead of training one")
     p.add_argument("--out", help="output directory (default: out_dir from the config)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="intra-batch fan-out; results are identical for any value")
     p.set_defaults(fn=cmd_sweep_temp)
 
     return parser
@@ -200,8 +196,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "workers", 1) < 1:
-            raise UsageError("--workers must be at least 1")
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

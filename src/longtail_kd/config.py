@@ -68,7 +68,6 @@ def _parse_optional_int(s):
 # key -> (default, parser, description)
 KEY_SPECS = {
     # dataset
-    "kind": ("gaussian", _parse_str({"gaussian"}), "dataset family (gaussian mixture synthesis)"),
     "C": (10, _parse_int, "number of classes"),
     "d": (20, _parse_int, "feature dimension"),
     "rho": (100.0, _parse_float, "imbalance ratio: max class count over min"),

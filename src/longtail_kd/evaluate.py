@@ -1,10 +1,14 @@
 """Prediction, overall/per-subset accuracy, confusion matrices, and the
-temperature sweep."""
+text forms of reports, confusion matrices and temperature sweeps.
+
+A leaf module: the sweep itself trains students, so it lives next to the
+training loop in ``pipeline``.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,36 +121,6 @@ def confusion_to_csv(matrix):
             cells = ",".join(repr(float(v)) for v in matrix[i])
         lines.append(f"{i},{cells}")
     return "\n".join(lines) + "\n"
-
-
-def temperature_sweep(train, test, teacher, base_cfg, temps):
-    """Train one student per temperature (same teacher, same seed) and
-    report (temperature, overall test accuracy) rows."""
-    from .pipeline import train_student  # deferred: pipeline imports this module
-
-    temps = [float(t) for t in temps]
-    if not temps:
-        raise ValueError("temps must be a non-empty list")
-    if any(t <= 0 for t in temps):
-        raise ValueError("temperatures must be positive")
-    rows = []
-    for T in temps:
-        cfg = dc_replace(
-            base_cfg,
-            kd=dc_replace(base_cfg.kd, temperature=T),
-            bkd=dc_replace(base_cfg.bkd, temperature=T),
-        )
-        params, _ = train_student(train, test, teacher, cfg)
-        report = accuracy_report(predict(params, test), test.labels, cfg_tags(cfg, train))
-        rows.append((T, report.overall))
-    return rows
-
-
-def cfg_tags(cfg, train):
-    """Subset tags implied by a training config and the training split."""
-    from .data import subset_tags
-
-    return subset_tags(train.class_counts, cfg.many_thresh, cfg.few_thresh)
 
 
 def sweep_to_csv(rows):

@@ -26,7 +26,11 @@ whose target mixes the hard label into the weighted soft targets before
 renormalizing (a different normalization than ``bkd_loss`` uses).
 
 The ``*_batch`` functions are the vectorized cores, one row per sample; the
-scalar entry points validate and delegate to them with a single row.
+scalar entry points validate and delegate to them with a single row. Both
+distillation losses share one core, ``distill_loss_batch``, and differ only
+in the target and in their config's ``coefs``: plain distillation passes the
+teacher's soft targets with (alpha, 1 - alpha), balanced distillation passes
+``balanced_targets(phat, w)`` with (1, 1).
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .mathutils import log_softmax_rows
 
 __all__ = [
     "LossResult",
@@ -48,8 +54,8 @@ __all__ = [
     "bkd_grad_formula",
     "ce_loss_batch",
     "cb_loss_batch",
-    "kd_loss_batch",
-    "bkd_loss_batch",
+    "distill_loss_batch",
+    "balanced_targets",
 ]
 
 
@@ -74,6 +80,11 @@ class KDConfig:
         if not (isinstance(self.temperature, (int, float)) and math.isfinite(self.temperature) and self.temperature > 0):
             raise ValueError(f"temperature must be positive, got {self.temperature!r}")
 
+    @property
+    def coefs(self):
+        """(ce_coef, kl_coef) for ``distill_loss_batch``."""
+        return self.alpha, 1.0 - self.alpha
+
 
 @dataclass(frozen=True)
 class BKDConfig:
@@ -91,6 +102,11 @@ class BKDConfig:
             raise ValueError(f"temperature must be positive, got {self.temperature!r}")
         if self.weight_mode not in ("raw", "mean-one"):
             raise ValueError(f"weight_mode must be 'raw' or 'mean-one', got {self.weight_mode!r}")
+
+    @property
+    def coefs(self):
+        """(ce_coef, kl_coef) for ``distill_loss_batch``."""
+        return 1.0, 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +157,9 @@ def _check_weights(w, num_classes, allow_zero=False):
 # vectorized cores (rows = samples)
 
 
-def _log_softmax_rows(Z, temperature=1.0):
-    s = Z / temperature
-    s = s - s.max(axis=1, keepdims=True)
-    return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
-
-
 def softmax_rows(Z, temperature=1.0):
     """Row-wise temperature softmax of a (N, C) logit matrix."""
-    return np.exp(_log_softmax_rows(np.asarray(Z, dtype=np.float64), temperature))
+    return np.exp(log_softmax_rows(np.asarray(Z, dtype=np.float64), temperature))
 
 
 def _kl_rows(targets, log_p):
@@ -165,7 +175,7 @@ def ce_loss_batch(Z, ys):
     Z = np.asarray(Z, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.int64)
     rows = np.arange(Z.shape[0])
-    log_p = _log_softmax_rows(Z)
+    log_p = log_softmax_rows(Z)
     values = -log_p[rows, ys]
     grads = np.exp(log_p)
     grads[rows, ys] -= 1.0
@@ -179,35 +189,24 @@ def cb_loss_batch(Z, ys, w):
     return scale * values, scale[:, None] * grads
 
 
-def kd_loss_batch(Z, teacher_probs, ys, cfg):
-    """Distillation loss rows: alpha * CE + (1 - alpha) * T^2 * KL(phat || p_T)."""
-    Z = np.asarray(Z, dtype=np.float64)
-    phat = np.asarray(teacher_probs, dtype=np.float64)
-    T = cfg.temperature
-    ce_values, ce_grads = ce_loss_batch(Z, ys)
-    log_p_T = _log_softmax_rows(Z, T)
-    kl = _kl_rows(phat, log_p_T)
-    values = cfg.alpha * ce_values + (1.0 - cfg.alpha) * (T * T) * kl
-    grads = cfg.alpha * ce_grads + (1.0 - cfg.alpha) * T * (np.exp(log_p_T) - phat)
-    return values, grads
-
-
-def bkd_loss_batch(Z, teacher_probs, ys, w, cfg):
-    """Balanced distillation rows: CE + T^2 * KL(q || p_T) with
-    q = normalize(w * phat)."""
-    Z = np.asarray(Z, dtype=np.float64)
-    phat = np.asarray(teacher_probs, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    T = cfg.temperature
-    weighted = phat * w[None, :]
+def balanced_targets(teacher_probs, w):
+    """Balanced distillation targets: each row of w * phat renormalized to q."""
+    weighted = np.asarray(teacher_probs, dtype=np.float64) * np.asarray(w, dtype=np.float64)[None, :]
     mass = weighted.sum(axis=1, keepdims=True)
     if np.any(mass <= 0):
         raise RuntimeError("weighted teacher mass is zero: teacher targets put no probability anywhere")
-    q = weighted / mass
+    return weighted / mass
+
+
+def distill_loss_batch(Z, targets, ys, ce_coef, kl_coef, temperature):
+    """Distillation rows: ce_coef * CE + kl_coef * T^2 * KL(targets || p_T)."""
+    Z = np.asarray(Z, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    T = temperature
     ce_values, ce_grads = ce_loss_batch(Z, ys)
-    log_p_T = _log_softmax_rows(Z, T)
-    values = ce_values + (T * T) * _kl_rows(q, log_p_T)
-    grads = ce_grads + T * (np.exp(log_p_T) - q)
+    log_p_T = log_softmax_rows(Z, T)
+    values = ce_coef * ce_values + kl_coef * (T * T) * _kl_rows(targets, log_p_T)
+    grads = ce_coef * ce_grads + kl_coef * T * (np.exp(log_p_T) - targets)
     return values, grads
 
 
@@ -244,7 +243,7 @@ def kd_loss(z, teacher_probs, y, cfg):
     phat = _check_probs(teacher_probs, z.size)
     if not isinstance(cfg, KDConfig):
         raise ValueError("cfg must be a KDConfig")
-    values, grads = kd_loss_batch(z[None, :], phat[None, :], [y], cfg)
+    values, grads = distill_loss_batch(z[None, :], phat[None, :], [y], *cfg.coefs, cfg.temperature)
     return LossResult(float(values[0]), grads[0])
 
 
@@ -262,7 +261,8 @@ def bkd_loss(z, teacher_probs, y, w, cfg):
     w = _check_weights(w, z.size)
     if not isinstance(cfg, BKDConfig):
         raise ValueError("cfg must be a BKDConfig")
-    values, grads = bkd_loss_batch(z[None, :], phat[None, :], [y], w, cfg)
+    q = balanced_targets(phat[None, :], w)
+    values, grads = distill_loss_batch(z[None, :], q, [y], *cfg.coefs, cfg.temperature)
     return LossResult(float(values[0]), grads[0])
 
 
@@ -275,7 +275,7 @@ def cb_grad_formula(z, y, w):
     z = _check_logits(z)
     y = _check_label(y, z.size)
     w = _check_weights(w, z.size)
-    p = np.exp(_log_softmax_rows(z[None, :])[0])
+    p = np.exp(log_softmax_rows(z[None, :])[0])
     g = w[y] * p
     g[y] = w[y] * (p[y] - 1.0)
     return g
@@ -294,7 +294,7 @@ def bkd_grad_formula(z, teacher_probs, y, w):
     y = _check_label(y, z.size)
     phat = _check_probs(teacher_probs, z.size)
     w = _check_weights(w, z.size, allow_zero=True)
-    p = np.exp(_log_softmax_rows(z[None, :])[0])
+    p = np.exp(log_softmax_rows(z[None, :])[0])
     target = w * phat
     target[y] += 1.0
     target = target / target.sum()

@@ -1,5 +1,5 @@
-"""Deterministic numeric primitives: temperature softmax, stable log-sum-exp,
-one-hot encoding, and a seedable counter-based PRNG.
+"""Deterministic numeric primitives: temperature (log-)softmax, stable
+log-sum-exp, one-hot encoding, and a seedable counter-based PRNG.
 
 All arithmetic is 64-bit float. The PRNG is SplitMix64 driven by a draw
 counter, so its full state is the pair (seed, counter) and any block of
@@ -19,9 +19,16 @@ _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 
 
+def log_softmax_rows(Z, temperature=1.0):
+    """Row-wise log of the temperature softmax of a (N, C) logit matrix,
+    computed via max-shifted exponentials."""
+    s = Z / temperature
+    s = s - s.max(axis=1, keepdims=True)
+    return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
+
+
 def softmax_with_temperature(z, temperature):
-    """Temperature-scaled softmax of a logit vector, computed via
-    max-shifted exponentials.
+    """Temperature-scaled softmax of a logit vector: exp of ``log_softmax_rows``.
 
     Higher temperature flattens the distribution; temperature 1 is the
     ordinary softmax. Raises ValueError on non-finite logits or
@@ -34,10 +41,7 @@ def softmax_with_temperature(z, temperature):
         raise ValueError("logits must be finite")
     if not (isinstance(temperature, (int, float, np.floating)) and math.isfinite(temperature) and temperature > 0):
         raise ValueError(f"temperature must be a positive finite real, got {temperature!r}")
-    s = z / temperature
-    s = s - s.max()
-    e = np.exp(s)
-    return e / e.sum()
+    return np.exp(log_softmax_rows(z[None, :], temperature)[0])
 
 
 def log_sum_exp(z):

@@ -4,8 +4,11 @@ Phase one trains the teacher with plain cross-entropy. Phase two trains the
 student against the frozen teacher: per minibatch the teacher produces soft
 targets at the configured temperature, and the student minimizes the
 configured loss (optionally plain distillation for the first epochs, then
-the balanced variant from ``defer_epoch`` on). The class weight vector is
-computed once from the training-split counts and shared read-only.
+the balanced variant from ``defer_epoch`` on). Both distillation losses run
+through the one kernel ``losses.distill_loss_batch``; they differ only in
+the targets and the two coefficients. The class weight vector is computed
+once from the training-split counts and shared read-only.
+``temperature_sweep`` trains one such student per temperature.
 
 Checkpoints capture parameters, momentum buffers, epoch index, shuffle-RNG
 state, the metric log, and a config digest, so a resumed run is bit-identical
@@ -18,7 +21,7 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -27,10 +30,10 @@ from .data import subset_tags
 from .losses import (
     BKDConfig,
     KDConfig,
-    bkd_loss_batch,
+    balanced_targets,
     cb_loss_batch,
     ce_loss_batch,
-    kd_loss_batch,
+    distill_loss_batch,
     softmax_rows,
 )
 from .mathutils import Rng, derive_seed
@@ -217,11 +220,6 @@ def read_checkpoint(path):
     return CheckpointState(params, opt, epoch, (seed, count), log_rows, digest)
 
 
-def load_model_from_checkpoint(path):
-    """Just the model parameters from a checkpoint file."""
-    return read_checkpoint(path).params
-
-
 # ---------------------------------------------------------------------------
 # training loops
 
@@ -237,21 +235,22 @@ def _check_datasets(train, test):
         raise ValueError("every class needs at least one training sample")
 
 
-def _epoch_loss_kind(cfg, epoch):
+def _epoch_loss_kind(cfg, epoch, teacher):
+    if teacher is None:
+        return "ce"
     if cfg.loss == "bkd" and cfg.defer_epoch is not None and epoch < cfg.defer_epoch:
         return "kd"
     return cfg.loss
 
 
-def _run(train, test, cfg, loss_kind_of_epoch, teacher, out_ckpt, resume_from, stop_after_epoch, on_batch):
+def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch, on_batch):
     _check_datasets(train, test)
     dims = (train.dimension, *[int(h) for h in cfg.hidden_dims], train.num_classes)
     digest = config_digest(cfg)
     tags = subset_tags(train.class_counts, cfg.many_thresh, cfg.few_thresh)
 
-    needs_weights = any(loss_kind_of_epoch(e) in ("cb", "bkd") for e in range(cfg.epochs))
     w = None
-    if needs_weights:
+    if teacher is not None and cfg.loss in ("cb", "bkd"):
         w = normalize_weights(
             effective_number_weights(train.class_counts, cfg.bkd.beta), cfg.bkd.weight_mode
         )
@@ -277,7 +276,8 @@ def _run(train, test, cfg, loss_kind_of_epoch, teacher, out_ckpt, resume_from, s
     end_epoch = cfg.epochs if stop_after_epoch is None else min(cfg.epochs, stop_after_epoch)
 
     for epoch in range(start_epoch, end_epoch):
-        kind = loss_kind_of_epoch(epoch)
+        kind = _epoch_loss_kind(cfg, epoch, teacher)
+        distill = cfg.kd if kind == "kd" else cfg.bkd
         lr = lr_at(cfg.schedule, epoch, cfg.epochs)
         order = shuffle_rng.permutation(N) if cfg.shuffle else np.arange(N, dtype=np.int64)
         loss_sum = 0.0
@@ -293,12 +293,10 @@ def _run(train, test, cfg, loss_kind_of_epoch, teacher, out_ckpt, resume_from, s
                 values, grads = cb_loss_batch(logits, ys, w)
             else:
                 t_logits, _ = forward(teacher, X)
-                if kind == "kd":
-                    phat = softmax_rows(t_logits, cfg.kd.temperature)
-                    values, grads = kd_loss_batch(logits, phat, ys, cfg.kd)
-                else:
-                    phat = softmax_rows(t_logits, cfg.bkd.temperature)
-                    values, grads = bkd_loss_batch(logits, phat, ys, w, cfg.bkd)
+                targets = softmax_rows(t_logits, distill.temperature)
+                if kind == "bkd":
+                    targets = balanced_targets(targets, w)
+                values, grads = distill_loss_batch(logits, targets, ys, *distill.coefs, distill.temperature)
 
             if not np.isfinite(values).all():
                 raise RuntimeError(
@@ -327,7 +325,7 @@ def _run(train, test, cfg, loss_kind_of_epoch, teacher, out_ckpt, resume_from, s
 
 def train_teacher(train, test, cfg, *, out_ckpt=None, resume_from=None, stop_after_epoch=None, on_batch=None):
     """Phase one: minibatch SGD with plain cross-entropy, whatever cfg.loss says."""
-    return _run(train, test, cfg, lambda e: "ce", None, out_ckpt, resume_from, stop_after_epoch, on_batch)
+    return _run(train, test, cfg, None, out_ckpt, resume_from, stop_after_epoch, on_batch)
 
 
 def train_student(train, test, teacher, cfg, *, out_ckpt=None, resume_from=None, stop_after_epoch=None, on_batch=None):
@@ -345,7 +343,26 @@ def train_student(train, test, teacher, cfg, *, out_ckpt=None, resume_from=None,
         raise ValueError(
             f"teacher emits {teacher.weights[-1].shape[0]} classes but data has {train.num_classes}"
         )
-    return _run(
-        train, test, cfg, lambda e: _epoch_loss_kind(cfg, e), teacher,
-        out_ckpt, resume_from, stop_after_epoch, on_batch,
-    )
+    return _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch, on_batch)
+
+
+def temperature_sweep(train, test, teacher, base_cfg, temps):
+    """Train one student per temperature (same teacher, same seed) and
+    report (temperature, final overall test accuracy) rows."""
+    temps = [float(t) for t in temps]
+    if not temps:
+        raise ValueError("temps must be a non-empty list")
+    if any(t <= 0 for t in temps):
+        raise ValueError("temperatures must be positive")
+    if base_cfg.epochs < 1:
+        raise ValueError("a temperature sweep needs at least one training epoch")
+    rows = []
+    for T in temps:
+        cfg = replace(
+            base_cfg,
+            kd=replace(base_cfg.kd, temperature=T),
+            bkd=replace(base_cfg.bkd, temperature=T),
+        )
+        _, log = train_student(train, test, teacher, cfg)
+        rows.append((T, log[-1].acc_all))
+    return rows

@@ -23,8 +23,8 @@ from longtail_kd.losses import (
     ce_loss_batch,
     cb_loss_batch,
     kd_loss,
-    kd_loss_batch,
-    bkd_loss_batch,
+    distill_loss_batch,
+    balanced_targets,
     softmax_rows,
 )
 from longtail_kd.mathutils import Rng, softmax_with_temperature
@@ -219,9 +219,13 @@ def test_criterion_08_model_gradient_check():
         elif kind == "cb":
             values, grads = cb_loss_batch(logits, ys, w_vec)
         elif kind == "kd":
-            values, grads = kd_loss_batch(logits, phat, ys, kd_cfg)
+            values, grads = distill_loss_batch(
+                logits, phat, ys, kd_cfg.alpha, 1.0 - kd_cfg.alpha, kd_cfg.temperature
+            )
         else:
-            values, grads = bkd_loss_batch(logits, phat, ys, w_vec, bkd_cfg)
+            values, grads = distill_loss_batch(
+                logits, balanced_targets(phat, w_vec), ys, 1.0, 1.0, bkd_cfg.temperature
+            )
         return float(values.mean()), grads / logits.shape[0]
 
     worst = 0.0

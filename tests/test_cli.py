@@ -206,6 +206,13 @@ class TestConfigHandling:
     def test_unknown_command_is_usage_error(self):
         assert run("frobnicate") == 1
 
-    def test_bad_workers_value(self, workspace):
+    def test_removed_workers_flag_unrecognised(self, workspace, capsys):
         _, cfg, *_ = workspace
         assert run("train", "--config", cfg, "--role", "teacher", "--workers", 0) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_removed_kind_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("kind = gaussian\n")
+        assert run("make-data", "--config", cfg) == 1
+        assert "unknown key" in capsys.readouterr().err

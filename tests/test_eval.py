@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +13,11 @@ from longtail_kd.evaluate import (
     report_to_json,
     row_normalized,
     sweep_to_csv,
-    temperature_sweep,
 )
 from longtail_kd.losses import BKDConfig, KDConfig
 from longtail_kd.mathutils import Rng
 from longtail_kd.mlp import LrSchedule, MlpParams, init_mlp
-from longtail_kd.pipeline import TrainConfig, train_student, train_teacher
+from longtail_kd.pipeline import TrainConfig, temperature_sweep, train_student, train_teacher
 
 
 class TestPredict:
@@ -188,6 +188,11 @@ class TestTemperatureSweep:
         train, test, teacher, cfg = self._setup()
         with pytest.raises(ValueError):
             temperature_sweep(train, test, teacher, cfg, [])
+
+    def test_zero_epochs_rejected(self):
+        train, test, teacher, cfg = self._setup()
+        with pytest.raises(ValueError, match="epoch"):
+            temperature_sweep(train, test, teacher, replace(cfg, epochs=0), [2.0])
 
     def test_csv_rendering(self):
         assert sweep_to_csv([(1.0, 0.5)]) == "temperature,accuracy\n1.0,0.5\n"

@@ -9,14 +9,14 @@ from longtail_kd.losses import (
     KDConfig,
     bkd_grad_formula,
     bkd_loss,
-    bkd_loss_batch,
+    balanced_targets,
     cb_grad_formula,
     cb_loss,
     cb_loss_batch,
     ce_loss,
     ce_loss_batch,
+    distill_loss_batch,
     kd_loss,
-    kd_loss_batch,
 )
 from longtail_kd.mathutils import Rng, one_hot, softmax_with_temperature
 from longtail_kd.weights import effective_number_weights
@@ -214,7 +214,7 @@ class TestBkdLoss:
         # unreachable through the validated entry point (weights are positive
         # and teacher probs sum to 1), so poke the batch core directly
         with pytest.raises(RuntimeError, match="mass"):
-            bkd_loss_batch(np.zeros((1, 3)), np.zeros((1, 3)), [0], np.ones(3), BKDConfig())
+            balanced_targets(np.zeros((1, 3)), np.ones(3))
 
     def test_weight_scale_cancels(self):
         rng = Rng(44)
@@ -289,8 +289,8 @@ class TestBatchConsistency:
 
         cev, ceg = ce_loss_batch(Z, ys)
         cbv, cbg = cb_loss_batch(Z, ys, w)
-        kdv, kdg = kd_loss_batch(Z, phat, ys, kd_cfg)
-        bkv, bkg = bkd_loss_batch(Z, phat, ys, w, bkd_cfg)
+        kdv, kdg = distill_loss_batch(Z, phat, ys, kd_cfg.alpha, 1.0 - kd_cfg.alpha, kd_cfg.temperature)
+        bkv, bkg = distill_loss_batch(Z, balanced_targets(phat, w), ys, 1.0, 1.0, bkd_cfg.temperature)
         for i in range(N):
             y = int(ys[i])
             r = ce_loss(Z[i], y)

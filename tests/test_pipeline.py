@@ -112,7 +112,7 @@ class TestTrainStudent:
         cfg = small_cfg(loss="bkd", shuffle=False, epochs=2)
         teacher, _ = train_teacher(train, test, small_cfg(epochs=3))
 
-        from longtail_kd.losses import bkd_loss_batch, ce_loss_batch, softmax_rows
+        from longtail_kd.losses import balanced_targets, ce_loss_batch, distill_loss_batch, softmax_rows
 
         recorded = []
 
@@ -131,7 +131,7 @@ class TestTrainStudent:
         t_logits, _ = forward(teacher, X)
         phat = softmax_rows(t_logits, cfg.bkd.temperature)
         w = effective_number_weights(train.class_counts, cfg.bkd.beta)
-        bkd_values, _ = bkd_loss_batch(logits, phat, ys, w, cfg.bkd)
+        bkd_values, _ = distill_loss_batch(logits, balanced_targets(phat, w), ys, 1.0, 1.0, cfg.bkd.temperature)
         ce_values, _ = ce_loss_batch(logits, ys)
         T = cfg.bkd.temperature
         log_pT = np.log(softmax_rows(logits, T))
