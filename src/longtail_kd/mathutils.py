@@ -21,9 +21,15 @@ _MIX_2 = 0x94D049BB133111EB
 
 def log_softmax_rows(Z, temperature=1.0):
     """Row-wise log of the temperature softmax of a (N, C) logit matrix,
-    computed via max-shifted exponentials."""
-    s = Z / temperature
-    s = s - s.max(axis=1, keepdims=True)
+    computed via max-shifted exponentials.
+
+    The max-shift comes before the division by T, so every scaled entry is
+    <= 0 and finite logits cannot overflow to +inf for T < 1. An entry may
+    still round to -inf, which is the correct log of an underflowed
+    probability, so that overflow is not reported.
+    """
+    with np.errstate(over="ignore"):
+        s = (Z - Z.max(axis=1, keepdims=True)) / temperature
     return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
 
 

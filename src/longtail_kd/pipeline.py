@@ -1,13 +1,17 @@
 """Two-phase teacher/student training.
 
 Phase one trains the teacher with plain cross-entropy. Phase two trains the
-student against the frozen teacher: per minibatch the teacher produces soft
-targets at the configured temperature, and the student minimizes the
-configured loss (optionally plain distillation for the first epochs, then
-the balanced variant from ``defer_epoch`` on). Both distillation losses run
-through the one kernel ``losses.distill_loss_batch``; they differ only in
-the targets and the two coefficients. The class weight vector is computed
-once from the training-split counts and shared read-only.
+student against the frozen teacher: the student minimizes the configured
+loss (optionally plain distillation for the first epochs, then the balanced
+variant from ``defer_epoch`` on). The teacher and the class weights are
+fixed for the whole run, so each training row's soft target is a constant:
+the first epoch that needs a distillation kind builds that kind's (N, C)
+target matrix once, forwarding the teacher over the training split in
+``batch_size``-row chunks, and every minibatch gathers its rows from it.
+Both distillation losses run through the one kernel
+``losses.distill_loss_batch``; they differ only in the targets and the two
+coefficients. The class weight vector is computed once from the
+training-split counts and shared read-only.
 ``temperature_sweep`` trains one such student per temperature.
 
 Checkpoints capture parameters, momentum buffers, epoch index, shuffle-RNG
@@ -243,6 +247,17 @@ def _epoch_loss_kind(cfg, epoch, teacher):
     return cfg.loss
 
 
+def _teacher_targets(teacher, features, batch_size, temperature, w):
+    """Soft targets of every row: softmax(teacher(x) / T), balanced by w
+    unless w is None. The teacher runs on ``batch_size``-row chunks so only
+    one chunk's activations are alive at a time."""
+    t_logits = np.vstack(
+        [forward(teacher, features[s : s + batch_size])[0] for s in range(0, len(features), batch_size)]
+    )
+    targets = softmax_rows(t_logits, temperature)
+    return targets if w is None else balanced_targets(targets, w)
+
+
 def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch, on_batch):
     _check_datasets(train, test)
     dims = (train.dimension, *[int(h) for h in cfg.hidden_dims], train.num_classes)
@@ -273,11 +288,16 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch, on_
         log_rows = []
 
     N = len(train)
+    targets_of = {}  # distillation kind -> (N, C) targets, built on first use
     end_epoch = cfg.epochs if stop_after_epoch is None else min(cfg.epochs, stop_after_epoch)
 
     for epoch in range(start_epoch, end_epoch):
         kind = _epoch_loss_kind(cfg, epoch, teacher)
         distill = cfg.kd if kind == "kd" else cfg.bkd
+        if kind in ("kd", "bkd") and kind not in targets_of:
+            targets_of[kind] = _teacher_targets(
+                teacher, train.features, cfg.batch_size, distill.temperature, w if kind == "bkd" else None
+            )
         lr = lr_at(cfg.schedule, epoch, cfg.epochs)
         order = shuffle_rng.permutation(N) if cfg.shuffle else np.arange(N, dtype=np.int64)
         loss_sum = 0.0
@@ -292,11 +312,9 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch, on_
             elif kind == "cb":
                 values, grads = cb_loss_batch(logits, ys, w)
             else:
-                t_logits, _ = forward(teacher, X)
-                targets = softmax_rows(t_logits, distill.temperature)
-                if kind == "bkd":
-                    targets = balanced_targets(targets, w)
-                values, grads = distill_loss_batch(logits, targets, ys, *distill.coefs, distill.temperature)
+                values, grads = distill_loss_batch(
+                    logits, targets_of[kind][rows], ys, *distill.coefs, distill.temperature
+                )
 
             if not np.isfinite(values).all():
                 raise RuntimeError(

@@ -155,6 +155,12 @@ class TestKdLoss:
         assert abs(r.value - 4.0 * kl(phat, p)) < 1e-12
         assert np.isfinite(r.grad_logits).all()
 
+    def test_huge_logit_below_unit_temperature_gives_no_nan(self):
+        # KL(phat || p_T) correctly rounds to +inf here; the gradient is finite
+        r = kd_loss([1e308, 0.0], [0.5, 0.5], 0, KDConfig(alpha=0.5, temperature=0.5))
+        assert r.value == math.inf
+        np.testing.assert_array_equal(r.grad_logits, [0.125, -0.125])
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             KDConfig(alpha=1.5)

@@ -54,6 +54,10 @@ class TestSoftmaxWithTemperature:
         p = softmax_with_temperature([1e300, 0.0, -1e300], 1.0)
         np.testing.assert_allclose(p, [1.0, 0.0, 0.0])
 
+    def test_huge_logits_below_unit_temperature_do_not_overflow(self):
+        # the max-shift must come before the division by T
+        np.testing.assert_array_equal(softmax_with_temperature([1e308, -1e308], 0.5), [1.0, 0.0])
+
     @pytest.mark.parametrize("bad_t", [0.0, -1.0, math.nan, math.inf])
     def test_bad_temperature_rejected(self, bad_t):
         with pytest.raises(ValueError):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from longtail_kd import pipeline
 from longtail_kd.data import synth_gaussian_mixture
-from longtail_kd.losses import BKDConfig, KDConfig
+from longtail_kd.losses import BKDConfig, KDConfig, balanced_targets, distill_loss_batch, softmax_rows
 from longtail_kd.mlp import LrSchedule, forward, params_to_bytes
 from longtail_kd.pipeline import (
     MetricRow,
@@ -194,6 +195,71 @@ class TestTrainStudent:
         np.testing.assert_array_equal(w1, w2)
 
 
+def count_teacher_rows(monkeypatch, teacher):
+    """Patch the pipeline's forward to record the row count of each teacher call."""
+    rows = []
+
+    def counting_forward(params, X):
+        if params is teacher:
+            rows.append(len(X))
+        return forward(params, X)
+
+    monkeypatch.setattr(pipeline, "forward", counting_forward)
+    return rows
+
+
+class TestTeacherTargetCache:
+    @pytest.mark.parametrize("loss", ["kd", "bkd"])
+    def test_cached_targets_match_per_batch_teacher_forward(self, loss, monkeypatch):
+        train, test = two_class_separable()
+        teacher, _ = train_teacher(train, test, small_cfg(epochs=3))
+        cfg = small_cfg(loss=loss, epochs=2)
+        distill = cfg.kd if loss == "kd" else cfg.bkd
+        w = effective_number_weights(train.class_counts, cfg.bkd.beta)
+        batches = []
+
+        def student_forward(params, X):
+            if params is not teacher:
+                batches.append(X)
+            return forward(params, X)
+
+        def check_targets(Z, targets, *args):
+            expected = softmax_rows(forward(teacher, batches[-1])[0], distill.temperature)
+            if loss == "bkd":
+                expected = balanced_targets(expected, w)
+            np.testing.assert_allclose(targets, expected, rtol=1e-12)
+            return distill_loss_batch(Z, targets, *args)
+
+        monkeypatch.setattr(pipeline, "forward", student_forward)
+        monkeypatch.setattr(pipeline, "distill_loss_batch", check_targets)
+        train_student(train, test, teacher, cfg)
+        assert len(batches) == cfg.epochs * math.ceil(len(train) / cfg.batch_size)
+
+    @pytest.mark.parametrize(
+        "loss, defer_epoch, builds",
+        [("ce", None, 0), ("cb", None, 0), ("kd", None, 1), ("bkd", None, 1), ("bkd", 2, 2)],
+    )
+    def test_teacher_forwarded_once_per_row_in_batch_sized_chunks(self, loss, defer_epoch, builds, monkeypatch):
+        train, test = two_class_separable()
+        teacher, _ = train_teacher(train, test, small_cfg(epochs=3))
+        cfg = small_cfg(loss=loss, epochs=4, defer_epoch=defer_epoch)
+        teacher_rows = count_teacher_rows(monkeypatch, teacher)
+        train_student(train, test, teacher, cfg)
+        assert sum(teacher_rows) == builds * len(train)
+        assert max(teacher_rows, default=0) <= cfg.batch_size
+
+    def test_zero_epoch_run_never_forwards_teacher(self, monkeypatch, tmp_path):
+        train, test = two_class_separable()
+        teacher, _ = train_teacher(train, test, small_cfg(epochs=3))
+        cfg = small_cfg(loss="bkd", epochs=2)
+        ckpt = str(tmp_path / "done.ckpt")
+        train_student(train, test, teacher, cfg, out_ckpt=ckpt)
+        teacher_rows = count_teacher_rows(monkeypatch, teacher)
+        train_student(train, test, teacher, cfg, resume_from=ckpt)
+        train_student(train, test, teacher, cfg, stop_after_epoch=0)
+        assert teacher_rows == []
+
+
 class TestCheckpointResume:
     def test_mid_run_resume_reproduces_uninterrupted_run(self, tmp_path):
         train, test = two_class_separable()
@@ -216,6 +282,18 @@ class TestCheckpointResume:
         train_student(train, test, teacher, cfg, out_ckpt=ckpt, stop_after_epoch=3)
         resumed_params, _ = train_student(train, test, teacher, cfg, resume_from=ckpt)
         assert params_to_bytes(resumed_params) == params_to_bytes(full_params)
+
+    def test_student_resume_across_deferred_switch(self, tmp_path):
+        # stop in the kd phase, resume through the switch to bkd
+        train, test = two_class_separable()
+        teacher, _ = train_teacher(train, test, small_cfg(epochs=3))
+        cfg = small_cfg(loss="bkd", epochs=4, defer_epoch=2)
+        full_params, full_log = train_student(train, test, teacher, cfg)
+        ckpt = str(tmp_path / "mid.ckpt")
+        train_student(train, test, teacher, cfg, out_ckpt=ckpt, stop_after_epoch=1)
+        resumed_params, resumed_log = train_student(train, test, teacher, cfg, resume_from=ckpt)
+        assert params_to_bytes(resumed_params) == params_to_bytes(full_params)
+        assert metrics_to_csv(resumed_log) == metrics_to_csv(full_log)
 
     def test_checkpoint_after_init_resumes_to_initial_state(self, tmp_path):
         train, test = two_class_separable()
