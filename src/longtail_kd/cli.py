@@ -107,6 +107,10 @@ def cmd_eval(args):
     params = read_checkpoint(args.ckpt).params
     data = load_dataset(args.data)
     train = load_dataset(os.path.join(cfg["data_dir"], "train.csv"))
+    emitted = params.weights[-1].shape[0]
+    for name, split in (("data", data), ("train split", train)):
+        if split.num_classes != emitted:
+            raise ValueError(f"checkpoint emits {emitted} classes but the {name} has {split.num_classes}")
     out = _prepare_out(cfg, args.out, "out_dir")
 
     tags = subset_tags(train.class_counts, cfg["many_thresh"], cfg["few_thresh"])
@@ -126,6 +130,8 @@ def cmd_eval(args):
 
 
 def cmd_gradcheck(args):
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     worst = run_gradient_checks(trials=args.trials, seed=args.seed)
     threshold = 1e-6
     print(f"gradient check: {args.trials} trials, seed {args.seed}, threshold {threshold:g}")

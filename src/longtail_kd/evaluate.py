@@ -1,6 +1,11 @@
 """Prediction, overall/per-subset accuracy, confusion matrices, and the
 text forms of reports, confusion matrices and temperature sweeps.
 
+``predict`` scores a split through ``mlp.forward``, optionally into
+caller-owned per-layer buffers (the training loop keeps one set for a run
+and scores every epoch through it). ``accuracy_report`` counts per-class
+hits and totals with one ``bincount`` each.
+
 A leaf module: the sweep itself trains students, so it lives next to the
 training loop in ``pipeline``.
 """
@@ -32,47 +37,51 @@ class EvalReport:
     n: int
 
 
-def predict(params, data):
-    """Argmax class per sample; ties break toward the lowest class index."""
+def predict(params, data, out=None):
+    """Argmax class per sample; ties break toward the lowest class index.
+
+    ``out`` is passed on to ``forward``: per-layer (len(data), fan_out)
+    buffers that a caller scoring the same split every epoch allocates once.
+    """
     if data.dimension != params.weights[0].shape[1]:
         raise ValueError(
             f"data dimension {data.dimension} does not match model input {params.weights[0].shape[1]}"
         )
-    logits, _ = forward(params, data.features)
+    logits, _ = forward(params, data.features, out=out)
     return np.argmax(logits, axis=1).astype(np.int64)
 
 
 def accuracy_report(preds, labels, tags):
-    """Overall, per-subset, and per-class accuracy from predictions."""
+    """Overall, per-subset, and per-class accuracy from predictions.
+
+    Hits and totals are counted per class; every accuracy is then a ratio
+    of exact integers.
+    """
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if preds.shape != labels.shape or preds.ndim != 1:
         raise ValueError("preds and labels must be 1-D vectors of equal length")
     if preds.size == 0:
         raise ValueError("cannot evaluate an empty prediction set")
-    correct = preds == labels
     num_classes = len(tags.tags)
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise ValueError(f"labels contain entries outside [0, {num_classes})")
+    totals = np.bincount(labels, minlength=num_classes)
+    hits = np.bincount(labels[preds == labels], minlength=num_classes)
 
-    per_class = []
-    for c in range(num_classes):
-        mask = labels == c
-        per_class.append(float(correct[mask].mean()) if mask.any() else None)
+    def ratio(h, t):
+        return float(h / t) if t else None
 
     def subset_acc(tag):
         members = tags.classes_tagged(tag)
-        if members.size == 0:
-            return None
-        mask = np.isin(labels, members)
-        if not mask.any():
-            return None
-        return float(correct[mask].mean())
+        return ratio(hits[members].sum(), totals[members].sum())
 
     return EvalReport(
-        overall=float(correct.mean()),
+        overall=ratio(hits.sum(), preds.size),
         many=subset_acc(MANY),
         medium=subset_acc(MEDIUM),
         few=subset_acc(FEW),
-        per_class=tuple(per_class),
+        per_class=tuple(ratio(h, t) for h, t in zip(hits.tolist(), totals.tolist())),
         n=int(preds.size),
     )
 

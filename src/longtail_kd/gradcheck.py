@@ -48,8 +48,11 @@ def run_gradient_checks(trials=100, seed=0, h=1e-5):
 
     Covers the four losses plus the two closed-form diagnostic gradients
     (each checked against finite differences of the loss it claims to
-    differentiate). Returns a dict: name -> worst error.
+    differentiate). Returns a dict: name -> worst error. ``trials`` must
+    be at least 1: an empty audit would report every loss as exact.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials!r}")
     rng = Rng(seed)
     temps = (1.0, 2.0, 4.0)
     worst = {name: 0.0 for name in ("ce", "cb", "kd", "bkd", "cb_formula", "bkd_formula")}

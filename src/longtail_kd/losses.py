@@ -30,7 +30,9 @@ scalar entry points validate and delegate to them with a single row. Both
 distillation losses share one core, ``distill_loss_batch``, and differ only
 in the target and in their config's ``coefs``: plain distillation passes the
 teacher's soft targets with (alpha, 1 - alpha), balanced distillation passes
-``balanced_targets(phat, w)`` with (1, 1).
+``balanced_targets(phat, w)`` with (1, 1). The kernel shifts each logit row
+by its max once and takes both the temperature-1 and the temperature-T
+log-softmax from that one shift.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathutils import log_softmax_rows
+from .mathutils import log_softmax_rows, log_softmax_shifted, shift_rows
 
 __all__ = [
     "LossResult",
@@ -162,24 +164,18 @@ def softmax_rows(Z, temperature=1.0):
     return np.exp(log_softmax_rows(np.asarray(Z, dtype=np.float64), temperature))
 
 
-def _kl_rows(targets, log_p):
-    """Row-wise sum of t * (log t - log p), with 0 log 0 = 0."""
-    mask = targets > 0
-    contrib = np.zeros_like(targets)
-    contrib[mask] = targets[mask] * (np.log(targets[mask]) - log_p[mask])
-    return contrib.sum(axis=1)
+def _ce_rows(log_p, ys):
+    """Cross-entropy values -log p_y and logit gradients p - one_hot(y)."""
+    at_y = np.arange(0, log_p.size, log_p.shape[1]) + ys  # flat index of each row's label
+    values = -log_p.ravel()[at_y]
+    grads = np.exp(log_p, order="C")  # so that ravel() is a view
+    grads.ravel()[at_y] -= 1.0
+    return values, grads
 
 
 def ce_loss_batch(Z, ys):
     """Cross-entropy per row: values (N,) and logit gradients (N, C)."""
-    Z = np.asarray(Z, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.int64)
-    rows = np.arange(Z.shape[0])
-    log_p = log_softmax_rows(Z)
-    values = -log_p[rows, ys]
-    grads = np.exp(log_p)
-    grads[rows, ys] -= 1.0
-    return values, grads
+    return _ce_rows(log_softmax_rows(np.asarray(Z, dtype=np.float64)), np.asarray(ys, dtype=np.int64))
 
 
 def cb_loss_batch(Z, ys, w):
@@ -199,13 +195,21 @@ def balanced_targets(teacher_probs, w):
 
 
 def distill_loss_batch(Z, targets, ys, ce_coef, kl_coef, temperature):
-    """Distillation rows: ce_coef * CE + kl_coef * T^2 * KL(targets || p_T)."""
+    """Distillation rows: ce_coef * CE + kl_coef * T^2 * KL(targets || p_T).
+
+    The row max-shift is computed once and serves both the temperature-1
+    softmax of the CE term and the temperature-T softmax of the KL term.
+    KL takes 0 log 0 as 0, so targets may hold exact zeros.
+    """
     Z = np.asarray(Z, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     T = temperature
-    ce_values, ce_grads = ce_loss_batch(Z, ys)
-    log_p_T = log_softmax_rows(Z, T)
-    values = ce_coef * ce_values + kl_coef * (T * T) * _kl_rows(targets, log_p_T)
+    shifted = shift_rows(Z)
+    ce_values, ce_grads = _ce_rows(log_softmax_shifted(shifted), np.asarray(ys, dtype=np.int64))
+    log_p_T = log_softmax_shifted(shifted, T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl = np.where(targets > 0, targets * (np.log(targets) - log_p_T), 0.0).sum(axis=1)
+    values = ce_coef * ce_values + kl_coef * (T * T) * kl
     grads = ce_coef * ce_grads + kl_coef * T * (np.exp(log_p_T) - targets)
     return values, grads
 

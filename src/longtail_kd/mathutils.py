@@ -19,18 +19,34 @@ _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 
 
-def log_softmax_rows(Z, temperature=1.0):
-    """Row-wise log of the temperature softmax of a (N, C) logit matrix,
-    computed via max-shifted exponentials.
+def shift_rows(Z):
+    """Z minus its row max, so every entry is <= 0.
 
-    The max-shift comes before the division by T, so every scaled entry is
-    <= 0 and finite logits cannot overflow to +inf for T < 1. An entry may
-    still round to -inf, which is the correct log of an underflowed
-    probability, so that overflow is not reported.
+    A logit gap wider than the float range rounds to -inf, which is what
+    the softmax needs there, so that overflow is not reported.
     """
     with np.errstate(over="ignore"):
-        s = (Z - Z.max(axis=1, keepdims=True)) / temperature
-    return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
+        return Z - np.maximum.reduce(Z, axis=1, keepdims=True)
+
+
+def log_softmax_shifted(S, temperature=1.0):
+    """Row-wise log-softmax of S / T for rows already shifted by ``shift_rows``.
+
+    Shifting before the division by T keeps every scaled entry <= 0, so
+    finite logits cannot overflow to +inf for T < 1. One shift can serve
+    several temperatures. Dividing by 1 is exact, so T = 1 skips it.
+    """
+    s = S
+    if temperature != 1:
+        with np.errstate(over="ignore"):
+            s = S / temperature
+    return s - np.log(np.add.reduce(np.exp(s), axis=1, keepdims=True))
+
+
+def log_softmax_rows(Z, temperature=1.0):
+    """Row-wise log of the temperature softmax of a (N, C) logit matrix,
+    computed via max-shifted exponentials."""
+    return log_softmax_shifted(shift_rows(Z), temperature)
 
 
 def softmax_with_temperature(z, temperature):

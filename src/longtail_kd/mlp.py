@@ -5,7 +5,11 @@ Layers are affine maps with rectified-linear hidden activations; the final
 layer emits raw logits. ``forward`` accepts a single feature vector or an
 (N, d) batch; ``backward`` consumes the matching cache and the loss gradient
 with respect to the logits, summing parameter gradients over the batch rows
-it is given (scale grad_logits by 1/N beforehand for a mean reduction).
+it is given (scale grad_logits by 1/N beforehand for a mean reduction). The
+cache holds each layer's input and no pre-activations: ``backward`` masks
+on the rectified inputs. A caller that scores the same number of rows again
+and again can pass per-layer ``out`` buffers to ``forward`` and reuse them,
+so no layer-sized array is allocated per call.
 """
 
 from __future__ import annotations
@@ -91,10 +95,16 @@ def init_mlp(dims, seed):
     return MlpParams(weights, biases)
 
 
-def forward(params, x):
+def forward(params, x, out=None):
     """Logits and an activation cache for ``backward``.
 
-    1-D input gives a 1-D logit vector; an (N, d) batch gives (N, C).
+    1-D input gives a 1-D logit vector; an (N, d) batch gives (N, C). Each
+    layer adds its bias and rectifies in place, so a layer makes one array.
+    ``out``, if given, holds one (N, fan_out) float64 buffer per layer; the
+    layers are written into them, and the logits and the cache are views of
+    those buffers, valid until the buffers are written again. The cache
+    keeps only each layer's input: relu(x) > 0 exactly when x > 0, so the
+    rectified input of layer l is also the mask of layer l - 1.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -104,18 +114,15 @@ def forward(params, x):
             f"input dimension {x.shape} does not match first layer fan_in {params.weights[0].shape[1]}"
         )
     inputs = [X]
-    preacts = []
     a = X
     last = len(params.weights) - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        pre = a @ w.T + b
+        a = np.matmul(a, w.T, out=None if out is None else out[l])
+        a += b
         if l < last:
-            preacts.append(pre)
-            a = np.maximum(pre, 0.0)
+            np.maximum(a, 0.0, out=a)
             inputs.append(a)
-        else:
-            a = pre
-    cache = {"inputs": inputs, "preacts": preacts, "single": single}
+    cache = {"inputs": inputs, "single": single}
     return (a[0] if single else a), cache
 
 
@@ -131,15 +138,16 @@ def backward(params, cache, grad_logits):
             raise ValueError("grad_logits must be 1-D for a single-sample cache")
         g = g[None, :]
     n_layers = len(params.weights)
-    if g.shape != (cache["inputs"][0].shape[0], params.weights[-1].shape[0]):
+    inputs = cache["inputs"]
+    if g.shape != (inputs[0].shape[0], params.weights[-1].shape[0]):
         raise ValueError(f"grad_logits shape {grad_logits.shape} does not match the forward cache")
     gw = [None] * n_layers
     gb = [None] * n_layers
     for l in range(n_layers - 1, -1, -1):
-        gw[l] = g.T @ cache["inputs"][l]
+        gw[l] = g.T @ inputs[l]
         gb[l] = g.sum(axis=0)
         if l > 0:
-            g = (g @ params.weights[l]) * (cache["preacts"][l - 1] > 0)
+            g = (g @ params.weights[l]) * (inputs[l] > 0)
     return MlpGradients(gw, gb)
 
 

@@ -11,7 +11,10 @@ target matrix once, forwarding the teacher over the training split in
 Both distillation losses run through the one kernel
 ``losses.distill_loss_batch``; they differ only in the targets and the two
 coefficients. The class weight vector is computed once from the
-training-split counts and shared read-only.
+training-split counts and shared read-only. Every epoch scores the test
+split through one set of per-layer (n_test, width) buffers that the run
+allocates up front, so the per-epoch evaluation allocates no layer-sized
+array; the buffers live for one ``_run`` call.
 ``temperature_sweep`` trains one such student per temperature.
 
 Checkpoints capture parameters, momentum buffers, epoch index, shuffle-RNG
@@ -263,6 +266,10 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch, on_
     dims = (train.dimension, *[int(h) for h in cfg.hidden_dims], train.num_classes)
     digest = config_digest(cfg)
     tags = subset_tags(train.class_counts, cfg.many_thresh, cfg.few_thresh)
+    # every epoch scores the test split into these; on the wide-batch
+    # benchmark shape, allocating them before the parameters gave a lower
+    # peak RSS than allocating them after
+    eval_out = [np.empty((len(test), width)) for width in dims[1:]]
 
     w = None
     if teacher is not None and cfg.loss in ("cb", "bkd"):
@@ -331,7 +338,7 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch, on_
             if on_batch is not None:
                 on_batch(epoch, start // cfg.batch_size, float(values.mean()))
 
-        report = evaluate.accuracy_report(evaluate.predict(params, test), test.labels, tags)
+        report = evaluate.accuracy_report(evaluate.predict(params, test, out=eval_out), test.labels, tags)
         log_rows.append(
             MetricRow(epoch, loss_sum / N, lr, report.overall, report.many, report.medium, report.few)
         )

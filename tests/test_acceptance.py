@@ -239,9 +239,8 @@ def test_criterion_08_model_gradient_check():
             X = rng.normal((3, d))
             ys = (rng.uniform(3) * C).astype(np.int64)
             phat = softmax_rows(2.0 * rng.normal((3, C)), 2.0)
-            _, cache = forward(params, X)
             # keep finite differences away from rectifier kinks
-            if np.abs(cache["preacts"][0]).min() < 1e-3:
+            if np.abs(X @ params.weights[0].T + params.biases[0]).min() < 1e-3:
                 continue
             checked += 1
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from longtail_kd.cli import main
+from longtail_kd.gradcheck import run_gradient_checks
 
 
 def run(*args):
@@ -148,6 +149,24 @@ class TestEval:
         ) == 2
 
 
+    @pytest.mark.parametrize("mismatch", ["data", "train split"])
+    def test_class_count_mismatch_refused(self, workspace, capsys, mismatch):
+        tmp, cfg, data_dir, out_dir = workspace
+        assert run("make-data", "--config", cfg) == 0
+        assert run("train", "--config", cfg, "--role", "teacher") == 0
+        four = write_config(tmp / "four.cfg", C=4, data_dir=tmp / "data4", out_dir=tmp / "out4")
+        assert run("make-data", "--config", four) == 0
+        capsys.readouterr()
+        if mismatch == "data":
+            args = ("--data", tmp / "data4" / "test.csv", "--config", cfg)
+        else:
+            args = ("--data", data_dir / "test.csv", "--config", four)
+        assert run("eval", "--ckpt", out_dir / "teacher.ckpt", *args) == 2
+        assert f"checkpoint emits 3 classes but the {mismatch} has 4" in capsys.readouterr().err
+        assert not (tmp / "out4" / "eval_report.json").exists()
+        assert not (out_dir / "eval_report.json").exists()
+
+
 class TestGradcheck:
     def test_passes_and_reports(self, capsys):
         assert run("gradcheck", "--trials", 100, "--seed", 1) == 0
@@ -155,6 +174,18 @@ class TestGradcheck:
         for name in ("ce", "cb", "kd", "bkd", "cb_formula", "bkd_formula"):
             assert name in out
         assert "worst case" in out
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_nonpositive_trials_is_usage_error(self, capsys, trials):
+        assert run("gradcheck", "--trials", trials) == 1
+        captured = capsys.readouterr()
+        assert "--trials must be at least 1" in captured.err
+        assert "ok" not in captured.out
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_library_rejects_nonpositive_trials(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            run_gradient_checks(trials=trials)
 
 
 class TestSweepTemp:

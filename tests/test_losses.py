@@ -307,3 +307,55 @@ class TestBatchConsistency:
             assert r.value == kdv[i] and np.array_equal(r.grad_logits, kdg[i])
             r = bkd_loss(Z[i], phat[i], y, w, bkd_cfg)
             assert r.value == bkv[i] and np.array_equal(r.grad_logits, bkg[i])
+
+
+def two_softmax_reference(Z, targets, ys, ce_coef, kl_coef, T):
+    """The distillation kernel with one max-shift per softmax and the KL
+    summed over a masked gather."""
+
+    def log_softmax(Z, T):
+        with np.errstate(over="ignore"):
+            s = (Z - Z.max(axis=1, keepdims=True)) / T
+        return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
+
+    rows = np.arange(Z.shape[0])
+    log_p = log_softmax(Z, 1.0)
+    ce_values = -log_p[rows, ys]
+    ce_grads = np.exp(log_p)
+    ce_grads[rows, ys] -= 1.0
+    log_p_T = log_softmax(Z, T)
+    mask = targets > 0
+    contrib = np.zeros_like(targets)
+    contrib[mask] = targets[mask] * (np.log(targets[mask]) - log_p_T[mask])
+    values = ce_coef * ce_values + kl_coef * (T * T) * contrib.sum(axis=1)
+    grads = ce_coef * ce_grads + kl_coef * T * (np.exp(log_p_T) - targets)
+    return values, grads
+
+
+class TestDistillKernelBits:
+    @pytest.mark.parametrize("T", [0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+    def test_one_shift_kernel_matches_two_softmax_reference(self, T):
+        rng = Rng(81)
+        C, N = 10, 64
+        w = np.exp(rng.normal(C))
+        for trial in range(20):
+            Z = (1.0 + 4.0 * trial) * rng.normal((N, C))
+            phat = np.exp(6.0 * rng.normal((N, C)))
+            phat[rng.uniform((N, C)) < 0.2] = 0.0  # exact zeros in the targets
+            phat[:, 0] += 1e-3
+            phat /= phat.sum(axis=1, keepdims=True)
+            ys = (rng.uniform(N) * C).astype(np.int64)
+            for targets, coefs in ((phat, (0.3, 0.7)), (balanced_targets(phat, w), (1.0, 1.0))):
+                got = distill_loss_batch(Z, targets, ys, *coefs, T)
+                ref = two_softmax_reference(Z, targets, ys, *coefs, T)
+                for a, b in zip(got, ref):
+                    assert a.tobytes() == b.tobytes()
+
+    def test_ce_gradient_of_column_major_logits(self):
+        # the label entries are found by flat index; the layout must not matter
+        Z = Rng(82).normal((5, 3))
+        ys = np.array([0, 2, 1, 1, 0])
+        values, grads = ce_loss_batch(np.asfortranarray(Z), ys)
+        ref_values, ref_grads = ce_loss_batch(Z, ys)
+        np.testing.assert_allclose(values, ref_values, rtol=1e-15)
+        np.testing.assert_allclose(grads, ref_grads, rtol=0, atol=1e-15)

@@ -158,6 +158,71 @@ class TestBackward:
             backward(params, cache, np.zeros((2, 3)))
 
 
+def preact_reference(params, X, grad_logits):
+    """Logits and parameter gradients the allocating way: every layer's
+    pre-activation kept in its own array, and backward masking on it."""
+    a, inputs, preacts = X, [X], []
+    last = len(params.weights) - 1
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        pre = a @ w.T + b
+        if l < last:
+            preacts.append(pre)
+            a = np.maximum(pre, 0.0)
+            inputs.append(a)
+        else:
+            a = pre
+    g = grad_logits
+    gw, gb = [None] * len(params.weights), [None] * len(params.weights)
+    for l in range(last, -1, -1):
+        gw[l] = g.T @ inputs[l]
+        gb[l] = g.sum(axis=0)
+        if l > 0:
+            g = (g @ params.weights[l]) * (preacts[l - 1] > 0)
+    return a, gw, gb
+
+
+def random_net(dims, n, seed):
+    rng = Rng(seed)
+    params = init_mlp(dims, seed=seed)
+    for b in params.biases:
+        b[:] = 0.1 * rng.normal(b.size)
+    X = rng.normal((n, dims[0]))
+    X[:3] = 0.0  # rows whose first-layer pre-activations are the bias alone
+    params.biases[0][:2] = 0.0  # ... and exactly zero in two units
+    return params, X
+
+
+class TestBuffers:
+    """Per-layer ``out`` buffers and the input-masked backward keep every bit."""
+
+    @pytest.mark.parametrize("n, dims", [(1000, (20, 64, 64, 10)), (2000, (64, 512, 512, 20))])
+    def test_buffered_forward_matches_allocating_call_bit_for_bit(self, n, dims):
+        params, X = random_net(dims, n, seed=71)
+        expected, _, _ = preact_reference(params, X, np.zeros((n, dims[-1])))
+        allocating, _ = forward(params, X)
+        assert allocating.tobytes() == expected.tobytes()
+        out = [np.full((n, w.shape[0]), np.nan) for w in params.weights]
+        for _ in range(2):  # a reused set of buffers gives the same bits again
+            logits, cache = forward(params, X, out=out)
+            assert logits.tobytes() == expected.tobytes()
+        assert np.shares_memory(logits, out[-1])
+        for a, buf in zip(cache["inputs"][1:], out[:-1]):
+            assert np.shares_memory(a, buf)
+
+    @pytest.mark.parametrize("dims", [(6, 8, 4), (20, 64, 64, 10)])
+    def test_backward_masks_like_the_preactivation_reference(self, dims):
+        params, X = random_net(dims, 64, seed=72)
+        G = Rng(73).normal((64, dims[-1]))
+        _, ref_w, ref_b = preact_reference(params, X, G)
+        grads = backward(params, forward(params, X)[1], G)
+        for got, ref in zip(grads.weights + grads.biases, ref_w + ref_b):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_cache_holds_no_preactivations(self):
+        params, X = random_net((6, 8, 4), 5, seed=74)
+        assert set(forward(params, X)[1]) == {"inputs", "single"}
+
+
 class TestSgdMomentum:
     def test_zero_momentum_is_vanilla_sgd(self):
         params = init_mlp([2, 2], seed=0)

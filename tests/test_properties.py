@@ -1,9 +1,12 @@
-"""Property tests for the softmax and the distillation kernels."""
+"""Property tests for the softmax, the distillation kernels and the
+accuracy report."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from longtail_kd.data import FEW, MANY, MEDIUM, SubsetTags
+from longtail_kd.evaluate import accuracy_report
 from longtail_kd.losses import balanced_targets, distill_loss_batch, softmax_rows
 from longtail_kd.mathutils import softmax_with_temperature
 
@@ -59,3 +62,36 @@ def test_balanced_targets_ignore_weight_scale(batch, c):
     _, teacher_logits, _, w, T = batch
     phat = softmax_rows(teacher_logits, T)
     np.testing.assert_allclose(balanced_targets(phat, c * w), balanced_targets(phat, w), rtol=1e-12, atol=1e-300)
+
+
+def looped_accuracy_report(preds, labels, tags):
+    """The report as a per-class loop of boolean means with np.isin subsets."""
+    correct = preds == labels
+    per_class = tuple(
+        float(correct[labels == c].mean()) if (labels == c).any() else None for c in range(len(tags.tags))
+    )
+
+    def subset_acc(tag):
+        mask = np.isin(labels, tags.classes_tagged(tag))
+        return float(correct[mask].mean()) if mask.any() else None
+
+    return (float(correct.mean()), subset_acc(MANY), subset_acc(MEDIUM), subset_acc(FEW), per_class, preds.size)
+
+
+@st.composite
+def labelled_predictions(draw):
+    c, n = draw(st.integers(1, 9)), draw(st.integers(1, 60))
+    # labels drawn from a few classes only, so some classes have no test rows
+    present = draw(st.lists(st.integers(0, c - 1), min_size=1, max_size=c, unique=True))
+    labels = np.array(draw(st.lists(st.sampled_from(present), min_size=n, max_size=n)), dtype=np.int64)
+    preds = draw(arrays(np.int64, n, elements=st.integers(0, c - 1)))
+    tags = SubsetTags(tuple(draw(st.lists(st.sampled_from((MANY, MEDIUM, FEW)), min_size=c, max_size=c))))
+    return preds, labels, tags
+
+
+@property_settings
+@given(labelled_predictions())
+def test_bincount_report_equals_the_per_class_loop(case):
+    preds, labels, tags = case
+    r = accuracy_report(preds, labels, tags)
+    assert (r.overall, r.many, r.medium, r.few, r.per_class, r.n) == looped_accuracy_report(preds, labels, tags)
