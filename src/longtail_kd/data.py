@@ -2,12 +2,32 @@
 and the on-disk CSV format.
 
 Train splits follow an imbalance profile; test splits are always balanced.
+
+On disk a dataset is a ``longtail-csv v1`` text file, the one canonical form.
+``save_dataset`` also writes a ``longtail-bin v1`` sidecar next to it
+(``<path>.bin``) so that later loads skip parsing the text. All integers
+in it are little-endian int64. It holds:
+
+- the magic ``longtail-bin v1``;
+- the sha256 of the exact CSV bytes it was written with;
+- N and d;
+- N labels (int64), then N*d row-major features (little-endian float64);
+- a sha256 trailer over everything before it.
+
+``load_dataset`` always parses the CSV header. It takes the rows from the
+sidecar only when the magic, the CSV digest, d, the file size (N*(d+1)
+eight-byte values) and the trailer all check out. Otherwise (no sidecar,
+or a stale, truncated or corrupt one) it parses the CSV text, so a CSV
+from elsewhere, or one edited after saving, loads as written. Both paths
+give the same bits, and ``LabeledDataset`` validates either result.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +35,15 @@ import numpy as np
 from .mathutils import Rng
 
 FORMAT_MAGIC = "longtail-csv v1"
+SIDECAR_MAGIC = b"longtail-bin v1"
+SIDECAR_SUFFIX = ".bin"
+_DIGEST_BYTES = 32  # sha256
+# magic, CSV digest, N, d
+_SIDECAR_HEAD = struct.Struct(f"<{len(SIDECAR_MAGIC)}s{_DIGEST_BYTES}sqq")
+# rows formatted per write in save_dataset, and bytes hashed per read: both
+# bound the memory a save or a load holds beyond the arrays themselves
+_SAVE_CHUNK_ROWS = 1024
+_HASH_CHUNK_BYTES = 1 << 20
 
 MANY = "many"
 MEDIUM = "medium"
@@ -211,17 +240,100 @@ def subset_tags(counts, many_thresh=100, few_thresh=20):
 def save_dataset(data, path):
     """Write the on-disk format: a header line
     ``longtail-csv v1, C=<int>, d=<int>`` then one ``label,f_1,...,f_d``
-    row per sample with shortest round-trip float representations."""
-    lines = [f"{FORMAT_MAGIC}, C={data.num_classes}, d={data.dimension}"]
-    for row in range(len(data)):
-        feats = ",".join(repr(float(v)) for v in data.features[row])
-        lines.append(f"{int(data.labels[row])},{feats}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    row per sample with shortest round-trip float representations, plus
+    the ``longtail-bin v1`` sidecar ``<path>.bin`` (see the module
+    docstring). Rows are formatted, hashed and written a chunk at a time."""
+    csv_digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+
+        def emit(text):
+            blob = text.encode("ascii")
+            csv_digest.update(blob)
+            fh.write(blob)
+
+        emit(f"{FORMAT_MAGIC}, C={data.num_classes}, d={data.dimension}\n")
+        for start in range(0, len(data), _SAVE_CHUNK_ROWS):
+            stop = start + _SAVE_CHUNK_ROWS
+            rows = zip(data.labels[start:stop].tolist(), data.features[start:stop].tolist())
+            emit("".join(f"{label},{','.join(map(repr, feats))}\n" for label, feats in rows))
+    _write_sidecar(path + SIDECAR_SUFFIX, csv_digest.digest(), data)
+
+
+def _write_sidecar(path, csv_digest, data):
+    labels = np.ascontiguousarray(data.labels, dtype="<i8")
+    features = np.ascontiguousarray(data.features, dtype="<f8")
+    head = _SIDECAR_HEAD.pack(SIDECAR_MAGIC, csv_digest, len(data), data.dimension)
+    trailer = hashlib.sha256(head)
+    trailer.update(labels)
+    trailer.update(features)
+    with open(path, "wb") as fh:
+        fh.write(head)
+        fh.write(labels)
+        fh.write(features)
+        fh.write(trailer.digest())
+
+
+def _file_sha256(path):
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK_BYTES):
+            digest.update(chunk)
+    return digest.digest()
+
+
+def _read_sidecar(csv_path, dim):
+    """``(labels, features)`` from the sidecar of ``csv_path`` when it is
+    intact and was written for the CSV's current bytes, else None."""
+    try:
+        fh = open(csv_path + SIDECAR_SUFFIX, "rb")
+    except OSError:
+        return None
+    with fh:
+        head = fh.read(_SIDECAR_HEAD.size)
+        if len(head) != _SIDECAR_HEAD.size:
+            return None
+        magic, csv_digest, n, d = _SIDECAR_HEAD.unpack(head)
+        expected_size = _SIDECAR_HEAD.size + 8 * n * (d + 1) + _DIGEST_BYTES
+        if (
+            magic != SIDECAR_MAGIC
+            or d != dim
+            or n < 0
+            or os.fstat(fh.fileno()).st_size != expected_size
+            or csv_digest != _file_sha256(csv_path)
+        ):
+            return None
+        labels = np.fromfile(fh, dtype="<i8", count=n)
+        features = np.fromfile(fh, dtype="<f8", count=n * d).reshape(n, d)
+        trailer = fh.read(_DIGEST_BYTES)
+    payload = hashlib.sha256(head)
+    payload.update(labels)
+    payload.update(features)
+    if payload.digest() != trailer:
+        return None
+    return labels, features
+
+
+def _parse_rows(fh, path, dim):
+    labels = []
+    rows = []
+    for lineno, line in enumerate(fh, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != dim + 1:
+            raise ValueError(f"{path}:{lineno}: expected {dim + 1} fields, got {len(cells)}")
+        try:
+            labels.append(int(cells[0]))
+            rows.append([float(v) for v in cells[1:]])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return np.array(labels, dtype=np.int64), np.array(rows, dtype=np.float64).reshape(len(rows), dim)
 
 
 def load_dataset(path):
-    """Read a file written by ``save_dataset``; counts derive from labels."""
+    """Read a file written by ``save_dataset``; counts derive from labels.
+    The rows come from the sidecar when it verifies, else from the text."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"dataset file not found: {path}")
     with open(path, "r", encoding="ascii") as fh:
@@ -239,16 +351,8 @@ def load_dataset(path):
             dim = int(parts[2][2:])
         except ValueError:
             raise ValueError(f"{path}: malformed header {header!r}") from None
-        labels = []
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != dim + 1:
-                raise ValueError(f"{path}:{lineno}: expected {dim + 1} fields, got {len(cells)}")
-            labels.append(int(cells[0]))
-            rows.append([float(v) for v in cells[1:]])
-    features = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
-    return LabeledDataset(features, np.array(labels, dtype=np.int64), num_classes)
+        if num_classes < 1 or dim < 1:
+            raise ValueError(f"{path}: header needs C >= 1 and d >= 1 (header {header!r})")
+        cached = _read_sidecar(path, dim)
+        labels, features = cached if cached is not None else _parse_rows(fh, path, dim)
+    return LabeledDataset(features, labels, num_classes)

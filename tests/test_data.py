@@ -1,3 +1,7 @@
+import hashlib
+import os
+import struct
+
 import numpy as np
 import pytest
 
@@ -179,11 +183,122 @@ class TestDiskFormat:
         with pytest.raises(ValueError):
             load_dataset(str(path))
 
-    def test_bad_row_width_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "longtail-csv v1, C=2, d=0\n0\n1\n",
+            "longtail-csv v1, C=-1, d=2\n",
+            "longtail-csv v1, C=0, d=2\n",
+            "longtail-csv v1, C=2, d=-1\n",
+        ],
+        ids=["d=0", "C=-1", "C=0", "d=-1"],
+    )
+    def test_nonpositive_header_counts_rejected(self, tmp_path, text):
         path = tmp_path / "bad.csv"
-        path.write_text("longtail-csv v1, C=2, d=2\n0,1.0\n")
-        with pytest.raises(ValueError, match=":2"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bad.csv"):
             load_dataset(str(path))
+
+    @pytest.mark.parametrize(
+        "row", ["0,1.0", "1.0,1.0,2.0", "0,x,2.0"], ids=["short-row", "float-label", "text-feature"]
+    )
+    def test_bad_row_rejected(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"longtail-csv v1, C=2, d=2\n{row}\n")
+        with pytest.raises(ValueError, match="bad.csv:2"):
+            load_dataset(str(path))
+
+
+def _reference_csv(data):
+    """The row-at-a-time writer the streaming save_dataset must match."""
+    lines = [f"longtail-csv v1, C={data.num_classes}, d={data.dimension}"]
+    for row in range(len(data)):
+        feats = ",".join(repr(float(v)) for v in data.features[row])
+        lines.append(f"{int(data.labels[row])},{feats}")
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _awkward_dataset(rows=2500, dim=3):
+    """Signed zeros, subnormals and extreme magnitudes, over more rows than
+    one save chunk."""
+    rng = np.random.default_rng(4)
+    features = rng.standard_normal((rows, dim))
+    special = [-0.0, 5e-324, -2.2250738585072014e-309, 1e16, 1e-5, 1e300, -1e300, 0.1]
+    features.flat[: len(special)] = special
+    return LabeledDataset(features, rng.integers(0, 3, rows), num_classes=3)
+
+
+def _assert_same_bits(a, b):
+    assert a.features.shape == b.features.shape
+    assert a.features.tobytes() == b.features.tobytes()
+    np.testing.assert_array_equal(a.labels, b.labels)
+    assert a.num_classes == b.num_classes
+
+
+def _reseal(blob):
+    """Recompute the sidecar's sha256 trailer over its edited body."""
+    body = blob[:-32]
+    return body + hashlib.sha256(body).digest()
+
+
+def _flip_last_feature_byte(blob):
+    return blob[:-33] + bytes([blob[-33] ^ 0x40]) + blob[-32:]
+
+
+class TestSidecar:
+    def _saved(self, tmp_path, data):
+        path = str(tmp_path / "train.csv")
+        save_dataset(data, path)
+        assert os.path.exists(path + ".bin")
+        return path
+
+    def test_save_bytes_match_reference_writer(self, tmp_path):
+        data = _awkward_dataset()
+        path = self._saved(tmp_path, data)
+        with open(path, "rb") as fh:
+            assert fh.read() == _reference_csv(data)
+
+    def test_sidecar_load_equals_text_parse(self, tmp_path):
+        data = _awkward_dataset()
+        path = self._saved(tmp_path, data)
+        via_sidecar = load_dataset(path)
+        os.remove(path + ".bin")
+        via_text = load_dataset(path)
+        assert not os.path.exists(path + ".bin")  # loading never writes
+        _assert_same_bits(via_sidecar, data)
+        _assert_same_bits(via_text, data)
+
+    def test_csv_edited_after_save_wins(self, tmp_path):
+        data = LabeledDataset(np.array([[0.25, 1.5], [2.5, -3.0]]), np.array([0, 1]), 2)
+        path = self._saved(tmp_path, data)
+        with open(path) as fh:
+            text = fh.read()
+        assert text.count("0.25") == 1
+        with open(path, "w") as fh:
+            fh.write(text.replace("0.25", "0.75"))
+        loaded = load_dataset(path)
+        np.testing.assert_array_equal(loaded.features, [[0.75, 1.5], [2.5, -3.0]])
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _flip_last_feature_byte,
+            lambda blob: blob[: len(blob) // 2],
+            # a sealed sidecar with a changed payload: only the magic check stops it
+            lambda blob: _reseal(b"longtail-bin v2" + _flip_last_feature_byte(blob)[15:]),
+            # 40 x (3 + 1) values recast as 80 x (1 + 1): same size, d disagrees with the header
+            lambda blob: _reseal(blob[:47] + struct.pack("<qq", 80, 1) + blob[63:]),
+        ],
+        ids=["flipped-payload-byte", "truncated", "wrong-magic", "wrong-shape"],
+    )
+    def test_damaged_sidecar_falls_back_to_text(self, tmp_path, corrupt):
+        data = _awkward_dataset(rows=40)
+        path = self._saved(tmp_path, data)
+        with open(path + ".bin", "rb") as fh:
+            blob = fh.read()
+        with open(path + ".bin", "wb") as fh:
+            fh.write(corrupt(blob))
+        _assert_same_bits(load_dataset(path), data)
 
 
 class TestLabeledDataset:
