@@ -77,16 +77,15 @@ def cmd_train(args):
     cfg = parse_config(args.config)
     if args.role == "student" and not args.teacher:
         raise UsageError("--role student requires --teacher <checkpoint>")
+    tcfg = train_config(cfg, loss="ce" if args.role == "teacher" else None)
     train, test = _load_splits(cfg)
     out = _prepare_out(cfg, args.out, "out_dir")
     ckpt_path = os.path.join(out, f"{args.role}.ckpt")
 
     if args.role == "teacher":
-        tcfg = train_config(cfg, loss="ce")
         params, log = train_teacher(train, test, tcfg, out_ckpt=ckpt_path)
     else:
         teacher_params = read_checkpoint(args.teacher).params
-        tcfg = train_config(cfg)
         params, log = train_student(train, test, teacher_params, tcfg, out_ckpt=ckpt_path)
 
     _write(os.path.join(out, f"{args.role}_metrics.csv"), metrics_to_csv(log))
@@ -107,7 +106,7 @@ def cmd_eval(args):
     params = read_checkpoint(args.ckpt).params
     data = load_dataset(args.data)
     train = load_dataset(os.path.join(cfg["data_dir"], "train.csv"))
-    emitted = params.weights[-1].shape[0]
+    emitted = params.dims[-1]
     for name, split in (("data", data), ("train split", train)):
         if split.num_classes != emitted:
             raise ValueError(f"checkpoint emits {emitted} classes but the {name} has {split.num_classes}")
@@ -147,13 +146,14 @@ def cmd_gradcheck(args):
 
 def cmd_sweep_temp(args):
     cfg = parse_config(args.config)
+    teacher_cfg, student_cfg = train_config(cfg, loss="ce"), train_config(cfg)
     train, test = _load_splits(cfg)
     out = _prepare_out(cfg, args.out, "out_dir")
     if args.teacher:
         teacher = read_checkpoint(args.teacher).params
     else:
-        teacher, _ = train_teacher(train, test, train_config(cfg, loss="ce"))
-    rows = temperature_sweep(train, test, teacher, train_config(cfg), args.temps)
+        teacher, _ = train_teacher(train, test, teacher_cfg)
+    rows = temperature_sweep(train, test, teacher, student_cfg, args.temps)
     _write(os.path.join(out, "sweep.csv"), evaluate.sweep_to_csv(rows))
     for T, acc in rows:
         print(f"T={T:g}: accuracy={acc:.4f}")

@@ -161,24 +161,28 @@ def imbalance_profile(cfg):
 
 
 def train_config(cfg, loss=None):
-    """TrainConfig assembled from the flat keys; ``loss`` overrides cfg[loss]."""
-    schedule = LrSchedule(
-        kind=cfg["schedule"],
-        base_lr=cfg["lr"],
-        steps=cfg["lr_steps"] if cfg["schedule"] == "step" else (),
-    )
-    return TrainConfig(
-        loss=cfg["loss"] if loss is None else loss,
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        hidden_dims=cfg["hidden_dims"],
-        schedule=schedule,
-        momentum=cfg["momentum"],
-        weight_decay=cfg["weight_decay"],
-        seed=cfg["seed"],
-        kd=KDConfig(alpha=cfg["alpha"], temperature=cfg["temperature"]),
-        bkd=BKDConfig(beta=cfg["beta"], temperature=cfg["temperature"], weight_mode=cfg["weight_mode"]),
-        defer_epoch=cfg["defer_epoch"],
-        many_thresh=cfg["many_thresh"],
-        few_thresh=cfg["few_thresh"],
-    )
+    """TrainConfig assembled from the flat keys, or ConfigError for a value it
+    rejects. ``loss`` overrides cfg["loss"] (the teacher passes "ce") and
+    drops defer_epoch, which belongs to the configured loss."""
+    try:
+        return TrainConfig(
+            loss=cfg["loss"] if loss is None else loss,
+            epochs=cfg["epochs"],
+            batch_size=cfg["batch_size"],
+            hidden_dims=cfg["hidden_dims"],
+            schedule=LrSchedule(
+                kind=cfg["schedule"],
+                base_lr=cfg["lr"],
+                steps=cfg["lr_steps"] if cfg["schedule"] == "step" else (),
+            ),
+            momentum=cfg["momentum"],
+            weight_decay=cfg["weight_decay"],
+            seed=cfg["seed"],
+            kd=KDConfig(alpha=cfg["alpha"], temperature=cfg["temperature"]),
+            bkd=BKDConfig(beta=cfg["beta"], temperature=cfg["temperature"], weight_mode=cfg["weight_mode"]),
+            defer_epoch=cfg["defer_epoch"] if loss is None else None,
+            many_thresh=cfg["many_thresh"],
+            few_thresh=cfg["few_thresh"],
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None

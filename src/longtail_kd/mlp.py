@@ -10,6 +10,11 @@ cache holds each layer's input and no pre-activations: ``backward`` masks
 on the rectified inputs. A caller that scores the same number of rows again
 and again can pass per-layer ``out`` buffers to ``forward`` and reuse them,
 so no layer-sized array is allocated per call.
+
+Each model state is one flat float64 vector: parameters, the gradients
+``backward`` returns and the optimizer's velocities are all ``MlpParams``
+whose per-layer arrays are views of their ``flat``, so the SGD step and
+weight decay run once over whole vectors.
 """
 
 from __future__ import annotations
@@ -25,34 +30,55 @@ from .mathutils import Rng
 MLP_MAGIC = b"mlp-v1"
 
 
-@dataclass
+def _layer_views(flat, dims):
+    """Per-layer weight and bias views of ``flat``, in mlp-v1 payload order."""
+    weights, biases, off = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(flat[off : off + fan_out * fan_in].reshape(fan_out, fan_in))
+        off += fan_out * fan_in
+        biases.append(flat[off : off + fan_out])
+        off += fan_out
+    return weights, biases
+
+
 class MlpParams:
-    """Per-layer weight matrices (fan_out, fan_in) and bias vectors (fan_out,)."""
+    """Per-layer weight matrices (fan_out, fan_in) and bias vectors (fan_out,).
 
-    weights: list
-    biases: list
+    Every array is a view of one float64 vector, ``flat``, laid out layer by
+    layer, weights then bias (the mlp-v1 payload order); ``dims`` holds the
+    layer widths, input first. Gradients and momentum buffers are MlpParams
+    too. The constructor copies the given arrays into a new vector;
+    ``from_flat`` wraps an existing one.
+    """
 
-    @property
-    def dims(self):
-        """Layer widths, input first: (d_in, hidden..., d_out)."""
-        return tuple([self.weights[0].shape[1]] + [w.shape[0] for w in self.weights])
+    def __init__(self, weights, biases):
+        if not weights or len(biases) != len(weights):
+            raise ValueError("need at least one layer, and one bias vector per weight matrix")
+        dims = (np.shape(weights[0])[-1], *[len(w) for w in weights])
+        self._bind(np.concatenate([np.ravel(a) for wb in zip(weights, biases) for a in wb], dtype=np.float64), dims)
+        if [np.shape(a) for a in (*weights, *biases)] != [v.shape for v in self.weights + self.biases]:
+            raise ValueError("layer shapes do not chain into a network")
+
+    def _bind(self, flat, dims):
+        self.flat, self.dims = flat, tuple(int(d) for d in dims)
+        self.weights, self.biases = _layer_views(flat, self.dims)
+
+    @classmethod
+    def from_flat(cls, flat, dims):
+        """Parameters of widths ``dims`` (input first) viewing ``flat``, without a copy."""
+        params = cls.__new__(cls)
+        params._bind(flat, dims)
+        return params
 
     def copy(self):
-        return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
-
-@dataclass
-class MlpGradients:
-    weights: list
-    biases: list
+        return MlpParams.from_flat(self.flat.copy(), self.dims)
 
 
 @dataclass
 class OptimizerState:
-    """Momentum buffers mirroring the parameter shapes."""
+    """Momentum buffers: one velocity per parameter, in the same layout."""
 
-    vel_weights: list
-    vel_biases: list
+    vel: MlpParams
     momentum: float = 0.9
 
 
@@ -86,13 +112,10 @@ def init_mlp(dims, seed):
     if any(d < 1 for d in dims):
         raise ValueError("all layer widths must be positive")
     rng = Rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        bound = math.sqrt(6.0 / fan_in)
-        w = (2.0 * rng.uniform((fan_out, fan_in)) - 1.0) * bound
-        weights.append(w)
-        biases.append(np.zeros(fan_out, dtype=np.float64))
-    return MlpParams(weights, biases)
+    params = MlpParams.from_flat(np.zeros(sum(o * i + o for i, o in zip(dims[:-1], dims[1:]))), dims)
+    for w in params.weights:
+        w[...] = (2.0 * rng.uniform(w.shape) - 1.0) * math.sqrt(6.0 / w.shape[1])
+    return params
 
 
 def forward(params, x, out=None):
@@ -127,54 +150,44 @@ def forward(params, x, out=None):
 
 
 def backward(params, cache, grad_logits):
-    """Parameter gradients by reverse-mode chain rule.
+    """Parameter gradients by reverse-mode chain rule, as an ``MlpParams``.
 
     The rectifier subgradient at exactly 0 is taken as 0. Gradients are
-    summed over the batch rows present in ``grad_logits``.
+    summed over the batch rows present in ``grad_logits``, and each layer's
+    are written straight into its views of one new flat vector.
     """
     g = np.asarray(grad_logits, dtype=np.float64)
     if cache["single"]:
         if g.ndim != 1:
             raise ValueError("grad_logits must be 1-D for a single-sample cache")
         g = g[None, :]
-    n_layers = len(params.weights)
     inputs = cache["inputs"]
-    if g.shape != (inputs[0].shape[0], params.weights[-1].shape[0]):
+    if g.shape != (inputs[0].shape[0], params.dims[-1]):
         raise ValueError(f"grad_logits shape {grad_logits.shape} does not match the forward cache")
-    gw = [None] * n_layers
-    gb = [None] * n_layers
-    for l in range(n_layers - 1, -1, -1):
-        gw[l] = g.T @ inputs[l]
-        gb[l] = g.sum(axis=0)
+    grads = MlpParams.from_flat(np.empty_like(params.flat), params.dims)
+    for l in range(len(params.weights) - 1, -1, -1):
+        np.matmul(g.T, inputs[l], out=grads.weights[l])
+        np.add.reduce(g, axis=0, out=grads.biases[l])
         if l > 0:
             g = (g @ params.weights[l]) * (inputs[l] > 0)
-    return MlpGradients(gw, gb)
+    return grads
 
 
 def init_optimizer(params, momentum=0.9):
-    return OptimizerState(
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-        float(momentum),
-    )
+    return OptimizerState(MlpParams.from_flat(np.zeros_like(params.flat), params.dims), float(momentum))
 
 
 def sgd_momentum_step(params, grads, state, lr):
-    """v <- momentum * v + g; p <- p - lr * v. Updates in place and returns both."""
+    """v <- momentum * v + g; p <- p - lr * v, each once over the flat
+    vectors. Updates in place and returns both."""
     if not (isinstance(lr, (int, float)) and lr > 0):
         raise ValueError(f"learning rate must be positive, got {lr!r}")
-    for p, g, v in zip(params.weights, grads.weights, state.vel_weights):
-        if p.shape != g.shape:
-            raise ValueError("gradient shapes do not match parameters")
-        v *= state.momentum
-        v += g
-        p -= lr * v
-    for p, g, v in zip(params.biases, grads.biases, state.vel_biases):
-        if p.shape != g.shape:
-            raise ValueError("gradient shapes do not match parameters")
-        v *= state.momentum
-        v += g
-        p -= lr * v
+    if not params.dims == grads.dims == state.vel.dims:
+        raise ValueError("gradient or velocity shapes do not match parameters")
+    v = state.vel.flat
+    v *= state.momentum
+    v += grads.flat
+    params.flat -= lr * v
     return params, state
 
 
@@ -208,41 +221,37 @@ def params_to_bytes(params):
     return b"".join(chunks)
 
 
+class BlobReader:
+    """Bounds-checked reads from a bytes blob, starting at ``off``; a read
+    past the end raises ValueError(``truncated``)."""
+
+    def __init__(self, blob, off, truncated):
+        self.blob, self.off, self.truncated = blob, off, truncated
+
+    def take(self, n):
+        if self.off + n > len(self.blob):
+            raise ValueError(self.truncated)
+        self.off += n
+        return self.blob[self.off - n : self.off]
+
+    def unpack(self, fmt):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+
 def params_from_bytes(blob):
     if blob[: len(MLP_MAGIC)] != MLP_MAGIC:
         raise ValueError("not an mlp-v1 parameter blob")
-    off = len(MLP_MAGIC)
-
-    def take(n):
-        nonlocal off
-        if off + n > len(blob):
-            raise ValueError("truncated mlp-v1 parameter blob")
-        piece = blob[off : off + n]
-        off += n
-        return piece
-
-    (n_layers,) = struct.unpack("<q", take(8))
+    r = BlobReader(blob, len(MLP_MAGIC), "truncated mlp-v1 parameter blob")
+    (n_layers,) = r.unpack("<q")
     if n_layers < 1:
         raise ValueError("mlp-v1 blob declares no layers")
     weights, biases = [], []
     for _ in range(n_layers):
-        fan_in, fan_out = struct.unpack("<qq", take(16))
+        fan_in, fan_out = r.unpack("<qq")
         if fan_in < 1 or fan_out < 1:
             raise ValueError("mlp-v1 blob has non-positive layer dimensions")
-        w = np.frombuffer(take(8 * fan_in * fan_out), dtype="<f8").reshape(fan_out, fan_in)
-        b = np.frombuffer(take(8 * fan_out), dtype="<f8")
-        weights.append(w.astype(np.float64))
-        biases.append(b.astype(np.float64))
-    if off != len(blob):
+        weights.append(np.frombuffer(r.take(8 * fan_in * fan_out), dtype="<f8").reshape(fan_out, fan_in))
+        biases.append(np.frombuffer(r.take(8 * fan_out), dtype="<f8"))
+    if r.off != len(blob):
         raise ValueError("trailing bytes after mlp-v1 parameter blob")
     return MlpParams(weights, biases)
-
-
-def save_mlp(params, path):
-    with open(path, "wb") as fh:
-        fh.write(params_to_bytes(params))
-
-
-def load_mlp(path):
-    with open(path, "rb") as fh:
-        return params_from_bytes(fh.read())

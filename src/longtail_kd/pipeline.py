@@ -45,6 +45,7 @@ from .losses import (
 )
 from .mathutils import Rng, derive_seed
 from .mlp import (
+    BlobReader,
     LrSchedule,
     forward,
     backward,
@@ -165,7 +166,7 @@ def write_checkpoint(path, cfg, params, opt, epoch, rng, log_rows):
     seed, count = rng.state
     log_blob = metrics_to_csv(log_rows).encode("utf-8")
     params_blob = params_to_bytes(params)
-    vel_blob = params_to_bytes(MlpParams(opt.vel_weights, opt.vel_biases))
+    vel_blob = params_to_bytes(opt.vel)
     payload = b"".join(
         [
             CKPT_MAGIC,
@@ -201,30 +202,22 @@ def read_checkpoint(path):
         blob = fh.read()
     if blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise ValueError(f"{path}: not a {CKPT_MAGIC.decode()} checkpoint")
-    off = len(CKPT_MAGIC)
-
-    def take(n):
-        nonlocal off
-        if off + n > len(blob):
-            raise ValueError(f"{path}: truncated checkpoint")
-        piece = blob[off : off + n]
-        off += n
-        return piece
-
-    digest = take(32)
-    (epoch,) = struct.unpack("<q", take(8))
-    seed, count = struct.unpack("<QQ", take(16))
-    (momentum,) = struct.unpack("<d", take(8))
-    (n,) = struct.unpack("<Q", take(8))
-    params = params_from_bytes(take(n))
-    (n,) = struct.unpack("<Q", take(8))
-    vel = params_from_bytes(take(n))
-    (n,) = struct.unpack("<Q", take(8))
-    log_rows = metrics_from_csv(take(n).decode("utf-8")) if n else []
-    if off != len(blob):
+    r = BlobReader(blob, len(CKPT_MAGIC), f"{path}: truncated checkpoint")
+    digest = r.take(32)
+    (epoch,) = r.unpack("<q")
+    seed, count = r.unpack("<QQ")
+    (momentum,) = r.unpack("<d")
+    (n,) = r.unpack("<Q")
+    params = params_from_bytes(r.take(n))
+    (n,) = r.unpack("<Q")
+    vel = params_from_bytes(r.take(n))
+    (n,) = r.unpack("<Q")
+    log_rows = metrics_from_csv(r.take(n).decode("utf-8")) if n else []
+    if r.off != len(blob):
         raise ValueError(f"{path}: trailing bytes after checkpoint payload")
-    opt = OptimizerState(vel.weights, vel.biases, momentum)
-    return CheckpointState(params, opt, epoch, (seed, count), log_rows, digest)
+    if vel.dims != params.dims:
+        raise ValueError(f"{path}: velocity dimensions {vel.dims} do not match parameters {params.dims}")
+    return CheckpointState(params, OptimizerState(vel, momentum), epoch, (seed, count), log_rows, digest)
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +323,7 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch, on_
             loss_sum += float(values.sum())
             pgrads = backward(params, cache, grads / rows.size)
             if cfg.weight_decay:
-                for g, p in zip(pgrads.weights, params.weights):
-                    g += cfg.weight_decay * p
-                for g, p in zip(pgrads.biases, params.biases):
-                    g += cfg.weight_decay * p
+                pgrads.flat += cfg.weight_decay * params.flat
             sgd_momentum_step(params, pgrads, opt, lr)
             if on_batch is not None:
                 on_batch(epoch, start // cfg.batch_size, float(values.mean()))
@@ -362,12 +352,10 @@ def train_student(train, test, teacher, cfg, *, out_ckpt=None, resume_from=None,
     """
     if teacher is None:
         raise ValueError("student training requires a teacher model")
-    if teacher.weights[0].shape[1] != train.dimension:
+    if teacher.dims[0] != train.dimension:
         raise ValueError("teacher input dimension does not match the data")
-    if teacher.weights[-1].shape[0] != train.num_classes:
-        raise ValueError(
-            f"teacher emits {teacher.weights[-1].shape[0]} classes but data has {train.num_classes}"
-        )
+    if teacher.dims[-1] != train.num_classes:
+        raise ValueError(f"teacher emits {teacher.dims[-1]} classes but data has {train.num_classes}")
     return _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch, on_batch)
 
 

@@ -105,6 +105,20 @@ class TestTrain:
         losses = [float(r.split(",")[1]) for r in rows]
         assert all(np.isfinite(losses))
 
+    def test_defer_epoch_config_trains_teacher_student_and_sweep(self, tmp_path):
+        # the teacher drops defer_epoch, so its config and checkpoint equal
+        # those of the same config without the key
+        data_dir = tmp_path / "data"
+        plain = write_config(tmp_path / "plain.cfg", epochs=3, data_dir=data_dir, out_dir=tmp_path / "plain")
+        cfg = write_config(tmp_path / "defer.cfg", epochs=3, defer_epoch=1, data_dir=data_dir, out_dir=tmp_path / "out")
+        assert run("make-data", "--config", cfg) == 0
+        assert run("train", "--config", cfg, "--role", "teacher") == 0
+        assert run("train", "--config", plain, "--role", "teacher") == 0
+        teacher = tmp_path / "out" / "teacher.ckpt"
+        assert teacher.read_bytes() == (tmp_path / "plain" / "teacher.ckpt").read_bytes()
+        assert run("train", "--config", cfg, "--role", "student", "--teacher", teacher) == 0
+        assert run("sweep-temp", "--config", cfg, "--temps", 2) == 0
+
     def test_missing_data_is_runtime_error(self, workspace):
         _, cfg, *_ = workspace
         assert run("train", "--config", cfg, "--role", "teacher") == 2
@@ -233,6 +247,16 @@ class TestConfigHandling:
         data_dir = tmp_path / "d"
         full = write_config(tmp_path / "full.cfg", data_dir=data_dir, out_dir=tmp_path / "o")
         assert run("make-data", "--config", full) == 0
+
+    @pytest.mark.parametrize("key, value", [("batch_size", 0), ("momentum", 1.5), ("temperature", -1)])
+    @pytest.mark.parametrize("command", [("train", "--role", "teacher"), ("sweep-temp", "--temps", 2)])
+    def test_value_the_training_config_rejects_is_config_error(self, tmp_path, capsys, key, value, command):
+        # refused before any data is read: the data directory does not exist
+        out_dir = tmp_path / "out"
+        cfg = write_config(tmp_path / "bad.cfg", data_dir=tmp_path / "data", out_dir=out_dir, **{key: value})
+        assert run(command[0], "--config", cfg, *command[1:]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_unknown_command_is_usage_error(self):
         assert run("frobnicate") == 1

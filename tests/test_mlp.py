@@ -12,11 +12,9 @@ from longtail_kd.mlp import (
     forward,
     init_mlp,
     init_optimizer,
-    load_mlp,
     lr_at,
     params_from_bytes,
     params_to_bytes,
-    save_mlp,
     sgd_momentum_step,
 )
 
@@ -237,7 +235,7 @@ class TestSgdMomentum:
         params = init_mlp([2, 2], seed=0)
         before = params.copy()
         state = init_optimizer(params, momentum=0.9)
-        state.vel_weights[0][:] = 1.0
+        state.vel.weights[0][:] = 1.0
         zero = backward(params, forward(params, np.zeros(2))[1], np.zeros(2))
         sgd_momentum_step(params, zero, state, lr=0.5)
         np.testing.assert_allclose(params.weights[0], before.weights[0] - 0.5 * 0.9 * 1.0)
@@ -257,6 +255,77 @@ class TestSgdMomentum:
         a, b = run(), run()
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
+
+    @pytest.mark.parametrize("dims, n", [((20, 64, 64, 10), 64), ((64, 512, 512, 20), 256)])
+    def test_flat_step_matches_per_layer_loop_bit_for_bit(self, dims, n):
+        params, X = random_net(dims, n, seed=75)
+        G = Rng(76).normal((n, dims[-1]))
+        state = init_optimizer(params, momentum=0.9)
+        # the per-layer reference: separate arrays, one update per array
+        ref_p = [a.copy() for a in params.weights + params.biases]
+        ref_v = [np.zeros_like(a) for a in ref_p]
+        for step in range(20):
+            grads = backward(params, forward(params, X)[1], G / n)
+            lr = 0.05 / (1 + step)
+            sgd_momentum_step(params, grads, state, lr)
+            for p, g, v in zip(ref_p, grads.weights + grads.biases, ref_v):
+                v *= 0.9
+                v += g
+                p -= lr * v
+        for got, ref in zip(params.weights + params.biases, ref_p):
+            assert got.tobytes() == ref.tobytes()
+        for got, ref in zip(state.vel.weights + state.vel.biases, ref_v):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_mismatched_shapes_rejected(self):
+        params = init_mlp([3, 4, 2], seed=0)
+        grads = backward(params, forward(params, np.ones(3))[1], np.ones(2))
+        with pytest.raises(ValueError, match="shapes"):
+            sgd_momentum_step(params, grads, init_optimizer(init_mlp([3, 5, 2], seed=0)), lr=0.1)
+        with pytest.raises(ValueError, match="positive"):
+            sgd_momentum_step(params, grads, init_optimizer(params), lr=0.0)
+
+
+class TestFlatStorage:
+    """Parameters, gradients and velocities each live in one flat vector."""
+
+    @staticmethod
+    def assert_views_of_own_flat(p):
+        assert p.flat.ndim == 1 and p.flat.dtype == np.float64
+        off = 0
+        for w, b in zip(p.weights, p.biases):  # mlp-v1 payload order: weights, then bias
+            for a in (w, b):
+                assert np.shares_memory(a, p.flat)
+                assert a.reshape(-1).tobytes() == p.flat[off : off + a.size].tobytes()
+                off += a.size
+        assert off == p.flat.size
+
+    def test_params_gradients_and_velocities_view_their_own_flat(self):
+        params = init_mlp([5, 7, 3], seed=4)
+        grads = backward(params, forward(params, np.ones((2, 5)))[1], np.ones((2, 3)))
+        vel = init_optimizer(params).vel
+        for p in (params, grads, vel, params.copy(), params_from_bytes(params_to_bytes(params))):
+            self.assert_views_of_own_flat(p)
+        flats = [params.flat, grads.flat, vel.flat, params.copy().flat]
+        for i, a in enumerate(flats):
+            for b in flats[i + 1 :]:
+                assert not np.shares_memory(a, b)
+
+    def test_constructor_copies_into_a_new_vector(self):
+        w, b = np.arange(6.0).reshape(2, 3), np.array([1.0, 2.0])
+        params = MlpParams([w], [b])
+        self.assert_views_of_own_flat(params)
+        assert params.dims == (3, 2)
+        assert params.flat.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 1.0, 2.0]
+        assert not np.shares_memory(params.flat, w)
+
+    def test_constructor_rejects_shapes_that_do_not_chain(self):
+        with pytest.raises(ValueError):
+            MlpParams([np.ones((2, 3)), np.ones((4, 3))], [np.ones(2), np.ones(4)])
+        with pytest.raises(ValueError):
+            MlpParams([np.ones((2, 3))], [np.ones(3)])
+        with pytest.raises(ValueError):
+            MlpParams([], [])
 
 
 class TestLrSchedule:
@@ -290,11 +359,9 @@ class TestLrSchedule:
 
 
 class TestSerialization:
-    def test_round_trip_bit_exact(self, tmp_path):
+    def test_round_trip_bit_exact(self):
         params = init_mlp([5, 9, 3], seed=21)
-        path = str(tmp_path / "model.mlp")
-        save_mlp(params, path)
-        loaded = load_mlp(path)
+        loaded = params_from_bytes(params_to_bytes(params))
         for a, b in zip(params.weights + params.biases, loaded.weights + loaded.biases):
             np.testing.assert_array_equal(a, b)
         x = Rng(56).normal(5)

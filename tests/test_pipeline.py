@@ -1,14 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from longtail_kd import pipeline
 from longtail_kd.data import synth_gaussian_mixture
-from longtail_kd.losses import BKDConfig, KDConfig, balanced_targets, distill_loss_batch, softmax_rows
-from longtail_kd.mlp import LrSchedule, forward, params_to_bytes
+from longtail_kd.losses import BKDConfig, KDConfig, balanced_targets, ce_loss_batch, distill_loss_batch, softmax_rows
+from longtail_kd.mathutils import Rng
+from longtail_kd.mlp import LrSchedule, backward, forward, init_mlp, init_optimizer, lr_at, params_to_bytes
 from longtail_kd.pipeline import (
     MetricRow,
+    OptimizerState,
     TrainConfig,
     config_digest,
     metrics_from_csv,
@@ -16,6 +19,7 @@ from longtail_kd.pipeline import (
     read_checkpoint,
     train_student,
     train_teacher,
+    write_checkpoint,
 )
 from longtail_kd.weights import effective_number_weights
 
@@ -83,6 +87,29 @@ class TestTrainTeacher:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is the point
             with pytest.raises(RuntimeError, match="diverged"):
                 train_teacher(train, test, cfg)
+
+    @pytest.mark.parametrize("epochs", [1, 2])  # biases start at 0: only a 2nd step decays them
+    def test_weight_decay_matches_a_layer_by_layer_replay(self, epochs):
+        # each epoch is one batch holding every row in order
+        train, test = two_class_separable()
+        n, wd = len(train), 1e-3
+        cfg = small_cfg(epochs=epochs, batch_size=n, shuffle=False, weight_decay=wd)
+        params, _ = train_teacher(train, test, cfg)
+
+        ref = init_mlp((train.dimension, *cfg.hidden_dims, train.num_classes), cfg.seed)
+        vel = [np.zeros_like(p) for p in ref.weights + ref.biases]
+        for epoch in range(epochs):
+            logits, cache = forward(ref, train.features[np.arange(n)])
+            grads = backward(ref, cache, ce_loss_batch(logits, train.labels)[1] / n)
+            lr = lr_at(cfg.schedule, epoch, epochs)
+            for g, p, v in zip(grads.weights + grads.biases, ref.weights + ref.biases, vel):
+                g = g + wd * p
+                v *= cfg.momentum
+                v += g
+                p -= lr * v
+        assert params_to_bytes(params) == params_to_bytes(ref)
+        undecayed, _ = train_teacher(train, test, replace(cfg, weight_decay=0.0))
+        assert params_to_bytes(undecayed) != params_to_bytes(params)
 
     def test_dimension_mismatch_rejected(self):
         train, _ = two_class_separable(seed=1)
@@ -325,6 +352,20 @@ class TestCheckpointResume:
         not_ckpt.write_bytes(b"garbage")
         with pytest.raises(ValueError):
             read_checkpoint(str(not_ckpt))
+
+    def test_velocity_that_does_not_fit_the_parameters_rejected(self, tmp_path):
+        params = init_mlp((4, 12, 2), seed=0)
+        path = str(tmp_path / "spliced.ckpt")
+
+        def write_with_velocity_of(dims):
+            opt = OptimizerState(init_optimizer(init_mlp(dims, seed=0)).vel, 0.9)
+            write_checkpoint(path, small_cfg(), params, opt, 1, Rng(1), [])
+
+        write_with_velocity_of((4, 12, 2))
+        assert read_checkpoint(path).opt.vel.dims == (4, 12, 2)
+        write_with_velocity_of((4, 12, 3))
+        with pytest.raises(ValueError, match="spliced.ckpt: velocity dimensions"):
+            read_checkpoint(path)
 
     def test_checkpoint_write_is_atomic_replace(self, tmp_path):
         # the temp file must not survive a successful write
