@@ -20,6 +20,19 @@ eight-byte values) and the trailer all check out. Otherwise (no sidecar,
 or a stale, truncated or corrupt one) it parses the CSV text, so a CSV
 from elsewhere, or one edited after saving, loads as written. Both paths
 give the same bits, and ``LabeledDataset`` validates either result.
+
+Formatting floats with ``repr`` is nearly all the cost of a save, so
+``save_dataset`` spreads it over the CPUs it may run on. The rows are cut
+into contiguous ranges of whole 1024-row chunks, one range per CPU but
+never more ranges than chunks. A forked child formats each range after the
+first into ``<path>.part<k>`` while the saving process formats the first
+range itself. It then joins the part files onto its own in range order,
+hashing every byte it writes, so the CSV and its digest are the same bytes
+whatever the CPU count. With one CPU, one chunk, or no ``os.fork``, nothing
+is forked and the same code formats every row in one range. The CSV and
+the sidecar are built as ``.tmp`` files and put in place with
+``os.replace``, so a failed save leaves no part or temporary file behind
+and a previous dataset at the same path untouched.
 """
 
 from __future__ import annotations
@@ -242,21 +255,98 @@ def save_dataset(data, path):
     ``longtail-csv v1, C=<int>, d=<int>`` then one ``label,f_1,...,f_d``
     row per sample with shortest round-trip float representations, plus
     the ``longtail-bin v1`` sidecar ``<path>.bin`` (see the module
-    docstring). Rows are formatted, hashed and written a chunk at a time."""
-    csv_digest = hashlib.sha256()
-    with open(path, "wb") as fh:
+    docstring).
 
-        def emit(text):
-            blob = text.encode("ascii")
-            csv_digest.update(blob)
-            fh.write(blob)
+    The rows are split into contiguous ranges of whole save chunks, one per
+    available CPU (never more ranges than chunks). A forked child formats
+    each range after the first into ``<path>.part<k>`` while this process
+    formats the first range into ``<path>.tmp``; it then waits for the
+    children in order and appends their part files, hashing every byte it
+    writes. With one CPU, one chunk, or no ``os.fork``, nothing is forked.
+    The sidecar is written as ``<path>.bin.tmp``, then both files are put
+    in place with ``os.replace``. A failed child raises OSError; on any
+    failure the part and temporary files are removed and a previous
+    ``<path>`` is left as it was. The bytes do not depend on the CPU count.
+    """
+    ranges = _row_ranges(len(data))
+    parts = [f"{path}.part{k}" for k in range(1, len(ranges))]
+    tmp, sidecar_tmp = path + ".tmp", path + SIDECAR_SUFFIX + ".tmp"
+    pids = []
+    try:
+        for part, (start, stop) in zip(parts, ranges[1:]):
+            pids.append(_fork_part(data, start, stop, part))
+        csv_digest = hashlib.sha256()
+        with open(tmp, "wb") as fh:
 
-        emit(f"{FORMAT_MAGIC}, C={data.num_classes}, d={data.dimension}\n")
-        for start in range(0, len(data), _SAVE_CHUNK_ROWS):
-            stop = start + _SAVE_CHUNK_ROWS
-            rows = zip(data.labels[start:stop].tolist(), data.features[start:stop].tolist())
-            emit("".join(f"{label},{','.join(map(repr, feats))}\n" for label, feats in rows))
-    _write_sidecar(path + SIDECAR_SUFFIX, csv_digest.digest(), data)
+            def emit(blob):
+                csv_digest.update(blob)
+                fh.write(blob)
+
+            emit(f"{FORMAT_MAGIC}, C={data.num_classes}, d={data.dimension}\n".encode("ascii"))
+            _format_range(emit, data, *ranges[0])
+            for part, (start, stop) in zip(parts, ranges[1:]):
+                _, status = os.waitpid(pids.pop(0), 0)
+                if status:
+                    raise OSError(
+                        f"{path}: the worker formatting rows {start}-{stop} failed "
+                        f"(exit status {os.waitstatus_to_exitcode(status)})"
+                    )
+                with open(part, "rb") as src:
+                    while block := src.read(_HASH_CHUNK_BYTES):
+                        emit(block)
+                os.remove(part)
+        _write_sidecar(sidecar_tmp, csv_digest.digest(), data)
+        os.replace(tmp, path)
+        os.replace(sidecar_tmp, path + SIDECAR_SUFFIX)
+    except BaseException:
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for leftover in (*parts, tmp, sidecar_tmp):
+            if os.path.exists(leftover):
+                os.remove(leftover)
+        raise
+
+
+def _row_ranges(n_rows):
+    """``(start, stop)`` row ranges of whole save chunks, one per worker:
+    ``min(available CPUs, chunks)`` workers, or one where this platform
+    cannot fork or report its CPU affinity."""
+    chunks = -(-n_rows // _SAVE_CHUNK_ROWS)
+    workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        workers = max(1, min(len(os.sched_getaffinity(0)), chunks))
+    bounds = [min(k * chunks // workers * _SAVE_CHUNK_ROWS, n_rows) for k in range(workers + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _format_rows(data, start, stop):
+    """CSV lines of rows ``start:stop`` as ASCII bytes."""
+    rows = zip(data.labels[start:stop].tolist(), data.features[start:stop].tolist())
+    return "".join(f"{label},{','.join(map(repr, feats))}\n" for label, feats in rows).encode("ascii")
+
+
+def _format_range(write, data, start, stop):
+    for chunk in range(start, stop, _SAVE_CHUNK_ROWS):
+        write(_format_rows(data, chunk, min(chunk + _SAVE_CHUNK_ROWS, stop)))
+
+
+def _fork_part(data, start, stop, part):
+    """Fork a child that writes rows ``start:stop`` to ``part``; returns its
+    pid. The child leaves through ``os._exit``, so it never returns into
+    the caller's stack, flushes no inherited buffer and runs no atexit
+    handler; its exit status is 0 only if the whole range was written."""
+    pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        with open(part, "wb") as fh:
+            _format_range(fh.write, data, start, stop)
+        status = 0
+    except BaseException as exc:
+        os.write(2, f"{part}: {exc!r}\n".encode("ascii", "replace"))
+    finally:
+        os._exit(status)
 
 
 def _write_sidecar(path, csv_digest, data):

@@ -9,7 +9,8 @@ it is given (scale grad_logits by 1/N beforehand for a mean reduction). The
 cache holds each layer's input and no pre-activations: ``backward`` masks
 on the rectified inputs. A caller that scores the same number of rows again
 and again can pass per-layer ``out`` buffers to ``forward`` and reuse them,
-so no layer-sized array is allocated per call.
+and a gradient ``MlpParams`` to ``backward``, so no layer-sized array is
+allocated per call.
 
 Each model state is one flat float64 vector: parameters, the gradients
 ``backward`` returns and the optimizer's velocities are all ``MlpParams``
@@ -70,6 +71,11 @@ class MlpParams:
         params._bind(flat, dims)
         return params
 
+    @classmethod
+    def zeros(cls, dims):
+        """Zero parameters of widths ``dims`` (input first), in one new vector."""
+        return cls.from_flat(np.zeros(sum(o * i + o for i, o in zip(dims[:-1], dims[1:]))), dims)
+
     def copy(self):
         return MlpParams.from_flat(self.flat.copy(), self.dims)
 
@@ -112,7 +118,7 @@ def init_mlp(dims, seed):
     if any(d < 1 for d in dims):
         raise ValueError("all layer widths must be positive")
     rng = Rng(seed)
-    params = MlpParams.from_flat(np.zeros(sum(o * i + o for i, o in zip(dims[:-1], dims[1:]))), dims)
+    params = MlpParams.zeros(dims)
     for w in params.weights:
         w[...] = (2.0 * rng.uniform(w.shape) - 1.0) * math.sqrt(6.0 / w.shape[1])
     return params
@@ -149,12 +155,14 @@ def forward(params, x, out=None):
     return (a[0] if single else a), cache
 
 
-def backward(params, cache, grad_logits):
+def backward(params, cache, grad_logits, out=None):
     """Parameter gradients by reverse-mode chain rule, as an ``MlpParams``.
 
     The rectifier subgradient at exactly 0 is taken as 0. Gradients are
     summed over the batch rows present in ``grad_logits``, and each layer's
-    are written straight into its views of one new flat vector.
+    are written straight into its views of one flat vector: that of
+    ``out``, a caller-owned ``MlpParams`` of the same dims that is
+    overwritten and returned, or else a new one.
     """
     g = np.asarray(grad_logits, dtype=np.float64)
     if cache["single"]:
@@ -164,7 +172,9 @@ def backward(params, cache, grad_logits):
     inputs = cache["inputs"]
     if g.shape != (inputs[0].shape[0], params.dims[-1]):
         raise ValueError(f"grad_logits shape {grad_logits.shape} does not match the forward cache")
-    grads = MlpParams.from_flat(np.empty_like(params.flat), params.dims)
+    grads = MlpParams.from_flat(np.empty_like(params.flat), params.dims) if out is None else out
+    if grads.dims != params.dims:
+        raise ValueError(f"gradient buffer dims {grads.dims} do not match parameters {params.dims}")
     for l in range(len(params.weights) - 1, -1, -1):
         np.matmul(g.T, inputs[l], out=grads.weights[l])
         np.add.reduce(g, axis=0, out=grads.biases[l])
@@ -174,7 +184,7 @@ def backward(params, cache, grad_logits):
 
 
 def init_optimizer(params, momentum=0.9):
-    return OptimizerState(MlpParams.from_flat(np.zeros_like(params.flat), params.dims), float(momentum))
+    return OptimizerState(MlpParams.zeros(params.dims), float(momentum))
 
 
 def sgd_momentum_step(params, grads, state, lr):

@@ -195,6 +195,13 @@ class CheckpointState:
     digest: bytes
 
 
+def _blob_params(path, blob):
+    try:
+        return params_from_bytes(blob)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_checkpoint(path):
     if not os.path.exists(path):
         raise FileNotFoundError(f"checkpoint not found: {path}")
@@ -208,9 +215,9 @@ def read_checkpoint(path):
     seed, count = r.unpack("<QQ")
     (momentum,) = r.unpack("<d")
     (n,) = r.unpack("<Q")
-    params = params_from_bytes(r.take(n))
+    params = _blob_params(path, r.take(n))
     (n,) = r.unpack("<Q")
-    vel = params_from_bytes(r.take(n))
+    vel = _blob_params(path, r.take(n))
     (n,) = r.unpack("<Q")
     log_rows = metrics_from_csv(r.take(n).decode("utf-8")) if n else []
     if r.off != len(blob):
@@ -259,10 +266,12 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch, on_
     dims = (train.dimension, *[int(h) for h in cfg.hidden_dims], train.num_classes)
     digest = config_digest(cfg)
     tags = subset_tags(train.class_counts, cfg.many_thresh, cfg.few_thresh)
-    # every epoch scores the test split into these; on the wide-batch
-    # benchmark shape, allocating them before the parameters gave a lower
+    # every epoch scores the test split into these, and every minibatch
+    # writes its gradients into pgrads; on the wide-batch benchmark shape,
+    # allocating the evaluation buffers before the parameters gave a lower
     # peak RSS than allocating them after
     eval_out = [np.empty((len(test), width)) for width in dims[1:]]
+    pgrads = MlpParams.zeros(dims)
 
     w = None
     if teacher is not None and cfg.loss in ("cb", "bkd"):
@@ -321,7 +330,7 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch, on_
                     f"training diverged: non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
                 )
             loss_sum += float(values.sum())
-            pgrads = backward(params, cache, grads / rows.size)
+            backward(params, cache, grads / rows.size, out=pgrads)
             if cfg.weight_decay:
                 pgrads.flat += cfg.weight_decay * params.flat
             sgd_momentum_step(params, pgrads, opt, lr)

@@ -5,6 +5,7 @@ import pytest
 
 from longtail_kd.cli import main
 from longtail_kd.gradcheck import run_gradient_checks
+from test_pipeline import write_checkpoint_with_bad_fan_in
 
 
 def run(*args):
@@ -162,6 +163,12 @@ class TestEval:
             "eval", "--ckpt", tmp / "nope.ckpt", "--data", data_dir / "test.csv", "--config", cfg,
         ) == 2
 
+
+    def test_corrupt_parameter_blob_is_runtime_error_naming_the_file(self, workspace, capsys):
+        tmp, cfg, data_dir, _ = workspace
+        ckpt = write_checkpoint_with_bad_fan_in(str(tmp / "bad-layer.ckpt"))
+        assert run("eval", "--ckpt", ckpt, "--data", data_dir / "test.csv", "--config", cfg) == 2
+        assert f"error: {ckpt}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("mismatch", ["data", "train split"])
     def test_class_count_mismatch_refused(self, workspace, capsys, mismatch):

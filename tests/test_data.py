@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from longtail_kd import data as data_module
 from longtail_kd.data import (
     FEW,
     MANY,
@@ -218,6 +219,20 @@ def _reference_csv(data):
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def _reference_sidecar(data, csv_bytes):
+    """The longtail-bin v1 sidecar of ``data`` saved as ``csv_bytes``, built field by field."""
+    body = b"".join(
+        [
+            b"longtail-bin v1",
+            hashlib.sha256(csv_bytes).digest(),
+            struct.pack("<qq", len(data), data.dimension),
+            data.labels.astype("<i8").tobytes(),
+            data.features.astype("<f8").tobytes(),
+        ]
+    )
+    return body + hashlib.sha256(body).digest()
+
+
 def _awkward_dataset(rows=2500, dim=3):
     """Signed zeros, subnormals and extreme magnitudes, over more rows than
     one save chunk."""
@@ -257,6 +272,9 @@ class TestSidecar:
         path = self._saved(tmp_path, data)
         with open(path, "rb") as fh:
             assert fh.read() == _reference_csv(data)
+        with open(path + ".bin", "rb") as fh:
+            assert fh.read() == _reference_sidecar(data, _reference_csv(data))
+        assert sorted(os.listdir(tmp_path)) == ["train.csv", "train.csv.bin"]
 
     def test_sidecar_load_equals_text_parse(self, tmp_path):
         data = _awkward_dataset()
@@ -299,6 +317,57 @@ class TestSidecar:
         with open(path + ".bin", "wb") as fh:
             fh.write(corrupt(blob))
         _assert_same_bits(load_dataset(path), data)
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestParallelSave:
+    """Forked row-range workers: same bytes, no fork on one CPU, clean failures."""
+
+    def test_one_cpu_never_forks(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("save_dataset forked on a one-CPU affinity")
+
+        _cpus(monkeypatch, 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        data = _awkward_dataset()
+        path = str(tmp_path / "train.csv")
+        save_dataset(data, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == _reference_csv(data)
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_failed_range_leaves_previous_dataset_and_no_temporary_files(self, tmp_path, monkeypatch, failing):
+        path = str(tmp_path / "train.csv")
+        previous = _awkward_dataset(rows=5)
+        save_dataset(previous, path)
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+
+        _cpus(monkeypatch, 3)
+        monkeypatch.setattr(data_module, "_SAVE_CHUNK_ROWS", 4)
+        data = _awkward_dataset(rows=25)
+        ranges = data_module._row_ranges(len(data))
+        assert len(ranges) == 3
+        owned = ranges[failing]
+        format_rows = data_module._format_rows
+
+        def failing_format(data, start, stop):
+            if owned[0] <= start < owned[1]:
+                raise RuntimeError("formatter failed")
+            return format_rows(data, start, stop)
+
+        # the patch is inherited by the forked workers
+        monkeypatch.setattr(data_module, "_format_rows", failing_format)
+        if failing == 0:  # the saving process's own range: its error propagates
+            with pytest.raises(RuntimeError, match="formatter failed"):
+                save_dataset(data, path)
+        else:
+            with pytest.raises(OSError, match=f"{path}: the worker formatting rows {owned[0]}-{owned[1]} failed"):
+                save_dataset(data, path)
+        assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+        assert load_dataset(path).features.tobytes() == previous.features.tobytes()
 
 
 class TestLabeledDataset:

@@ -216,6 +216,22 @@ class TestBuffers:
         for got, ref in zip(grads.weights + grads.biases, ref_w + ref_b):
             assert got.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("dims", [(6, 8, 4), (20, 64, 64, 10)])
+    def test_buffered_backward_matches_allocating_call_bit_for_bit(self, dims):
+        params, X = random_net(dims, 64, seed=75)
+        out = MlpParams.from_flat(np.full(params.flat.size, np.nan), params.dims)
+        for seed in (76, 77):  # the second call overwrites the first call's gradients
+            G = Rng(seed).normal((64, dims[-1]))
+            cache = forward(params, X)[1]
+            expected = backward(params, cache, G)
+            assert backward(params, cache, G, out=out) is out
+            assert out.flat.tobytes() == expected.flat.tobytes()
+
+    def test_backward_buffer_of_other_dims_rejected(self):
+        params, X = random_net((6, 8, 4), 5, seed=78)
+        with pytest.raises(ValueError, match="gradient buffer dims"):
+            backward(params, forward(params, X)[1], np.zeros((5, 4)), out=MlpParams.zeros((6, 9, 4)))
+
     def test_cache_holds_no_preactivations(self):
         params, X = random_net((6, 8, 4), 5, seed=74)
         assert set(forward(params, X)[1]) == {"inputs", "single"}

@@ -1,4 +1,5 @@
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +38,19 @@ def small_cfg(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def write_checkpoint_with_bad_fan_in(path):
+    """A (4, 12, 2) checkpoint whose first layer's fan_in field reads 5."""
+    params = init_mlp((4, 12, 2), seed=0)
+    write_checkpoint(path, small_cfg(), params, init_optimizer(params), 1, Rng(1), [])
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    fan_in = blob.index(params_to_bytes(params)) + len(b"mlp-v1") + 8  # past magic and layer count
+    assert struct.unpack_from("<q", blob, fan_in) == (4,)
+    with open(path, "wb") as fh:
+        fh.write(blob[:fan_in] + struct.pack("<q", 5) + blob[fan_in + 8 :])
+    return path
 
 
 def two_class_separable(seed=17):
@@ -366,6 +380,12 @@ class TestCheckpointResume:
         write_with_velocity_of((4, 12, 3))
         with pytest.raises(ValueError, match="spliced.ckpt: velocity dimensions"):
             read_checkpoint(path)
+
+    def test_corrupt_parameter_blob_names_the_file(self, tmp_path):
+        path = write_checkpoint_with_bad_fan_in(str(tmp_path / "bad-layer.ckpt"))
+        with pytest.raises(ValueError) as info:
+            read_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_checkpoint_write_is_atomic_replace(self, tmp_path):
         # the temp file must not survive a successful write

@@ -1,14 +1,20 @@
-"""Property tests for the softmax, the distillation kernels and the
-accuracy report."""
+"""Property tests for the softmax, the distillation kernels, the accuracy
+report and the parallel dataset writer."""
+
+import os
+import tempfile
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from longtail_kd.data import FEW, MANY, MEDIUM, SubsetTags
+from longtail_kd import data as data_module
+from longtail_kd.data import FEW, MANY, MEDIUM, LabeledDataset, SubsetTags, save_dataset
 from longtail_kd.evaluate import accuracy_report
 from longtail_kd.losses import balanced_targets, distill_loss_batch, softmax_rows
 from longtail_kd.mathutils import softmax_with_temperature
+from test_data import _reference_csv, _reference_sidecar
 
 # derandomized and without an example database, so every run checks the same cases
 property_settings = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -95,3 +101,41 @@ def test_bincount_report_equals_the_per_class_loop(case):
     preds, labels, tags = case
     r = accuracy_report(preds, labels, tags)
     assert (r.overall, r.many, r.medium, r.few, r.per_class, r.n) == looped_accuracy_report(preds, labels, tags)
+
+
+SPECIAL_FEATURES = (-0.0, 5e-324, -2.2250738585072014e-309, 1e16, 1e-5, 1e300, -1e300)
+
+
+def special_dataset(rows, dim=3):
+    """``rows`` rows cycling through the signed zero, subnormals and extreme magnitudes."""
+    features = np.resize(np.array(SPECIAL_FEATURES), rows * dim).reshape(rows, dim)
+    return LabeledDataset(features, np.arange(rows) % 2, num_classes=2)
+
+
+@st.composite
+def datasets(draw):
+    n, d, c = draw(st.integers(1, 40)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    cells = st.one_of(st.sampled_from(SPECIAL_FEATURES), st.floats(allow_nan=False, allow_infinity=False))
+    features = draw(arrays(np.float64, (n, d), elements=cells))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, c - 1)))
+    return LabeledDataset(features, labels, c)
+
+
+@property_settings
+@given(datasets(), st.integers(1, 5), st.integers(1, 8))
+@example(special_dataset(1), 4, 1)  # one row: one range, nothing forked
+@example(special_dataset(10), 5, 4)  # more CPUs than chunks: 3 ranges of one chunk each
+@example(special_dataset(23), 3, 4)  # 5 chunks of 4 and 1 of 3: ranges of 8, 8 and 7 rows
+@example(special_dataset(40), 5, 3)  # 14 chunks over 5 ranges of 2 or 3 chunks
+def test_parallel_save_bytes_equal_the_row_at_a_time_writer(data, workers, chunk_rows):
+    expected_csv = _reference_csv(data)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+        mp.setattr(data_module, "_SAVE_CHUNK_ROWS", chunk_rows)
+        path = os.path.join(tmp, "train.csv")
+        save_dataset(data, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == expected_csv
+        with open(path + ".bin", "rb") as fh:
+            assert fh.read() == _reference_sidecar(data, expected_csv)
+        assert sorted(os.listdir(tmp)) == ["train.csv", "train.csv.bin"]
