@@ -16,6 +16,7 @@ from . import evaluate
 from .config import ConfigError, imbalance_profile, parse_config, render_config, train_config
 from .data import load_dataset, make_longtail_counts, save_dataset, subset_tags, synth_gaussian_mixture
 from .gradcheck import run_gradient_checks
+from .mathutils import check_temperature
 from .pipeline import metrics_to_csv, read_checkpoint, temperature_sweep, train_student, train_teacher
 
 EXIT_OK = 0
@@ -67,10 +68,13 @@ def cmd_make_data(args):
     return EXIT_OK
 
 
-def _final_report(params, train, test, cfg):
-    tags = subset_tags(train.class_counts, cfg["many_thresh"], cfg["few_thresh"])
-    preds = evaluate.predict(params, test)
-    return evaluate.accuracy_report(preds, test.labels, tags)
+def _score(params, train, data, tcfg):
+    """Predictions of ``params`` on ``data`` and their accuracy report, with
+    classes tagged by their training-split counts under the thresholds of
+    the validated training config ``tcfg``."""
+    preds = evaluate.predict(params, data)
+    tags = subset_tags(train.class_counts, tcfg.many_thresh, tcfg.few_thresh)
+    return preds, evaluate.accuracy_report(preds, data.labels, tags)
 
 
 def cmd_train(args):
@@ -89,7 +93,7 @@ def cmd_train(args):
         params, log = train_student(train, test, teacher_params, tcfg, out_ckpt=ckpt_path)
 
     _write(os.path.join(out, f"{args.role}_metrics.csv"), metrics_to_csv(log))
-    report = _final_report(params, train, test, cfg)
+    _, report = _score(params, train, test, tcfg)
     _write(os.path.join(out, f"{args.role}_report.json"), evaluate.report_to_json(report))
     subset_bits = ", ".join(
         f"{name}={getattr(report, name):.4f}"
@@ -103,6 +107,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cfg = parse_config(args.config)
+    tcfg = train_config(cfg)
     params = read_checkpoint(args.ckpt).params
     data = load_dataset(args.data)
     train = load_dataset(os.path.join(cfg["data_dir"], "train.csv"))
@@ -112,9 +117,7 @@ def cmd_eval(args):
             raise ValueError(f"checkpoint emits {emitted} classes but the {name} has {split.num_classes}")
     out = _prepare_out(cfg, args.out, "out_dir")
 
-    tags = subset_tags(train.class_counts, cfg["many_thresh"], cfg["few_thresh"])
-    preds = evaluate.predict(params, data)
-    report = evaluate.accuracy_report(preds, data.labels, tags)
+    preds, report = _score(params, train, data, tcfg)
     confusion = evaluate.confusion_matrix(preds, data.labels, data.num_classes)
 
     report_json = evaluate.report_to_json(report)
@@ -145,6 +148,10 @@ def cmd_gradcheck(args):
 
 
 def cmd_sweep_temp(args):
+    try:
+        temps = [check_temperature(t) for t in args.temps]
+    except ValueError as exc:
+        raise UsageError(f"--temps: {exc}") from None
     cfg = parse_config(args.config)
     teacher_cfg, student_cfg = train_config(cfg, loss="ce"), train_config(cfg)
     train, test = _load_splits(cfg)
@@ -153,7 +160,7 @@ def cmd_sweep_temp(args):
         teacher = read_checkpoint(args.teacher).params
     else:
         teacher, _ = train_teacher(train, test, teacher_cfg)
-    rows = temperature_sweep(train, test, teacher, student_cfg, args.temps)
+    rows = temperature_sweep(train, test, teacher, student_cfg, temps)
     _write(os.path.join(out, "sweep.csv"), evaluate.sweep_to_csv(rows))
     for T, acc in rows:
         print(f"T={T:g}: accuracy={acc:.4f}")

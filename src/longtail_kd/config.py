@@ -10,22 +10,15 @@ from __future__ import annotations
 
 import os
 
-from .data import ImbalanceProfile
+from .data import PROFILE_KINDS, ImbalanceProfile
 from .losses import BKDConfig, KDConfig
-from .mlp import LrSchedule
-from .pipeline import TrainConfig
+from .mlp import SCHEDULE_KINDS, LrSchedule
+from .pipeline import LOSS_KINDS, TrainConfig
+from .weights import WEIGHT_MODES
 
 
 class ConfigError(ValueError):
     """Malformed configuration file or value."""
-
-
-def _parse_int(s):
-    return int(s, 10)
-
-
-def _parse_float(s):
-    return float(s)
 
 
 def _parse_str(allowed=None):
@@ -68,34 +61,34 @@ def _parse_optional_int(s):
 # key -> (default, parser, description)
 KEY_SPECS = {
     # dataset
-    "C": (10, _parse_int, "number of classes"),
-    "d": (20, _parse_int, "feature dimension"),
-    "rho": (100.0, _parse_float, "imbalance ratio: max class count over min"),
-    "n_max": (500, _parse_int, "training samples in the most frequent class"),
-    "profile": ("exponential", _parse_str({"exponential", "step"}), "count decay profile"),
-    "separation": (3.0, _parse_float, "radius of the class-mean sphere"),
-    "per_class_test": (100, _parse_int, "balanced test samples per class"),
-    "data_seed": (1, _parse_int, "seed for dataset synthesis"),
+    "C": (10, int, "number of classes"),
+    "d": (20, int, "feature dimension"),
+    "rho": (100.0, float, "imbalance ratio: max class count over min"),
+    "n_max": (500, int, "training samples in the most frequent class"),
+    "profile": ("exponential", _parse_str(PROFILE_KINDS), "count decay profile"),
+    "separation": (3.0, float, "radius of the class-mean sphere"),
+    "per_class_test": (100, int, "balanced test samples per class"),
+    "data_seed": (1, int, "seed for dataset synthesis"),
     # model
     "hidden_dims": ((64, 64), _parse_dims, "hidden layer widths, comma-separated"),
     # training
-    "loss": ("bkd", _parse_str({"ce", "cb", "kd", "bkd"}), "student training loss"),
-    "epochs": (100, _parse_int, "training epochs"),
-    "batch_size": (64, _parse_int, "minibatch size"),
-    "lr": (0.02, _parse_float, "base learning rate"),
-    "schedule": ("cosine", _parse_str({"constant", "step", "cosine"}), "learning-rate schedule"),
+    "loss": ("bkd", _parse_str(LOSS_KINDS), "student training loss"),
+    "epochs": (100, int, "training epochs"),
+    "batch_size": (64, int, "minibatch size"),
+    "lr": (0.02, float, "base learning rate"),
+    "schedule": ("cosine", _parse_str(SCHEDULE_KINDS), "learning-rate schedule"),
     "lr_steps": (((160, 0.01), (180, 0.01)), _parse_lr_steps, "epoch:factor decay points for schedule=step"),
-    "momentum": (0.9, _parse_float, "SGD momentum coefficient"),
-    "weight_decay": (0.0, _parse_float, "L2 penalty coefficient (0 disables)"),
-    "seed": (0, _parse_int, "seed for model init and shuffling"),
-    "alpha": (0.5, _parse_float, "cross-entropy weight in the plain distillation blend"),
-    "beta": (0.9999, _parse_float, "effective-number hyperparameter for class weights"),
-    "temperature": (2.0, _parse_float, "distillation temperature"),
-    "weight_mode": ("raw", _parse_str({"raw", "mean-one"}), "class weight normalization"),
+    "momentum": (0.9, float, "SGD momentum coefficient"),
+    "weight_decay": (0.0, float, "L2 penalty coefficient (0 disables)"),
+    "seed": (0, int, "seed for model init and shuffling"),
+    "alpha": (0.5, float, "cross-entropy weight in the plain distillation blend"),
+    "beta": (0.9999, float, "effective-number hyperparameter for class weights"),
+    "temperature": (2.0, float, "distillation temperature"),
+    "weight_mode": ("raw", _parse_str(WEIGHT_MODES), "class weight normalization"),
     "defer_epoch": (None, _parse_optional_int, "switch plain->balanced distillation at this epoch (empty = off)"),
     # evaluation
-    "many_thresh": (100, _parse_int, "class counts above this are many-shot"),
-    "few_thresh": (20, _parse_int, "class counts below this are few-shot"),
+    "many_thresh": (100, int, "class counts above this are many-shot"),
+    "few_thresh": (20, int, "class counts below this are few-shot"),
     # paths
     "data_dir": ("data", str, "directory holding train.csv/test.csv"),
     "out_dir": ("out", str, "directory for run outputs"),
@@ -110,28 +103,32 @@ def parse_config(path):
     """Read a config file and resolve it against the defaults."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     resolved = default_config()
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in KEY_SPECS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in seen:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            seen.add(key)
-            parser = KEY_SPECS[key][1]
-            try:
-                resolved[key] = parser(value)
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in KEY_SPECS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        seen.add(key)
+        parser = KEY_SPECS[key][1]
+        try:
+            resolved[key] = parser(value)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return resolved
 
 

@@ -58,6 +58,8 @@ _SIDECAR_HEAD = struct.Struct(f"<{len(SIDECAR_MAGIC)}s{_DIGEST_BYTES}sqq")
 _SAVE_CHUNK_ROWS = 1024
 _HASH_CHUNK_BYTES = 1 << 20
 
+PROFILE_KINDS = ("exponential", "step")
+
 MANY = "many"
 MEDIUM = "medium"
 FEW = "few"
@@ -78,8 +80,8 @@ class ImbalanceProfile:
     num_classes: int = 10
 
     def __post_init__(self):
-        if self.kind not in ("exponential", "step"):
-            raise ValueError(f"profile kind must be 'exponential' or 'step', got {self.kind!r}")
+        if self.kind not in PROFILE_KINDS:
+            raise ValueError(f"profile kind must be one of {PROFILE_KINDS}, got {self.kind!r}")
         if not (isinstance(self.rho, (int, float)) and self.rho >= 1.0):
             raise ValueError(f"imbalance ratio must be >= 1, got {self.rho!r}")
         if self.n_max < 1:
@@ -231,22 +233,21 @@ def downsample_to_profile(data, counts, seed):
     return LabeledDataset(data.features[keep], data.labels[keep], data.num_classes)
 
 
-def subset_tags(counts, many_thresh=100, few_thresh=20):
-    """Tag classes by training count: many (> many_thresh), few
-    (< few_thresh), medium otherwise (both boundaries inclusive)."""
+def check_thresholds(many_thresh, few_thresh):
+    """ValueError unless the subset thresholds are integers with
+    many_thresh > few_thresh > 0."""
     if not (isinstance(many_thresh, (int, np.integer)) and isinstance(few_thresh, (int, np.integer))):
         raise ValueError("thresholds must be integers")
     if not many_thresh > few_thresh > 0:
         raise ValueError(f"need many_thresh > few_thresh > 0, got {many_thresh}, {few_thresh}")
+
+
+def subset_tags(counts, many_thresh=100, few_thresh=20):
+    """Tag classes by training count: many (> many_thresh), few
+    (< few_thresh), medium otherwise (both boundaries inclusive)."""
+    check_thresholds(many_thresh, few_thresh)
     counts = np.asarray(counts, dtype=np.int64)
-    tags = []
-    for n in counts:
-        if n > many_thresh:
-            tags.append(MANY)
-        elif n < few_thresh:
-            tags.append(FEW)
-        else:
-            tags.append(MEDIUM)
+    tags = (MANY if n > many_thresh else FEW if n < few_thresh else MEDIUM for n in counts)
     return SubsetTags(tuple(tags), int(many_thresh), int(few_thresh))
 
 
@@ -426,23 +427,26 @@ def load_dataset(path):
     The rows come from the sidecar when it verifies, else from the text."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"dataset file not found: {path}")
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        parts = [p.strip() for p in header.split(",")]
-        if (
-            len(parts) != 3
-            or parts[0] != FORMAT_MAGIC
-            or not parts[1].startswith("C=")
-            or not parts[2].startswith("d=")
-        ):
-            raise ValueError(f"{path}: not a {FORMAT_MAGIC} file (header {header!r})")
-        try:
-            num_classes = int(parts[1][2:])
-            dim = int(parts[2][2:])
-        except ValueError:
-            raise ValueError(f"{path}: malformed header {header!r}") from None
-        if num_classes < 1 or dim < 1:
-            raise ValueError(f"{path}: header needs C >= 1 and d >= 1 (header {header!r})")
-        cached = _read_sidecar(path, dim)
-        labels, features = cached if cached is not None else _parse_rows(fh, path, dim)
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline().strip()
+            parts = [p.strip() for p in header.split(",")]
+            if (
+                len(parts) != 3
+                or parts[0] != FORMAT_MAGIC
+                or not parts[1].startswith("C=")
+                or not parts[2].startswith("d=")
+            ):
+                raise ValueError(f"{path}: not a {FORMAT_MAGIC} file (header {header!r})")
+            try:
+                num_classes = int(parts[1][2:])
+                dim = int(parts[2][2:])
+            except ValueError:
+                raise ValueError(f"{path}: malformed header {header!r}") from None
+            if num_classes < 1 or dim < 1:
+                raise ValueError(f"{path}: header needs C >= 1 and d >= 1 (header {header!r})")
+            cached = _read_sidecar(path, dim)
+            labels, features = cached if cached is not None else _parse_rows(fh, path, dim)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not ASCII text: {exc}") from None
     return LabeledDataset(features, labels, num_classes)

@@ -37,28 +37,12 @@ log-softmax from that one shift.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mathutils import log_softmax_rows, log_softmax_shifted, shift_rows
-
-__all__ = [
-    "LossResult",
-    "KDConfig",
-    "BKDConfig",
-    "ce_loss",
-    "cb_loss",
-    "kd_loss",
-    "bkd_loss",
-    "cb_grad_formula",
-    "bkd_grad_formula",
-    "ce_loss_batch",
-    "cb_loss_batch",
-    "distill_loss_batch",
-    "balanced_targets",
-]
+from .mathutils import check_logits, check_temperature, log_softmax_rows, log_softmax_shifted, shift_rows
+from .weights import WEIGHT_MODES
 
 
 @dataclass(frozen=True)
@@ -79,8 +63,7 @@ class KDConfig:
     def __post_init__(self):
         if not (isinstance(self.alpha, (int, float)) and 0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        if not (isinstance(self.temperature, (int, float)) and math.isfinite(self.temperature) and self.temperature > 0):
-            raise ValueError(f"temperature must be positive, got {self.temperature!r}")
+        check_temperature(self.temperature)
 
     @property
     def coefs(self):
@@ -100,10 +83,9 @@ class BKDConfig:
     def __post_init__(self):
         if not (isinstance(self.beta, (int, float)) and 0.0 < self.beta < 1.0):
             raise ValueError(f"beta must lie strictly inside (0, 1), got {self.beta!r}")
-        if not (isinstance(self.temperature, (int, float)) and math.isfinite(self.temperature) and self.temperature > 0):
-            raise ValueError(f"temperature must be positive, got {self.temperature!r}")
-        if self.weight_mode not in ("raw", "mean-one"):
-            raise ValueError(f"weight_mode must be 'raw' or 'mean-one', got {self.weight_mode!r}")
+        check_temperature(self.temperature)
+        if self.weight_mode not in WEIGHT_MODES:
+            raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}, got {self.weight_mode!r}")
 
     @property
     def coefs(self):
@@ -113,15 +95,6 @@ class BKDConfig:
 
 # ---------------------------------------------------------------------------
 # validation helpers
-
-
-def _check_logits(z):
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.size == 0:
-        raise ValueError("logits must be a non-empty 1-D vector")
-    if not np.isfinite(z).all():
-        raise ValueError("logits must be finite")
-    return z
 
 
 def _check_label(y, num_classes):
@@ -220,7 +193,7 @@ def distill_loss_batch(Z, targets, ys, ce_coef, kl_coef, temperature):
 
 def ce_loss(z, y):
     """Softmax cross-entropy -log p_y; gradient is p - one_hot(y)."""
-    z = _check_logits(z)
+    z = check_logits(z)
     y = _check_label(y, z.size)
     values, grads = ce_loss_batch(z[None, :], [y])
     return LossResult(float(values[0]), grads[0])
@@ -228,7 +201,7 @@ def ce_loss(z, y):
 
 def cb_loss(z, y, w):
     """Cross-entropy scaled by the true class's weight: -w_y log p_y."""
-    z = _check_logits(z)
+    z = check_logits(z)
     y = _check_label(y, z.size)
     w = _check_weights(w, z.size)
     values, grads = cb_loss_batch(z[None, :], [y], w)
@@ -242,7 +215,7 @@ def kd_loss(z, teacher_probs, y, cfg):
     term compares them with softmax(z / T) and is scaled by T^2, so its
     logit gradient carries a single factor of T.
     """
-    z = _check_logits(z)
+    z = check_logits(z)
     y = _check_label(y, z.size)
     phat = _check_probs(teacher_probs, z.size)
     if not isinstance(cfg, KDConfig):
@@ -259,7 +232,7 @@ def bkd_loss(z, teacher_probs, y, w, cfg):
     T^2 * KL(q || softmax(z/T)) is then nonnegative by Gibbs' inequality.
     Weight scale cancels in q, so only weight ratios matter here.
     """
-    z = _check_logits(z)
+    z = check_logits(z)
     y = _check_label(y, z.size)
     phat = _check_probs(teacher_probs, z.size)
     w = _check_weights(w, z.size)
@@ -276,7 +249,7 @@ def cb_grad_formula(z, y, w):
     Component k is w_y * (p_y - 1) at k = y and w_y * p_k elsewhere.
     Diagnostic twin of ``cb_loss(...)``'s gradient.
     """
-    z = _check_logits(z)
+    z = check_logits(z)
     y = _check_label(y, z.size)
     w = _check_weights(w, z.size)
     p = np.exp(log_softmax_rows(z[None, :])[0])
@@ -294,7 +267,7 @@ def bkd_grad_formula(z, teacher_probs, y, w):
     gradient of -sum(t * log p). Zero weights are allowed (the target then
     degenerates to the hard label and the CE gradient comes back).
     """
-    z = _check_logits(z)
+    z = check_logits(z)
     y = _check_label(y, z.size)
     phat = _check_probs(teacher_probs, z.size)
     w = _check_weights(w, z.size, allow_zero=True)

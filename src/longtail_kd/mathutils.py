@@ -19,6 +19,25 @@ _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 
 
+def check_logits(z):
+    """``z`` as a float64 vector, or ValueError unless it is a non-empty,
+    finite 1-D vector."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 1 or z.size == 0:
+        raise ValueError("logits must be a non-empty 1-D vector")
+    if not np.isfinite(z).all():
+        raise ValueError("logits must be finite")
+    return z
+
+
+def check_temperature(temperature):
+    """``temperature`` as a float, or ValueError unless it is a positive
+    finite real: the one rule for every softmax temperature."""
+    if not (isinstance(temperature, (int, float, np.floating)) and math.isfinite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be a positive finite real, got {temperature!r}")
+    return float(temperature)
+
+
 def shift_rows(Z):
     """Z minus its row max, so every entry is <= 0.
 
@@ -56,23 +75,14 @@ def softmax_with_temperature(z, temperature):
     ordinary softmax. Raises ValueError on non-finite logits or
     non-positive temperature.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.size == 0:
-        raise ValueError("logits must be a non-empty 1-D vector")
-    if not np.isfinite(z).all():
-        raise ValueError("logits must be finite")
-    if not (isinstance(temperature, (int, float, np.floating)) and math.isfinite(temperature) and temperature > 0):
-        raise ValueError(f"temperature must be a positive finite real, got {temperature!r}")
+    z = check_logits(z)
+    check_temperature(temperature)
     return np.exp(log_softmax_rows(z[None, :], temperature)[0])
 
 
 def log_sum_exp(z):
     """max(z) + log(sum(exp(z - max(z)))). Overflow-safe for any finite input."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.size == 0:
-        raise ValueError("log_sum_exp needs a non-empty 1-D vector")
-    if not np.isfinite(z).all():
-        raise ValueError("logits must be finite")
+    z = check_logits(z)
     m = z.max()
     return float(m + np.log(np.exp(z - m).sum()))
 

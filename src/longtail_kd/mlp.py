@@ -29,6 +29,7 @@ import numpy as np
 from .mathutils import Rng
 
 MLP_MAGIC = b"mlp-v1"
+SCHEDULE_KINDS = ("constant", "step", "cosine")
 
 
 def _layer_views(flat, dims):
@@ -101,8 +102,8 @@ class LrSchedule:
     steps: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("constant", "step", "cosine"):
-            raise ValueError(f"schedule kind must be constant/step/cosine, got {self.kind!r}")
+        if self.kind not in SCHEDULE_KINDS:
+            raise ValueError(f"schedule kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
         if not (isinstance(self.base_lr, (int, float)) and self.base_lr > 0):
             raise ValueError(f"base_lr must be positive, got {self.base_lr!r}")
         epochs = [e for e, _ in self.steps]

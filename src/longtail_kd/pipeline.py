@@ -17,9 +17,10 @@ allocates up front, so the per-epoch evaluation allocates no layer-sized
 array; the buffers live for one ``_run`` call.
 ``temperature_sweep`` trains one such student per temperature.
 
-Checkpoints capture parameters, momentum buffers, epoch index, shuffle-RNG
-state, the metric log, and a config digest, so a resumed run is bit-identical
-to an uninterrupted one.
+Every epoch visits the training rows in a fresh shuffled order. Checkpoints
+capture parameters, momentum buffers, epoch index, shuffle-RNG state, the
+metric log, and a config digest, so a resumed run is bit-identical to an
+uninterrupted one; the epoch index must equal the number of logged epochs.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import evaluate
-from .data import subset_tags
+from .data import check_thresholds, subset_tags
 from .losses import (
     BKDConfig,
     KDConfig,
@@ -43,7 +44,7 @@ from .losses import (
     distill_loss_batch,
     softmax_rows,
 )
-from .mathutils import Rng, derive_seed
+from .mathutils import Rng, check_temperature, derive_seed
 from .mlp import (
     BlobReader,
     LrSchedule,
@@ -78,7 +79,6 @@ class TrainConfig:
     kd: KDConfig = field(default_factory=KDConfig)
     bkd: BKDConfig = field(default_factory=BKDConfig)
     defer_epoch: int | None = None
-    shuffle: bool = True
     many_thresh: int = 100
     few_thresh: int = 20
 
@@ -100,6 +100,7 @@ class TrainConfig:
                 raise ValueError("defer_epoch must lie in [0, epochs)")
         if any(int(h) < 1 for h in self.hidden_dims):
             raise ValueError("hidden layer widths must be positive")
+        check_thresholds(self.many_thresh, self.few_thresh)
 
 
 @dataclass(frozen=True)
@@ -195,9 +196,11 @@ class CheckpointState:
     digest: bytes
 
 
-def _blob_params(path, blob):
+def _parse_blob(path, parse, blob):
+    """``parse(blob)``, with its ValueError (a decoding error included)
+    re-raised naming the checkpoint file."""
     try:
-        return params_from_bytes(blob)
+        return parse(blob)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -215,13 +218,15 @@ def read_checkpoint(path):
     seed, count = r.unpack("<QQ")
     (momentum,) = r.unpack("<d")
     (n,) = r.unpack("<Q")
-    params = _blob_params(path, r.take(n))
+    params = _parse_blob(path, params_from_bytes, r.take(n))
     (n,) = r.unpack("<Q")
-    vel = _blob_params(path, r.take(n))
+    vel = _parse_blob(path, params_from_bytes, r.take(n))
     (n,) = r.unpack("<Q")
-    log_rows = metrics_from_csv(r.take(n).decode("utf-8")) if n else []
+    log_rows = _parse_blob(path, lambda b: metrics_from_csv(b.decode("utf-8")), r.take(n)) if n else []
     if r.off != len(blob):
         raise ValueError(f"{path}: trailing bytes after checkpoint payload")
+    if epoch != len(log_rows):
+        raise ValueError(f"{path}: epoch {epoch} does not match the {len(log_rows)} logged epochs")
     if vel.dims != params.dims:
         raise ValueError(f"{path}: velocity dimensions {vel.dims} do not match parameters {params.dims}")
     return CheckpointState(params, OptimizerState(vel, momentum), epoch, (seed, count), log_rows, digest)
@@ -261,7 +266,7 @@ def _teacher_targets(teacher, features, batch_size, temperature, w):
     return targets if w is None else balanced_targets(targets, w)
 
 
-def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch, on_batch):
+def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
     _check_datasets(train, test)
     dims = (train.dimension, *[int(h) for h in cfg.hidden_dims], train.num_classes)
     digest = config_digest(cfg)
@@ -298,7 +303,8 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch, on_
 
     N = len(train)
     targets_of = {}  # distillation kind -> (N, C) targets, built on first use
-    end_epoch = cfg.epochs if stop_after_epoch is None else min(cfg.epochs, stop_after_epoch)
+    # a resumed run never ends before the epoch it resumed at
+    end_epoch = cfg.epochs if stop_after_epoch is None else max(start_epoch, min(cfg.epochs, stop_after_epoch))
 
     for epoch in range(start_epoch, end_epoch):
         kind = _epoch_loss_kind(cfg, epoch, teacher)
@@ -308,7 +314,7 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch, on_
                 teacher, train.features, cfg.batch_size, distill.temperature, w if kind == "bkd" else None
             )
         lr = lr_at(cfg.schedule, epoch, cfg.epochs)
-        order = shuffle_rng.permutation(N) if cfg.shuffle else np.arange(N, dtype=np.int64)
+        order = shuffle_rng.permutation(N)
         loss_sum = 0.0
         for start in range(0, N, cfg.batch_size):
             rows = order[start : start + cfg.batch_size]
@@ -334,8 +340,6 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch, on_
             if cfg.weight_decay:
                 pgrads.flat += cfg.weight_decay * params.flat
             sgd_momentum_step(params, pgrads, opt, lr)
-            if on_batch is not None:
-                on_batch(epoch, start // cfg.batch_size, float(values.mean()))
 
         report = evaluate.accuracy_report(evaluate.predict(params, test, out=eval_out), test.labels, tags)
         log_rows.append(
@@ -347,12 +351,12 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch, on_
     return params, log_rows
 
 
-def train_teacher(train, test, cfg, *, out_ckpt=None, resume_from=None, stop_after_epoch=None, on_batch=None):
+def train_teacher(train, test, cfg, *, out_ckpt=None, resume_from=None, stop_after_epoch=None):
     """Phase one: minibatch SGD with plain cross-entropy, whatever cfg.loss says."""
-    return _run(train, test, cfg, None, out_ckpt, resume_from, stop_after_epoch, on_batch)
+    return _run(train, test, cfg, None, out_ckpt, resume_from, stop_after_epoch)
 
 
-def train_student(train, test, teacher, cfg, *, out_ckpt=None, resume_from=None, stop_after_epoch=None, on_batch=None):
+def train_student(train, test, teacher, cfg, *, out_ckpt=None, resume_from=None, stop_after_epoch=None):
     """Phase two: train against frozen teacher predictions.
 
     cfg.loss picks the objective; "ce"/"cb" are permitted as baselines that
@@ -365,17 +369,15 @@ def train_student(train, test, teacher, cfg, *, out_ckpt=None, resume_from=None,
         raise ValueError("teacher input dimension does not match the data")
     if teacher.dims[-1] != train.num_classes:
         raise ValueError(f"teacher emits {teacher.dims[-1]} classes but data has {train.num_classes}")
-    return _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch, on_batch)
+    return _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch)
 
 
 def temperature_sweep(train, test, teacher, base_cfg, temps):
     """Train one student per temperature (same teacher, same seed) and
     report (temperature, final overall test accuracy) rows."""
-    temps = [float(t) for t in temps]
+    temps = [check_temperature(t) for t in temps]
     if not temps:
         raise ValueError("temps must be a non-empty list")
-    if any(t <= 0 for t in temps):
-        raise ValueError("temperatures must be positive")
     if base_cfg.epochs < 1:
         raise ValueError("a temperature sweep needs at least one training epoch")
     rows = []

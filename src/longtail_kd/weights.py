@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+WEIGHT_MODES = ("raw", "mean-one")
+
 
 def _validate_counts(counts):
     counts = np.asarray(counts)
@@ -56,4 +58,4 @@ def normalize_weights(w, mode="raw"):
         return w.copy()
     if mode == "mean-one":
         return w * (w.size / w.sum())
-    raise ValueError(f"unknown weight mode {mode!r} (expected 'raw' or 'mean-one')")
+    raise ValueError(f"unknown weight mode {mode!r} (expected one of {WEIGHT_MODES})")

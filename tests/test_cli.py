@@ -220,6 +220,16 @@ class TestSweepTemp:
         accs = [float(r.split(",")[1]) for r in rows[1:]]
         assert all(0.0 <= a <= 1.0 for a in accs)
 
+    @pytest.mark.parametrize("temp", ["0", "-1", "nan", "inf"])
+    def test_bad_temperature_is_usage_error_before_any_data_is_read(self, tmp_path, capsys, temp):
+        # the data directory does not exist, so reading it or training a
+        # teacher would exit 2
+        out_dir = tmp_path / "out"
+        cfg = write_config(tmp_path / "exp.cfg", data_dir=tmp_path / "data", out_dir=out_dir)
+        assert run("sweep-temp", "--config", cfg, "--temps", 2, temp) == 1
+        assert "--temps: temperature must be a positive finite real" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_duplicate_temps_identical(self, workspace):
         _, cfg, data_dir, out_dir = workspace
         assert run("make-data", "--config", cfg) == 0
@@ -255,8 +265,22 @@ class TestConfigHandling:
         full = write_config(tmp_path / "full.cfg", data_dir=data_dir, out_dir=tmp_path / "o")
         assert run("make-data", "--config", full) == 0
 
-    @pytest.mark.parametrize("key, value", [("batch_size", 0), ("momentum", 1.5), ("temperature", -1)])
-    @pytest.mark.parametrize("command", [("train", "--role", "teacher"), ("sweep-temp", "--temps", 2)])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("batch_size", 0), ("momentum", 1.5), ("temperature", -1),
+            # against the default pair (100, 20): inverted, equal, non-positive
+            ("many_thresh", 10), ("few_thresh", 100), ("few_thresh", 0),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("train", "--role", "teacher"),
+            ("sweep-temp", "--temps", 2),
+            ("eval", "--ckpt", "absent.ckpt", "--data", "absent.csv"),
+        ],
+    )
     def test_value_the_training_config_rejects_is_config_error(self, tmp_path, capsys, key, value, command):
         # refused before any data is read: the data directory does not exist
         out_dir = tmp_path / "out"
@@ -264,6 +288,14 @@ class TestConfigHandling:
         assert run(command[0], "--config", cfg, *command[1:]) == 1
         assert "config error" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_config_that_is_not_utf8_is_config_error_naming_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(f"data_dir = {tmp_path / 'data'}\n".encode() + b"# caf\xe9\n")
+        assert run("make-data", "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: not UTF-8 text")
+        assert not (tmp_path / "data").exists()
 
     def test_unknown_command_is_usage_error(self):
         assert run("frobnicate") == 1

@@ -19,6 +19,7 @@ from longtail_kd.data import (
     subset_tags,
     synth_gaussian_mixture,
 )
+from longtail_kd.pipeline import TrainConfig
 
 
 class TestMakeLongtailCounts:
@@ -151,6 +152,15 @@ class TestSubsetTags:
         with pytest.raises(ValueError):
             subset_tags([10], many_thresh=5, few_thresh=20)
 
+    @pytest.mark.parametrize("many, few", [(10, 20), (20, 20), (20, 0), (5, -1), (20.0, 5)])
+    def test_training_config_refuses_the_pairs_subset_tags_refuses(self, many, few):
+        # one rule, check_thresholds, serves both
+        with pytest.raises(ValueError) as tagged:
+            subset_tags([10], many_thresh=many, few_thresh=few)
+        with pytest.raises(ValueError) as configured:
+            TrainConfig(many_thresh=many, few_thresh=few)
+        assert str(configured.value) == str(tagged.value)
+
     def test_classes_tagged_lookup(self):
         tags = subset_tags([5000, 50, 5, 5000])
         np.testing.assert_array_equal(tags.classes_tagged(MANY), [0, 3])
@@ -208,6 +218,21 @@ class TestDiskFormat:
         path.write_text(f"longtail-csv v1, C=2, d=2\n{row}\n")
         with pytest.raises(ValueError, match="bad.csv:2"):
             load_dataset(str(path))
+
+    @pytest.mark.parametrize("line", [0, 1, 9], ids=["header", "first-row", "last-row"])
+    def test_non_ascii_byte_names_the_file(self, tmp_path, line):
+        train, _ = synth_gaussian_mixture([5, 4], 3, 1.0, seed=2, per_class_test=1)
+        path = str(tmp_path / "bad.csv")
+        save_dataset(train, path)
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\n")
+        lines[line] = lines[line].replace(b",", b",\xc3\xa9", 1)  # an e-acute, in UTF-8
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines))
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert "ascii" in str(info.value)
 
 
 def _reference_csv(data):

@@ -4,7 +4,9 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from longtail_kd.mathutils import Rng, log_sum_exp, mix64, one_hot, softmax_with_temperature
+from longtail_kd.losses import BKDConfig, KDConfig
+from longtail_kd.mathutils import Rng, check_temperature, log_sum_exp, mix64, one_hot, softmax_with_temperature
+from longtail_kd.pipeline import temperature_sweep
 
 
 class TestSoftmaxWithTemperature:
@@ -68,6 +70,26 @@ class TestSoftmaxWithTemperature:
             softmax_with_temperature([0.0, math.inf], 1.0)
         with pytest.raises(ValueError):
             softmax_with_temperature([math.nan, 0.0], 1.0)
+
+
+class TestTemperatureRule:
+    @pytest.mark.parametrize("bad_t", [0, -1.0, math.nan, math.inf, -math.inf, "2"])
+    def test_every_consumer_refuses_with_the_one_rule(self, bad_t):
+        consumers = [
+            lambda: KDConfig(temperature=bad_t),
+            lambda: BKDConfig(temperature=bad_t),
+            lambda: softmax_with_temperature([0.0, 1.0], bad_t),
+            # refused before it looks at the data, the teacher or the config
+            lambda: temperature_sweep(None, None, None, None, [2.0, bad_t]),
+        ]
+        for consumer in consumers:
+            with pytest.raises(ValueError, match="temperature must be a positive finite real"):
+                consumer()
+
+    @pytest.mark.parametrize("t", [1, 0.5, np.float64(3.0), 1e-300])
+    def test_positive_finite_reals_pass_as_floats(self, t):
+        assert check_temperature(t) == float(t)
+        assert type(check_temperature(t)) is float
 
 
 class TestLogSumExp:

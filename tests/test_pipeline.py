@@ -43,14 +43,59 @@ def small_cfg(**overrides):
 def write_checkpoint_with_bad_fan_in(path):
     """A (4, 12, 2) checkpoint whose first layer's fan_in field reads 5."""
     params = init_mlp((4, 12, 2), seed=0)
-    write_checkpoint(path, small_cfg(), params, init_optimizer(params), 1, Rng(1), [])
+    write_checkpoint(path, small_cfg(), params, init_optimizer(params), 0, Rng(1), [])
+    with open(path, "rb") as fh:
+        fan_in = fh.read().index(params_to_bytes(params)) + len(b"mlp-v1") + 8  # past magic and layer count
+    patch_checkpoint(path, fan_in, struct.pack("<q", 4), struct.pack("<q", 5))
+    return path
+
+
+def patch_checkpoint(path, offset, old, new):
+    """Replace the bytes ``old`` at ``offset`` of a checkpoint file by ``new``."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    fan_in = blob.index(params_to_bytes(params)) + len(b"mlp-v1") + 8  # past magic and layer count
-    assert struct.unpack_from("<q", blob, fan_in) == (4,)
+    assert blob[offset : offset + len(old)] == old
     with open(path, "wb") as fh:
-        fh.write(blob[:fan_in] + struct.pack("<q", 5) + blob[fan_in + 8 :])
-    return path
+        fh.write(blob[:offset] + new + blob[offset + len(old) :])
+
+
+EPOCH_FIELD = len(pipeline.CKPT_MAGIC) + 32  # past the magic and the config digest
+
+
+class BatchRecorder:
+    """Records every training minibatch through the pipeline's module seams:
+    the student's input rows (``forward`` on any params but the teacher's),
+    and the labels and mean loss that the batch's loss kernel sees."""
+
+    LABEL_ARG = {"ce_loss_batch": 1, "cb_loss_batch": 1, "distill_loss_batch": 2}
+
+    def __init__(self, monkeypatch, teacher=None):
+        self.inputs, self.labels, self.losses = [], [], []
+
+        def student_forward(params, X):
+            if params is not teacher:
+                self.inputs.append(X)
+            return forward(params, X)
+
+        monkeypatch.setattr(pipeline, "forward", student_forward)
+        for name, label_arg in self.LABEL_ARG.items():
+            monkeypatch.setattr(pipeline, name, self._recording(getattr(pipeline, name), label_arg))
+
+    def _recording(self, loss_batch, label_arg):
+        def recorded(*args):
+            values, grads = loss_batch(*args)
+            self.labels.append(np.asarray(args[label_arg]))
+            self.losses.append(float(values.mean()))
+            return values, grads
+
+        return recorded
+
+    def take_losses(self):
+        """The mean losses recorded so far, which are then forgotten."""
+        losses, self.losses = self.losses, []
+        self.inputs.clear()
+        self.labels.clear()
+        return losses
 
 
 def two_class_separable(seed=17):
@@ -103,18 +148,20 @@ class TestTrainTeacher:
                 train_teacher(train, test, cfg)
 
     @pytest.mark.parametrize("epochs", [1, 2])  # biases start at 0: only a 2nd step decays them
-    def test_weight_decay_matches_a_layer_by_layer_replay(self, epochs):
-        # each epoch is one batch holding every row in order
+    def test_weight_decay_matches_a_layer_by_layer_replay(self, epochs, monkeypatch):
+        # each epoch is one batch holding every row, in the order the run drew
         train, test = two_class_separable()
         n, wd = len(train), 1e-3
-        cfg = small_cfg(epochs=epochs, batch_size=n, shuffle=False, weight_decay=wd)
+        cfg = small_cfg(epochs=epochs, batch_size=n, weight_decay=wd)
+        batches = BatchRecorder(monkeypatch)
         params, _ = train_teacher(train, test, cfg)
+        assert [len(X) for X in batches.inputs] == [n] * epochs
 
         ref = init_mlp((train.dimension, *cfg.hidden_dims, train.num_classes), cfg.seed)
         vel = [np.zeros_like(p) for p in ref.weights + ref.biases]
         for epoch in range(epochs):
-            logits, cache = forward(ref, train.features[np.arange(n)])
-            grads = backward(ref, cache, ce_loss_batch(logits, train.labels)[1] / n)
+            logits, cache = forward(ref, batches.inputs[epoch])
+            grads = backward(ref, cache, ce_loss_batch(logits, batches.labels[epoch])[1] / n)
             lr = lr_at(cfg.schedule, epoch, epochs)
             for g, p, v in zip(grads.weights + grads.biases, ref.weights + ref.biases, vel):
                 g = g + wd * p
@@ -133,42 +180,34 @@ class TestTrainTeacher:
 
 
 class TestTrainStudent:
-    def test_kd_alpha_one_matches_ce_teacher_run(self):
+    def test_kd_alpha_one_matches_ce_teacher_run(self, monkeypatch):
         train, test = two_class_separable()
         teacher, _ = train_teacher(train, test, small_cfg(epochs=4))
-        ce_steps, kd_steps = [], []
-        cfg_ce = small_cfg(shuffle=False)
-        _, ce_log = train_teacher(train, test, cfg_ce, on_batch=lambda e, b, v: ce_steps.append(v))
-        cfg_kd = small_cfg(loss="kd", kd=KDConfig(alpha=1.0, temperature=3.0), shuffle=False)
-        _, kd_log = train_student(
-            train, test, teacher, cfg_kd, on_batch=lambda e, b, v: kd_steps.append(v)
-        )
+        batches = BatchRecorder(monkeypatch, teacher)
+        cfg_ce = small_cfg()
+        _, ce_log = train_teacher(train, test, cfg_ce)
+        ce_steps = batches.take_losses()
+        cfg_kd = small_cfg(loss="kd", kd=KDConfig(alpha=1.0, temperature=3.0))
+        _, kd_log = train_student(train, test, teacher, cfg_kd)
+        kd_steps = batches.take_losses()
         assert len(ce_steps) == len(kd_steps)
         assert all(abs(a - b) < 1e-12 for a, b in zip(ce_steps, kd_steps))
         assert metrics_to_csv(ce_log) == metrics_to_csv(kd_log)
 
-    def test_bkd_on_balanced_counts_is_ce_plus_scaled_kl(self):
+    def test_bkd_on_balanced_counts_is_ce_plus_scaled_kl(self, monkeypatch):
         # constant class counts -> constant weights -> the distillation term
         # must equal T^2 * KL(teacher || student at T) on every step
         train, test = synth_gaussian_mixture([60, 60], 4, 3.0, seed=23, per_class_test=20)
-        cfg = small_cfg(loss="bkd", shuffle=False, epochs=2)
+        cfg = small_cfg(loss="bkd", epochs=2)
         teacher, _ = train_teacher(train, test, small_cfg(epochs=3))
+        batches = BatchRecorder(monkeypatch, teacher)
+        train_student(train, test, teacher, cfg)
+        recorded = batches.losses
 
-        from longtail_kd.losses import balanced_targets, ce_loss_batch, distill_loss_batch, softmax_rows
-
-        recorded = []
-
-        def check(epoch, batch, value):
-            recorded.append(value)
-
-        train_student(train, test, teacher, cfg, on_batch=check)
-
-        # replay the first batch by hand (shuffle off, fresh student)
-        from longtail_kd.mlp import init_mlp
-
+        # replay the first batch by hand (the rows the run drew, fresh student)
         student = init_mlp((4, *cfg.hidden_dims, 2), cfg.seed)
-        X = train.features[: cfg.batch_size]
-        ys = train.labels[: cfg.batch_size]
+        X, ys = batches.inputs[0], batches.labels[0]
+        assert len(X) == cfg.batch_size
         logits, _ = forward(student, X)
         t_logits, _ = forward(teacher, X)
         phat = softmax_rows(t_logits, cfg.bkd.temperature)
@@ -188,25 +227,20 @@ class TestTrainStudent:
         train_student(train, test, teacher, small_cfg(loss="bkd", epochs=4))
         assert params_to_bytes(teacher) == before
 
-    def test_defer_epoch_switches_loss(self):
+    def test_defer_epoch_switches_loss(self, monkeypatch):
         train, test = two_class_separable()
         teacher, _ = train_teacher(train, test, small_cfg(epochs=3))
-        cfg = small_cfg(loss="bkd", epochs=4, defer_epoch=2, shuffle=False)
-        per_epoch_first_batch = {}
-
-        def record(epoch, batch, value):
-            if batch == 0:
-                per_epoch_first_batch[epoch] = value
-
-        train_student(train, test, teacher, cfg, on_batch=record)
+        cfg = small_cfg(loss="bkd", epochs=4, defer_epoch=2)
+        batches_per_epoch = math.ceil(len(train) / cfg.batch_size)
+        batches = BatchRecorder(monkeypatch, teacher)
+        train_student(train, test, teacher, cfg)
+        per_epoch_first_batch = batches.take_losses()[::batches_per_epoch]
 
         # identical to a pure-kd run until the switch, different from it after
-        kd_first_batch = {}
-        cfg_kd = small_cfg(loss="kd", epochs=4, shuffle=False)
-        train_student(
-            train, test, teacher, cfg_kd,
-            on_batch=lambda e, b, v: kd_first_batch.__setitem__(e, v) if b == 0 else None,
-        )
+        cfg_kd = small_cfg(loss="kd", epochs=4)
+        train_student(train, test, teacher, cfg_kd)
+        kd_first_batch = batches.take_losses()[::batches_per_epoch]
+        assert len(per_epoch_first_batch) == len(kd_first_batch) == cfg.epochs
         assert per_epoch_first_batch[0] == kd_first_batch[0]
         assert per_epoch_first_batch[1] == kd_first_batch[1]
         assert per_epoch_first_batch[2] != kd_first_batch[2]
@@ -373,13 +407,54 @@ class TestCheckpointResume:
 
         def write_with_velocity_of(dims):
             opt = OptimizerState(init_optimizer(init_mlp(dims, seed=0)).vel, 0.9)
-            write_checkpoint(path, small_cfg(), params, opt, 1, Rng(1), [])
+            write_checkpoint(path, small_cfg(), params, opt, 0, Rng(1), [])
 
         write_with_velocity_of((4, 12, 2))
         assert read_checkpoint(path).opt.vel.dims == (4, 12, 2)
         write_with_velocity_of((4, 12, 3))
         with pytest.raises(ValueError, match="spliced.ckpt: velocity dimensions"):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize("epoch", [2, -1, 5])
+    def test_epoch_that_disagrees_with_the_log_rejected(self, tmp_path, epoch):
+        # a 6-epoch run stopped after 4 logged epochs, its epoch field set to
+        # another value; resuming at 2 would log epochs 0,1,2,3,2,3,4,5
+        train, test = two_class_separable()
+        cfg = small_cfg(epochs=6)
+        path = str(tmp_path / "mid.ckpt")
+        train_teacher(train, test, cfg, out_ckpt=path, stop_after_epoch=4)
+        assert read_checkpoint(path).epoch == 4
+        patch_checkpoint(path, EPOCH_FIELD, struct.pack("<q", 4), struct.pack("<q", epoch))
+        with pytest.raises(ValueError) as info:
+            read_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: epoch {epoch} ")
+        with pytest.raises(ValueError, match="4 logged epochs"):
+            train_teacher(train, test, cfg, resume_from=path)
+
+    def test_stop_before_the_resumed_epoch_keeps_the_checkpoint(self, tmp_path):
+        train, test = two_class_separable()
+        cfg = small_cfg(epochs=6)
+        mid, again = str(tmp_path / "mid.ckpt"), str(tmp_path / "again.ckpt")
+        train_teacher(train, test, cfg, out_ckpt=mid, stop_after_epoch=4)
+        _, log = train_teacher(train, test, cfg, out_ckpt=again, resume_from=mid, stop_after_epoch=2)
+        assert len(log) == 4
+        with open(mid, "rb") as a, open(again, "rb") as b:
+            assert a.read() == b.read()
+
+    @pytest.mark.parametrize(
+        "old, new", [(b"epoch,loss", b"epoch;loss"), (b"\n0,", b"\nx,"), (b"epoch", b"\xffpoch")],
+        ids=["header", "cell", "not-utf-8"],
+    )
+    def test_undecodable_metric_log_names_the_file(self, tmp_path, old, new):
+        train, test = two_class_separable()
+        path = str(tmp_path / "logged.ckpt")
+        train_teacher(train, test, small_cfg(epochs=2), out_ckpt=path)
+        with open(path, "rb") as fh:
+            offset = fh.read().index(old)
+        patch_checkpoint(path, offset, old, new)
+        with pytest.raises(ValueError) as info:
+            read_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_corrupt_parameter_blob_names_the_file(self, tmp_path):
         path = write_checkpoint_with_bad_fan_in(str(tmp_path / "bad-layer.ckpt"))
