@@ -35,6 +35,7 @@ from .mathutils import Rng, log_sum_exp, one_hot, softmax_with_temperature
 from .mlp import LrSchedule, MlpParams, backward, forward, init_mlp, lr_at, sgd_momentum_step
 from .pipeline import (
     MetricRow,
+    RunState,
     TrainConfig,
     read_checkpoint,
     temperature_sweep,

@@ -17,7 +17,7 @@ from .config import ConfigError, imbalance_profile, parse_config, render_config,
 from .data import load_dataset, make_longtail_counts, save_dataset, subset_tags, synth_gaussian_mixture
 from .gradcheck import run_gradient_checks
 from .mathutils import check_temperature
-from .pipeline import metrics_to_csv, read_checkpoint, temperature_sweep, train_student, train_teacher
+from .pipeline import check_sweep_epochs, metrics_to_csv, read_checkpoint, temperature_sweep, train_student, train_teacher
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,11 +38,10 @@ def _write(path, text):
         fh.write(text)
 
 
-def _prepare_out(cfg, out_override, fallback_key):
-    out = out_override if out_override else cfg[fallback_key]
-    os.makedirs(out, exist_ok=True)
-    _write(os.path.join(out, "resolved_config.txt"), render_config(cfg))
-    return out
+def _prepare_out(cfg, key):
+    os.makedirs(cfg[key], exist_ok=True)
+    _write(os.path.join(cfg[key], "resolved_config.txt"), render_config(cfg))
+    return cfg[key]
 
 
 def _load_splits(cfg):
@@ -54,7 +53,7 @@ def _load_splits(cfg):
 
 def cmd_make_data(args):
     cfg = parse_config(args.config)
-    out = _prepare_out(cfg, args.out, "data_dir")
+    out = _prepare_out(cfg, "data_dir")
     counts = make_longtail_counts(imbalance_profile(cfg))
     train, test = synth_gaussian_mixture(
         counts, cfg["d"], cfg["separation"], cfg["data_seed"], cfg["per_class_test"]
@@ -83,7 +82,7 @@ def cmd_train(args):
         raise UsageError("--role student requires --teacher <checkpoint>")
     tcfg = train_config(cfg, loss="ce" if args.role == "teacher" else None)
     train, test = _load_splits(cfg)
-    out = _prepare_out(cfg, args.out, "out_dir")
+    out = _prepare_out(cfg, "out_dir")
     ckpt_path = os.path.join(out, f"{args.role}.ckpt")
 
     if args.role == "teacher":
@@ -115,7 +114,7 @@ def cmd_eval(args):
     for name, split in (("data", data), ("train split", train)):
         if split.num_classes != emitted:
             raise ValueError(f"checkpoint emits {emitted} classes but the {name} has {split.num_classes}")
-    out = _prepare_out(cfg, args.out, "out_dir")
+    out = _prepare_out(cfg, "out_dir")
 
     preds, report = _score(params, train, data, tcfg)
     confusion = evaluate.confusion_matrix(preds, data.labels, data.num_classes)
@@ -154,8 +153,12 @@ def cmd_sweep_temp(args):
         raise UsageError(f"--temps: {exc}") from None
     cfg = parse_config(args.config)
     teacher_cfg, student_cfg = train_config(cfg, loss="ce"), train_config(cfg)
+    try:
+        check_sweep_epochs(student_cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     train, test = _load_splits(cfg)
-    out = _prepare_out(cfg, args.out, "out_dir")
+    out = _prepare_out(cfg, "out_dir")
     if args.teacher:
         teacher = read_checkpoint(args.teacher).params
     else:
@@ -173,21 +176,18 @@ def build_parser():
 
     p = sub.add_parser("make-data", help="synthesize a long-tailed dataset")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", help="output directory (default: data_dir from the config)")
     p.set_defaults(fn=cmd_make_data)
 
     p = sub.add_parser("train", help="train the teacher or a student")
     p.add_argument("--config", required=True)
     p.add_argument("--role", required=True, choices=("teacher", "student"))
     p.add_argument("--teacher", help="teacher checkpoint (required for --role student)")
-    p.add_argument("--out", help="output directory (default: out_dir from the config)")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset file")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--config", required=True)
-    p.add_argument("--out", help="output directory (default: out_dir from the config)")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
@@ -199,7 +199,6 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--temps", required=True, nargs="+", type=float)
     p.add_argument("--teacher", help="reuse this teacher checkpoint instead of training one")
-    p.add_argument("--out", help="output directory (default: out_dir from the config)")
     p.set_defaults(fn=cmd_sweep_temp)
 
     return parser

@@ -129,8 +129,6 @@ class SubsetTags:
     """Per-class many/medium/few tag derived from training counts."""
 
     tags: tuple
-    many_thresh: int = 100
-    few_thresh: int = 20
 
     def classes_tagged(self, tag):
         return np.array([i for i, t in enumerate(self.tags) if t == tag], dtype=np.int64)
@@ -248,7 +246,7 @@ def subset_tags(counts, many_thresh=100, few_thresh=20):
     check_thresholds(many_thresh, few_thresh)
     counts = np.asarray(counts, dtype=np.int64)
     tags = (MANY if n > many_thresh else FEW if n < few_thresh else MEDIUM for n in counts)
-    return SubsetTags(tuple(tags), int(many_thresh), int(few_thresh))
+    return SubsetTags(tuple(tags))
 
 
 def save_dataset(data, path):

@@ -17,10 +17,9 @@ allocates up front, so the per-epoch evaluation allocates no layer-sized
 array; the buffers live for one ``_run`` call.
 ``temperature_sweep`` trains one such student per temperature.
 
-Every epoch visits the training rows in a fresh shuffled order. Checkpoints
-capture parameters, momentum buffers, epoch index, shuffle-RNG state, the
-metric log, and a config digest, so a resumed run is bit-identical to an
-uninterrupted one; the epoch index must equal the number of logged epochs.
+Every epoch visits the training rows in a fresh shuffled order. A run's
+state is one ``RunState``; each epoch logs one row to it, and a checkpoint
+holds it whole, so a resumed run matches an uninterrupted one bit for bit.
 """
 
 from __future__ import annotations
@@ -162,19 +161,33 @@ def config_digest(cfg):
 # checkpoint container
 
 
-def write_checkpoint(path, cfg, params, opt, epoch, rng, log_rows):
-    """Atomic write (temp file + rename) of the full training state."""
-    seed, count = rng.state
-    log_blob = metrics_to_csv(log_rows).encode("utf-8")
-    params_blob = params_to_bytes(params)
-    vel_blob = params_to_bytes(opt.vel)
+@dataclass
+class RunState:
+    """A run's whole state, as a checkpoint holds it; its epoch is its log's length."""
+
+    params: MlpParams
+    opt: OptimizerState
+    rng: Rng
+    log_rows: list
+    digest: bytes
+
+    @property
+    def epoch(self):
+        return len(self.log_rows)
+
+
+def write_checkpoint(path, state):
+    """Atomic write (temp file + rename) of a run's whole state."""
+    log_blob = metrics_to_csv(state.log_rows).encode("utf-8")
+    params_blob = params_to_bytes(state.params)
+    vel_blob = params_to_bytes(state.opt.vel)
     payload = b"".join(
         [
             CKPT_MAGIC,
-            config_digest(cfg),
-            struct.pack("<q", epoch),
-            struct.pack("<QQ", seed, count),
-            struct.pack("<d", opt.momentum),
+            state.digest,
+            struct.pack("<q", state.epoch),
+            struct.pack("<QQ", *state.rng.state),
+            struct.pack("<d", state.opt.momentum),
             struct.pack("<Q", len(params_blob)), params_blob,
             struct.pack("<Q", len(vel_blob)), vel_blob,
             struct.pack("<Q", len(log_blob)), log_blob,
@@ -184,16 +197,6 @@ def write_checkpoint(path, cfg, params, opt, epoch, rng, log_rows):
     with open(tmp, "wb") as fh:
         fh.write(payload)
     os.replace(tmp, path)
-
-
-@dataclass
-class CheckpointState:
-    params: MlpParams
-    opt: OptimizerState
-    epoch: int
-    rng_state: tuple
-    log_rows: list
-    digest: bytes
 
 
 def _parse_blob(path, parse, blob):
@@ -215,7 +218,7 @@ def read_checkpoint(path):
     r = BlobReader(blob, len(CKPT_MAGIC), f"{path}: truncated checkpoint")
     digest = r.take(32)
     (epoch,) = r.unpack("<q")
-    seed, count = r.unpack("<QQ")
+    rng = Rng.from_state(r.unpack("<QQ"))
     (momentum,) = r.unpack("<d")
     (n,) = r.unpack("<Q")
     params = _parse_blob(path, params_from_bytes, r.take(n))
@@ -225,11 +228,12 @@ def read_checkpoint(path):
     log_rows = _parse_blob(path, lambda b: metrics_from_csv(b.decode("utf-8")), r.take(n)) if n else []
     if r.off != len(blob):
         raise ValueError(f"{path}: trailing bytes after checkpoint payload")
-    if epoch != len(log_rows):
-        raise ValueError(f"{path}: epoch {epoch} does not match the {len(log_rows)} logged epochs")
+    logged = [row.epoch for row in log_rows]
+    if logged != list(range(epoch)):
+        raise ValueError(f"{path}: epoch {epoch} does not match the {len(logged)} logged epochs, numbered {logged}")
     if vel.dims != params.dims:
         raise ValueError(f"{path}: velocity dimensions {vel.dims} do not match parameters {params.dims}")
-    return CheckpointState(params, OptimizerState(vel, momentum), epoch, (seed, count), log_rows, digest)
+    return RunState(params, OptimizerState(vel, momentum), rng, log_rows, digest)
 
 
 # ---------------------------------------------------------------------------
@@ -288,25 +292,18 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
         state = read_checkpoint(resume_from)
         if state.digest != digest:
             raise ValueError("checkpoint was written under a different training config")
-        params, opt = state.params, state.opt
-        shuffle_rng = Rng.from_state(state.rng_state)
-        start_epoch = state.epoch
-        log_rows = list(state.log_rows)
-        if params.dims != dims:
+        if state.params.dims != dims:
             raise ValueError("checkpoint model dimensions do not match the datasets/config")
     else:
         params = init_mlp(dims, cfg.seed)
-        opt = init_optimizer(params, cfg.momentum)
-        shuffle_rng = Rng(derive_seed(cfg.seed, 1))
-        start_epoch = 0
-        log_rows = []
+        state = RunState(params, init_optimizer(params, cfg.momentum), Rng(derive_seed(cfg.seed, 1)), [], digest)
 
     N = len(train)
     targets_of = {}  # distillation kind -> (N, C) targets, built on first use
     # a resumed run never ends before the epoch it resumed at
-    end_epoch = cfg.epochs if stop_after_epoch is None else max(start_epoch, min(cfg.epochs, stop_after_epoch))
+    end_epoch = cfg.epochs if stop_after_epoch is None else max(state.epoch, min(cfg.epochs, stop_after_epoch))
 
-    for epoch in range(start_epoch, end_epoch):
+    for epoch in range(state.epoch, end_epoch):
         kind = _epoch_loss_kind(cfg, epoch, teacher)
         distill = cfg.kd if kind == "kd" else cfg.bkd
         if kind in ("kd", "bkd") and kind not in targets_of:
@@ -314,13 +311,13 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
                 teacher, train.features, cfg.batch_size, distill.temperature, w if kind == "bkd" else None
             )
         lr = lr_at(cfg.schedule, epoch, cfg.epochs)
-        order = shuffle_rng.permutation(N)
+        order = state.rng.permutation(N)
         loss_sum = 0.0
         for start in range(0, N, cfg.batch_size):
             rows = order[start : start + cfg.batch_size]
             X = train.features[rows]
             ys = train.labels[rows]
-            logits, cache = forward(params, X)
+            logits, cache = forward(state.params, X)
 
             if kind == "ce":
                 values, grads = ce_loss_batch(logits, ys)
@@ -336,19 +333,19 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
                     f"training diverged: non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
                 )
             loss_sum += float(values.sum())
-            backward(params, cache, grads / rows.size, out=pgrads)
+            backward(state.params, cache, grads / rows.size, out=pgrads)
             if cfg.weight_decay:
-                pgrads.flat += cfg.weight_decay * params.flat
-            sgd_momentum_step(params, pgrads, opt, lr)
+                pgrads.flat += cfg.weight_decay * state.params.flat
+            sgd_momentum_step(state.params, pgrads, state.opt, lr)
 
-        report = evaluate.accuracy_report(evaluate.predict(params, test, out=eval_out), test.labels, tags)
-        log_rows.append(
+        report = evaluate.accuracy_report(evaluate.predict(state.params, test, out=eval_out), test.labels, tags)
+        state.log_rows.append(
             MetricRow(epoch, loss_sum / N, lr, report.overall, report.many, report.medium, report.few)
         )
 
     if out_ckpt is not None:
-        write_checkpoint(out_ckpt, cfg, params, opt, end_epoch, shuffle_rng, log_rows)
-    return params, log_rows
+        write_checkpoint(out_ckpt, state)
+    return state.params, state.log_rows
 
 
 def train_teacher(train, test, cfg, *, out_ckpt=None, resume_from=None, stop_after_epoch=None):
@@ -372,14 +369,19 @@ def train_student(train, test, teacher, cfg, *, out_ckpt=None, resume_from=None,
     return _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch)
 
 
+def check_sweep_epochs(cfg):
+    """A temperature sweep reports each student's last epoch, so it needs one."""
+    if cfg.epochs < 1:
+        raise ValueError("a temperature sweep needs at least one training epoch")
+
+
 def temperature_sweep(train, test, teacher, base_cfg, temps):
     """Train one student per temperature (same teacher, same seed) and
     report (temperature, final overall test accuracy) rows."""
     temps = [check_temperature(t) for t in temps]
     if not temps:
         raise ValueError("temps must be a non-empty list")
-    if base_cfg.epochs < 1:
-        raise ValueError("a temperature sweep needs at least one training epoch")
+    check_sweep_epochs(base_cfg)
     rows = []
     for T in temps:
         cfg = replace(

@@ -120,6 +120,15 @@ class TestTrain:
         assert run("train", "--config", cfg, "--role", "student", "--teacher", teacher) == 0
         assert run("sweep-temp", "--config", cfg, "--temps", 2) == 0
 
+    def test_resolved_config_reruns_the_command_byte_for_byte(self, workspace):
+        _, cfg, data_dir, out_dir = workspace
+        assert run("make-data", "--config", cfg) == 0
+        assert run("train", "--config", cfg, "--role", "teacher") == 0
+        names = ("resolved_config.txt", "teacher.ckpt", "teacher_metrics.csv", "teacher_report.json")
+        first = {name: (out_dir / name).read_bytes() for name in names}
+        assert run("train", "--config", out_dir / "resolved_config.txt", "--role", "teacher") == 0
+        assert {name: (out_dir / name).read_bytes() for name in names} == first
+
     def test_missing_data_is_runtime_error(self, workspace):
         _, cfg, *_ = workspace
         assert run("train", "--config", cfg, "--role", "teacher") == 2
@@ -230,6 +239,18 @@ class TestSweepTemp:
         assert "--temps: temperature must be a positive finite real" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_zero_epochs_is_config_error_before_any_data_is_read(self, tmp_path, capsys):
+        # the sweep reports each student's last epoch; the data directory
+        # does not exist, so reading it would exit 2
+        out_dir = tmp_path / "out"
+        cfg = write_config(tmp_path / "exp.cfg", epochs=0, data_dir=tmp_path / "data", out_dir=out_dir)
+        assert run("sweep-temp", "--config", cfg, "--temps", 2) == 1
+        assert capsys.readouterr().err == "config error: a temperature sweep needs at least one training epoch\n"
+        # a bad --temps is still reported first, as a usage error
+        assert run("sweep-temp", "--config", cfg, "--temps", 0) == 1
+        assert "--temps: temperature must be a positive finite real" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_duplicate_temps_identical(self, workspace):
         _, cfg, data_dir, out_dir = workspace
         assert run("make-data", "--config", cfg) == 0
@@ -304,6 +325,24 @@ class TestConfigHandling:
         _, cfg, *_ = workspace
         assert run("train", "--config", cfg, "--role", "teacher", "--workers", 0) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("make-data",),
+            ("train", "--role", "teacher"),
+            ("eval", "--ckpt", "absent.ckpt", "--data", "absent.csv"),
+            ("sweep-temp", "--temps", 2),
+        ],
+    )
+    def test_removed_out_flag_unrecognised(self, workspace, capsys, command):
+        # directories come only from data_dir and out_dir, so the resolved
+        # config names the directory every output went to
+        tmp, cfg, data_dir, out_dir = workspace
+        elsewhere = tmp / "elsewhere"
+        assert run(command[0], "--config", cfg, *command[1:], "--out", elsewhere) == 1
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not any(d.exists() for d in (data_dir, out_dir, elsewhere))
 
     def test_removed_kind_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -13,6 +13,7 @@ from longtail_kd.mlp import LrSchedule, backward, forward, init_mlp, init_optimi
 from longtail_kd.pipeline import (
     MetricRow,
     OptimizerState,
+    RunState,
     TrainConfig,
     config_digest,
     metrics_from_csv,
@@ -43,7 +44,7 @@ def small_cfg(**overrides):
 def write_checkpoint_with_bad_fan_in(path):
     """A (4, 12, 2) checkpoint whose first layer's fan_in field reads 5."""
     params = init_mlp((4, 12, 2), seed=0)
-    write_checkpoint(path, small_cfg(), params, init_optimizer(params), 0, Rng(1), [])
+    write_checkpoint(path, RunState(params, init_optimizer(params), Rng(1), [], config_digest(small_cfg())))
     with open(path, "rb") as fh:
         fan_in = fh.read().index(params_to_bytes(params)) + len(b"mlp-v1") + 8  # past magic and layer count
     patch_checkpoint(path, fan_in, struct.pack("<q", 4), struct.pack("<q", 5))
@@ -407,7 +408,7 @@ class TestCheckpointResume:
 
         def write_with_velocity_of(dims):
             opt = OptimizerState(init_optimizer(init_mlp(dims, seed=0)).vel, 0.9)
-            write_checkpoint(path, small_cfg(), params, opt, 0, Rng(1), [])
+            write_checkpoint(path, RunState(params, opt, Rng(1), [], config_digest(small_cfg())))
 
         write_with_velocity_of((4, 12, 2))
         assert read_checkpoint(path).opt.vel.dims == (4, 12, 2)
@@ -430,6 +431,45 @@ class TestCheckpointResume:
         assert str(info.value).startswith(f"{path}: epoch {epoch} ")
         with pytest.raises(ValueError, match="4 logged epochs"):
             train_teacher(train, test, cfg, resume_from=path)
+
+    @pytest.mark.parametrize("row, numbered", [(0, 1), (2, 7)])
+    def test_log_not_numbered_from_zero_in_steps_of_one_rejected(self, tmp_path, row, numbered):
+        # a 6-epoch run stopped after 4 logged epochs, one row renumbered;
+        # resuming would log epochs 0,1,7,3,4,5
+        train, test = two_class_separable()
+        cfg = small_cfg(epochs=6)
+        path = str(tmp_path / "mid.ckpt")
+        train_teacher(train, test, cfg, out_ckpt=path, stop_after_epoch=4)
+        old, new = f"\n{row},".encode(), f"\n{numbered},".encode()
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        patch_checkpoint(path, blob.index(old, blob.index(pipeline.METRIC_HEADER.encode())), old, new)
+        with pytest.raises(ValueError) as info:
+            read_checkpoint(path)
+        logged = [0, 1, 2, 3]
+        logged[row] = numbered
+        assert str(info.value) == f"{path}: epoch 4 does not match the 4 logged epochs, numbered {logged}"
+        with pytest.raises(ValueError, match="4 logged epochs"):
+            train_teacher(train, test, cfg, resume_from=path)
+
+    @pytest.mark.parametrize("stop", [0, 3, None], ids=["0-epoch", "stopped", "finished"])
+    @pytest.mark.parametrize("role", ["ce-teacher", "bkd-deferred-student"])
+    def test_rewriting_a_read_checkpoint_reproduces_its_bytes(self, tmp_path, role, stop):
+        # a RunState holds everything the file holds, and its epoch is the
+        # length of its log
+        train, test = two_class_separable()
+        a, b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
+        if role == "ce-teacher":
+            train_teacher(train, test, small_cfg(epochs=4), out_ckpt=a, stop_after_epoch=stop)
+        else:
+            teacher, _ = train_teacher(train, test, small_cfg(epochs=3))
+            cfg = small_cfg(loss="bkd", epochs=4, defer_epoch=2)
+            train_student(train, test, teacher, cfg, out_ckpt=a, stop_after_epoch=stop)
+        state = read_checkpoint(a)
+        assert state.epoch == len(state.log_rows) == (4 if stop is None else stop)
+        write_checkpoint(b, state)
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            assert fa.read() == fb.read()
 
     def test_stop_before_the_resumed_epoch_keeps_the_checkpoint(self, tmp_path):
         train, test = two_class_separable()
