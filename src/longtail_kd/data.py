@@ -22,17 +22,17 @@ from elsewhere, or one edited after saving, loads as written. Both paths
 give the same bits, and ``LabeledDataset`` validates either result.
 
 Formatting floats with ``repr`` is nearly all the cost of a save, so
-``save_dataset`` spreads it over the CPUs it may run on. The rows are cut
-into contiguous ranges of whole 1024-row chunks, one range per CPU but
-never more ranges than chunks. A forked child formats each range after the
-first into ``<path>.part<k>`` while the saving process formats the first
-range itself. It then joins the part files onto its own in range order,
-hashing every byte it writes, so the CSV and its digest are the same bytes
-whatever the CPU count. With one CPU, one chunk, or no ``os.fork``, nothing
-is forked and the same code formats every row in one range. The CSV and
-the sidecar are built as ``.tmp`` files and put in place with
-``os.replace``, so a failed save leaves no part or temporary file behind
-and a previous dataset at the same path untouched.
+``save_dataset`` spreads it over every CPU it may run on (``workers``). The
+rows are cut into contiguous ranges of whole 1024-row chunks, one range per
+CPU but never more ranges than chunks. A forked child formats each range
+after the first into ``<path>.part<k>`` while the saving process formats
+the first range itself. It then joins the part files onto its own in range
+order, hashing every byte it writes, so the CSV and its digest are the same
+bytes whatever the CPU count. With one CPU, one chunk, or a platform that
+cannot fork, nothing is forked and the same code formats every row in one
+range. The CSV and the sidecar are built as ``.tmp`` files and put in place
+with ``os.replace``, so a failed save leaves no part or temporary file
+behind and a previous dataset at the same path untouched.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mathutils import Rng
+from .workers import Workers, split
 
 FORMAT_MAGIC = "longtail-csv v1"
 SIDECAR_MAGIC = b"longtail-bin v1"
@@ -259,47 +260,41 @@ def save_dataset(data, path):
     The rows are split into contiguous ranges of whole save chunks, one per
     available CPU (never more ranges than chunks). A forked child formats
     each range after the first into ``<path>.part<k>`` while this process
-    formats the first range into ``<path>.tmp``; it then waits for the
+    formats the first range into ``<path>.tmp``; it then joins the
     children in order and appends their part files, hashing every byte it
-    writes. With one CPU, one chunk, or no ``os.fork``, nothing is forked.
-    The sidecar is written as ``<path>.bin.tmp``, then both files are put
-    in place with ``os.replace``. A failed child raises OSError; on any
-    failure the part and temporary files are removed and a previous
-    ``<path>`` is left as it was. The bytes do not depend on the CPU count.
+    writes. With one CPU, one chunk, or a platform that cannot fork,
+    nothing is forked. The sidecar is written as ``<path>.bin.tmp``, then
+    both files are put in place with ``os.replace``. A failed child raises
+    OSError; on any failure the children still running are stopped, the
+    part and temporary files are removed and a previous ``<path>`` is left
+    as it was. The bytes do not depend on the CPU count.
     """
     ranges = _row_ranges(len(data))
     parts = [f"{path}.part{k}" for k in range(1, len(ranges))]
     tmp, sidecar_tmp = path + ".tmp", path + SIDECAR_SUFFIX + ".tmp"
-    pids = []
     try:
-        for part, (start, stop) in zip(parts, ranges[1:]):
-            pids.append(_fork_part(data, start, stop, part))
-        csv_digest = hashlib.sha256()
-        with open(tmp, "wb") as fh:
-
-            def emit(blob):
-                csv_digest.update(blob)
-                fh.write(blob)
-
-            emit(f"{FORMAT_MAGIC}, C={data.num_classes}, d={data.dimension}\n".encode("ascii"))
-            _format_range(emit, data, *ranges[0])
+        with Workers() as workers:
             for part, (start, stop) in zip(parts, ranges[1:]):
-                _, status = os.waitpid(pids.pop(0), 0)
-                if status:
-                    raise OSError(
-                        f"{path}: the worker formatting rows {start}-{stop} failed "
-                        f"(exit status {os.waitstatus_to_exitcode(status)})"
-                    )
-                with open(part, "rb") as src:
-                    while block := src.read(_HASH_CHUNK_BYTES):
-                        emit(block)
-                os.remove(part)
+                workers.fork(_write_part, data, start, stop, part)
+            csv_digest = hashlib.sha256()
+            with open(tmp, "wb") as fh:
+
+                def emit(blob):
+                    csv_digest.update(blob)
+                    fh.write(blob)
+
+                emit(f"{FORMAT_MAGIC}, C={data.num_classes}, d={data.dimension}\n".encode("ascii"))
+                _format_range(emit, data, *ranges[0])
+                for part, (start, stop) in zip(parts, ranges[1:]):
+                    workers.join(lambda sent: f"{path}: the worker formatting rows {start}-{stop}")
+                    with open(part, "rb") as src:
+                        while block := src.read(_HASH_CHUNK_BYTES):
+                            emit(block)
+                    os.remove(part)
         _write_sidecar(sidecar_tmp, csv_digest.digest(), data)
         os.replace(tmp, path)
         os.replace(sidecar_tmp, path + SIDECAR_SUFFIX)
     except BaseException:
-        for pid in pids:
-            os.waitpid(pid, 0)
         for leftover in (*parts, tmp, sidecar_tmp):
             if os.path.exists(leftover):
                 os.remove(leftover)
@@ -307,15 +302,10 @@ def save_dataset(data, path):
 
 
 def _row_ranges(n_rows):
-    """``(start, stop)`` row ranges of whole save chunks, one per worker:
-    ``min(available CPUs, chunks)`` workers, or one where this platform
-    cannot fork or report its CPU affinity."""
+    """``(start, stop)`` row ranges of whole save chunks, one per worker of
+    ``workers.split`` over the chunks."""
     chunks = -(-n_rows // _SAVE_CHUNK_ROWS)
-    workers = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        workers = max(1, min(len(os.sched_getaffinity(0)), chunks))
-    bounds = [min(k * chunks // workers * _SAVE_CHUNK_ROWS, n_rows) for k in range(workers + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
+    return [(min(a * _SAVE_CHUNK_ROWS, n_rows), min(b * _SAVE_CHUNK_ROWS, n_rows)) for a, b in split(chunks)]
 
 
 def _format_rows(data, start, stop):
@@ -329,23 +319,10 @@ def _format_range(write, data, start, stop):
         write(_format_rows(data, chunk, min(chunk + _SAVE_CHUNK_ROWS, stop)))
 
 
-def _fork_part(data, start, stop, part):
-    """Fork a child that writes rows ``start:stop`` to ``part``; returns its
-    pid. The child leaves through ``os._exit``, so it never returns into
-    the caller's stack, flushes no inherited buffer and runs no atexit
-    handler; its exit status is 0 only if the whole range was written."""
-    pid = os.fork()
-    if pid:
-        return pid
-    status = 1
-    try:
-        with open(part, "wb") as fh:
-            _format_range(fh.write, data, start, stop)
-        status = 0
-    except BaseException as exc:
-        os.write(2, f"{part}: {exc!r}\n".encode("ascii", "replace"))
-    finally:
-        os._exit(status)
+def _write_part(_send, data, start, stop, part):
+    """A worker's job: write rows ``start:stop`` to ``part``."""
+    with open(part, "wb") as fh:
+        _format_range(fh.write, data, start, stop)
 
 
 def _write_sidecar(path, csv_digest, data):

@@ -3,9 +3,18 @@
 The checker knows nothing about how the analytic gradients are computed: it
 only re-evaluates loss values at perturbed logits, so it stays a fully
 independent oracle for them.
+
+The trials run on every available CPU: they are cut into contiguous ranges,
+one per CPU (``workers.run_split``), and each worker replays the one seeded
+stream of random instances from trial 0 but checks only its own range. The
+worst error per gradient is a maximum, which is exact in any order, so the
+report is the same bits whatever the CPU count.
 """
 
 from __future__ import annotations
+
+import itertools
+import struct
 
 import numpy as np
 
@@ -20,6 +29,12 @@ from .losses import (
     kd_loss,
 )
 from .mathutils import Rng, softmax_with_temperature
+from .workers import run_split
+
+_CHECKS = ("ce", "cb", "kd", "bkd", "cb_formula", "bkd_formula")
+# one worker's worst error per check, in _CHECKS order: exact float64 bits
+_WORST = struct.Struct(f"<{len(_CHECKS)}d")
+_TEMPS = (1.0, 2.0, 4.0)
 
 
 def finite_difference_gradient(f, z, h=1e-5):
@@ -43,31 +58,57 @@ def _random_instance(rng, num_classes):
     return z, teacher_logits, y, w
 
 
+def _instances(seed):
+    """Every trial's random instance, in order, from the one ``Rng(seed)``
+    stream: (trial, z, teacher logits, y, w, alpha)."""
+    rng = Rng(seed)
+    for trial in itertools.count():
+        num_classes = 2 + int(rng.uniform() * 9)  # C in {2..10}
+        z, t_logits, y, w = _random_instance(rng, num_classes)
+        yield trial, z, t_logits, y, w, rng.uniform()
+
+
 def run_gradient_checks(trials=100, seed=0, h=1e-5):
     """Max abs(analytic - finite difference) over random instances.
 
     Covers the four losses plus the two closed-form diagnostic gradients
     (each checked against finite differences of the loss it claims to
     differentiate). Returns a dict: name -> worst error. ``trials`` must
-    be at least 1: an empty audit would report every loss as exact.
+    be at least 1: an empty audit would report every loss as exact. A
+    failed worker raises OSError naming its trials.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
-    rng = Rng(seed)
-    temps = (1.0, 2.0, 4.0)
-    worst = {name: 0.0 for name in ("ce", "cb", "kd", "bkd", "cb_formula", "bkd_formula")}
 
-    for trial in range(trials):
-        num_classes = 2 + int(rng.uniform() * 9)  # C in {2..10}
-        z, t_logits, y, w = _random_instance(rng, num_classes)
-        T = temps[trial % len(temps)]
-        alpha = rng.uniform()
+    def failed(start, stop, sent):
+        return f"the gradient-check worker for trials {start}-{stop}"
+
+    worst = run_split(trials, _check_trials, failed, seed, h)
+    merged = dict.fromkeys(_CHECKS, 0.0)
+    for errs in _WORST.iter_unpack(worst):
+        _keep_worst(merged, errs)
+    return merged
+
+
+def _keep_worst(worst, errs):
+    """Raise each entry of ``worst`` to its error in ``errs`` (``_CHECKS``
+    order) where that is larger."""
+    for name, err in zip(_CHECKS, errs):
+        if err > worst[name]:
+            worst[name] = err
+
+
+def _check_trials(send, seed, h, start, stop):
+    """Check trials ``start:stop`` and send the worst error per check."""
+    worst = dict.fromkeys(_CHECKS, 0.0)
+    for trial, z, t_logits, y, w, alpha in itertools.islice(_instances(seed), start, stop):
+        T = _TEMPS[trial % len(_TEMPS)]
         kd_cfg = KDConfig(alpha=alpha, temperature=T)
         bkd_cfg = BKDConfig(temperature=T)
         phat = softmax_with_temperature(t_logits, T)
         phat1 = softmax_with_temperature(t_logits, 1.0)
 
-        checks = {
+        checks = {  # in _CHECKS order
             "ce": (ce_loss(z, y).grad_logits, lambda v: ce_loss(v, y).value),
             "cb": (cb_loss(z, y, w).grad_logits, lambda v: cb_loss(v, y, w).value),
             "kd": (
@@ -85,12 +126,9 @@ def run_gradient_checks(trials=100, seed=0, h=1e-5):
             ),
         }
 
-        for name, (analytic, value_fn) in checks.items():
-            fd = finite_difference_gradient(value_fn, z, h)
-            err = float(np.abs(analytic - fd).max())
-            if err > worst[name]:
-                worst[name] = err
-    return worst
+        errs = [float(np.abs(analytic - finite_difference_gradient(f, z, h)).max()) for analytic, f in checks.values()]
+        _keep_worst(worst, errs)
+    send(_WORST.pack(*worst.values()))
 
 
 def _mimic_target_loss(z, teacher_probs_t1, y, w):

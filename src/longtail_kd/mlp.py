@@ -89,12 +89,18 @@ class OptimizerState:
     momentum: float = 0.9
 
 
+def _positive_finite(x):
+    return isinstance(x, (int, float)) and math.isfinite(x) and x > 0
+
+
 @dataclass(frozen=True)
 class LrSchedule:
     """Constant, step-decay, or cosine-decay schedule over epochs.
 
     ``steps`` holds (epoch, multiplicative factor) pairs for kind "step";
-    each factor applies from its epoch onward.
+    each factor applies from its epoch onward. The base rate and every
+    factor must be positive and finite, and step epochs nonnegative, so
+    every epoch's rate is a valid SGD step size.
     """
 
     kind: str = "cosine"
@@ -104,8 +110,13 @@ class LrSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"schedule kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
-        if not (isinstance(self.base_lr, (int, float)) and self.base_lr > 0):
-            raise ValueError(f"base_lr must be positive, got {self.base_lr!r}")
+        if not _positive_finite(self.base_lr):
+            raise ValueError(f"base_lr must be positive and finite, got {self.base_lr!r}")
+        for epoch, factor in self.steps:
+            if epoch < 0:
+                raise ValueError(f"step epochs must be nonnegative, got {epoch!r}")
+            if not _positive_finite(factor):
+                raise ValueError(f"step factors must be positive and finite, got {factor!r} at epoch {epoch!r}")
         epochs = [e for e, _ in self.steps]
         if any(e2 <= e1 for e1, e2 in zip(epochs, epochs[1:])):
             raise ValueError("step epochs must be strictly increasing")

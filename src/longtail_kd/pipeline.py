@@ -15,7 +15,10 @@ training-split counts and shared read-only. Every epoch scores the test
 split through one set of per-layer (n_test, width) buffers that the run
 allocates up front, so the per-epoch evaluation allocates no layer-sized
 array; the buffers live for one ``_run`` call.
-``temperature_sweep`` trains one such student per temperature.
+``temperature_sweep`` trains one such student per temperature, on every
+available CPU: each CPU trains a contiguous group of the temperatures, in
+this process or a forked child (``workers``), and the rows are the same
+bits whatever the CPU count.
 
 Every epoch visits the training rows in a fresh shuffled order. A run's
 state is one ``RunState``; each epoch logs one row to it, and a checkpoint
@@ -59,6 +62,7 @@ from .mlp import (
     OptimizerState,
 )
 from .weights import effective_number_weights, normalize_weights
+from .workers import run_split
 
 CKPT_MAGIC = b"ckpt-v1"
 
@@ -176,8 +180,19 @@ class RunState:
         return len(self.log_rows)
 
 
+def _check_log_numbering(path, epoch, log_rows):
+    """ValueError naming ``path`` unless the log's rows are numbered
+    0, 1, ..., epoch - 1: the one rule for what a checkpoint may hold."""
+    logged = [row.epoch for row in log_rows]
+    if logged != list(range(epoch)):
+        raise ValueError(f"{path}: epoch {epoch} does not match the {len(logged)} logged epochs, numbered {logged}")
+
+
 def write_checkpoint(path, state):
-    """Atomic write (temp file + rename) of a run's whole state."""
+    """Atomic write (temp file + rename) of a run's whole state. A state
+    whose log is not numbered 0, 1, ..., n - 1 is refused before anything
+    is written, since ``read_checkpoint`` would refuse the file."""
+    _check_log_numbering(path, state.epoch, state.log_rows)
     log_blob = metrics_to_csv(state.log_rows).encode("utf-8")
     params_blob = params_to_bytes(state.params)
     vel_blob = params_to_bytes(state.opt.vel)
@@ -228,9 +243,7 @@ def read_checkpoint(path):
     log_rows = _parse_blob(path, lambda b: metrics_from_csv(b.decode("utf-8")), r.take(n)) if n else []
     if r.off != len(blob):
         raise ValueError(f"{path}: trailing bytes after checkpoint payload")
-    logged = [row.epoch for row in log_rows]
-    if logged != list(range(epoch)):
-        raise ValueError(f"{path}: epoch {epoch} does not match the {len(logged)} logged epochs, numbered {logged}")
+    _check_log_numbering(path, epoch, log_rows)
     if vel.dims != params.dims:
         raise ValueError(f"{path}: velocity dimensions {vel.dims} do not match parameters {params.dims}")
     return RunState(params, OptimizerState(vel, momentum), rng, log_rows, digest)
@@ -375,20 +388,44 @@ def check_sweep_epochs(cfg):
         raise ValueError("a temperature sweep needs at least one training epoch")
 
 
+# one sweep accuracy as a worker sends it: exact float64 bits
+_ACC = struct.Struct("<d")
+
+
 def temperature_sweep(train, test, teacher, base_cfg, temps):
     """Train one student per temperature (same teacher, same seed) and
-    report (temperature, final overall test accuracy) rows."""
+    report (temperature, final overall test accuracy) rows in ``temps``
+    order.
+
+    The temperatures are cut into contiguous groups, one per available CPU
+    (``workers.run_split``). This process trains the first group while a
+    forked child per other group trains the rest and sends back each
+    accuracy as its eight little-endian bytes, so the rows are the same
+    bits whatever the CPU count. A failed child raises OSError naming the
+    temperature it was training.
+    """
     temps = [check_temperature(t) for t in temps]
     if not temps:
         raise ValueError("temps must be a non-empty list")
     check_sweep_epochs(base_cfg)
-    rows = []
-    for T in temps:
+
+    def failed(start, stop, sent):
+        # name the first temperature whose accuracy the child had not sent
+        T = temps[min(start + len(sent) // _ACC.size, stop - 1)]
+        return f"the sweep worker training the student at T={T:g}"
+
+    accs = run_split(len(temps), _sweep_group, failed, train, test, teacher, base_cfg, temps)
+    return list(zip(temps, (acc for (acc,) in _ACC.iter_unpack(accs))))
+
+
+def _sweep_group(send, train, test, teacher, base_cfg, temps, start, stop):
+    """Train a student at each of ``temps[start:stop]`` in turn, sending
+    each final overall accuracy as it is reached."""
+    for T in temps[start:stop]:
         cfg = replace(
             base_cfg,
             kd=replace(base_cfg.kd, temperature=T),
             bkd=replace(base_cfg.bkd, temperature=T),
         )
         _, log = train_student(train, test, teacher, cfg)
-        rows.append((T, log[-1].acc_all))
-    return rows
+        send(_ACC.pack(log[-1].acc_all))

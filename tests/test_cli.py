@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -308,6 +309,19 @@ class TestConfigHandling:
         cfg = write_config(tmp_path / "bad.cfg", data_dir=tmp_path / "data", out_dir=out_dir, **{key: value})
         assert run(command[0], "--config", cfg, *command[1:]) == 1
         assert "config error" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("steps", ["1:0", "1:-0.5", "2:0.5,3:nan", "1:inf", "-1:0.5"])
+    @pytest.mark.parametrize("role", ["teacher", "student"])
+    def test_bad_step_schedule_is_config_error_before_any_data_is_read(self, tmp_path, capsys, steps, role):
+        # a factor of 0 once trained epoch 0 and then exited 2, leaving out/
+        # behind; the data directory and the teacher checkpoint do not exist
+        out_dir = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "bad.cfg", schedule="step", lr_steps=steps, data_dir=tmp_path / "data", out_dir=out_dir
+        )
+        assert run("train", "--config", cfg, "--role", role, "--teacher", tmp_path / "absent.ckpt") == 1
+        assert re.fullmatch(r"config error: step (factors|epochs) must be .*\n", capsys.readouterr().err)
         assert not out_dir.exists()
 
     def test_config_that_is_not_utf8_is_config_error_naming_the_file(self, tmp_path, capsys):

@@ -373,6 +373,22 @@ class TestLrSchedule:
         with pytest.raises(ValueError):
             LrSchedule("step", 0.1, steps=((10, 0.1), (10, 0.1)))
 
+    @pytest.mark.parametrize("base_lr", [0.0, float("inf"), float("nan")])
+    def test_base_rate_must_be_positive_and_finite(self, base_lr):
+        with pytest.raises(ValueError, match="base_lr must be positive and finite"):
+            LrSchedule("constant", base_lr)
+
+    @pytest.mark.parametrize("factor", [0.0, -0.5, float("nan"), float("inf"), -float("inf")])
+    def test_step_factor_must_be_positive_and_finite(self, factor):
+        # a factor of 0 once let training start and fail at the first SGD step
+        with pytest.raises(ValueError, match="step factors must be positive and finite"):
+            LrSchedule("step", 0.1, steps=((1, 0.5), (3, factor)))
+
+    def test_step_epoch_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="step epochs must be nonnegative, got -1"):
+            LrSchedule("step", 0.1, steps=((-1, 0.5),))
+        assert lr_at(LrSchedule("step", 0.1, steps=((0, 0.5),)), 0, 2) == 0.05
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self):

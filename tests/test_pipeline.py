@@ -452,6 +452,18 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="4 logged epochs"):
             train_teacher(train, test, cfg, resume_from=path)
 
+    def test_log_not_numbered_from_zero_refused_at_write_time(self, tmp_path):
+        # the rule read_checkpoint applies, so no file is written that it
+        # would refuse
+        params = init_mlp((4, 12, 2), seed=0)
+        row = MetricRow(5, 0.5, 0.1, 0.5, None, None, None)
+        state = RunState(params, init_optimizer(params), Rng(1), [row], config_digest(small_cfg()))
+        path = str(tmp_path / "hand.ckpt")
+        with pytest.raises(ValueError) as info:
+            write_checkpoint(path, state)
+        assert str(info.value) == f"{path}: epoch 1 does not match the 1 logged epochs, numbered [5]"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("stop", [0, 3, None], ids=["0-epoch", "stopped", "finished"])
     @pytest.mark.parametrize("role", ["ce-teacher", "bkd-deferred-student"])
     def test_rewriting_a_read_checkpoint_reproduces_its_bytes(self, tmp_path, role, stop):

@@ -1,0 +1,191 @@
+"""The fork-worker helper, through the two jobs that use it besides
+``save_dataset``: the temperature sweep and the gradient audit."""
+
+import os
+import subprocess
+import sys
+import textwrap
+import time
+
+import pytest
+
+from longtail_kd import gradcheck, pipeline
+from longtail_kd.gradcheck import run_gradient_checks
+from longtail_kd.pipeline import temperature_sweep, train_teacher
+from test_cli import run, write_config
+from test_data import _cpus
+from test_pipeline import small_cfg, two_class_separable
+
+TEMPS = [1.0, 2.0, 4.0, 0.5]
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs():
+    train, test = two_class_separable()
+    teacher, _ = train_teacher(train, test, small_cfg(epochs=3))
+    return train, test, teacher, small_cfg(loss="bkd", epochs=3)
+
+
+def count_forks(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def raise_at(temperature, when_other=None):
+    """A ``train_student`` that raises at ``temperature`` and otherwise calls
+    ``when_other`` or trains as usual."""
+    real = pipeline.train_student
+
+    def train_student(train, test, teacher, cfg):
+        if cfg.kd.temperature == temperature:
+            raise RuntimeError(f"student at T={temperature:g} failed")
+        if when_other is not None:
+            when_other()
+        return real(train, test, teacher, cfg)
+
+    return train_student
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_sweep_rows_are_the_same_bits_on_any_cpu_count(sweep_inputs, monkeypatch, cpus):
+    _cpus(monkeypatch, 1)
+    serial = temperature_sweep(*sweep_inputs, TEMPS)
+    _cpus(monkeypatch, cpus)
+    forks = count_forks(monkeypatch)
+    rows = temperature_sweep(*sweep_inputs, TEMPS)
+    assert len(forks) == cpus - 1
+    assert [T for T, _ in rows] == TEMPS
+    assert [acc.hex() for _, acc in rows] == [acc.hex() for _, acc in serial]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus, trials", [(1, 7), (2, 7), (3, 7), (8, 3)])
+def test_gradient_audit_is_the_same_bits_on_any_cpu_count(monkeypatch, cpus, trials):
+    _cpus(monkeypatch, 1)
+    serial = run_gradient_checks(trials=trials, seed=4)
+    _cpus(monkeypatch, cpus)
+    forks = count_forks(monkeypatch)
+    worst = run_gradient_checks(trials=trials, seed=4)
+    # never more workers than CPUs in the mask or trials to check
+    assert len(forks) == min(cpus, trials) - 1
+    assert list(worst) == list(serial)
+    assert [err.hex() for err in worst.values()] == [err.hex() for err in serial.values()]
+    assert_no_child_left()
+
+
+def test_one_cpu_never_forks(sweep_inputs, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked on a one-CPU affinity")
+
+    _cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert len(temperature_sweep(*sweep_inputs, TEMPS)) == len(TEMPS)
+    assert set(run_gradient_checks(trials=5)) == {"ce", "cb", "kd", "bkd", "cb_formula", "bkd_formula"}
+
+
+def test_failed_child_names_its_temperature(sweep_inputs, monkeypatch):
+    # two CPUs: this process trains T=1 and one child trains 2, 4 and 0.5;
+    # the child sends the accuracy at 2, then fails at 4
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "train_student", raise_at(4.0))
+    with pytest.raises(OSError, match=r"^the sweep worker training the student at T=4 failed \(exit status 1\)$"):
+        temperature_sweep(*sweep_inputs, TEMPS)
+    assert_no_child_left()
+
+
+def test_failed_child_exits_the_cli_with_2(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path / "exp.cfg", epochs=2, data_dir=tmp_path / "data", out_dir=tmp_path / "out")
+    assert run("make-data", "--config", cfg) == 0
+    _cpus(monkeypatch, 3)
+    monkeypatch.setattr(pipeline, "train_student", raise_at(2.0))
+    assert run("sweep-temp", "--config", cfg, "--temps", 1, 2, 4) == 2
+    assert "the sweep worker training the student at T=2 failed" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+    assert_no_child_left()
+
+
+def test_failed_gradient_check_worker_names_its_trials(monkeypatch, capsys):
+    real = gradcheck._check_trials
+
+    def check_trials(send, seed, h, start, stop):
+        if start:
+            raise RuntimeError("check failed")
+        real(send, seed, h, start, stop)
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(gradcheck, "_check_trials", check_trials)
+    with pytest.raises(OSError, match=r"^the gradient-check worker for trials 3-7 failed \(exit status 1\)$"):
+        run_gradient_checks(trials=7)
+    assert run("gradcheck", "--trials", 7) == 2
+    assert "the gradient-check worker for trials 3-7 failed" in capsys.readouterr().err
+    assert_no_child_left()
+
+
+def test_failure_in_this_process_kills_and_reaps_the_children(sweep_inputs, monkeypatch):
+    # the children would train for a minute; the sweep must not wait for them
+    _cpus(monkeypatch, 3)
+    monkeypatch.setattr(pipeline, "train_student", raise_at(1.0, when_other=lambda: time.sleep(60)))
+    began = time.monotonic()
+    with pytest.raises(RuntimeError, match="student at T=1 failed"):
+        temperature_sweep(*sweep_inputs, TEMPS)
+    assert time.monotonic() - began < 30
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count open files")
+def test_a_fork_that_fails_leaks_no_pipe(monkeypatch):
+    def no_fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    open_fds = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        run_gradient_checks(trials=4)
+    assert sorted(os.listdir("/proc/self/fd")) == open_fds
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task to count threads")
+def test_sweep_forks_safely_with_a_blas_thread_pool_alive():
+    # OPENBLAS_NUM_THREADS=2 starts OpenBLAS's worker threads at import, so
+    # the sweep forks a process that has more than one thread
+    script = textwrap.dedent(
+        """
+        import os, sys
+        sys.path[:0] = sys.argv[1:]
+        from test_pipeline import small_cfg, two_class_separable
+        from longtail_kd.pipeline import temperature_sweep, train_teacher
+
+        train, test = two_class_separable()
+        teacher, _ = train_teacher(train, test, small_cfg(epochs=3))
+        cfg = small_cfg(loss="bkd", epochs=3)
+        rows = {}
+        for cpus in (1, 2):
+            os.sched_getaffinity = lambda pid, n=cpus: set(range(n))
+            threads = len(os.listdir("/proc/self/task"))  # at the fork when cpus == 2
+            rows[cpus] = [(T, acc.hex()) for T, acc in temperature_sweep(train, test, teacher, cfg, [1.0, 2.0])]
+        assert rows[1] == rows[2], rows
+        print(threads)
+        """
+    )
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    done = subprocess.run(
+        [sys.executable, "-c", script, src, here], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    if int(done.stdout) < 2:
+        pytest.skip("OpenBLAS started no thread pool: one CPU in the affinity mask")
