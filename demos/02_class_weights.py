@@ -22,9 +22,10 @@ print("\nbeta=1e-9 (all ~1):", np.round(effective_number_weights(counts, 1e-9), 
 w_near_one = effective_number_weights(counts, 0.999999)
 print("beta=0.999999 vs 1/n ratio:", np.round(w_near_one * counts, 3).tolist())
 
-# Optional mean-one rescaling keeps the ratios but makes the average weight 1,
-# so a re-weighted loss stays on the same overall scale as the plain one.
+# The class-balanced loss trains on the weights rescaled to sum to the number
+# of classes (Cui et al.): the ratios stay and the average weight is 1, so the
+# re-weighted loss keeps the plain one's overall scale and learning rate.
 w = effective_number_weights(counts, 0.9999)
-scaled = normalize_weights(w, "mean-one")
+scaled = normalize_weights(w)
 print("\nraw weights:     ", np.round(w, 5).tolist())
 print("mean-one weights:", np.round(scaled, 5).tolist(), " sum =", round(scaled.sum(), 6))

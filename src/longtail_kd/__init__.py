@@ -24,11 +24,11 @@ from .losses import (
     BKDConfig,
     KDConfig,
     LossResult,
-    bkd_grad_formula,
     bkd_loss,
     cb_grad_formula,
     cb_loss,
     ce_loss,
+    distill_grad_formula,
     kd_loss,
 )
 from .mathutils import Rng, log_sum_exp, one_hot, softmax_with_temperature

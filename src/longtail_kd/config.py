@@ -14,7 +14,6 @@ from .data import PROFILE_KINDS, ImbalanceProfile
 from .losses import BKDConfig, KDConfig
 from .mlp import SCHEDULE_KINDS, LrSchedule
 from .pipeline import LOSS_KINDS, TrainConfig
-from .weights import WEIGHT_MODES
 
 
 class ConfigError(ValueError):
@@ -84,7 +83,6 @@ KEY_SPECS = {
     "alpha": (0.5, float, "cross-entropy weight in the plain distillation blend"),
     "beta": (0.9999, float, "effective-number hyperparameter for class weights"),
     "temperature": (2.0, float, "distillation temperature"),
-    "weight_mode": ("raw", _parse_str(WEIGHT_MODES), "class weight normalization"),
     "defer_epoch": (None, _parse_optional_int, "switch plain->balanced distillation at this epoch (empty = off)"),
     # evaluation
     "many_thresh": (100, int, "class counts above this are many-shot"),
@@ -176,7 +174,7 @@ def train_config(cfg, loss=None):
             weight_decay=cfg["weight_decay"],
             seed=cfg["seed"],
             kd=KDConfig(alpha=cfg["alpha"], temperature=cfg["temperature"]),
-            bkd=BKDConfig(beta=cfg["beta"], temperature=cfg["temperature"], weight_mode=cfg["weight_mode"]),
+            bkd=BKDConfig(beta=cfg["beta"], temperature=cfg["temperature"]),
             defer_epoch=cfg["defer_epoch"] if loss is None else None,
             many_thresh=cfg["many_thresh"],
             few_thresh=cfg["few_thresh"],

@@ -2,7 +2,10 @@
 
 The checker knows nothing about how the analytic gradients are computed: it
 only re-evaluates loss values at perturbed logits, so it stays a fully
-independent oracle for them.
+independent oracle for them. Each trial takes one finite difference per
+loss and holds two gradients against it: the loss's own analytic gradient
+and, for ``cb``, ``kd`` and ``bkd``, its closed form (the ``*_formula``
+rows).
 
 The trials run on every available CPU: they are cut into contiguous ranges,
 one per CPU (``workers.run_split``), and each worker replays the one seeded
@@ -21,17 +24,17 @@ import numpy as np
 from .losses import (
     BKDConfig,
     KDConfig,
-    bkd_grad_formula,
     bkd_loss,
     cb_grad_formula,
     cb_loss,
     ce_loss,
+    distill_grad_formula,
     kd_loss,
 )
 from .mathutils import Rng, softmax_with_temperature
 from .workers import run_split
 
-_CHECKS = ("ce", "cb", "kd", "bkd", "cb_formula", "bkd_formula")
+_CHECKS = ("ce", "cb", "kd", "bkd", "cb_formula", "kd_formula", "bkd_formula")
 # one worker's worst error per check, in _CHECKS order: exact float64 bits
 _WORST = struct.Struct(f"<{len(_CHECKS)}d")
 _TEMPS = (1.0, 2.0, 4.0)
@@ -71,8 +74,8 @@ def _instances(seed):
 def run_gradient_checks(trials=100, seed=0, h=1e-5):
     """Max abs(analytic - finite difference) over random instances.
 
-    Covers the four losses plus the two closed-form diagnostic gradients
-    (each checked against finite differences of the loss it claims to
+    Covers the four losses plus the three closed-form diagnostic gradients
+    (each checked against the finite differences of the loss it claims to
     differentiate). Returns a dict: name -> worst error. ``trials`` must
     be at least 1: an empty audit would report every loss as exact. A
     failed worker raises OSError naming its trials.
@@ -106,37 +109,28 @@ def _check_trials(send, seed, h, start, stop):
         kd_cfg = KDConfig(alpha=alpha, temperature=T)
         bkd_cfg = BKDConfig(temperature=T)
         phat = softmax_with_temperature(t_logits, T)
-        phat1 = softmax_with_temperature(t_logits, 1.0)
+        q = w * phat
+        q /= q.sum()
 
-        checks = {  # in _CHECKS order
-            "ce": (ce_loss(z, y).grad_logits, lambda v: ce_loss(v, y).value),
-            "cb": (cb_loss(z, y, w).grad_logits, lambda v: cb_loss(v, y, w).value),
+        audits = {  # loss -> (its value at v, then the gradients it checks)
+            "ce": (lambda v: ce_loss(v, y).value, ce_loss(z, y).grad_logits),
+            "cb": (lambda v: cb_loss(v, y, w).value, cb_loss(z, y, w).grad_logits, cb_grad_formula(z, y, w)),
             "kd": (
-                kd_loss(z, phat, y, kd_cfg).grad_logits,
                 lambda v: kd_loss(v, phat, y, kd_cfg).value,
+                kd_loss(z, phat, y, kd_cfg).grad_logits,
+                distill_grad_formula(z, phat, y, *kd_cfg.coefs, T),
             ),
             "bkd": (
-                bkd_loss(z, phat, y, w, bkd_cfg).grad_logits,
                 lambda v: bkd_loss(v, phat, y, w, bkd_cfg).value,
-            ),
-            "cb_formula": (cb_grad_formula(z, y, w), lambda v: cb_loss(v, y, w).value),
-            "bkd_formula": (
-                bkd_grad_formula(z, phat1, y, w),
-                lambda v: _mimic_target_loss(v, phat1, y, w),
+                bkd_loss(z, phat, y, w, bkd_cfg).grad_logits,
+                distill_grad_formula(z, q, y, *bkd_cfg.coefs, T),
             ),
         }
 
-        errs = [float(np.abs(analytic - finite_difference_gradient(f, z, h)).max()) for analytic, f in checks.values()]
-        _keep_worst(worst, errs)
+        errs = {}
+        for name, (f, *grads) in audits.items():
+            fd = finite_difference_gradient(f, z, h)
+            for check, g in zip((name, f"{name}_formula"), grads):
+                errs[check] = float(np.abs(g - fd).max())
+        _keep_worst(worst, [errs[name] for name in _CHECKS])
     send(_WORST.pack(*worst.values()))
-
-
-def _mimic_target_loss(z, teacher_probs_t1, y, w):
-    """-sum(t * log p) for the renormalized target t that
-    ``bkd_grad_formula`` differentiates (temperature 1)."""
-    target = w * teacher_probs_t1
-    target[int(y)] += 1.0
-    target = target / target.sum()
-    p = softmax_with_temperature(z, 1.0)
-    mask = target > 0
-    return float(-(target[mask] * np.log(p[mask])).sum())

@@ -19,11 +19,13 @@ The cross-entropy term inside kd/bkd is always at temperature 1; only the
 distillation term uses the configured temperature. 0 * log 0 is taken as 0,
 so teacher targets may contain exact zeros.
 
-``cb_grad_formula`` and ``bkd_grad_formula`` are closed-form gradient
+``cb_grad_formula`` and ``distill_grad_formula`` are closed-form gradient
 expressions kept as independent diagnostics: the first must reproduce
-``cb_loss``'s gradient, the second differentiates a temperature-1 variant
-whose target mixes the hard label into the weighted soft targets before
-renormalizing (a different normalization than ``bkd_loss`` uses).
+``cb_loss``'s gradient, the second ``kd_loss``'s and ``bkd_loss``'s,
+ce_coef * (p - one_hot(y)) + kl_coef * T * (p_T - targets). The single
+factor of T is what the T^2 scaling of the KL term leaves (Hinton et al.).
+The second writes its softmax out itself rather than through the shared
+row shift, so a fault in that shift shows up as a disagreement.
 
 The ``*_batch`` functions are the vectorized cores, one row per sample; the
 scalar entry points validate and delegate to them with a single row. Both
@@ -42,7 +44,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mathutils import check_logits, check_temperature, log_softmax_rows, log_softmax_shifted, shift_rows
-from .weights import WEIGHT_MODES
 
 
 @dataclass(frozen=True)
@@ -73,19 +74,15 @@ class KDConfig:
 
 @dataclass(frozen=True)
 class BKDConfig:
-    """Weight hyperparameter beta in (0, 1), temperature T > 0, and the
-    weight normalization mode applied when the weight vector is built."""
+    """Weight hyperparameter beta in (0, 1) and temperature T > 0."""
 
     beta: float = 0.9999
     temperature: float = 2.0
-    weight_mode: str = "raw"
 
     def __post_init__(self):
         if not (isinstance(self.beta, (int, float)) and 0.0 < self.beta < 1.0):
             raise ValueError(f"beta must lie strictly inside (0, 1), got {self.beta!r}")
         check_temperature(self.temperature)
-        if self.weight_mode not in WEIGHT_MODES:
-            raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}, got {self.weight_mode!r}")
 
     @property
     def coefs(self):
@@ -114,16 +111,13 @@ def _check_probs(p, num_classes, name="teacher probs"):
     return p
 
 
-def _check_weights(w, num_classes, allow_zero=False):
+def _check_weights(w, num_classes):
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (num_classes,):
         raise ValueError(f"weights must have shape ({num_classes},), got {w.shape}")
     if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
-    if allow_zero:
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-    elif np.any(w <= 0):
+    if np.any(w <= 0):
         raise ValueError("weights must be positive")
     return w
 
@@ -258,21 +252,23 @@ def cb_grad_formula(z, y, w):
     return g
 
 
-def bkd_grad_formula(z, teacher_probs, y, w):
-    """Temperature-1 diagnostic gradient with the hard label folded in.
+def distill_grad_formula(z, targets, y, ce_coef, kl_coef, temperature):
+    """Closed-form gradient of ce_coef * CE + kl_coef * T^2 * KL(targets || p_T):
+    ce_coef * (p - one_hot(y)) + kl_coef * T * (p_T - targets).
 
-    The mimic target here is t = (w * phat + one_hot(y)) / s with
-    s = sum(w * phat) + 1, i.e. weighted soft targets and the hard label
-    renormalized together; the returned vector is softmax(z) - t, the exact
-    gradient of -sum(t * log p). Zero weights are allowed (the target then
-    degenerates to the hard label and the CE gradient comes back).
+    Diagnostic twin of ``kd_loss`` (the teacher's soft targets, coefs
+    (alpha, 1 - alpha)) and of ``bkd_loss`` (``balanced_targets``, coefs
+    (1, 1)). Each softmax is exp((z - max z) / T) / sum, written out here.
     """
     z = check_logits(z)
     y = _check_label(y, z.size)
-    phat = _check_probs(teacher_probs, z.size)
-    w = _check_weights(w, z.size, allow_zero=True)
-    p = np.exp(log_softmax_rows(z[None, :])[0])
-    target = w * phat
-    target[y] += 1.0
-    target = target / target.sum()
-    return p - target
+    targets = _check_probs(targets, z.size, "targets")
+    T = check_temperature(temperature)
+    shifted = z - z.max()
+    p = np.exp(shifted)
+    p /= p.sum()
+    p_T = np.exp(shifted / T)
+    p_T /= p_T.sum()
+    g = ce_coef * p + kl_coef * T * (p_T - targets)
+    g[y] -= ce_coef
+    return g

@@ -11,10 +11,12 @@ target matrix once, forwarding the teacher over the training split in
 Both distillation losses run through the one kernel
 ``losses.distill_loss_batch``; they differ only in the targets and the two
 coefficients. The class weight vector is computed once from the
-training-split counts and shared read-only. Every epoch scores the test
-split through one set of per-layer (n_test, width) buffers that the run
-allocates up front, so the per-epoch evaluation allocates no layer-sized
-array; the buffers live for one ``_run`` call.
+training-split counts and shared read-only: ``cb`` scales it to sum to the
+number of classes (``weights.normalize_weights``), ``bkd`` uses it as it
+is, since its scale cancels in the balanced targets. Every epoch scores
+the test split through one set of per-layer (n_test, width) buffers that
+the run allocates up front, so the per-epoch evaluation allocates no
+layer-sized array; the buffers live for one ``_run`` call.
 ``temperature_sweep`` trains one such student per temperature, on every
 available CPU: each CPU trains a contiguous group of the temperatures, in
 this process or a forked child (``workers``), and the rows are the same
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field, replace
@@ -94,8 +97,8 @@ class TrainConfig:
             raise ValueError("batch_size must be positive")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and nonnegative, got {self.weight_decay!r}")
         if self.defer_epoch is not None:
             if self.loss != "bkd":
                 raise ValueError("defer_epoch is only valid with loss='bkd'")
@@ -297,9 +300,9 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
 
     w = None
     if teacher is not None and cfg.loss in ("cb", "bkd"):
-        w = normalize_weights(
-            effective_number_weights(train.class_counts, cfg.bkd.beta), cfg.bkd.weight_mode
-        )
+        w = effective_number_weights(train.class_counts, cfg.bkd.beta)
+        if cfg.loss == "cb":
+            w = normalize_weights(w)
 
     if resume_from is not None:
         state = read_checkpoint(resume_from)

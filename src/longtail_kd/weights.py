@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-WEIGHT_MODES = ("raw", "mean-one")
-
 
 def _validate_counts(counts):
     counts = np.asarray(counts)
@@ -42,20 +40,13 @@ def effective_number_weights(counts, beta):
     return w
 
 
-def normalize_weights(w, mode="raw"):
-    """Optionally rescale a weight vector.
-
-    mode "raw" returns the weights unchanged; "mean-one" rescales so the
-    weights sum to the number of classes (mean weight 1), preserving all
-    pairwise ratios.
-    """
+def normalize_weights(w):
+    """Rescale a weight vector so the weights sum to the number of classes
+    (mean weight 1), preserving all pairwise ratios: the scale Cui et al.
+    give the class-balanced loss, so it trains at the configured rate."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty 1-D vector")
     if not np.isfinite(w).all() or np.any(w <= 0):
         raise ValueError("weights must be finite and positive")
-    if mode == "raw":
-        return w.copy()
-    if mode == "mean-one":
-        return w * (w.size / w.sum())
-    raise ValueError(f"unknown weight mode {mode!r} (expected one of {WEIGHT_MODES})")
+    return w * (w.size / w.sum())

@@ -15,7 +15,6 @@ from longtail_kd.gradcheck import finite_difference_gradient, run_gradient_check
 from longtail_kd.losses import (
     BKDConfig,
     KDConfig,
-    bkd_grad_formula,
     bkd_loss,
     cb_grad_formula,
     cb_loss,
@@ -23,6 +22,7 @@ from longtail_kd.losses import (
     ce_loss_batch,
     cb_loss_batch,
     kd_loss,
+    distill_grad_formula,
     distill_loss_batch,
     balanced_targets,
     softmax_rows,
@@ -63,34 +63,39 @@ def test_criterion_02_gradient_fidelity_suite():
 def test_criterion_03_closed_form_oracle_agreement():
     rng = Rng(11)
     worst_cb = 0.0
-    worst_bkd = 0.0
-    for _ in range(100):
+    worst_distill = 0.0
+    worst_fd = 0.0
+    for i in range(100):
         C = 2 + int(rng.uniform() * 9)
         z = 2.0 * rng.normal(C)
         y = int(rng.uniform() * C)
         w = np.exp(rng.normal(C))
-        phat = softmax_with_temperature(2.0 * rng.normal(C), 1.0)
+        T = (1.0, 2.0, 4.0)[i % 3]
+        alpha = (i % 5) / 4
+        phat = softmax_with_temperature(2.0 * rng.normal(C), T)
 
         gap = np.abs(cb_grad_formula(z, y, w) - cb_loss(z, y, w).grad_logits).max()
         worst_cb = max(worst_cb, float(gap))
 
-        target = w * phat
-        target[y] += 1.0
-        target = target / target.sum()
+        q = w * phat
+        q = q / q.sum()
+        bkd_cfg = BKDConfig(temperature=T)
+        bkd_formula = distill_grad_formula(z, q, y, 1.0, 1.0, T)
+        kd_formula = distill_grad_formula(z, phat, y, alpha, 1.0 - alpha, T)
+        gap = max(
+            np.abs(bkd_formula - bkd_loss(z, phat, y, w, bkd_cfg).grad_logits).max(),
+            np.abs(kd_formula - kd_loss(z, phat, y, KDConfig(alpha=alpha, temperature=T)).grad_logits).max(),
+        )
+        worst_distill = max(worst_distill, float(gap))
 
-        def mimic_loss(v):
-            p = softmax_with_temperature(v, 1.0)
-            return float(-(target * np.log(p)).sum())
+        fd = finite_difference_gradient(lambda v: bkd_loss(v, phat, y, w, bkd_cfg).value, z)
+        worst_fd = max(worst_fd, float(np.abs(bkd_formula - fd).max()))
 
-        fd = finite_difference_gradient(mimic_loss, z)
-        gap = np.abs(bkd_grad_formula(z, phat, y, w) - fd).max()
-        worst_bkd = max(worst_bkd, float(gap))
-
-    ok = worst_cb <= 1e-12 and worst_bkd <= 1e-7
+    ok = worst_cb <= 1e-12 and worst_distill <= 1e-12 and worst_fd <= 1e-7
     _report(
-        "03 closed-form gradients agree (cb tol 1e-12, balanced-target tol 1e-7)",
+        "03 closed-form gradients agree (cb and kd/bkd analytic tol 1e-12, bkd finite-difference tol 1e-7)",
         ok,
-        f"cb={worst_cb:.2e}, bkd_formula={worst_bkd:.2e}",
+        f"cb={worst_cb:.2e}, distill={worst_distill:.2e}, bkd_fd={worst_fd:.2e}",
     )
 
 

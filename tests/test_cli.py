@@ -4,8 +4,10 @@ import re
 import numpy as np
 import pytest
 
+from longtail_kd import gradcheck
 from longtail_kd.cli import main
 from longtail_kd.gradcheck import run_gradient_checks
+from test_data import _cpus
 from test_pipeline import write_checkpoint_with_bad_fan_in
 
 
@@ -202,9 +204,24 @@ class TestGradcheck:
     def test_passes_and_reports(self, capsys):
         assert run("gradcheck", "--trials", 100, "--seed", 1) == 0
         out = capsys.readouterr().out
-        for name in ("ce", "cb", "kd", "bkd", "cb_formula", "bkd_formula"):
+        for name in ("ce", "cb", "kd", "bkd", "cb_formula", "kd_formula", "bkd_formula"):
             assert name in out
         assert "worst case" in out
+
+    def test_one_finite_difference_per_loss_and_trial(self, monkeypatch):
+        # on one CPU every trial runs here, where the calls can be counted
+        calls = []
+        real = gradcheck.finite_difference_gradient
+
+        def counting(f, z, h):
+            calls.append(1)
+            return real(f, z, h)
+
+        _cpus(monkeypatch, 1)
+        monkeypatch.setattr(gradcheck, "finite_difference_gradient", counting)
+        worst = run_gradient_checks(trials=6, seed=3)
+        assert len(calls) == 4 * 6
+        assert max(worst.values()) <= 1e-6
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_nonpositive_trials_is_usage_error(self, capsys, trials):
@@ -290,7 +307,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "key, value",
         [
-            ("batch_size", 0), ("momentum", 1.5), ("temperature", -1),
+            ("batch_size", 0), ("momentum", 1.5), ("temperature", -1), ("weight_decay", "nan"), ("weight_decay", "inf"),
             # against the default pair (100, 20): inverted, equal, non-positive
             ("many_thresh", 10), ("few_thresh", 100), ("few_thresh", 0),
         ],

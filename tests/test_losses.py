@@ -7,7 +7,6 @@ from longtail_kd.gradcheck import finite_difference_gradient
 from longtail_kd.losses import (
     BKDConfig,
     KDConfig,
-    bkd_grad_formula,
     bkd_loss,
     balanced_targets,
     cb_grad_formula,
@@ -15,6 +14,7 @@ from longtail_kd.losses import (
     cb_loss_batch,
     ce_loss,
     ce_loss_batch,
+    distill_grad_formula,
     distill_loss_batch,
     kd_loss,
 )
@@ -233,52 +233,66 @@ class TestBkdLoss:
         assert np.abs(a.grad_logits - b.grad_logits).max() < 1e-12
 
 
-class TestBkdGradFormula:
-    def test_zero_weights_reduce_to_ce_gradient(self):
+def balanced(phat, w):
+    """The balanced target q = w * phat / sum(w * phat), built apart from the kernel."""
+    q = w * phat
+    return q / q.sum()
+
+
+class TestDistillGradFormula:
+    def test_matches_kd_and_bkd_gradients(self):
         rng = Rng(45)
-        z, y, _, tl = random_case(rng, 5)
-        phat = softmax_with_temperature(tl, 1.0)
-        g = bkd_grad_formula(z, phat, y, np.zeros(5))
+        for i in range(60):
+            z, y, w, tl = random_case(rng, 2 + i % 9)
+            T = (1.0, 2.0, 4.0)[i % 3]
+            alpha = (i % 5) / 4
+            phat = softmax_with_temperature(tl, T)
+            kd = kd_loss(z, phat, y, KDConfig(alpha=alpha, temperature=T)).grad_logits
+            assert np.abs(distill_grad_formula(z, phat, y, alpha, 1.0 - alpha, T) - kd).max() <= 1e-12
+            bkd = bkd_loss(z, phat, y, w, BKDConfig(temperature=T)).grad_logits
+            assert np.abs(distill_grad_formula(z, balanced(phat, w), y, 1.0, 1.0, T) - bkd).max() <= 1e-12
+
+    def test_matches_finite_differences_of_bkd_loss(self):
+        rng = Rng(47)
+        for i in range(20):
+            z, y, w, tl = random_case(rng, 6)
+            T = (1.0, 2.0, 4.0)[i % 3]
+            phat = softmax_with_temperature(tl, T)
+            cfg = BKDConfig(temperature=T)
+            fd = finite_difference_gradient(lambda v: bkd_loss(v, phat, y, w, cfg).value, z)
+            assert np.abs(distill_grad_formula(z, balanced(phat, w), y, 1.0, 1.0, T) - fd).max() < 1e-7
+
+    def test_zero_kl_coef_is_the_ce_gradient(self):
+        rng = Rng(46)
+        z, y, w, tl = random_case(rng, 5)
+        phat = softmax_with_temperature(tl, 4.0)
+        g = distill_grad_formula(z, balanced(phat, w), y, 1.0, 0.0, 4.0)
         assert np.abs(g - ce_loss(z, y).grad_logits).max() < 1e-12
 
-    def test_confident_teacher_on_true_class(self):
-        rng = Rng(46)
-        z, y, _, _ = random_case(rng, 4)
-        phat = one_hot(y, 4)
-        g = bkd_grad_formula(z, phat, y, np.ones(4))
-        p = softmax_with_temperature(z, 1.0)
-        assert np.abs(g - (p - one_hot(y, 4))).max() < 1e-12
-
-    def test_matches_finite_differences_of_mimic_target_loss(self):
-        rng = Rng(47)
-        for _ in range(20):
-            z, y, w, tl = random_case(rng, 6)
-            phat = softmax_with_temperature(tl, 1.0)
-            target = w * phat
-            target[y] += 1.0
-            target /= target.sum()
-
-            def loss(v):
-                p = softmax_with_temperature(v, 1.0)
-                return float(-(target * np.log(p)).sum())
-
-            fd = finite_difference_gradient(loss, z)
-            assert np.abs(bkd_grad_formula(z, phat, y, w) - fd).max() < 1e-7
-
-    def test_head_class_gradient_gap_bounded_by_weights(self):
-        # when every class count is huge the weights collapse toward zero and
-        # the balanced target degenerates to the hard label: the gradient must
-        # sit within 2*max(w) of the plain cross-entropy gradient
+    def test_target_equal_to_the_student_leaves_only_ce(self):
+        # at T = 1 a target equal to softmax(z) zeroes the distillation term
         rng = Rng(48)
-        counts = np.full(6, 100_000)
-        w = effective_number_weights(counts, 0.9999)
-        w_head = w.max()
-        assert w_head < 1.2e-4
-        for _ in range(100):
-            z, y, _, tl = random_case(rng, 6)
-            phat = softmax_with_temperature(tl, 1.0)
-            gap = bkd_grad_formula(z, phat, y, w) - ce_loss(z, y).grad_logits
-            assert np.abs(gap).max() <= 2.0 * w_head
+        z, y, _, _ = random_case(rng, 4)
+        p = softmax_with_temperature(z, 1.0)
+        g = distill_grad_formula(z, p, y, 0.5, 0.5, 1.0)
+        assert np.abs(g - 0.5 * (p - one_hot(y, 4))).max() < 1e-12
+
+    def test_logits_far_from_zero_stay_finite(self):
+        z = np.array([900.0, 850.0, -700.0])
+        phat = np.array([0.2, 0.3, 0.5])
+        for T in (0.5, 1.0, 4.0):
+            g = distill_grad_formula(z, phat, 1, 1.0, 1.0, T)
+            assert np.isfinite(g).all()
+            kd = kd_loss(z, phat, 1, KDConfig(alpha=0.5, temperature=T)).grad_logits
+            assert np.abs(0.5 * g - kd).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "targets, temperature",
+        [([0.5, 0.6, -0.1], 2.0), ([0.5, 0.5], 2.0), ([0.2, 0.3, 0.4], 2.0), ([0.2, 0.3, 0.5], 0.0)],
+    )
+    def test_invalid_inputs_rejected(self, targets, temperature):
+        with pytest.raises(ValueError):
+            distill_grad_formula(np.zeros(3), targets, 0, 1.0, 1.0, temperature)
 
 
 class TestBatchConsistency:

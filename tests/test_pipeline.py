@@ -7,7 +7,15 @@ import pytest
 
 from longtail_kd import pipeline
 from longtail_kd.data import synth_gaussian_mixture
-from longtail_kd.losses import BKDConfig, KDConfig, balanced_targets, ce_loss_batch, distill_loss_batch, softmax_rows
+from longtail_kd.losses import (
+    BKDConfig,
+    KDConfig,
+    balanced_targets,
+    cb_loss_batch,
+    ce_loss_batch,
+    distill_loss_batch,
+    softmax_rows,
+)
 from longtail_kd.mathutils import Rng
 from longtail_kd.mlp import LrSchedule, backward, forward, init_mlp, init_optimizer, lr_at, params_to_bytes
 from longtail_kd.pipeline import (
@@ -173,6 +181,12 @@ class TestTrainTeacher:
         undecayed, _ = train_teacher(train, test, replace(cfg, weight_decay=0.0))
         assert params_to_bytes(undecayed) != params_to_bytes(params)
 
+    @pytest.mark.parametrize("wd", [-1e-3, math.nan, math.inf])
+    def test_weight_decay_must_be_finite_and_nonnegative(self, wd):
+        # nan and inf once trained to non-finite parameters with no error
+        with pytest.raises(ValueError, match="weight_decay must be finite and nonnegative"):
+            small_cfg(weight_decay=wd)
+
     def test_dimension_mismatch_rejected(self):
         train, _ = two_class_separable(seed=1)
         _, other_test = synth_gaussian_mixture([10, 10], 6, 1.0, seed=2, per_class_test=5)
@@ -263,6 +277,44 @@ class TestTrainStudent:
         train, test = two_class_separable()
         with pytest.raises(ValueError):
             train_student(train, test, None, small_cfg(loss="kd"))
+
+    def test_cb_trains_on_weights_that_sum_to_the_class_count(self, monkeypatch):
+        train, test = synth_gaussian_mixture([80, 20, 5], 4, 3.0, seed=29, per_class_test=10)
+        teacher, _ = train_teacher(train, test, small_cfg(epochs=1))
+        seen = []
+
+        def recording(Z, ys, w):
+            seen.append(w)
+            return cb_loss_batch(Z, ys, w)
+
+        monkeypatch.setattr(pipeline, "cb_loss_batch", recording)
+        cfg = small_cfg(loss="cb", epochs=2)
+        train_student(train, test, teacher, cfg)
+        raw = effective_number_weights(train.class_counts, cfg.bkd.beta)
+        assert len(seen) == cfg.epochs * math.ceil(len(train) / cfg.batch_size)
+        for w in seen:
+            assert abs(w.sum() - train.num_classes) <= 1e-12
+            np.testing.assert_allclose(w * raw.sum(), raw * train.num_classes, rtol=1e-14)
+
+    def test_bkd_targets_balance_the_raw_weights(self, monkeypatch):
+        # one batch of every row, in row order, so the targets the loss sees
+        # are the whole target matrix
+        train, test = synth_gaussian_mixture([80, 20, 5], 4, 3.0, seed=29, per_class_test=10)
+        teacher, _ = train_teacher(train, test, small_cfg(epochs=1))
+        seen = []
+
+        def recording(Z, targets, *args):
+            seen.append(targets)
+            return distill_loss_batch(Z, targets, *args)
+
+        monkeypatch.setattr(pipeline, "distill_loss_batch", recording)
+        monkeypatch.setattr(Rng, "permutation", lambda self, n: np.arange(n))
+        cfg = small_cfg(loss="bkd", epochs=1, batch_size=len(train))
+        train_student(train, test, teacher, cfg)
+        phat = softmax_rows(forward(teacher, train.features)[0], cfg.bkd.temperature)
+        expected = balanced_targets(phat, effective_number_weights(train.class_counts, cfg.bkd.beta))
+        assert len(seen) == 1
+        assert seen[0].tobytes() == expected.tobytes()
 
     def test_weights_function_of_train_counts_only(self):
         train, _ = two_class_separable()

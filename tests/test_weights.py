@@ -58,28 +58,20 @@ class TestEffectiveNumberWeights:
 
 class TestNormalizeWeights:
     def test_mean_one_fixes_uniform(self):
-        np.testing.assert_allclose(normalize_weights([1.0, 1.0, 1.0], "mean-one"), [1, 1, 1])
+        np.testing.assert_allclose(normalize_weights([1.0, 1.0, 1.0]), [1, 1, 1])
 
     def test_mean_one_scales_to_class_count(self):
-        np.testing.assert_allclose(normalize_weights([2.0, 4.0], "mean-one"), [2 / 3, 4 / 3])
-
-    def test_raw_is_identity(self):
-        w = np.array([0.3, 1.7, 0.01])
-        np.testing.assert_array_equal(normalize_weights(w, "raw"), w)
+        np.testing.assert_allclose(normalize_weights([2.0, 4.0]), [2 / 3, 4 / 3])
 
     def test_mean_one_preserves_ratios_and_order(self):
         rng = Rng(22)
         for _ in range(50):
             w = np.exp(2.0 * rng.normal(6))
-            scaled = normalize_weights(w, "mean-one")
+            scaled = normalize_weights(w)
             assert abs(scaled.sum() - 6.0) < 1e-12
             np.testing.assert_allclose(scaled[None, :] / scaled[:, None], w[None, :] / w[:, None], rtol=1e-12)
             assert np.argmax(scaled) == np.argmax(w) and np.argmin(scaled) == np.argmin(w)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_weights([1.0], "sum-one")
-
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(ValueError):
-            normalize_weights([1.0, 0.0], "raw")
+            normalize_weights([1.0, 0.0])
