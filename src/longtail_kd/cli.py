@@ -9,6 +9,7 @@ validation failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -53,11 +54,16 @@ def _load_splits(cfg):
 
 def cmd_make_data(args):
     cfg = parse_config(args.config)
+    # the profile and the synthesis check every dataset key: a value they
+    # refuse is a config error, found before data_dir is made
+    try:
+        counts = make_longtail_counts(imbalance_profile(cfg))
+        train, test = synth_gaussian_mixture(
+            counts, cfg["d"], cfg["separation"], cfg["data_seed"], cfg["per_class_test"]
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     out = _prepare_out(cfg, "data_dir")
-    counts = make_longtail_counts(imbalance_profile(cfg))
-    train, test = synth_gaussian_mixture(
-        counts, cfg["d"], cfg["separation"], cfg["data_seed"], cfg["per_class_test"]
-    )
     save_dataset(train, os.path.join(out, "train.csv"))
     save_dataset(test, os.path.join(out, "test.csv"))
     lines = ["class,count"] + [f"{c},{int(n)}" for c, n in enumerate(counts)]
@@ -137,11 +143,12 @@ def cmd_gradcheck(args):
     threshold = 1e-6
     print(f"gradient check: {args.trials} trials, seed {args.seed}, threshold {threshold:g}")
     failed = False
-    worst_name = max(worst, key=worst.get)
+    # a NaN error is the worst case: it compares as neither ok nor larger
+    worst_name = max(worst, key=lambda name: (math.isnan(worst[name]), worst[name]))
     for name, err in sorted(worst.items()):
-        status = "ok" if err <= threshold else "FAIL"
-        print(f"  {name:<12} max |analytic - finite difference| = {err:.3e}  {status}")
-        failed = failed or err > threshold
+        ok = err <= threshold
+        print(f"  {name:<12} max |analytic - finite difference| = {err:.3e}  {'ok' if ok else 'FAIL'}")
+        failed = failed or not ok
     print(f"worst case: {worst_name} at {worst[worst_name]:.3e}")
     return EXIT_RUNTIME if failed else EXIT_OK
 

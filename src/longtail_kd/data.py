@@ -22,17 +22,18 @@ from elsewhere, or one edited after saving, loads as written. Both paths
 give the same bits, and ``LabeledDataset`` validates either result.
 
 Formatting floats with ``repr`` is nearly all the cost of a save, so
-``save_dataset`` spreads it over every CPU it may run on (``workers``). The
-rows are cut into contiguous ranges of whole 1024-row chunks, one range per
-CPU but never more ranges than chunks. A forked child formats each range
-after the first into ``<path>.part<k>`` while the saving process formats
-the first range itself. It then joins the part files onto its own in range
-order, hashing every byte it writes, so the CSV and its digest are the same
-bytes whatever the CPU count. With one CPU, one chunk, or a platform that
-cannot fork, nothing is forked and the same code formats every row in one
-range. The CSV and the sidecar are built as ``.tmp`` files and put in place
-with ``os.replace``, so a failed save leaves no part or temporary file
-behind and a previous dataset at the same path untouched.
+``save_dataset`` spreads it over every CPU it may run on, through the one
+fork path ``workers.run_split``. The rows are cut into contiguous ranges of
+whole 1024-row chunks, one range per CPU but never more ranges than chunks.
+A forked child formats each range after the first into
+``<path>.part<start>`` while the saving process formats the first range
+straight into ``<path>.tmp``. It then appends the part files in range
+order, hashing every byte of the CSV as it is written, so the CSV and its
+digest are the same bytes whatever the CPU count. With one CPU, one chunk,
+or a platform that cannot fork, nothing is forked and the same code formats
+every row in one range. The CSV and the sidecar are built as ``.tmp`` files
+and put in place with ``os.replace``, so a failed save leaves no part or
+temporary file behind and a previous dataset at the same path untouched.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mathutils import Rng
-from .workers import Workers, split
+from .workers import run_split, split
 
 FORMAT_MAGIC = "longtail-csv v1"
 SIDECAR_MAGIC = b"longtail-bin v1"
@@ -258,39 +259,41 @@ def save_dataset(data, path):
     docstring).
 
     The rows are split into contiguous ranges of whole save chunks, one per
-    available CPU (never more ranges than chunks). A forked child formats
-    each range after the first into ``<path>.part<k>`` while this process
-    formats the first range into ``<path>.tmp``; it then joins the
-    children in order and appends their part files, hashing every byte it
-    writes. With one CPU, one chunk, or a platform that cannot fork,
+    available CPU (``workers.split``, never more ranges than chunks), and
+    formatted through ``workers.run_split``: this process formats the first
+    range into ``<path>.tmp`` after the header while a forked child formats
+    each other range into ``<path>.part<start>``. This process then appends
+    the part files in order. Every byte of ``<path>.tmp`` is hashed as it is
+    written. With one CPU, one chunk, or a platform that cannot fork,
     nothing is forked. The sidecar is written as ``<path>.bin.tmp``, then
     both files are put in place with ``os.replace``. A failed child raises
-    OSError; on any failure the children still running are stopped, the
-    part and temporary files are removed and a previous ``<path>`` is left
-    as it was. The bytes do not depend on the CPU count.
+    OSError naming its rows; on any failure the children still running are
+    stopped, the part and temporary files are removed and a previous
+    ``<path>`` is left as it was. The bytes do not depend on the CPU count.
     """
-    ranges = _row_ranges(len(data))
-    parts = [f"{path}.part{k}" for k in range(1, len(ranges))]
+    n = len(data)
+    ranges = [(a * _SAVE_CHUNK_ROWS, min(b * _SAVE_CHUNK_ROWS, n)) for a, b in split(-(-n // _SAVE_CHUNK_ROWS))]
+    parts = [f"{path}.part{start}" for start, _ in ranges[1:]]
     tmp, sidecar_tmp = path + ".tmp", path + SIDECAR_SUFFIX + ".tmp"
+
+    def failed(start, stop, sent):
+        return f"{path}: the worker formatting rows {start}-{stop}"
+
     try:
-        with Workers() as workers:
-            for part, (start, stop) in zip(parts, ranges[1:]):
-                workers.fork(_write_part, data, start, stop, part)
-            csv_digest = hashlib.sha256()
-            with open(tmp, "wb") as fh:
+        csv_digest = hashlib.sha256()
+        with open(tmp, "wb") as fh:
 
-                def emit(blob):
-                    csv_digest.update(blob)
-                    fh.write(blob)
+            def emit(blob):
+                csv_digest.update(blob)
+                fh.write(blob)
 
-                emit(f"{FORMAT_MAGIC}, C={data.num_classes}, d={data.dimension}\n".encode("ascii"))
-                _format_range(emit, data, *ranges[0])
-                for part, (start, stop) in zip(parts, ranges[1:]):
-                    workers.join(lambda sent: f"{path}: the worker formatting rows {start}-{stop}")
-                    with open(part, "rb") as src:
-                        while block := src.read(_HASH_CHUNK_BYTES):
-                            emit(block)
-                    os.remove(part)
+            emit(f"{FORMAT_MAGIC}, C={data.num_classes}, d={data.dimension}\n".encode("ascii"))
+            run_split(ranges, _write_range, failed, data, path, emit)
+            for part in parts:
+                with open(part, "rb") as src:
+                    while block := src.read(_HASH_CHUNK_BYTES):
+                        emit(block)
+                os.remove(part)
         _write_sidecar(sidecar_tmp, csv_digest.digest(), data)
         os.replace(tmp, path)
         os.replace(sidecar_tmp, path + SIDECAR_SUFFIX)
@@ -299,13 +302,6 @@ def save_dataset(data, path):
             if os.path.exists(leftover):
                 os.remove(leftover)
         raise
-
-
-def _row_ranges(n_rows):
-    """``(start, stop)`` row ranges of whole save chunks, one per worker of
-    ``workers.split`` over the chunks."""
-    chunks = -(-n_rows // _SAVE_CHUNK_ROWS)
-    return [(min(a * _SAVE_CHUNK_ROWS, n_rows), min(b * _SAVE_CHUNK_ROWS, n_rows)) for a, b in split(chunks)]
 
 
 def _format_rows(data, start, stop):
@@ -319,10 +315,15 @@ def _format_range(write, data, start, stop):
         write(_format_rows(data, chunk, min(chunk + _SAVE_CHUNK_ROWS, stop)))
 
 
-def _write_part(_send, data, start, stop, part):
-    """A worker's job: write rows ``start:stop`` to ``part``."""
-    with open(part, "wb") as fh:
-        _format_range(fh.write, data, start, stop)
+def _write_range(_send, data, path, emit, start, stop):
+    """A save job: format rows ``start:stop`` chunk by chunk, through
+    ``emit`` (into ``<path>.tmp``) for the first range and into
+    ``<path>.part<start>`` for any other."""
+    if start:
+        with open(f"{path}.part{start}", "wb") as fh:
+            _format_range(fh.write, data, start, stop)
+    else:
+        _format_range(emit, data, start, stop)
 
 
 def _write_sidecar(path, csv_digest, data):
@@ -379,7 +380,7 @@ def _read_sidecar(csv_path, dim):
     return labels, features
 
 
-def _parse_rows(fh, path, dim):
+def _parse_rows(fh, path, num_classes, dim):
     labels = []
     rows = []
     for lineno, line in enumerate(fh, start=2):
@@ -390,10 +391,15 @@ def _parse_rows(fh, path, dim):
         if len(cells) != dim + 1:
             raise ValueError(f"{path}:{lineno}: expected {dim + 1} fields, got {len(cells)}")
         try:
-            labels.append(int(cells[0]))
-            rows.append([float(v) for v in cells[1:]])
+            label, row = int(cells[0]), [float(v) for v in cells[1:]]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if not 0 <= label < num_classes:
+            raise ValueError(f"{path}:{lineno}: label {label} outside [0, {num_classes})")
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}:{lineno}: features must be finite")
+        labels.append(label)
+        rows.append(row)
     return np.array(labels, dtype=np.int64), np.array(rows, dtype=np.float64).reshape(len(rows), dim)
 
 
@@ -421,7 +427,7 @@ def load_dataset(path):
             if num_classes < 1 or dim < 1:
                 raise ValueError(f"{path}: header needs C >= 1 and d >= 1 (header {header!r})")
             cached = _read_sidecar(path, dim)
-            labels, features = cached if cached is not None else _parse_rows(fh, path, dim)
+            labels, features = cached if cached is not None else _parse_rows(fh, path, num_classes, dim)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not ASCII text: {exc}") from None
     return LabeledDataset(features, labels, num_classes)

@@ -17,6 +17,7 @@ report is the same bits whatever the CPU count.
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 
 import numpy as np
@@ -32,7 +33,7 @@ from .losses import (
     kd_loss,
 )
 from .mathutils import Rng, softmax_with_temperature
-from .workers import run_split
+from .workers import run_split, split
 
 _CHECKS = ("ce", "cb", "kd", "bkd", "cb_formula", "kd_formula", "bkd_formula")
 # one worker's worst error per check, in _CHECKS order: exact float64 bits
@@ -76,9 +77,10 @@ def run_gradient_checks(trials=100, seed=0, h=1e-5):
 
     Covers the four losses plus the three closed-form diagnostic gradients
     (each checked against the finite differences of the loss it claims to
-    differentiate). Returns a dict: name -> worst error. ``trials`` must
-    be at least 1: an empty audit would report every loss as exact. A
-    failed worker raises OSError naming its trials.
+    differentiate). Returns a dict: name -> worst error, NaN if any trial
+    gave a NaN for that gradient. ``trials`` must be at least 1: an empty
+    audit would report every loss as exact. A failed worker raises OSError
+    naming its trials.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
@@ -86,7 +88,7 @@ def run_gradient_checks(trials=100, seed=0, h=1e-5):
     def failed(start, stop, sent):
         return f"the gradient-check worker for trials {start}-{stop}"
 
-    worst = run_split(trials, _check_trials, failed, seed, h)
+    worst = run_split(split(trials), _check_trials, failed, seed, h)
     merged = dict.fromkeys(_CHECKS, 0.0)
     for errs in _WORST.iter_unpack(worst):
         _keep_worst(merged, errs)
@@ -95,9 +97,10 @@ def run_gradient_checks(trials=100, seed=0, h=1e-5):
 
 def _keep_worst(worst, errs):
     """Raise each entry of ``worst`` to its error in ``errs`` (``_CHECKS``
-    order) where that is larger."""
+    order) where that is larger or NaN. A NaN is worse than any number, so
+    once kept it stays."""
     for name, err in zip(_CHECKS, errs):
-        if err > worst[name]:
+        if err > worst[name] or math.isnan(err):
             worst[name] = err
 
 

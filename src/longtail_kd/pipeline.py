@@ -65,7 +65,7 @@ from .mlp import (
     OptimizerState,
 )
 from .weights import effective_number_weights, normalize_weights
-from .workers import run_split
+from .workers import run_split, split
 
 CKPT_MAGIC = b"ckpt-v1"
 
@@ -417,7 +417,7 @@ def temperature_sweep(train, test, teacher, base_cfg, temps):
         T = temps[min(start + len(sent) // _ACC.size, stop - 1)]
         return f"the sweep worker training the student at T={T:g}"
 
-    accs = run_split(len(temps), _sweep_group, failed, train, test, teacher, base_cfg, temps)
+    accs = run_split(split(len(temps)), _sweep_group, failed, train, test, teacher, base_cfg, temps)
     return list(zip(temps, (acc for (acc,) in _ACC.iter_unpack(accs))))
 
 

@@ -73,6 +73,18 @@ class TestMakeData:
         assert run("make-data", "--config", cfg) == 0
         assert (data_dir / "train.csv").read_bytes() == first
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("C", 0), ("d", 1), ("rho", 0.5), ("n_max", 0), ("per_class_test", 0), ("separation", -1)],
+    )
+    def test_value_the_dataset_rejects_is_config_error(self, tmp_path, capsys, key, value):
+        # refused before the data directory is made
+        data_dir = tmp_path / "data"
+        cfg = write_config(tmp_path / "bad.cfg", data_dir=data_dir, out_dir=tmp_path / "out", **{key: value})
+        assert run("make-data", "--config", cfg) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not data_dir.exists()
+
 
 class TestTrain:
     def test_teacher_then_bkd_student(self, workspace):

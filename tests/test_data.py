@@ -20,6 +20,7 @@ from longtail_kd.data import (
     synth_gaussian_mixture,
 )
 from longtail_kd.pipeline import TrainConfig
+from longtail_kd.workers import split
 
 
 class TestMakeLongtailCounts:
@@ -211,7 +212,17 @@ class TestDiskFormat:
             load_dataset(str(path))
 
     @pytest.mark.parametrize(
-        "row", ["0,1.0", "1.0,1.0,2.0", "0,x,2.0"], ids=["short-row", "float-label", "text-feature"]
+        "row",
+        ["0,1.0", "1.0,1.0,2.0", "0,x,2.0", "5,1.0,2.0", "-1,1.0,2.0", "0,nan,2.0", "0,inf,2.0"],
+        ids=[
+            "short-row",
+            "float-label",
+            "text-feature",
+            "label-too-large",
+            "negative-label",
+            "nan-feature",
+            "inf-feature",
+        ],
     )
     def test_bad_row_rejected(self, tmp_path, row):
         path = tmp_path / "bad.csv"
@@ -373,7 +384,7 @@ class TestParallelSave:
         _cpus(monkeypatch, 3)
         monkeypatch.setattr(data_module, "_SAVE_CHUNK_ROWS", 4)
         data = _awkward_dataset(rows=25)
-        ranges = data_module._row_ranges(len(data))
+        ranges = [(a * 4, min(b * 4, len(data))) for a, b in split(7)]  # 7 chunks of 4 rows
         assert len(ranges) == 3
         owned = ranges[failing]
         format_rows = data_module._format_rows

@@ -1,5 +1,6 @@
-"""The fork-worker helper, through the two jobs that use it besides
-``save_dataset``: the temperature sweep and the gradient audit."""
+"""The fork-worker helper, through the three jobs that use it: the
+dataset save (see also ``test_data.TestParallelSave``), the temperature
+sweep and the gradient audit."""
 
 import os
 import subprocess
@@ -7,13 +8,16 @@ import sys
 import textwrap
 import time
 
+import numpy as np
 import pytest
 
+from longtail_kd import data as data_module
 from longtail_kd import gradcheck, pipeline
+from longtail_kd.data import load_dataset, save_dataset
 from longtail_kd.gradcheck import run_gradient_checks
 from longtail_kd.pipeline import temperature_sweep, train_teacher
 from test_cli import run, write_config
-from test_data import _cpus
+from test_data import _awkward_dataset, _cpus
 from test_pipeline import small_cfg, two_class_separable
 
 TEMPS = [1.0, 2.0, 4.0, 0.5]
@@ -82,6 +86,45 @@ def test_gradient_audit_is_the_same_bits_on_any_cpu_count(monkeypatch, cpus, tri
     assert len(forks) == min(cpus, trials) - 1
     assert list(worst) == list(serial)
     assert [err.hex() for err in worst.values()] == [err.hex() for err in serial.values()]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("rows", [10, 25])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_save_forks_one_child_per_range_after_the_first(tmp_path, monkeypatch, cpus, rows):
+    # chunks of 4 rows: 10 rows are 3 chunks, 25 rows are 7
+    _cpus(monkeypatch, cpus)
+    monkeypatch.setattr(data_module, "_SAVE_CHUNK_ROWS", 4)
+    forks = count_forks(monkeypatch)
+    data = _awkward_dataset(rows=rows)
+    path = str(tmp_path / "train.csv")
+    save_dataset(data, path)
+    assert len(forks) == min(cpus, -(-rows // 4)) - 1
+    assert load_dataset(path).features.tobytes() == data.features.tobytes()
+    assert sorted(os.listdir(tmp_path)) == ["train.csv", "train.csv.bin"]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_a_nan_gradient_is_the_worst_error(monkeypatch, capsys, cpus):
+    # only trial 0's closed-form cb gradient is NaN: one CPU checks finite
+    # trials after it, and three CPUs merge it with two finite workers
+    first_z = next(gradcheck._instances(5))[1]
+    real = gradcheck.cb_grad_formula
+
+    def cb_grad_formula(z, y, w):
+        g = real(z, y, w)
+        return np.full_like(g, np.nan) if np.array_equal(z, first_z) else g
+
+    _cpus(monkeypatch, cpus)
+    monkeypatch.setattr(gradcheck, "cb_grad_formula", cb_grad_formula)
+    worst = run_gradient_checks(trials=5, seed=5)
+    assert np.isnan(worst["cb_formula"])
+    assert all(np.isfinite(err) for name, err in worst.items() if name != "cb_formula")
+    assert run("gradcheck", "--trials", 5, "--seed", 5) == 2
+    out = capsys.readouterr().out
+    assert "cb_formula   max |analytic - finite difference| = nan  FAIL" in out
+    assert out.splitlines()[-1] == "worst case: cb_formula at nan"
     assert_no_child_left()
 
 
