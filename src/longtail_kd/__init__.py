@@ -11,7 +11,6 @@ from .data import (
     ImbalanceProfile,
     LabeledDataset,
     SubsetTags,
-    downsample_to_profile,
     load_dataset,
     make_longtail_counts,
     save_dataset,
@@ -31,7 +30,7 @@ from .losses import (
     distill_grad_formula,
     kd_loss,
 )
-from .mathutils import Rng, log_sum_exp, one_hot, softmax_with_temperature
+from .mathutils import Rng, softmax_with_temperature
 from .mlp import LrSchedule, MlpParams, backward, forward, init_mlp, lr_at, sgd_momentum_step
 from .pipeline import (
     MetricRow,

@@ -18,7 +18,15 @@ from .config import ConfigError, imbalance_profile, parse_config, render_config,
 from .data import load_dataset, make_longtail_counts, save_dataset, subset_tags, synth_gaussian_mixture
 from .gradcheck import run_gradient_checks
 from .mathutils import check_temperature
-from .pipeline import check_sweep_epochs, metrics_to_csv, read_checkpoint, temperature_sweep, train_student, train_teacher
+from .pipeline import (
+    check_model_fits,
+    check_sweep_epochs,
+    metrics_to_csv,
+    read_checkpoint,
+    temperature_sweep,
+    train_student,
+    train_teacher,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -87,15 +95,20 @@ def cmd_train(args):
     if args.role == "student" and not args.teacher:
         raise UsageError("--role student requires --teacher <checkpoint>")
     tcfg = train_config(cfg, loss="ce" if args.role == "teacher" else None)
+    if args.role == "teacher" and args.teacher:
+        raise UsageError("--teacher is only valid with --role student")
+    # the teacher is read and checked against the data before out_dir is made
+    teacher = read_checkpoint(args.teacher).params if args.teacher else None
     train, test = _load_splits(cfg)
+    if teacher is not None:
+        check_model_fits(teacher, train, "teacher", "data")
     out = _prepare_out(cfg, "out_dir")
     ckpt_path = os.path.join(out, f"{args.role}.ckpt")
 
-    if args.role == "teacher":
+    if teacher is None:
         params, log = train_teacher(train, test, tcfg, out_ckpt=ckpt_path)
     else:
-        teacher_params = read_checkpoint(args.teacher).params
-        params, log = train_student(train, test, teacher_params, tcfg, out_ckpt=ckpt_path)
+        params, log = train_student(train, test, teacher, tcfg, out_ckpt=ckpt_path)
 
     _write(os.path.join(out, f"{args.role}_metrics.csv"), metrics_to_csv(log))
     _, report = _score(params, train, test, tcfg)
@@ -116,10 +129,8 @@ def cmd_eval(args):
     params = read_checkpoint(args.ckpt).params
     data = load_dataset(args.data)
     train = load_dataset(os.path.join(cfg["data_dir"], "train.csv"))
-    emitted = params.dims[-1]
     for name, split in (("data", data), ("train split", train)):
-        if split.num_classes != emitted:
-            raise ValueError(f"checkpoint emits {emitted} classes but the {name} has {split.num_classes}")
+        check_model_fits(params, split, "checkpoint", name)
     out = _prepare_out(cfg, "out_dir")
 
     preds, report = _score(params, train, data, tcfg)

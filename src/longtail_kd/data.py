@@ -1,5 +1,5 @@
-"""Long-tailed dataset construction, synthesis, downsampling, subset tagging,
-and the on-disk CSV format.
+"""Long-tailed dataset construction, synthesis, subset tagging, and the
+on-disk CSV format.
 
 Train splits follow an imbalance profile; test splits are always balanced.
 
@@ -207,30 +207,6 @@ def synth_gaussian_mixture(counts, dim, separation, seed, per_class_test):
     train = LabeledDataset(np.vstack(train_feats), train_labels, C)
     test = LabeledDataset(np.vstack(test_feats), test_labels, C)
     return train, test
-
-
-def downsample_to_profile(data, counts, seed):
-    """Uniform per-class subsample (without replacement) down to ``counts``.
-
-    Selected rows keep their original order. Raises if any class has fewer
-    rows than requested.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.shape != (data.num_classes,):
-        raise ValueError(f"counts must have one entry per class ({data.num_classes})")
-    available = data.class_counts
-    for c in range(data.num_classes):
-        if counts[c] > available[c]:
-            raise ValueError(
-                f"class {c}: requested {int(counts[c])} samples but only {int(available[c])} available"
-            )
-    rng = Rng(seed)
-    keep = []
-    for c in range(data.num_classes):
-        rows = np.flatnonzero(data.labels == c)
-        keep.append(rows[rng.subset(rows.size, int(counts[c]))])
-    keep = np.sort(np.concatenate(keep))
-    return LabeledDataset(data.features[keep], data.labels[keep], data.num_classes)
 
 
 def check_thresholds(many_thresh, few_thresh):

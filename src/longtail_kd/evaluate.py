@@ -42,9 +42,8 @@ def predict(params, data, out=None):
 
     ``out`` is passed on to ``forward``: per-layer (len(data), fan_out)
     buffers that a caller scoring the same split every epoch allocates once.
+    ``forward`` refuses data of another width than the model's input.
     """
-    if data.dimension != params.dims[0]:
-        raise ValueError(f"data dimension {data.dimension} does not match model input {params.dims[0]}")
     logits, _ = forward(params, data.features, out=out)
     return np.argmax(logits, axis=1).astype(np.int64)
 

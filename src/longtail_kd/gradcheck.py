@@ -39,18 +39,20 @@ _CHECKS = ("ce", "cb", "kd", "bkd", "cb_formula", "kd_formula", "bkd_formula")
 # one worker's worst error per check, in _CHECKS order: exact float64 bits
 _WORST = struct.Struct(f"<{len(_CHECKS)}d")
 _TEMPS = (1.0, 2.0, 4.0)
+FD_STEP = 1e-5  # the step of every central difference
 
 
-def finite_difference_gradient(f, z, h=1e-5):
-    """Central-difference gradient of a scalar function of a logit vector."""
+def finite_difference_gradient(f, z):
+    """Central-difference gradient, step ``FD_STEP``, of a scalar function
+    of a logit vector."""
     z = np.asarray(z, dtype=np.float64)
     g = np.zeros_like(z)
     for i in range(z.size):
         zp = z.copy()
         zm = z.copy()
-        zp[i] += h
-        zm[i] -= h
-        g[i] = (f(zp) - f(zm)) / (2.0 * h)
+        zp[i] += FD_STEP
+        zm[i] -= FD_STEP
+        g[i] = (f(zp) - f(zm)) / (2.0 * FD_STEP)
     return g
 
 
@@ -72,7 +74,7 @@ def _instances(seed):
         yield trial, z, t_logits, y, w, rng.uniform()
 
 
-def run_gradient_checks(trials=100, seed=0, h=1e-5):
+def run_gradient_checks(trials=100, seed=0):
     """Max abs(analytic - finite difference) over random instances.
 
     Covers the four losses plus the three closed-form diagnostic gradients
@@ -88,7 +90,7 @@ def run_gradient_checks(trials=100, seed=0, h=1e-5):
     def failed(start, stop, sent):
         return f"the gradient-check worker for trials {start}-{stop}"
 
-    worst = run_split(split(trials), _check_trials, failed, seed, h)
+    worst = run_split(split(trials), _check_trials, failed, seed)
     merged = dict.fromkeys(_CHECKS, 0.0)
     for errs in _WORST.iter_unpack(worst):
         _keep_worst(merged, errs)
@@ -104,7 +106,7 @@ def _keep_worst(worst, errs):
             worst[name] = err
 
 
-def _check_trials(send, seed, h, start, stop):
+def _check_trials(send, seed, start, stop):
     """Check trials ``start:stop`` and send the worst error per check."""
     worst = dict.fromkeys(_CHECKS, 0.0)
     for trial, z, t_logits, y, w, alpha in itertools.islice(_instances(seed), start, stop):
@@ -132,7 +134,7 @@ def _check_trials(send, seed, h, start, stop):
 
         errs = {}
         for name, (f, *grads) in audits.items():
-            fd = finite_difference_gradient(f, z, h)
+            fd = finite_difference_gradient(f, z)
             for check, g in zip((name, f"{name}_formula"), grads):
                 errs[check] = float(np.abs(g - fd).max())
         _keep_worst(worst, [errs[name] for name in _CHECKS])

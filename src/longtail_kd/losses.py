@@ -22,10 +22,11 @@ so teacher targets may contain exact zeros.
 ``cb_grad_formula`` and ``distill_grad_formula`` are closed-form gradient
 expressions kept as independent diagnostics: the first must reproduce
 ``cb_loss``'s gradient, the second ``kd_loss``'s and ``bkd_loss``'s,
-ce_coef * (p - one_hot(y)) + kl_coef * T * (p_T - targets). The single
-factor of T is what the T^2 scaling of the KL term leaves (Hinton et al.).
-The second writes its softmax out itself rather than through the shared
-row shift, so a fault in that shift shows up as a disagreement.
+ce_coef * (p - e_y) + kl_coef * T * (p_T - targets), with e_y the
+indicator vector of class y. The single factor of T is what the T^2
+scaling of the KL term leaves (Hinton et al.). The second writes its
+softmax out itself rather than through the shared row shift, so a fault in
+that shift shows up as a disagreement.
 
 The ``*_batch`` functions are the vectorized cores, one row per sample; the
 scalar entry points validate and delegate to them with a single row. Both
@@ -132,7 +133,7 @@ def softmax_rows(Z, temperature=1.0):
 
 
 def _ce_rows(log_p, ys):
-    """Cross-entropy values -log p_y and logit gradients p - one_hot(y)."""
+    """Cross-entropy values -log p_y and logit gradients p - e_y."""
     at_y = np.arange(0, log_p.size, log_p.shape[1]) + ys  # flat index of each row's label
     values = -log_p.ravel()[at_y]
     grads = np.exp(log_p, order="C")  # so that ravel() is a view
@@ -186,7 +187,8 @@ def distill_loss_batch(Z, targets, ys, ce_coef, kl_coef, temperature):
 
 
 def ce_loss(z, y):
-    """Softmax cross-entropy -log p_y; gradient is p - one_hot(y)."""
+    """Softmax cross-entropy -log p_y; gradient is p - e_y (e_y the
+    indicator vector of class y)."""
     z = check_logits(z)
     y = _check_label(y, z.size)
     values, grads = ce_loss_batch(z[None, :], [y])
@@ -254,7 +256,7 @@ def cb_grad_formula(z, y, w):
 
 def distill_grad_formula(z, targets, y, ce_coef, kl_coef, temperature):
     """Closed-form gradient of ce_coef * CE + kl_coef * T^2 * KL(targets || p_T):
-    ce_coef * (p - one_hot(y)) + kl_coef * T * (p_T - targets).
+    ce_coef * (p - e_y) + kl_coef * T * (p_T - targets).
 
     Diagnostic twin of ``kd_loss`` (the teacher's soft targets, coefs
     (alpha, 1 - alpha)) and of ``bkd_loss`` (``balanced_targets``, coefs

@@ -1,5 +1,5 @@
-"""Deterministic numeric primitives: temperature (log-)softmax, stable
-log-sum-exp, one-hot encoding, and a seedable counter-based PRNG.
+"""Deterministic numeric primitives: temperature (log-)softmax, the logit
+and temperature rules, and a seedable counter-based PRNG.
 
 All arithmetic is 64-bit float. The PRNG is SplitMix64 driven by a draw
 counter, so its full state is the pair (seed, counter) and any block of
@@ -80,24 +80,6 @@ def softmax_with_temperature(z, temperature):
     return np.exp(log_softmax_rows(z[None, :], temperature)[0])
 
 
-def log_sum_exp(z):
-    """max(z) + log(sum(exp(z - max(z)))). Overflow-safe for any finite input."""
-    z = check_logits(z)
-    m = z.max()
-    return float(m + np.log(np.exp(z - m).sum()))
-
-
-def one_hot(label, num_classes):
-    """Indicator vector with a single 1 at position ``label``."""
-    if not (isinstance(num_classes, (int, np.integer)) and num_classes >= 1):
-        raise ValueError(f"num_classes must be a positive integer, got {num_classes!r}")
-    if not (isinstance(label, (int, np.integer)) and 0 <= label < num_classes):
-        raise ValueError(f"label {label!r} out of range [0, {num_classes})")
-    v = np.zeros(int(num_classes), dtype=np.float64)
-    v[int(label)] = 1.0
-    return v
-
-
 def mix64(x):
     """SplitMix64 finalizer: a 64-bit bijective hash."""
     z = x & _U64_MASK
@@ -108,7 +90,7 @@ def mix64(x):
 
 def derive_seed(seed, stream):
     """Derive an independent stream seed from a base seed and a stream index."""
-    return mix64((seed + (stream + 1) * _GOLDEN) & _U64_MASK)
+    return mix64((int(seed) + (stream + 1) * _GOLDEN) & _U64_MASK)
 
 
 class Rng:
@@ -179,13 +161,3 @@ class Rng:
         if n == 0:
             return np.empty(0, dtype=np.int64)
         return np.argsort(self._raw(n), kind="stable").astype(np.int64)
-
-    def subset(self, n, k):
-        """k distinct indices from range(n), in ascending order."""
-        if not 0 <= k <= n:
-            raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        keys = self._raw(n)
-        chosen = np.argsort(keys, kind="stable")[:k]
-        return np.sort(chosen).astype(np.int64)

@@ -2,10 +2,10 @@
 momentum, learning-rate schedules, and a versioned binary parameter format.
 
 Layers are affine maps with rectified-linear hidden activations; the final
-layer emits raw logits. ``forward`` accepts a single feature vector or an
-(N, d) batch; ``backward`` consumes the matching cache and the loss gradient
-with respect to the logits, summing parameter gradients over the batch rows
-it is given (scale grad_logits by 1/N beforehand for a mean reduction). The
+layer emits raw logits. ``forward`` takes an (N, d) batch (one sample is a
+(1, d) batch); ``backward`` consumes the matching cache and the (N, C) loss
+gradient with respect to the logits, summing parameter gradients over the
+batch rows (scale grad_logits by 1/N beforehand for a mean reduction). The
 cache holds each layer's input and no pre-activations: ``backward`` masks
 on the rectified inputs. A caller that scores the same number of rows again
 and again can pass per-layer ``out`` buffers to ``forward`` and reuse them,
@@ -139,7 +139,7 @@ def init_mlp(dims, seed):
 def forward(params, x, out=None):
     """Logits and an activation cache for ``backward``.
 
-    1-D input gives a 1-D logit vector; an (N, d) batch gives (N, C). Each
+    An (N, d) batch gives (N, C) logits; any other shape is refused. Each
     layer adds its bias and rectifies in place, so a layer makes one array.
     ``out``, if given, holds one (N, fan_out) float64 buffer per layer; the
     layers are written into them, and the logits and the cache are views of
@@ -148,14 +148,10 @@ def forward(params, x, out=None):
     rectified input of layer l is also the mask of layer l - 1.
     """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    if X.ndim != 2 or X.shape[1] != params.weights[0].shape[1]:
-        raise ValueError(
-            f"input dimension {x.shape} does not match first layer fan_in {params.weights[0].shape[1]}"
-        )
-    inputs = [X]
-    a = X
+    if x.ndim != 2 or x.shape[1] != params.dims[0]:
+        raise ValueError(f"input of shape {x.shape} is not an (N, {params.dims[0]}) batch")
+    inputs = [x]
+    a = x
     last = len(params.weights) - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         a = np.matmul(a, w.T, out=None if out is None else out[l])
@@ -163,8 +159,7 @@ def forward(params, x, out=None):
         if l < last:
             np.maximum(a, 0.0, out=a)
             inputs.append(a)
-    cache = {"inputs": inputs, "single": single}
-    return (a[0] if single else a), cache
+    return a, {"inputs": inputs}
 
 
 def backward(params, cache, grad_logits, out=None):
@@ -177,13 +172,9 @@ def backward(params, cache, grad_logits, out=None):
     overwritten and returned, or else a new one.
     """
     g = np.asarray(grad_logits, dtype=np.float64)
-    if cache["single"]:
-        if g.ndim != 1:
-            raise ValueError("grad_logits must be 1-D for a single-sample cache")
-        g = g[None, :]
     inputs = cache["inputs"]
     if g.shape != (inputs[0].shape[0], params.dims[-1]):
-        raise ValueError(f"grad_logits shape {grad_logits.shape} does not match the forward cache")
+        raise ValueError(f"grad_logits shape {g.shape} does not match the forward cache")
     grads = MlpParams.from_flat(np.empty_like(params.flat), params.dims) if out is None else out
     if grads.dims != params.dims:
         raise ValueError(f"gradient buffer dims {grads.dims} do not match parameters {params.dims}")

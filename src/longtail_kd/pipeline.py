@@ -72,6 +72,11 @@ CKPT_MAGIC = b"ckpt-v1"
 LOSS_KINDS = ("ce", "cb", "kd", "bkd")
 
 
+def _is_int(x):
+    """A Python or numpy integer, as ``data.check_thresholds`` accepts."""
+    return isinstance(x, (int, np.integer))
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     loss: str = "ce"
@@ -91,10 +96,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
+        if not (_is_int(self.epochs) and self.epochs >= 0):
+            raise ValueError(f"epochs must be a nonnegative integer, got {self.epochs!r}")
+        if not (_is_int(self.batch_size) and self.batch_size >= 1):
+            raise ValueError(f"batch_size must be a positive integer, got {self.batch_size!r}")
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
         if not 0.0 <= self.weight_decay < math.inf:
@@ -102,10 +109,10 @@ class TrainConfig:
         if self.defer_epoch is not None:
             if self.loss != "bkd":
                 raise ValueError("defer_epoch is only valid with loss='bkd'")
-            if not 0 <= self.defer_epoch < self.epochs:
-                raise ValueError("defer_epoch must lie in [0, epochs)")
-        if any(int(h) < 1 for h in self.hidden_dims):
-            raise ValueError("hidden layer widths must be positive")
+            if not (_is_int(self.defer_epoch) and 0 <= self.defer_epoch < self.epochs):
+                raise ValueError(f"defer_epoch must be an integer in [0, epochs), got {self.defer_epoch!r}")
+        if not all(_is_int(h) and h >= 1 for h in self.hidden_dims):
+            raise ValueError(f"hidden layer widths must be positive integers, got {self.hidden_dims!r}")
         check_thresholds(self.many_thresh, self.few_thresh)
 
 
@@ -256,6 +263,16 @@ def read_checkpoint(path):
 # training loops
 
 
+def check_model_fits(params, data, model, name):
+    """ValueError unless ``params`` takes ``data``'s features and emits
+    its classes: the one rule for running a model on a dataset. ``model``
+    and ``name`` say what the two are in the message."""
+    if params.dims[0] != data.dimension:
+        raise ValueError(f"{model} takes {params.dims[0]} features but the {name} has {data.dimension}")
+    if params.dims[-1] != data.num_classes:
+        raise ValueError(f"{model} emits {params.dims[-1]} classes but the {name} has {data.num_classes}")
+
+
 def _check_datasets(train, test):
     if train.dimension != test.dimension:
         raise ValueError(
@@ -288,7 +305,7 @@ def _teacher_targets(teacher, features, batch_size, temperature, w):
 
 def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
     _check_datasets(train, test)
-    dims = (train.dimension, *[int(h) for h in cfg.hidden_dims], train.num_classes)
+    dims = (train.dimension, *cfg.hidden_dims, train.num_classes)
     digest = config_digest(cfg)
     tags = subset_tags(train.class_counts, cfg.many_thresh, cfg.few_thresh)
     # every epoch scores the test split into these, and every minibatch
@@ -378,10 +395,7 @@ def train_student(train, test, teacher, cfg, *, out_ckpt=None, resume_from=None,
     """
     if teacher is None:
         raise ValueError("student training requires a teacher model")
-    if teacher.dims[0] != train.dimension:
-        raise ValueError("teacher input dimension does not match the data")
-    if teacher.dims[-1] != train.num_classes:
-        raise ValueError(f"teacher emits {teacher.dims[-1]} classes but data has {train.num_classes}")
+    check_model_fits(teacher, train, "teacher", "data")
     return _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch)
 
 

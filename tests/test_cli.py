@@ -107,6 +107,39 @@ class TestTrain:
         assert run("train", "--config", cfg, "--role", "student") == 1
         assert "--teacher" in capsys.readouterr().err
 
+    def test_teacher_flag_with_teacher_role_is_usage_error(self, workspace, capsys):
+        # refused before any data is read: the data directory does not exist
+        _, cfg, _, out_dir = workspace
+        assert run("train", "--config", cfg, "--role", "teacher", "--teacher", "absent.ckpt") == 1
+        assert capsys.readouterr().err == "error: --teacher is only valid with --role student\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "teacher_data, message",
+        [
+            ("wide", "teacher takes 5 features but the data has 4"),
+            ("four", "teacher emits 4 classes but the data has 3"),
+            (None, "checkpoint not found"),
+        ],
+    )
+    def test_teacher_that_does_not_fit_is_refused_before_out_dir(self, tmp_path, capsys, teacher_data, message):
+        teacher = tmp_path / "absent.ckpt"
+        if teacher_data is not None:
+            shape = {"wide": {"d": 5}, "four": {"C": 4}}[teacher_data]
+            other = write_config(
+                tmp_path / "other.cfg", data_dir=tmp_path / "other", out_dir=tmp_path / "other-out", **shape
+            )
+            assert run("make-data", "--config", other) == 0
+            assert run("train", "--config", other, "--role", "teacher") == 0
+            teacher = tmp_path / "other-out" / "teacher.ckpt"
+        out_dir = tmp_path / "out"
+        cfg = write_config(tmp_path / "exp.cfg", data_dir=tmp_path / "data", out_dir=out_dir)
+        assert run("make-data", "--config", cfg) == 0
+        capsys.readouterr()
+        assert run("train", "--config", cfg, "--role", "student", "--teacher", teacher) == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_cb_baseline_completes_with_finite_losses(self, workspace):
         _, cfg, data_dir, out_dir = workspace
         assert run("make-data", "--config", cfg) == 0
@@ -212,6 +245,19 @@ class TestEval:
         assert not (out_dir / "eval_report.json").exists()
 
 
+    def test_input_width_mismatch_refused_before_out_dir(self, workspace, capsys):
+        tmp, cfg, data_dir, out_dir = workspace
+        assert run("make-data", "--config", cfg) == 0
+        assert run("train", "--config", cfg, "--role", "teacher") == 0
+        wide = write_config(tmp / "wide.cfg", d=5, data_dir=tmp / "wide", out_dir=tmp / "wide-out")
+        assert run("make-data", "--config", wide) == 0
+        capsys.readouterr()
+        args = ("--ckpt", out_dir / "teacher.ckpt", "--data", tmp / "wide" / "test.csv", "--config", wide)
+        assert run("eval", *args) == 2
+        assert "checkpoint takes 4 features but the data has 5" in capsys.readouterr().err
+        assert not (tmp / "wide-out").exists()
+
+
 class TestGradcheck:
     def test_passes_and_reports(self, capsys):
         assert run("gradcheck", "--trials", 100, "--seed", 1) == 0
@@ -225,9 +271,9 @@ class TestGradcheck:
         calls = []
         real = gradcheck.finite_difference_gradient
 
-        def counting(f, z, h):
+        def counting(f, z):
             calls.append(1)
-            return real(f, z, h)
+            return real(f, z)
 
         _cpus(monkeypatch, 1)
         monkeypatch.setattr(gradcheck, "finite_difference_gradient", counting)

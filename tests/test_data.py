@@ -12,7 +12,6 @@ from longtail_kd.data import (
     MEDIUM,
     ImbalanceProfile,
     LabeledDataset,
-    downsample_to_profile,
     load_dataset,
     make_longtail_counts,
     save_dataset,
@@ -97,41 +96,6 @@ class TestSynthGaussianMixture:
     def test_dimension_too_small_rejected(self):
         with pytest.raises(ValueError):
             synth_gaussian_mixture([10], 1, 1.0, seed=0, per_class_test=5)
-
-
-class TestDownsample:
-    def _dataset(self):
-        train, _ = synth_gaussian_mixture([100, 100], 3, 2.0, seed=5, per_class_test=1)
-        return train
-
-    def test_identity_when_counts_match(self):
-        data = self._dataset()
-        out = downsample_to_profile(data, [100, 100], seed=9)
-        np.testing.assert_array_equal(out.features, data.features)
-        np.testing.assert_array_equal(out.labels, data.labels)
-
-    def test_cardinalities(self):
-        out = downsample_to_profile(self._dataset(), [100, 10], seed=9)
-        np.testing.assert_array_equal(out.class_counts, [100, 10])
-
-    def test_rows_come_from_source(self):
-        data = self._dataset()
-        out = downsample_to_profile(data, [17, 5], seed=1)
-        source_rows = {tuple(row) for row in data.features}
-        assert all(tuple(row) in source_rows for row in out.features)
-
-    def test_different_seeds_different_subsets_same_counts(self):
-        data = self._dataset()
-        a = downsample_to_profile(data, [50, 50], seed=1)
-        b = downsample_to_profile(data, [50, 50], seed=2)
-        np.testing.assert_array_equal(a.class_counts, b.class_counts)
-        rows_a = {tuple(r) for r in a.features}
-        rows_b = {tuple(r) for r in b.features}
-        assert rows_a != rows_b
-
-    def test_overdraw_names_the_class(self):
-        with pytest.raises(ValueError, match="class 1"):
-            downsample_to_profile(self._dataset(), [50, 101], seed=0)
 
 
 class TestSubsetTags:

@@ -62,25 +62,25 @@ class TestForward:
     def test_zero_params_zero_logits(self):
         params = init_mlp([3, 2], seed=0)
         params.weights[0][:] = 0.0
-        logits, _ = forward(params, np.ones(3))
-        np.testing.assert_array_equal(logits, [0.0, 0.0])
+        logits, _ = forward(params, np.ones((1, 3)))
+        np.testing.assert_array_equal(logits, [[0.0, 0.0]])
 
     def test_single_linear_layer_is_affine(self):
         rng = Rng(50)
         w = rng.normal((3, 4))
         b = rng.normal(3)
         params = MlpParams([w], [b])
-        x = rng.normal(4)
+        x = rng.normal((1, 4))
         logits, _ = forward(params, x)
-        np.testing.assert_allclose(logits, w @ x + b, atol=1e-15)
+        np.testing.assert_allclose(logits[0], w @ x[0] + b, atol=1e-15)
 
     def test_matches_independent_reimplementation(self):
         rng = Rng(51)
         params = init_mlp([6, 8, 5, 4], seed=3)
         for _ in range(10):
-            x = rng.normal(6)
+            x = rng.normal((1, 6))
             got, _ = forward(params, x)
-            assert np.abs(got - naive_forward(params, x)).max() < 1e-12
+            assert np.abs(got[0] - naive_forward(params, x[0])).max() < 1e-12
 
     def test_batch_rows_match_single(self):
         # BLAS may pick different kernels for (1, d) and (N, d) inputs, so
@@ -89,32 +89,38 @@ class TestForward:
         X = Rng(52).normal((9, 4))
         batch_logits, _ = forward(params, X)
         for i in range(9):
-            single, _ = forward(params, X[i])
-            np.testing.assert_allclose(batch_logits[i], single, atol=1e-12)
+            single, _ = forward(params, X[i : i + 1])
+            np.testing.assert_allclose(batch_logits[i], single[0], atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         params = init_mlp([4, 3], seed=0)
         with pytest.raises(ValueError):
-            forward(params, np.ones(5))
+            forward(params, np.ones((1, 5)))
+
+    def test_vector_input_rejected(self):
+        # one sample is a (1, d) batch; a bare vector is refused
+        params = init_mlp([4, 3], seed=0)
+        with pytest.raises(ValueError, match=r"input of shape \(4,\) is not an \(N, 4\) batch"):
+            forward(params, np.ones(4))
 
 
 class TestBackward:
     def test_zero_grad_logits_give_zero_grads(self):
         params = init_mlp([4, 5, 3], seed=1)
-        _, cache = forward(params, np.ones(4))
-        grads = backward(params, cache, np.zeros(3))
+        _, cache = forward(params, np.ones((1, 4)))
+        grads = backward(params, cache, np.zeros((1, 3)))
         for g in grads.weights + grads.biases:
             assert not g.any()
 
     def test_single_linear_layer_outer_product(self):
         rng = Rng(53)
         params = MlpParams([rng.normal((3, 4))], [rng.normal(3)])
-        x = rng.normal(4)
-        g = rng.normal(3)
+        x = rng.normal((1, 4))
+        g = rng.normal((1, 3))
         _, cache = forward(params, x)
         grads = backward(params, cache, g)
         np.testing.assert_allclose(grads.weights[0], np.outer(g, x), atol=1e-15)
-        np.testing.assert_allclose(grads.biases[0], g, atol=1e-15)
+        np.testing.assert_allclose(grads.biases[0], g[0], atol=1e-15)
 
     def test_end_to_end_finite_differences(self):
         # loss(theta) = mean CE of the network output; perturb every scalar
@@ -151,7 +157,7 @@ class TestBackward:
 
     def test_shape_mismatch_rejected(self):
         params = init_mlp([4, 3], seed=0)
-        _, cache = forward(params, np.ones(4))
+        _, cache = forward(params, np.ones((1, 4)))
         with pytest.raises(ValueError):
             backward(params, cache, np.zeros((2, 3)))
 
@@ -234,14 +240,14 @@ class TestBuffers:
 
     def test_cache_holds_no_preactivations(self):
         params, X = random_net((6, 8, 4), 5, seed=74)
-        assert set(forward(params, X)[1]) == {"inputs", "single"}
+        assert set(forward(params, X)[1]) == {"inputs"}
 
 
 class TestSgdMomentum:
     def test_zero_momentum_is_vanilla_sgd(self):
         params = init_mlp([2, 2], seed=0)
         before = params.copy()
-        grads = backward(params, forward(params, np.ones(2))[1], np.array([1.0, -1.0]))
+        grads = backward(params, forward(params, np.ones((1, 2)))[1], np.array([[1.0, -1.0]]))
         state = init_optimizer(params, momentum=0.0)
         sgd_momentum_step(params, grads, state, lr=1.0)
         for p, p0, g in zip(params.weights, before.weights, grads.weights):
@@ -252,7 +258,7 @@ class TestSgdMomentum:
         before = params.copy()
         state = init_optimizer(params, momentum=0.9)
         state.vel.weights[0][:] = 1.0
-        zero = backward(params, forward(params, np.zeros(2))[1], np.zeros(2))
+        zero = backward(params, forward(params, np.zeros((1, 2)))[1], np.zeros((1, 2)))
         sgd_momentum_step(params, zero, state, lr=0.5)
         np.testing.assert_allclose(params.weights[0], before.weights[0] - 0.5 * 0.9 * 1.0)
 
@@ -262,9 +268,9 @@ class TestSgdMomentum:
             params = init_mlp([3, 4, 2], seed=2)
             state = init_optimizer(params, momentum=0.9)
             for _ in range(20):
-                x = rng.normal(3)
+                x = rng.normal((1, 3))
                 logits, cache = forward(params, x)
-                grads = backward(params, cache, logits - np.array([1.0, 0.0]))
+                grads = backward(params, cache, logits - np.array([[1.0, 0.0]]))
                 sgd_momentum_step(params, grads, state, lr=0.01)
             return params
 
@@ -295,7 +301,7 @@ class TestSgdMomentum:
 
     def test_mismatched_shapes_rejected(self):
         params = init_mlp([3, 4, 2], seed=0)
-        grads = backward(params, forward(params, np.ones(3))[1], np.ones(2))
+        grads = backward(params, forward(params, np.ones((1, 3)))[1], np.ones((1, 2)))
         with pytest.raises(ValueError, match="shapes"):
             sgd_momentum_step(params, grads, init_optimizer(init_mlp([3, 5, 2], seed=0)), lr=0.1)
         with pytest.raises(ValueError, match="positive"):
@@ -396,7 +402,7 @@ class TestSerialization:
         loaded = params_from_bytes(params_to_bytes(params))
         for a, b in zip(params.weights + params.biases, loaded.weights + loaded.biases):
             np.testing.assert_array_equal(a, b)
-        x = Rng(56).normal(5)
+        x = Rng(56).normal((1, 5))
         np.testing.assert_array_equal(forward(params, x)[0], forward(loaded, x)[0])
 
     def test_magic_enforced(self):

@@ -187,6 +187,34 @@ class TestTrainTeacher:
         with pytest.raises(ValueError, match="weight_decay must be finite and nonnegative"):
             small_cfg(weight_decay=wd)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("epochs", 2.5, "epochs must be a nonnegative integer"),
+            ("batch_size", 8.5, "batch_size must be a positive integer"),
+            ("seed", 1.5, "seed must be an integer"),
+            ("defer_epoch", 1.5, r"defer_epoch must be an integer in \[0, epochs\)"),
+            ("hidden_dims", (8.7,), "hidden layer widths must be positive integers"),
+        ],
+    )
+    def test_non_integer_count_refused_at_construction(self, field, value, message):
+        # these once constructed, then failed in training (epochs,
+        # batch_size, seed) or were truncated (defer_epoch acted as 2, and
+        # width 8.7 trained as 8 under its own config digest)
+        with pytest.raises(ValueError, match=message):
+            small_cfg(loss="bkd", **{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = small_cfg(
+            loss="bkd", epochs=np.int64(4), batch_size=np.int32(16), seed=np.int64(3),
+            defer_epoch=np.int64(2), hidden_dims=(np.int64(12),),
+        )
+        train, test = two_class_separable()
+        teacher, _ = train_teacher(train, test, small_cfg(epochs=1))
+        _, log = train_student(train, test, teacher, cfg)
+        _, expected = train_student(train, test, teacher, small_cfg(loss="bkd", epochs=4, defer_epoch=2))
+        assert metrics_to_csv(log) == metrics_to_csv(expected)
+
     def test_dimension_mismatch_rejected(self):
         train, _ = two_class_separable(seed=1)
         _, other_test = synth_gaussian_mixture([10, 10], 6, 1.0, seed=2, per_class_test=5)

@@ -162,10 +162,10 @@ def test_failed_child_exits_the_cli_with_2(tmp_path, monkeypatch, capsys):
 def test_failed_gradient_check_worker_names_its_trials(monkeypatch, capsys):
     real = gradcheck._check_trials
 
-    def check_trials(send, seed, h, start, stop):
+    def check_trials(send, seed, start, stop):
         if start:
             raise RuntimeError("check failed")
-        real(send, seed, h, start, stop)
+        real(send, seed, start, stop)
 
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(gradcheck, "_check_trials", check_trials)
