@@ -21,7 +21,7 @@ print(f"step        rho=100: {counts.tolist()}  ratio={counts[0] / counts[-1]:g}
 counts = make_longtail_counts(ImbalanceProfile("exponential", 100, n_max=500, num_classes=10))
 tags = subset_tags(counts)
 print("\ncounts:", counts.tolist())
-print("tags:  ", list(tags.tags))
+print("tags:  ", list(tags))
 for name in ("many", "medium", "few"):
-    members = tags.classes_tagged(name)
-    print(f"  {name:>6}-shot classes: {members.tolist()}")
+    members = [c for c, tag in enumerate(tags) if tag == name]
+    print(f"  {name:>6}-shot classes: {members}")

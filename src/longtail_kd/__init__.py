@@ -10,7 +10,6 @@ teacher/student training pipeline, and subset-aware evaluation.
 from .data import (
     ImbalanceProfile,
     LabeledDataset,
-    SubsetTags,
     load_dataset,
     make_longtail_counts,
     save_dataset,
@@ -24,7 +23,6 @@ from .losses import (
     KDConfig,
     LossResult,
     bkd_loss,
-    cb_grad_formula,
     cb_loss,
     ce_loss,
     distill_grad_formula,

@@ -20,6 +20,7 @@ from .gradcheck import run_gradient_checks
 from .mathutils import check_temperature
 from .pipeline import (
     check_model_fits,
+    check_splits,
     check_sweep_epochs,
     metrics_to_csv,
     read_checkpoint,
@@ -54,9 +55,12 @@ def _prepare_out(cfg, key):
 
 
 def _load_splits(cfg):
+    """The train and test splits of ``cfg["data_dir"]``, checked as a pair
+    before any caller makes its output directory."""
     data_dir = cfg["data_dir"]
     train = load_dataset(os.path.join(data_dir, "train.csv"))
     test = load_dataset(os.path.join(data_dir, "test.csv"))
+    check_splits(train, test)
     return train, test
 
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathutils import Rng
+from .mathutils import Rng, is_int
 from .workers import run_split, split
 
 FORMAT_MAGIC = "longtail-csv v1"
@@ -86,9 +86,9 @@ class ImbalanceProfile:
             raise ValueError(f"profile kind must be one of {PROFILE_KINDS}, got {self.kind!r}")
         if not (isinstance(self.rho, (int, float)) and self.rho >= 1.0):
             raise ValueError(f"imbalance ratio must be >= 1, got {self.rho!r}")
-        if self.n_max < 1:
+        if not (is_int(self.n_max) and self.n_max >= 1):
             raise ValueError("n_max must be a positive integer")
-        if self.num_classes < 1:
+        if not (is_int(self.num_classes) and self.num_classes >= 1):
             raise ValueError("num_classes must be a positive integer")
         if self.num_classes < 2 and self.rho > 1.0:
             raise ValueError("an imbalanced profile (rho > 1) needs at least 2 classes")
@@ -124,16 +124,6 @@ class LabeledDataset:
 
     def __len__(self):
         return self.features.shape[0]
-
-
-@dataclass(frozen=True)
-class SubsetTags:
-    """Per-class many/medium/few tag derived from training counts."""
-
-    tags: tuple
-
-    def classes_tagged(self, tag):
-        return np.array([i for i, t in enumerate(self.tags) if t == tag], dtype=np.int64)
 
 
 def make_longtail_counts(profile):
@@ -212,19 +202,19 @@ def synth_gaussian_mixture(counts, dim, separation, seed, per_class_test):
 def check_thresholds(many_thresh, few_thresh):
     """ValueError unless the subset thresholds are integers with
     many_thresh > few_thresh > 0."""
-    if not (isinstance(many_thresh, (int, np.integer)) and isinstance(few_thresh, (int, np.integer))):
+    if not (is_int(many_thresh) and is_int(few_thresh)):
         raise ValueError("thresholds must be integers")
     if not many_thresh > few_thresh > 0:
         raise ValueError(f"need many_thresh > few_thresh > 0, got {many_thresh}, {few_thresh}")
 
 
 def subset_tags(counts, many_thresh=100, few_thresh=20):
-    """Tag classes by training count: many (> many_thresh), few
-    (< few_thresh), medium otherwise (both boundaries inclusive)."""
+    """One tag per class, by training count, as a tuple: many
+    (> many_thresh), few (< few_thresh), medium otherwise (both boundaries
+    inclusive)."""
     check_thresholds(many_thresh, few_thresh)
     counts = np.asarray(counts, dtype=np.int64)
-    tags = (MANY if n > many_thresh else FEW if n < few_thresh else MEDIUM for n in counts)
-    return SubsetTags(tuple(tags))
+    return tuple(MANY if n > many_thresh else FEW if n < few_thresh else MEDIUM for n in counts)
 
 
 def save_dataset(data, path):

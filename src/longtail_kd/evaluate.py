@@ -3,8 +3,9 @@ text forms of reports, confusion matrices and temperature sweeps.
 
 ``predict`` scores a split through ``mlp.forward``, optionally into
 caller-owned per-layer buffers (the training loop keeps one set for a run
-and scores every epoch through it). ``accuracy_report`` counts per-class
-hits and totals with one ``bincount`` each.
+and scores every epoch through it). There is one tally: ``confusion_matrix``
+counts (true, predicted) pairs with one ``bincount``, and ``accuracy_report``
+takes each class's hits and totals from its diagonal and row sums.
 
 A leaf module: the sweep itself trains students, so it lives next to the
 training loop in ``pipeline``.
@@ -51,40 +52,38 @@ def predict(params, data, out=None):
 def accuracy_report(preds, labels, tags):
     """Overall, per-subset, and per-class accuracy from predictions.
 
-    Hits and totals are counted per class; every accuracy is then a ratio
-    of exact integers.
+    ``tags`` holds one subset tag per class, as ``data.subset_tags`` gives
+    them. Hits and totals per class are the diagonal and the row sums of
+    ``confusion_matrix``, so a prediction or label outside [0, C) is
+    refused; every accuracy is then a ratio of exact integers.
     """
-    preds = np.asarray(preds, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if preds.shape != labels.shape or preds.ndim != 1:
-        raise ValueError("preds and labels must be 1-D vectors of equal length")
-    if preds.size == 0:
+    confusion = confusion_matrix(preds, labels, len(tags))
+    hits, totals = confusion.diagonal(), confusion.sum(axis=1)
+    n = int(totals.sum())
+    if n == 0:
         raise ValueError("cannot evaluate an empty prediction set")
-    num_classes = len(tags.tags)
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise ValueError(f"labels contain entries outside [0, {num_classes})")
-    totals = np.bincount(labels, minlength=num_classes)
-    hits = np.bincount(labels[preds == labels], minlength=num_classes)
+    tags = np.asarray(tags)
 
     def ratio(h, t):
         return float(h / t) if t else None
 
     def subset_acc(tag):
-        members = tags.classes_tagged(tag)
+        members = tags == tag
         return ratio(hits[members].sum(), totals[members].sum())
 
     return EvalReport(
-        overall=ratio(hits.sum(), preds.size),
+        overall=ratio(hits.sum(), n),
         many=subset_acc(MANY),
         medium=subset_acc(MEDIUM),
         few=subset_acc(FEW),
         per_class=tuple(ratio(h, t) for h, t in zip(hits.tolist(), totals.tolist())),
-        n=int(preds.size),
+        n=n,
     )
 
 
 def confusion_matrix(preds, labels, num_classes):
-    """Counts[i, j] = samples of true class i predicted as class j."""
+    """Counts[i, j] = samples of true class i predicted as class j, tallied
+    with one ``bincount`` over the flat cell index labels * C + preds."""
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if preds.shape != labels.shape or preds.ndim != 1:
@@ -92,9 +91,9 @@ def confusion_matrix(preds, labels, num_classes):
     for name, v in (("preds", preds), ("labels", labels)):
         if v.size and (v.min() < 0 or v.max() >= num_classes):
             raise ValueError(f"{name} contain entries outside [0, {num_classes})")
-    m = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(m, (labels, preds), 1)
-    return m
+    return np.bincount(labels * num_classes + preds, minlength=num_classes * num_classes).reshape(
+        num_classes, num_classes
+    )
 
 
 def row_normalized(confusion):

@@ -4,8 +4,9 @@ The checker knows nothing about how the analytic gradients are computed: it
 only re-evaluates loss values at perturbed logits, so it stays a fully
 independent oracle for them. Each trial takes one finite difference per
 loss and holds two gradients against it: the loss's own analytic gradient
-and, for ``cb``, ``kd`` and ``bkd``, its closed form (the ``*_formula``
-rows).
+and, for ``cb``, ``kd`` and ``bkd``, the one closed form
+``distill_grad_formula`` (the ``*_formula`` rows; ``cb`` is distillation
+toward the indicator of y at T = 1, scaled by w_y).
 
 The trials run on every available CPU: they are cut into contiguous ranges,
 one per CPU (``workers.run_split``), and each worker replays the one seeded
@@ -26,7 +27,6 @@ from .losses import (
     BKDConfig,
     KDConfig,
     bkd_loss,
-    cb_grad_formula,
     cb_loss,
     ce_loss,
     distill_grad_formula,
@@ -119,7 +119,11 @@ def _check_trials(send, seed, start, stop):
 
         audits = {  # loss -> (its value at v, then the gradients it checks)
             "ce": (lambda v: ce_loss(v, y).value, ce_loss(z, y).grad_logits),
-            "cb": (lambda v: cb_loss(v, y, w).value, cb_loss(z, y, w).grad_logits, cb_grad_formula(z, y, w)),
+            "cb": (
+                lambda v: cb_loss(v, y, w).value,
+                cb_loss(z, y, w).grad_logits,
+                distill_grad_formula(z, np.eye(z.size)[y], y, 0.0, w[y], 1.0),
+            ),
             "kd": (
                 lambda v: kd_loss(v, phat, y, kd_cfg).value,
                 kd_loss(z, phat, y, kd_cfg).grad_logits,

@@ -19,14 +19,15 @@ The cross-entropy term inside kd/bkd is always at temperature 1; only the
 distillation term uses the configured temperature. 0 * log 0 is taken as 0,
 so teacher targets may contain exact zeros.
 
-``cb_grad_formula`` and ``distill_grad_formula`` are closed-form gradient
-expressions kept as independent diagnostics: the first must reproduce
-``cb_loss``'s gradient, the second ``kd_loss``'s and ``bkd_loss``'s,
-ce_coef * (p - e_y) + kl_coef * T * (p_T - targets), with e_y the
-indicator vector of class y. The single factor of T is what the T^2
-scaling of the KL term leaves (Hinton et al.). The second writes its
-softmax out itself rather than through the shared row shift, so a fault in
-that shift shows up as a disagreement.
+``distill_grad_formula`` is the one closed-form gradient, kept as an
+independent diagnostic for every loss the training loop runs:
+ce_coef * (p - e_y) + kl_coef * T * (p_T - targets), with e_y the indicator
+vector of class y. The single factor of T is what the T^2 scaling of the KL
+term leaves (Hinton et al.). Plain cross-entropy is distillation toward e_y
+at T = 1 (ce_coef 0, kl_coef 1), since KL(e_y || p) = -log p_y, and ``cb``
+is the same with kl_coef w_y. The formula writes its softmax out itself
+rather than through the shared row shift, so a fault in that shift shows up
+as a disagreement.
 
 The ``*_batch`` functions are the vectorized cores, one row per sample; the
 scalar entry points validate and delegate to them with a single row. Both
@@ -44,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathutils import check_logits, check_temperature, log_softmax_rows, log_softmax_shifted, shift_rows
+from .mathutils import check_logits, check_temperature, is_int, log_softmax_rows, log_softmax_shifted, shift_rows
+from .weights import check_beta
 
 
 @dataclass(frozen=True)
@@ -81,8 +83,7 @@ class BKDConfig:
     temperature: float = 2.0
 
     def __post_init__(self):
-        if not (isinstance(self.beta, (int, float)) and 0.0 < self.beta < 1.0):
-            raise ValueError(f"beta must lie strictly inside (0, 1), got {self.beta!r}")
+        check_beta(self.beta)
         check_temperature(self.temperature)
 
     @property
@@ -96,7 +97,7 @@ class BKDConfig:
 
 
 def _check_label(y, num_classes):
-    if not (isinstance(y, (int, np.integer)) and 0 <= y < num_classes):
+    if not (is_int(y) and 0 <= y < num_classes):
         raise ValueError(f"label {y!r} out of range [0, {num_classes})")
     return int(y)
 
@@ -239,28 +240,15 @@ def bkd_loss(z, teacher_probs, y, w, cfg):
     return LossResult(float(values[0]), grads[0])
 
 
-def cb_grad_formula(z, y, w):
-    """Closed-form gradient of the class-weighted cross-entropy.
-
-    Component k is w_y * (p_y - 1) at k = y and w_y * p_k elsewhere.
-    Diagnostic twin of ``cb_loss(...)``'s gradient.
-    """
-    z = check_logits(z)
-    y = _check_label(y, z.size)
-    w = _check_weights(w, z.size)
-    p = np.exp(log_softmax_rows(z[None, :])[0])
-    g = w[y] * p
-    g[y] = w[y] * (p[y] - 1.0)
-    return g
-
-
 def distill_grad_formula(z, targets, y, ce_coef, kl_coef, temperature):
     """Closed-form gradient of ce_coef * CE + kl_coef * T^2 * KL(targets || p_T):
     ce_coef * (p - e_y) + kl_coef * T * (p_T - targets).
 
-    Diagnostic twin of ``kd_loss`` (the teacher's soft targets, coefs
-    (alpha, 1 - alpha)) and of ``bkd_loss`` (``balanced_targets``, coefs
-    (1, 1)). Each softmax is exp((z - max z) / T) / sum, written out here.
+    Diagnostic twin of every trained loss: ``kd_loss`` (the teacher's soft
+    targets, coefs (alpha, 1 - alpha)), ``bkd_loss`` (``balanced_targets``,
+    coefs (1, 1)), ``cb_loss`` (targets e_y, coefs (0, w_y), T = 1) and so
+    ``ce_loss`` (w_y = 1). Each softmax is exp((z - max z) / T) / sum,
+    written out here.
     """
     z = check_logits(z)
     y = _check_label(y, z.size)

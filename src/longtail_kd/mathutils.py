@@ -1,5 +1,6 @@
-"""Deterministic numeric primitives: temperature (log-)softmax, the logit
-and temperature rules, and a seedable counter-based PRNG.
+"""Deterministic numeric primitives: temperature (log-)softmax, the
+integer, positive-real, logit and temperature rules, and a seedable
+counter-based PRNG.
 
 All arithmetic is 64-bit float. The PRNG is SplitMix64 driven by a draw
 counter, so its full state is the pair (seed, counter) and any block of
@@ -19,6 +20,18 @@ _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 
 
+def is_int(x):
+    """True for a Python or numpy integer: the one rule for every count,
+    seed, label and threshold."""
+    return isinstance(x, (int, np.integer))
+
+
+def is_positive_finite(x):
+    """True for a positive finite real (a Python int or float, or a numpy
+    float): the one rule for temperatures, learning rates and step factors."""
+    return isinstance(x, (int, float, np.floating)) and math.isfinite(x) and x > 0
+
+
 def check_logits(z):
     """``z`` as a float64 vector, or ValueError unless it is a non-empty,
     finite 1-D vector."""
@@ -33,7 +46,7 @@ def check_logits(z):
 def check_temperature(temperature):
     """``temperature`` as a float, or ValueError unless it is a positive
     finite real: the one rule for every softmax temperature."""
-    if not (isinstance(temperature, (int, float, np.floating)) and math.isfinite(temperature) and temperature > 0):
+    if not is_positive_finite(temperature):
         raise ValueError(f"temperature must be a positive finite real, got {temperature!r}")
     return float(temperature)
 
@@ -80,29 +93,19 @@ def softmax_with_temperature(z, temperature):
     return np.exp(log_softmax_rows(z[None, :], temperature)[0])
 
 
-def mix64(x):
-    """SplitMix64 finalizer: a 64-bit bijective hash."""
-    z = x & _U64_MASK
-    z = ((z ^ (z >> 30)) * _MIX_1) & _U64_MASK
-    z = ((z ^ (z >> 27)) * _MIX_2) & _U64_MASK
-    return z ^ (z >> 31)
-
-
-def derive_seed(seed, stream):
-    """Derive an independent stream seed from a base seed and a stream index."""
-    return mix64((int(seed) + (stream + 1) * _GOLDEN) & _U64_MASK)
-
-
 class Rng:
     """Deterministic SplitMix64 random stream.
 
-    The i-th raw output is ``mix64(seed + i * GOLDEN)``, so state is just
+    The i-th raw output (i from 1) is the SplitMix64 finalizer of
+    ``seed + i * GOLDEN`` modulo 2^64, so state is just
     (seed, number of draws emitted); equal seeds give identical streams on
     every platform. Gaussians come from Box-Muller over the uniform stream.
     One instance per worker; instances are not thread-safe.
     """
 
     def __init__(self, seed):
+        # the rule of ``is_int``, written inline: bench/tracer.py wraps each
+        # public function, and making an Rng is to record no span of its own
         if not isinstance(seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {seed!r}")
         self._seed = int(seed) & _U64_MASK
@@ -161,3 +164,9 @@ class Rng:
         if n == 0:
             return np.empty(0, dtype=np.int64)
         return np.argsort(self._raw(n), kind="stable").astype(np.int64)
+
+
+def derive_seed(seed, stream):
+    """An independent stream seed from a base seed and a stream index: the
+    (stream + 1)-th draw of ``Rng(seed)``."""
+    return int(Rng.from_state((seed, stream))._raw(1)[0])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathutils import Rng
+from .mathutils import Rng, is_positive_finite
 
 MLP_MAGIC = b"mlp-v1"
 SCHEDULE_KINDS = ("constant", "step", "cosine")
@@ -89,10 +89,6 @@ class OptimizerState:
     momentum: float = 0.9
 
 
-def _positive_finite(x):
-    return isinstance(x, (int, float)) and math.isfinite(x) and x > 0
-
-
 @dataclass(frozen=True)
 class LrSchedule:
     """Constant, step-decay, or cosine-decay schedule over epochs.
@@ -110,12 +106,12 @@ class LrSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"schedule kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
-        if not _positive_finite(self.base_lr):
+        if not is_positive_finite(self.base_lr):
             raise ValueError(f"base_lr must be positive and finite, got {self.base_lr!r}")
         for epoch, factor in self.steps:
             if epoch < 0:
                 raise ValueError(f"step epochs must be nonnegative, got {epoch!r}")
-            if not _positive_finite(factor):
+            if not is_positive_finite(factor):
                 raise ValueError(f"step factors must be positive and finite, got {factor!r} at epoch {epoch!r}")
         epochs = [e for e, _ in self.steps]
         if any(e2 <= e1 for e1, e2 in zip(epochs, epochs[1:])):

@@ -49,7 +49,7 @@ from .losses import (
     distill_loss_batch,
     softmax_rows,
 )
-from .mathutils import Rng, check_temperature, derive_seed
+from .mathutils import Rng, check_temperature, derive_seed, is_int
 from .mlp import (
     BlobReader,
     LrSchedule,
@@ -72,11 +72,6 @@ CKPT_MAGIC = b"ckpt-v1"
 LOSS_KINDS = ("ce", "cb", "kd", "bkd")
 
 
-def _is_int(x):
-    """A Python or numpy integer, as ``data.check_thresholds`` accepts."""
-    return isinstance(x, (int, np.integer))
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     loss: str = "ce"
@@ -96,11 +91,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
-        if not (_is_int(self.epochs) and self.epochs >= 0):
+        if not (is_int(self.epochs) and self.epochs >= 0):
             raise ValueError(f"epochs must be a nonnegative integer, got {self.epochs!r}")
-        if not (_is_int(self.batch_size) and self.batch_size >= 1):
+        if not (is_int(self.batch_size) and self.batch_size >= 1):
             raise ValueError(f"batch_size must be a positive integer, got {self.batch_size!r}")
-        if not _is_int(self.seed):
+        if not is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
@@ -109,11 +104,17 @@ class TrainConfig:
         if self.defer_epoch is not None:
             if self.loss != "bkd":
                 raise ValueError("defer_epoch is only valid with loss='bkd'")
-            if not (_is_int(self.defer_epoch) and 0 <= self.defer_epoch < self.epochs):
+            if not (is_int(self.defer_epoch) and 0 <= self.defer_epoch < self.epochs):
                 raise ValueError(f"defer_epoch must be an integer in [0, epochs), got {self.defer_epoch!r}")
-        if not all(_is_int(h) and h >= 1 for h in self.hidden_dims):
+        if not all(is_int(h) and h >= 1 for h in self.hidden_dims):
             raise ValueError(f"hidden layer widths must be positive integers, got {self.hidden_dims!r}")
         check_thresholds(self.many_thresh, self.few_thresh)
+        # a numpy integer is stored as the Python int it equals, so equal
+        # configs render, and so digest, the same
+        for name in ("epochs", "batch_size", "seed", "defer_epoch", "many_thresh", "few_thresh"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,10 @@ def check_model_fits(params, data, model, name):
         raise ValueError(f"{model} emits {params.dims[-1]} classes but the {name} has {data.num_classes}")
 
 
-def _check_datasets(train, test):
+def check_splits(train, test):
+    """ValueError unless the test split has the train split's width and
+    classes, and every class has a training sample: the one rule for a
+    pair of splits to train on."""
     if train.dimension != test.dimension:
         raise ValueError(
             f"train/test feature dimensions differ: {train.dimension} vs {test.dimension}"
@@ -304,7 +308,7 @@ def _teacher_targets(teacher, features, batch_size, temperature, w):
 
 
 def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
-    _check_datasets(train, test)
+    check_splits(train, test)
     dims = (train.dimension, *cfg.hidden_dims, train.num_classes)
     digest = config_digest(cfg)
     tags = subset_tags(train.class_counts, cfg.many_thresh, cfg.few_thresh)

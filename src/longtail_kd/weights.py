@@ -22,6 +22,14 @@ def _validate_counts(counts):
     return counts.astype(np.int64)
 
 
+def check_beta(beta):
+    """``beta`` as a float, or ValueError unless it is a real strictly
+    inside (0, 1): the one rule for the effective-number hyperparameter."""
+    if not (isinstance(beta, (int, float, np.floating)) and 0.0 < beta < 1.0):
+        raise ValueError(f"beta must lie strictly inside (0, 1), got {beta!r}")
+    return float(beta)
+
+
 def effective_number_weights(counts, beta):
     """Weight vector w_i = (1 - beta) / (1 - beta^{n_i}).
 
@@ -29,10 +37,7 @@ def effective_number_weights(counts, beta):
     0.9999) keeps full precision at large n. n = 1 gives exactly 1.0.
     """
     counts = _validate_counts(counts)
-    if not (isinstance(beta, (int, float, np.floating)) and 0.0 < beta < 1.0):
-        raise ValueError(f"beta must lie strictly inside (0, 1), got {beta!r}")
-    beta = float(beta)
-    one_minus_beta = 1.0 - beta
+    one_minus_beta = 1.0 - check_beta(beta)
     n = counts.astype(np.float64)
     # 1 - beta^n == -expm1(n * log(beta)), with log(beta) = log1p(-(1-beta))
     denom = -np.expm1(n * np.log1p(-one_minus_beta))

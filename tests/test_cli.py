@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -37,6 +38,16 @@ def write_config(path, **overrides):
     lines = [f"{k} = {v}" for k, v in base.items()]
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def replace_test_split_with_a_wider_one(tmp, cfg, data_dir):
+    """Make the data of ``cfg`` (d = 4), then copy a d = 5 test split over
+    its test split."""
+    assert run("make-data", "--config", cfg) == 0
+    wide = write_config(tmp / "wide.cfg", d=5, data_dir=tmp / "wide", out_dir=tmp / "wide-out")
+    assert run("make-data", "--config", wide) == 0
+    for name in ("test.csv", "test.csv.bin"):
+        shutil.copyfile(tmp / "wide" / name, data_dir / name)
 
 
 @pytest.fixture
@@ -138,6 +149,14 @@ class TestTrain:
         capsys.readouterr()
         assert run("train", "--config", cfg, "--role", "student", "--teacher", teacher) == 2
         assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_mismatched_splits_refused_before_out_dir(self, workspace, capsys):
+        tmp, cfg, data_dir, out_dir = workspace
+        replace_test_split_with_a_wider_one(tmp, cfg, data_dir)
+        capsys.readouterr()
+        assert run("train", "--config", cfg, "--role", "teacher") == 2
+        assert capsys.readouterr().err == "error: train/test feature dimensions differ: 4 vs 5\n"
         assert not out_dir.exists()
 
     def test_cb_baseline_completes_with_finite_losses(self, workspace):
@@ -325,6 +344,14 @@ class TestSweepTemp:
         # a bad --temps is still reported first, as a usage error
         assert run("sweep-temp", "--config", cfg, "--temps", 0) == 1
         assert "--temps: temperature must be a positive finite real" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_mismatched_splits_refused_before_out_dir(self, workspace, capsys):
+        tmp, cfg, data_dir, out_dir = workspace
+        replace_test_split_with_a_wider_one(tmp, cfg, data_dir)
+        capsys.readouterr()
+        assert run("sweep-temp", "--config", cfg, "--temps", 2) == 2
+        assert capsys.readouterr().err == "error: train/test feature dimensions differ: 4 vs 5\n"
         assert not out_dir.exists()
 
     def test_duplicate_temps_identical(self, workspace):

@@ -61,6 +61,19 @@ class TestMakeLongtailCounts:
         with pytest.raises(ValueError):
             ImbalanceProfile("step", 0.5, 100, 4)
 
+    @pytest.mark.parametrize(
+        "n_max, num_classes, message",
+        [(7.5, 4, "n_max must be a positive integer"), (100, 3.0, "num_classes must be a positive integer")],
+    )
+    def test_non_integer_count_rejected(self, n_max, num_classes, message):
+        # a step head of 7.5 once truncated to 7 while exponential rounded
+        with pytest.raises(ValueError, match=message):
+            ImbalanceProfile("step", 100.0, n_max, num_classes)
+
+    def test_numpy_integer_counts_accepted(self):
+        profile = ImbalanceProfile("step", 10.0, np.int64(100), np.int32(4))
+        np.testing.assert_array_equal(make_longtail_counts(profile), [100, 100, 10, 10])
+
 
 class TestSynthGaussianMixture:
     def test_well_separated_clusters_are_nearest_mean_classifiable(self):
@@ -101,17 +114,17 @@ class TestSynthGaussianMixture:
 class TestSubsetTags:
     def test_spec_thresholds(self):
         tags = subset_tags([5000, 50, 5])
-        assert tags.tags == (MANY, MEDIUM, FEW)
+        assert tags == (MANY, MEDIUM, FEW)
 
     def test_boundaries_inclusive_on_medium(self):
-        assert subset_tags([100]).tags == (MEDIUM,)
-        assert subset_tags([101]).tags == (MANY,)
-        assert subset_tags([20]).tags == (MEDIUM,)
-        assert subset_tags([19]).tags == (FEW,)
+        assert subset_tags([100]) == (MEDIUM,)
+        assert subset_tags([101]) == (MANY,)
+        assert subset_tags([20]) == (MEDIUM,)
+        assert subset_tags([19]) == (FEW,)
 
     def test_custom_thresholds(self):
         tags = subset_tags([30, 10, 2], many_thresh=20, few_thresh=5)
-        assert tags.tags == (MANY, MEDIUM, FEW)
+        assert tags == (MANY, MEDIUM, FEW)
 
     def test_threshold_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -128,8 +141,8 @@ class TestSubsetTags:
 
     def test_classes_tagged_lookup(self):
         tags = subset_tags([5000, 50, 5, 5000])
-        np.testing.assert_array_equal(tags.classes_tagged(MANY), [0, 3])
-        np.testing.assert_array_equal(tags.classes_tagged(FEW), [2])
+        np.testing.assert_array_equal([c for c, t in enumerate(tags) if t == MANY], [0, 3])
+        np.testing.assert_array_equal([c for c, t in enumerate(tags) if t == FEW], [2])
 
 
 class TestDiskFormat:

@@ -103,6 +103,12 @@ class TestAccuracyReport:
         with pytest.raises(ValueError):
             accuracy_report(np.array([0, 1]), np.array([0]), subset_tags([5, 5]))
 
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_prediction_outside_the_classes_rejected(self, bad):
+        # such a prediction once counted silently as a miss
+        with pytest.raises(ValueError, match=r"preds contain entries outside \[0, 2\)"):
+            accuracy_report(np.array([0, bad]), np.array([0, 1]), subset_tags([5, 5]))
+
 
 class TestConfusionMatrix:
     def test_perfect_predictions_diagonal(self):

@@ -9,7 +9,6 @@ from longtail_kd.losses import (
     KDConfig,
     bkd_loss,
     balanced_targets,
-    cb_grad_formula,
     cb_loss,
     cb_loss_batch,
     ce_loss,
@@ -101,22 +100,28 @@ class TestCbLoss:
             cb_loss(np.zeros(2), 0, np.array([1.0, 0.0]))
 
 
-class TestCbGradFormula:
+def cb_closed_form(z, y, w):
+    """cb's gradient as the one closed form: distillation toward e_y at
+    T = 1 with coefs (0, w_y)."""
+    return distill_grad_formula(z, np.eye(len(z))[y], y, 0.0, w[y], 1.0)
+
+
+class TestCbClosedForm:
     def test_matches_cb_loss_gradient_exactly(self):
         rng = Rng(36)
         for _ in range(50):
             z, y, w, _ = random_case(rng, 8)
-            assert np.abs(cb_grad_formula(z, y, w) - cb_loss(z, y, w).grad_logits).max() < 1e-12
+            assert np.abs(cb_closed_form(z, y, w) - cb_loss(z, y, w).grad_logits).max() < 1e-12
 
     def test_unit_weight_two_class(self):
-        np.testing.assert_allclose(cb_grad_formula(np.zeros(2), 0, np.ones(2)), [-0.5, 0.5])
+        np.testing.assert_allclose(cb_closed_form(np.zeros(2), 0, np.ones(2)), [-0.5, 0.5])
 
     def test_matches_finite_differences_of_weighted_ce(self):
         rng = Rng(37)
         for _ in range(20):
             z, y, w, _ = random_case(rng, 5)
             fd = finite_difference_gradient(lambda v: cb_loss(v, y, w).value, z)
-            assert np.abs(cb_grad_formula(z, y, w) - fd).max() < 1e-7
+            assert np.abs(cb_closed_form(z, y, w) - fd).max() < 1e-7
 
 
 class TestKdLoss:

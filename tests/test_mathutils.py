@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from longtail_kd.losses import BKDConfig, KDConfig
-from longtail_kd.mathutils import Rng, check_temperature, mix64, softmax_with_temperature
+from longtail_kd.mathutils import Rng, check_temperature, derive_seed, softmax_with_temperature
 from longtail_kd.pipeline import temperature_sweep
 
 
@@ -127,10 +127,24 @@ class TestRng:
         p = Rng(11).permutation(257)
         np.testing.assert_array_equal(np.sort(p), np.arange(257))
 
-    def test_mix64_is_stable(self):
+    def test_derive_seed_is_stable(self):
         # pinned values guard against accidental constant or mask changes
-        assert mix64(0) == 0
-        assert mix64(1) == 6238072747940578789
+        assert [derive_seed(s, k) for s in (0, 1, 7919) for k in (0, 1)] == [
+            16294208416658607535, 7960286522194355700,
+            10451216379200822465, 13757245211066428519,
+            4858657790420402514, 15316099832671317032,
+        ]
+        assert derive_seed(2**63, 4) == 903114586442990803
+        assert derive_seed(2**64 - 5, 2) == 16279276485729455169
+        assert derive_seed(-5, 1) == 10284945619046896904
+
+    @pytest.mark.parametrize("seed, streams", [(0, 5), (1, 5), (7919, 5), (2**63, 5), (2**64 - 5, 5), (-5, 2)])
+    def test_derive_seed_is_a_draw_of_the_seeds_stream(self, seed, streams):
+        # stream k's seed is the (k + 1)-th raw draw of Rng(seed); the sums
+        # wrap modulo 2^64 without a RuntimeWarning
+        draws = Rng(seed)._raw(streams)
+        assert [derive_seed(seed, k) for k in range(streams)] == [int(d) for d in draws]
+        assert all(type(derive_seed(seed, k)) is int for k in range(streams))
 
     def test_non_integer_seed_rejected(self):
         with pytest.raises(ValueError):

@@ -606,6 +606,28 @@ class TestCheckpointResume:
         assert config_digest(small_cfg()) != config_digest(small_cfg(seed=4))
         assert config_digest(small_cfg()) == config_digest(small_cfg())
 
+    def test_numpy_integer_config_has_the_python_integer_digest_and_resumes(self, tmp_path):
+        # a numpy integer once rendered as a string in the digest, so a
+        # checkpoint written under one config was refused under its equal
+        python_ints = small_cfg(loss="bkd", epochs=4, defer_epoch=2, hidden_dims=[12])
+        numpy_ints = small_cfg(
+            loss="bkd", epochs=np.int64(4), batch_size=np.int32(16), seed=np.int64(3),
+            defer_epoch=np.int64(2), hidden_dims=np.array([12]), many_thresh=np.int64(100), few_thresh=np.int16(20),
+        )
+        assert numpy_ints == python_ints
+        assert type(numpy_ints.epochs) is int and numpy_ints.hidden_dims == (12,)
+        # pinned: configs of Python ints keep their digest bytes, so the
+        # checkpoints written before numpy integers were normalized resume
+        assert config_digest(numpy_ints).hex() == "f3cfb11423e0d4a516237b1a3c22df431cac545d20724b45dd83a55798f8462d"
+        assert config_digest(small_cfg()).hex() == "1b023586d02e99a92a2659288c2919acd09bbe5061f05243192aa722f3a595c2"
+        train, test = two_class_separable()
+        teacher, _ = train_teacher(train, test, small_cfg(epochs=3))
+        full_params, _ = train_student(train, test, teacher, numpy_ints)
+        ckpt = str(tmp_path / "mid.ckpt")
+        train_student(train, test, teacher, python_ints, out_ckpt=ckpt, stop_after_epoch=1)
+        resumed_params, _ = train_student(train, test, teacher, numpy_ints, resume_from=ckpt)
+        assert params_to_bytes(resumed_params) == params_to_bytes(full_params)
+
 
 class TestMetricCsv:
     def test_round_trip(self):

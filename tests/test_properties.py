@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from longtail_kd import data as data_module
-from longtail_kd.data import FEW, MANY, MEDIUM, LabeledDataset, SubsetTags, save_dataset
-from longtail_kd.evaluate import accuracy_report
+from longtail_kd.data import FEW, MANY, MEDIUM, LabeledDataset, save_dataset
+from longtail_kd.evaluate import accuracy_report, confusion_matrix
 from longtail_kd.losses import balanced_targets, distill_loss_batch, softmax_rows
 from longtail_kd.mathutils import softmax_with_temperature
 from test_data import _reference_csv, _reference_sidecar
@@ -74,11 +74,11 @@ def looped_accuracy_report(preds, labels, tags):
     """The report as a per-class loop of boolean means with np.isin subsets."""
     correct = preds == labels
     per_class = tuple(
-        float(correct[labels == c].mean()) if (labels == c).any() else None for c in range(len(tags.tags))
+        float(correct[labels == c].mean()) if (labels == c).any() else None for c in range(len(tags))
     )
 
     def subset_acc(tag):
-        mask = np.isin(labels, tags.classes_tagged(tag))
+        mask = np.isin(labels, [c for c, t in enumerate(tags) if t == tag])
         return float(correct[mask].mean()) if mask.any() else None
 
     return (float(correct.mean()), subset_acc(MANY), subset_acc(MEDIUM), subset_acc(FEW), per_class, preds.size)
@@ -91,7 +91,7 @@ def labelled_predictions(draw):
     present = draw(st.lists(st.integers(0, c - 1), min_size=1, max_size=c, unique=True))
     labels = np.array(draw(st.lists(st.sampled_from(present), min_size=n, max_size=n)), dtype=np.int64)
     preds = draw(arrays(np.int64, n, elements=st.integers(0, c - 1)))
-    tags = SubsetTags(tuple(draw(st.lists(st.sampled_from((MANY, MEDIUM, FEW)), min_size=c, max_size=c))))
+    tags = tuple(draw(st.lists(st.sampled_from((MANY, MEDIUM, FEW)), min_size=c, max_size=c)))
     return preds, labels, tags
 
 
@@ -101,6 +101,22 @@ def test_bincount_report_equals_the_per_class_loop(case):
     preds, labels, tags = case
     r = accuracy_report(preds, labels, tags)
     assert (r.overall, r.many, r.medium, r.few, r.per_class, r.n) == looped_accuracy_report(preds, labels, tags)
+
+
+def scattered_confusion_matrix(preds, labels, num_classes):
+    """The confusion tally as one unbuffered ``np.add.at`` per (true, predicted) pair."""
+    m = np.zeros((num_classes, num_classes), dtype=np.int64)
+    np.add.at(m, (labels, preds), 1)
+    return m
+
+
+@property_settings
+@given(labelled_predictions())
+def test_bincount_confusion_equals_the_scattered_tally(case):
+    preds, labels, tags = case
+    m = confusion_matrix(preds, labels, len(tags))
+    assert m.dtype == np.int64
+    np.testing.assert_array_equal(m, scattered_confusion_matrix(preds, labels, len(tags)))
 
 
 SPECIAL_FEATURES = (-0.0, 5e-324, -2.2250738585072014e-309, 1e16, 1e-5, 1e300, -1e300)

@@ -110,14 +110,15 @@ def test_a_nan_gradient_is_the_worst_error(monkeypatch, capsys, cpus):
     # only trial 0's closed-form cb gradient is NaN: one CPU checks finite
     # trials after it, and three CPUs merge it with two finite workers
     first_z = next(gradcheck._instances(5))[1]
-    real = gradcheck.cb_grad_formula
+    real = gradcheck.distill_grad_formula
 
-    def cb_grad_formula(z, y, w):
-        g = real(z, y, w)
-        return np.full_like(g, np.nan) if np.array_equal(z, first_z) else g
+    def distill_grad_formula(z, targets, y, ce_coef, kl_coef, temperature):
+        g = real(z, targets, y, ce_coef, kl_coef, temperature)
+        # cb's closed form is the one call with ce_coef 0
+        return np.full_like(g, np.nan) if np.array_equal(z, first_z) and ce_coef == 0.0 else g
 
     _cpus(monkeypatch, cpus)
-    monkeypatch.setattr(gradcheck, "cb_grad_formula", cb_grad_formula)
+    monkeypatch.setattr(gradcheck, "distill_grad_formula", distill_grad_formula)
     worst = run_gradient_checks(trials=5, seed=5)
     assert np.isnan(worst["cb_formula"])
     assert all(np.isfinite(err) for name, err in worst.items() if name != "cb_formula")
