@@ -127,12 +127,12 @@ def _check_trials(send, seed, start, stop):
             "kd": (
                 lambda v: kd_loss(v, phat, y, kd_cfg).value,
                 kd_loss(z, phat, y, kd_cfg).grad_logits,
-                distill_grad_formula(z, phat, y, *kd_cfg.coefs, T),
+                distill_grad_formula(z, phat, y, alpha, 1.0 - alpha, T),
             ),
             "bkd": (
                 lambda v: bkd_loss(v, phat, y, w, bkd_cfg).value,
                 bkd_loss(z, phat, y, w, bkd_cfg).grad_logits,
-                distill_grad_formula(z, q, y, *bkd_cfg.coefs, T),
+                distill_grad_formula(z, q, y, 1.0, 1.0, T),
             ),
         }
 

@@ -1,23 +1,33 @@
 """Classification and distillation losses over student logits.
 
-Four losses share one contract: given a logit vector they return the scalar
-loss and its analytic gradient with respect to the logits.
+Every trained loss is one objective, written once: per row,
 
-* ``ce_loss``   — instance-balanced softmax cross-entropy.
-* ``cb_loss``   — cross-entropy re-weighted by the true class's weight.
-* ``kd_loss``   — alpha-blend of cross-entropy and temperature-scaled KL
-  divergence against fixed teacher soft targets.
-* ``bkd_loss``  — cross-entropy plus a class-prior-weighted distillation
-  term: the teacher's soft targets are multiplied by the per-class weights
-  and renormalized to a distribution q, then the student pays
-  T^2 * KL(q || softmax(z/T)). Renormalizing keeps the distillation term
+    ce_weights[y] * CE(z, y) + kl_coef * T^2 * KL(targets || softmax(z / T))
+
+An ``Objective`` holds the per-class CE weights (gathered by each row's
+label; None for 1), an optional (N, C) target matrix (gathered by each
+row's index), ``kl_coef`` and T; the one kernel ``objective_loss_batch``
+returns each row's value and logit gradient. The four losses:
+
+* ``ce``  — weights 1, no targets: instance-balanced cross-entropy.
+* ``cb``  — the class weights, no targets: the true class's weight times CE.
+* ``kd``  — weights alpha, the teacher's soft targets, kl_coef 1 - alpha
+  (``KDConfig.objective``).
+* ``bkd`` — weights 1, kl_coef 1, and the teacher's soft targets times the
+  per-class weights, renormalized to a distribution q
+  (``BKDConfig.objective``). Renormalizing keeps the distillation term
   nonnegative while leaving its gradient direction tilted toward rare
   classes.
 
 Teacher probabilities are constants everywhere: no gradient flows to them.
-The cross-entropy term inside kd/bkd is always at temperature 1; only the
-distillation term uses the configured temperature. 0 * log 0 is taken as 0,
-so teacher targets may contain exact zeros.
+The cross-entropy term is always at temperature 1; only the distillation
+term uses T. 0 * log 0 is taken as 0, so targets may contain exact zeros.
+An objective with no targets has no distillation term at all, rather than
+KL toward a one-hot row, so ``ce`` and ``cb`` keep the sign of a zero loss.
+The kernel shifts each logit row by its max once and takes both the
+temperature-1 and the temperature-T log-softmax from that one shift. The
+per-sample ``ce_loss``, ``cb_loss``, ``kd_loss`` and ``bkd_loss`` validate
+their inputs and call the kernel with a single row.
 
 ``distill_grad_formula`` is the one closed-form gradient, kept as an
 independent diagnostic for every loss the training loop runs:
@@ -28,15 +38,6 @@ at T = 1 (ce_coef 0, kl_coef 1), since KL(e_y || p) = -log p_y, and ``cb``
 is the same with kl_coef w_y. The formula writes its softmax out itself
 rather than through the shared row shift, so a fault in that shift shows up
 as a disagreement.
-
-The ``*_batch`` functions are the vectorized cores, one row per sample; the
-scalar entry points validate and delegate to them with a single row. Both
-distillation losses share one core, ``distill_loss_batch``, and differ only
-in the target and in their config's ``coefs``: plain distillation passes the
-teacher's soft targets with (alpha, 1 - alpha), balanced distillation passes
-``balanced_targets(phat, w)`` with (1, 1). The kernel shifts each logit row
-by its max once and takes both the temperature-1 and the temperature-T
-log-softmax from that one shift.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathutils import check_logits, check_temperature, is_int, log_softmax_rows, log_softmax_shifted, shift_rows
+from .mathutils import check_logits, check_temperature, is_int, is_real
+from .mathutils import log_softmax_rows, log_softmax_shifted, shift_rows
 from .weights import check_beta
 
 
@@ -57,6 +59,21 @@ class LossResult:
     grad_logits: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class Objective:
+    """One trained loss: ce_weights[y] * CE + kl_coef * T^2 * KL(targets || p_T).
+
+    ``ce_weights`` is a (C,) vector gathered by each row's label, or None
+    for weight 1 (no multiply); ``targets`` is an (N, C) matrix gathered by
+    each row's index, or None for a loss with no distillation term.
+    """
+
+    ce_weights: np.ndarray | None = None
+    targets: np.ndarray | None = None
+    kl_coef: float = 0.0
+    temperature: float = 1.0
+
+
 @dataclass(frozen=True)
 class KDConfig:
     """Mixing weight alpha in [0, 1] and softening temperature T > 0."""
@@ -65,14 +82,16 @@ class KDConfig:
     temperature: float = 2.0
 
     def __post_init__(self):
-        if not (isinstance(self.alpha, (int, float)) and 0.0 <= self.alpha <= 1.0):
+        if not (is_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        check_temperature(self.temperature)
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "temperature", check_temperature(self.temperature))
 
-    @property
-    def coefs(self):
-        """(ce_coef, kl_coef) for ``distill_loss_batch``."""
-        return self.alpha, 1.0 - self.alpha
+    def objective(self, teacher_probs):
+        """alpha * CE + (1 - alpha) * T^2 * KL toward the (N, C) teacher
+        soft targets, which must already be softened at T."""
+        alphas = np.full(teacher_probs.shape[1], self.alpha)
+        return Objective(alphas, teacher_probs, 1.0 - self.alpha, self.temperature)
 
 
 @dataclass(frozen=True)
@@ -83,13 +102,12 @@ class BKDConfig:
     temperature: float = 2.0
 
     def __post_init__(self):
-        check_beta(self.beta)
-        check_temperature(self.temperature)
+        object.__setattr__(self, "beta", check_beta(self.beta))
+        object.__setattr__(self, "temperature", check_temperature(self.temperature))
 
-    @property
-    def coefs(self):
-        """(ce_coef, kl_coef) for ``distill_loss_batch``."""
-        return 1.0, 1.0
+    def objective(self, teacher_probs, w):
+        """CE + T^2 * KL toward ``balanced_targets(teacher_probs, w)``."""
+        return Objective(None, balanced_targets(teacher_probs, w), 1.0, self.temperature)
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +160,6 @@ def _ce_rows(log_p, ys):
     return values, grads
 
 
-def ce_loss_batch(Z, ys):
-    """Cross-entropy per row: values (N,) and logit gradients (N, C)."""
-    return _ce_rows(log_softmax_rows(np.asarray(Z, dtype=np.float64)), np.asarray(ys, dtype=np.int64))
-
-
-def cb_loss_batch(Z, ys, w):
-    """Class-weighted cross-entropy: each row scaled by its true class weight."""
-    values, grads = ce_loss_batch(Z, ys)
-    scale = np.asarray(w, dtype=np.float64)[np.asarray(ys, dtype=np.int64)]
-    return scale * values, scale[:, None] * grads
-
-
 def balanced_targets(teacher_probs, w):
     """Balanced distillation targets: each row of w * phat renormalized to q."""
     weighted = np.asarray(teacher_probs, dtype=np.float64) * np.asarray(w, dtype=np.float64)[None, :]
@@ -163,23 +169,31 @@ def balanced_targets(teacher_probs, w):
     return weighted / mass
 
 
-def distill_loss_batch(Z, targets, ys, ce_coef, kl_coef, temperature):
-    """Distillation rows: ce_coef * CE + kl_coef * T^2 * KL(targets || p_T).
+def objective_loss_batch(Z, ys, rows, objective):
+    """The objective's rows: values (N,) and logit gradients (N, C) of
+    ce_weights[ys[i]] * CE + kl_coef * T^2 * KL(targets[rows[i]] || p_T).
 
+    ``rows`` indexes the target matrix and is not read when there is none.
     The row max-shift is computed once and serves both the temperature-1
     softmax of the CE term and the temperature-T softmax of the KL term.
-    KL takes 0 log 0 as 0, so targets may hold exact zeros.
     """
     Z = np.asarray(Z, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    T = temperature
+    ys = np.asarray(ys, dtype=np.int64)
     shifted = shift_rows(Z)
-    ce_values, ce_grads = _ce_rows(log_softmax_shifted(shifted), np.asarray(ys, dtype=np.int64))
+    values, grads = _ce_rows(log_softmax_shifted(shifted), ys)
+    if objective.ce_weights is not None:
+        scale = objective.ce_weights[ys]
+        values *= scale
+        grads *= scale[:, None]
+    if objective.targets is None:
+        return values, grads
+    targets = objective.targets[rows]
+    T = objective.temperature
     log_p_T = log_softmax_shifted(shifted, T)
     with np.errstate(divide="ignore", invalid="ignore"):
         kl = np.where(targets > 0, targets * (np.log(targets) - log_p_T), 0.0).sum(axis=1)
-    values = ce_coef * ce_values + kl_coef * (T * T) * kl
-    grads = ce_coef * ce_grads + kl_coef * T * (np.exp(log_p_T) - targets)
+    values += objective.kl_coef * (T * T) * kl
+    grads += objective.kl_coef * T * (np.exp(log_p_T) - targets)
     return values, grads
 
 
@@ -187,22 +201,23 @@ def distill_loss_batch(Z, targets, ys, ce_coef, kl_coef, temperature):
 # per-sample API
 
 
+def _one_row(z, y, objective):
+    values, grads = objective_loss_batch(z[None, :], [y], [0], objective)
+    return LossResult(float(values[0]), grads[0])
+
+
 def ce_loss(z, y):
     """Softmax cross-entropy -log p_y; gradient is p - e_y (e_y the
     indicator vector of class y)."""
     z = check_logits(z)
-    y = _check_label(y, z.size)
-    values, grads = ce_loss_batch(z[None, :], [y])
-    return LossResult(float(values[0]), grads[0])
+    return _one_row(z, _check_label(y, z.size), Objective())
 
 
 def cb_loss(z, y, w):
     """Cross-entropy scaled by the true class's weight: -w_y log p_y."""
     z = check_logits(z)
     y = _check_label(y, z.size)
-    w = _check_weights(w, z.size)
-    values, grads = cb_loss_batch(z[None, :], [y], w)
-    return LossResult(float(values[0]), grads[0])
+    return _one_row(z, y, Objective(_check_weights(w, z.size)))
 
 
 def kd_loss(z, teacher_probs, y, cfg):
@@ -217,8 +232,7 @@ def kd_loss(z, teacher_probs, y, cfg):
     phat = _check_probs(teacher_probs, z.size)
     if not isinstance(cfg, KDConfig):
         raise ValueError("cfg must be a KDConfig")
-    values, grads = distill_loss_batch(z[None, :], phat[None, :], [y], *cfg.coefs, cfg.temperature)
-    return LossResult(float(values[0]), grads[0])
+    return _one_row(z, y, cfg.objective(phat[None, :]))
 
 
 def bkd_loss(z, teacher_probs, y, w, cfg):
@@ -235,9 +249,7 @@ def bkd_loss(z, teacher_probs, y, w, cfg):
     w = _check_weights(w, z.size)
     if not isinstance(cfg, BKDConfig):
         raise ValueError("cfg must be a BKDConfig")
-    q = balanced_targets(phat[None, :], w)
-    values, grads = distill_loss_batch(z[None, :], q, [y], *cfg.coefs, cfg.temperature)
-    return LossResult(float(values[0]), grads[0])
+    return _one_row(z, y, cfg.objective(phat[None, :], w))
 
 
 def distill_grad_formula(z, targets, y, ce_coef, kl_coef, temperature):

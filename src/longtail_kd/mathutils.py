@@ -1,5 +1,5 @@
 """Deterministic numeric primitives: temperature (log-)softmax, the
-integer, positive-real, logit and temperature rules, and a seedable
+integer, real, positive-real, logit and temperature rules, and a seedable
 counter-based PRNG.
 
 All arithmetic is 64-bit float. The PRNG is SplitMix64 driven by a draw
@@ -26,10 +26,16 @@ def is_int(x):
     return isinstance(x, (int, np.integer))
 
 
+def is_real(x):
+    """True for a Python int or float or a numpy float: the one type rule
+    for every real setting, which is then stored as ``float(x)``."""
+    return isinstance(x, (int, float, np.floating))
+
+
 def is_positive_finite(x):
-    """True for a positive finite real (a Python int or float, or a numpy
-    float): the one rule for temperatures, learning rates and step factors."""
-    return isinstance(x, (int, float, np.floating)) and math.isfinite(x) and x > 0
+    """True for a positive finite real: the one rule for temperatures,
+    learning rates and step factors."""
+    return is_real(x) and math.isfinite(x) and x > 0
 
 
 def check_logits(z):

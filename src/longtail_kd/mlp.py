@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathutils import Rng, is_positive_finite
+from .mathutils import Rng, is_int, is_positive_finite
 
 MLP_MAGIC = b"mlp-v1"
 SCHEDULE_KINDS = ("constant", "step", "cosine")
@@ -95,8 +95,9 @@ class LrSchedule:
 
     ``steps`` holds (epoch, multiplicative factor) pairs for kind "step";
     each factor applies from its epoch onward. The base rate and every
-    factor must be positive and finite, and step epochs nonnegative, so
-    every epoch's rate is a valid SGD step size.
+    factor must be positive and finite, and step epochs nonnegative
+    integers, so every epoch's rate is a valid SGD step size. They are
+    stored as Python floats and ints, so equal schedules digest the same.
     """
 
     kind: str = "cosine"
@@ -109,13 +110,15 @@ class LrSchedule:
         if not is_positive_finite(self.base_lr):
             raise ValueError(f"base_lr must be positive and finite, got {self.base_lr!r}")
         for epoch, factor in self.steps:
-            if epoch < 0:
-                raise ValueError(f"step epochs must be nonnegative, got {epoch!r}")
+            if not (is_int(epoch) and epoch >= 0):
+                raise ValueError(f"step epochs must be nonnegative integers, got {epoch!r}")
             if not is_positive_finite(factor):
                 raise ValueError(f"step factors must be positive and finite, got {factor!r} at epoch {epoch!r}")
         epochs = [e for e, _ in self.steps]
         if any(e2 <= e1 for e1, e2 in zip(epochs, epochs[1:])):
             raise ValueError("step epochs must be strictly increasing")
+        object.__setattr__(self, "base_lr", float(self.base_lr))
+        object.__setattr__(self, "steps", tuple((int(e), float(f)) for e, f in self.steps))
 
 
 def init_mlp(dims, seed):
@@ -189,8 +192,8 @@ def init_optimizer(params, momentum=0.9):
 def sgd_momentum_step(params, grads, state, lr):
     """v <- momentum * v + g; p <- p - lr * v, each once over the flat
     vectors. Updates in place and returns both."""
-    if not (isinstance(lr, (int, float)) and lr > 0):
-        raise ValueError(f"learning rate must be positive, got {lr!r}")
+    if not is_positive_finite(lr):
+        raise ValueError(f"learning rate must be positive and finite, got {lr!r}")
     if not params.dims == grads.dims == state.vel.dims:
         raise ValueError("gradient or velocity shapes do not match parameters")
     v = state.vel.flat

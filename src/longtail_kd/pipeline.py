@@ -3,20 +3,19 @@
 Phase one trains the teacher with plain cross-entropy. Phase two trains the
 student against the frozen teacher: the student minimizes the configured
 loss (optionally plain distillation for the first epochs, then the balanced
-variant from ``defer_epoch`` on). The teacher and the class weights are
-fixed for the whole run, so each training row's soft target is a constant:
-the first epoch that needs a distillation kind builds that kind's (N, C)
-target matrix once, forwarding the teacher over the training split in
-``batch_size``-row chunks, and every minibatch gathers its rows from it.
-Both distillation losses run through the one kernel
-``losses.distill_loss_batch``; they differ only in the targets and the two
-coefficients. The class weight vector is computed once from the
-training-split counts and shared read-only: ``cb`` scales it to sum to the
-number of classes (``weights.normalize_weights``), ``bkd`` uses it as it
-is, since its scale cancels in the balanced targets. Every epoch scores
-the test split through one set of per-layer (n_test, width) buffers that
-the run allocates up front, so the per-epoch evaluation allocates no
-layer-sized array; the buffers live for one ``_run`` call.
+variant from ``defer_epoch`` on). Each epoch trains one
+``losses.Objective``, and every minibatch makes one call of the one kernel
+``losses.objective_loss_batch``, whatever the loss. The teacher and the
+class weights are fixed for the whole run, so each loss kind's objective is
+built once, on the first epoch that trains it: a distillation kind forwards
+the teacher over the training split in ``batch_size``-row chunks for its
+(N, C) target matrix, and every minibatch gathers its rows from it. The
+class weights come from the training-split counts: ``cb`` scales them to
+sum to the number of classes (``weights.normalize_weights``), ``bkd`` uses
+them as they are, since their scale cancels in the balanced targets. Every
+epoch scores the test split through one set of per-layer (n_test, width)
+buffers that the run allocates up front, so the per-epoch evaluation
+allocates no layer-sized array; the buffers live for one ``_run`` call.
 ``temperature_sweep`` trains one such student per temperature, on every
 available CPU: each CPU trains a contiguous group of the temperatures, in
 this process or a forked child (``workers``), and the rows are the same
@@ -40,16 +39,8 @@ import numpy as np
 
 from . import evaluate
 from .data import check_thresholds, subset_tags
-from .losses import (
-    BKDConfig,
-    KDConfig,
-    balanced_targets,
-    cb_loss_batch,
-    ce_loss_batch,
-    distill_loss_batch,
-    softmax_rows,
-)
-from .mathutils import Rng, check_temperature, derive_seed, is_int
+from .losses import BKDConfig, KDConfig, Objective, objective_loss_batch, softmax_rows
+from .mathutils import Rng, check_temperature, derive_seed, is_int, is_real
 from .mlp import (
     BlobReader,
     LrSchedule,
@@ -97,9 +88,9 @@ class TrainConfig:
             raise ValueError(f"batch_size must be a positive integer, got {self.batch_size!r}")
         if not is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not (0.0 <= self.momentum < 1.0):
+        if not (is_real(self.momentum) and 0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
-        if not 0.0 <= self.weight_decay < math.inf:
+        if not (is_real(self.weight_decay) and 0.0 <= self.weight_decay < math.inf):
             raise ValueError(f"weight_decay must be finite and nonnegative, got {self.weight_decay!r}")
         if self.defer_epoch is not None:
             if self.loss != "bkd":
@@ -109,11 +100,13 @@ class TrainConfig:
         if not all(is_int(h) and h >= 1 for h in self.hidden_dims):
             raise ValueError(f"hidden layer widths must be positive integers, got {self.hidden_dims!r}")
         check_thresholds(self.many_thresh, self.few_thresh)
-        # a numpy integer is stored as the Python int it equals, so equal
-        # configs render, and so digest, the same
+        # a numpy integer is stored as the Python int it equals, and a real
+        # as the Python float, so equal configs render, and so digest, the same
         for name in ("epochs", "batch_size", "seed", "defer_epoch", "many_thresh", "few_thresh"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, int(getattr(self, name)))
+        for name in ("momentum", "weight_decay"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
 
 
@@ -167,8 +160,9 @@ def metrics_from_csv(text):
 
 
 def config_digest(cfg):
-    """sha256 over a canonical rendering of the training config."""
-    canonical = json.dumps(asdict(cfg), sort_keys=True, default=str)
+    """sha256 over a canonical rendering of the training config; a value
+    with no JSON rendering raises TypeError."""
+    canonical = json.dumps(asdict(cfg), sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).digest()
 
 
@@ -288,23 +282,28 @@ def check_splits(train, test):
         raise ValueError("every class needs at least one training sample")
 
 
-def _epoch_loss_kind(cfg, epoch, teacher):
-    if teacher is None:
-        return "ce"
-    if cfg.loss == "bkd" and cfg.defer_epoch is not None and epoch < cfg.defer_epoch:
-        return "kd"
-    return cfg.loss
-
-
-def _teacher_targets(teacher, features, batch_size, temperature, w):
-    """Soft targets of every row: softmax(teacher(x) / T), balanced by w
-    unless w is None. The teacher runs on ``batch_size``-row chunks so only
-    one chunk's activations are alive at a time."""
-    t_logits = np.vstack(
-        [forward(teacher, features[s : s + batch_size])[0] for s in range(0, len(features), batch_size)]
-    )
-    targets = softmax_rows(t_logits, temperature)
-    return targets if w is None else balanced_targets(targets, w)
+def _epoch_objective(cfg, epoch, teacher, train, objectives):
+    """The objective that ``epoch`` trains: cross-entropy for a teacher,
+    else cfg.loss, with plain distillation before ``defer_epoch``. Each
+    kind's objective is built on first use and kept in ``objectives``. A
+    distillation kind's targets are softmax(teacher(x) / T) of every
+    training row, the teacher run on ``batch_size``-row chunks so only one
+    chunk's activations are alive at a time."""
+    kind = "ce" if teacher is None else cfg.loss
+    if kind == "bkd" and cfg.defer_epoch is not None and epoch < cfg.defer_epoch:
+        kind = "kd"
+    if kind not in objectives:
+        w = effective_number_weights(train.class_counts, cfg.bkd.beta) if kind in ("cb", "bkd") else None
+        if kind == "ce":
+            objectives[kind] = Objective()
+        elif kind == "cb":
+            objectives[kind] = Objective(normalize_weights(w))
+        else:
+            X, n, distill = train.features, cfg.batch_size, cfg.kd if kind == "kd" else cfg.bkd
+            t_logits = np.vstack([forward(teacher, X[s : s + n])[0] for s in range(0, len(X), n)])
+            phat = softmax_rows(t_logits, distill.temperature)
+            objectives[kind] = cfg.kd.objective(phat) if kind == "kd" else cfg.bkd.objective(phat, w)
+    return objectives[kind]
 
 
 def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
@@ -319,12 +318,6 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
     eval_out = [np.empty((len(test), width)) for width in dims[1:]]
     pgrads = MlpParams.zeros(dims)
 
-    w = None
-    if teacher is not None and cfg.loss in ("cb", "bkd"):
-        w = effective_number_weights(train.class_counts, cfg.bkd.beta)
-        if cfg.loss == "cb":
-            w = normalize_weights(w)
-
     if resume_from is not None:
         state = read_checkpoint(resume_from)
         if state.digest != digest:
@@ -336,35 +329,19 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
         state = RunState(params, init_optimizer(params, cfg.momentum), Rng(derive_seed(cfg.seed, 1)), [], digest)
 
     N = len(train)
-    targets_of = {}  # distillation kind -> (N, C) targets, built on first use
+    objectives = {}  # loss kind -> its Objective, built on first use
     # a resumed run never ends before the epoch it resumed at
     end_epoch = cfg.epochs if stop_after_epoch is None else max(state.epoch, min(cfg.epochs, stop_after_epoch))
 
     for epoch in range(state.epoch, end_epoch):
-        kind = _epoch_loss_kind(cfg, epoch, teacher)
-        distill = cfg.kd if kind == "kd" else cfg.bkd
-        if kind in ("kd", "bkd") and kind not in targets_of:
-            targets_of[kind] = _teacher_targets(
-                teacher, train.features, cfg.batch_size, distill.temperature, w if kind == "bkd" else None
-            )
+        objective = _epoch_objective(cfg, epoch, teacher, train, objectives)
         lr = lr_at(cfg.schedule, epoch, cfg.epochs)
         order = state.rng.permutation(N)
         loss_sum = 0.0
         for start in range(0, N, cfg.batch_size):
             rows = order[start : start + cfg.batch_size]
-            X = train.features[rows]
-            ys = train.labels[rows]
-            logits, cache = forward(state.params, X)
-
-            if kind == "ce":
-                values, grads = ce_loss_batch(logits, ys)
-            elif kind == "cb":
-                values, grads = cb_loss_batch(logits, ys, w)
-            else:
-                values, grads = distill_loss_batch(
-                    logits, targets_of[kind][rows], ys, *distill.coefs, distill.temperature
-                )
-
+            logits, cache = forward(state.params, train.features[rows])
+            values, grads = objective_loss_batch(logits, train.labels[rows], rows, objective)
             if not np.isfinite(values).all():
                 raise RuntimeError(
                     f"training diverged: non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"

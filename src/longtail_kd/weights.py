@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .mathutils import is_real
+
 
 def _validate_counts(counts):
     counts = np.asarray(counts)
@@ -25,7 +27,7 @@ def _validate_counts(counts):
 def check_beta(beta):
     """``beta`` as a float, or ValueError unless it is a real strictly
     inside (0, 1): the one rule for the effective-number hyperparameter."""
-    if not (isinstance(beta, (int, float, np.floating)) and 0.0 < beta < 1.0):
+    if not (is_real(beta) and 0.0 < beta < 1.0):
         raise ValueError(f"beta must lie strictly inside (0, 1), got {beta!r}")
     return float(beta)
 

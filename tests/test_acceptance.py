@@ -16,15 +16,13 @@ from longtail_kd.gradcheck import finite_difference_gradient, run_gradient_check
 from longtail_kd.losses import (
     BKDConfig,
     KDConfig,
+    Objective,
     bkd_loss,
     cb_loss,
     ce_loss,
-    ce_loss_batch,
-    cb_loss_batch,
     kd_loss,
     distill_grad_formula,
-    distill_loss_batch,
-    balanced_targets,
+    objective_loss_batch,
     softmax_rows,
 )
 from longtail_kd.mathutils import Rng, softmax_with_temperature
@@ -258,18 +256,13 @@ def test_criterion_08_model_gradient_check():
     bkd_cfg = BKDConfig(temperature=2.0)
 
     def batch_loss(kind, logits, ys, phat):
-        if kind == "ce":
-            values, grads = ce_loss_batch(logits, ys)
-        elif kind == "cb":
-            values, grads = cb_loss_batch(logits, ys, w_vec)
-        elif kind == "kd":
-            values, grads = distill_loss_batch(
-                logits, phat, ys, kd_cfg.alpha, 1.0 - kd_cfg.alpha, kd_cfg.temperature
-            )
-        else:
-            values, grads = distill_loss_batch(
-                logits, balanced_targets(phat, w_vec), ys, 1.0, 1.0, bkd_cfg.temperature
-            )
+        objective = {
+            "ce": Objective(),
+            "cb": Objective(w_vec),
+            "kd": kd_cfg.objective(phat),
+            "bkd": bkd_cfg.objective(phat, w_vec),
+        }[kind]
+        values, grads = objective_loss_batch(logits, ys, np.arange(len(ys)), objective)
         return float(values.mean()), grads / logits.shape[0]
 
     worst = 0.0

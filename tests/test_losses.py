@@ -7,17 +7,16 @@ from longtail_kd.gradcheck import finite_difference_gradient
 from longtail_kd.losses import (
     BKDConfig,
     KDConfig,
+    Objective,
     bkd_loss,
     balanced_targets,
     cb_loss,
-    cb_loss_batch,
     ce_loss,
-    ce_loss_batch,
     distill_grad_formula,
-    distill_loss_batch,
     kd_loss,
+    objective_loss_batch,
 )
-from longtail_kd.mathutils import Rng, softmax_with_temperature
+from longtail_kd.mathutils import Rng, log_softmax_rows, softmax_with_temperature
 from longtail_kd.weights import effective_number_weights
 
 
@@ -312,10 +311,11 @@ class TestBatchConsistency:
         bkd_cfg = BKDConfig(temperature=2.0)
         phat = np.vstack([softmax_with_temperature(TL[i], 2.0) for i in range(N)])
 
-        cev, ceg = ce_loss_batch(Z, ys)
-        cbv, cbg = cb_loss_batch(Z, ys, w)
-        kdv, kdg = distill_loss_batch(Z, phat, ys, kd_cfg.alpha, 1.0 - kd_cfg.alpha, kd_cfg.temperature)
-        bkv, bkg = distill_loss_batch(Z, balanced_targets(phat, w), ys, 1.0, 1.0, bkd_cfg.temperature)
+        rows = np.arange(N)
+        cev, ceg = objective_loss_batch(Z, ys, None, Objective())
+        cbv, cbg = objective_loss_batch(Z, ys, None, Objective(w))
+        kdv, kdg = objective_loss_batch(Z, ys, rows, kd_cfg.objective(phat))
+        bkv, bkg = objective_loss_batch(Z, ys, rows, bkd_cfg.objective(phat, w))
         for i in range(N):
             y = int(ys[i])
             r = ce_loss(Z[i], y)
@@ -364,9 +364,10 @@ class TestDistillKernelBits:
             phat[:, 0] += 1e-3
             phat /= phat.sum(axis=1, keepdims=True)
             ys = (rng.uniform(N) * C).astype(np.int64)
-            for targets, coefs in ((phat, (0.3, 0.7)), (balanced_targets(phat, w), (1.0, 1.0))):
-                got = distill_loss_batch(Z, targets, ys, *coefs, T)
-                ref = two_softmax_reference(Z, targets, ys, *coefs, T)
+            kd, bkd = KDConfig(alpha=0.3, temperature=T).objective(phat), BKDConfig(temperature=T).objective(phat, w)
+            for objective, ce_coef in ((kd, 0.3), (bkd, 1.0)):
+                got = objective_loss_batch(Z, ys, np.arange(N), objective)
+                ref = two_softmax_reference(Z, objective.targets, ys, ce_coef, objective.kl_coef, T)
                 for a, b in zip(got, ref):
                     assert a.tobytes() == b.tobytes()
 
@@ -374,7 +375,46 @@ class TestDistillKernelBits:
         # the label entries are found by flat index; the layout must not matter
         Z = Rng(82).normal((5, 3))
         ys = np.array([0, 2, 1, 1, 0])
-        values, grads = ce_loss_batch(np.asfortranarray(Z), ys)
-        ref_values, ref_grads = ce_loss_batch(Z, ys)
+        ce = Objective()
+        values, grads = objective_loss_batch(np.asfortranarray(Z), ys, None, ce)
+        ref_values, ref_grads = objective_loss_batch(Z, ys, None, ce)
         np.testing.assert_allclose(values, ref_values, rtol=1e-15)
         np.testing.assert_allclose(grads, ref_grads, rtol=0, atol=1e-15)
+
+
+def removed_ce_loss_batch(Z, ys):
+    """The cross-entropy batch formula the kernel replaced: -log_softmax[y]
+    and softmax - e_y."""
+    rows = np.arange(len(ys))
+    log_p = log_softmax_rows(Z)
+    grads = np.exp(log_p)
+    grads[rows, ys] -= 1.0
+    return -log_p[rows, ys], grads
+
+
+def removed_cb_loss_batch(Z, ys, w):
+    """The class-weighted batch formula the kernel replaced: the
+    cross-entropy rows scaled by w[y]."""
+    values, grads = removed_ce_loss_batch(Z, ys)
+    return w[ys] * values, w[ys][:, None] * grads
+
+
+class TestObjectiveKernelBits:
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 100.0])
+    def test_ce_and_cb_objectives_match_the_removed_formulas(self, scale):
+        # the labels' own entries dominate at the larger scales, where a
+        # loss of -0.0 shows whether the sign of zero is kept
+        rng = Rng(83)
+        for trial in range(50):
+            C = 2 + int(rng.uniform() * 29)
+            N = 1 + int(rng.uniform() * 80)
+            Z = scale * rng.normal((N, C))
+            ys = (rng.uniform(N) * C).astype(np.int64)
+            w = np.exp(rng.normal(C))
+            for got, ref in (
+                (objective_loss_batch(Z, ys, None, Objective()), removed_ce_loss_batch(Z, ys)),
+                (objective_loss_batch(Z, ys, None, Objective(np.ones(C))), removed_ce_loss_batch(Z, ys)),
+                (objective_loss_batch(Z, ys, None, Objective(w)), removed_cb_loss_batch(Z, ys, w)),
+            ):
+                for a, b in zip(got, ref):
+                    assert a.tobytes() == b.tobytes()

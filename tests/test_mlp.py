@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from longtail_kd.losses import ce_loss_batch
+from longtail_kd.losses import Objective, objective_loss_batch
 from longtail_kd.mathutils import Rng
 from longtail_kd.mlp import (
     LrSchedule,
@@ -131,11 +131,12 @@ class TestBackward:
 
         def loss_value():
             logits, _ = forward(params, X)
-            values, _ = ce_loss_batch(logits, ys)
+            values, _ = objective_loss_batch(logits, ys, None, ce)
             return float(values.mean())
 
+        ce = Objective()
         logits, cache = forward(params, X)
-        _, grads_logits = ce_loss_batch(logits, ys)
+        _, grads_logits = objective_loss_batch(logits, ys, None, ce)
         grads = backward(params, cache, grads_logits / 3.0)
 
         h = 1e-5
@@ -307,6 +308,16 @@ class TestSgdMomentum:
         with pytest.raises(ValueError, match="positive"):
             sgd_momentum_step(params, grads, init_optimizer(params), lr=0.0)
 
+    @pytest.mark.parametrize("lr", [math.inf, math.nan, 0, -1])
+    def test_rate_must_be_positive_and_finite(self, lr):
+        # an infinite rate once made every parameter non-finite, with no error
+        params = init_mlp([3, 4, 2], seed=0)
+        grads = backward(params, forward(params, np.ones((1, 3)))[1], np.ones((1, 2)))
+        before = params_to_bytes(params)
+        with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+            sgd_momentum_step(params, grads, init_optimizer(params), lr=lr)
+        assert params_to_bytes(params) == before
+
 
 class TestFlatStorage:
     """Parameters, gradients and velocities each live in one flat vector."""
@@ -390,8 +401,18 @@ class TestLrSchedule:
         with pytest.raises(ValueError, match="step factors must be positive and finite"):
             LrSchedule("step", 0.1, steps=((1, 0.5), (3, factor)))
 
+    def test_numpy_reals_stored_as_python_floats_and_ints(self):
+        schedule = LrSchedule("step", np.float32(0.5), steps=((np.int64(2), np.float32(0.25)), (3, 1)))
+        assert schedule == LrSchedule("step", 0.5, steps=((2, 0.25), (3, 1.0)))
+        assert type(schedule.base_lr) is float
+        assert [(type(e), type(f)) for e, f in schedule.steps] == [(int, float), (int, float)]
+
+    def test_step_epoch_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="step epochs must be nonnegative integers, got 1.5"):
+            LrSchedule("step", 0.1, steps=((1.5, 0.5),))
+
     def test_step_epoch_must_be_nonnegative(self):
-        with pytest.raises(ValueError, match="step epochs must be nonnegative, got -1"):
+        with pytest.raises(ValueError, match="step epochs must be nonnegative integers, got -1"):
             LrSchedule("step", 0.1, steps=((-1, 0.5),))
         assert lr_at(LrSchedule("step", 0.1, steps=((0, 0.5),)), 0, 2) == 0.05
 

@@ -10,10 +10,9 @@ from longtail_kd.data import synth_gaussian_mixture
 from longtail_kd.losses import (
     BKDConfig,
     KDConfig,
+    Objective,
     balanced_targets,
-    cb_loss_batch,
-    ce_loss_batch,
-    distill_loss_batch,
+    objective_loss_batch,
     softmax_rows,
 )
 from longtail_kd.mathutils import Rng
@@ -74,9 +73,7 @@ EPOCH_FIELD = len(pipeline.CKPT_MAGIC) + 32  # past the magic and the config dig
 class BatchRecorder:
     """Records every training minibatch through the pipeline's module seams:
     the student's input rows (``forward`` on any params but the teacher's),
-    and the labels and mean loss that the batch's loss kernel sees."""
-
-    LABEL_ARG = {"ce_loss_batch": 1, "cb_loss_batch": 1, "distill_loss_batch": 2}
+    and the labels and mean loss that the one loss kernel sees."""
 
     def __init__(self, monkeypatch, teacher=None):
         self.inputs, self.labels, self.losses = [], [], []
@@ -86,18 +83,14 @@ class BatchRecorder:
                 self.inputs.append(X)
             return forward(params, X)
 
-        monkeypatch.setattr(pipeline, "forward", student_forward)
-        for name, label_arg in self.LABEL_ARG.items():
-            monkeypatch.setattr(pipeline, name, self._recording(getattr(pipeline, name), label_arg))
-
-    def _recording(self, loss_batch, label_arg):
-        def recorded(*args):
-            values, grads = loss_batch(*args)
-            self.labels.append(np.asarray(args[label_arg]))
+        def recorded(Z, ys, rows, objective):
+            values, grads = objective_loss_batch(Z, ys, rows, objective)
+            self.labels.append(np.asarray(ys))
             self.losses.append(float(values.mean()))
             return values, grads
 
-        return recorded
+        monkeypatch.setattr(pipeline, "forward", student_forward)
+        monkeypatch.setattr(pipeline, "objective_loss_batch", recorded)
 
     def take_losses(self):
         """The mean losses recorded so far, which are then forgotten."""
@@ -170,7 +163,7 @@ class TestTrainTeacher:
         vel = [np.zeros_like(p) for p in ref.weights + ref.biases]
         for epoch in range(epochs):
             logits, cache = forward(ref, batches.inputs[epoch])
-            grads = backward(ref, cache, ce_loss_batch(logits, batches.labels[epoch])[1] / n)
+            grads = backward(ref, cache, objective_loss_batch(logits, batches.labels[epoch], None, Objective())[1] / n)
             lr = lr_at(cfg.schedule, epoch, epochs)
             for g, p, v in zip(grads.weights + grads.biases, ref.weights + ref.biases, vel):
                 g = g + wd * p
@@ -255,8 +248,8 @@ class TestTrainStudent:
         t_logits, _ = forward(teacher, X)
         phat = softmax_rows(t_logits, cfg.bkd.temperature)
         w = effective_number_weights(train.class_counts, cfg.bkd.beta)
-        bkd_values, _ = distill_loss_batch(logits, balanced_targets(phat, w), ys, 1.0, 1.0, cfg.bkd.temperature)
-        ce_values, _ = ce_loss_batch(logits, ys)
+        bkd_values, _ = objective_loss_batch(logits, ys, np.arange(len(ys)), cfg.bkd.objective(phat, w))
+        ce_values, _ = objective_loss_batch(logits, ys, None, Objective())
         T = cfg.bkd.temperature
         log_pT = np.log(softmax_rows(logits, T))
         kl = (phat * (np.log(phat) - log_pT)).sum(axis=1)
@@ -311,11 +304,12 @@ class TestTrainStudent:
         teacher, _ = train_teacher(train, test, small_cfg(epochs=1))
         seen = []
 
-        def recording(Z, ys, w):
-            seen.append(w)
-            return cb_loss_batch(Z, ys, w)
+        def recording(Z, ys, rows, objective):
+            assert objective.targets is None
+            seen.append(objective.ce_weights)
+            return objective_loss_batch(Z, ys, rows, objective)
 
-        monkeypatch.setattr(pipeline, "cb_loss_batch", recording)
+        monkeypatch.setattr(pipeline, "objective_loss_batch", recording)
         cfg = small_cfg(loss="cb", epochs=2)
         train_student(train, test, teacher, cfg)
         raw = effective_number_weights(train.class_counts, cfg.bkd.beta)
@@ -331,11 +325,11 @@ class TestTrainStudent:
         teacher, _ = train_teacher(train, test, small_cfg(epochs=1))
         seen = []
 
-        def recording(Z, targets, *args):
-            seen.append(targets)
-            return distill_loss_batch(Z, targets, *args)
+        def recording(Z, ys, rows, objective):
+            seen.append(objective.targets[rows])
+            return objective_loss_batch(Z, ys, rows, objective)
 
-        monkeypatch.setattr(pipeline, "distill_loss_batch", recording)
+        monkeypatch.setattr(pipeline, "objective_loss_batch", recording)
         monkeypatch.setattr(Rng, "permutation", lambda self, n: np.arange(n))
         cfg = small_cfg(loss="bkd", epochs=1, batch_size=len(train))
         train_student(train, test, teacher, cfg)
@@ -379,15 +373,15 @@ class TestTeacherTargetCache:
                 batches.append(X)
             return forward(params, X)
 
-        def check_targets(Z, targets, *args):
+        def check_targets(Z, ys, rows, objective):
             expected = softmax_rows(forward(teacher, batches[-1])[0], distill.temperature)
             if loss == "bkd":
                 expected = balanced_targets(expected, w)
-            np.testing.assert_allclose(targets, expected, rtol=1e-12)
-            return distill_loss_batch(Z, targets, *args)
+            np.testing.assert_allclose(objective.targets[rows], expected, rtol=1e-12)
+            return objective_loss_batch(Z, ys, rows, objective)
 
         monkeypatch.setattr(pipeline, "forward", student_forward)
-        monkeypatch.setattr(pipeline, "distill_loss_batch", check_targets)
+        monkeypatch.setattr(pipeline, "objective_loss_batch", check_targets)
         train_student(train, test, teacher, cfg)
         assert len(batches) == cfg.epochs * math.ceil(len(train) / cfg.batch_size)
 
@@ -627,6 +621,38 @@ class TestCheckpointResume:
         train_student(train, test, teacher, python_ints, out_ckpt=ckpt, stop_after_epoch=1)
         resumed_params, _ = train_student(train, test, teacher, numpy_ints, resume_from=ckpt)
         assert params_to_bytes(resumed_params) == params_to_bytes(full_params)
+
+
+    def test_numpy_and_integer_reals_have_the_python_float_digest(self):
+        # a numpy float once rendered as a string in the digest, and an
+        # integer real as an integer; each is now stored as the float it
+        # equals, so equal configs digest the same
+        reals = small_cfg(
+            schedule=LrSchedule("step", np.float32(0.5), steps=((np.int64(2), np.float32(0.25)),)),
+            momentum=np.float32(0.5), weight_decay=np.float16(0.25),
+            kd=KDConfig(alpha=True, temperature=np.float32(2.0)), bkd=BKDConfig(beta=np.float32(0.5), temperature=2),
+        )
+        floats = small_cfg(
+            schedule=LrSchedule("step", 0.5, steps=((2, 0.25),)), momentum=0.5, weight_decay=0.25,
+            kd=KDConfig(alpha=1.0, temperature=2.0), bkd=BKDConfig(beta=0.5, temperature=2.0),
+        )
+        assert reals == floats
+        assert config_digest(reals) == config_digest(floats)
+        assert KDConfig(alpha=np.float32(0.5)) == KDConfig(alpha=0.5)
+        assert config_digest(small_cfg(kd=KDConfig(alpha=1))) == config_digest(small_cfg(kd=KDConfig(alpha=1.0)))
+        stored = (reals.momentum, reals.weight_decay, reals.kd.alpha, reals.kd.temperature, reals.bkd.beta)
+        assert all(type(v) is float for v in stored)
+
+    @pytest.mark.parametrize("field, value", [("momentum", "0.5"), ("weight_decay", None)])
+    def test_non_real_optimizer_settings_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_cfg(**{field: value})
+
+    def test_digest_refuses_a_value_it_cannot_render(self):
+        # such a value was once rendered by str(), so its digest held a
+        # memory address and changed from run to run
+        with pytest.raises(TypeError):
+            config_digest(small_cfg(kd=object()))
 
 
 class TestMetricCsv:

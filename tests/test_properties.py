@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from longtail_kd import data as data_module
 from longtail_kd.data import FEW, MANY, MEDIUM, LabeledDataset, save_dataset
 from longtail_kd.evaluate import accuracy_report, confusion_matrix
-from longtail_kd.losses import balanced_targets, distill_loss_batch, softmax_rows
+from longtail_kd.losses import Objective, balanced_targets, objective_loss_batch, softmax_rows
 from longtail_kd.mathutils import softmax_with_temperature
 from test_data import _reference_csv, _reference_sidecar
 
@@ -58,7 +58,8 @@ def test_distillation_term_nonnegative(batch):
     Z, teacher_logits, ys, w, T = batch
     phat = softmax_rows(teacher_logits, T)
     for targets in (phat, balanced_targets(phat, w)):
-        values, _ = distill_loss_batch(Z, targets, ys, 0.0, 1.0, T)
+        kl_only = Objective(np.zeros(Z.shape[1]), targets, 1.0, T)
+        values, _ = objective_loss_batch(Z, ys, np.arange(len(ys)), kl_only)
         assert np.all(values / (T * T) >= -1e-12)
 
 
