@@ -132,6 +132,8 @@ def cmd_eval(args):
     tcfg = train_config(cfg)
     params = read_checkpoint(args.ckpt).params
     data = load_dataset(args.data)
+    if len(data) == 0:
+        raise ValueError(f"{args.data} has no samples to evaluate")
     train = load_dataset(os.path.join(cfg["data_dir"], "train.csv"))
     for name, split in (("data", data), ("train split", train)):
         check_model_fits(params, split, "checkpoint", name)

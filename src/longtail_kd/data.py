@@ -2,6 +2,9 @@
 on-disk CSV format.
 
 Train splits follow an imbalance profile; test splits are always balanced.
+Counts, dimensions and labels go through the number rules of ``mathutils``
+and ``weights.check_counts``, so a ``bool`` or a fractional count or label
+is refused, never truncated.
 
 On disk a dataset is a ``longtail-csv v1`` text file, the one canonical form.
 ``save_dataset`` also writes a ``longtail-bin v1`` sidecar next to it
@@ -46,7 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathutils import Rng, is_int
+from .mathutils import Rng, check_int, check_int_array, check_real
+from .weights import check_counts
 from .workers import run_split, split
 
 FORMAT_MAGIC = "longtail-csv v1"
@@ -84,12 +88,9 @@ class ImbalanceProfile:
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
             raise ValueError(f"profile kind must be one of {PROFILE_KINDS}, got {self.kind!r}")
-        if not (isinstance(self.rho, (int, float)) and self.rho >= 1.0):
-            raise ValueError(f"imbalance ratio must be >= 1, got {self.rho!r}")
-        if not (is_int(self.n_max) and self.n_max >= 1):
-            raise ValueError("n_max must be a positive integer")
-        if not (is_int(self.num_classes) and self.num_classes >= 1):
-            raise ValueError("num_classes must be a positive integer")
+        object.__setattr__(self, "rho", check_real(self.rho, "imbalance ratio", lambda r: r >= 1.0, "be >= 1"))
+        object.__setattr__(self, "n_max", check_int(self.n_max, "n_max", 1))
+        object.__setattr__(self, "num_classes", check_int(self.num_classes, "num_classes", 1))
         if self.num_classes < 2 and self.rho > 1.0:
             raise ValueError("an imbalanced profile (rho > 1) needs at least 2 classes")
 
@@ -104,7 +105,8 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = check_int_array(self.labels, "labels")
+        self.num_classes = check_int(self.num_classes, "num_classes", 1)
         if self.features.ndim != 2:
             raise ValueError("features must be an (N, d) matrix")
         if self.labels.shape != (self.features.shape[0],):
@@ -135,7 +137,7 @@ def make_longtail_counts(profile):
     """
     if not isinstance(profile, ImbalanceProfile):
         raise ValueError("profile must be an ImbalanceProfile")
-    C, n_max, rho = profile.num_classes, profile.n_max, float(profile.rho)
+    C, n_max, rho = profile.num_classes, profile.n_max, profile.rho
     if profile.kind == "exponential":
         if C == 1:
             counts = np.array([n_max], dtype=np.int64)
@@ -176,15 +178,10 @@ def synth_gaussian_mixture(counts, dim, separation, seed, per_class_test):
     with ``per_class_test`` samples per class. Identical seeds reproduce
     the datasets bit for bit.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.ndim != 1 or counts.size == 0 or np.any(counts < 1):
-        raise ValueError("counts must be a non-empty vector of positive integers")
-    if dim < 2:
-        raise ValueError("feature dimension must be at least 2")
-    if not (isinstance(separation, (int, float)) and math.isfinite(separation) and separation >= 0):
-        raise ValueError(f"separation must be a nonnegative real, got {separation!r}")
-    if per_class_test < 1:
-        raise ValueError("per_class_test must be a positive integer")
+    counts = check_counts(counts)
+    dim = check_int(dim, "feature dimension", 2)
+    separation = check_real(separation, "separation", lambda s: 0.0 <= s < math.inf, "be a nonnegative real")
+    per_class_test = check_int(per_class_test, "per_class_test", 1)
 
     C = counts.size
     rng = Rng(seed)
@@ -200,20 +197,20 @@ def synth_gaussian_mixture(counts, dim, separation, seed, per_class_test):
 
 
 def check_thresholds(many_thresh, few_thresh):
-    """ValueError unless the subset thresholds are integers with
-    many_thresh > few_thresh > 0."""
-    if not (is_int(many_thresh) and is_int(few_thresh)):
-        raise ValueError("thresholds must be integers")
-    if not many_thresh > few_thresh > 0:
-        raise ValueError(f"need many_thresh > few_thresh > 0, got {many_thresh}, {few_thresh}")
+    """The subset thresholds as Python ints, or ValueError unless they are
+    integers with many_thresh > few_thresh > 0."""
+    many, few = check_int(many_thresh, "many_thresh"), check_int(few_thresh, "few_thresh")
+    if not many > few > 0:
+        raise ValueError(f"need many_thresh > few_thresh > 0, got {many}, {few}")
+    return many, few
 
 
 def subset_tags(counts, many_thresh=100, few_thresh=20):
     """One tag per class, by training count, as a tuple: many
     (> many_thresh), few (< few_thresh), medium otherwise (both boundaries
     inclusive)."""
-    check_thresholds(many_thresh, few_thresh)
-    counts = np.asarray(counts, dtype=np.int64)
+    many_thresh, few_thresh = check_thresholds(many_thresh, few_thresh)
+    counts = check_int_array(counts, "counts")
     return tuple(MANY if n > many_thresh else FEW if n < few_thresh else MEDIUM for n in counts)
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FEW, MANY, MEDIUM
+from .mathutils import check_int_array
 from .mlp import forward
 
 
@@ -84,9 +85,8 @@ def accuracy_report(preds, labels, tags):
 def confusion_matrix(preds, labels, num_classes):
     """Counts[i, j] = samples of true class i predicted as class j, tallied
     with one ``bincount`` over the flat cell index labels * C + preds."""
-    preds = np.asarray(preds, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if preds.shape != labels.shape or preds.ndim != 1:
+    preds, labels = check_int_array(preds, "preds"), check_int_array(labels, "labels")
+    if preds.shape != labels.shape:
         raise ValueError("preds and labels must be 1-D vectors of equal length")
     for name, v in (("preds", preds), ("labels", labels)):
         if v.size and (v.min() < 0 or v.max() >= num_classes):
@@ -116,15 +116,9 @@ def report_to_json(report):
 
 def confusion_to_csv(matrix):
     """CSV with a header row of predicted class indices."""
-    matrix = np.asarray(matrix)
-    C = matrix.shape[0]
-    lines = ["true\\pred," + ",".join(str(j) for j in range(C))]
-    for i in range(C):
-        if np.issubdtype(matrix.dtype, np.integer):
-            cells = ",".join(str(int(v)) for v in matrix[i])
-        else:
-            cells = ",".join(repr(float(v)) for v in matrix[i])
-        lines.append(f"{i},{cells}")
+    rows = np.asarray(matrix).tolist()  # Python ints or floats, as the matrix holds
+    lines = ["true\\pred," + ",".join(str(j) for j in range(len(rows)))]
+    lines += [f"{i}," + ",".join(map(repr, row)) for i, row in enumerate(rows)]
     return "\n".join(lines) + "\n"
 
 

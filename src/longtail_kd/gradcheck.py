@@ -32,7 +32,7 @@ from .losses import (
     distill_grad_formula,
     kd_loss,
 )
-from .mathutils import Rng, softmax_with_temperature
+from .mathutils import Rng, check_int, softmax_with_temperature
 from .workers import run_split, split
 
 _CHECKS = ("ce", "cb", "kd", "bkd", "cb_formula", "kd_formula", "bkd_formula")
@@ -84,8 +84,7 @@ def run_gradient_checks(trials=100, seed=0):
     audit would report every loss as exact. A failed worker raises OSError
     naming its trials.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials!r}")
+    trials = check_int(trials, "trials", 1)
 
     def failed(start, stop, sent):
         return f"the gradient-check worker for trials {start}-{stop}"

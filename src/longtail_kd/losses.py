@@ -46,9 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathutils import check_logits, check_temperature, is_int, is_real
+from .mathutils import check_int, check_logits, check_real, check_temperature
 from .mathutils import log_softmax_rows, log_softmax_shifted, shift_rows
-from .weights import check_beta
+from .weights import check_beta, check_weights
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,7 @@ class KDConfig:
     temperature: float = 2.0
 
     def __post_init__(self):
-        if not (is_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", check_real(self.alpha, "alpha", lambda a: 0.0 <= a <= 1.0, "lie in [0, 1]"))
         object.__setattr__(self, "temperature", check_temperature(self.temperature))
 
     def objective(self, teacher_probs):
@@ -115,9 +113,10 @@ class BKDConfig:
 
 
 def _check_label(y, num_classes):
-    if not (is_int(y) and 0 <= y < num_classes):
+    y = check_int(y, "label", 0)
+    if y >= num_classes:
         raise ValueError(f"label {y!r} out of range [0, {num_classes})")
-    return int(y)
+    return y
 
 
 def _check_probs(p, num_classes, name="teacher probs"):
@@ -129,17 +128,6 @@ def _check_probs(p, num_classes, name="teacher probs"):
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValueError(f"{name} must sum to 1 (got {p.sum()!r})")
     return p
-
-
-def _check_weights(w, num_classes):
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (num_classes,):
-        raise ValueError(f"weights must have shape ({num_classes},), got {w.shape}")
-    if not np.isfinite(w).all():
-        raise ValueError("weights must be finite")
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +205,7 @@ def cb_loss(z, y, w):
     """Cross-entropy scaled by the true class's weight: -w_y log p_y."""
     z = check_logits(z)
     y = _check_label(y, z.size)
-    return _one_row(z, y, Objective(_check_weights(w, z.size)))
+    return _one_row(z, y, Objective(check_weights(w, z.size)))
 
 
 def kd_loss(z, teacher_probs, y, cfg):
@@ -246,7 +234,7 @@ def bkd_loss(z, teacher_probs, y, w, cfg):
     z = check_logits(z)
     y = _check_label(y, z.size)
     phat = _check_probs(teacher_probs, z.size)
-    w = _check_weights(w, z.size)
+    w = check_weights(w, z.size)
     if not isinstance(cfg, BKDConfig):
         raise ValueError("cfg must be a BKDConfig")
     return _one_row(z, y, cfg.objective(phat[None, :], w))

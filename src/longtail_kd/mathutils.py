@@ -1,6 +1,10 @@
-"""Deterministic numeric primitives: temperature (log-)softmax, the
-integer, real, positive-real, logit and temperature rules, and a seedable
-counter-based PRNG.
+"""Deterministic numeric primitives: temperature (log-)softmax, the number
+rules, and a seedable counter-based PRNG.
+
+The number rules alone decide what an integer, a real or an integer array is
+and which Python type is stored: ``is_int`` and ``is_real`` refuse ``bool``,
+and ``check_int``, ``check_real`` and ``check_int_array`` return a Python int,
+a Python float and an int64 vector, so a fractional count or label is refused.
 
 All arithmetic is 64-bit float. The PRNG is SplitMix64 driven by a draw
 counter, so its full state is the pair (seed, counter) and any block of
@@ -21,21 +25,47 @@ _MIX_2 = 0x94D049BB133111EB
 
 
 def is_int(x):
-    """True for a Python or numpy integer: the one rule for every count,
-    seed, label and threshold."""
-    return isinstance(x, (int, np.integer))
+    """True for a Python or numpy integer other than a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def is_real(x):
-    """True for a Python int or float or a numpy float: the one type rule
-    for every real setting, which is then stored as ``float(x)``."""
-    return isinstance(x, (int, float, np.floating))
+    """True for a Python or numpy integer or float other than a bool."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
 def is_positive_finite(x):
-    """True for a positive finite real: the one rule for temperatures,
-    learning rates and step factors."""
+    """True for a positive finite real (``is_real``)."""
     return is_real(x) and math.isfinite(x) and x > 0
+
+
+def check_int(x, name, minimum=None):
+    """``x`` as a Python int, or ValueError naming ``name`` unless it is an
+    integer (``is_int``) of at least ``minimum``."""
+    # the test of ``is_int``, inline: an ``Rng`` calls this untraced (see there)
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or (minimum is not None and x < minimum):
+        bound = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+        raise ValueError(f"{name} must be {bound.get(minimum, f'an integer >= {minimum}')}, got {x!r}")
+    return int(x)
+
+
+def check_real(x, name, valid, rule):
+    """``x`` as a Python float, or ValueError "<name> must <rule>" unless it
+    is a real (``is_real``) that ``valid`` accepts."""
+    if not (is_real(x) and valid(x)):
+        raise ValueError(f"{name} must {rule}, got {x!r}")
+    return float(x)
+
+
+def check_int_array(a, name):
+    """``a`` as a 1-D int64 array, or ValueError naming ``name`` unless it is a 1-D
+    array of integers, or of integral reals within int64: every count or label vector."""
+    a = np.asarray(a)
+    if np.issubdtype(a.dtype, np.floating) and np.all((a == np.floor(a)) & (np.abs(a) < 2.0**63)):
+        a = a.astype(np.int64)
+    if a.ndim != 1 or not np.issubdtype(a.dtype, np.integer):
+        raise ValueError(f"{name} must be a 1-D vector of integers, got {a!r}")
+    return a.astype(np.int64, copy=False)
 
 
 def check_logits(z):
@@ -52,9 +82,7 @@ def check_logits(z):
 def check_temperature(temperature):
     """``temperature`` as a float, or ValueError unless it is a positive
     finite real: the one rule for every softmax temperature."""
-    if not is_positive_finite(temperature):
-        raise ValueError(f"temperature must be a positive finite real, got {temperature!r}")
-    return float(temperature)
+    return check_real(temperature, "temperature", is_positive_finite, "be a positive finite real")
 
 
 def shift_rows(Z):
@@ -109,12 +137,11 @@ class Rng:
     One instance per worker; instances are not thread-safe.
     """
 
+    # bench/tracer.py wraps module names, not this one: an Rng records no span of the rule
+    _check_int = staticmethod(check_int)
+
     def __init__(self, seed):
-        # the rule of ``is_int``, written inline: bench/tracer.py wraps each
-        # public function, and making an Rng is to record no span of its own
-        if not isinstance(seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
-        self._seed = int(seed) & _U64_MASK
+        self._seed = self._check_int(seed, "seed") & _U64_MASK
         self._count = 0
 
     @property
@@ -125,8 +152,8 @@ class Rng:
     @classmethod
     def from_state(cls, state):
         seed, count = state
-        rng = cls(int(seed))
-        rng._count = int(count)
+        rng = cls(seed)
+        rng._count = cls._check_int(count, "draw count", 0)
         return rng
 
     def _raw(self, n):
@@ -165,10 +192,7 @@ class Rng:
 
     def permutation(self, n):
         """Random permutation of range(n): argsort of fresh 64-bit keys."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
+        n = self._check_int(n, "n", 0)
         return np.argsort(self._raw(n), kind="stable").astype(np.int64)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathutils import Rng, is_int, is_positive_finite
+from .mathutils import Rng, check_int, check_real, is_positive_finite
 
 MLP_MAGIC = b"mlp-v1"
 SCHEDULE_KINDS = ("constant", "step", "cosine")
@@ -107,27 +107,21 @@ class LrSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"schedule kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
-        if not is_positive_finite(self.base_lr):
-            raise ValueError(f"base_lr must be positive and finite, got {self.base_lr!r}")
-        for epoch, factor in self.steps:
-            if not (is_int(epoch) and epoch >= 0):
-                raise ValueError(f"step epochs must be nonnegative integers, got {epoch!r}")
-            if not is_positive_finite(factor):
-                raise ValueError(f"step factors must be positive and finite, got {factor!r} at epoch {epoch!r}")
-        epochs = [e for e, _ in self.steps]
-        if any(e2 <= e1 for e1, e2 in zip(epochs, epochs[1:])):
+        rate = lambda r, name: check_real(r, name, is_positive_finite, "be positive and finite")
+        object.__setattr__(self, "base_lr", rate(self.base_lr, "base_lr"))
+        if not isinstance(self.steps, (tuple, list)) or any(np.shape(step) != (2,) for step in self.steps):
+            raise ValueError(f"steps must be a sequence of (epoch, factor) pairs, got {self.steps!r}")
+        steps = tuple((check_int(e, "each step epoch", 0), rate(f, "step factors")) for e, f in self.steps)
+        if any(e2 <= e1 for (e1, _), (e2, _) in zip(steps, steps[1:])):
             raise ValueError("step epochs must be strictly increasing")
-        object.__setattr__(self, "base_lr", float(self.base_lr))
-        object.__setattr__(self, "steps", tuple((int(e), float(f)) for e, f in self.steps))
+        object.__setattr__(self, "steps", steps)
 
 
 def init_mlp(dims, seed):
     """Weights uniform in +-sqrt(6 / fan_in), biases zero, deterministic in seed."""
-    dims = [int(d) for d in dims]
+    dims = [check_int(d, "each layer width", 1) for d in dims]
     if len(dims) < 2:
         raise ValueError("need at least an input and an output layer")
-    if any(d < 1 for d in dims):
-        raise ValueError("all layer widths must be positive")
     rng = Rng(seed)
     params = MlpParams.zeros(dims)
     for w in params.weights:

@@ -40,7 +40,7 @@ import numpy as np
 from . import evaluate
 from .data import check_thresholds, subset_tags
 from .losses import BKDConfig, KDConfig, Objective, objective_loss_batch, softmax_rows
-from .mathutils import Rng, check_temperature, derive_seed, is_int, is_real
+from .mathutils import Rng, check_int, check_real, check_temperature, derive_seed
 from .mlp import (
     BlobReader,
     LrSchedule,
@@ -82,32 +82,31 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
-        if not (is_int(self.epochs) and self.epochs >= 0):
-            raise ValueError(f"epochs must be a nonnegative integer, got {self.epochs!r}")
-        if not (is_int(self.batch_size) and self.batch_size >= 1):
-            raise ValueError(f"batch_size must be a positive integer, got {self.batch_size!r}")
-        if not is_int(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if not (is_real(self.momentum) and 0.0 <= self.momentum < 1.0):
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
-        if not (is_real(self.weight_decay) and 0.0 <= self.weight_decay < math.inf):
-            raise ValueError(f"weight_decay must be finite and nonnegative, got {self.weight_decay!r}")
+        for name, kind in (("schedule", LrSchedule), ("kd", KDConfig), ("bkd", BKDConfig)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be an instance of {kind.__name__}, got {getattr(self, name)!r}")
+        # numbers are stored as the Python ints and floats they equal, so equal configs digest alike
+        stored = {
+            "epochs": check_int(self.epochs, "epochs", 0),
+            "batch_size": check_int(self.batch_size, "batch_size", 1),
+            "seed": check_int(self.seed, "seed"),
+            "momentum": check_real(self.momentum, "momentum", lambda m: 0.0 <= m < 1.0, "lie in [0, 1)"),
+            "weight_decay": check_real(
+                self.weight_decay, "weight_decay", lambda w: 0.0 <= w < math.inf, "be finite and nonnegative"
+            ),
+        }
         if self.defer_epoch is not None:
             if self.loss != "bkd":
                 raise ValueError("defer_epoch is only valid with loss='bkd'")
-            if not (is_int(self.defer_epoch) and 0 <= self.defer_epoch < self.epochs):
+            stored["defer_epoch"] = check_int(self.defer_epoch, "defer_epoch", 0)
+            if stored["defer_epoch"] >= stored["epochs"]:
                 raise ValueError(f"defer_epoch must be an integer in [0, epochs), got {self.defer_epoch!r}")
-        if not all(is_int(h) and h >= 1 for h in self.hidden_dims):
-            raise ValueError(f"hidden layer widths must be positive integers, got {self.hidden_dims!r}")
-        check_thresholds(self.many_thresh, self.few_thresh)
-        # a numpy integer is stored as the Python int it equals, and a real
-        # as the Python float, so equal configs render, and so digest, the same
-        for name in ("epochs", "batch_size", "seed", "defer_epoch", "many_thresh", "few_thresh"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, int(getattr(self, name)))
-        for name in ("momentum", "weight_decay"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
+        if np.ndim(self.hidden_dims) != 1:
+            raise ValueError(f"hidden_dims must be a sequence of layer widths, got {self.hidden_dims!r}")
+        stored["hidden_dims"] = tuple(check_int(h, "each hidden layer width", 1) for h in self.hidden_dims)
+        stored["many_thresh"], stored["few_thresh"] = check_thresholds(self.many_thresh, self.few_thresh)
+        for name, value in stored.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -270,14 +269,16 @@ def check_model_fits(params, data, model, name):
 
 def check_splits(train, test):
     """ValueError unless the test split has the train split's width and
-    classes, and every class has a training sample: the one rule for a
-    pair of splits to train on."""
+    classes and at least one sample, and every class has a training
+    sample: the one rule for a pair of splits to train on."""
     if train.dimension != test.dimension:
         raise ValueError(
             f"train/test feature dimensions differ: {train.dimension} vs {test.dimension}"
         )
     if train.num_classes != test.num_classes:
         raise ValueError("train/test class counts differ")
+    if len(test) == 0:
+        raise ValueError("the test split has no samples to evaluate")
     if np.any(train.class_counts < 1):
         raise ValueError("every class needs at least one training sample")
 

@@ -50,6 +50,12 @@ def replace_test_split_with_a_wider_one(tmp, cfg, data_dir):
         shutil.copyfile(tmp / "wide" / name, data_dir / name)
 
 
+def keep_header_only(path):
+    """Cut a dataset file down to its header line and remove its sidecar."""
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    path.with_name(path.name + ".bin").unlink(missing_ok=True)
+
+
 @pytest.fixture
 def workspace(tmp_path):
     data_dir = tmp_path / "data"
@@ -157,6 +163,17 @@ class TestTrain:
         capsys.readouterr()
         assert run("train", "--config", cfg, "--role", "teacher") == 2
         assert capsys.readouterr().err == "error: train/test feature dimensions differ: 4 vs 5\n"
+        assert not out_dir.exists()
+
+    def test_empty_test_split_refused_before_out_dir(self, workspace, capsys):
+        # a header-only test split once trained a full epoch, then exited 2
+        # with out/resolved_config.txt left behind
+        tmp, cfg, data_dir, out_dir = workspace
+        assert run("make-data", "--config", cfg) == 0
+        keep_header_only(data_dir / "test.csv")
+        capsys.readouterr()
+        assert run("train", "--config", cfg, "--role", "teacher") == 2
+        assert capsys.readouterr().err == "error: the test split has no samples to evaluate\n"
         assert not out_dir.exists()
 
     def test_cb_baseline_completes_with_finite_losses(self, workspace):
@@ -275,6 +292,20 @@ class TestEval:
         assert run("eval", *args) == 2
         assert "checkpoint takes 4 features but the data has 5" in capsys.readouterr().err
         assert not (tmp / "wide-out").exists()
+
+
+    def test_empty_data_refused_before_out_dir(self, workspace, capsys):
+        tmp, cfg, data_dir, out_dir = workspace
+        assert run("make-data", "--config", cfg) == 0
+        assert run("train", "--config", cfg, "--role", "teacher") == 0
+        empty = tmp / "empty.csv"
+        shutil.copyfile(data_dir / "test.csv", empty)
+        keep_header_only(empty)
+        other = write_config(tmp / "other.cfg", data_dir=data_dir, out_dir=tmp / "other-out")
+        capsys.readouterr()
+        assert run("eval", "--ckpt", out_dir / "teacher.ckpt", "--data", empty, "--config", other) == 2
+        assert capsys.readouterr().err == f"error: {empty} has no samples to evaluate\n"
+        assert not (tmp / "other-out").exists()
 
 
 class TestGradcheck:
@@ -423,7 +454,7 @@ class TestConfigHandling:
             tmp_path / "bad.cfg", schedule="step", lr_steps=steps, data_dir=tmp_path / "data", out_dir=out_dir
         )
         assert run("train", "--config", cfg, "--role", role, "--teacher", tmp_path / "absent.ckpt") == 1
-        assert re.fullmatch(r"config error: step (factors|epochs) must be .*\n", capsys.readouterr().err)
+        assert re.fullmatch(r"config error: (step factors|each step epoch) must be .*\n", capsys.readouterr().err)
         assert not out_dir.exists()
 
     def test_config_that_is_not_utf8_is_config_error_naming_the_file(self, tmp_path, capsys):

@@ -408,11 +408,17 @@ class TestLrSchedule:
         assert [(type(e), type(f)) for e, f in schedule.steps] == [(int, float), (int, float)]
 
     def test_step_epoch_must_be_an_integer(self):
-        with pytest.raises(ValueError, match="step epochs must be nonnegative integers, got 1.5"):
+        with pytest.raises(ValueError, match="each step epoch must be a nonnegative integer, got 1.5"):
             LrSchedule("step", 0.1, steps=((1.5, 0.5),))
 
+    @pytest.mark.parametrize("steps", [5, (5,), ((1, 0.5, 2),), "1:0.5"])
+    def test_steps_must_be_epoch_factor_pairs(self, steps):
+        # steps=5 and (5,) once raised TypeError ("... is not iterable")
+        with pytest.raises(ValueError, match=r"steps must be a sequence of \(epoch, factor\) pairs"):
+            LrSchedule("step", 0.1, steps)
+
     def test_step_epoch_must_be_nonnegative(self):
-        with pytest.raises(ValueError, match="step epochs must be nonnegative integers, got -1"):
+        with pytest.raises(ValueError, match="each step epoch must be a nonnegative integer, got -1"):
             LrSchedule("step", 0.1, steps=((-1, 0.5),))
         assert lr_at(LrSchedule("step", 0.1, steps=((0, 0.5),)), 0, 2) == 0.05
 

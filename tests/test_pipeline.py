@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from longtail_kd import pipeline
-from longtail_kd.data import synth_gaussian_mixture
+from longtail_kd.data import LabeledDataset, synth_gaussian_mixture
 from longtail_kd.losses import (
     BKDConfig,
     KDConfig,
@@ -186,8 +186,8 @@ class TestTrainTeacher:
             ("epochs", 2.5, "epochs must be a nonnegative integer"),
             ("batch_size", 8.5, "batch_size must be a positive integer"),
             ("seed", 1.5, "seed must be an integer"),
-            ("defer_epoch", 1.5, r"defer_epoch must be an integer in \[0, epochs\)"),
-            ("hidden_dims", (8.7,), "hidden layer widths must be positive integers"),
+            ("defer_epoch", 1.5, "defer_epoch must be a nonnegative integer, got 1.5"),
+            ("hidden_dims", (8.7,), "each hidden layer width must be a positive integer, got 8.7"),
         ],
     )
     def test_non_integer_count_refused_at_construction(self, field, value, message):
@@ -207,6 +207,13 @@ class TestTrainTeacher:
         _, log = train_student(train, test, teacher, cfg)
         _, expected = train_student(train, test, teacher, small_cfg(loss="bkd", epochs=4, defer_epoch=2))
         assert metrics_to_csv(log) == metrics_to_csv(expected)
+
+    def test_empty_test_split_refused_before_training(self, monkeypatch):
+        train, test = two_class_separable()
+        empty = LabeledDataset(np.empty((0, test.dimension)), [], test.num_classes)
+        monkeypatch.setattr(pipeline, "init_mlp", lambda *a: pytest.fail("trained on an empty test split"))
+        with pytest.raises(ValueError, match="the test split has no samples to evaluate"):
+            train_teacher(train, empty, small_cfg())
 
     def test_dimension_mismatch_rejected(self):
         train, _ = two_class_separable(seed=1)
@@ -630,7 +637,7 @@ class TestCheckpointResume:
         reals = small_cfg(
             schedule=LrSchedule("step", np.float32(0.5), steps=((np.int64(2), np.float32(0.25)),)),
             momentum=np.float32(0.5), weight_decay=np.float16(0.25),
-            kd=KDConfig(alpha=True, temperature=np.float32(2.0)), bkd=BKDConfig(beta=np.float32(0.5), temperature=2),
+            kd=KDConfig(alpha=np.int64(1), temperature=np.float32(2.0)), bkd=BKDConfig(beta=np.float32(0.5), temperature=2),
         )
         floats = small_cfg(
             schedule=LrSchedule("step", 0.5, steps=((2, 0.25),)), momentum=0.5, weight_decay=0.25,
@@ -650,9 +657,29 @@ class TestCheckpointResume:
 
     def test_digest_refuses_a_value_it_cannot_render(self):
         # such a value was once rendered by str(), so its digest held a
-        # memory address and changed from run to run
+        # memory address and changed from run to run; the constructor now
+        # refuses it first, so it is set here past the constructor
+        cfg = small_cfg()
+        object.__setattr__(cfg, "kd", object())
         with pytest.raises(TypeError):
-            config_digest(small_cfg(kd=object()))
+            config_digest(cfg)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("schedule", None, "schedule must be an instance of LrSchedule, got None"),
+            ("kd", object(), "kd must be an instance of KDConfig, got <object"),
+            ("bkd", KDConfig(), r"bkd must be an instance of BKDConfig, got KDConfig\("),
+            ("hidden_dims", None, "hidden_dims must be a sequence of layer widths, got None"),
+            ("hidden_dims", 64, "hidden_dims must be a sequence of layer widths, got 64"),
+        ],
+    )
+    def test_nested_value_of_the_wrong_type_refused_at_construction(self, field, value, message):
+        # each once constructed: schedule=None then failed in lr_at, kd=object()
+        # in config_digest, bkd=KDConfig() on the first bkd epoch with an
+        # AttributeError, and hidden_dims=None or 64 raised TypeError
+        with pytest.raises(ValueError, match=message):
+            small_cfg(loss="bkd", **{field: value})
 
 
 class TestMetricCsv:
