@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathutils import Rng, check_int, check_int_array, check_real
+from .mathutils import Rng, check_int, check_int_array, check_real, check_real_array
 from .weights import check_counts
 from .workers import run_split, split
 
@@ -104,15 +104,13 @@ class LabeledDataset:
     num_classes: int
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = check_real_array(
+            self.features, "features", lambda f: True, "be an (N, d) matrix of finite reals", (None, None)
+        )
         self.labels = check_int_array(self.labels, "labels")
         self.num_classes = check_int(self.num_classes, "num_classes", 1)
-        if self.features.ndim != 2:
-            raise ValueError("features must be an (N, d) matrix")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must be a vector matching the feature rows")
-        if not np.isfinite(self.features).all():
-            raise ValueError("features must be finite")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError("labels must lie in [0, num_classes)")
 

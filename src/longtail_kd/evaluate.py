@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FEW, MANY, MEDIUM
-from .mathutils import check_int_array
+from .mathutils import check_int, check_int_array
 from .mlp import forward
 
 
@@ -86,6 +86,7 @@ def confusion_matrix(preds, labels, num_classes):
     """Counts[i, j] = samples of true class i predicted as class j, tallied
     with one ``bincount`` over the flat cell index labels * C + preds."""
     preds, labels = check_int_array(preds, "preds"), check_int_array(labels, "labels")
+    num_classes = check_int(num_classes, "num_classes", 1)
     if preds.shape != labels.shape:
         raise ValueError("preds and labels must be 1-D vectors of equal length")
     for name, v in (("preds", preds), ("labels", labels)):

@@ -42,11 +42,12 @@ as a disagreement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mathutils import check_int, check_logits, check_real, check_temperature
+from .mathutils import check_int, check_logits, check_real, check_real_array, check_temperature
 from .mathutils import log_softmax_rows, log_softmax_shifted, shift_rows
 from .weights import check_beta, check_weights
 
@@ -119,15 +120,9 @@ def _check_label(y, num_classes):
     return y
 
 
-def _check_probs(p, num_classes, name="teacher probs"):
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (num_classes,):
-        raise ValueError(f"{name} must have shape ({num_classes},), got {p.shape}")
-    if not np.isfinite(p).all() or np.any(p < 0):
-        raise ValueError(f"{name} must be finite and nonnegative")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"{name} must sum to 1 (got {p.sum()!r})")
-    return p
+def _check_probs(p, num_classes, name="teacher_probs"):
+    sums_to_one = lambda p: (p >= 0).all() and abs(p.sum() - 1.0) <= 1e-9
+    return check_real_array(p, name, sums_to_one, f"be {num_classes} nonnegative reals summing to 1", (num_classes,))
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +248,8 @@ def distill_grad_formula(z, targets, y, ce_coef, kl_coef, temperature):
     z = check_logits(z)
     y = _check_label(y, z.size)
     targets = _check_probs(targets, z.size, "targets")
+    ce_coef = check_real(ce_coef, "ce_coef", math.isfinite, "be a finite real")
+    kl_coef = check_real(kl_coef, "kl_coef", math.isfinite, "be a finite real")
     T = check_temperature(temperature)
     shifted = z - z.max()
     p = np.exp(shifted)

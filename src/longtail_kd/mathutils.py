@@ -1,10 +1,15 @@
 """Deterministic numeric primitives: temperature (log-)softmax, the number
 rules, and a seedable counter-based PRNG.
 
-The number rules alone decide what an integer, a real or an integer array is
-and which Python type is stored: ``is_int`` and ``is_real`` refuse ``bool``,
-and ``check_int``, ``check_real`` and ``check_int_array`` return a Python int,
-a Python float and an int64 vector, so a fractional count or label is refused.
+The number rules alone decide what an integer, a real, an integer array or a
+real array is and which type is stored: ``is_int`` and ``is_real`` refuse
+``bool``, and ``check_int``, ``check_real``, ``check_int_array`` and
+``check_real_array`` return a Python int, a Python float, an int64 vector and
+a float64 array, so a fractional count or label is refused. A real array is
+every logit vector (``check_logits``, behind ``softmax_with_temperature`` and
+each per-sample loss), teacher probability and target vector, class-weight
+vector and feature matrix a caller hands in; one of bool, text, object or
+complex dtype is refused, never converted.
 
 All arithmetic is 64-bit float. The PRNG is SplitMix64 driven by a draw
 counter, so its full state is the pair (seed, counter) and any block of
@@ -68,15 +73,23 @@ def check_int_array(a, name):
     return a.astype(np.int64, copy=False)
 
 
+def check_real_array(a, name, valid, rule, shape):
+    """``a`` as a float64 array (``a`` itself if it is one), or ValueError "<name>
+    must <rule>" unless it has an integer or floating dtype (not bool, text,
+    object or complex), the ``shape`` given (None matching any length), and
+    finite entries that ``valid``, a predicate on the float64 array, accepts."""
+    a = np.asarray(a)
+    fits = len(a.shape) == len(shape) and all(n in (None, m) for n, m in zip(shape, a.shape))
+    if a.dtype.kind in "iuf" and fits:
+        a = a.astype(np.float64, copy=False)
+        if np.isfinite(a).all() and np.all(valid(a)):
+            return a
+    raise ValueError(f"{name} must {rule}, got {a!r}")
+
+
 def check_logits(z):
-    """``z`` as a float64 vector, or ValueError unless it is a non-empty,
-    finite 1-D vector."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.size == 0:
-        raise ValueError("logits must be a non-empty 1-D vector")
-    if not np.isfinite(z).all():
-        raise ValueError("logits must be finite")
-    return z
+    """``z`` as a float64 vector, or ValueError unless it is a non-empty vector of finite reals."""
+    return check_real_array(z, "logits", lambda z: z.size > 0, "be a non-empty vector of finite reals", (None,))
 
 
 def check_temperature(temperature):
@@ -156,6 +169,14 @@ class Rng:
         rng._count = cls._check_int(count, "draw count", 0)
         return rng
 
+    def _count_of(self, size):
+        """Draws for a ``size`` of None (one), a length or a shape, each length
+        refused unless a nonnegative integer before anything is drawn."""
+        if size is None:
+            return 1
+        lengths = size if isinstance(size, (tuple, list)) else (size,)
+        return math.prod(self._check_int(n, "size", 0) for n in lengths)
+
     def _raw(self, n):
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
         lo = self._count + 1
@@ -169,7 +190,7 @@ class Rng:
 
     def uniform(self, size=None):
         """Doubles in [0, 1) with 53-bit resolution."""
-        n = 1 if size is None else int(np.prod(size))
+        n = self._count_of(size)
         u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
         if size is None:
             return float(u[0])
@@ -177,7 +198,7 @@ class Rng:
 
     def normal(self, size=None):
         """Standard normal draws via Box-Muller."""
-        n = 1 if size is None else int(np.prod(size))
+        n = self._count_of(size)
         pairs = (n + 1) // 2
         raw = self._raw(2 * pairs)
         # u1 in (0, 1] so log never sees zero; u2 in [0, 1)

@@ -81,12 +81,22 @@ class MlpParams:
         return MlpParams.from_flat(self.flat.copy(), self.dims)
 
 
+def check_momentum(momentum):
+    """``momentum`` as a float, or ValueError unless it is a real in [0, 1):
+    the one momentum rule, for ``OptimizerState`` and ``TrainConfig``."""
+    return check_real(momentum, "momentum", lambda m: 0.0 <= m < 1.0, "lie in [0, 1)")
+
+
 @dataclass
 class OptimizerState:
-    """Momentum buffers: one velocity per parameter, in the same layout."""
+    """Momentum buffers: one velocity per parameter, in the same layout,
+    and a momentum in [0, 1) (``check_momentum``)."""
 
     vel: MlpParams
     momentum: float = 0.9
+
+    def __post_init__(self):
+        self.momentum = check_momentum(self.momentum)
 
 
 @dataclass(frozen=True)
@@ -180,7 +190,7 @@ def backward(params, cache, grad_logits, out=None):
 
 
 def init_optimizer(params, momentum=0.9):
-    return OptimizerState(MlpParams.zeros(params.dims), float(momentum))
+    return OptimizerState(MlpParams.zeros(params.dims), momentum)
 
 
 def sgd_momentum_step(params, grads, state, lr):

@@ -46,6 +46,7 @@ from .mlp import (
     LrSchedule,
     forward,
     backward,
+    check_momentum,
     init_mlp,
     init_optimizer,
     lr_at,
@@ -90,7 +91,7 @@ class TrainConfig:
             "epochs": check_int(self.epochs, "epochs", 0),
             "batch_size": check_int(self.batch_size, "batch_size", 1),
             "seed": check_int(self.seed, "seed"),
-            "momentum": check_real(self.momentum, "momentum", lambda m: 0.0 <= m < 1.0, "lie in [0, 1)"),
+            "momentum": check_momentum(self.momentum),
             "weight_decay": check_real(
                 self.weight_decay, "weight_decay", lambda w: 0.0 <= w < math.inf, "be finite and nonnegative"
             ),
@@ -250,7 +251,8 @@ def read_checkpoint(path):
     _check_log_numbering(path, epoch, log_rows)
     if vel.dims != params.dims:
         raise ValueError(f"{path}: velocity dimensions {vel.dims} do not match parameters {params.dims}")
-    return RunState(params, OptimizerState(vel, momentum), rng, log_rows, digest)
+    opt = _parse_blob(path, lambda m: OptimizerState(vel, m), momentum)
+    return RunState(params, opt, rng, log_rows, digest)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mathutils import check_int_array, check_real
+from .mathutils import check_int_array, check_real, check_real_array
 
 
 def check_counts(counts):
@@ -27,14 +27,10 @@ def check_beta(beta):
 
 
 def check_weights(w, num_classes=None):
-    """``w`` as a float64 vector, or ValueError unless it is a non-empty 1-D
-    vector of finite positive weights (``num_classes`` of them, if given)."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0 or num_classes not in (None, w.size):
-        raise ValueError(f"weights of shape {w.shape} are not a non-empty vector of one weight per class")
-    if not (np.isfinite(w).all() and np.all(w > 0)):
-        raise ValueError("weights must be finite and positive")
-    return w
+    """``w`` as a float64 vector, or ValueError unless it is a non-empty vector
+    of finite positive reals, ``num_classes`` of them if given."""
+    rule = "be a non-empty vector of finite positive reals, one per class"
+    return check_real_array(w, "weights", lambda w: w.size > 0 and (w > 0).all(), rule, (num_classes,))
 
 
 def effective_number_weights(counts, beta):

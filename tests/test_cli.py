@@ -1,3 +1,4 @@
+import ctypes
 import json
 import re
 import shutil
@@ -496,3 +497,26 @@ class TestConfigHandling:
         cfg.write_text("kind = gaussian\n")
         assert run("make-data", "--config", cfg) == 1
         assert "unknown key" in capsys.readouterr().err
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [
+        (name, ctypes.c_size_t)
+        for name in "arena ordblks smblks hblks hblkhd usmblks fsmblks uordblks fordblks keepcost".split()
+    ]
+
+
+def test_large_blocks_stay_in_their_own_mappings_after_a_command(capsys):
+    # glibc alone would serve the second 8 MiB block from the heap, having
+    # raised its mmap threshold when the first one was freed
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "mallinfo2"):
+        pytest.skip("needs glibc 2.33 or later")
+    libc.mallinfo2.restype = _MallInfo2
+    assert run("no-such-command") == 1
+    capsys.readouterr()
+    for _ in range(2):
+        mapped = libc.mallinfo2().hblkhd
+        block = bytearray(8 << 20)
+        assert libc.mallinfo2().hblkhd >= mapped + len(block)
+        del block

@@ -1,7 +1,10 @@
 """The number rules of ``mathutils`` at every entry point that takes an
-integer, a real or an integer array: a bool and a fractional integer are
-refused, and a numpy number is stored as the Python number it equals."""
+integer, a real, an integer array or a real array: a bool and a fractional
+integer are refused, a numpy number is stored as the Python number it
+equals, and a real array of bool, text, object or complex dtype is refused."""
 
+import math
+import re
 import struct
 
 import numpy as np
@@ -10,10 +13,11 @@ import pytest
 from longtail_kd.data import FEW, MANY, ImbalanceProfile, LabeledDataset, subset_tags, synth_gaussian_mixture
 from longtail_kd.evaluate import accuracy_report, confusion_matrix
 from longtail_kd.gradcheck import run_gradient_checks
-from longtail_kd.losses import BKDConfig, KDConfig, ce_loss
-from longtail_kd.mathutils import Rng, check_int, check_int_array, check_real, is_int, is_real
-from longtail_kd.mlp import LrSchedule, init_mlp
-from longtail_kd.weights import effective_number_weights
+from longtail_kd.losses import BKDConfig, KDConfig, bkd_loss, cb_loss, ce_loss, distill_grad_formula, kd_loss
+from longtail_kd.mathutils import Rng, check_int, check_int_array, check_real, check_real_array, is_int, is_real
+from longtail_kd.mathutils import softmax_with_temperature
+from longtail_kd.mlp import LrSchedule, OptimizerState, init_mlp, init_optimizer
+from longtail_kd.weights import effective_number_weights, normalize_weights
 from test_pipeline import small_cfg
 
 
@@ -42,6 +46,9 @@ INTS = {
     "Rng seed": (lambda v: Rng(v).state[0], 7),
     "Rng.permutation": (lambda v: Rng(1).permutation(v).tolist(), 5),
     "run_gradient_checks trials": (lambda v: run_gradient_checks(trials=v), 1),
+    "confusion_matrix num_classes": (lambda v: confusion_matrix([0, 1], [0, 1], v).tolist(), 2),
+    "Rng.uniform size": (lambda v: Rng(1).uniform((2, v)).tolist(), 3),
+    "Rng.normal size": (lambda v: Rng(1).normal(v).tolist(), 3),
 }
 
 # entry point -> (what it stores for a value, a valid fractional real, a
@@ -56,6 +63,9 @@ REALS = {
     "LrSchedule step factor": (lambda v: LrSchedule("step", 0.5, ((2, v),)).steps[0][1], 0.25, 2),
     "ImbalanceProfile.rho": (lambda v: ImbalanceProfile("exponential", v, 100, 4).rho, 10.5, 10),
     "synth_gaussian_mixture separation": (lambda v: _synth(separation=v)[0].features.tobytes(), 1.5, 2),
+    "init_optimizer momentum": (lambda v: init_optimizer(init_mlp([2, 2], 0), v).momentum, 0.5, 0),
+    "distill_grad_formula ce_coef": (lambda v: distill_grad_formula([1, 0], [0, 1], 0, v, 1, 2).tobytes(), 0.5, 2),
+    "distill_grad_formula kl_coef": (lambda v: distill_grad_formula([1, 0], [0, 1], 0, 1, v, 2).tobytes(), 0.5, 2),
 }
 
 # entry point -> (what it stores or returns for a vector, a valid list of ints)
@@ -67,6 +77,41 @@ ARRAYS = {
     "confusion_matrix preds": (lambda v: confusion_matrix(v, [0, 1], 2).tolist(), [1, 1]),
     "confusion_matrix labels": (lambda v: confusion_matrix([0, 1], v, 2).tolist(), [0, 1]),
     "accuracy_report preds": (lambda v: accuracy_report(v, [0, 1], (MANY, FEW)), [0, 0]),
+}
+
+
+# the float64 values each real-array argument below is given, or a cast of
+# them: integers, so int32 and int64 arrays hold them exactly, and
+# probabilities that float32 holds exactly
+LOGITS, PROBS, WEIGHTS = [1.0, -2.0, 0.0], [0.0, 1.0, 0.0], [1.0, 2.0, 4.0]
+
+
+def _loss(result):
+    return np.append(result.grad_logits, result.value)
+
+
+# entry point -> (the argument's name in its ValueError, what it returns for
+# an array, a valid float64 value, a value of the wrong shape)
+REAL_ARRAYS = {
+    "softmax_with_temperature logits": ("logits", lambda v: softmax_with_temperature(v, 2.0), LOGITS, [LOGITS]),
+    "ce_loss logits": ("logits", lambda v: _loss(ce_loss(v, 1)), LOGITS, [LOGITS]),
+    "cb_loss logits": ("logits", lambda v: _loss(cb_loss(v, 1, WEIGHTS)), LOGITS, [LOGITS]),
+    "cb_loss weights": ("weights", lambda v: _loss(cb_loss(LOGITS, 1, v)), WEIGHTS, WEIGHTS + [1.0]),
+    "kd_loss logits": ("logits", lambda v: _loss(kd_loss(v, PROBS, 1, KDConfig())), LOGITS, [LOGITS]),
+    "kd_loss teacher_probs": ("teacher_probs", lambda v: _loss(kd_loss(LOGITS, v, 1, KDConfig())), PROBS, PROBS[1:]),
+    "bkd_loss logits": ("logits", lambda v: _loss(bkd_loss(v, PROBS, 1, WEIGHTS, BKDConfig())), LOGITS, [LOGITS]),
+    "bkd_loss teacher_probs": (
+        "teacher_probs", lambda v: _loss(bkd_loss(LOGITS, v, 1, WEIGHTS, BKDConfig())), PROBS, [PROBS]
+    ),
+    "bkd_loss weights": ("weights", lambda v: _loss(bkd_loss(LOGITS, PROBS, 1, v, BKDConfig())), WEIGHTS, [1.0]),
+    "distill_grad_formula logits": ("logits", lambda v: distill_grad_formula(v, PROBS, 1, 0.5, 0.5, 2.0), LOGITS, []),
+    "distill_grad_formula targets": (
+        "targets", lambda v: distill_grad_formula(LOGITS, v, 1, 0.5, 0.5, 2.0), PROBS, PROBS + [0.0]
+    ),
+    "normalize_weights weights": ("weights", normalize_weights, WEIGHTS, [WEIGHTS]),
+    "LabeledDataset features": (
+        "features", lambda v: LabeledDataset(v, [0, 1], 2).features, [[1.0, 2.0], [3.0, -4.0]], [1.0, 2.0]
+    ),
 }
 
 
@@ -105,6 +150,52 @@ def test_entry_point_refuses_or_stores_the_python_number(name, kind, value, acts
     assert type(got) is type(want)
 
 
+def _refused_arrays():
+    """(entry point, kind of value, a value its real-array argument must refuse)."""
+    for entry, (_, _, valid, wrong_shape) in REAL_ARRAYS.items():
+        with_nan = np.array(valid)
+        with_nan.flat[0] = np.nan
+        yield entry, "bool", np.array(valid, dtype=bool)
+        yield entry, "str", np.array(valid).astype(str)
+        yield entry, "object", np.array(valid, dtype=object)
+        yield entry, "complex", np.array(valid, dtype=complex)
+        yield entry, "NaN entry", with_nan
+        yield entry, "wrong shape", np.array(wrong_shape)
+
+
+@pytest.mark.parametrize("entry, kind, value", [pytest.param(*r, id=f"{r[0]}-{r[1]}") for r in _refused_arrays()])
+def test_real_array_argument_refuses_what_is_not_an_array_of_finite_reals(entry, kind, value):
+    # one message for every refusal: "<argument> must <rule>, got <the array>"
+    name, returns = REAL_ARRAYS[entry][:2]
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must .+, got array\("):
+        returns(value)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float32, np.float64])
+@pytest.mark.parametrize("entry", REAL_ARRAYS)
+def test_real_array_argument_takes_any_integer_or_float_dtype_as_the_float64_it_equals(entry, dtype):
+    _, returns, valid, _ = REAL_ARRAYS[entry]
+    got, want = returns(np.array(valid, dtype=dtype)), returns(np.array(valid))
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: init_optimizer(init_mlp([2, 2], 0), math.nan), id="init_optimizer momentum nan"),
+        pytest.param(lambda: init_optimizer(init_mlp([2, 2], 0), 1.5), id="init_optimizer momentum 1.5"),
+        pytest.param(lambda: OptimizerState(init_mlp([2, 2], 0), -0.5), id="OptimizerState momentum -0.5"),
+        pytest.param(lambda: distill_grad_formula([1, 0], [0, 1], 0, math.nan, 1, 2), id="ce_coef nan"),
+        pytest.param(lambda: distill_grad_formula([1, 0], [0, 1], 0, 1, math.inf, 2), id="kl_coef inf"),
+        pytest.param(lambda: confusion_matrix([0, 1], [0, 1], 0), id="confusion_matrix num_classes 0"),
+    ],
+)
+def test_real_or_count_outside_its_range_is_refused(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -132,6 +223,19 @@ def test_fractional_permutation_length_is_refused_and_leaves_the_stream_as_it_wa
     assert rng.state == (1, 4)
     struct.pack("<QQ", *rng.state)
     assert rng.permutation(3).tolist() == Rng.from_state((1, 4)).permutation(3).tolist()
+
+
+@pytest.mark.parametrize("draw", ["uniform", "normal"])
+@pytest.mark.parametrize("size", [2.5, (2, 2.5), -1, (2, -1), True, "3"])
+def test_size_that_is_not_a_count_is_refused_before_anything_is_drawn(draw, size):
+    # uniform(2.5) once drew 2 values, moved the stream on and only then
+    # failed in reshape
+    rng = Rng(1)
+    rng.uniform(4)
+    with pytest.raises(ValueError, match="^size must be a nonnegative integer, got "):
+        getattr(rng, draw)(size)
+    assert rng.state == (1, 4)
+    assert getattr(rng, draw)(3).tolist() == getattr(Rng.from_state((1, 4)), draw)(3).tolist()
 
 
 class TestRules:
@@ -168,3 +272,24 @@ class TestRules:
         for vector in ([3, 1], np.array([3.0, 1.0]), np.array([3, 1], dtype=np.uint16), []):
             got = check_int_array(vector, "counts")
             assert got.dtype == np.int64 and got.tolist() == list(map(int, vector))
+
+    @pytest.mark.parametrize(
+        "array", [[True, False], ["1.0"], [1.0, None], [1 + 0j], [1.0, np.nan], [1.0, -np.inf], [[1.0]], 1.0]
+    )
+    def test_check_real_array_refuses_what_is_not_a_vector_of_finite_reals(self, array):
+        with pytest.raises(ValueError, match=r"^scores must be finite reals, got array\("):
+            check_real_array(array, "scores", lambda a: True, "be finite reals", (None,))
+
+    def test_check_real_array_checks_the_named_shape_and_the_predicate(self):
+        positive = lambda a: a > 0
+        assert check_real_array([[1, 2]], "m", positive, "be positive", (1, None)).shape == (1, 2)
+        for array, shape in (([[1, 2]], (2, None)), ([[1, 2]], (None, 3)), ([1, 2], (None, None)), ([1, 0], (2,))):
+            with pytest.raises(ValueError, match="^m must be positive, got array"):
+                check_real_array(array, "m", positive, "be positive", shape)
+
+    def test_check_real_array_returns_float64_without_copying_a_float64_array(self):
+        floats = np.array([3.0, 1.0])
+        assert check_real_array(floats, "w", lambda a: True, "be reals", (2,)) is floats
+        for array in ([3, 1], np.array([3, 1], dtype=np.uint8), np.array([3.0, 1.0], dtype=np.float16)):
+            got = check_real_array(array, "w", lambda a: True, "be reals", (2,))
+            assert got.dtype == np.float64 and got.tolist() == [3.0, 1.0]

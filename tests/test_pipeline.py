@@ -497,6 +497,17 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="spliced.ckpt: velocity dimensions"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("momentum", [math.nan, 1.5, -0.5])
+    def test_momentum_outside_zero_one_rejected(self, tmp_path, momentum):
+        params = init_mlp((4, 12, 2), seed=0)
+        path = str(tmp_path / "hand.ckpt")
+        write_checkpoint(path, RunState(params, init_optimizer(params), Rng(1), [], config_digest(small_cfg())))
+        momentum_field = EPOCH_FIELD + 8 + 16  # past the epoch and the Rng state
+        patch_checkpoint(path, momentum_field, struct.pack("<d", 0.9), struct.pack("<d", momentum))
+        with pytest.raises(ValueError) as info:
+            read_checkpoint(path)
+        assert str(info.value) == f"{path}: momentum must lie in [0, 1), got {momentum!r}"
+
     @pytest.mark.parametrize("epoch", [2, -1, 5])
     def test_epoch_that_disagrees_with_the_log_rejected(self, tmp_path, epoch):
         # a 6-epoch run stopped after 4 logged epochs, its epoch field set to
