@@ -252,7 +252,7 @@ def save_dataset(data, path):
             run_split(ranges, _write_range, failed, data, path, emit)
             for part in parts:
                 with open(part, "rb") as src:
-                    while block := src.read(_HASH_CHUNK_BYTES):
+                    for block in _blocks(src):
                         emit(block)
                 os.remove(part)
         _write_sidecar(sidecar_tmp, csv_digest.digest(), data)
@@ -301,11 +301,21 @@ def _write_sidecar(path, csv_digest, data):
         fh.write(trailer.digest())
 
 
+def _blocks(fh):
+    """The rest of binary file ``fh`` as views of one reused
+    ``_HASH_CHUNK_BYTES`` buffer, each valid until the next is read: a
+    fresh ``bytes`` per block would be a new memory mapping each time under
+    the CLI's malloc thresholds."""
+    buf = memoryview(bytearray(_HASH_CHUNK_BYTES))
+    while n := fh.readinto(buf):
+        yield buf[:n]
+
+
 def _file_sha256(path):
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        while chunk := fh.read(_HASH_CHUNK_BYTES):
-            digest.update(chunk)
+        for block in _blocks(fh):
+            digest.update(block)
     return digest.digest()
 
 

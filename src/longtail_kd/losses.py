@@ -131,7 +131,9 @@ def _check_probs(p, num_classes, name="teacher_probs"):
 
 def softmax_rows(Z, temperature=1.0):
     """Row-wise temperature softmax of a (N, C) logit matrix."""
-    return np.exp(log_softmax_rows(np.asarray(Z, dtype=np.float64), temperature))
+    rule = "be a matrix of finite reals with at least one column"
+    Z = check_real_array(Z, "logits", lambda Z: Z.shape[1] > 0, rule, (None, None))
+    return np.exp(log_softmax_rows(Z, check_temperature(temperature)))
 
 
 def _ce_rows(log_p, ys):
@@ -145,7 +147,9 @@ def _ce_rows(log_p, ys):
 
 def balanced_targets(teacher_probs, w):
     """Balanced distillation targets: each row of w * phat renormalized to q."""
-    weighted = np.asarray(teacher_probs, dtype=np.float64) * np.asarray(w, dtype=np.float64)[None, :]
+    rule = "be a matrix of nonnegative finite reals"
+    phat = check_real_array(teacher_probs, "teacher_probs", lambda p: p >= 0, rule, (None, None))
+    weighted = phat * check_weights(w, phat.shape[1])[None, :]
     mass = weighted.sum(axis=1, keepdims=True)
     if np.any(mass <= 0):
         raise RuntimeError("weighted teacher mass is zero: teacher targets put no probability anywhere")
@@ -229,10 +233,9 @@ def bkd_loss(z, teacher_probs, y, w, cfg):
     z = check_logits(z)
     y = _check_label(y, z.size)
     phat = _check_probs(teacher_probs, z.size)
-    w = check_weights(w, z.size)
     if not isinstance(cfg, BKDConfig):
         raise ValueError("cfg must be a BKDConfig")
-    return _one_row(z, y, cfg.objective(phat[None, :], w))
+    return _one_row(z, y, cfg.objective(phat[None, :], w))  # w is checked in balanced_targets
 
 
 def distill_grad_formula(z, targets, y, ce_coef, kl_coef, temperature):

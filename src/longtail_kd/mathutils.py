@@ -6,10 +6,12 @@ real array is and which type is stored: ``is_int`` and ``is_real`` refuse
 ``bool``, and ``check_int``, ``check_real``, ``check_int_array`` and
 ``check_real_array`` return a Python int, a Python float, an int64 vector and
 a float64 array, so a fractional count or label is refused. A real array is
-every logit vector (``check_logits``, behind ``softmax_with_temperature`` and
-each per-sample loss), teacher probability and target vector, class-weight
-vector and feature matrix a caller hands in; one of bool, text, object or
-complex dtype is refused, never converted.
+every logit vector (``check_logits``, behind ``softmax_with_temperature``,
+each per-sample loss and ``finite_difference_gradient``) and logit matrix,
+teacher probability and target array, class-weight vector and feature
+matrix a caller hands in; one of bool, text, object or complex dtype is
+refused, never converted. A ragged nested list, of which numpy makes no
+array, is refused by both array rules, naming the argument and its rule.
 
 All arithmetic is 64-bit float. The PRNG is SplitMix64 driven by a draw
 counter, so its full state is the pair (seed, counter) and any block of
@@ -62,14 +64,24 @@ def check_real(x, name, valid, rule):
     return float(x)
 
 
+def _as_array(a, name, rule):
+    """``np.asarray(a)``, or ValueError "<name> must <rule>" where numpy
+    cannot make one array of it, as for a ragged nested list."""
+    try:
+        return np.asarray(a)
+    except ValueError:
+        raise ValueError(f"{name} must {rule}, got {a!r}") from None
+
+
 def check_int_array(a, name):
     """``a`` as a 1-D int64 array, or ValueError naming ``name`` unless it is a 1-D
     array of integers, or of integral reals within int64: every count or label vector."""
-    a = np.asarray(a)
+    rule = "be a 1-D vector of integers"
+    a = _as_array(a, name, rule)
     if np.issubdtype(a.dtype, np.floating) and np.all((a == np.floor(a)) & (np.abs(a) < 2.0**63)):
         a = a.astype(np.int64)
     if a.ndim != 1 or not np.issubdtype(a.dtype, np.integer):
-        raise ValueError(f"{name} must be a 1-D vector of integers, got {a!r}")
+        raise ValueError(f"{name} must {rule}, got {a!r}")
     return a.astype(np.int64, copy=False)
 
 
@@ -78,7 +90,7 @@ def check_real_array(a, name, valid, rule, shape):
     must <rule>" unless it has an integer or floating dtype (not bool, text,
     object or complex), the ``shape`` given (None matching any length), and
     finite entries that ``valid``, a predicate on the float64 array, accepts."""
-    a = np.asarray(a)
+    a = _as_array(a, name, rule)
     fits = len(a.shape) == len(shape) and all(n in (None, m) for n, m in zip(shape, a.shape))
     if a.dtype.kind in "iuf" and fits:
         a = a.astype(np.float64, copy=False)

@@ -4,16 +4,17 @@
 per worker: as many workers as CPUs in this process's affinity mask, never
 more than there are items, and one where the platform cannot fork or
 report the mask. ``run_split`` runs a job over ranges the caller takes
-from ``split`` (in the units it needs: temperatures, trials, or whole
-1024-row chunks of a dataset). It keeps the first range for this process
-and forks one child (``os.fork``) per other range, which runs the job and
-sends its result back as bytes through a pipe. The children are joined in
-the order they were forked, so results come back in range order whatever
-the worker count. Each child leaves through ``os._exit``: it never returns
-into the caller's stack, flushes no inherited buffer and runs no atexit
-handler, and its exit status is 0 only if its work finished. On a failure
-on either side, every child not yet joined is killed and reaped before the
-error propagates, so no process is left behind.
+from ``split`` in the units it needs: ``temperature_sweep`` splits its
+temperatures and ``save_dataset`` whole 1024-row chunks of a dataset. It
+keeps the first range for this process and forks one child (``os.fork``)
+per other range, which runs the job and sends its result back as bytes
+through a pipe. The children are joined in the order they were forked, so
+results come back in range order whatever the worker count. Each child
+leaves through ``os._exit``: it never returns into the caller's stack,
+flushes no inherited buffer and runs no atexit handler, and its exit
+status is 0 only if its work finished. On a failure on either side, every
+child not yet joined is killed and reaped before the error propagates, so
+no process is left behind.
 
 Children start from a copy of the caller's memory and report back only
 through their pipes (or files their work writes), so anything else a child

@@ -9,7 +9,6 @@ import pytest
 from longtail_kd import gradcheck
 from longtail_kd.cli import main
 from longtail_kd.gradcheck import run_gradient_checks
-from test_data import _cpus
 from test_pipeline import write_checkpoint_with_bad_fan_in
 
 
@@ -318,16 +317,14 @@ class TestGradcheck:
         assert "worst case" in out
 
     def test_one_finite_difference_per_loss_and_trial(self, monkeypatch):
-        # on one CPU every trial runs here, where the calls can be counted
         calls = []
-        real = gradcheck.finite_difference_gradient
+        real = gradcheck._finite_differences
 
-        def counting(f, z):
+        def counting(objective, z, y):
             calls.append(1)
-            return real(f, z)
+            return real(objective, z, y)
 
-        _cpus(monkeypatch, 1)
-        monkeypatch.setattr(gradcheck, "finite_difference_gradient", counting)
+        monkeypatch.setattr(gradcheck, "_finite_differences", counting)
         worst = run_gradient_checks(trials=6, seed=3)
         assert len(calls) == 4 * 6
         assert max(worst.values()) <= 1e-6

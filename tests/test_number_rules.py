@@ -12,8 +12,9 @@ import pytest
 
 from longtail_kd.data import FEW, MANY, ImbalanceProfile, LabeledDataset, subset_tags, synth_gaussian_mixture
 from longtail_kd.evaluate import accuracy_report, confusion_matrix
-from longtail_kd.gradcheck import run_gradient_checks
-from longtail_kd.losses import BKDConfig, KDConfig, bkd_loss, cb_loss, ce_loss, distill_grad_formula, kd_loss
+from longtail_kd.gradcheck import finite_difference_gradient, run_gradient_checks
+from longtail_kd.losses import BKDConfig, KDConfig, balanced_targets, bkd_loss, cb_loss, ce_loss, distill_grad_formula
+from longtail_kd.losses import kd_loss, softmax_rows
 from longtail_kd.mathutils import Rng, check_int, check_int_array, check_real, check_real_array, is_int, is_real
 from longtail_kd.mathutils import softmax_with_temperature
 from longtail_kd.mlp import LrSchedule, OptimizerState, init_mlp, init_optimizer
@@ -109,6 +110,12 @@ REAL_ARRAYS = {
         "targets", lambda v: distill_grad_formula(LOGITS, v, 1, 0.5, 0.5, 2.0), PROBS, PROBS + [0.0]
     ),
     "normalize_weights weights": ("weights", normalize_weights, WEIGHTS, [WEIGHTS]),
+    "balanced_targets teacher_probs": ("teacher_probs", lambda v: balanced_targets(v, WEIGHTS), [PROBS], PROBS),
+    "balanced_targets weights": ("weights", lambda v: balanced_targets([PROBS], v), WEIGHTS, WEIGHTS + [1.0]),
+    "softmax_rows logits": ("logits", lambda v: softmax_rows(v, 2.0), [LOGITS], LOGITS),
+    "finite_difference_gradient logits": (
+        "logits", lambda v: finite_difference_gradient(lambda u: float(u @ u), v), LOGITS, [LOGITS]
+    ),
     "LabeledDataset features": (
         "features", lambda v: LabeledDataset(v, [0, 1], 2).features, [[1.0, 2.0], [3.0, -4.0]], [1.0, 2.0]
     ),
@@ -169,6 +176,14 @@ def test_real_array_argument_refuses_what_is_not_an_array_of_finite_reals(entry,
     name, returns = REAL_ARRAYS[entry][:2]
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} must .+, got array\("):
         returns(value)
+
+
+@pytest.mark.parametrize("entry", REAL_ARRAYS)
+def test_real_array_argument_refuses_a_ragged_nesting_by_name_and_rule(entry):
+    # numpy cannot make one array of it; its own message named neither
+    name, returns, valid, _ = REAL_ARRAYS[entry]
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must .+, got \[\["):
+        returns([valid, [valid]])
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float32, np.float64])
@@ -238,6 +253,10 @@ def test_size_that_is_not_a_count_is_refused_before_anything_is_drawn(draw, size
     assert getattr(rng, draw)(3).tolist() == getattr(Rng.from_state((1, 4)), draw)(3).tolist()
 
 
+# nested lists numpy cannot make one array of
+RAGGED = [[1.0, [2.0, 3.0]], [[1, 2], [3]], [np.zeros((2, 2)), np.zeros((2, 3))]]
+
+
 class TestRules:
     def test_bool_is_neither_an_integer_nor_a_real(self):
         for flag in (True, False, np.bool_(True)):
@@ -260,10 +279,11 @@ class TestRules:
             check_real(2, "x", lambda v: 0 <= v <= 1, "lie in [0, 1]")
 
     @pytest.mark.parametrize(
-        "vector", [[[1, 2]], 3, [1.0, np.nan], [1.0, np.inf], [2.0**63], ["1"], [1 + 0j], [None], [True, False]]
+        "vector",
+        [[[1, 2]], 3, [1.0, np.nan], [1.0, np.inf], [2.0**63], ["1"], [1 + 0j], [None], [True, False], *RAGGED],
     )
     def test_check_int_array_refuses_what_is_not_a_vector_of_integers(self, vector):
-        with pytest.raises(ValueError, match="counts must be a 1-D vector of integers"):
+        with pytest.raises(ValueError, match="^counts must be a 1-D vector of integers, got "):
             check_int_array(vector, "counts")
 
     def test_check_int_array_returns_int64_without_copying_an_int64_vector(self):
@@ -278,6 +298,11 @@ class TestRules:
     )
     def test_check_real_array_refuses_what_is_not_a_vector_of_finite_reals(self, array):
         with pytest.raises(ValueError, match=r"^scores must be finite reals, got array\("):
+            check_real_array(array, "scores", lambda a: True, "be finite reals", (None,))
+
+    @pytest.mark.parametrize("array", RAGGED)
+    def test_check_real_array_refuses_a_ragged_nesting_by_name_and_rule(self, array):
+        with pytest.raises(ValueError, match=r"^scores must be finite reals, got \["):
             check_real_array(array, "scores", lambda a: True, "be finite reals", (None,))
 
     def test_check_real_array_checks_the_named_shape_and_the_predicate(self):

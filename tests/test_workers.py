@@ -1,6 +1,6 @@
-"""The fork-worker helper, through the three jobs that use it: the
-dataset save (see also ``test_data.TestParallelSave``), the temperature
-sweep and the gradient audit."""
+"""The fork-worker helper, through the two jobs that use it: the dataset
+save (see also ``test_data.TestParallelSave``) and the temperature sweep;
+and the gradient audit, which runs in this process on any CPU count."""
 
 import os
 import subprocess
@@ -82,8 +82,7 @@ def test_gradient_audit_is_the_same_bits_on_any_cpu_count(monkeypatch, cpus, tri
     _cpus(monkeypatch, cpus)
     forks = count_forks(monkeypatch)
     worst = run_gradient_checks(trials=trials, seed=4)
-    # never more workers than CPUs in the mask or trials to check
-    assert len(forks) == min(cpus, trials) - 1
+    assert forks == []
     assert list(worst) == list(serial)
     assert [err.hex() for err in worst.values()] == [err.hex() for err in serial.values()]
     assert_no_child_left()
@@ -107,8 +106,8 @@ def test_save_forks_one_child_per_range_after_the_first(tmp_path, monkeypatch, c
 
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_a_nan_gradient_is_the_worst_error(monkeypatch, capsys, cpus):
-    # only trial 0's closed-form cb gradient is NaN: one CPU checks finite
-    # trials after it, and three CPUs merge it with two finite workers
+    # only trial 0's closed-form cb gradient is NaN, and the finite trials
+    # after it must not replace it, on one CPU or three
     first_z = next(gradcheck._instances(5))[1]
     real = gradcheck.distill_grad_formula
 
@@ -160,23 +159,6 @@ def test_failed_child_exits_the_cli_with_2(tmp_path, monkeypatch, capsys):
     assert_no_child_left()
 
 
-def test_failed_gradient_check_worker_names_its_trials(monkeypatch, capsys):
-    real = gradcheck._check_trials
-
-    def check_trials(send, seed, start, stop):
-        if start:
-            raise RuntimeError("check failed")
-        real(send, seed, start, stop)
-
-    _cpus(monkeypatch, 2)
-    monkeypatch.setattr(gradcheck, "_check_trials", check_trials)
-    with pytest.raises(OSError, match=r"^the gradient-check worker for trials 3-7 failed \(exit status 1\)$"):
-        run_gradient_checks(trials=7)
-    assert run("gradcheck", "--trials", 7) == 2
-    assert "the gradient-check worker for trials 3-7 failed" in capsys.readouterr().err
-    assert_no_child_left()
-
-
 def test_failure_in_this_process_kills_and_reaps_the_children(sweep_inputs, monkeypatch):
     # the children would train for a minute; the sweep must not wait for them
     _cpus(monkeypatch, 3)
@@ -189,7 +171,7 @@ def test_failure_in_this_process_kills_and_reaps_the_children(sweep_inputs, monk
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count open files")
-def test_a_fork_that_fails_leaks_no_pipe(monkeypatch):
+def test_a_fork_that_fails_leaks_no_pipe(sweep_inputs, monkeypatch):
     def no_fork():
         raise BlockingIOError("fork: resource temporarily unavailable")
 
@@ -197,7 +179,7 @@ def test_a_fork_that_fails_leaks_no_pipe(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     open_fds = sorted(os.listdir("/proc/self/fd"))
     with pytest.raises(BlockingIOError):
-        run_gradient_checks(trials=4)
+        temperature_sweep(*sweep_inputs, TEMPS)
     assert sorted(os.listdir("/proc/self/fd")) == open_fds
 
 
