@@ -57,14 +57,18 @@ def _prepare_out(cfg, key):
     return cfg[key]
 
 
-def _load_splits(cfg):
-    """The train and test splits of ``cfg["data_dir"]``, checked as a pair
-    before any caller makes its output directory."""
+def _load_run_inputs(cfg, teacher_path):
+    """The teacher of ``teacher_path`` (None without one) and the train and
+    test splits of ``cfg["data_dir"]``, the splits checked as a pair and the
+    teacher against them, before any caller makes its output directory."""
+    teacher = read_checkpoint(teacher_path).params if teacher_path else None
     data_dir = cfg["data_dir"]
     train = load_dataset(os.path.join(data_dir, "train.csv"))
     test = load_dataset(os.path.join(data_dir, "test.csv"))
     check_splits(train, test)
-    return train, test
+    if teacher is not None:
+        check_model_fits(teacher, train, "teacher", "data")
+    return teacher, train, test
 
 
 def cmd_make_data(args):
@@ -104,11 +108,7 @@ def cmd_train(args):
     tcfg = train_config(cfg, loss="ce" if args.role == "teacher" else None)
     if args.role == "teacher" and args.teacher:
         raise UsageError("--teacher is only valid with --role student")
-    # the teacher is read and checked against the data before out_dir is made
-    teacher = read_checkpoint(args.teacher).params if args.teacher else None
-    train, test = _load_splits(cfg)
-    if teacher is not None:
-        check_model_fits(teacher, train, "teacher", "data")
+    teacher, train, test = _load_run_inputs(cfg, args.teacher)
     out = _prepare_out(cfg, "out_dir")
     ckpt_path = os.path.join(out, f"{args.role}.ckpt")
 
@@ -184,11 +184,9 @@ def cmd_sweep_temp(args):
         check_sweep_epochs(student_cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    train, test = _load_splits(cfg)
+    teacher, train, test = _load_run_inputs(cfg, args.teacher)
     out = _prepare_out(cfg, "out_dir")
-    if args.teacher:
-        teacher = read_checkpoint(args.teacher).params
-    else:
+    if teacher is None:
         teacher, _ = train_teacher(train, test, teacher_cfg)
     rows = temperature_sweep(train, test, teacher, student_cfg, temps)
     _write(os.path.join(out, "sweep.csv"), evaluate.sweep_to_csv(rows))

@@ -106,6 +106,8 @@ def parse_config(path):
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read the config file: {exc.strerror}") from None
     resolved = default_config()
     seen = set()
     for lineno, raw in enumerate(lines, start=1):

@@ -24,6 +24,11 @@ bits whatever the CPU count.
 Every epoch visits the training rows in a fresh shuffled order. A run's
 state is one ``RunState``; each epoch logs one row to it, and a checkpoint
 holds it whole, so a resumed run matches an uninterrupted one bit for bit.
+A ``ckpt-v1`` file is one fixed header (``_CKPT_HEAD``) and three blobs,
+the parameters, the velocities and the metric log, each behind one
+``_BLOB_LEN`` length; ``write_checkpoint`` and ``read_checkpoint`` share
+that layout. The writer refuses a state the reader would not read back
+intact, and every refusal of either names the file in one place.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -60,6 +66,11 @@ from .weights import effective_number_weights, normalize_weights
 from .workers import run_split, split
 
 CKPT_MAGIC = b"ckpt-v1"
+_DIGEST_BYTES = 32  # sha256, as config_digest returns
+# magic, config digest, epoch, shuffle-stream seed and draw count, momentum
+_CKPT_HEAD = struct.Struct(f"<{len(CKPT_MAGIC)}s{_DIGEST_BYTES}sqQQd")
+# the byte length in front of each blob: parameters, velocities, metric log
+_BLOB_LEN = "<Q"
 
 LOSS_KINDS = ("ce", "cb", "kd", "bkd")
 
@@ -185,47 +196,41 @@ class RunState:
         return len(self.log_rows)
 
 
-def _check_log_numbering(path, epoch, log_rows):
-    """ValueError naming ``path`` unless the log's rows are numbered
-    0, 1, ..., epoch - 1: the one rule for what a checkpoint may hold."""
+def _check_log_numbering(epoch, log_rows):
+    """ValueError unless the log's rows are numbered 0, 1, ..., epoch - 1:
+    the one rule for what a checkpoint may hold."""
     logged = [row.epoch for row in log_rows]
     if logged != list(range(epoch)):
-        raise ValueError(f"{path}: epoch {epoch} does not match the {len(logged)} logged epochs, numbered {logged}")
+        raise ValueError(f"epoch {epoch} does not match the {len(logged)} logged epochs, numbered {logged}")
+
+
+@contextmanager
+def _naming(path):
+    """Re-raise a ValueError (a decoding error included) with ``path`` in
+    front: the one place a checkpoint refusal names its file."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_checkpoint(path, state):
     """Atomic write (temp file + rename) of a run's whole state. A state
-    whose log is not numbered 0, 1, ..., n - 1 is refused before anything
-    is written, since ``read_checkpoint`` would refuse the file."""
-    _check_log_numbering(path, state.epoch, state.log_rows)
+    whose log is not numbered 0, 1, ..., n - 1, or whose digest is not
+    ``_DIGEST_BYTES`` long, is refused before anything is written, since
+    ``read_checkpoint`` would not read it back intact."""
+    with _naming(path):
+        _check_log_numbering(state.epoch, state.log_rows)
+        if len(state.digest) != _DIGEST_BYTES:
+            raise ValueError(f"config digest must be {_DIGEST_BYTES} bytes, got {len(state.digest)}")
+    payload = [_CKPT_HEAD.pack(CKPT_MAGIC, state.digest, state.epoch, *state.rng.state, state.opt.momentum)]
     log_blob = metrics_to_csv(state.log_rows).encode("utf-8")
-    params_blob = params_to_bytes(state.params)
-    vel_blob = params_to_bytes(state.opt.vel)
-    payload = b"".join(
-        [
-            CKPT_MAGIC,
-            state.digest,
-            struct.pack("<q", state.epoch),
-            struct.pack("<QQ", *state.rng.state),
-            struct.pack("<d", state.opt.momentum),
-            struct.pack("<Q", len(params_blob)), params_blob,
-            struct.pack("<Q", len(vel_blob)), vel_blob,
-            struct.pack("<Q", len(log_blob)), log_blob,
-        ]
-    )
+    for blob in (params_to_bytes(state.params), params_to_bytes(state.opt.vel), log_blob):
+        payload += [struct.pack(_BLOB_LEN, len(blob)), blob]
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(payload)
+        fh.write(b"".join(payload))
     os.replace(tmp, path)
-
-
-def _parse_blob(path, parse, blob):
-    """``parse(blob)``, with its ValueError (a decoding error included)
-    re-raised naming the checkpoint file."""
-    try:
-        return parse(blob)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_checkpoint(path):
@@ -233,26 +238,22 @@ def read_checkpoint(path):
         raise FileNotFoundError(f"checkpoint not found: {path}")
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
-        raise ValueError(f"{path}: not a {CKPT_MAGIC.decode()} checkpoint")
-    r = BlobReader(blob, len(CKPT_MAGIC), f"{path}: truncated checkpoint")
-    digest = r.take(32)
-    (epoch,) = r.unpack("<q")
-    rng = Rng.from_state(r.unpack("<QQ"))
-    (momentum,) = r.unpack("<d")
-    (n,) = r.unpack("<Q")
-    params = _parse_blob(path, params_from_bytes, r.take(n))
-    (n,) = r.unpack("<Q")
-    vel = _parse_blob(path, params_from_bytes, r.take(n))
-    (n,) = r.unpack("<Q")
-    log_rows = _parse_blob(path, lambda b: metrics_from_csv(b.decode("utf-8")), r.take(n)) if n else []
-    if r.off != len(blob):
-        raise ValueError(f"{path}: trailing bytes after checkpoint payload")
-    _check_log_numbering(path, epoch, log_rows)
-    if vel.dims != params.dims:
-        raise ValueError(f"{path}: velocity dimensions {vel.dims} do not match parameters {params.dims}")
-    opt = _parse_blob(path, lambda m: OptimizerState(vel, m), momentum)
-    return RunState(params, opt, rng, log_rows, digest)
+    with _naming(path):
+        if blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
+            raise ValueError(f"not a {CKPT_MAGIC.decode()} checkpoint")
+        r = BlobReader(blob, 0, "truncated checkpoint")
+        _, digest, epoch, seed, count, momentum = _CKPT_HEAD.unpack(r.take(_CKPT_HEAD.size))
+        # each blob is parsed as soon as it is read: a corrupt blob is refused before a later truncation
+        params = params_from_bytes(r.take(*r.unpack(_BLOB_LEN)))
+        vel = params_from_bytes(r.take(*r.unpack(_BLOB_LEN)))
+        log_blob = r.take(*r.unpack(_BLOB_LEN))
+        log_rows = metrics_from_csv(log_blob.decode("utf-8")) if log_blob else []
+        if r.off != len(blob):
+            raise ValueError("trailing bytes after checkpoint payload")
+        _check_log_numbering(epoch, log_rows)
+        if vel.dims != params.dims:
+            raise ValueError(f"velocity dimensions {vel.dims} do not match parameters {params.dims}")
+        return RunState(params, OptimizerState(vel, momentum), Rng.from_state((seed, count)), log_rows, digest)
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +378,15 @@ def train_student(train, test, teacher, cfg, *, out_ckpt=None, resume_from=None,
     ignore the teacher. With ``defer_epoch`` set (bkd only), earlier epochs
     use plain distillation and later ones the balanced loss.
     """
+    _check_teacher(teacher, train)
+    return _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch)
+
+
+def _check_teacher(teacher, train):
+    """ValueError unless there is a teacher and it fits ``train``."""
     if teacher is None:
         raise ValueError("student training requires a teacher model")
     check_model_fits(teacher, train, "teacher", "data")
-    return _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch)
 
 
 def check_sweep_epochs(cfg):
@@ -409,6 +415,9 @@ def temperature_sweep(train, test, teacher, base_cfg, temps):
     if not temps:
         raise ValueError("temps must be a non-empty list")
     check_sweep_epochs(base_cfg)
+    # every student's refusals, raised here rather than in a forked child
+    _check_teacher(teacher, train)
+    check_splits(train, test)
 
     def failed(start, stop, sent):
         # name the first temperature whose accuracy the child had not sent

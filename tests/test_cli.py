@@ -1,5 +1,6 @@
 import ctypes
 import json
+import os
 import re
 import shutil
 
@@ -383,6 +384,27 @@ class TestSweepTemp:
         assert capsys.readouterr().err == "error: train/test feature dimensions differ: 4 vs 5\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "teacher_data, message",
+        [("wide", "teacher takes 5 features but the data has 4"), (None, "checkpoint not found")],
+    )
+    def test_teacher_that_does_not_fit_is_refused_before_out_dir(self, tmp_path, capsys, teacher_data, message):
+        # the teacher was once read after out_dir was made, which then held
+        # a resolved_config.txt of a sweep that never ran
+        teacher = tmp_path / "absent.ckpt"
+        if teacher_data is not None:
+            wide = write_config(tmp_path / "wide.cfg", d=5, data_dir=tmp_path / "wide", out_dir=tmp_path / "wide-out")
+            assert run("make-data", "--config", wide) == 0
+            assert run("train", "--config", wide, "--role", "teacher") == 0
+            teacher = tmp_path / "wide-out" / "teacher.ckpt"
+        out_dir = tmp_path / "out"
+        cfg = write_config(tmp_path / "exp.cfg", data_dir=tmp_path / "data", out_dir=out_dir)
+        assert run("make-data", "--config", cfg) == 0
+        capsys.readouterr()
+        assert run("sweep-temp", "--config", cfg, "--temps", 2, "--teacher", teacher) == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_duplicate_temps_identical(self, workspace):
         _, cfg, data_dir, out_dir = workspace
         assert run("make-data", "--config", cfg) == 0
@@ -410,6 +432,18 @@ class TestConfigHandling:
 
     def test_missing_config_file(self, tmp_path):
         assert run("make-data", "--config", tmp_path / "absent.cfg") == 1
+
+    @pytest.mark.parametrize("command", [["make-data"], ["train", "--role", "teacher"], ["sweep-temp", "--temps", 2]])
+    def test_config_that_cannot_be_opened_is_config_error_naming_the_file(self, tmp_path, capsys, command):
+        # a directory once exited 2 with the bare OSError; a missing file
+        # keeps its own message
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        assert run(command[0], "--config", adir, *command[1:]) == 1
+        assert capsys.readouterr().err == f"config error: {adir}: cannot read the config file: Is a directory\n"
+        assert run(command[0], "--config", tmp_path / "absent.cfg", *command[1:]) == 1
+        assert capsys.readouterr().err == f"config error: config file not found: {tmp_path / 'absent.cfg'}\n"
+        assert sorted(os.listdir(tmp_path)) == ["adir"]
 
     def test_comments_and_blank_lines_ok(self, tmp_path):
         cfg = tmp_path / "ok.cfg"

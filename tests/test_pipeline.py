@@ -15,7 +15,7 @@ from longtail_kd.losses import (
     objective_loss_batch,
     softmax_rows,
 )
-from longtail_kd.mathutils import Rng
+from longtail_kd.mathutils import Rng, derive_seed
 from longtail_kd.mlp import LrSchedule, backward, forward, init_mlp, init_optimizer, lr_at, params_to_bytes
 from longtail_kd.pipeline import (
     MetricRow,
@@ -68,6 +68,26 @@ def patch_checkpoint(path, offset, old, new):
 
 
 EPOCH_FIELD = len(pipeline.CKPT_MAGIC) + 32  # past the magic and the config digest
+
+
+def _reference_checkpoint(state):
+    """The ckpt-v1 bytes of ``state``, built field by field."""
+    seed, count = state.rng.state
+    params, vel = params_to_bytes(state.params), params_to_bytes(state.opt.vel)
+    log = metrics_to_csv(state.log_rows).encode("utf-8")
+    return b"".join(
+        [
+            b"ckpt-v1",
+            state.digest,
+            struct.pack("<q", len(state.log_rows)),
+            struct.pack("<Q", seed),
+            struct.pack("<Q", count),
+            struct.pack("<d", state.opt.momentum),
+            struct.pack("<Q", len(params)), params,
+            struct.pack("<Q", len(vel)), vel,
+            struct.pack("<Q", len(log)), log,
+        ]
+    )
 
 
 class BatchRecorder:
@@ -574,6 +594,46 @@ class TestCheckpointResume:
         write_checkpoint(b, state)
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read()
+
+    def test_fresh_teacher_checkpoint_has_the_reference_bytes(self, tmp_path):
+        # the state _run starts from, built here by hand
+        train, test = two_class_separable()
+        cfg = small_cfg(epochs=4)
+        params = init_mlp((train.dimension, *cfg.hidden_dims, train.num_classes), cfg.seed)
+        state = RunState(
+            params, init_optimizer(params, cfg.momentum), Rng(derive_seed(cfg.seed, 1)), [], config_digest(cfg)
+        )
+        by_hand, by_run = str(tmp_path / "hand.ckpt"), str(tmp_path / "run.ckpt")
+        write_checkpoint(by_hand, state)
+        train_teacher(train, test, cfg, out_ckpt=by_run, stop_after_epoch=0)
+        for path in (by_hand, by_run):
+            with open(path, "rb") as fh:
+                assert fh.read() == _reference_checkpoint(state)
+
+    def test_mid_run_student_checkpoint_has_the_reference_bytes(self, tmp_path):
+        # stopped in the bkd phase of a deferred student: a moved stream, a
+        # nonzero velocity and three logged epochs
+        train, test = two_class_separable()
+        teacher, _ = train_teacher(train, test, small_cfg(epochs=3))
+        cfg = small_cfg(loss="bkd", epochs=5, defer_epoch=1)
+        path = str(tmp_path / "mid.ckpt")
+        train_student(train, test, teacher, cfg, out_ckpt=path, stop_after_epoch=3)
+        state = read_checkpoint(path)
+        assert state.epoch == 3 and state.rng.state[1] > 0
+        assert np.any(state.opt.vel.flat != 0)
+        with open(path, "rb") as fh:
+            assert fh.read() == _reference_checkpoint(state)
+
+    @pytest.mark.parametrize("length", [31, 33])
+    def test_digest_of_another_length_refused_at_write_time(self, tmp_path, length):
+        # the header's 32-byte field would pad or cut it without complaint
+        params = init_mlp((4, 12, 2), seed=0)
+        state = RunState(params, init_optimizer(params), Rng(1), [], bytes(range(length)))
+        path = str(tmp_path / "hand.ckpt")
+        with pytest.raises(ValueError) as info:
+            write_checkpoint(path, state)
+        assert str(info.value) == f"{path}: config digest must be 32 bytes, got {length}"
+        assert list(tmp_path.iterdir()) == []
 
     def test_stop_before_the_resumed_epoch_keeps_the_checkpoint(self, tmp_path):
         train, test = two_class_separable()

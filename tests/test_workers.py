@@ -13,8 +13,9 @@ import pytest
 
 from longtail_kd import data as data_module
 from longtail_kd import gradcheck, pipeline
-from longtail_kd.data import load_dataset, save_dataset
+from longtail_kd.data import LabeledDataset, load_dataset, save_dataset
 from longtail_kd.gradcheck import run_gradient_checks
+from longtail_kd.mlp import init_mlp
 from longtail_kd.pipeline import temperature_sweep, train_teacher
 from test_cli import run, write_config
 from test_data import _awkward_dataset, _cpus
@@ -136,6 +137,27 @@ def test_one_cpu_never_forks(sweep_inputs, monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     assert len(temperature_sweep(*sweep_inputs, TEMPS)) == len(TEMPS)
     assert set(run_gradient_checks(trials=5)) == {"ce", "cb", "kd", "bkd", "cb_formula", "kd_formula", "bkd_formula"}
+
+
+@pytest.mark.parametrize("fault", ["teacher", "splits"])
+def test_sweep_refuses_what_a_student_would_before_forking(sweep_inputs, monkeypatch, capsys, fault):
+    # a forked child once raised these, printing its error before this process did
+    def no_fork():
+        raise AssertionError("forked before the sweep checked its inputs")
+
+    train, test, teacher, cfg = sweep_inputs
+    if fault == "teacher":
+        teacher = init_mlp((train.dimension + 1, 12, train.num_classes), seed=0)
+        message = f"teacher takes {train.dimension + 1} features but the data has {train.dimension}"
+    else:
+        test = LabeledDataset(np.hstack([test.features, test.features[:, :1]]), test.labels, test.num_classes)
+        message = f"train/test feature dimensions differ: {train.dimension} vs {train.dimension + 1}"
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(ValueError) as info:
+        temperature_sweep(train, test, teacher, cfg, TEMPS)
+    assert str(info.value) == message
+    assert capsys.readouterr().err == ""
 
 
 def test_failed_child_names_its_temperature(sweep_inputs, monkeypatch):
