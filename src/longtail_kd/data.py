@@ -374,13 +374,24 @@ def _parse_rows(fh, path, num_classes, dim):
     return np.array(labels, dtype=np.int64), np.array(rows, dtype=np.float64).reshape(len(rows), dim)
 
 
+def open_input(path, what, mode="rb", **kwargs):
+    """``open(path, mode, **kwargs)`` for an input file, with the refusals
+    every input shares: FileNotFoundError ``<what> not found: <path>`` for a
+    missing file, and ValueError ``<path>: cannot read the <what>: <reason>``
+    for any other that cannot be opened, such as a directory."""
+    try:
+        return open(path, mode, **kwargs)
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read the {what}: {exc.strerror}") from None
+
+
 def load_dataset(path):
     """Read a file written by ``save_dataset``; counts derive from labels.
     The rows come from the sidecar when it verifies, else from the text."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"dataset file not found: {path}")
     try:
-        with open(path, "r", encoding="ascii") as fh:
+        with open_input(path, "dataset file", "r", encoding="ascii") as fh:
             header = fh.readline().strip()
             parts = [p.strip() for p in header.split(",")]
             if (

@@ -26,9 +26,10 @@ state is one ``RunState``; each epoch logs one row to it, and a checkpoint
 holds it whole, so a resumed run matches an uninterrupted one bit for bit.
 A ``ckpt-v1`` file is one fixed header (``_CKPT_HEAD``) and three blobs,
 the parameters, the velocities and the metric log, each behind one
-``_BLOB_LEN`` length; ``write_checkpoint`` and ``read_checkpoint`` share
-that layout. The writer refuses a state the reader would not read back
-intact, and every refusal of either names the file in one place.
+``_BLOB_LEN`` length. ``_decode`` holds every rule of that format and
+names the file in each refusal; the reader runs it on the bytes it reads
+and the writer on the bytes it will write, before opening any file, so
+the writer refuses exactly what the reader refuses.
 """
 
 from __future__ import annotations
@@ -38,13 +39,12 @@ import json
 import math
 import os
 import struct
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import evaluate
-from .data import check_thresholds, subset_tags
+from .data import check_thresholds, open_input, subset_tags
 from .losses import BKDConfig, KDConfig, Objective, objective_loss_batch, softmax_rows
 from .mathutils import Rng, check_int, check_real, check_temperature, derive_seed
 from .mlp import (
@@ -196,49 +196,11 @@ class RunState:
         return len(self.log_rows)
 
 
-def _check_log_numbering(epoch, log_rows):
-    """ValueError unless the log's rows are numbered 0, 1, ..., epoch - 1:
-    the one rule for what a checkpoint may hold."""
-    logged = [row.epoch for row in log_rows]
-    if logged != list(range(epoch)):
-        raise ValueError(f"epoch {epoch} does not match the {len(logged)} logged epochs, numbered {logged}")
-
-
-@contextmanager
-def _naming(path):
-    """Re-raise a ValueError (a decoding error included) with ``path`` in
-    front: the one place a checkpoint refusal names its file."""
+def _decode(blob, path):
+    """The ``RunState`` that ckpt-v1 bytes ``blob`` hold, under every rule
+    of the format, held here and nowhere else; each refusal is a ValueError
+    that starts with ``path``."""
     try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def write_checkpoint(path, state):
-    """Atomic write (temp file + rename) of a run's whole state. A state
-    whose log is not numbered 0, 1, ..., n - 1, or whose digest is not
-    ``_DIGEST_BYTES`` long, is refused before anything is written, since
-    ``read_checkpoint`` would not read it back intact."""
-    with _naming(path):
-        _check_log_numbering(state.epoch, state.log_rows)
-        if len(state.digest) != _DIGEST_BYTES:
-            raise ValueError(f"config digest must be {_DIGEST_BYTES} bytes, got {len(state.digest)}")
-    payload = [_CKPT_HEAD.pack(CKPT_MAGIC, state.digest, state.epoch, *state.rng.state, state.opt.momentum)]
-    log_blob = metrics_to_csv(state.log_rows).encode("utf-8")
-    for blob in (params_to_bytes(state.params), params_to_bytes(state.opt.vel), log_blob):
-        payload += [struct.pack(_BLOB_LEN, len(blob)), blob]
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(b"".join(payload))
-    os.replace(tmp, path)
-
-
-def read_checkpoint(path):
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"checkpoint not found: {path}")
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    with _naming(path):
         if blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
             raise ValueError(f"not a {CKPT_MAGIC.decode()} checkpoint")
         r = BlobReader(blob, 0, "truncated checkpoint")
@@ -250,10 +212,46 @@ def read_checkpoint(path):
         log_rows = metrics_from_csv(log_blob.decode("utf-8")) if log_blob else []
         if r.off != len(blob):
             raise ValueError("trailing bytes after checkpoint payload")
-        _check_log_numbering(epoch, log_rows)
+        logged = [row.epoch for row in log_rows]
+        if logged != list(range(epoch)):
+            raise ValueError(f"epoch {epoch} does not match the {len(logged)} logged epochs, numbered {logged}")
         if vel.dims != params.dims:
             raise ValueError(f"velocity dimensions {vel.dims} do not match parameters {params.dims}")
         return RunState(params, OptimizerState(vel, momentum), Rng.from_state((seed, count)), log_rows, digest)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def write_checkpoint(path, state):
+    """Atomic write (temp file + rename) of a run's whole state, whose bytes
+    go through ``_decode`` before any file is opened: it refuses what
+    ``read_checkpoint`` refuses, and a digest not ``_DIGEST_BYTES`` long,
+    which the header would pad or cut. A failed write removes its temp file."""
+    if len(state.digest) != _DIGEST_BYTES:
+        raise ValueError(f"{path}: config digest must be {_DIGEST_BYTES} bytes, got {len(state.digest)}")
+    payload = [_CKPT_HEAD.pack(CKPT_MAGIC, state.digest, state.epoch, *state.rng.state, state.opt.momentum)]
+    log_blob = metrics_to_csv(state.log_rows).encode("utf-8")
+    for blob in (params_to_bytes(state.params), params_to_bytes(state.opt.vel), log_blob):
+        payload += [struct.pack(_BLOB_LEN, len(blob)), blob]
+    encoded = b"".join(payload)
+    _decode(encoded, path)
+    tmp = path + ".tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(encoded)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def read_checkpoint(path):
+    """The ``RunState`` in the file at ``path``; a missing, unopenable
+    (``data.open_input``) or refused (``_decode``) file is named."""
+    with open_input(path, "checkpoint") as fh:
+        blob = fh.read()
+    return _decode(blob, path)
 
 
 # ---------------------------------------------------------------------------

@@ -413,6 +413,52 @@ class TestSweepTemp:
         assert rows[0].split(",")[1] == rows[1].split(",")[1]
 
 
+class TestUnopenableInputs:
+    # a directory in place of an input file once exited 2 with the bare
+    # "[Errno 21] Is a directory"; a missing file keeps its own message
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("eval", "--data", "absent.csv", "--ckpt"),
+            ("train", "--role", "student", "--teacher"),
+            ("sweep-temp", "--temps", 2, "--teacher"),
+        ],
+        ids=["eval", "train", "sweep-temp"],
+    )
+    def test_checkpoint_that_cannot_be_opened_is_runtime_error_naming_the_file(self, workspace, capsys, command):
+        tmp, cfg, _, out_dir = workspace
+        adir, absent = tmp / "adir", tmp / "absent.ckpt"
+        adir.mkdir()
+        assert run(command[0], "--config", cfg, *command[1:], adir) == 2
+        assert capsys.readouterr().err == f"error: {adir}: cannot read the checkpoint: Is a directory\n"
+        assert run(command[0], "--config", cfg, *command[1:], absent) == 2
+        assert capsys.readouterr().err == f"error: checkpoint not found: {absent}\n"
+        assert not out_dir.exists()
+
+    def test_eval_data_that_cannot_be_opened_is_runtime_error_naming_the_file(self, workspace, capsys):
+        tmp, cfg, _, out_dir = workspace
+        assert run("make-data", "--config", cfg) == 0
+        assert run("train", "--config", cfg, "--role", "teacher") == 0
+        ckpt, report = out_dir / "teacher.ckpt", out_dir / "eval_report.json"
+        adir, absent = tmp / "adir", tmp / "absent.csv"
+        adir.mkdir()
+        capsys.readouterr()
+        assert run("eval", "--ckpt", ckpt, "--data", adir, "--config", cfg) == 2
+        assert capsys.readouterr().err == f"error: {adir}: cannot read the dataset file: Is a directory\n"
+        assert run("eval", "--ckpt", ckpt, "--data", absent, "--config", cfg) == 2
+        assert capsys.readouterr().err == f"error: dataset file not found: {absent}\n"
+        assert not report.exists()
+
+    def test_train_split_that_cannot_be_opened_is_refused_before_out_dir(self, workspace, capsys):
+        _, cfg, data_dir, out_dir = workspace
+        (data_dir / "train.csv").mkdir(parents=True)
+        assert run("train", "--config", cfg, "--role", "teacher") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {data_dir / 'train.csv'}: cannot read the dataset file: Is a directory\n"
+        assert not out_dir.exists()
+
+
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -166,6 +166,14 @@ class TestDiskFormat:
         with pytest.raises(FileNotFoundError):
             load_dataset("/nonexistent/nope.csv")
 
+    def test_file_that_cannot_be_opened_names_the_file(self, tmp_path):
+        with pytest.raises(ValueError) as info:
+            load_dataset(str(tmp_path))
+        assert str(info.value) == f"{tmp_path}: cannot read the dataset file: Is a directory"
+        with pytest.raises(FileNotFoundError) as info:
+            load_dataset(str(tmp_path / "absent.csv"))
+        assert str(info.value) == f"dataset file not found: {tmp_path / 'absent.csv'}"
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("something-else v9, C=2, d=2\n0,1.0,2.0\n")

@@ -16,7 +16,7 @@ from longtail_kd.losses import (
     softmax_rows,
 )
 from longtail_kd.mathutils import Rng, derive_seed
-from longtail_kd.mlp import LrSchedule, backward, forward, init_mlp, init_optimizer, lr_at, params_to_bytes
+from longtail_kd.mlp import LrSchedule, MlpParams, backward, forward, init_mlp, init_optimizer, lr_at, params_to_bytes
 from longtail_kd.pipeline import (
     MetricRow,
     OptimizerState,
@@ -68,6 +68,12 @@ def patch_checkpoint(path, offset, old, new):
 
 
 EPOCH_FIELD = len(pipeline.CKPT_MAGIC) + 32  # past the magic and the config digest
+
+
+def velocity_blob(dims):
+    """A zero velocity of ``dims`` as a checkpoint stores it: length, then bytes."""
+    blob = params_to_bytes(MlpParams.zeros(dims))
+    return struct.pack("<Q", len(blob)) + blob
 
 
 def _reference_checkpoint(state):
@@ -504,18 +510,59 @@ class TestCheckpointResume:
             read_checkpoint(str(not_ckpt))
 
     def test_velocity_that_does_not_fit_the_parameters_rejected(self, tmp_path):
+        # write_checkpoint refuses such a state, so a (4, 12, 3) velocity
+        # blob is spliced over the (4, 12, 2) one of a written file
         params = init_mlp((4, 12, 2), seed=0)
         path = str(tmp_path / "spliced.ckpt")
-
-        def write_with_velocity_of(dims):
-            opt = OptimizerState(init_optimizer(init_mlp(dims, seed=0)).vel, 0.9)
-            write_checkpoint(path, RunState(params, opt, Rng(1), [], config_digest(small_cfg())))
-
-        write_with_velocity_of((4, 12, 2))
+        write_checkpoint(path, RunState(params, init_optimizer(params), Rng(1), [], config_digest(small_cfg())))
         assert read_checkpoint(path).opt.vel.dims == (4, 12, 2)
-        write_with_velocity_of((4, 12, 3))
+        old, new = (velocity_blob(dims) for dims in ((4, 12, 2), (4, 12, 3)))
+        with open(path, "rb") as fh:
+            offset = fh.read().index(old)
+        patch_checkpoint(path, offset, old, new)
         with pytest.raises(ValueError, match="spliced.ckpt: velocity dimensions"):
             read_checkpoint(path)
+
+    def test_velocity_that_does_not_fit_the_parameters_refused_at_write_time(self, tmp_path):
+        # the reader's rule and message, before any file is opened
+        params = init_mlp((4, 12, 2), seed=0)
+        opt = OptimizerState(MlpParams.zeros((4, 12, 3)), 0.9)
+        path = str(tmp_path / "hand.ckpt")
+        with pytest.raises(ValueError) as info:
+            write_checkpoint(path, RunState(params, opt, Rng(1), [], config_digest(small_cfg())))
+        assert str(info.value) == f"{path}: velocity dimensions (4, 12, 3) do not match parameters (4, 12, 2)"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("momentum", [math.nan, 1.5, -0.5])
+    def test_momentum_set_outside_zero_one_refused_at_write_time(self, tmp_path, momentum):
+        # OptimizerState checks its momentum when it is built, not when it
+        # is assigned; the writer refuses it with the reader's message
+        params = init_mlp((4, 12, 2), seed=0)
+        opt = init_optimizer(params)
+        opt.momentum = momentum
+        path = str(tmp_path / "hand.ckpt")
+        with pytest.raises(ValueError) as info:
+            write_checkpoint(path, RunState(params, opt, Rng(1), [], config_digest(small_cfg())))
+        assert str(info.value) == f"{path}: momentum must lie in [0, 1), got {momentum!r}"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        # a directory in the checkpoint's place once kept <path>.tmp behind
+        params = init_mlp((4, 12, 2), seed=0)
+        (tmp_path / "teacher.ckpt").mkdir()
+        path = str(tmp_path / "teacher.ckpt")
+        with pytest.raises(IsADirectoryError):
+            write_checkpoint(path, RunState(params, init_optimizer(params), Rng(1), [], config_digest(small_cfg())))
+        assert [p.name for p in tmp_path.iterdir()] == ["teacher.ckpt"]
+        assert list((tmp_path / "teacher.ckpt").iterdir()) == []
+
+    def test_unopenable_checkpoint_names_the_file(self, tmp_path):
+        with pytest.raises(ValueError) as info:
+            read_checkpoint(str(tmp_path))
+        assert str(info.value) == f"{tmp_path}: cannot read the checkpoint: Is a directory"
+        with pytest.raises(FileNotFoundError) as info:
+            read_checkpoint(str(tmp_path / "absent.ckpt"))
+        assert str(info.value) == f"checkpoint not found: {tmp_path / 'absent.ckpt'}"
 
     @pytest.mark.parametrize("momentum", [math.nan, 1.5, -0.5])
     def test_momentum_outside_zero_one_rejected(self, tmp_path, momentum):
