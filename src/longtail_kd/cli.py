@@ -18,7 +18,7 @@ import sys
 
 from . import evaluate
 from .config import ConfigError, imbalance_profile, parse_config, render_config, train_config
-from .data import load_dataset, make_longtail_counts, save_dataset, subset_tags, synth_gaussian_mixture
+from .data import load_dataset, make_longtail_counts, open_output, save_dataset, subset_tags, synth_gaussian_mixture
 from .gradcheck import run_gradient_checks
 from .mathutils import check_temperature
 from .pipeline import (
@@ -47,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -109,8 +109,12 @@ def cmd_train(args):
     if args.role == "teacher" and args.teacher:
         raise UsageError("--teacher is only valid with --role student")
     teacher, train, test = _load_run_inputs(cfg, args.teacher)
+    ckpt_path = os.path.join(cfg["out_dir"], f"{args.role}.ckpt")
+    # os.replace cannot put the checkpoint onto a directory: refuse it
+    # before the run, not after its last epoch
+    if os.path.isdir(ckpt_path):
+        raise ValueError(f"{ckpt_path}: cannot write the checkpoint: Is a directory")
     out = _prepare_out(cfg, "out_dir")
-    ckpt_path = os.path.join(out, f"{args.role}.ckpt")
 
     if teacher is None:
         params, log = train_teacher(train, test, tcfg, out_ckpt=ckpt_path)

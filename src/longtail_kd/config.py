@@ -8,9 +8,7 @@ echoed into each output directory for provenance.
 
 from __future__ import annotations
 
-import os
-
-from .data import PROFILE_KINDS, ImbalanceProfile
+from .data import PROFILE_KINDS, ImbalanceProfile, open_input
 from .losses import BKDConfig, KDConfig
 from .mlp import SCHEDULE_KINDS, LrSchedule
 from .pipeline import LOSS_KINDS, TrainConfig
@@ -99,15 +97,13 @@ def default_config():
 
 def parse_config(path):
     """Read a config file and resolve it against the defaults."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_input(path, "config file", "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read the config file: {exc.strerror}") from None
+    except (FileNotFoundError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
     resolved = default_config()
     seen = set()
     for lineno, raw in enumerate(lines, start=1):

@@ -30,17 +30,18 @@ fork path ``workers.run_split``. The rows are cut into contiguous ranges of
 whole 1024-row chunks, one range per CPU but never more ranges than chunks.
 A forked child formats each range after the first into
 ``<path>.part<start>`` while the saving process formats the first range
-straight into ``<path>.tmp``. It then appends the part files in range
-order, hashing every byte of the CSV as it is written, so the CSV and its
-digest are the same bytes whatever the CPU count. With one CPU, one chunk,
-or a platform that cannot fork, nothing is forked and the same code formats
-every row in one range. The CSV and the sidecar are built as ``.tmp`` files
-and put in place with ``os.replace``, so a failed save leaves no part or
-temporary file behind and a previous dataset at the same path untouched.
+straight into the CSV. It then appends the part files in range order,
+hashing every byte of the CSV as it is written, so the CSV and its digest
+are the same bytes whatever the CPU count. With one CPU, one chunk, or a
+platform that cannot fork, nothing is forked and the same code formats
+every row in one range. The CSV and the sidecar are each committed through
+``open_output``, so a failed save leaves no part or temporary file behind
+and a previous dataset at the same path untouched.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import os
@@ -222,27 +223,25 @@ def save_dataset(data, path):
     The rows are split into contiguous ranges of whole save chunks, one per
     available CPU (``workers.split``, never more ranges than chunks), and
     formatted through ``workers.run_split``: this process formats the first
-    range into ``<path>.tmp`` after the header while a forked child formats
-    each other range into ``<path>.part<start>``. This process then appends
-    the part files in order. Every byte of ``<path>.tmp`` is hashed as it is
-    written. With one CPU, one chunk, or a platform that cannot fork,
-    nothing is forked. The sidecar is written as ``<path>.bin.tmp``, then
-    both files are put in place with ``os.replace``. A failed child raises
-    OSError naming its rows; on any failure the children still running are
-    stopped, the part and temporary files are removed and a previous
-    ``<path>`` is left as it was. The bytes do not depend on the CPU count.
+    range into the CSV after the header while a forked child formats each
+    other range into ``<path>.part<start>``. This process then appends the
+    part files in order. Every byte of the CSV is hashed as it is written.
+    With one CPU, one chunk, or a platform that cannot fork, nothing is
+    forked. The sidecar, then the CSV, is committed through
+    ``open_output``. A failed child raises OSError naming its rows; on any
+    failure the children still running are stopped and the part files
+    removed. The bytes do not depend on the CPU count.
     """
     n = len(data)
     ranges = [(a * _SAVE_CHUNK_ROWS, min(b * _SAVE_CHUNK_ROWS, n)) for a, b in split(-(-n // _SAVE_CHUNK_ROWS))]
     parts = [f"{path}.part{start}" for start, _ in ranges[1:]]
-    tmp, sidecar_tmp = path + ".tmp", path + SIDECAR_SUFFIX + ".tmp"
 
     def failed(start, stop, sent):
         return f"{path}: the worker formatting rows {start}-{stop}"
 
     try:
         csv_digest = hashlib.sha256()
-        with open(tmp, "wb") as fh:
+        with open_output(path) as fh:
 
             def emit(blob):
                 csv_digest.update(blob)
@@ -255,13 +254,12 @@ def save_dataset(data, path):
                     for block in _blocks(src):
                         emit(block)
                 os.remove(part)
-        _write_sidecar(sidecar_tmp, csv_digest.digest(), data)
-        os.replace(tmp, path)
-        os.replace(sidecar_tmp, path + SIDECAR_SUFFIX)
+            with open_output(path + SIDECAR_SUFFIX) as sidecar:
+                _write_sidecar(sidecar, csv_digest.digest(), data)
     except BaseException:
-        for leftover in (*parts, tmp, sidecar_tmp):
-            if os.path.exists(leftover):
-                os.remove(leftover)
+        for part in parts:
+            if os.path.exists(part):
+                os.remove(part)
         raise
 
 
@@ -278,7 +276,7 @@ def _format_range(write, data, start, stop):
 
 def _write_range(_send, data, path, emit, start, stop):
     """A save job: format rows ``start:stop`` chunk by chunk, through
-    ``emit`` (into ``<path>.tmp``) for the first range and into
+    ``emit`` (into the CSV) for the first range and into
     ``<path>.part<start>`` for any other."""
     if start:
         with open(f"{path}.part{start}", "wb") as fh:
@@ -287,18 +285,17 @@ def _write_range(_send, data, path, emit, start, stop):
         _format_range(emit, data, start, stop)
 
 
-def _write_sidecar(path, csv_digest, data):
+def _write_sidecar(fh, csv_digest, data):
     labels = np.ascontiguousarray(data.labels, dtype="<i8")
     features = np.ascontiguousarray(data.features, dtype="<f8")
     head = _SIDECAR_HEAD.pack(SIDECAR_MAGIC, csv_digest, len(data), data.dimension)
     trailer = hashlib.sha256(head)
     trailer.update(labels)
     trailer.update(features)
-    with open(path, "wb") as fh:
-        fh.write(head)
-        fh.write(labels)
-        fh.write(features)
-        fh.write(trailer.digest())
+    fh.write(head)
+    fh.write(labels)
+    fh.write(features)
+    fh.write(trailer.digest())
 
 
 def _blocks(fh):
@@ -385,6 +382,23 @@ def open_input(path, what, mode="rb", **kwargs):
         raise FileNotFoundError(f"{what} not found: {path}") from None
     except OSError as exc:
         raise ValueError(f"{path}: cannot read the {what}: {exc.strerror}") from None
+
+
+@contextlib.contextmanager
+def open_output(path, mode="wb", **kwargs):
+    """``open(path + ".tmp", mode, **kwargs)`` for an output file, the one
+    rule for committing a file: the block writes ``<path>.tmp``, which
+    ``os.replace`` puts onto ``path`` when the block ends cleanly. On any
+    failure the temporary file is removed and ``path`` is left as it was."""
+    tmp = path + ".tmp"
+    fh = open(tmp, mode, **kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def load_dataset(path):

@@ -37,14 +37,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import struct
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import evaluate
-from .data import check_thresholds, open_input, subset_tags
+from .data import check_thresholds, open_input, open_output, subset_tags
 from .losses import BKDConfig, KDConfig, Objective, objective_loss_batch, softmax_rows
 from .mathutils import Rng, check_int, check_real, check_temperature, derive_seed
 from .mlp import (
@@ -223,10 +222,10 @@ def _decode(blob, path):
 
 
 def write_checkpoint(path, state):
-    """Atomic write (temp file + rename) of a run's whole state, whose bytes
-    go through ``_decode`` before any file is opened: it refuses what
+    """Commit (``data.open_output``) a run's whole state, whose bytes go
+    through ``_decode`` before any file is opened: it refuses what
     ``read_checkpoint`` refuses, and a digest not ``_DIGEST_BYTES`` long,
-    which the header would pad or cut. A failed write removes its temp file."""
+    which the header would pad or cut."""
     if len(state.digest) != _DIGEST_BYTES:
         raise ValueError(f"{path}: config digest must be {_DIGEST_BYTES} bytes, got {len(state.digest)}")
     payload = [_CKPT_HEAD.pack(CKPT_MAGIC, state.digest, state.epoch, *state.rng.state, state.opt.momentum)]
@@ -235,15 +234,8 @@ def write_checkpoint(path, state):
         payload += [struct.pack(_BLOB_LEN, len(blob)), blob]
     encoded = b"".join(payload)
     _decode(encoded, path)
-    tmp = path + ".tmp"
-    fh = open(tmp, "wb")
-    try:
-        with fh:
-            fh.write(encoded)
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
-        raise
+    with open_output(path) as fh:
+        fh.write(encoded)
 
 
 def read_checkpoint(path):

@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from longtail_kd import gradcheck
+from longtail_kd import gradcheck, pipeline
 from longtail_kd.cli import main
 from longtail_kd.gradcheck import run_gradient_checks
 from test_pipeline import write_checkpoint_with_bad_fan_in
@@ -176,6 +176,36 @@ class TestTrain:
         assert run("train", "--config", cfg, "--role", "teacher") == 2
         assert capsys.readouterr().err == "error: the test split has no samples to evaluate\n"
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("role", ["teacher", "student"])
+    def test_checkpoint_path_that_is_a_directory_is_refused_before_training(self, workspace, capsys, monkeypatch, role):
+        # a directory in the checkpoint's place once trained every epoch,
+        # then failed on the rename with out/resolved_config.txt left behind
+        tmp, cfg, _, out_dir = workspace
+        epochs, lr_at = [], pipeline.lr_at
+
+        def counting(schedule, epoch, total):
+            epochs.append(epoch)
+            return lr_at(schedule, epoch, total)
+
+        monkeypatch.setattr(pipeline, "lr_at", counting)
+        assert run("make-data", "--config", cfg) == 0
+        teacher = []
+        if role == "student":
+            assert run("train", "--config", cfg, "--role", "teacher") == 0
+            assert epochs == list(range(6))  # the counter sees every epoch
+            epochs.clear()
+            teacher = ["--teacher", tmp / "teacher.ckpt"]
+            shutil.move(out_dir / "teacher.ckpt", teacher[1])
+            shutil.rmtree(out_dir)
+        ckpt = out_dir / f"{role}.ckpt"
+        ckpt.mkdir(parents=True)
+        capsys.readouterr()
+        assert run("train", "--config", cfg, "--role", role, *teacher) == 2
+        assert capsys.readouterr().err == f"error: {ckpt}: cannot write the checkpoint: Is a directory\n"
+        assert epochs == []
+        assert os.listdir(out_dir) == [f"{role}.ckpt"]
+        assert os.listdir(ckpt) == []
 
     def test_cb_baseline_completes_with_finite_losses(self, workspace):
         _, cfg, data_dir, out_dir = workspace

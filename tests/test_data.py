@@ -14,6 +14,7 @@ from longtail_kd.data import (
     LabeledDataset,
     load_dataset,
     make_longtail_counts,
+    open_output,
     save_dataset,
     subset_tags,
     synth_gaussian_mixture,
@@ -173,6 +174,20 @@ class TestDiskFormat:
         with pytest.raises(FileNotFoundError) as info:
             load_dataset(str(tmp_path / "absent.csv"))
         assert str(info.value) == f"dataset file not found: {tmp_path / 'absent.csv'}"
+
+    def test_open_output_replaces_the_file_only_when_the_block_ends_cleanly(self, tmp_path):
+        path = str(tmp_path / "out.txt")
+        (tmp_path / "out.txt").write_bytes(b"previous")
+        with pytest.raises(RuntimeError, match="block failed"):
+            with open_output(path) as fh:
+                fh.write(b"partial")
+                raise RuntimeError("block failed")
+        assert os.listdir(tmp_path) == ["out.txt"]
+        assert (tmp_path / "out.txt").read_bytes() == b"previous"
+        with open_output(path, "w", encoding="utf-8") as fh:
+            fh.write("next\n")
+        assert os.listdir(tmp_path) == ["out.txt"]
+        assert (tmp_path / "out.txt").read_bytes() == b"next\n"
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -389,6 +404,25 @@ class TestParallelSave:
                 save_dataset(data, path)
         assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
         assert load_dataset(path).features.tobytes() == previous.features.tobytes()
+
+    def test_failed_sidecar_write_leaves_previous_dataset_and_no_temporary_files(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "train.csv")
+        previous = _awkward_dataset(rows=5)
+        save_dataset(previous, path)
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+
+        def failing_sidecar(fh, csv_digest, data):
+            fh.write(b"partial")
+            raise RuntimeError("sidecar write failed")
+
+        # three ranges, so two part files were written before the sidecar
+        _cpus(monkeypatch, 3)
+        monkeypatch.setattr(data_module, "_SAVE_CHUNK_ROWS", 4)
+        monkeypatch.setattr(data_module, "_write_sidecar", failing_sidecar)
+        with pytest.raises(RuntimeError, match="sidecar write failed"):
+            save_dataset(_awkward_dataset(rows=25), path)
+        assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+        _assert_same_bits(load_dataset(path), previous)
 
 
 class TestLabeledDataset:
