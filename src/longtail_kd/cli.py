@@ -18,7 +18,15 @@ import sys
 
 from . import evaluate
 from .config import ConfigError, imbalance_profile, parse_config, render_config, train_config
-from .data import load_dataset, make_longtail_counts, open_output, save_dataset, subset_tags, synth_gaussian_mixture
+from .data import (
+    check_output,
+    load_dataset,
+    make_longtail_counts,
+    open_output,
+    save_dataset,
+    subset_tags,
+    synth_gaussian_mixture,
+)
 from .gradcheck import run_gradient_checks
 from .mathutils import check_temperature
 from .pipeline import (
@@ -27,6 +35,7 @@ from .pipeline import (
     check_sweep_epochs,
     metrics_to_csv,
     read_checkpoint,
+    teacher_config,
     temperature_sweep,
     train_student,
     train_teacher,
@@ -105,15 +114,12 @@ def cmd_train(args):
     cfg = parse_config(args.config)
     if args.role == "student" and not args.teacher:
         raise UsageError("--role student requires --teacher <checkpoint>")
-    tcfg = train_config(cfg, loss="ce" if args.role == "teacher" else None)
+    tcfg = train_config(cfg)
     if args.role == "teacher" and args.teacher:
         raise UsageError("--teacher is only valid with --role student")
     teacher, train, test = _load_run_inputs(cfg, args.teacher)
     ckpt_path = os.path.join(cfg["out_dir"], f"{args.role}.ckpt")
-    # os.replace cannot put the checkpoint onto a directory: refuse it
-    # before the run, not after its last epoch
-    if os.path.isdir(ckpt_path):
-        raise ValueError(f"{ckpt_path}: cannot write the checkpoint: Is a directory")
+    check_output(ckpt_path, "checkpoint")
     out = _prepare_out(cfg, "out_dir")
 
     if teacher is None:
@@ -129,7 +135,8 @@ def cmd_train(args):
         for name in ("many", "medium", "few")
         if getattr(report, name) is not None
     )
-    print(f"{args.role} ({tcfg.loss}): overall={report.overall:.4f} {subset_bits}")
+    loss = (teacher_config(tcfg) if teacher is None else tcfg).loss
+    print(f"{args.role} ({loss}): overall={report.overall:.4f} {subset_bits}")
     print(f"artifacts in {out}")
     return EXIT_OK
 
@@ -183,16 +190,16 @@ def cmd_sweep_temp(args):
     except ValueError as exc:
         raise UsageError(f"--temps: {exc}") from None
     cfg = parse_config(args.config)
-    teacher_cfg, student_cfg = train_config(cfg, loss="ce"), train_config(cfg)
+    tcfg = train_config(cfg)
     try:
-        check_sweep_epochs(student_cfg)
+        check_sweep_epochs(tcfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     teacher, train, test = _load_run_inputs(cfg, args.teacher)
     out = _prepare_out(cfg, "out_dir")
     if teacher is None:
-        teacher, _ = train_teacher(train, test, teacher_cfg)
-    rows = temperature_sweep(train, test, teacher, student_cfg, temps)
+        teacher, _ = train_teacher(train, test, tcfg)
+    rows = temperature_sweep(train, test, teacher, tcfg, temps)
     _write(os.path.join(out, "sweep.csv"), evaluate.sweep_to_csv(rows))
     for T, acc in rows:
         print(f"T={T:g}: accuracy={acc:.4f}")

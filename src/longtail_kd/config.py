@@ -153,13 +153,13 @@ def imbalance_profile(cfg):
     )
 
 
-def train_config(cfg, loss=None):
+def train_config(cfg):
     """TrainConfig assembled from the flat keys, or ConfigError for a value it
-    rejects. ``loss`` overrides cfg["loss"] (the teacher passes "ce") and
-    drops defer_epoch, which belongs to the configured loss."""
+    rejects. One config serves the teacher and its students:
+    ``pipeline.train_teacher`` makes it a teacher's."""
     try:
         return TrainConfig(
-            loss=cfg["loss"] if loss is None else loss,
+            loss=cfg["loss"],
             epochs=cfg["epochs"],
             batch_size=cfg["batch_size"],
             hidden_dims=cfg["hidden_dims"],
@@ -173,7 +173,7 @@ def train_config(cfg, loss=None):
             seed=cfg["seed"],
             kd=KDConfig(alpha=cfg["alpha"], temperature=cfg["temperature"]),
             bkd=BKDConfig(beta=cfg["beta"], temperature=cfg["temperature"]),
-            defer_epoch=cfg["defer_epoch"] if loss is None else None,
+            defer_epoch=cfg["defer_epoch"],
             many_thresh=cfg["many_thresh"],
             few_thresh=cfg["few_thresh"],
         )

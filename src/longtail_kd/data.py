@@ -384,13 +384,33 @@ def open_input(path, what, mode="rb", **kwargs):
         raise ValueError(f"{path}: cannot read the {what}: {exc.strerror}") from None
 
 
+def temp_path(path):
+    """The temporary file ``open_output`` writes before committing it onto ``path``."""
+    return path + ".tmp"
+
+
+def check_output(path, what):
+    """ValueError ``<path>: cannot write the <what>: <reason>`` where
+    ``open_output`` could not commit a file onto ``path``: a directory at
+    ``path``, which ``os.replace`` cannot overwrite, or at its
+    ``temp_path``, which ``open`` cannot write. A caller that spends time
+    before its write probes here first, so it is refused up front."""
+    if os.path.isdir(path):
+        raise ValueError(f"{path}: cannot write the {what}: Is a directory")
+    tmp = temp_path(path)
+    if os.path.isdir(tmp):
+        raise ValueError(f"{path}: cannot write the {what}: its temporary file {tmp} is a directory")
+
+
 @contextlib.contextmanager
 def open_output(path, mode="wb", **kwargs):
-    """``open(path + ".tmp", mode, **kwargs)`` for an output file, the one
-    rule for committing a file: the block writes ``<path>.tmp``, which
-    ``os.replace`` puts onto ``path`` when the block ends cleanly. On any
-    failure the temporary file is removed and ``path`` is left as it was."""
-    tmp = path + ".tmp"
+    """``open(temp_path(path), mode, **kwargs)`` for an output file, the
+    one rule for committing a file: the block writes the temporary file,
+    which ``os.replace`` puts onto ``path`` when the block ends cleanly. On
+    any failure the temporary file is removed and ``path`` is left as it
+    was. ``check_output`` refuses in advance a ``path`` this could not
+    commit."""
+    tmp = temp_path(path)
     fh = open(tmp, mode, **kwargs)
     try:
         with fh:

@@ -14,7 +14,7 @@ training loop in ``pipeline``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -106,12 +106,7 @@ def row_normalized(confusion):
 
 def report_to_json(report):
     """EvalReport as a JSON object; undefined accuracies are omitted."""
-    payload = {"overall": report.overall, "n": report.n}
-    for key in ("many", "medium", "few"):
-        value = getattr(report, key)
-        if value is not None:
-            payload[key] = value
-    payload["per_class"] = [v for v in report.per_class]
+    payload = {k: v for k, v in asdict(report).items() if v is not None}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

@@ -1,6 +1,7 @@
 """Two-phase teacher/student training.
 
-Phase one trains the teacher with plain cross-entropy. Phase two trains the
+Phase one trains the teacher with plain cross-entropy, under the
+``teacher_config`` of whatever config it is given. Phase two trains the
 student against the frozen teacher: the student minimizes the configured
 loss (optionally plain distillation for the first epochs, then the balanced
 variant from ``defer_epoch`` on). Each epoch trains one
@@ -26,10 +27,11 @@ state is one ``RunState``; each epoch logs one row to it, and a checkpoint
 holds it whole, so a resumed run matches an uninterrupted one bit for bit.
 A ``ckpt-v1`` file is one fixed header (``_CKPT_HEAD``) and three blobs,
 the parameters, the velocities and the metric log, each behind one
-``_BLOB_LEN`` length. ``_decode`` holds every rule of that format and
-names the file in each refusal; the reader runs it on the bytes it reads
-and the writer on the bytes it will write, before opening any file, so
-the writer refuses exactly what the reader refuses.
+``_BLOB_LEN`` length. ``_decode`` holds every rule of that format, finite
+parameters and velocities among them, and names the file in each refusal;
+the reader runs it on the bytes it reads and the writer on the bytes it
+will write, before opening any file, so the writer refuses exactly what
+the reader refuses.
 """
 
 from __future__ import annotations
@@ -207,6 +209,9 @@ def _decode(blob, path):
         # each blob is parsed as soon as it is read: a corrupt blob is refused before a later truncation
         params = params_from_bytes(r.take(*r.unpack(_BLOB_LEN)))
         vel = params_from_bytes(r.take(*r.unpack(_BLOB_LEN)))
+        for name, blob_params in (("parameter", params), ("velocity", vel)):
+            if not np.isfinite(blob_params.flat).all():
+                raise ValueError(f"the {name} blob holds a non-finite value")
         log_blob = r.take(*r.unpack(_BLOB_LEN))
         log_rows = metrics_from_csv(log_blob.decode("utf-8")) if log_blob else []
         if r.off != len(blob):
@@ -277,13 +282,13 @@ def check_splits(train, test):
 
 
 def _epoch_objective(cfg, epoch, teacher, train, objectives):
-    """The objective that ``epoch`` trains: cross-entropy for a teacher,
-    else cfg.loss, with plain distillation before ``defer_epoch``. Each
-    kind's objective is built on first use and kept in ``objectives``. A
-    distillation kind's targets are softmax(teacher(x) / T) of every
-    training row, the teacher run on ``batch_size``-row chunks so only one
-    chunk's activations are alive at a time."""
-    kind = "ce" if teacher is None else cfg.loss
+    """The objective that ``epoch`` trains: cfg.loss, with plain
+    distillation before ``defer_epoch``. Each kind's objective is built on
+    first use and kept in ``objectives``. A distillation kind's targets are
+    softmax(teacher(x) / T) of every training row, the teacher run on
+    ``batch_size``-row chunks so only one chunk's activations are alive at
+    a time."""
+    kind = cfg.loss
     if kind == "bkd" and cfg.defer_epoch is not None and epoch < cfg.defer_epoch:
         kind = "kd"
     if kind not in objectives:
@@ -302,6 +307,8 @@ def _epoch_objective(cfg, epoch, teacher, train, objectives):
 
 def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
     check_splits(train, test)
+    if stop_after_epoch is not None:
+        stop_after_epoch = check_int(stop_after_epoch, "stop_after_epoch", 0)
     dims = (train.dimension, *cfg.hidden_dims, train.num_classes)
     digest = config_digest(cfg)
     tags = subset_tags(train.class_counts, cfg.many_thresh, cfg.few_thresh)
@@ -356,9 +363,20 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
     return state.params, state.log_rows
 
 
+def teacher_config(cfg):
+    """The config a teacher trains under: ``cfg`` as plain cross-entropy,
+    with no ``defer_epoch``, which belongs to a student's loss. The one
+    place that says what a teacher is."""
+    return replace(cfg, loss="ce", defer_epoch=None)
+
+
 def train_teacher(train, test, cfg, *, out_ckpt=None, resume_from=None, stop_after_epoch=None):
-    """Phase one: minibatch SGD with plain cross-entropy, whatever cfg.loss says."""
-    return _run(train, test, cfg, None, out_ckpt, resume_from, stop_after_epoch)
+    """Phase one: minibatch SGD under ``teacher_config(cfg)``, so plain
+    cross-entropy whatever cfg.loss says, and one config file serves the
+    teacher and its students. A checkpoint's digest covers the teacher's
+    config, so any ``cfg`` that gives the same ``teacher_config`` resumes
+    it."""
+    return _run(train, test, teacher_config(cfg), None, out_ckpt, resume_from, stop_after_epoch)
 
 
 def train_student(train, test, teacher, cfg, *, out_ckpt=None, resume_from=None, stop_after_epoch=None):

@@ -9,7 +9,10 @@ import pytest
 
 from longtail_kd import gradcheck, pipeline
 from longtail_kd.cli import main
+from longtail_kd.config import parse_config, train_config
+from longtail_kd.data import load_dataset
 from longtail_kd.gradcheck import run_gradient_checks
+from longtail_kd.mlp import params_to_bytes
 from test_pipeline import write_checkpoint_with_bad_fan_in
 
 
@@ -177,10 +180,14 @@ class TestTrain:
         assert capsys.readouterr().err == "error: the test split has no samples to evaluate\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("suffix", ["", ".tmp"], ids=["path", "temporary-file"])
     @pytest.mark.parametrize("role", ["teacher", "student"])
-    def test_checkpoint_path_that_is_a_directory_is_refused_before_training(self, workspace, capsys, monkeypatch, role):
-        # a directory in the checkpoint's place once trained every epoch,
-        # then failed on the rename with out/resolved_config.txt left behind
+    def test_checkpoint_path_that_is_a_directory_is_refused_before_training(
+        self, workspace, capsys, monkeypatch, role, suffix
+    ):
+        # a directory in the checkpoint's place, or in that of the temporary
+        # file it is written to, once trained every epoch, then failed on
+        # the rename or the open with out/resolved_config.txt left behind
         tmp, cfg, _, out_dir = workspace
         epochs, lr_at = [], pipeline.lr_at
 
@@ -199,13 +206,15 @@ class TestTrain:
             shutil.move(out_dir / "teacher.ckpt", teacher[1])
             shutil.rmtree(out_dir)
         ckpt = out_dir / f"{role}.ckpt"
-        ckpt.mkdir(parents=True)
+        adir = out_dir / f"{role}.ckpt{suffix}"
+        adir.mkdir(parents=True)
         capsys.readouterr()
         assert run("train", "--config", cfg, "--role", role, *teacher) == 2
-        assert capsys.readouterr().err == f"error: {ckpt}: cannot write the checkpoint: Is a directory\n"
+        reason = f"its temporary file {adir} is a directory" if suffix else "Is a directory"
+        assert capsys.readouterr().err == f"error: {ckpt}: cannot write the checkpoint: {reason}\n"
         assert epochs == []
-        assert os.listdir(out_dir) == [f"{role}.ckpt"]
-        assert os.listdir(ckpt) == []
+        assert os.listdir(out_dir) == [adir.name]
+        assert os.listdir(adir) == []
 
     def test_cb_baseline_completes_with_finite_losses(self, workspace):
         _, cfg, data_dir, out_dir = workspace
@@ -234,6 +243,30 @@ class TestTrain:
         assert teacher.read_bytes() == (tmp_path / "plain" / "teacher.ckpt").read_bytes()
         assert run("train", "--config", cfg, "--role", "student", "--teacher", teacher) == 0
         assert run("sweep-temp", "--config", cfg, "--temps", 2) == 0
+
+    def test_library_resumes_the_teacher_checkpoint_under_the_same_config_file(self, tmp_path):
+        # the library once resolved the file to its student config and
+        # refused the teacher's checkpoint as "written under a different
+        # training config"
+        data_dir, out_dir = tmp_path / "data", tmp_path / "out"
+        cfg = write_config(tmp_path / "defer.cfg", epochs=3, defer_epoch=1, data_dir=data_dir, out_dir=out_dir)
+        assert run("make-data", "--config", cfg) == 0
+        assert run("train", "--config", cfg, "--role", "teacher") == 0
+        train, test = (load_dataset(str(data_dir / name)) for name in ("train.csv", "test.csv"))
+        ckpt = str(out_dir / "teacher.ckpt")
+        params, log = pipeline.train_teacher(train, test, train_config(parse_config(cfg)), resume_from=ckpt)
+        assert params_to_bytes(params) == params_to_bytes(pipeline.read_checkpoint(ckpt).params)
+        assert pipeline.metrics_to_csv(log) == (out_dir / "teacher_metrics.csv").read_text()
+
+    def test_teacher_of_a_config_no_student_could_train_is_config_error(self, tmp_path, capsys):
+        # defer_epoch belongs to bkd: eval, sweep-temp and a student refused
+        # this config, while the teacher once trained under it; refused
+        # before any data is read: the data directory does not exist
+        out_dir = tmp_path / "out"
+        cfg = write_config(tmp_path / "kd.cfg", loss="kd", defer_epoch=1, data_dir=tmp_path / "data", out_dir=out_dir)
+        assert run("train", "--config", cfg, "--role", "teacher") == 1
+        assert capsys.readouterr().err == "config error: defer_epoch is only valid with loss='bkd'\n"
+        assert not out_dir.exists()
 
     def test_resolved_config_reruns_the_command_byte_for_byte(self, workspace):
         _, cfg, data_dir, out_dir = workspace

@@ -157,6 +157,22 @@ class TestTrainTeacher:
         for a, b in zip(params.weights, expected.weights):
             np.testing.assert_array_equal(a, b)
 
+    def test_trains_its_teacher_config_whatever_the_loss(self, tmp_path):
+        # one config serves the teacher and its students: the teacher
+        # trains, checkpoints and resumes under teacher_config, so its
+        # checkpoint's digest is that of the ce config
+        train, test = two_class_separable()
+        bkd = small_cfg(loss="bkd", epochs=4, defer_epoch=2)
+        assert pipeline.teacher_config(bkd) == small_cfg(epochs=4)
+        ce_params, ce_log = train_teacher(train, test, small_cfg(epochs=4))
+        ckpt = str(tmp_path / "teacher.ckpt")
+        train_teacher(train, test, bkd, out_ckpt=ckpt, stop_after_epoch=2)
+        assert read_checkpoint(ckpt).digest == config_digest(small_cfg(epochs=4))
+        for cfg in (bkd, small_cfg(loss="kd", epochs=4), small_cfg(epochs=4)):
+            params, log = train_teacher(train, test, cfg, resume_from=ckpt)
+            assert params_to_bytes(params) == params_to_bytes(ce_params)
+            assert metrics_to_csv(log) == metrics_to_csv(ce_log)
+
     def test_same_seed_identical_metric_log(self):
         train, test = two_class_separable()
         _, a = train_teacher(train, test, small_cfg())
@@ -545,6 +561,33 @@ class TestCheckpointResume:
             write_checkpoint(path, RunState(params, opt, Rng(1), [], config_digest(small_cfg())))
         assert str(info.value) == f"{path}: momentum must lie in [0, 1), got {momentum!r}"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("blob", ["parameter", "velocity"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_blob_refused_by_reader_and_writer(self, tmp_path, blob, value):
+        # a NaN weight was once written and read back without complaint,
+        # so eval scored whatever the NaN logits argmaxed to
+        params = init_mlp((4, 12, 2), seed=0)
+        state = RunState(params, init_optimizer(params), Rng(1), [], config_digest(small_cfg()))
+        array = state.params if blob == "parameter" else state.opt.vel
+        clean, kept = params_to_bytes(array), array.flat[5]
+        array.flat[5] = value
+        written = str(tmp_path / "written.ckpt")
+        with pytest.raises(ValueError) as info:
+            write_checkpoint(written, state)
+        assert str(info.value) == f"{written}: the {blob} blob holds a non-finite value"
+        assert list(tmp_path.iterdir()) == []
+        # the writer refuses such a state, so the blob is spliced over a clean file
+        array.flat[5] = kept
+        spliced = str(tmp_path / "spliced.ckpt")
+        write_checkpoint(spliced, state)
+        with open(spliced, "rb") as fh:
+            offset = fh.read().index(clean)
+        array.flat[5] = value
+        patch_checkpoint(spliced, offset, clean, params_to_bytes(array))
+        with pytest.raises(ValueError) as info:
+            read_checkpoint(spliced)
+        assert str(info.value) == f"{spliced}: the {blob} blob holds a non-finite value"
 
     def test_failed_rename_leaves_no_temp_file(self, tmp_path):
         # a directory in the checkpoint's place once kept <path>.tmp behind
