@@ -19,6 +19,7 @@ import sys
 from . import evaluate
 from .config import ConfigError, imbalance_profile, parse_config, render_config, train_config
 from .data import (
+    SIDECAR_SUFFIX,
     check_output,
     load_dataset,
     make_longtail_counts,
@@ -60,10 +61,21 @@ def _write(path, text):
         fh.write(text)
 
 
-def _prepare_out(cfg, key):
+def _prepare_out(cfg, key, outputs):
+    """The output plan of a command: ``{what: path}`` for every file it
+    commits into the directory ``cfg[key]``. ``outputs`` maps the word for
+    each file to its name there; the resolved config
+    (``resolved_config.txt``) is added. Each path goes through
+    ``data.check_output`` first, so a file that could not be committed is
+    refused, in its own word, before any work and before anything is
+    written. Then the directory is made and the resolved config committed."""
+    names = {"resolved config": "resolved_config.txt", **outputs}
+    paths = {what: os.path.join(cfg[key], name) for what, name in names.items()}
+    for what, path in paths.items():
+        check_output(path, what)
     os.makedirs(cfg[key], exist_ok=True)
-    _write(os.path.join(cfg[key], "resolved_config.txt"), render_config(cfg))
-    return cfg[key]
+    _write(paths["resolved config"], render_config(cfg))
+    return paths
 
 
 def _load_run_inputs(cfg, teacher_path):
@@ -91,12 +103,23 @@ def cmd_make_data(args):
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    out = _prepare_out(cfg, "data_dir")
-    save_dataset(train, os.path.join(out, "train.csv"))
-    save_dataset(test, os.path.join(out, "test.csv"))
+    # save_dataset commits each split's sidecar next to it
+    paths = _prepare_out(
+        cfg,
+        "data_dir",
+        {
+            "train split": "train.csv",
+            "train split sidecar": "train.csv" + SIDECAR_SUFFIX,
+            "test split": "test.csv",
+            "test split sidecar": "test.csv" + SIDECAR_SUFFIX,
+            "class counts": "counts.csv",
+        },
+    )
+    save_dataset(train, paths["train split"])
+    save_dataset(test, paths["test split"])
     lines = ["class,count"] + [f"{c},{int(n)}" for c, n in enumerate(counts)]
-    _write(os.path.join(out, "counts.csv"), "\n".join(lines) + "\n")
-    print(f"wrote {len(train)} train / {len(test)} test samples to {out}")
+    _write(paths["class counts"], "\n".join(lines) + "\n")
+    print(f"wrote {len(train)} train / {len(test)} test samples to {cfg['data_dir']}")
     print(f"class counts: {counts.tolist()} (max/min = {counts.max() / counts.min():g})")
     return EXIT_OK
 
@@ -111,25 +134,31 @@ def _score(params, train, data, tcfg):
 
 
 def cmd_train(args):
-    cfg = parse_config(args.config)
     if args.role == "student" and not args.teacher:
         raise UsageError("--role student requires --teacher <checkpoint>")
-    tcfg = train_config(cfg)
     if args.role == "teacher" and args.teacher:
         raise UsageError("--teacher is only valid with --role student")
+    cfg = parse_config(args.config)
+    tcfg = train_config(cfg)
     teacher, train, test = _load_run_inputs(cfg, args.teacher)
-    ckpt_path = os.path.join(cfg["out_dir"], f"{args.role}.ckpt")
-    check_output(ckpt_path, "checkpoint")
-    out = _prepare_out(cfg, "out_dir")
+    paths = _prepare_out(
+        cfg,
+        "out_dir",
+        {
+            "checkpoint": f"{args.role}.ckpt",
+            "metric log": f"{args.role}_metrics.csv",
+            "report": f"{args.role}_report.json",
+        },
+    )
 
     if teacher is None:
-        params, log = train_teacher(train, test, tcfg, out_ckpt=ckpt_path)
+        params, log = train_teacher(train, test, tcfg, out_ckpt=paths["checkpoint"])
     else:
-        params, log = train_student(train, test, teacher, tcfg, out_ckpt=ckpt_path)
+        params, log = train_student(train, test, teacher, tcfg, out_ckpt=paths["checkpoint"])
 
-    _write(os.path.join(out, f"{args.role}_metrics.csv"), metrics_to_csv(log))
+    _write(paths["metric log"], metrics_to_csv(log))
     _, report = _score(params, train, test, tcfg)
-    _write(os.path.join(out, f"{args.role}_report.json"), evaluate.report_to_json(report))
+    _write(paths["report"], evaluate.report_to_json(report))
     subset_bits = ", ".join(
         f"{name}={getattr(report, name):.4f}"
         for name in ("many", "medium", "few")
@@ -137,7 +166,7 @@ def cmd_train(args):
     )
     loss = (teacher_config(tcfg) if teacher is None else tcfg).loss
     print(f"{args.role} ({loss}): overall={report.overall:.4f} {subset_bits}")
-    print(f"artifacts in {out}")
+    print(f"artifacts in {cfg['out_dir']}")
     return EXIT_OK
 
 
@@ -151,16 +180,24 @@ def cmd_eval(args):
     train = load_dataset(os.path.join(cfg["data_dir"], "train.csv"))
     for name, split in (("data", data), ("train split", train)):
         check_model_fits(params, split, "checkpoint", name)
-    out = _prepare_out(cfg, "out_dir")
+    paths = _prepare_out(
+        cfg,
+        "out_dir",
+        {
+            "report": "eval_report.json",
+            "confusion matrix": "confusion_counts.csv",
+            "row-normalized confusion matrix": "confusion_rownorm.csv",
+        },
+    )
 
     preds, report = _score(params, train, data, tcfg)
     confusion = evaluate.confusion_matrix(preds, data.labels, data.num_classes)
 
     report_json = evaluate.report_to_json(report)
-    _write(os.path.join(out, "eval_report.json"), report_json)
-    _write(os.path.join(out, "confusion_counts.csv"), evaluate.confusion_to_csv(confusion))
+    _write(paths["report"], report_json)
+    _write(paths["confusion matrix"], evaluate.confusion_to_csv(confusion))
     _write(
-        os.path.join(out, "confusion_rownorm.csv"),
+        paths["row-normalized confusion matrix"],
         evaluate.confusion_to_csv(evaluate.row_normalized(confusion)),
     )
     sys.stdout.write(report_json)
@@ -196,11 +233,11 @@ def cmd_sweep_temp(args):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     teacher, train, test = _load_run_inputs(cfg, args.teacher)
-    out = _prepare_out(cfg, "out_dir")
+    paths = _prepare_out(cfg, "out_dir", {"sweep table": "sweep.csv"})
     if teacher is None:
         teacher, _ = train_teacher(train, test, tcfg)
     rows = temperature_sweep(train, test, teacher, tcfg, temps)
-    _write(os.path.join(out, "sweep.csv"), evaluate.sweep_to_csv(rows))
+    _write(paths["sweep table"], evaluate.sweep_to_csv(rows))
     for T, acc in rows:
         print(f"T={T:g}: accuracy={acc:.4f}")
     return EXIT_OK

@@ -393,8 +393,9 @@ def check_output(path, what):
     """ValueError ``<path>: cannot write the <what>: <reason>`` where
     ``open_output`` could not commit a file onto ``path``: a directory at
     ``path``, which ``os.replace`` cannot overwrite, or at its
-    ``temp_path``, which ``open`` cannot write. A caller that spends time
-    before its write probes here first, so it is refused up front."""
+    ``temp_path``, which ``open`` cannot write. Every CLI command probes
+    each file it commits here before any work (``cli._prepare_out``), so
+    a path it could not commit is refused up front."""
     if os.path.isdir(path):
         raise ValueError(f"{path}: cannot write the {what}: Is a directory")
     tmp = temp_path(path)

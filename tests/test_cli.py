@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from longtail_kd import gradcheck, pipeline
+from longtail_kd import cli, data, evaluate, gradcheck, pipeline
 from longtail_kd.cli import main
 from longtail_kd.config import parse_config, train_config
 from longtail_kd.data import load_dataset
@@ -134,6 +134,22 @@ class TestTrain:
         assert run("train", "--config", cfg, "--role", "teacher", "--teacher", "absent.ckpt") == 1
         assert capsys.readouterr().err == "error: --teacher is only valid with --role student\n"
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--role", "student"), "--role student requires --teacher <checkpoint>"),
+            (("--role", "teacher", "--teacher", "absent.ckpt"), "--teacher is only valid with --role student"),
+        ],
+        ids=["student-without-teacher", "teacher-with-teacher"],
+    )
+    def test_role_usage_error_wins_over_a_bad_config_file(self, tmp_path, capsys, args, message):
+        # both checks read only the arguments, so the config is not read
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("epochs = fast\n")
+        for cfg in (bad, tmp_path / "absent.cfg"):
+            assert run("train", "--config", cfg, *args) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "teacher_data, message",
@@ -476,6 +492,123 @@ class TestSweepTemp:
         assert rows[0].split(",")[1] == rows[1].split(",")[1]
 
 
+# every file each command commits into its output directory, by the word
+# its refusal names it with
+OUTPUTS = {
+    "make-data": {
+        "resolved config": "resolved_config.txt",
+        "class counts": "counts.csv",
+        "train split": "train.csv",
+        "train split sidecar": "train.csv.bin",
+        "test split": "test.csv",
+        "test split sidecar": "test.csv.bin",
+    },
+    **{
+        role: {
+            "resolved config": "resolved_config.txt",
+            "checkpoint": f"{role}.ckpt",
+            "metric log": f"{role}_metrics.csv",
+            "report": f"{role}_report.json",
+        }
+        for role in ("teacher", "student")
+    },
+    "eval": {
+        "resolved config": "resolved_config.txt",
+        "report": "eval_report.json",
+        "confusion matrix": "confusion_counts.csv",
+        "row-normalized confusion matrix": "confusion_rownorm.csv",
+    },
+    "sweep-temp": {"resolved config": "resolved_config.txt", "sweep table": "sweep.csv"},
+}
+PLANNED = [(command, what) for command, outputs in OUTPUTS.items() for what in outputs]
+
+
+def planned_run(tmp_path, command):
+    """``(arguments, output directory)`` of ``command`` (a role stands for
+    ``train`` in that role) writing into a directory that does not exist
+    yet. Its inputs are made first: ``make-data`` writes ``data``, and the
+    other commands read it, and a teacher in ``prep``, and write ``out``."""
+    data_dir, teacher = tmp_path / "data", tmp_path / "prep" / "teacher.ckpt"
+    prep = write_config(tmp_path / "prep.cfg", data_dir=data_dir, out_dir=teacher.parent)
+    if command == "make-data":
+        return ["make-data", "--config", prep], data_dir
+    assert run("make-data", "--config", prep) == 0
+    if command in ("student", "eval"):
+        assert run("train", "--config", prep, "--role", "teacher") == 0
+    cfg = write_config(tmp_path / "run.cfg", data_dir=data_dir, out_dir=tmp_path / "out")
+    args = {
+        "teacher": ["train", "--role", "teacher"],
+        "student": ["train", "--role", "student", "--teacher", teacher],
+        "eval": ["eval", "--ckpt", teacher, "--data", data_dir / "test.csv"],
+        # no --teacher: the sweep trains its own after its outputs are probed
+        "sweep-temp": ["sweep-temp", "--temps", 1, 2],
+    }[command]
+    return [*args, "--config", cfg], tmp_path / "out"
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """The work commands start, by kind: epochs trained (``lr_at`` calls),
+    forks, dataset chunks formatted and predictions made."""
+    calls = {}
+    for kind, module, name in [
+        ("epochs", pipeline, "lr_at"),
+        ("forks", os, "fork"),
+        ("formatted", data, "_format_rows"),
+        ("predictions", evaluate, "predict"),
+    ]:
+        def counting(*args, _kind=kind, _real=getattr(module, name), **kwargs):
+            calls[_kind].append(1)
+            return _real(*args, **kwargs)
+
+        calls[kind] = []
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestOutputPlan:
+    @pytest.mark.parametrize(
+        "command, what", PLANNED, ids=[f"{command}-{what.replace(' ', '-')}" for command, what in PLANNED]
+    )
+    def test_output_path_that_is_a_directory_is_refused_before_any_work(
+        self, tmp_path, capsys, work, command, what
+    ):
+        # a directory in place of any output but the checkpoint was once met
+        # only at its write, which exited 2 with the bare "[Errno 21]": after
+        # all the work, for every output but the resolved config
+        args, out_dir = planned_run(tmp_path, command)
+        adir = out_dir / OUTPUTS[command][what]
+        adir.mkdir(parents=True)
+        for calls in work.values():
+            calls.clear()
+        capsys.readouterr()
+        assert run(*args) == 2
+        assert capsys.readouterr().err == f"error: {adir}: cannot write the {what}: Is a directory\n"
+        assert work == {kind: [] for kind in work}
+        assert os.listdir(out_dir) == [adir.name]
+        assert os.listdir(adir) == []
+
+    @pytest.mark.parametrize("command", OUTPUTS)
+    def test_run_commits_exactly_the_files_it_probed(self, tmp_path, monkeypatch, work, command):
+        # a file written without being probed would be found uncommittable
+        # only after the work
+        args, out_dir = planned_run(tmp_path, command)
+        probed, check_output = {}, cli.check_output
+
+        def recording(path, what):
+            probed[what] = path
+            check_output(path, what)
+
+        monkeypatch.setattr(cli, "check_output", recording)
+        for calls in work.values():
+            calls.clear()
+        assert run(*args) == 0
+        assert probed == {what: str(out_dir / name) for what, name in OUTPUTS[command].items()}
+        assert sorted(os.listdir(out_dir)) == sorted(OUTPUTS[command].values())
+        # the counters see the work the refusals above must not start
+        assert work[{"make-data": "formatted", "eval": "predictions"}.get(command, "epochs")]
+
+
 class TestUnopenableInputs:
     # a directory in place of an input file once exited 2 with the bare
     # "[Errno 21] Is a directory"; a missing file keeps its own message
@@ -594,7 +727,8 @@ class TestConfigHandling:
         cfg = write_config(
             tmp_path / "bad.cfg", schedule="step", lr_steps=steps, data_dir=tmp_path / "data", out_dir=out_dir
         )
-        assert run("train", "--config", cfg, "--role", role, "--teacher", tmp_path / "absent.ckpt") == 1
+        teacher = ["--teacher", tmp_path / "absent.ckpt"] if role == "student" else []
+        assert run("train", "--config", cfg, "--role", role, *teacher) == 1
         assert re.fullmatch(r"config error: (step factors|each step epoch) must be .*\n", capsys.readouterr().err)
         assert not out_dir.exists()
 
