@@ -68,12 +68,17 @@ def _prepare_out(cfg, key, outputs):
     (``resolved_config.txt``) is added. Each path goes through
     ``data.check_output`` first, so a file that could not be committed is
     refused, in its own word, before any work and before anything is
-    written. Then the directory is made and the resolved config committed."""
+    written. Then the directory is made, or refused as ``<dir>: cannot
+    write the <key>: <reason>`` where it cannot be, such as under a
+    regular file, and the resolved config committed."""
     names = {"resolved config": "resolved_config.txt", **outputs}
     paths = {what: os.path.join(cfg[key], name) for what, name in names.items()}
     for what, path in paths.items():
         check_output(path, what)
-    os.makedirs(cfg[key], exist_ok=True)
+    try:
+        os.makedirs(cfg[key], exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"{cfg[key]}: cannot write the {key}: {exc.strerror}") from None
     _write(paths["resolved config"], render_config(cfg))
     return paths
 

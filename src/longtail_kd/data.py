@@ -28,15 +28,16 @@ Formatting floats with ``repr`` is nearly all the cost of a save, so
 ``save_dataset`` spreads it over every CPU it may run on, through the one
 fork path ``workers.run_split``. The rows are cut into contiguous ranges of
 whole 1024-row chunks, one range per CPU but never more ranges than chunks.
-A forked child formats each range after the first into
-``<path>.part<start>`` while the saving process formats the first range
-straight into the CSV. It then appends the part files in range order,
-hashing every byte of the CSV as it is written, so the CSV and its digest
-are the same bytes whatever the CPU count. With one CPU, one chunk, or a
-platform that cannot fork, nothing is forked and the same code formats
-every row in one range. The CSV and the sidecar are each committed through
-``open_output``, so a failed save leaves no part or temporary file behind
-and a previous dataset at the same path untouched.
+The saving process formats the first range straight into the CSV while a
+forked child formats each other range; the children report only through
+their pipes, and their bytes follow in range order. Every byte of the CSV
+is hashed as it is written, so the CSV and its digest are the same bytes
+whatever the CPU count. With one CPU, one chunk, or a platform that cannot
+fork, nothing is forked and the same code formats every row in one range.
+The CSV and the sidecar are each committed through ``open_output``, so a
+failed save leaves no temporary file behind and a previous dataset at the
+same path untouched, and a save killed while it formats leaves only the
+CSV's temporary file.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import numpy as np
 
 from .mathutils import Rng, check_int, check_int_array, check_real, check_real_array
 from .weights import check_counts
-from .workers import run_split, split
+from .workers import blocks, run_split, split
 
 FORMAT_MAGIC = "longtail-csv v1"
 SIDECAR_MAGIC = b"longtail-bin v1"
@@ -60,10 +61,9 @@ SIDECAR_SUFFIX = ".bin"
 _DIGEST_BYTES = 32  # sha256
 # magic, CSV digest, N, d
 _SIDECAR_HEAD = struct.Struct(f"<{len(SIDECAR_MAGIC)}s{_DIGEST_BYTES}sqq")
-# rows formatted per write in save_dataset, and bytes hashed per read: both
-# bound the memory a save or a load holds beyond the arrays themselves
+# rows formatted per write in save_dataset: it bounds the memory the saving
+# process holds beyond the arrays themselves
 _SAVE_CHUNK_ROWS = 1024
-_HASH_CHUNK_BYTES = 1 << 20
 
 PROFILE_KINDS = ("exponential", "step")
 
@@ -223,44 +223,30 @@ def save_dataset(data, path):
     The rows are split into contiguous ranges of whole save chunks, one per
     available CPU (``workers.split``, never more ranges than chunks), and
     formatted through ``workers.run_split``: this process formats the first
-    range into the CSV after the header while a forked child formats each
-    other range into ``<path>.part<start>``. This process then appends the
-    part files in order. Every byte of the CSV is hashed as it is written.
-    With one CPU, one chunk, or a platform that cannot fork, nothing is
-    forked. The sidecar, then the CSV, is committed through
-    ``open_output``. A failed child raises OSError naming its rows; on any
-    failure the children still running are stopped and the part files
-    removed. The bytes do not depend on the CPU count.
+    range into the CSV after the header, and the rows a forked child
+    formats for each other range follow in order. Every byte of the CSV is
+    hashed as it is written. With one CPU, one chunk, or a platform that
+    cannot fork, nothing is forked. The sidecar, then the CSV, is committed
+    through ``open_output``. A failed child raises OSError naming its rows.
+    The bytes do not depend on the CPU count.
     """
     n = len(data)
     ranges = [(a * _SAVE_CHUNK_ROWS, min(b * _SAVE_CHUNK_ROWS, n)) for a, b in split(-(-n // _SAVE_CHUNK_ROWS))]
-    parts = [f"{path}.part{start}" for start, _ in ranges[1:]]
 
-    def failed(start, stop, sent):
+    def failed(start, stop, n_sent):
         return f"{path}: the worker formatting rows {start}-{stop}"
 
-    try:
-        csv_digest = hashlib.sha256()
-        with open_output(path) as fh:
+    csv_digest = hashlib.sha256()
+    with open_output(path) as fh:
 
-            def emit(blob):
-                csv_digest.update(blob)
-                fh.write(blob)
+        def emit(blob):
+            csv_digest.update(blob)
+            fh.write(blob)
 
-            emit(f"{FORMAT_MAGIC}, C={data.num_classes}, d={data.dimension}\n".encode("ascii"))
-            run_split(ranges, _write_range, failed, data, path, emit)
-            for part in parts:
-                with open(part, "rb") as src:
-                    for block in _blocks(src):
-                        emit(block)
-                os.remove(part)
-            with open_output(path + SIDECAR_SUFFIX) as sidecar:
-                _write_sidecar(sidecar, csv_digest.digest(), data)
-    except BaseException:
-        for part in parts:
-            if os.path.exists(part):
-                os.remove(part)
-        raise
+        emit(f"{FORMAT_MAGIC}, C={data.num_classes}, d={data.dimension}\n".encode("ascii"))
+        run_split(ranges, _format_range, failed, emit, data)
+        with open_output(path + SIDECAR_SUFFIX) as sidecar:
+            _write_sidecar(sidecar, csv_digest.digest(), data)
 
 
 def _format_rows(data, start, stop):
@@ -269,20 +255,11 @@ def _format_rows(data, start, stop):
     return "".join(f"{label},{','.join(map(repr, feats))}\n" for label, feats in rows).encode("ascii")
 
 
-def _format_range(write, data, start, stop):
+def _format_range(send, data, start, stop):
+    """A save job: send the CSV lines of rows ``start:stop``, one save
+    chunk at a time."""
     for chunk in range(start, stop, _SAVE_CHUNK_ROWS):
-        write(_format_rows(data, chunk, min(chunk + _SAVE_CHUNK_ROWS, stop)))
-
-
-def _write_range(_send, data, path, emit, start, stop):
-    """A save job: format rows ``start:stop`` chunk by chunk, through
-    ``emit`` (into the CSV) for the first range and into
-    ``<path>.part<start>`` for any other."""
-    if start:
-        with open(f"{path}.part{start}", "wb") as fh:
-            _format_range(fh.write, data, start, stop)
-    else:
-        _format_range(emit, data, start, stop)
+        send(_format_rows(data, chunk, min(chunk + _SAVE_CHUNK_ROWS, stop)))
 
 
 def _write_sidecar(fh, csv_digest, data):
@@ -298,20 +275,10 @@ def _write_sidecar(fh, csv_digest, data):
     fh.write(trailer.digest())
 
 
-def _blocks(fh):
-    """The rest of binary file ``fh`` as views of one reused
-    ``_HASH_CHUNK_BYTES`` buffer, each valid until the next is read: a
-    fresh ``bytes`` per block would be a new memory mapping each time under
-    the CLI's malloc thresholds."""
-    buf = memoryview(bytearray(_HASH_CHUNK_BYTES))
-    while n := fh.readinto(buf):
-        yield buf[:n]
-
-
 def _file_sha256(path):
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for block in _blocks(fh):
+        for block in blocks(fh):
             digest.update(block)
     return digest.digest()
 

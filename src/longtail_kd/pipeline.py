@@ -353,7 +353,11 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
                 pgrads.flat += cfg.weight_decay * state.params.flat
             sgd_momentum_step(state.params, pgrads, state.opt, lr)
 
-        report = evaluate.accuracy_report(evaluate.predict(state.params, test, out=eval_out), test.labels, tags)
+        try:
+            preds = evaluate.predict(state.params, test, out=eval_out)
+        except ValueError as exc:
+            raise RuntimeError(f"training diverged: non-finite test logits at epoch {epoch}") from exc
+        report = evaluate.accuracy_report(preds, test.labels, tags)
         state.log_rows.append(
             MetricRow(epoch, loss_sum / N, lr, report.overall, report.many, report.medium, report.few)
         )
@@ -427,12 +431,13 @@ def temperature_sweep(train, test, teacher, base_cfg, temps):
     _check_teacher(teacher, train)
     check_splits(train, test)
 
-    def failed(start, stop, sent):
+    def failed(start, stop, n_sent):
         # name the first temperature whose accuracy the child had not sent
-        T = temps[min(start + len(sent) // _ACC.size, stop - 1)]
+        T = temps[min(start + n_sent // _ACC.size, stop - 1)]
         return f"the sweep worker training the student at T={T:g}"
 
-    accs = run_split(split(len(temps)), _sweep_group, failed, train, test, teacher, base_cfg, temps)
+    accs = bytearray()
+    run_split(split(len(temps)), _sweep_group, failed, accs.extend, train, test, teacher, base_cfg, temps)
     return list(zip(temps, (acc for (acc,) in _ACC.iter_unpack(accs))))
 
 

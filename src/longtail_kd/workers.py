@@ -7,9 +7,11 @@ report the mask. ``run_split`` runs a job over ranges the caller takes
 from ``split`` in the units it needs: ``temperature_sweep`` splits its
 temperatures and ``save_dataset`` whole 1024-row chunks of a dataset. It
 keeps the first range for this process and forks one child (``os.fork``)
-per other range, which runs the job and sends its result back as bytes
-through a pipe. The children are joined in the order they were forked, so
-results come back in range order whatever the worker count. Each child
+per other range. A child gathers what its job sends in memory and, when
+the job ends, writes all of it to its pipe, so the children work side by
+side whatever they send. The children are joined in the order they were
+forked, each pipe read through ``blocks`` into the caller's sink, so the
+sink sees the bytes in range order whatever the worker count. Each child
 leaves through ``os._exit``: it never returns into the caller's stack,
 flushes no inherited buffer and runs no atexit handler, and its exit
 status is 0 only if its work finished. On a failure on either side, every
@@ -17,14 +19,17 @@ child not yet joined is killed and reaped before the error propagates, so
 no process is left behind.
 
 Children start from a copy of the caller's memory and report back only
-through their pipes (or files their work writes), so anything else a child
-records, such as a tracer's spans, stays in the child.
+through their pipes, so anything else a child records, such as a
+tracer's spans, stays in the child.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+
+# bytes per read of ``blocks``: the buffer a pipe or file is read through
+_BLOCK_BYTES = 1 << 20
 
 
 def split(n):
@@ -36,31 +41,42 @@ def split(n):
     return [(k * n // workers, (k + 1) * n // workers) for k in range(workers)]
 
 
-def run_split(ranges, work, describe, *args):
-    """All the bytes ``work(send, *args, start, stop)`` sends over
-    ``ranges``, in range order: this process runs the first range and a
-    forked child each other one. ``send(bytes)`` passes bytes back to this
-    process; a pipe buffers little (64 KiB on Linux), so a child that sends
-    more blocks until it is joined. A failed child raises OSError naming
-    ``describe(start, stop, sent)``, given the bytes it had sent."""
+def blocks(fh):
+    """The rest of binary file ``fh`` as views of one reused
+    ``_BLOCK_BYTES`` buffer, each valid until the next is read: a fresh
+    ``bytes`` per block would be a new memory mapping each time under the
+    CLI's malloc thresholds."""
+    buf = memoryview(bytearray(_BLOCK_BYTES))
+    while n := fh.readinto(buf):
+        yield buf[:n]
+
+
+def run_split(ranges, work, describe, sink, *args):
+    """Hand ``sink`` every byte that ``work(send, *args, start, stop)``
+    sends over ``ranges``, in range order. This process runs the first
+    range with ``send = sink``, and a forked child each other one. A
+    child's bytes reach ``sink`` after its work has ended, as ``blocks``
+    views valid only during the call. A child that failed still hands over
+    what it sent; then OSError names ``describe(start, stop, n_sent)``,
+    where ``n_sent`` counts those bytes."""
     children = []  # (pid, read end of its pipe), oldest first, not yet joined
     try:
         for start, stop in ranges[1:]:
             children.append(_fork(work, *args, start, stop))
-        sent = bytearray()
-        work(sent.extend, *args, *ranges[0])
+        work(sink, *args, *ranges[0])
         for start, stop in ranges[1:]:
             pid, read_fd = children[0]
+            n_sent = 0
             with open(read_fd, "rb", closefd=False) as pipe:
-                child_sent = pipe.read()
+                for block in blocks(pipe):
+                    sink(block)
+                    n_sent += len(block)
             del children[0]
             os.close(read_fd)
             _, status = os.waitpid(pid, 0)
             if status:
                 code = os.waitstatus_to_exitcode(status)
-                raise OSError(f"{describe(start, stop, child_sent)} failed (exit status {code})")
-            sent += child_sent
-        return bytes(sent)
+                raise OSError(f"{describe(start, stop, n_sent)} failed (exit status {code})")
     finally:
         for pid, read_fd in children:
             os.close(read_fd)
@@ -70,7 +86,8 @@ def run_split(ranges, work, describe, *args):
 
 def _fork(work, *args):
     """``(pid, read end of its pipe)`` of a new child that runs
-    ``work(send, *args)`` and exits."""
+    ``work(send, *args)``, writes all it sent to the pipe, also if the
+    work raised, and exits."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -84,8 +101,12 @@ def _fork(work, *args):
     status = 1
     try:
         os.close(read_fd)
+        sent = bytearray()
         with open(write_fd, "wb") as pipe:
-            work(pipe.write, *args)
+            try:
+                work(sent.extend, *args)
+            finally:
+                pipe.write(sent)
         status = 0
     except BaseException as exc:
         os.write(2, f"worker process {os.getpid()}: {exc!r}\n".encode("ascii", "replace"))

@@ -9,11 +9,11 @@ import pytest
 
 from longtail_kd import cli, data, evaluate, gradcheck, pipeline
 from longtail_kd.cli import main
-from longtail_kd.config import parse_config, train_config
+from longtail_kd.config import default_config, parse_config, render_config, train_config
 from longtail_kd.data import load_dataset
 from longtail_kd.gradcheck import run_gradient_checks
 from longtail_kd.mlp import params_to_bytes
-from test_pipeline import write_checkpoint_with_bad_fan_in
+from test_pipeline import OVERFLOWING_EVALUATION, write_checkpoint_with_bad_fan_in
 
 
 def run(*args):
@@ -231,6 +231,20 @@ class TestTrain:
         assert epochs == []
         assert os.listdir(out_dir) == [adir.name]
         assert os.listdir(adir) == []
+
+    def test_non_finite_test_logits_exit_2_with_no_artifact(self, tmp_path, capsys):
+        # the run once exited 0, printing accuracies of argmax classes made
+        # of non-finite logits, and committed its checkpoint and report
+        cfg, out_dir = tmp_path / "exp.cfg", tmp_path / "out"
+        cfg.write_text(
+            render_config({**default_config(), **OVERFLOWING_EVALUATION, "data_dir": tmp_path / "data", "out_dir": out_dir})
+        )
+        assert run("make-data", "--config", cfg) == 0
+        capsys.readouterr()
+        with np.errstate(over="ignore"):  # overflow is the point
+            assert run("train", "--config", cfg, "--role", "teacher") == 2
+        assert capsys.readouterr().err == "error: training diverged: non-finite test logits at epoch 0\n"
+        assert os.listdir(out_dir) == ["resolved_config.txt"]
 
     def test_cb_baseline_completes_with_finite_losses(self, workspace):
         _, cfg, data_dir, out_dir = workspace
@@ -546,6 +560,11 @@ def planned_run(tmp_path, command):
     return [*args, "--config", cfg], tmp_path / "out"
 
 
+def _tree(root):
+    """Every file under ``root``, by relative path, with its bytes."""
+    return {path.relative_to(root): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
 @pytest.fixture
 def work(monkeypatch):
     """The work commands start, by kind: epochs trained (``lr_at`` calls),
@@ -607,6 +626,32 @@ class TestOutputPlan:
         assert sorted(os.listdir(out_dir)) == sorted(OUTPUTS[command].values())
         # the counters see the work the refusals above must not start
         assert work[{"make-data": "formatted", "eval": "predictions"}.get(command, "epochs")]
+
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    @pytest.mark.parametrize("command, key", [("teacher", "out_dir"), ("make-data", "data_dir")])
+    def test_directory_that_cannot_be_made_is_refused_before_any_work(
+        self, tmp_path, capsys, work, command, key, under
+    ):
+        # once the bare "[Errno 17] File exists" or "[Errno 20] Not a directory"
+        args, _ = planned_run(tmp_path, command)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        directory = afile / "sub" if under else afile
+        cfg = write_config(
+            tmp_path / "run.cfg", **{"data_dir": tmp_path / "data", "out_dir": tmp_path / "out", key: directory}
+        )
+        args[args.index("--config") + 1] = cfg
+        files = _tree(tmp_path)
+        for calls in work.values():
+            calls.clear()
+        capsys.readouterr()
+        assert run(*args) == 2
+        reason = "Not a directory" if under else "File exists"
+        assert capsys.readouterr().err == f"error: {directory}: cannot write the {key}: {reason}\n"
+        assert work == {kind: [] for kind in work}
+        assert _tree(tmp_path) == files
+        assert afile.read_text() == ""
 
 
 class TestUnopenableInputs:

@@ -374,6 +374,31 @@ class TestParallelSave:
         with open(path, "rb") as fh:
             assert fh.read() == _reference_csv(data)
 
+    def test_save_writes_no_file_but_its_own_temporary_files(self, tmp_path, monkeypatch):
+        # each forked child once formatted its range into <path>.part<start>,
+        # which a save killed mid-run left behind
+        path = str(tmp_path / "train.csv")
+        save_dataset(_awkward_dataset(rows=5), path)
+        allowed = {*os.listdir(tmp_path), "train.csv.tmp", "train.csv.bin.tmp"}
+        _cpus(monkeypatch, 3)
+        monkeypatch.setattr(data_module, "_SAVE_CHUNK_ROWS", 4)
+        assert len(split(7)) == 3  # 7 chunks of 4 rows
+        format_rows = data_module._format_rows
+
+        def checking_format(data, start, stop):
+            stray = set(os.listdir(tmp_path)) - allowed
+            if stray:
+                raise RuntimeError(f"the save wrote {sorted(stray)}")
+            return format_rows(data, start, stop)
+
+        # the patch is inherited by the forked workers
+        monkeypatch.setattr(data_module, "_format_rows", checking_format)
+        data = _awkward_dataset(rows=25)
+        save_dataset(data, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == _reference_csv(data)
+        assert sorted(os.listdir(tmp_path)) == ["train.csv", "train.csv.bin"]
+
     @pytest.mark.parametrize("failing", [0, 1, 2])
     def test_failed_range_leaves_previous_dataset_and_no_temporary_files(self, tmp_path, monkeypatch, failing):
         path = str(tmp_path / "train.csv")
@@ -415,7 +440,7 @@ class TestParallelSave:
             fh.write(b"partial")
             raise RuntimeError("sidecar write failed")
 
-        # three ranges, so two part files were written before the sidecar
+        # three ranges, so two children formatted rows before the sidecar
         _cpus(monkeypatch, 3)
         monkeypatch.setattr(data_module, "_SAVE_CHUNK_ROWS", 4)
         monkeypatch.setattr(data_module, "_write_sidecar", failing_sidecar)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from longtail_kd import pipeline
-from longtail_kd.data import LabeledDataset, synth_gaussian_mixture
+from longtail_kd.config import default_config, imbalance_profile, train_config
+from longtail_kd.data import LabeledDataset, make_longtail_counts, synth_gaussian_mixture
 from longtail_kd.losses import (
     BKDConfig,
     KDConfig,
@@ -46,6 +47,14 @@ def small_cfg(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+# config keys over the defaults: one step per epoch leaves finite parameters
+# whose test logits overflow
+OVERFLOWING_EVALUATION = {
+    "C": 3, "d": 4, "n_max": 64, "rho": 16.0, "hidden_dims": (8,), "epochs": 1,
+    "batch_size": 128, "schedule": "constant", "lr": 1e200,
+}
 
 
 def write_checkpoint_with_bad_fan_in(path):
@@ -190,6 +199,16 @@ class TestTrainTeacher:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is the point
             with pytest.raises(RuntimeError, match="diverged"):
                 train_teacher(train, test, cfg)
+
+    def test_non_finite_test_logits_stop_the_run(self):
+        # the one step's loss is finite, so only the evaluation sees the
+        # overflow; argmax once made classes of the non-finite logits
+        cfg = {**default_config(), **OVERFLOWING_EVALUATION}
+        counts = make_longtail_counts(imbalance_profile(cfg))
+        train, test = synth_gaussian_mixture(counts, cfg["d"], cfg["separation"], cfg["data_seed"], cfg["per_class_test"])
+        with np.errstate(over="ignore"):  # overflow is the point
+            with pytest.raises(RuntimeError, match=r"^training diverged: non-finite test logits at epoch 0$"):
+                train_teacher(train, test, train_config(cfg))
 
     @pytest.mark.parametrize("epochs", [1, 2])  # biases start at 0: only a 2nd step decays them
     def test_weight_decay_matches_a_layer_by_layer_replay(self, epochs, monkeypatch):

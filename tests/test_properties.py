@@ -1,6 +1,9 @@
 """Property tests for the softmax, the distillation kernels, the accuracy
-report and the parallel dataset writer."""
+report, the parallel dataset writer and training under extreme finite
+configs."""
 
+import functools
+import math
 import os
 import tempfile
 
@@ -10,10 +13,21 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from longtail_kd import data as data_module
-from longtail_kd.data import FEW, MANY, MEDIUM, LabeledDataset, save_dataset
+from longtail_kd.data import (
+    FEW,
+    MANY,
+    MEDIUM,
+    ImbalanceProfile,
+    LabeledDataset,
+    make_longtail_counts,
+    save_dataset,
+    synth_gaussian_mixture,
+)
 from longtail_kd.evaluate import accuracy_report, confusion_matrix
-from longtail_kd.losses import Objective, balanced_targets, objective_loss_batch, softmax_rows
+from longtail_kd.losses import BKDConfig, KDConfig, Objective, balanced_targets, objective_loss_batch, softmax_rows
 from longtail_kd.mathutils import softmax_with_temperature
+from longtail_kd.mlp import LrSchedule, forward
+from longtail_kd.pipeline import LOSS_KINDS, TrainConfig, train_student, train_teacher
 from test_data import _reference_csv, _reference_sidecar
 
 # derandomized and without an example database, so every run checks the same cases
@@ -156,3 +170,55 @@ def test_parallel_save_bytes_equal_the_row_at_a_time_writer(data, workers, chunk
         with open(path + ".bin", "rb") as fh:
             assert fh.read() == _reference_sidecar(data, expected_csv)
         assert sorted(os.listdir(tmp)) == ["train.csv", "train.csv.bin"]
+
+
+@functools.cache
+def tiny_run_inputs():
+    """A 24-row three-class train split, its test split and a teacher
+    trained on them."""
+    counts = make_longtail_counts(ImbalanceProfile("exponential", 8.0, 16, 3))
+    train, test = synth_gaussian_mixture(counts, 3, 3.0, 1, 4)
+    teacher, _ = train_teacher(train, test, TrainConfig(epochs=2, batch_size=8, hidden_dims=(6,)))
+    return train, test, teacher
+
+
+def log_uniform(lo, hi):
+    """Floats spread evenly in log10 over [lo, hi]."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@property_settings
+@given(
+    st.sampled_from(LOSS_KINDS),
+    log_uniform(1e-3, 1e300),  # learning rate
+    log_uniform(1e-300, 1e300),  # temperature
+    st.sampled_from([0.0, 0.5, 1 - 1e-6]),  # momentum
+    st.sampled_from([0.0, 1e-3, 1e3, 1e300]),  # weight decay
+    st.sampled_from([1e-12, 0.5, 1 - 1e-12]),  # beta
+)
+def test_extreme_finite_config_stops_by_name_or_ends_with_finite_logits(loss, lr, T, momentum, decay, beta):
+    # a run whose last step left finite weights but overflowing test logits
+    # once ended silently, with argmax classes made of them
+    train, test, teacher = tiny_run_inputs()
+    cfg = TrainConfig(
+        loss=loss,
+        epochs=2,
+        batch_size=8,
+        hidden_dims=(6,),
+        schedule=LrSchedule("constant", lr),
+        momentum=momentum,
+        weight_decay=decay,
+        kd=KDConfig(0.5, T),
+        bkd=BKDConfig(beta, T),
+    )
+    with np.errstate(all="ignore"):  # overflow is the point
+        try:
+            params, log = train_student(train, test, teacher, cfg)
+        except RuntimeError as exc:
+            assert str(exc).startswith("training diverged: non-finite ")
+            return
+        logits, _ = forward(params, test.features)
+    assert np.isfinite(params.flat).all()
+    assert np.isfinite(logits).all()
+    assert [row.epoch for row in log] == [0, 1]
+    assert all(math.isfinite(value) for row in log for value in (row.loss, row.lr, row.acc_all))

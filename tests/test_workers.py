@@ -17,6 +17,7 @@ from longtail_kd.data import LabeledDataset, load_dataset, save_dataset
 from longtail_kd.gradcheck import run_gradient_checks
 from longtail_kd.mlp import init_mlp
 from longtail_kd.pipeline import temperature_sweep, train_teacher
+from longtail_kd.workers import run_split
 from test_cli import run, write_config
 from test_data import _awkward_dataset, _cpus
 from test_pipeline import small_cfg, two_class_separable
@@ -61,6 +62,44 @@ def raise_at(temperature, when_other=None):
         return real(train, test, teacher, cfg)
 
     return train_student
+
+
+# bytes each item of ``send_items`` sends: more than a pipe holds (64 KiB on Linux)
+ITEM_BYTES = 256 << 10
+
+
+def send_items(send, fail_at, start, stop):
+    """A job: send ``ITEM_BYTES`` bytes of its own for each item in
+    ``range(start, stop)``, raising at item ``fail_at``."""
+    for item in range(start, stop):
+        if item == fail_at:
+            raise RuntimeError(f"item {item} failed")
+        send(np.random.default_rng(item).bytes(ITEM_BYTES))
+
+
+def test_run_split_passes_every_range_to_the_sink_in_range_order(monkeypatch):
+    serial, parallel = bytearray(), bytearray()
+    run_split([(0, 3)], send_items, None, serial.extend, None)
+    forks = count_forks(monkeypatch)
+    run_split([(0, 1), (1, 2), (2, 3)], send_items, None, parallel.extend, None)
+    assert len(forks) == 2
+    assert len(serial) == 3 * ITEM_BYTES
+    assert parallel == serial
+    assert_no_child_left()
+
+
+def test_run_split_describes_a_failed_child_by_the_bytes_it_sent():
+    # the child sends item 1, then fails at item 2
+    described = []
+
+    def describe(start, stop, n_sent):
+        described.append((start, stop, n_sent))
+        return "the worker"
+
+    with pytest.raises(OSError, match=r"^the worker failed \(exit status 1\)$"):
+        run_split([(0, 1), (1, 3)], send_items, describe, bytearray().extend, 2)
+    assert described == [(1, 3, ITEM_BYTES)]
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
