@@ -11,6 +11,7 @@ buffer to the system when it is freed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import math
 import os
@@ -47,6 +48,10 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
 
+# the files of a data directory's two splits
+TRAIN_SPLIT, TEST_SPLIT = "train.csv", "test.csv"
+
+
 class UsageError(Exception):
     pass
 
@@ -54,6 +59,17 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+@contextlib.contextmanager
+def _refused_as(kind, prefix=""):
+    """A ValueError raised in the block leaves it as ``kind``, its message
+    after ``prefix``: a library refusal becomes the command's usage, config
+    or runtime error, and names the files it concerns."""
+    try:
+        yield
+    except ValueError as exc:
+        raise kind(f"{prefix}{exc}") from None
 
 
 def _write(path, text):
@@ -83,40 +99,43 @@ def _prepare_out(cfg, key, outputs):
     return paths
 
 
-def _load_run_inputs(cfg, teacher_path):
-    """The teacher of ``teacher_path`` (None without one) and the train and
-    test splits of ``cfg["data_dir"]``, the splits checked as a pair and the
-    teacher against them, before any caller makes its output directory."""
-    teacher = read_checkpoint(teacher_path).params if teacher_path else None
-    data_dir = cfg["data_dir"]
-    train = load_dataset(os.path.join(data_dir, "train.csv"))
-    test = load_dataset(os.path.join(data_dir, "test.csv"))
-    check_splits(train, test)
-    if teacher is not None:
-        check_model_fits(teacher, train, "teacher", "data")
-    return teacher, train, test
+def _load_run_inputs(cfg, model_path, data_path=None):
+    """The model of ``model_path`` (None without one), the train split of
+    ``cfg["data_dir"]`` and the split the model is scored on: the file
+    ``data_path``, or by default the test split of ``data_dir``. The model
+    is checked against the scored split, then against the train split, and
+    the two splits as a pair, before any caller makes its output directory.
+    Each refusal names the files it concerns."""
+    train_path = os.path.join(cfg["data_dir"], TRAIN_SPLIT)
+    test_path = os.path.join(cfg["data_dir"], TEST_SPLIT) if data_path is None else data_path
+    model = None if model_path is None else read_checkpoint(model_path).params
+    train, test = load_dataset(train_path), load_dataset(test_path)
+    if model is not None:
+        for path, split in ((test_path, test), (train_path, train)):
+            check_model_fits(model, split, model_path, path)
+    with _refused_as(ValueError, f"{train_path}, {test_path}: "):
+        check_splits(train, test)
+    return model, train, test
 
 
 def cmd_make_data(args):
     cfg = parse_config(args.config)
     # the profile and the synthesis check every dataset key: a value they
     # refuse is a config error, found before data_dir is made
-    try:
+    with _refused_as(ConfigError):
         counts = make_longtail_counts(imbalance_profile(cfg))
         train, test = synth_gaussian_mixture(
             counts, cfg["d"], cfg["separation"], cfg["data_seed"], cfg["per_class_test"]
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     # save_dataset commits each split's sidecar next to it
     paths = _prepare_out(
         cfg,
         "data_dir",
         {
-            "train split": "train.csv",
-            "train split sidecar": "train.csv" + SIDECAR_SUFFIX,
-            "test split": "test.csv",
-            "test split sidecar": "test.csv" + SIDECAR_SUFFIX,
+            "train split": TRAIN_SPLIT,
+            "train split sidecar": TRAIN_SPLIT + SIDECAR_SUFFIX,
+            "test split": TEST_SPLIT,
+            "test split sidecar": TEST_SPLIT + SIDECAR_SUFFIX,
             "class counts": "counts.csv",
         },
     )
@@ -178,13 +197,7 @@ def cmd_train(args):
 def cmd_eval(args):
     cfg = parse_config(args.config)
     tcfg = train_config(cfg)
-    params = read_checkpoint(args.ckpt).params
-    data = load_dataset(args.data)
-    if len(data) == 0:
-        raise ValueError(f"{args.data} has no samples to evaluate")
-    train = load_dataset(os.path.join(cfg["data_dir"], "train.csv"))
-    for name, split in (("data", data), ("train split", train)):
-        check_model_fits(params, split, "checkpoint", name)
+    params, train, data = _load_run_inputs(cfg, args.ckpt, args.data)
     paths = _prepare_out(
         cfg,
         "out_dir",
@@ -195,7 +208,8 @@ def cmd_eval(args):
         },
     )
 
-    preds, report = _score(params, train, data, tcfg)
+    with _refused_as(ValueError, f"{args.ckpt}, {args.data}: "):
+        preds, report = _score(params, train, data, tcfg)
     confusion = evaluate.confusion_matrix(preds, data.labels, data.num_classes)
 
     report_json = evaluate.report_to_json(report)
@@ -227,16 +241,12 @@ def cmd_gradcheck(args):
 
 
 def cmd_sweep_temp(args):
-    try:
+    with _refused_as(UsageError, "--temps: "):
         temps = [check_temperature(t) for t in args.temps]
-    except ValueError as exc:
-        raise UsageError(f"--temps: {exc}") from None
     cfg = parse_config(args.config)
     tcfg = train_config(cfg)
-    try:
+    with _refused_as(ConfigError):
         check_sweep_epochs(tcfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     teacher, train, test = _load_run_inputs(cfg, args.teacher)
     paths = _prepare_out(cfg, "out_dir", {"sweep table": "sweep.csv"})
     if teacher is None:

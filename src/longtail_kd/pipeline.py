@@ -258,11 +258,12 @@ def read_checkpoint(path):
 def check_model_fits(params, data, model, name):
     """ValueError unless ``params`` takes ``data``'s features and emits
     its classes: the one rule for running a model on a dataset. ``model``
-    and ``name`` say what the two are in the message."""
+    and ``name`` say what the two are in the message, such as "teacher"
+    and "the data", or the paths of their files."""
     if params.dims[0] != data.dimension:
-        raise ValueError(f"{model} takes {params.dims[0]} features but the {name} has {data.dimension}")
+        raise ValueError(f"{model} takes {params.dims[0]} features but {name} has {data.dimension}")
     if params.dims[-1] != data.num_classes:
-        raise ValueError(f"{model} emits {params.dims[-1]} classes but the {name} has {data.num_classes}")
+        raise ValueError(f"{model} emits {params.dims[-1]} classes but {name} has {data.num_classes}")
 
 
 def check_splits(train, test):
@@ -398,7 +399,7 @@ def _check_teacher(teacher, train):
     """ValueError unless there is a teacher and it fits ``train``."""
     if teacher is None:
         raise ValueError("student training requires a teacher model")
-    check_model_fits(teacher, train, "teacher", "data")
+    check_model_fits(teacher, train, "teacher", "the data")
 
 
 def check_sweep_epochs(cfg):

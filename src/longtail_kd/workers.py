@@ -16,7 +16,11 @@ leaves through ``os._exit``: it never returns into the caller's stack,
 flushes no inherited buffer and runs no atexit handler, and its exit
 status is 0 only if its work finished. On a failure on either side, every
 child not yet joined is killed and reaped before the error propagates, so
-no process is left behind.
+no process is left behind. A caller killed outright cannot do that, so a
+child checks at each send that its caller is still its parent and, once
+it is gone, stops there through ``os._exit(1)``, silently: a save's
+child stops within one chunk, a sweep's child after the student it is
+training.
 
 Children start from a copy of the caller's memory and report back only
 through their pipes, so anything else a child records, such as a
@@ -87,7 +91,9 @@ def run_split(ranges, work, describe, sink, *args):
 def _fork(work, *args):
     """``(pid, read end of its pipe)`` of a new child that runs
     ``work(send, *args)``, writes all it sent to the pipe, also if the
-    work raised, and exits."""
+    work raised, and exits; at once and silently at a send, or after a
+    failure, once its caller is gone."""
+    caller = os.getpid()
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -102,13 +108,20 @@ def _fork(work, *args):
     try:
         os.close(read_fd)
         sent = bytearray()
+
+        def send(data):
+            if os.getppid() != caller:
+                os._exit(1)
+            sent.extend(data)
+
         with open(write_fd, "wb") as pipe:
             try:
-                work(sent.extend, *args)
+                work(send, *args)
             finally:
                 pipe.write(sent)
         status = 0
     except BaseException as exc:
-        os.write(2, f"worker process {os.getpid()}: {exc!r}\n".encode("ascii", "replace"))
+        if os.getppid() == caller:
+            os.write(2, f"worker process {os.getpid()}: {exc!r}\n".encode("ascii", "replace"))
     finally:
         os._exit(status)

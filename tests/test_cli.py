@@ -10,9 +10,10 @@ import pytest
 from longtail_kd import cli, data, evaluate, gradcheck, pipeline
 from longtail_kd.cli import main
 from longtail_kd.config import default_config, parse_config, render_config, train_config
-from longtail_kd.data import load_dataset
+from longtail_kd.data import LabeledDataset, load_dataset, save_dataset
 from longtail_kd.gradcheck import run_gradient_checks
-from longtail_kd.mlp import params_to_bytes
+from longtail_kd.mathutils import Rng
+from longtail_kd.mlp import init_mlp, init_optimizer, params_to_bytes
 from test_pipeline import OVERFLOWING_EVALUATION, write_checkpoint_with_bad_fan_in
 
 
@@ -154,8 +155,8 @@ class TestTrain:
     @pytest.mark.parametrize(
         "teacher_data, message",
         [
-            ("wide", "teacher takes 5 features but the data has 4"),
-            ("four", "teacher emits 4 classes but the data has 3"),
+            ("wide", "{teacher} takes 5 features but {data}/test.csv has 4"),
+            ("four", "{teacher} emits 4 classes but {data}/test.csv has 3"),
             (None, "checkpoint not found"),
         ],
     )
@@ -174,7 +175,7 @@ class TestTrain:
         assert run("make-data", "--config", cfg) == 0
         capsys.readouterr()
         assert run("train", "--config", cfg, "--role", "student", "--teacher", teacher) == 2
-        assert message in capsys.readouterr().err
+        assert message.format(teacher=teacher, data=tmp_path / "data") in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_mismatched_splits_refused_before_out_dir(self, workspace, capsys):
@@ -182,7 +183,9 @@ class TestTrain:
         replace_test_split_with_a_wider_one(tmp, cfg, data_dir)
         capsys.readouterr()
         assert run("train", "--config", cfg, "--role", "teacher") == 2
-        assert capsys.readouterr().err == "error: train/test feature dimensions differ: 4 vs 5\n"
+        assert capsys.readouterr().err == (
+            f"error: {data_dir / 'train.csv'}, {data_dir / 'test.csv'}: train/test feature dimensions differ: 4 vs 5\n"
+        )
         assert not out_dir.exists()
 
     def test_empty_test_split_refused_before_out_dir(self, workspace, capsys):
@@ -193,7 +196,9 @@ class TestTrain:
         keep_header_only(data_dir / "test.csv")
         capsys.readouterr()
         assert run("train", "--config", cfg, "--role", "teacher") == 2
-        assert capsys.readouterr().err == "error: the test split has no samples to evaluate\n"
+        assert capsys.readouterr().err == (
+            f"error: {data_dir / 'train.csv'}, {data_dir / 'test.csv'}: the test split has no samples to evaluate\n"
+        )
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("suffix", ["", ".tmp"], ids=["path", "temporary-file"])
@@ -370,7 +375,8 @@ class TestEval:
         else:
             args = ("--data", data_dir / "test.csv", "--config", four)
         assert run("eval", "--ckpt", out_dir / "teacher.ckpt", *args) == 2
-        assert f"checkpoint emits 3 classes but the {mismatch} has 4" in capsys.readouterr().err
+        split = {"data": "test.csv", "train split": "train.csv"}[mismatch]
+        assert f"{out_dir / 'teacher.ckpt'} emits 3 classes but {tmp / 'data4' / split} has 4" in capsys.readouterr().err
         assert not (tmp / "out4" / "eval_report.json").exists()
         assert not (out_dir / "eval_report.json").exists()
 
@@ -384,7 +390,7 @@ class TestEval:
         capsys.readouterr()
         args = ("--ckpt", out_dir / "teacher.ckpt", "--data", tmp / "wide" / "test.csv", "--config", wide)
         assert run("eval", *args) == 2
-        assert "checkpoint takes 4 features but the data has 5" in capsys.readouterr().err
+        assert f"{out_dir / 'teacher.ckpt'} takes 4 features but {tmp / 'wide' / 'test.csv'} has 5" in capsys.readouterr().err
         assert not (tmp / "wide-out").exists()
 
 
@@ -398,8 +404,38 @@ class TestEval:
         other = write_config(tmp / "other.cfg", data_dir=data_dir, out_dir=tmp / "other-out")
         capsys.readouterr()
         assert run("eval", "--ckpt", out_dir / "teacher.ckpt", "--data", empty, "--config", other) == 2
-        assert capsys.readouterr().err == f"error: {empty} has no samples to evaluate\n"
+        assert capsys.readouterr().err == f"error: {data_dir / 'train.csv'}, {empty}: the test split has no samples to evaluate\n"
         assert not (tmp / "other-out").exists()
+
+    def test_train_split_with_an_empty_class_refused_before_out_dir(self, workspace, capsys):
+        # train and sweep-temp refused this data directory, while eval once
+        # scored on it and exited 0
+        tmp, cfg, data_dir, out_dir = workspace
+        assert run("make-data", "--config", cfg) == 0
+        assert run("train", "--config", cfg, "--role", "teacher") == 0
+        train = load_dataset(str(data_dir / "train.csv"))
+        kept = train.labels != 2
+        save_dataset(LabeledDataset(train.features[kept], train.labels[kept], 3), str(data_dir / "train.csv"))
+        other = write_config(tmp / "other.cfg", data_dir=data_dir, out_dir=tmp / "other-out")
+        capsys.readouterr()
+        assert run("eval", "--ckpt", out_dir / "teacher.ckpt", "--data", data_dir / "test.csv", "--config", other) == 2
+        assert capsys.readouterr().err == (
+            f"error: {data_dir / 'train.csv'}, {data_dir / 'test.csv'}: every class needs at least one training sample\n"
+        )
+        assert not (tmp / "other-out").exists()
+
+    def test_non_finite_logits_are_refused_naming_the_checkpoint_and_the_data(self, workspace, capsys):
+        # the refusal once named neither file
+        tmp, cfg, data_dir, _ = workspace
+        assert run("make-data", "--config", cfg) == 0
+        params = init_mlp((4, 8, 3), 0)
+        params.flat *= 1e200
+        ckpt = str(tmp / "huge.ckpt")
+        pipeline.write_checkpoint(ckpt, pipeline.RunState(params, init_optimizer(params), Rng(1), [], bytes(32)))
+        capsys.readouterr()
+        with np.errstate(over="ignore"):  # overflow is the point
+            assert run("eval", "--ckpt", ckpt, "--data", data_dir / "test.csv", "--config", cfg) == 2
+        assert capsys.readouterr().err == f"error: {ckpt}, {data_dir / 'test.csv'}: the model gives non-finite logits\n"
 
 
 class TestGradcheck:
@@ -474,12 +510,14 @@ class TestSweepTemp:
         replace_test_split_with_a_wider_one(tmp, cfg, data_dir)
         capsys.readouterr()
         assert run("sweep-temp", "--config", cfg, "--temps", 2) == 2
-        assert capsys.readouterr().err == "error: train/test feature dimensions differ: 4 vs 5\n"
+        assert capsys.readouterr().err == (
+            f"error: {data_dir / 'train.csv'}, {data_dir / 'test.csv'}: train/test feature dimensions differ: 4 vs 5\n"
+        )
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "teacher_data, message",
-        [("wide", "teacher takes 5 features but the data has 4"), (None, "checkpoint not found")],
+        [("wide", "{teacher} takes 5 features but {data}/test.csv has 4"), (None, "checkpoint not found")],
     )
     def test_teacher_that_does_not_fit_is_refused_before_out_dir(self, tmp_path, capsys, teacher_data, message):
         # the teacher was once read after out_dir was made, which then held
@@ -495,7 +533,7 @@ class TestSweepTemp:
         assert run("make-data", "--config", cfg) == 0
         capsys.readouterr()
         assert run("sweep-temp", "--config", cfg, "--temps", 2, "--teacher", teacher) == 2
-        assert message in capsys.readouterr().err
+        assert message.format(teacher=teacher, data=tmp_path / "data") in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_duplicate_temps_identical(self, workspace):

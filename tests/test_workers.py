@@ -3,6 +3,7 @@ save (see also ``test_data.TestParallelSave``) and the temperature sweep;
 and the gradient audit, which runs in this process on any CPU count."""
 
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -276,3 +277,62 @@ def test_sweep_forks_safely_with_a_blas_thread_pool_alive():
     assert done.returncode == 0, done.stderr
     if int(done.stdout) < 2:
         pytest.skip("OpenBLAS started no thread pool: one CPU in the affinity mask")
+
+
+def running(pid):
+    """Whether process ``pid`` exists and has not exited (is no zombie)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc to see a process's state")
+def test_a_child_stops_silently_once_its_caller_is_killed(tmp_path):
+    # a child whose caller was SIGKILLed once worked to the end of its
+    # range, then printed "worker process <pid>: BrokenPipeError(...)"
+    script = textwrap.dedent(
+        """
+        import os, sys, time
+        sys.path[:0] = sys.argv[2:]
+        from longtail_kd import workers
+
+        os.sched_getaffinity = lambda pid: {0, 1}  # two ranges, also on one CPU
+        pid_file = sys.argv[1]
+
+        def work(send, start, stop):
+            if start:  # the child's range: say which process it is, then send for 30 s
+                with open(pid_file + ".tmp", "w") as fh:
+                    fh.write(str(os.getpid()))
+                os.replace(pid_file + ".tmp", pid_file)
+                for _ in range(3000):
+                    send(b"x")
+                    time.sleep(0.01)
+
+        workers.run_split(workers.split(2), work, None, bytearray().extend)
+        """
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    pid_file = tmp_path / "child.pid"
+    with open(tmp_path / "stderr", "wb") as err:
+        caller = subprocess.Popen([sys.executable, "-c", script, str(pid_file), src], stderr=err)
+    child = None
+    try:
+        deadline = time.monotonic() + 60
+        while not pid_file.exists():
+            assert caller.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        child = int(pid_file.read_text())
+        caller.kill()
+        caller.wait(timeout=10)
+        deadline = time.monotonic() + 1
+        while running(child) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not running(child)
+    finally:
+        caller.kill()
+        caller.wait(timeout=10)
+        if child is not None and running(child):
+            os.kill(child, signal.SIGKILL)
+    assert "worker process" not in (tmp_path / "stderr").read_text()
