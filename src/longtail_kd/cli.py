@@ -34,7 +34,7 @@ from .mathutils import check_temperature
 from .pipeline import (
     check_model_fits,
     check_splits,
-    check_sweep_epochs,
+    check_sweep_config,
     metrics_to_csv,
     read_checkpoint,
     teacher_config,
@@ -149,12 +149,13 @@ def cmd_make_data(args):
 
 
 def _score(params, train, data, tcfg):
-    """Predictions of ``params`` on ``data`` and their accuracy report, with
-    classes tagged by their training-split counts under the thresholds of
-    the validated training config ``tcfg``."""
+    """The confusion matrix of ``params`` on ``data``, tallied once, and its
+    accuracy report, with classes tagged by their training-split counts
+    under the thresholds of the validated training config ``tcfg``."""
     preds = evaluate.predict(params, data)
     tags = subset_tags(train.class_counts, tcfg.many_thresh, tcfg.few_thresh)
-    return preds, evaluate.accuracy_report(preds, data.labels, tags)
+    confusion = evaluate.confusion_matrix(preds, data.labels, len(tags))
+    return confusion, evaluate.report_from_confusion(confusion, tags)
 
 
 def cmd_train(args):
@@ -209,8 +210,7 @@ def cmd_eval(args):
     )
 
     with _refused_as(ValueError, f"{args.ckpt}, {args.data}: "):
-        preds, report = _score(params, train, data, tcfg)
-    confusion = evaluate.confusion_matrix(preds, data.labels, data.num_classes)
+        confusion, report = _score(params, train, data, tcfg)
 
     report_json = evaluate.report_to_json(report)
     _write(paths["report"], report_json)
@@ -246,7 +246,7 @@ def cmd_sweep_temp(args):
     cfg = parse_config(args.config)
     tcfg = train_config(cfg)
     with _refused_as(ConfigError):
-        check_sweep_epochs(tcfg)
+        check_sweep_config(tcfg)
     teacher, train, test = _load_run_inputs(cfg, args.teacher)
     paths = _prepare_out(cfg, "out_dir", {"sweep table": "sweep.csv"})
     if teacher is None:

@@ -2,8 +2,11 @@
 
 One ``key = value`` per line, ``#`` starts a comment, blank lines are
 ignored. Unknown or duplicate keys are rejected. Every key has a default, so
-an empty file is a complete configuration. The resolved configuration is
-echoed into each output directory for provenance.
+an empty file is a complete configuration. A key that sets a field of
+``ImbalanceProfile`` or ``TrainConfig`` takes its default from
+``ImbalanceProfile()`` or ``TrainConfig()``, so an empty file builds those
+two. The resolved configuration is echoed into each output directory for
+provenance.
 """
 
 from __future__ import annotations
@@ -55,36 +58,43 @@ def _parse_optional_int(s):
     return int(s, 10)
 
 
+# where the defaults of the keys that set their fields are stated
+_TRAIN, _PROFILE = TrainConfig(), ImbalanceProfile()
+
 # key -> (default, parser, description)
 KEY_SPECS = {
     # dataset
-    "C": (10, int, "number of classes"),
+    "C": (_PROFILE.num_classes, int, "number of classes"),
     "d": (20, int, "feature dimension"),
-    "rho": (100.0, float, "imbalance ratio: max class count over min"),
-    "n_max": (500, int, "training samples in the most frequent class"),
-    "profile": ("exponential", _parse_str(PROFILE_KINDS), "count decay profile"),
+    "rho": (_PROFILE.rho, float, "imbalance ratio: max class count over min"),
+    "n_max": (_PROFILE.n_max, int, "training samples in the most frequent class"),
+    "profile": (_PROFILE.kind, _parse_str(PROFILE_KINDS), "count decay profile"),
     "separation": (3.0, float, "radius of the class-mean sphere"),
     "per_class_test": (100, int, "balanced test samples per class"),
     "data_seed": (1, int, "seed for dataset synthesis"),
     # model
-    "hidden_dims": ((64, 64), _parse_dims, "hidden layer widths, comma-separated"),
+    "hidden_dims": (_TRAIN.hidden_dims, _parse_dims, "hidden layer widths, comma-separated"),
     # training
-    "loss": ("bkd", _parse_str(LOSS_KINDS), "student training loss"),
-    "epochs": (100, int, "training epochs"),
-    "batch_size": (64, int, "minibatch size"),
-    "lr": (0.02, float, "base learning rate"),
-    "schedule": ("cosine", _parse_str(SCHEDULE_KINDS), "learning-rate schedule"),
+    "loss": (_TRAIN.loss, _parse_str(LOSS_KINDS), "student training loss"),
+    "epochs": (_TRAIN.epochs, int, "training epochs"),
+    "batch_size": (_TRAIN.batch_size, int, "minibatch size"),
+    "lr": (_TRAIN.schedule.base_lr, float, "base learning rate"),
+    "schedule": (_TRAIN.schedule.kind, _parse_str(SCHEDULE_KINDS), "learning-rate schedule"),
     "lr_steps": (((160, 0.01), (180, 0.01)), _parse_lr_steps, "epoch:factor decay points for schedule=step"),
-    "momentum": (0.9, float, "SGD momentum coefficient"),
-    "weight_decay": (0.0, float, "L2 penalty coefficient (0 disables)"),
-    "seed": (0, int, "seed for model init and shuffling"),
-    "alpha": (0.5, float, "cross-entropy weight in the plain distillation blend"),
-    "beta": (0.9999, float, "effective-number hyperparameter for class weights"),
-    "temperature": (2.0, float, "distillation temperature"),
-    "defer_epoch": (None, _parse_optional_int, "switch plain->balanced distillation at this epoch (empty = off)"),
+    "momentum": (_TRAIN.momentum, float, "SGD momentum coefficient"),
+    "weight_decay": (_TRAIN.weight_decay, float, "L2 penalty coefficient (0 disables)"),
+    "seed": (_TRAIN.seed, int, "seed for model init and shuffling"),
+    "alpha": (_TRAIN.kd.alpha, float, "cross-entropy weight in the plain distillation blend"),
+    "beta": (_TRAIN.bkd.beta, float, "effective-number hyperparameter for class weights"),
+    "temperature": (_TRAIN.bkd.temperature, float, "distillation temperature"),
+    "defer_epoch": (
+        _TRAIN.defer_epoch,
+        _parse_optional_int,
+        "switch plain->balanced distillation at this epoch (empty = off)",
+    ),
     # evaluation
-    "many_thresh": (100, int, "class counts above this are many-shot"),
-    "few_thresh": (20, int, "class counts below this are few-shot"),
+    "many_thresh": (_TRAIN.many_thresh, int, "class counts above this are many-shot"),
+    "few_thresh": (_TRAIN.few_thresh, int, "class counts below this are few-shot"),
     # paths
     "data_dir": ("data", str, "directory holding train.csv/test.csv"),
     "out_dir": ("out", str, "directory for run outputs"),
@@ -163,11 +173,7 @@ def train_config(cfg):
             epochs=cfg["epochs"],
             batch_size=cfg["batch_size"],
             hidden_dims=cfg["hidden_dims"],
-            schedule=LrSchedule(
-                kind=cfg["schedule"],
-                base_lr=cfg["lr"],
-                steps=cfg["lr_steps"] if cfg["schedule"] == "step" else (),
-            ),
+            schedule=LrSchedule(kind=cfg["schedule"], base_lr=cfg["lr"], steps=cfg["lr_steps"]),
             momentum=cfg["momentum"],
             weight_decay=cfg["weight_decay"],
             seed=cfg["seed"],

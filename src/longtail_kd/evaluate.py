@@ -4,8 +4,9 @@ text forms of reports, confusion matrices and temperature sweeps.
 ``predict`` scores a split through ``mlp.forward``, optionally into
 caller-owned per-layer buffers (the training loop keeps one set for a run
 and scores every epoch through it). There is one tally: ``confusion_matrix``
-counts (true, predicted) pairs with one ``bincount``, and ``accuracy_report``
-takes each class's hits and totals from its diagonal and row sums.
+counts (true, predicted) pairs with one ``bincount``, and
+``report_from_confusion`` takes each class's hits and totals from its
+diagonal and row sums; ``accuracy_report`` is the two in turn.
 
 A leaf module: the sweep itself trains students, so it lives next to the
 training loop in ``pipeline``.
@@ -57,11 +58,17 @@ def accuracy_report(preds, labels, tags):
     """Overall, per-subset, and per-class accuracy from predictions.
 
     ``tags`` holds one subset tag per class, as ``data.subset_tags`` gives
-    them. Hits and totals per class are the diagonal and the row sums of
-    ``confusion_matrix``, so a prediction or label outside [0, C) is
-    refused; every accuracy is then a ratio of exact integers.
+    them. The pairs are tallied by ``confusion_matrix``, so a prediction
+    or label outside [0, C) is refused, and reported by
+    ``report_from_confusion``.
     """
-    confusion = confusion_matrix(preds, labels, len(tags))
+    return report_from_confusion(confusion_matrix(preds, labels, len(tags)), tags)
+
+
+def report_from_confusion(confusion, tags):
+    """The ``accuracy_report`` of a (C, C) confusion matrix, with one
+    subset tag per class: hits and totals per class are its diagonal and
+    row sums, so every accuracy is a ratio of exact integers."""
     hits, totals = confusion.diagonal(), confusion.sum(axis=1)
     n = int(totals.sum())
     if n == 0:

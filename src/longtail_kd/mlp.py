@@ -103,20 +103,24 @@ class OptimizerState:
 class LrSchedule:
     """Constant, step-decay, or cosine-decay schedule over epochs.
 
-    ``steps`` holds (epoch, multiplicative factor) pairs for kind "step";
-    each factor applies from its epoch onward. The base rate and every
-    factor must be positive and finite, and step epochs nonnegative
-    integers, so every epoch's rate is a valid SGD step size. They are
-    stored as Python floats and ints, so equal schedules digest the same.
+    ``steps`` holds (epoch, multiplicative factor) pairs; each factor
+    applies from its epoch onward. Steps act only under kind "step": any
+    other kind stores ``()`` whatever it is given, so two schedules that
+    train alike compare and digest alike. The base rate and every factor
+    must be positive and finite, and step epochs nonnegative integers, so
+    every epoch's rate is a valid SGD step size. They are stored as Python
+    floats and ints, so equal schedules digest the same.
     """
 
     kind: str = "cosine"
-    base_lr: float = 0.1
+    base_lr: float = 0.02
     steps: tuple = ()
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"schedule kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
+        if self.kind != "step":
+            object.__setattr__(self, "steps", ())
         rate = lambda r, name: check_real(r, name, is_positive_finite, "be positive and finite")
         object.__setattr__(self, "base_lr", rate(self.base_lr, "base_lr"))
         if not isinstance(self.steps, (tuple, list)) or any(np.shape(step) != (2,) for step in self.steps):

@@ -78,7 +78,11 @@ LOSS_KINDS = ("ce", "cb", "kd", "bkd")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    loss: str = "ce"
+    """A student's (or, through ``teacher_config``, a teacher's) training
+    run. Its defaults are those of an empty config file: ``config.KEY_SPECS``
+    reads them from ``TrainConfig()``."""
+
+    loss: str = "bkd"
     epochs: int = 100
     batch_size: int = 64
     hidden_dims: tuple = (64, 64)
@@ -402,8 +406,12 @@ def _check_teacher(teacher, train):
     check_model_fits(teacher, train, "teacher", "the data")
 
 
-def check_sweep_epochs(cfg):
-    """A temperature sweep reports each student's last epoch, so it needs one."""
+def check_sweep_config(cfg):
+    """ValueError unless a temperature sweep of ``cfg`` has something to
+    compare: a distillation loss, the only kinds that read T, and at least
+    one epoch, since the sweep reports each student's last."""
+    if cfg.loss not in ("kd", "bkd"):
+        raise ValueError(f"a temperature sweep needs a distillation loss (kd or bkd), got {cfg.loss!r}")
     if cfg.epochs < 1:
         raise ValueError("a temperature sweep needs at least one training epoch")
 
@@ -427,7 +435,7 @@ def temperature_sweep(train, test, teacher, base_cfg, temps):
     temps = [check_temperature(t) for t in temps]
     if not temps:
         raise ValueError("temps must be a non-empty list")
-    check_sweep_epochs(base_cfg)
+    check_sweep_config(base_cfg)
     # every student's refusals, raised here rather than in a forked child
     _check_teacher(teacher, train)
     check_splits(train, test)

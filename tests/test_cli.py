@@ -9,11 +9,12 @@ import pytest
 
 from longtail_kd import cli, data, evaluate, gradcheck, pipeline
 from longtail_kd.cli import main
-from longtail_kd.config import default_config, parse_config, render_config, train_config
-from longtail_kd.data import LabeledDataset, load_dataset, save_dataset
+from longtail_kd.config import default_config, imbalance_profile, parse_config, render_config, train_config
+from longtail_kd.data import ImbalanceProfile, LabeledDataset, load_dataset, save_dataset
 from longtail_kd.gradcheck import run_gradient_checks
 from longtail_kd.mathutils import Rng
 from longtail_kd.mlp import init_mlp, init_optimizer, params_to_bytes
+from longtail_kd.pipeline import TrainConfig
 from test_pipeline import OVERFLOWING_EVALUATION, write_checkpoint_with_bad_fan_in
 
 
@@ -329,7 +330,7 @@ class TestTrain:
 
 
 class TestEval:
-    def test_memorization_run_scores_one(self, tmp_path):
+    def test_memorization_run_scores_one(self, tmp_path, monkeypatch):
         data_dir, out_dir = tmp_path / "data", tmp_path / "out"
         cfg = write_config(
             tmp_path / "m.cfg", C=2, n_max=20, rho=1.0, separation=9.0,
@@ -338,10 +339,21 @@ class TestEval:
         assert run("make-data", "--config", cfg) == 0
         # tiny, perfectly separated problem: evaluate on the train split itself
         assert run("train", "--config", cfg, "--role", "teacher") == 0
+        # the report and both confusion files come from one tally; eval
+        # once tallied the same pairs twice
+        tallies = []
+        confusion_matrix = evaluate.confusion_matrix
+
+        def counted(*args):
+            tallies.append(args)
+            return confusion_matrix(*args)
+
+        monkeypatch.setattr(evaluate, "confusion_matrix", counted)
         assert run(
             "eval", "--ckpt", out_dir / "teacher.ckpt",
             "--data", data_dir / "train.csv", "--config", cfg,
         ) == 0
+        assert len(tallies) == 1
         report = json.loads((out_dir / "eval_report.json").read_text())
         assert report["overall"] == 1.0
         conf = (out_dir / "confusion_counts.csv").read_text().splitlines()
@@ -503,6 +515,19 @@ class TestSweepTemp:
         # a bad --temps is still reported first, as a usage error
         assert run("sweep-temp", "--config", cfg, "--temps", 0) == 1
         assert "--temps: temperature must be a positive finite real" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("loss", ["ce", "cb"])
+    def test_loss_without_a_temperature_is_config_error_before_any_data_is_read(self, tmp_path, capsys, loss):
+        # ce and cb never read T, so the sweep once wrote one identical row
+        # per temperature; the data directory does not exist, so reading it
+        # would exit 2
+        out_dir = tmp_path / "out"
+        cfg = write_config(tmp_path / "exp.cfg", loss=loss, data_dir=tmp_path / "data", out_dir=out_dir)
+        assert run("sweep-temp", "--config", cfg, "--temps", 1, 2, 4, 8) == 1
+        assert capsys.readouterr().err == (
+            f"config error: a temperature sweep needs a distillation loss (kd or bkd), got '{loss}'\n"
+        )
         assert not out_dir.exists()
 
     def test_mismatched_splits_refused_before_out_dir(self, workspace, capsys):
@@ -769,6 +794,16 @@ class TestConfigHandling:
         assert run(command[0], "--config", tmp_path / "absent.cfg", *command[1:]) == 1
         assert capsys.readouterr().err == f"config error: config file not found: {tmp_path / 'absent.cfg'}\n"
         assert sorted(os.listdir(tmp_path)) == ["adir"]
+
+    def test_an_empty_config_file_is_the_library_default(self, tmp_path):
+        # TrainConfig() once trained ce at base_lr 0.1, where an empty file
+        # trains bkd at 0.02
+        empty = tmp_path / "empty.cfg"
+        empty.write_text("")
+        cfg = parse_config(empty)
+        assert cfg == default_config()
+        assert train_config(cfg) == TrainConfig()
+        assert imbalance_profile(cfg) == ImbalanceProfile()
 
     def test_comments_and_blank_lines_ok(self, tmp_path):
         cfg = tmp_path / "ok.cfg"

@@ -390,6 +390,14 @@ class TestLrSchedule:
         with pytest.raises(ValueError):
             LrSchedule("step", 0.1, steps=((10, 0.1), (10, 0.1)))
 
+    @pytest.mark.parametrize("kind", ["cosine", "constant"])
+    def test_steps_act_only_under_the_step_kind(self, kind):
+        # a cosine schedule given steps once compared, and digested, apart
+        # from the same schedule without them, though the two train alike
+        assert LrSchedule(kind, 0.02, steps=((1, 0.5),)) == LrSchedule(kind, 0.02)
+        assert LrSchedule(kind, 0.02, steps=((2, 0.5), (1, 0.5))).steps == ()
+        assert LrSchedule("step", 0.02, steps=((1, 0.5),)).steps == ((1, 0.5),)
+
     @pytest.mark.parametrize("base_lr", [0.0, float("inf"), float("nan")])
     def test_base_rate_must_be_positive_and_finite(self, base_lr):
         with pytest.raises(ValueError, match="base_lr must be positive and finite"):

@@ -513,6 +513,21 @@ class TestCheckpointResume:
         assert params_to_bytes(resumed_params) == params_to_bytes(full_params)
         assert metrics_to_csv(resumed_log) == metrics_to_csv(full_log)
 
+    def test_steps_a_schedule_does_not_act_under_do_not_block_its_resume(self, tmp_path):
+        # the two schedules train the same run, but a checkpoint of one was
+        # once refused under the other as "written under a different
+        # training config"
+        train, test = two_class_separable()
+        with_steps = small_cfg(epochs=4, schedule=LrSchedule("cosine", 0.02, steps=((1, 0.5),)))
+        plain = small_cfg(epochs=4, schedule=LrSchedule("cosine", 0.02))
+        assert config_digest(with_steps) == config_digest(plain)
+        full_params, full_log = train_teacher(train, test, plain)
+        ckpt = str(tmp_path / "mid.ckpt")
+        train_teacher(train, test, with_steps, out_ckpt=ckpt, stop_after_epoch=2)
+        resumed_params, resumed_log = train_teacher(train, test, plain, resume_from=ckpt)
+        assert params_to_bytes(resumed_params) == params_to_bytes(full_params)
+        assert metrics_to_csv(resumed_log) == metrics_to_csv(full_log)
+
     def test_checkpoint_after_init_resumes_to_initial_state(self, tmp_path):
         train, test = two_class_separable()
         cfg = small_cfg(epochs=5)

@@ -179,14 +179,19 @@ def test_one_cpu_never_forks(sweep_inputs, monkeypatch):
     assert set(run_gradient_checks(trials=5)) == {"ce", "cb", "kd", "bkd", "cb_formula", "kd_formula", "bkd_formula"}
 
 
-@pytest.mark.parametrize("fault", ["teacher", "splits"])
+@pytest.mark.parametrize("fault", ["teacher", "splits", "ce", "cb"])
 def test_sweep_refuses_what_a_student_would_before_forking(sweep_inputs, monkeypatch, capsys, fault):
-    # a forked child once raised these, printing its error before this process did
+    # a forked child once raised these, printing its error before this
+    # process did; a loss that reads no temperature once trained the same
+    # student at every T
     def no_fork():
         raise AssertionError("forked before the sweep checked its inputs")
 
     train, test, teacher, cfg = sweep_inputs
-    if fault == "teacher":
+    if fault in ("ce", "cb"):
+        cfg = small_cfg(loss=fault, epochs=3)
+        message = f"a temperature sweep needs a distillation loss (kd or bkd), got '{fault}'"
+    elif fault == "teacher":
         teacher = init_mlp((train.dimension + 1, 12, train.num_classes), seed=0)
         message = f"teacher takes {train.dimension + 1} features but the data has {train.dimension}"
     else:
