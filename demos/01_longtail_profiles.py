@@ -19,7 +19,7 @@ print(f"step        rho=100: {counts.tolist()}  ratio={counts[0] / counts[-1]:g}
 # Classes are grouped by training volume: over 100 samples is many-shot,
 # 20..100 is medium-shot, under 20 is few-shot.
 counts = make_longtail_counts(ImbalanceProfile("exponential", 100, n_max=500, num_classes=10))
-tags = subset_tags(counts)
+tags = subset_tags(counts, many_thresh=100, few_thresh=20)
 print("\ncounts:", counts.tolist())
 print("tags:  ", list(tags))
 for name in ("many", "medium", "few"):

@@ -24,7 +24,7 @@ class ConfigError(ValueError):
 def _parse_str(allowed=None):
     def parse(s):
         if allowed is not None and s not in allowed:
-            raise ConfigError(f"expected one of {sorted(allowed)}, got {s!r}")
+            raise ValueError(f"expected one of {sorted(allowed)}, got {s!r}")
         return s
 
     return parse
@@ -36,7 +36,7 @@ def _parse_dims(s):
     try:
         return tuple(int(part, 10) for part in s.split(","))
     except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {s!r}") from None
+        raise ValueError(f"expected comma-separated integers, got {s!r}") from None
 
 
 def _parse_lr_steps(s):
@@ -48,7 +48,7 @@ def _parse_lr_steps(s):
             epoch, factor = part.split(":")
             steps.append((int(epoch, 10), float(factor)))
         except ValueError:
-            raise ConfigError(f"expected epoch:factor pairs, got {s!r}") from None
+            raise ValueError(f"expected epoch:factor pairs, got {s!r}") from None
     return tuple(steps)
 
 
@@ -131,8 +131,6 @@ def parse_config(path):
         parser = KEY_SPECS[key][1]
         try:
             resolved[key] = parser(value)
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return resolved

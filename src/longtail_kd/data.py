@@ -204,7 +204,7 @@ def check_thresholds(many_thresh, few_thresh):
     return many, few
 
 
-def subset_tags(counts, many_thresh=100, few_thresh=20):
+def subset_tags(counts, many_thresh, few_thresh):
     """One tag per class, by training count, as a tuple: many
     (> many_thresh), few (< few_thresh), medium otherwise (both boundaries
     inclusive)."""

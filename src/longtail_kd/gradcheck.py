@@ -74,7 +74,7 @@ def _instances(seed):
         yield trial, z, t_logits, y, w, rng.uniform()
 
 
-def run_gradient_checks(trials=100, seed=0):
+def run_gradient_checks(trials, seed):
     """Max abs(analytic - finite difference) over random instances.
 
     Covers the four losses plus the three closed-form diagnostic gradients

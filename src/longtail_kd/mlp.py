@@ -93,7 +93,7 @@ class OptimizerState:
     and a momentum in [0, 1) (``check_momentum``)."""
 
     vel: MlpParams
-    momentum: float = 0.9
+    momentum: float
 
     def __post_init__(self):
         self.momentum = check_momentum(self.momentum)
@@ -193,7 +193,7 @@ def backward(params, cache, grad_logits, out=None):
     return grads
 
 
-def init_optimizer(params, momentum=0.9):
+def init_optimizer(params, momentum):
     return OptimizerState(MlpParams.zeros(params.dims), momentum)
 
 

@@ -221,7 +221,7 @@ def _decode(blob, path):
         if r.off != len(blob):
             raise ValueError("trailing bytes after checkpoint payload")
         logged = [row.epoch for row in log_rows]
-        if logged != list(range(epoch)):
+        if epoch != len(logged) or logged != list(range(epoch)):
             raise ValueError(f"epoch {epoch} does not match the {len(logged)} logged epochs, numbered {logged}")
         if vel.dims != params.dims:
             raise ValueError(f"velocity dimensions {vel.dims} do not match parameters {params.dims}")
@@ -326,7 +326,8 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
 
     if resume_from is not None:
         state = read_checkpoint(resume_from)
-        if state.digest != digest:
+        # the header's momentum lies outside the digest, and the run would step with it
+        if state.digest != digest or state.opt.momentum != cfg.momentum:
             raise ValueError("checkpoint was written under a different training config")
         if state.params.dims != dims:
             raise ValueError("checkpoint model dimensions do not match the datasets/config")
@@ -374,17 +375,19 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
 
 def teacher_config(cfg):
     """The config a teacher trains under: ``cfg`` as plain cross-entropy,
-    with no ``defer_epoch``, which belongs to a student's loss. The one
-    place that says what a teacher is."""
-    return replace(cfg, loss="ce", defer_epoch=None)
+    with the default ``kd`` and ``bkd`` and no ``defer_epoch``, the
+    settings of a student's loss that plain cross-entropy never reads. The
+    one place that says what a teacher is."""
+    return replace(cfg, loss="ce", kd=KDConfig(), bkd=BKDConfig(), defer_epoch=None)
 
 
 def train_teacher(train, test, cfg, *, out_ckpt=None, resume_from=None, stop_after_epoch=None):
     """Phase one: minibatch SGD under ``teacher_config(cfg)``, so plain
     cross-entropy whatever cfg.loss says, and one config file serves the
     teacher and its students. A checkpoint's digest covers the teacher's
-    config, so any ``cfg`` that gives the same ``teacher_config`` resumes
-    it."""
+    config, so any ``cfg`` that gives the same ``teacher_config`` writes
+    the same bytes and resumes it, whatever its loss and distillation
+    settings."""
     return _run(train, test, teacher_config(cfg), None, out_ckpt, resume_from, stop_after_epoch)
 
 

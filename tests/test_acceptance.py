@@ -368,7 +368,8 @@ def test_criterion_10_evaluation_consistency():
     rng = Rng(29)
     C = 4
     train_counts = np.array([500, 120, 40, 5])
-    tags = subset_tags(train_counts)
+    spec = TrainConfig()  # the spec's thresholds, 100 and 20
+    tags = subset_tags(train_counts, spec.many_thresh, spec.few_thresh)
     ok = True
     details = []
     for _ in range(20):
@@ -379,6 +380,6 @@ def test_criterion_10_evaluation_consistency():
         ok = ok and (np.trace(m) / m.sum() == r.overall)
         ok = ok and bool((m.sum(axis=1) == np.bincount(labels, minlength=C)).all())
     ok = ok and tags == ("many", "many", "medium", "few")
-    boundary = subset_tags([101, 100, 20, 19])
+    boundary = subset_tags([101, 100, 20, 19], spec.many_thresh, spec.few_thresh)
     ok = ok and boundary == ("many", "medium", "medium", "few")
     _report("10 evaluation consistency (trace/N, row sums, subset thresholds)", ok)

@@ -443,7 +443,7 @@ class TestEval:
         params = init_mlp((4, 8, 3), 0)
         params.flat *= 1e200
         ckpt = str(tmp / "huge.ckpt")
-        pipeline.write_checkpoint(ckpt, pipeline.RunState(params, init_optimizer(params), Rng(1), [], bytes(32)))
+        pipeline.write_checkpoint(ckpt, pipeline.RunState(params, init_optimizer(params, 0.9), Rng(1), [], bytes(32)))
         capsys.readouterr()
         with np.errstate(over="ignore"):  # overflow is the point
             assert run("eval", "--ckpt", ckpt, "--data", data_dir / "test.csv", "--config", cfg) == 2
@@ -481,7 +481,7 @@ class TestGradcheck:
     @pytest.mark.parametrize("trials", [0, -3])
     def test_library_rejects_nonpositive_trials(self, trials):
         with pytest.raises(ValueError, match="trials"):
-            run_gradient_checks(trials=trials)
+            run_gradient_checks(trials=trials, seed=0)
 
 
 class TestSweepTemp:
@@ -774,6 +774,22 @@ class TestConfigHandling:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("epochs = fast\n")
         assert run("make-data", "--config", cfg) == 1
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("loss = foo", "bad value for 'loss': expected one of ['bkd', 'cb', 'ce', 'kd'], got 'foo'"),
+            ("hidden_dims = 64,x", "bad value for 'hidden_dims': expected comma-separated integers, got '64,x'"),
+            ("lr_steps = 1-0.5", "bad value for 'lr_steps': expected epoch:factor pairs, got '1-0.5'"),
+            ("epochs 5", "expected 'key = value', got 'epochs 5'"),
+        ],
+    )
+    def test_malformed_line_is_config_error_naming_the_line(self, tmp_path, capsys, line, message):
+        # a value its key's parser refused once left the file and line out
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# the second line is refused\n{line}\n")
+        assert run("make-data", "--config", cfg) == 1
+        assert capsys.readouterr().err == f"config error: {cfg}:2: {message}\n"
 
     def test_duplicate_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

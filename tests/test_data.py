@@ -62,6 +62,11 @@ class TestMakeLongtailCounts:
         with pytest.raises(ValueError):
             ImbalanceProfile("step", 0.5, 100, 4)
 
+    def test_what_is_not_a_profile_rejected(self):
+        with pytest.raises(ValueError) as info:
+            make_longtail_counts(("exponential", 10.0, 100, 4))
+        assert str(info.value) == "profile must be an ImbalanceProfile"
+
     @pytest.mark.parametrize(
         "n_max, num_classes, message",
         [(7.5, 4, "n_max must be a positive integer"), (100, 3.0, "num_classes must be a positive integer")],
@@ -114,14 +119,17 @@ class TestSynthGaussianMixture:
 
 class TestSubsetTags:
     def test_spec_thresholds(self):
-        tags = subset_tags([5000, 50, 5])
+        # the spec's pair is the one TrainConfig states
+        spec = TrainConfig()
+        assert (spec.many_thresh, spec.few_thresh) == (100, 20)
+        tags = subset_tags([5000, 50, 5], spec.many_thresh, spec.few_thresh)
         assert tags == (MANY, MEDIUM, FEW)
 
     def test_boundaries_inclusive_on_medium(self):
-        assert subset_tags([100]) == (MEDIUM,)
-        assert subset_tags([101]) == (MANY,)
-        assert subset_tags([20]) == (MEDIUM,)
-        assert subset_tags([19]) == (FEW,)
+        assert subset_tags([100], 100, 20) == (MEDIUM,)
+        assert subset_tags([101], 100, 20) == (MANY,)
+        assert subset_tags([20], 100, 20) == (MEDIUM,)
+        assert subset_tags([19], 100, 20) == (FEW,)
 
     def test_custom_thresholds(self):
         tags = subset_tags([30, 10, 2], many_thresh=20, few_thresh=5)
@@ -141,7 +149,7 @@ class TestSubsetTags:
         assert str(configured.value) == str(tagged.value)
 
     def test_classes_tagged_lookup(self):
-        tags = subset_tags([5000, 50, 5, 5000])
+        tags = subset_tags([5000, 50, 5, 5000], 100, 20)
         np.testing.assert_array_equal([c for c, t in enumerate(tags) if t == MANY], [0, 3])
         np.testing.assert_array_equal([c for c, t in enumerate(tags) if t == FEW], [2])
 
@@ -194,6 +202,13 @@ class TestDiskFormat:
         path.write_text("something-else v9, C=2, d=2\n0,1.0,2.0\n")
         with pytest.raises(ValueError):
             load_dataset(str(path))
+
+    def test_header_count_that_is_not_an_integer_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("longtail-csv v1, C=x, d=2\n0,1.0,2.0\n")
+        with pytest.raises(ValueError) as info:
+            load_dataset(str(path))
+        assert str(info.value) == f"{path}: malformed header 'longtail-csv v1, C=x, d=2'"
 
     @pytest.mark.parametrize(
         "text",
@@ -454,6 +469,11 @@ class TestLabeledDataset:
     def test_label_range_validated(self):
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((2, 2)), np.array([0, 5]), num_classes=2)
+
+    def test_one_label_per_feature_row(self):
+        with pytest.raises(ValueError) as info:
+            LabeledDataset(np.zeros((3, 2)), np.array([0, 1]), num_classes=2)
+        assert str(info.value) == "labels must be a vector matching the feature rows"
 
     def test_non_finite_features_rejected(self):
         with pytest.raises(ValueError):

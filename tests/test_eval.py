@@ -10,6 +10,7 @@ from longtail_kd.evaluate import (
     confusion_matrix,
     confusion_to_csv,
     predict,
+    report_from_confusion,
     report_to_json,
     row_normalized,
     sweep_to_csv,
@@ -58,7 +59,7 @@ class TestPredict:
 
 class TestAccuracyReport:
     def test_all_correct(self):
-        tags = subset_tags([500, 50, 5])
+        tags = subset_tags([500, 50, 5], 100, 20)
         labels = np.array([0, 0, 1, 2])
         r = accuracy_report(labels, labels, tags)
         assert r.overall == 1.0 and r.many == 1.0 and r.medium == 1.0 and r.few == 1.0
@@ -66,14 +67,14 @@ class TestAccuracyReport:
         assert r.n == 4
 
     def test_constant_predictor_on_balanced_two_class(self):
-        tags = subset_tags([500, 500])
+        tags = subset_tags([500, 500], 100, 20)
         preds = np.zeros(100, dtype=np.int64)
         labels = np.array([0] * 50 + [1] * 50)
         r = accuracy_report(preds, labels, tags)
         assert r.overall == 0.5
 
     def test_hand_counted_subsets(self):
-        tags = subset_tags([500, 50, 5])  # many, medium, few
+        tags = subset_tags([500, 50, 5], 100, 20)  # many, medium, few
         labels = np.array([0, 0, 0, 1, 1, 2, 2, 2, 2])
         preds = np.array([0, 0, 1, 1, 0, 2, 2, 0, 1])
         r = accuracy_report(preds, labels, tags)
@@ -84,7 +85,7 @@ class TestAccuracyReport:
         assert r.per_class == (2 / 3, 1 / 2, 2 / 4)
 
     def test_empty_subset_reported_absent_not_zero(self):
-        tags = subset_tags([500, 300])  # all classes many-shot
+        tags = subset_tags([500, 300], 100, 20)  # all classes many-shot
         labels = np.array([0, 1, 1])
         r = accuracy_report(np.array([0, 1, 0]), labels, tags)
         assert r.medium is None and r.few is None
@@ -93,7 +94,7 @@ class TestAccuracyReport:
         assert payload["many"] == r.many == r.overall
 
     def test_class_with_no_test_samples_absent(self):
-        tags = subset_tags([500, 5])
+        tags = subset_tags([500, 5], 100, 20)
         labels = np.array([0, 0])
         r = accuracy_report(np.array([0, 1]), labels, tags)
         assert r.per_class == (0.5, None)
@@ -101,13 +102,13 @@ class TestAccuracyReport:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            accuracy_report(np.array([0, 1]), np.array([0]), subset_tags([5, 5]))
+            accuracy_report(np.array([0, 1]), np.array([0]), subset_tags([5, 5], 100, 20))
 
     @pytest.mark.parametrize("bad", [-1, 2])
     def test_prediction_outside_the_classes_rejected(self, bad):
         # such a prediction once counted silently as a miss
         with pytest.raises(ValueError, match=r"preds contain entries outside \[0, 2\)"):
-            accuracy_report(np.array([0, bad]), np.array([0, 1]), subset_tags([5, 5]))
+            accuracy_report(np.array([0, bad]), np.array([0, 1]), subset_tags([5, 5], 100, 20))
 
 
 class TestConfusionMatrix:
@@ -140,13 +141,19 @@ class TestConfusionMatrix:
         preds = (rng.uniform(500) * C).astype(np.int64)
         counts = np.bincount(labels, minlength=C)
         m = confusion_matrix(preds, labels, C)
-        r = accuracy_report(preds, labels, subset_tags(np.maximum(counts, 1)))
+        r = accuracy_report(preds, labels, subset_tags(np.maximum(counts, 1), 100, 20))
         assert np.trace(m) / m.sum() == r.overall
         np.testing.assert_array_equal(m.sum(axis=1), counts)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             confusion_matrix(np.array([0, 3]), np.array([0, 1]), 3)
+
+    def test_report_of_an_empty_set_rejected(self):
+        confusion = confusion_matrix(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 2)
+        with pytest.raises(ValueError) as info:
+            report_from_confusion(confusion, subset_tags([500, 5], 100, 20))
+        assert str(info.value) == "cannot evaluate an empty prediction set"
 
     def test_row_normalized_handles_empty_rows(self):
         m = np.array([[2, 0], [0, 0]])

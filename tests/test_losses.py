@@ -220,6 +220,11 @@ class TestBkdLoss:
             distill = bkd_loss(z, phat, y, w, cfg).value - ce_loss(z, y).value
             assert distill >= -1e-12
 
+    def test_config_of_another_loss_rejected(self):
+        with pytest.raises(ValueError) as info:
+            bkd_loss(np.zeros(2), np.array([0.5, 0.5]), 0, np.ones(2), KDConfig())
+        assert str(info.value) == "cfg must be a BKDConfig"
+
     def test_zero_weighted_teacher_mass_is_internal_error(self):
         # unreachable through the validated entry point (weights are positive
         # and teacher probs sum to 1), so poke the batch core directly

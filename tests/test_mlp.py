@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -304,9 +305,9 @@ class TestSgdMomentum:
         params = init_mlp([3, 4, 2], seed=0)
         grads = backward(params, forward(params, np.ones((1, 3)))[1], np.ones((1, 2)))
         with pytest.raises(ValueError, match="shapes"):
-            sgd_momentum_step(params, grads, init_optimizer(init_mlp([3, 5, 2], seed=0)), lr=0.1)
+            sgd_momentum_step(params, grads, init_optimizer(init_mlp([3, 5, 2], seed=0), 0.9), lr=0.1)
         with pytest.raises(ValueError, match="positive"):
-            sgd_momentum_step(params, grads, init_optimizer(params), lr=0.0)
+            sgd_momentum_step(params, grads, init_optimizer(params, 0.9), lr=0.0)
 
     @pytest.mark.parametrize("lr", [math.inf, math.nan, 0, -1])
     def test_rate_must_be_positive_and_finite(self, lr):
@@ -315,7 +316,7 @@ class TestSgdMomentum:
         grads = backward(params, forward(params, np.ones((1, 3)))[1], np.ones((1, 2)))
         before = params_to_bytes(params)
         with pytest.raises(ValueError, match="learning rate must be positive and finite"):
-            sgd_momentum_step(params, grads, init_optimizer(params), lr=lr)
+            sgd_momentum_step(params, grads, init_optimizer(params, 0.9), lr=lr)
         assert params_to_bytes(params) == before
 
 
@@ -336,7 +337,7 @@ class TestFlatStorage:
     def test_params_gradients_and_velocities_view_their_own_flat(self):
         params = init_mlp([5, 7, 3], seed=4)
         grads = backward(params, forward(params, np.ones((2, 5)))[1], np.ones((2, 3)))
-        vel = init_optimizer(params).vel
+        vel = init_optimizer(params, 0.9).vel
         for p in (params, grads, vel, params.copy(), params_from_bytes(params_to_bytes(params))):
             self.assert_views_of_own_flat(p)
         flats = [params.flat, grads.flat, vel.flat, params.copy().flat]
@@ -450,3 +451,17 @@ class TestSerialization:
             params_from_bytes(blob[:-4])
         with pytest.raises(ValueError):
             params_from_bytes(blob + b"xx")
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (struct.pack("<q", 0), "mlp-v1 blob declares no layers"),
+            (struct.pack("<qqq", 1, 0, 2), "mlp-v1 blob has non-positive layer dimensions"),
+            (struct.pack("<qqq", 1, 3, -2), "mlp-v1 blob has non-positive layer dimensions"),
+        ],
+        ids=["no-layers", "zero-fan-in", "negative-fan-out"],
+    )
+    def test_layer_count_and_widths_must_be_positive(self, body, message):
+        with pytest.raises(ValueError) as info:
+            params_from_bytes(b"mlp-v1" + body)
+        assert str(info.value) == message

@@ -47,7 +47,7 @@ INTS = {
     "init_mlp width": (lambda v: init_mlp([3, v, 2], 0).dims[1], 4),
     "Rng seed": (lambda v: Rng(v).state[0], 7),
     "Rng.permutation": (lambda v: Rng(1).permutation(v).tolist(), 5),
-    "run_gradient_checks trials": (lambda v: run_gradient_checks(trials=v), 1),
+    "run_gradient_checks trials": (lambda v: run_gradient_checks(trials=v, seed=0), 1),
     "confusion_matrix num_classes": (lambda v: confusion_matrix([0, 1], [0, 1], v).tolist(), 2),
     "Rng.uniform size": (lambda v: Rng(1).uniform((2, v)).tolist(), 3),
     "Rng.normal size": (lambda v: Rng(1).normal(v).tolist(), 3),
@@ -220,7 +220,7 @@ def test_real_or_count_outside_its_range_is_refused(call):
     "call",
     [
         pytest.param(lambda: synth_gaussian_mixture([5.9, 3.2], 2, 1.0, 0, 2), id="synth counts 5.9, 3.2"),
-        pytest.param(lambda: subset_tags([100.9, 20.5, 19.99]), id="subset_tags 100.9 as medium"),
+        pytest.param(lambda: subset_tags([100.9, 20.5, 19.99], 100, 20), id="subset_tags 100.9 as medium"),
         pytest.param(lambda: LabeledDataset(np.zeros((3, 2)), [0.9, 1.5, 2.99], 3), id="labels 0.9, 1.5, 2.99"),
         pytest.param(lambda: accuracy_report([0.5, 1.7], [0, 1], (MANY, FEW)), id="preds 0.5, 1.7 scored 1.0"),
         pytest.param(lambda: init_mlp([3, 2.5, 2], 0), id="init_mlp width 2.5"),

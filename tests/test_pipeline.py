@@ -60,7 +60,7 @@ OVERFLOWING_EVALUATION = {
 def write_checkpoint_with_bad_fan_in(path):
     """A (4, 12, 2) checkpoint whose first layer's fan_in field reads 5."""
     params = init_mlp((4, 12, 2), seed=0)
-    write_checkpoint(path, RunState(params, init_optimizer(params), Rng(1), [], config_digest(small_cfg())))
+    write_checkpoint(path, RunState(params, init_optimizer(params, 0.9), Rng(1), [], config_digest(small_cfg())))
     with open(path, "rb") as fh:
         fan_in = fh.read().index(params_to_bytes(params)) + len(b"mlp-v1") + 8  # past magic and layer count
     patch_checkpoint(path, fan_in, struct.pack("<q", 4), struct.pack("<q", 5))
@@ -77,6 +77,7 @@ def patch_checkpoint(path, offset, old, new):
 
 
 EPOCH_FIELD = len(pipeline.CKPT_MAGIC) + 32  # past the magic and the config digest
+MOMENTUM_FIELD = EPOCH_FIELD + 8 + 16  # past the epoch and the Rng state
 
 
 def velocity_blob(dims):
@@ -169,18 +170,34 @@ class TestTrainTeacher:
     def test_trains_its_teacher_config_whatever_the_loss(self, tmp_path):
         # one config serves the teacher and its students: the teacher
         # trains, checkpoints and resumes under teacher_config, so its
-        # checkpoint's digest is that of the ce config
+        # checkpoint's digest is that of the ce config with the default
+        # distillation settings
         train, test = two_class_separable()
         bkd = small_cfg(loss="bkd", epochs=4, defer_epoch=2)
-        assert pipeline.teacher_config(bkd) == small_cfg(epochs=4)
+        assert pipeline.teacher_config(bkd) == small_cfg(epochs=4, kd=KDConfig(), bkd=BKDConfig())
         ce_params, ce_log = train_teacher(train, test, small_cfg(epochs=4))
         ckpt = str(tmp_path / "teacher.ckpt")
         train_teacher(train, test, bkd, out_ckpt=ckpt, stop_after_epoch=2)
-        assert read_checkpoint(ckpt).digest == config_digest(small_cfg(epochs=4))
+        assert read_checkpoint(ckpt).digest == config_digest(pipeline.teacher_config(small_cfg(epochs=4)))
         for cfg in (bkd, small_cfg(loss="kd", epochs=4), small_cfg(epochs=4)):
             params, log = train_teacher(train, test, cfg, resume_from=ckpt)
             assert params_to_bytes(params) == params_to_bytes(ce_params)
             assert metrics_to_csv(log) == metrics_to_csv(ce_log)
+
+    def test_distillation_settings_leave_the_teacher_as_it_is(self, tmp_path):
+        # plain cross-entropy reads no alpha, beta or temperature: a
+        # teacher stopped under one set resumes under another, and both
+        # write the bytes of the uninterrupted run
+        train, test = two_class_separable()
+        cfg = small_cfg(epochs=4)
+        other = replace(cfg, kd=KDConfig(0.3, 4.0), bkd=BKDConfig(0.99, 4.0))
+        assert pipeline.teacher_config(cfg) == pipeline.teacher_config(other)
+        path = {name: tmp_path / f"{name}.ckpt" for name in ("cfg", "other", "mid", "resumed")}
+        train_teacher(train, test, cfg, out_ckpt=str(path["cfg"]))
+        train_teacher(train, test, other, out_ckpt=str(path["other"]))
+        train_teacher(train, test, cfg, out_ckpt=str(path["mid"]), stop_after_epoch=2)
+        train_teacher(train, test, other, out_ckpt=str(path["resumed"]), resume_from=str(path["mid"]))
+        assert path["cfg"].read_bytes() == path["other"].read_bytes() == path["resumed"].read_bytes()
 
     def test_same_seed_identical_metric_log(self):
         train, test = two_class_separable()
@@ -281,6 +298,13 @@ class TestTrainTeacher:
         _, other_test = synth_gaussian_mixture([10, 10], 6, 1.0, seed=2, per_class_test=5)
         with pytest.raises(ValueError):
             train_teacher(train, other_test, small_cfg())
+
+    def test_class_count_mismatch_rejected(self):
+        train, _ = two_class_separable(seed=1)
+        _, other_test = synth_gaussian_mixture([10, 10, 10], 4, 1.0, seed=2, per_class_test=5)
+        with pytest.raises(ValueError) as info:
+            train_teacher(train, other_test, small_cfg())
+        assert str(info.value) == "train/test class counts differ"
 
 
 class TestTrainStudent:
@@ -537,6 +561,26 @@ class TestCheckpointResume:
         assert state.epoch == 0
         assert params_to_bytes(state.params) == params_to_bytes(params0)
 
+    def test_resume_onto_other_model_dimensions_rejected(self, tmp_path):
+        # the same config on data of 5 features, where the checkpoint takes 4
+        train, test = two_class_separable()
+        ckpt = str(tmp_path / "a.ckpt")
+        train_teacher(train, test, small_cfg(epochs=4), out_ckpt=ckpt, stop_after_epoch=2)
+        wide_train, wide_test = synth_gaussian_mixture([120, 80], 5, separation=8.0, seed=17, per_class_test=50)
+        with pytest.raises(ValueError) as info:
+            train_teacher(wide_train, wide_test, small_cfg(epochs=4), resume_from=ckpt)
+        assert str(info.value) == "checkpoint model dimensions do not match the datasets/config"
+
+    def test_trailing_bytes_after_the_payload_rejected(self, tmp_path):
+        train, test = two_class_separable()
+        path = str(tmp_path / "long.ckpt")
+        train_teacher(train, test, small_cfg(epochs=2), out_ckpt=path)
+        with open(path, "ab") as fh:
+            fh.write(b"x")
+        with pytest.raises(ValueError) as info:
+            read_checkpoint(path)
+        assert str(info.value) == f"{path}: trailing bytes after checkpoint payload"
+
     def test_resume_from_missing_path(self):
         train, test = two_class_separable()
         with pytest.raises(FileNotFoundError):
@@ -564,7 +608,7 @@ class TestCheckpointResume:
         # blob is spliced over the (4, 12, 2) one of a written file
         params = init_mlp((4, 12, 2), seed=0)
         path = str(tmp_path / "spliced.ckpt")
-        write_checkpoint(path, RunState(params, init_optimizer(params), Rng(1), [], config_digest(small_cfg())))
+        write_checkpoint(path, RunState(params, init_optimizer(params, 0.9), Rng(1), [], config_digest(small_cfg())))
         assert read_checkpoint(path).opt.vel.dims == (4, 12, 2)
         old, new = (velocity_blob(dims) for dims in ((4, 12, 2), (4, 12, 3)))
         with open(path, "rb") as fh:
@@ -588,7 +632,7 @@ class TestCheckpointResume:
         # OptimizerState checks its momentum when it is built, not when it
         # is assigned; the writer refuses it with the reader's message
         params = init_mlp((4, 12, 2), seed=0)
-        opt = init_optimizer(params)
+        opt = init_optimizer(params, 0.9)
         opt.momentum = momentum
         path = str(tmp_path / "hand.ckpt")
         with pytest.raises(ValueError) as info:
@@ -602,7 +646,7 @@ class TestCheckpointResume:
         # a NaN weight was once written and read back without complaint,
         # so eval scored whatever the NaN logits argmaxed to
         params = init_mlp((4, 12, 2), seed=0)
-        state = RunState(params, init_optimizer(params), Rng(1), [], config_digest(small_cfg()))
+        state = RunState(params, init_optimizer(params, 0.9), Rng(1), [], config_digest(small_cfg()))
         array = state.params if blob == "parameter" else state.opt.vel
         clean, kept = params_to_bytes(array), array.flat[5]
         array.flat[5] = value
@@ -629,7 +673,7 @@ class TestCheckpointResume:
         (tmp_path / "teacher.ckpt").mkdir()
         path = str(tmp_path / "teacher.ckpt")
         with pytest.raises(IsADirectoryError):
-            write_checkpoint(path, RunState(params, init_optimizer(params), Rng(1), [], config_digest(small_cfg())))
+            write_checkpoint(path, RunState(params, init_optimizer(params, 0.9), Rng(1), [], config_digest(small_cfg())))
         assert [p.name for p in tmp_path.iterdir()] == ["teacher.ckpt"]
         assert list((tmp_path / "teacher.ckpt").iterdir()) == []
 
@@ -645,27 +689,40 @@ class TestCheckpointResume:
     def test_momentum_outside_zero_one_rejected(self, tmp_path, momentum):
         params = init_mlp((4, 12, 2), seed=0)
         path = str(tmp_path / "hand.ckpt")
-        write_checkpoint(path, RunState(params, init_optimizer(params), Rng(1), [], config_digest(small_cfg())))
-        momentum_field = EPOCH_FIELD + 8 + 16  # past the epoch and the Rng state
-        patch_checkpoint(path, momentum_field, struct.pack("<d", 0.9), struct.pack("<d", momentum))
+        write_checkpoint(path, RunState(params, init_optimizer(params, 0.9), Rng(1), [], config_digest(small_cfg())))
+        patch_checkpoint(path, MOMENTUM_FIELD, struct.pack("<d", 0.9), struct.pack("<d", momentum))
         with pytest.raises(ValueError) as info:
             read_checkpoint(path)
         assert str(info.value) == f"{path}: momentum must lie in [0, 1), got {momentum!r}"
 
-    @pytest.mark.parametrize("epoch", [2, -1, 5])
-    def test_epoch_that_disagrees_with_the_log_rejected(self, tmp_path, epoch):
-        # a 6-epoch run stopped after 4 logged epochs, its epoch field set to
-        # another value; resuming at 2 would log epochs 0,1,2,3,2,3,4,5
+    def test_momentum_other_than_the_configs_refused_on_resume(self, tmp_path):
+        # the header's momentum lies outside the config digest; a teacher
+        # whose field was patched once resumed with it and stepped with it
+        train, test = two_class_separable()
+        cfg = small_cfg(epochs=4)
+        path = str(tmp_path / "mid.ckpt")
+        train_teacher(train, test, cfg, out_ckpt=path, stop_after_epoch=2)
+        patch_checkpoint(path, MOMENTUM_FIELD, struct.pack("<d", 0.9), struct.pack("<d", 0.5))
+        assert read_checkpoint(path).opt.momentum == 0.5
+        with pytest.raises(ValueError) as info:
+            train_teacher(train, test, cfg, resume_from=path)
+        assert str(info.value) == "checkpoint was written under a different training config"
+
+    @pytest.mark.parametrize("stop, epoch", [(4, 2), (4, -1), (4, 5), (0, -1)])
+    def test_epoch_that_disagrees_with_the_log_rejected(self, tmp_path, stop, epoch):
+        # a 6-epoch run stopped after ``stop`` logged epochs, its epoch field
+        # set to another value; resuming at 2 would log epochs
+        # 0,1,2,3,2,3,4,5, and an empty log once read as epoch -1's
         train, test = two_class_separable()
         cfg = small_cfg(epochs=6)
         path = str(tmp_path / "mid.ckpt")
-        train_teacher(train, test, cfg, out_ckpt=path, stop_after_epoch=4)
-        assert read_checkpoint(path).epoch == 4
-        patch_checkpoint(path, EPOCH_FIELD, struct.pack("<q", 4), struct.pack("<q", epoch))
+        train_teacher(train, test, cfg, out_ckpt=path, stop_after_epoch=stop)
+        assert read_checkpoint(path).epoch == stop
+        patch_checkpoint(path, EPOCH_FIELD, struct.pack("<q", stop), struct.pack("<q", epoch))
         with pytest.raises(ValueError) as info:
             read_checkpoint(path)
-        assert str(info.value).startswith(f"{path}: epoch {epoch} ")
-        with pytest.raises(ValueError, match="4 logged epochs"):
+        assert str(info.value).startswith(f"{path}: epoch {epoch} does not match the {stop} logged epochs")
+        with pytest.raises(ValueError, match=f"{stop} logged epochs"):
             train_teacher(train, test, cfg, resume_from=path)
 
     @pytest.mark.parametrize("row, numbered", [(0, 1), (2, 7)])
@@ -693,7 +750,7 @@ class TestCheckpointResume:
         # would refuse
         params = init_mlp((4, 12, 2), seed=0)
         row = MetricRow(5, 0.5, 0.1, 0.5, None, None, None)
-        state = RunState(params, init_optimizer(params), Rng(1), [row], config_digest(small_cfg()))
+        state = RunState(params, init_optimizer(params, 0.9), Rng(1), [row], config_digest(small_cfg()))
         path = str(tmp_path / "hand.ckpt")
         with pytest.raises(ValueError) as info:
             write_checkpoint(path, state)
@@ -724,9 +781,8 @@ class TestCheckpointResume:
         train, test = two_class_separable()
         cfg = small_cfg(epochs=4)
         params = init_mlp((train.dimension, *cfg.hidden_dims, train.num_classes), cfg.seed)
-        state = RunState(
-            params, init_optimizer(params, cfg.momentum), Rng(derive_seed(cfg.seed, 1)), [], config_digest(cfg)
-        )
+        digest = config_digest(pipeline.teacher_config(cfg))
+        state = RunState(params, init_optimizer(params, cfg.momentum), Rng(derive_seed(cfg.seed, 1)), [], digest)
         by_hand, by_run = str(tmp_path / "hand.ckpt"), str(tmp_path / "run.ckpt")
         write_checkpoint(by_hand, state)
         train_teacher(train, test, cfg, out_ckpt=by_run, stop_after_epoch=0)
@@ -752,7 +808,7 @@ class TestCheckpointResume:
     def test_digest_of_another_length_refused_at_write_time(self, tmp_path, length):
         # the header's 32-byte field would pad or cut it without complaint
         params = init_mlp((4, 12, 2), seed=0)
-        state = RunState(params, init_optimizer(params), Rng(1), [], bytes(range(length)))
+        state = RunState(params, init_optimizer(params, 0.9), Rng(1), [], bytes(range(length)))
         path = str(tmp_path / "hand.ckpt")
         with pytest.raises(ValueError) as info:
             write_checkpoint(path, state)
@@ -876,6 +932,11 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match=message):
             small_cfg(loss="bkd", **{field: value})
 
+    def test_unknown_loss_refused_at_construction(self):
+        with pytest.raises(ValueError) as info:
+            small_cfg(loss="x")
+        assert str(info.value) == "loss must be one of ('ce', 'cb', 'kd', 'bkd'), got 'x'"
+
 
 class TestMetricCsv:
     def test_round_trip(self):
@@ -888,3 +949,8 @@ class TestMetricCsv:
     def test_header_enforced(self):
         with pytest.raises(ValueError):
             metrics_from_csv("nope\n1,2,3\n")
+
+    def test_row_of_another_width_rejected(self):
+        with pytest.raises(ValueError) as info:
+            metrics_from_csv(f"{pipeline.METRIC_HEADER}\n0,1.5,0.1,0.5,,\n")
+        assert str(info.value) == "malformed metric row: '0,1.5,0.1,0.5,,'"
