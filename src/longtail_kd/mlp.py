@@ -13,9 +13,10 @@ and a gradient ``MlpParams`` to ``backward``, so no layer-sized array is
 allocated per call.
 
 Each model state is one flat float64 vector: parameters, the gradients
-``backward`` returns and the optimizer's velocities are all ``MlpParams``
-whose per-layer arrays are views of their ``flat``, so the SGD step and
-weight decay run once over whole vectors.
+``backward`` returns and the SGD velocity are all ``MlpParams`` whose
+per-layer arrays are views of their ``flat``, so the SGD step and weight
+decay run once over whole vectors. The velocity is the one optimizer
+state; ``sgd_momentum_step`` takes the momentum from its caller.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class MlpParams:
 
     Every array is a view of one float64 vector, ``flat``, laid out layer by
     layer, weights then bias (the mlp-v1 payload order); ``dims`` holds the
-    layer widths, input first. Gradients and momentum buffers are MlpParams
+    layer widths, input first. Gradients and the SGD velocity are MlpParams
     too. The constructor copies the given arrays into a new vector;
     ``from_flat`` wraps an existing one.
     """
@@ -83,20 +84,8 @@ class MlpParams:
 
 def check_momentum(momentum):
     """``momentum`` as a float, or ValueError unless it is a real in [0, 1):
-    the one momentum rule, for ``OptimizerState`` and ``TrainConfig``."""
+    the one momentum rule, for ``sgd_momentum_step`` and ``TrainConfig``."""
     return check_real(momentum, "momentum", lambda m: 0.0 <= m < 1.0, "lie in [0, 1)")
-
-
-@dataclass
-class OptimizerState:
-    """Momentum buffers: one velocity per parameter, in the same layout,
-    and a momentum in [0, 1) (``check_momentum``)."""
-
-    vel: MlpParams
-    momentum: float
-
-    def __post_init__(self):
-        self.momentum = check_momentum(self.momentum)
 
 
 @dataclass(frozen=True)
@@ -193,22 +182,20 @@ def backward(params, cache, grad_logits, out=None):
     return grads
 
 
-def init_optimizer(params, momentum):
-    return OptimizerState(MlpParams.zeros(params.dims), momentum)
-
-
-def sgd_momentum_step(params, grads, state, lr):
+def sgd_momentum_step(params, grads, vel, momentum, lr):
     """v <- momentum * v + g; p <- p - lr * v, each once over the flat
-    vectors. Updates in place and returns both."""
+    vectors, with ``momentum`` under ``check_momentum``. Updates ``params``
+    and the velocity ``vel`` in place and returns both."""
     if not is_positive_finite(lr):
         raise ValueError(f"learning rate must be positive and finite, got {lr!r}")
-    if not params.dims == grads.dims == state.vel.dims:
+    momentum = check_momentum(momentum)
+    if not params.dims == grads.dims == vel.dims:
         raise ValueError("gradient or velocity shapes do not match parameters")
-    v = state.vel.flat
-    v *= state.momentum
+    v = vel.flat
+    v *= momentum
     v += grads.flat
     params.flat -= lr * v
-    return params, state
+    return params, vel
 
 
 def lr_at(schedule, epoch, total_epochs):

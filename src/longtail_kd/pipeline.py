@@ -25,13 +25,15 @@ bits whatever the CPU count.
 Every epoch visits the training rows in a fresh shuffled order. A run's
 state is one ``RunState``; each epoch logs one row to it, and a checkpoint
 holds it whole, so a resumed run matches an uninterrupted one bit for bit.
-A ``ckpt-v1`` file is one fixed header (``_CKPT_HEAD``) and three blobs,
-the parameters, the velocities and the metric log, each behind one
-``_BLOB_LEN`` length. ``_decode`` holds every rule of that format, finite
-parameters and velocities among them, and names the file in each refusal;
-the reader runs it on the bytes it reads and the writer on the bytes it
-will write, before opening any file, so the writer refuses exactly what
-the reader refuses.
+A ``ckpt-v2`` file states each fact once: one fixed header
+(``_CKPT_HEAD``), the parameter blob behind its ``_BLOB_LEN`` length, the
+velocity as raw float64 values in the parameters' layout, and the metric
+log behind its length. The epoch is the log's length and the momentum is
+the config's, so neither is stored. ``_decode`` holds every rule of that
+format, finite parameters and velocity and a log in the writer's own form
+among them, and names the file in each refusal; the reader runs it on the
+bytes it reads and the writer on the bytes it will write, before opening
+any file, so the writer refuses exactly what the reader refuses.
 """
 
 from __future__ import annotations
@@ -55,22 +57,20 @@ from .mlp import (
     backward,
     check_momentum,
     init_mlp,
-    init_optimizer,
     lr_at,
     params_from_bytes,
     params_to_bytes,
     sgd_momentum_step,
     MlpParams,
-    OptimizerState,
 )
 from .weights import effective_number_weights, normalize_weights
 from .workers import run_split, split
 
-CKPT_MAGIC = b"ckpt-v1"
+CKPT_MAGIC = b"ckpt-v2"
 _DIGEST_BYTES = 32  # sha256, as config_digest returns
-# magic, config digest, epoch, shuffle-stream seed and draw count, momentum
-_CKPT_HEAD = struct.Struct(f"<{len(CKPT_MAGIC)}s{_DIGEST_BYTES}sqQQd")
-# the byte length in front of each blob: parameters, velocities, metric log
+# magic, config digest, shuffle-stream seed and draw count
+_CKPT_HEAD = struct.Struct(f"<{len(CKPT_MAGIC)}s{_DIGEST_BYTES}sQQ")
+# the byte length in front of the parameter blob and of the metric log
 _BLOB_LEN = "<Q"
 
 LOSS_KINDS = ("ce", "cb", "kd", "bkd")
@@ -188,10 +188,12 @@ def config_digest(cfg):
 
 @dataclass
 class RunState:
-    """A run's whole state, as a checkpoint holds it; its epoch is its log's length."""
+    """A run's whole state, as a checkpoint holds it: the parameters, their
+    SGD velocity in the same layout, the shuffle stream, the metric log and
+    the config digest. Its epoch is its log's length."""
 
     params: MlpParams
-    opt: OptimizerState
+    vel: MlpParams
     rng: Rng
     log_rows: list
     digest: bytes
@@ -202,30 +204,31 @@ class RunState:
 
 
 def _decode(blob, path):
-    """The ``RunState`` that ckpt-v1 bytes ``blob`` hold, under every rule
+    """The ``RunState`` that ckpt-v2 bytes ``blob`` hold, under every rule
     of the format, held here and nowhere else; each refusal is a ValueError
     that starts with ``path``."""
     try:
         if blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
             raise ValueError(f"not a {CKPT_MAGIC.decode()} checkpoint")
         r = BlobReader(blob, 0, "truncated checkpoint")
-        _, digest, epoch, seed, count, momentum = _CKPT_HEAD.unpack(r.take(_CKPT_HEAD.size))
-        # each blob is parsed as soon as it is read: a corrupt blob is refused before a later truncation
+        _, digest, seed, count = _CKPT_HEAD.unpack(r.take(_CKPT_HEAD.size))
+        # each part is parsed as soon as it is read: a corrupt part is refused before a later truncation
         params = params_from_bytes(r.take(*r.unpack(_BLOB_LEN)))
-        vel = params_from_bytes(r.take(*r.unpack(_BLOB_LEN)))
+        vel = MlpParams.from_flat(np.frombuffer(r.take(params.flat.nbytes), "<f8").astype(np.float64), params.dims)
         for name, blob_params in (("parameter", params), ("velocity", vel)):
             if not np.isfinite(blob_params.flat).all():
                 raise ValueError(f"the {name} blob holds a non-finite value")
         log_blob = r.take(*r.unpack(_BLOB_LEN))
-        log_rows = metrics_from_csv(log_blob.decode("utf-8")) if log_blob else []
+        log_rows = metrics_from_csv(log_blob.decode("utf-8"))
+        # so that rewriting what was read reproduces the file
+        if metrics_to_csv(log_rows).encode("utf-8") != log_blob:
+            raise ValueError("the metric log is not in the form the writer writes")
         if r.off != len(blob):
             raise ValueError("trailing bytes after checkpoint payload")
         logged = [row.epoch for row in log_rows]
-        if epoch != len(logged) or logged != list(range(epoch)):
-            raise ValueError(f"epoch {epoch} does not match the {len(logged)} logged epochs, numbered {logged}")
-        if vel.dims != params.dims:
-            raise ValueError(f"velocity dimensions {vel.dims} do not match parameters {params.dims}")
-        return RunState(params, OptimizerState(vel, momentum), Rng.from_state((seed, count)), log_rows, digest)
+        if logged != list(range(len(logged))):
+            raise ValueError(f"the log's {len(logged)} epochs are numbered {logged}")
+        return RunState(params, vel, Rng.from_state((seed, count)), log_rows, digest)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -233,15 +236,23 @@ def _decode(blob, path):
 def write_checkpoint(path, state):
     """Commit (``data.open_output``) a run's whole state, whose bytes go
     through ``_decode`` before any file is opened: it refuses what
-    ``read_checkpoint`` refuses, and a digest not ``_DIGEST_BYTES`` long,
-    which the header would pad or cut."""
+    ``read_checkpoint`` refuses, a digest not ``_DIGEST_BYTES`` long, which
+    the header would pad or cut, and a velocity of other dims than the
+    parameters', which the reader would take under the parameters' dims."""
     if len(state.digest) != _DIGEST_BYTES:
         raise ValueError(f"{path}: config digest must be {_DIGEST_BYTES} bytes, got {len(state.digest)}")
-    payload = [_CKPT_HEAD.pack(CKPT_MAGIC, state.digest, state.epoch, *state.rng.state, state.opt.momentum)]
+    if state.vel.dims != state.params.dims:
+        raise ValueError(f"{path}: velocity dimensions {state.vel.dims} do not match parameters {state.params.dims}")
+    params_blob = params_to_bytes(state.params)
     log_blob = metrics_to_csv(state.log_rows).encode("utf-8")
-    for blob in (params_to_bytes(state.params), params_to_bytes(state.opt.vel), log_blob):
-        payload += [struct.pack(_BLOB_LEN, len(blob)), blob]
-    encoded = b"".join(payload)
+    encoded = b"".join(
+        [
+            _CKPT_HEAD.pack(CKPT_MAGIC, state.digest, *state.rng.state),
+            struct.pack(_BLOB_LEN, len(params_blob)), params_blob,
+            np.ascontiguousarray(state.vel.flat, dtype="<f8").tobytes(),
+            struct.pack(_BLOB_LEN, len(log_blob)), log_blob,
+        ]
+    )
     _decode(encoded, path)
     with open_output(path) as fh:
         fh.write(encoded)
@@ -326,14 +337,12 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
 
     if resume_from is not None:
         state = read_checkpoint(resume_from)
-        # the header's momentum lies outside the digest, and the run would step with it
-        if state.digest != digest or state.opt.momentum != cfg.momentum:
+        if state.digest != digest:
             raise ValueError("checkpoint was written under a different training config")
         if state.params.dims != dims:
             raise ValueError("checkpoint model dimensions do not match the datasets/config")
     else:
-        params = init_mlp(dims, cfg.seed)
-        state = RunState(params, init_optimizer(params, cfg.momentum), Rng(derive_seed(cfg.seed, 1)), [], digest)
+        state = RunState(init_mlp(dims, cfg.seed), MlpParams.zeros(dims), Rng(derive_seed(cfg.seed, 1)), [], digest)
 
     N = len(train)
     objectives = {}  # loss kind -> its Objective, built on first use
@@ -357,7 +366,7 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
             backward(state.params, cache, grads / rows.size, out=pgrads)
             if cfg.weight_decay:
                 pgrads.flat += cfg.weight_decay * state.params.flat
-            sgd_momentum_step(state.params, pgrads, state.opt, lr)
+            sgd_momentum_step(state.params, pgrads, state.vel, cfg.momentum, lr)
 
         try:
             preds = evaluate.predict(state.params, test, out=eval_out)

@@ -13,7 +13,7 @@ from longtail_kd.config import default_config, imbalance_profile, parse_config, 
 from longtail_kd.data import ImbalanceProfile, LabeledDataset, load_dataset, save_dataset
 from longtail_kd.gradcheck import run_gradient_checks
 from longtail_kd.mathutils import Rng
-from longtail_kd.mlp import init_mlp, init_optimizer, params_to_bytes
+from longtail_kd.mlp import MlpParams, init_mlp, params_to_bytes
 from longtail_kd.pipeline import TrainConfig
 from test_pipeline import OVERFLOWING_EVALUATION, write_checkpoint_with_bad_fan_in
 
@@ -443,7 +443,7 @@ class TestEval:
         params = init_mlp((4, 8, 3), 0)
         params.flat *= 1e200
         ckpt = str(tmp / "huge.ckpt")
-        pipeline.write_checkpoint(ckpt, pipeline.RunState(params, init_optimizer(params, 0.9), Rng(1), [], bytes(32)))
+        pipeline.write_checkpoint(ckpt, pipeline.RunState(params, MlpParams.zeros(params.dims), Rng(1), [], bytes(32)))
         capsys.readouterr()
         with np.errstate(over="ignore"):  # overflow is the point
             assert run("eval", "--ckpt", ckpt, "--data", data_dir / "test.csv", "--config", cfg) == 2

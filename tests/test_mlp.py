@@ -12,7 +12,6 @@ from longtail_kd.mlp import (
     backward,
     forward,
     init_mlp,
-    init_optimizer,
     lr_at,
     params_from_bytes,
     params_to_bytes,
@@ -250,30 +249,29 @@ class TestSgdMomentum:
         params = init_mlp([2, 2], seed=0)
         before = params.copy()
         grads = backward(params, forward(params, np.ones((1, 2)))[1], np.array([[1.0, -1.0]]))
-        state = init_optimizer(params, momentum=0.0)
-        sgd_momentum_step(params, grads, state, lr=1.0)
+        sgd_momentum_step(params, grads, MlpParams.zeros(params.dims), momentum=0.0, lr=1.0)
         for p, p0, g in zip(params.weights, before.weights, grads.weights):
             np.testing.assert_array_equal(p, p0 - g)
 
     def test_zero_grads_still_move_with_loaded_buffer(self):
         params = init_mlp([2, 2], seed=0)
         before = params.copy()
-        state = init_optimizer(params, momentum=0.9)
-        state.vel.weights[0][:] = 1.0
+        vel = MlpParams.zeros(params.dims)
+        vel.weights[0][:] = 1.0
         zero = backward(params, forward(params, np.zeros((1, 2)))[1], np.zeros((1, 2)))
-        sgd_momentum_step(params, zero, state, lr=0.5)
+        sgd_momentum_step(params, zero, vel, momentum=0.9, lr=0.5)
         np.testing.assert_allclose(params.weights[0], before.weights[0] - 0.5 * 0.9 * 1.0)
 
     def test_two_runs_bit_identical(self):
         def run():
             rng = Rng(55)
             params = init_mlp([3, 4, 2], seed=2)
-            state = init_optimizer(params, momentum=0.9)
+            vel = MlpParams.zeros(params.dims)
             for _ in range(20):
                 x = rng.normal((1, 3))
                 logits, cache = forward(params, x)
                 grads = backward(params, cache, logits - np.array([[1.0, 0.0]]))
-                sgd_momentum_step(params, grads, state, lr=0.01)
+                sgd_momentum_step(params, grads, vel, momentum=0.9, lr=0.01)
             return params
 
         a, b = run(), run()
@@ -284,30 +282,30 @@ class TestSgdMomentum:
     def test_flat_step_matches_per_layer_loop_bit_for_bit(self, dims, n):
         params, X = random_net(dims, n, seed=75)
         G = Rng(76).normal((n, dims[-1]))
-        state = init_optimizer(params, momentum=0.9)
+        vel = MlpParams.zeros(params.dims)
         # the per-layer reference: separate arrays, one update per array
         ref_p = [a.copy() for a in params.weights + params.biases]
         ref_v = [np.zeros_like(a) for a in ref_p]
         for step in range(20):
             grads = backward(params, forward(params, X)[1], G / n)
             lr = 0.05 / (1 + step)
-            sgd_momentum_step(params, grads, state, lr)
+            sgd_momentum_step(params, grads, vel, 0.9, lr)
             for p, g, v in zip(ref_p, grads.weights + grads.biases, ref_v):
                 v *= 0.9
                 v += g
                 p -= lr * v
         for got, ref in zip(params.weights + params.biases, ref_p):
             assert got.tobytes() == ref.tobytes()
-        for got, ref in zip(state.vel.weights + state.vel.biases, ref_v):
+        for got, ref in zip(vel.weights + vel.biases, ref_v):
             assert got.tobytes() == ref.tobytes()
 
     def test_mismatched_shapes_rejected(self):
         params = init_mlp([3, 4, 2], seed=0)
         grads = backward(params, forward(params, np.ones((1, 3)))[1], np.ones((1, 2)))
         with pytest.raises(ValueError, match="shapes"):
-            sgd_momentum_step(params, grads, init_optimizer(init_mlp([3, 5, 2], seed=0), 0.9), lr=0.1)
+            sgd_momentum_step(params, grads, MlpParams.zeros((3, 5, 2)), 0.9, lr=0.1)
         with pytest.raises(ValueError, match="positive"):
-            sgd_momentum_step(params, grads, init_optimizer(params, 0.9), lr=0.0)
+            sgd_momentum_step(params, grads, MlpParams.zeros(params.dims), 0.9, lr=0.0)
 
     @pytest.mark.parametrize("lr", [math.inf, math.nan, 0, -1])
     def test_rate_must_be_positive_and_finite(self, lr):
@@ -316,8 +314,19 @@ class TestSgdMomentum:
         grads = backward(params, forward(params, np.ones((1, 3)))[1], np.ones((1, 2)))
         before = params_to_bytes(params)
         with pytest.raises(ValueError, match="learning rate must be positive and finite"):
-            sgd_momentum_step(params, grads, init_optimizer(params, 0.9), lr=lr)
+            sgd_momentum_step(params, grads, MlpParams.zeros(params.dims), 0.9, lr=lr)
         assert params_to_bytes(params) == before
+
+    @pytest.mark.parametrize("momentum", [math.nan, 1.5, -0.5])
+    def test_momentum_outside_zero_one_refused_before_any_update(self, momentum):
+        params = init_mlp([3, 4, 2], seed=0)
+        grads = backward(params, forward(params, np.ones((1, 3)))[1], np.ones((1, 2)))
+        vel = params.copy()
+        before = params_to_bytes(params), params_to_bytes(vel)
+        with pytest.raises(ValueError) as info:
+            sgd_momentum_step(params, grads, vel, momentum, lr=0.1)
+        assert str(info.value) == f"momentum must lie in [0, 1), got {momentum!r}"
+        assert (params_to_bytes(params), params_to_bytes(vel)) == before
 
 
 class TestFlatStorage:
@@ -337,7 +346,7 @@ class TestFlatStorage:
     def test_params_gradients_and_velocities_view_their_own_flat(self):
         params = init_mlp([5, 7, 3], seed=4)
         grads = backward(params, forward(params, np.ones((2, 5)))[1], np.ones((2, 3)))
-        vel = init_optimizer(params, 0.9).vel
+        vel = MlpParams.zeros(params.dims)
         for p in (params, grads, vel, params.copy(), params_from_bytes(params_to_bytes(params))):
             self.assert_views_of_own_flat(p)
         flats = [params.flat, grads.flat, vel.flat, params.copy().flat]

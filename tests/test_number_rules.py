@@ -17,7 +17,7 @@ from longtail_kd.losses import BKDConfig, KDConfig, balanced_targets, bkd_loss, 
 from longtail_kd.losses import kd_loss, softmax_rows
 from longtail_kd.mathutils import Rng, check_int, check_int_array, check_real, check_real_array, is_int, is_real
 from longtail_kd.mathutils import softmax_with_temperature
-from longtail_kd.mlp import LrSchedule, OptimizerState, init_mlp, init_optimizer
+from longtail_kd.mlp import LrSchedule, MlpParams, init_mlp, sgd_momentum_step
 from longtail_kd.pipeline import metrics_to_csv, train_teacher
 from longtail_kd.weights import effective_number_weights, normalize_weights
 from test_pipeline import small_cfg
@@ -25,6 +25,14 @@ from test_pipeline import small_cfg
 
 def _synth(counts=(3, 2), dim=2, separation=1.0, per_class_test=2):
     return synth_gaussian_mixture(counts, dim, separation, 0, per_class_test)
+
+
+def _momentum_step(momentum):
+    """The velocity bytes after one SGD step under ``momentum`` from a nonzero velocity."""
+    params = init_mlp([2, 2], 0)
+    vel = params.copy()
+    sgd_momentum_step(params, MlpParams.zeros(params.dims), vel, momentum, 0.1)
+    return vel.flat.tobytes()
 
 
 # entry point -> (what it stores or returns for a value, a valid Python int)
@@ -68,7 +76,7 @@ REALS = {
     "LrSchedule step factor": (lambda v: LrSchedule("step", 0.5, ((2, v),)).steps[0][1], 0.25, 2),
     "ImbalanceProfile.rho": (lambda v: ImbalanceProfile("exponential", v, 100, 4).rho, 10.5, 10),
     "synth_gaussian_mixture separation": (lambda v: _synth(separation=v)[0].features.tobytes(), 1.5, 2),
-    "init_optimizer momentum": (lambda v: init_optimizer(init_mlp([2, 2], 0), v).momentum, 0.5, 0),
+    "sgd_momentum_step momentum": (_momentum_step, 0.5, 0),
     "distill_grad_formula ce_coef": (lambda v: distill_grad_formula([1, 0], [0, 1], 0, v, 1, 2).tobytes(), 0.5, 2),
     "distill_grad_formula kl_coef": (lambda v: distill_grad_formula([1, 0], [0, 1], 0, 1, v, 2).tobytes(), 0.5, 2),
 }
@@ -202,9 +210,9 @@ def test_real_array_argument_takes_any_integer_or_float_dtype_as_the_float64_it_
 @pytest.mark.parametrize(
     "call",
     [
-        pytest.param(lambda: init_optimizer(init_mlp([2, 2], 0), math.nan), id="init_optimizer momentum nan"),
-        pytest.param(lambda: init_optimizer(init_mlp([2, 2], 0), 1.5), id="init_optimizer momentum 1.5"),
-        pytest.param(lambda: OptimizerState(init_mlp([2, 2], 0), -0.5), id="OptimizerState momentum -0.5"),
+        pytest.param(lambda: _momentum_step(math.nan), id="sgd_momentum_step momentum nan"),
+        pytest.param(lambda: _momentum_step(1.5), id="sgd_momentum_step momentum 1.5"),
+        pytest.param(lambda: _momentum_step(-0.5), id="sgd_momentum_step momentum -0.5"),
         pytest.param(lambda: distill_grad_formula([1, 0], [0, 1], 0, math.nan, 1, 2), id="ce_coef nan"),
         pytest.param(lambda: distill_grad_formula([1, 0], [0, 1], 0, 1, math.inf, 2), id="kl_coef inf"),
         pytest.param(lambda: confusion_matrix([0, 1], [0, 1], 0), id="confusion_matrix num_classes 0"),
