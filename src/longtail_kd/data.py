@@ -161,7 +161,9 @@ def _orthonormalish_rows(rng, num_rows, dim):
         for prev in range(min(r, dim)):
             v -= (v @ out[prev]) * out[prev]
         norm = np.linalg.norm(v)
-        if norm < 1e-12:  # degenerate draw; keep the raw direction
+        # every row past the dim-th lands here, not only a degenerate draw: the
+        # rows before it span R^dim, so v is rounding (norm ~1e-15); keep g[r]
+        if norm < 1e-12:
             v = g[r]
             norm = np.linalg.norm(v)
         out[r] = v / norm

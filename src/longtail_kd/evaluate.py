@@ -45,10 +45,11 @@ def predict(params, data, out=None):
 
     ``out`` is passed on to ``forward``: per-layer (len(data), fan_out)
     buffers that a caller scoring the same split every epoch allocates once.
-    ``forward`` refuses data of another width than the model's input, and
-    logits that are not all finite, which have no argmax, are a ValueError.
+    ``forward`` refuses data of another width than the model's input; it
+    overflows quietly, and non-finite logits, with no argmax, are a ValueError.
     """
-    logits, _ = forward(params, data.features, out=out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, _ = forward(params, data.features, out=out)
     if not np.isfinite(logits).all():
         raise ValueError("the model gives non-finite logits")
     return np.argmax(logits, axis=1).astype(np.int64)

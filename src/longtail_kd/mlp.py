@@ -17,6 +17,8 @@ Each model state is one flat float64 vector: parameters, the gradients
 per-layer arrays are views of their ``flat``, so the SGD step and weight
 decay run once over whole vectors. The velocity is the one optimizer
 state; ``sgd_momentum_step`` takes the momentum from its caller.
+Forward, backward and the SGD step let values overflow, quietly under the
+training loop and ``evaluate.predict``, which refuse non-finite results.
 """
 
 from __future__ import annotations
@@ -162,15 +164,12 @@ def backward(params, cache, grad_logits, out=None):
     """Parameter gradients by reverse-mode chain rule, as an ``MlpParams``.
 
     The rectifier subgradient at exactly 0 is taken as 0. Gradients are
-    summed over the batch rows present in ``grad_logits``, and each layer's
-    are written straight into its views of one flat vector: that of
-    ``out``, a caller-owned ``MlpParams`` of the same dims that is
-    overwritten and returned, or else a new one.
+    summed over the rows of ``grad_logits`` (numpy refuses any shape but
+    the logits') into the views of one flat vector: that of ``out``, a
+    caller-owned ``MlpParams`` of the same dims it overwrites, or a new one.
     """
     g = np.asarray(grad_logits, dtype=np.float64)
     inputs = cache["inputs"]
-    if g.shape != (inputs[0].shape[0], params.dims[-1]):
-        raise ValueError(f"grad_logits shape {g.shape} does not match the forward cache")
     grads = MlpParams.from_flat(np.empty_like(params.flat), params.dims) if out is None else out
     if grads.dims != params.dims:
         raise ValueError(f"gradient buffer dims {grads.dims} do not match parameters {params.dims}")

@@ -17,6 +17,10 @@ them as they are, since their scale cancels in the balanced targets. Every
 epoch scores the test split through one set of per-layer (n_test, width)
 buffers that the run allocates up front, so the per-epoch evaluation
 allocates no layer-sized array; the buffers live for one ``_run`` call.
+Each epoch ends in the one divergence rule: a non-finite loss sum, then
+non-finite test logits, raise ``training diverged: non-finite loss`` (or
+``test logits``) ``at epoch <e>``. The epochs run in one numpy error scope
+that keeps overflow quiet, so that line is all a diverging run prints.
 ``temperature_sweep`` trains one such student per temperature, on every
 available CPU: each CPU trains a contiguous group of the temperatures, in
 this process or a forked child (``workers``), and the rows are the same
@@ -42,7 +46,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -144,15 +148,8 @@ METRIC_HEADER = "epoch,loss,lr,acc_all,acc_many,acc_medium,acc_few"
 
 
 def metrics_to_csv(rows):
-    def cell(v):
-        return "" if v is None else repr(float(v))
-
-    lines = [METRIC_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.epoch},{cell(r.loss)},{cell(r.lr)},{cell(r.acc_all)},"
-            f"{cell(r.acc_many)},{cell(r.acc_medium)},{cell(r.acc_few)}"
-        )
+    cell = lambda v: "" if v is None else repr(float(v))
+    lines = [METRIC_HEADER] + [",".join([str(r.epoch), *map(cell, astuple(r)[1:])]) for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -303,7 +300,7 @@ def _epoch_objective(cfg, epoch, teacher, train, objectives):
     first use and kept in ``objectives``. A distillation kind's targets are
     softmax(teacher(x) / T) of every training row, the teacher run on
     ``batch_size``-row chunks so only one chunk's activations are alive at
-    a time."""
+    a time; non-finite teacher logits are refused."""
     kind = cfg.loss
     if kind == "bkd" and cfg.defer_epoch is not None and epoch < cfg.defer_epoch:
         kind = "kd"
@@ -316,6 +313,8 @@ def _epoch_objective(cfg, epoch, teacher, train, objectives):
         else:
             X, n, distill = train.features, cfg.batch_size, cfg.kd if kind == "kd" else cfg.bkd
             t_logits = np.vstack([forward(teacher, X[s : s + n])[0] for s in range(0, len(X), n)])
+            if not np.isfinite(t_logits).all():
+                raise ValueError("the teacher gives non-finite logits on the training split")
             phat = softmax_rows(t_logits, distill.temperature)
             objectives[kind] = cfg.kd.objective(phat) if kind == "kd" else cfg.bkd.objective(phat, w)
     return objectives[kind]
@@ -349,33 +348,32 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
     # a resumed run never ends before the epoch it resumed at
     end_epoch = cfg.epochs if stop_after_epoch is None else max(state.epoch, min(cfg.epochs, stop_after_epoch))
 
-    for epoch in range(state.epoch, end_epoch):
-        objective = _epoch_objective(cfg, epoch, teacher, train, objectives)
-        lr = lr_at(cfg.schedule, epoch, cfg.epochs)
-        order = state.rng.permutation(N)
-        loss_sum = 0.0
-        for start in range(0, N, cfg.batch_size):
-            rows = order[start : start + cfg.batch_size]
-            logits, cache = forward(state.params, train.features[rows])
-            values, grads = objective_loss_batch(logits, train.labels[rows], rows, objective)
-            if not np.isfinite(values).all():
-                raise RuntimeError(
-                    f"training diverged: non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
-                )
-            loss_sum += float(values.sum())
-            backward(state.params, cache, grads / rows.size, out=pgrads)
-            if cfg.weight_decay:
-                pgrads.flat += cfg.weight_decay * state.params.flat
-            sgd_momentum_step(state.params, pgrads, state.vel, cfg.momentum, lr)
-
-        try:
-            preds = evaluate.predict(state.params, test, out=eval_out)
-        except ValueError as exc:
-            raise RuntimeError(f"training diverged: non-finite test logits at epoch {epoch}") from exc
-        report = evaluate.accuracy_report(preds, test.labels, tags)
-        state.log_rows.append(
-            MetricRow(epoch, loss_sum / N, lr, report.overall, report.many, report.medium, report.few)
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(state.epoch, end_epoch):
+            objective = _epoch_objective(cfg, epoch, teacher, train, objectives)
+            lr = lr_at(cfg.schedule, epoch, cfg.epochs)
+            order = state.rng.permutation(N)
+            loss_sum = 0.0
+            for start in range(0, N, cfg.batch_size):
+                rows = order[start : start + cfg.batch_size]
+                logits, cache = forward(state.params, train.features[rows])
+                values, grads = objective_loss_batch(logits, train.labels[rows], rows, objective)
+                loss_sum += float(values.sum())
+                backward(state.params, cache, grads / rows.size, out=pgrads)
+                if cfg.weight_decay:
+                    pgrads.flat += cfg.weight_decay * state.params.flat
+                sgd_momentum_step(state.params, pgrads, state.vel, cfg.momentum, lr)
+            # every loss value is >= 0, so the sum is finite unless some value, or the sum, is not
+            if not math.isfinite(loss_sum):
+                raise RuntimeError(f"training diverged: non-finite loss at epoch {epoch}")
+            try:
+                preds = evaluate.predict(state.params, test, out=eval_out)
+            except ValueError as exc:
+                raise RuntimeError(f"training diverged: non-finite test logits at epoch {epoch}") from exc
+            report = evaluate.accuracy_report(preds, test.labels, tags)
+            state.log_rows.append(
+                MetricRow(epoch, loss_sum / N, lr, report.overall, report.many, report.medium, report.few)
+            )
 
     if out_ckpt is not None:
         write_checkpoint(out_ckpt, state)

@@ -247,10 +247,34 @@ class TestTrain:
         )
         assert run("make-data", "--config", cfg) == 0
         capsys.readouterr()
-        with np.errstate(over="ignore"):  # overflow is the point
-            assert run("train", "--config", cfg, "--role", "teacher") == 2
+        assert run("train", "--config", cfg, "--role", "teacher") == 2
         assert capsys.readouterr().err == "error: training diverged: non-finite test logits at epoch 0\n"
         assert os.listdir(out_dir) == ["resolved_config.txt"]
+
+    @pytest.mark.parametrize("setting", [{"lr": 1e150}, {"weight_decay": 1e300}], ids=["lr", "weight_decay"])
+    def test_non_finite_loss_exit_2_in_one_line(self, tmp_path, capsys, setting):
+        # the refusal once came after numpy's warnings and named the batch
+        cfg = write_config(tmp_path / "exp.cfg", data_dir=tmp_path / "data", out_dir=tmp_path / "out", **setting)
+        assert run("make-data", "--config", cfg) == 0
+        capsys.readouterr()
+        assert run("train", "--config", cfg, "--role", "teacher") == 2
+        assert capsys.readouterr().err == "error: training diverged: non-finite loss at epoch 0\n"
+        assert os.listdir(tmp_path / "out") == ["resolved_config.txt"]
+
+    def test_teacher_with_overflowing_logits_refused_in_one_line(self, tmp_path, capsys):
+        # the refusal once came after numpy's warning and printed every row
+        # of the teacher's logits on the training split
+        cfg = write_config(
+            tmp_path / "exp.cfg", n_max=64, rho=16.0, hidden_dims="8", data_dir=tmp_path / "data", out_dir=tmp_path / "out"
+        )
+        assert run("make-data", "--config", cfg) == 0
+        params = init_mlp((4, 8, 3), 0)
+        params.flat *= 1e200
+        ckpt = str(tmp_path / "huge.ckpt")
+        pipeline.write_checkpoint(ckpt, pipeline.RunState(params, MlpParams.zeros(params.dims), Rng(1), [], bytes(32)))
+        capsys.readouterr()
+        assert run("train", "--config", cfg, "--role", "student", "--teacher", ckpt) == 2
+        assert capsys.readouterr().err == "error: the teacher gives non-finite logits on the training split\n"
 
     def test_cb_baseline_completes_with_finite_losses(self, workspace):
         _, cfg, data_dir, out_dir = workspace
@@ -445,12 +469,15 @@ class TestEval:
         ckpt = str(tmp / "huge.ckpt")
         pipeline.write_checkpoint(ckpt, pipeline.RunState(params, MlpParams.zeros(params.dims), Rng(1), [], bytes(32)))
         capsys.readouterr()
-        with np.errstate(over="ignore"):  # overflow is the point
-            assert run("eval", "--ckpt", ckpt, "--data", data_dir / "test.csv", "--config", cfg) == 2
+        assert run("eval", "--ckpt", ckpt, "--data", data_dir / "test.csv", "--config", cfg) == 2
         assert capsys.readouterr().err == f"error: {ckpt}, {data_dir / 'test.csv'}: the model gives non-finite logits\n"
 
 
 class TestGradcheck:
+    def test_one_trial_is_enough(self, capsys):
+        assert run("gradcheck", "--trials", 1) == 0
+        assert "gradient check: 1 trials" in capsys.readouterr().out
+
     def test_passes_and_reports(self, capsys):
         assert run("gradcheck", "--trials", 100, "--seed", 1) == 0
         out = capsys.readouterr().out

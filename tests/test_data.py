@@ -50,6 +50,9 @@ class TestMakeLongtailCounts:
         counts = make_longtail_counts(ImbalanceProfile("exponential", 1000.0, 100, 10))
         assert counts.min() >= 1
 
+    def test_two_classes_may_be_imbalanced(self):
+        np.testing.assert_array_equal(make_longtail_counts(ImbalanceProfile("exponential", 4.0, 20, 2)), [20, 5])
+
     def test_single_class_needs_rho_one(self):
         with pytest.raises(ValueError):
             ImbalanceProfile("exponential", 10.0, 100, 1)
@@ -111,6 +114,10 @@ class TestSynthGaussianMixture:
         train, _ = synth_gaussian_mixture([5000], 8, separation=6.0, seed=2, per_class_test=1)
         mean = train.features.mean(axis=0)
         assert abs(np.linalg.norm(mean) - 6.0) < 0.2
+
+    def test_infinite_separation_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"^separation must be a nonnegative real, got inf$"):
+            synth_gaussian_mixture([5, 5], 3, float("inf"), seed=0, per_class_test=2)
 
     def test_dimension_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -225,6 +232,21 @@ class TestDiskFormat:
         path.write_text(text)
         with pytest.raises(ValueError, match="bad.csv"):
             load_dataset(str(path))
+
+    @pytest.mark.parametrize("C, d", [(1, 2), (2, 1)])
+    def test_one_class_or_one_feature_loads(self, tmp_path, C, d):
+        path = tmp_path / "narrow.csv"
+        path.write_text(f"longtail-csv v1, C={C}, d={d}\n0," + ",".join(["1.5"] * d) + "\n")
+        data = load_dataset(str(path))
+        assert (data.num_classes, data.dimension) == (C, d)
+        np.testing.assert_array_equal(data.features, [[1.5] * d])
+
+    def test_label_equal_to_the_class_count_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("longtail-csv v1, C=2, d=2\n1,1.0,2.0\n2,1.0,2.0\n")
+        with pytest.raises(ValueError) as info:
+            load_dataset(str(path))
+        assert str(info.value) == f"{path}:3: label 2 outside [0, 2)"
 
     @pytest.mark.parametrize(
         "row",
@@ -469,6 +491,10 @@ class TestLabeledDataset:
     def test_label_range_validated(self):
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((2, 2)), np.array([0, 5]), num_classes=2)
+
+    def test_label_equal_to_num_classes_rejected(self):
+        with pytest.raises(ValueError, match=r"^labels must lie in \[0, num_classes\)$"):
+            LabeledDataset(np.zeros((2, 2)), np.array([0, 2]), num_classes=2)
 
     def test_one_label_per_feature_row(self):
         with pytest.raises(ValueError) as info:

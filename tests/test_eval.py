@@ -207,5 +207,12 @@ class TestTemperatureSweep:
         with pytest.raises(ValueError, match="epoch"):
             temperature_sweep(train, test, teacher, replace(cfg, epochs=0), [2.0])
 
+    def test_one_epoch_is_enough(self):
+        # the last epoch a sweep reports may be its first
+        train, test, teacher, cfg = self._setup()
+        rows = temperature_sweep(train, test, teacher, replace(cfg, epochs=1), [2.0])
+        _, log = train_student(train, test, teacher, replace(cfg, epochs=1))
+        assert rows == [(2.0, log[0].acc_all)]
+
     def test_csv_rendering(self):
         assert sweep_to_csv([(1.0, 0.5)]) == "temperature,accuracy\n1.0,0.5\n"

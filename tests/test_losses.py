@@ -15,6 +15,7 @@ from longtail_kd.losses import (
     distill_grad_formula,
     kd_loss,
     objective_loss_batch,
+    softmax_rows,
 )
 from longtail_kd.mathutils import Rng, log_softmax_rows, softmax_with_temperature
 from longtail_kd.weights import effective_number_weights
@@ -423,3 +424,9 @@ class TestObjectiveKernelBits:
             ):
                 for a, b in zip(got, ref):
                     assert a.tobytes() == b.tobytes()
+
+
+def test_softmax_of_zero_column_logits_refused():
+    # numpy's own refusal, from the row max, would name neither the logits nor the rule
+    with pytest.raises(ValueError, match=r"^logits must be a matrix of finite reals with at least one column, got"):
+        softmax_rows(np.zeros((2, 0)))

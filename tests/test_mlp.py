@@ -162,6 +162,18 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(params, cache, np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("dims", [(4, 5, 3), (4, 3), (4, 1, 1), (1, 1)])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_every_gradient_shape_but_the_logits_refused(self, dims, buffered):
+        # backward checks no shape itself: numpy's matmul refuses each of these
+        params = init_mlp(dims, seed=0)
+        _, cache = forward(params, np.ones((2, dims[0])))
+        C = dims[-1]
+        shapes = [(3, C), (1, C), (2, C + 1), (2, C - 1), (2,), (C,), (2 * C,), (2, C, 1), (1, 2, C), ()]
+        for shape in shapes:
+            with pytest.raises(ValueError):
+                backward(params, cache, np.ones(shape), out=MlpParams.zeros(dims) if buffered else None)
+
 
 def preact_reference(params, X, grad_logits):
     """Logits and parameter gradients the allocating way: every layer's
@@ -302,8 +314,10 @@ class TestSgdMomentum:
     def test_mismatched_shapes_rejected(self):
         params = init_mlp([3, 4, 2], seed=0)
         grads = backward(params, forward(params, np.ones((1, 3)))[1], np.ones((1, 2)))
-        with pytest.raises(ValueError, match="shapes"):
-            sgd_momentum_step(params, grads, MlpParams.zeros((3, 5, 2)), 0.9, lr=0.1)
+        # (12, 2) has the 26 values of (3, 4, 2): only the dims tell it apart
+        for other in ((3, 5, 2), (12, 2)):
+            with pytest.raises(ValueError, match=r"^gradient or velocity shapes do not match parameters$"):
+                sgd_momentum_step(params, grads, MlpParams.zeros(other), 0.9, lr=0.1)
         with pytest.raises(ValueError, match="positive"):
             sgd_momentum_step(params, grads, MlpParams.zeros(params.dims), 0.9, lr=0.0)
 
@@ -327,6 +341,12 @@ class TestSgdMomentum:
             sgd_momentum_step(params, grads, vel, momentum, lr=0.1)
         assert str(info.value) == f"momentum must lie in [0, 1), got {momentum!r}"
         assert (params_to_bytes(params), params_to_bytes(vel)) == before
+
+    def test_momentum_of_exactly_one_refused(self):
+        params = init_mlp([3, 4, 2], seed=0)
+        grads = backward(params, forward(params, np.ones((1, 3)))[1], np.ones((1, 2)))
+        with pytest.raises(ValueError, match=r"^momentum must lie in \[0, 1\), got 1\.0$"):
+            sgd_momentum_step(params, grads, MlpParams.zeros(params.dims), 1.0, lr=0.1)
 
 
 class TestFlatStorage:
@@ -449,6 +469,12 @@ class TestSerialization:
             np.testing.assert_array_equal(a, b)
         x = Rng(56).normal((1, 5))
         np.testing.assert_array_equal(forward(params, x)[0], forward(loaded, x)[0])
+
+    def test_width_one_layers_round_trip(self):
+        params = init_mlp([1, 1], seed=3)
+        loaded = params_from_bytes(params_to_bytes(params))
+        assert loaded.dims == (1, 1)
+        assert loaded.flat.tobytes() == params.flat.tobytes()
 
     def test_magic_enforced(self):
         with pytest.raises(ValueError):

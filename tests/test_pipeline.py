@@ -146,6 +146,11 @@ class TestTrainTeacher:
         assert log[-1].loss < log[0].loss
         assert log[-1].acc_all >= 0.95
 
+    def test_class_with_one_training_row_trains(self):
+        train, test = synth_gaussian_mixture([5, 1], 4, separation=8.0, seed=3, per_class_test=2)
+        _, log = train_teacher(train, test, small_cfg(epochs=1))
+        assert [row.epoch for row in log] == [0]
+
     def test_zero_epochs_returns_initialized_params(self):
         from longtail_kd.mlp import init_mlp
 
@@ -203,9 +208,8 @@ class TestTrainTeacher:
     def test_divergence_aborts_with_diagnostic(self):
         train, test = two_class_separable()
         cfg = small_cfg(schedule=LrSchedule("constant", 1e30), epochs=30)
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is the point
-            with pytest.raises(RuntimeError, match="diverged"):
-                train_teacher(train, test, cfg)
+        with pytest.raises(RuntimeError, match="diverged"):
+            train_teacher(train, test, cfg)
 
     def test_non_finite_test_logits_stop_the_run(self):
         # the one step's loss is finite, so only the evaluation sees the
@@ -213,9 +217,22 @@ class TestTrainTeacher:
         cfg = {**default_config(), **OVERFLOWING_EVALUATION}
         counts = make_longtail_counts(imbalance_profile(cfg))
         train, test = synth_gaussian_mixture(counts, cfg["d"], cfg["separation"], cfg["data_seed"], cfg["per_class_test"])
-        with np.errstate(over="ignore"):  # overflow is the point
-            with pytest.raises(RuntimeError, match=r"^training diverged: non-finite test logits at epoch 0$"):
-                train_teacher(train, test, train_config(cfg))
+        with pytest.raises(RuntimeError, match=r"^training diverged: non-finite test logits at epoch 0$"):
+            train_teacher(train, test, train_config(cfg))
+
+    def test_infinite_loss_with_finite_test_logits_stops_the_run(self, tmp_path):
+        # each class-1 row's CE is inf, but its gradient and the test logits
+        # stay finite, so only the epoch's loss sum can refuse the run
+        split = LabeledDataset(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]]), np.array([0, 1, 0, 1]), 2)
+        cfg = TrainConfig(loss="ce", epochs=2, hidden_dims=(), schedule=LrSchedule("constant", 1e-300))
+        params = MlpParams.zeros((2, 2))
+        params.biases[0][:] = (9e307, -9e307)
+        log = [MetricRow(0, 1.0, 1e-300, 0.5, None, None, None)]
+        ckpt = str(tmp_path / "mid.ckpt")
+        digest = config_digest(pipeline.teacher_config(cfg))
+        write_checkpoint(ckpt, RunState(params, MlpParams.zeros(params.dims), Rng(1), log, digest))
+        with pytest.raises(RuntimeError, match=r"^training diverged: non-finite loss at epoch 1$"):
+            train_teacher(split, split, cfg, resume_from=ckpt)
 
     @pytest.mark.parametrize("epochs", [1, 2])  # biases start at 0: only a 2nd step decays them
     def test_weight_decay_matches_a_layer_by_layer_replay(self, epochs, monkeypatch):

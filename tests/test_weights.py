@@ -75,3 +75,7 @@ class TestNormalizeWeights:
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(ValueError):
             normalize_weights([1.0, 0.0])
+
+    def test_empty_weight_vector_rejected(self):
+        with pytest.raises(ValueError, match=r"^weights must be a non-empty vector of finite positive reals, one per class"):
+            normalize_weights([])
