@@ -7,8 +7,6 @@ the student's logits.
 import numpy as np
 
 from longtail_kd import (
-    BKDConfig,
-    KDConfig,
     bkd_loss,
     cb_loss,
     ce_loss,
@@ -34,8 +32,8 @@ print()
 results = {
     "ce ": ce_loss(z, y),
     "cb ": cb_loss(z, y, w),
-    "kd ": kd_loss(z, phat, y, KDConfig(alpha=0.5, temperature=T)),
-    "bkd": bkd_loss(z, phat, y, w, BKDConfig(beta=0.9999, temperature=T)),
+    "kd ": kd_loss(z, phat, y, alpha=0.5, temperature=T),
+    "bkd": bkd_loss(z, phat, y, w, temperature=T),
 }
 for name, r in results.items():
     print(f"{name}: value={r.value:8.4f}  grad={np.round(r.grad_logits, 4).tolist()}")
@@ -48,9 +46,7 @@ for name, r in results.items():
     print(f"  {name}: {r.grad_logits[y]:+.4f}")
 
 # Every analytic gradient is audited against central finite differences.
-fd = finite_difference_gradient(
-    lambda v: bkd_loss(v, phat, y, w, BKDConfig(temperature=T)).value, z
-)
+fd = finite_difference_gradient(lambda v: bkd_loss(v, phat, y, w, temperature=T).value, z)
 print("\nbkd analytic vs finite differences, max gap:",
       f"{np.abs(results['bkd'].grad_logits - fd).max():.2e}")
 

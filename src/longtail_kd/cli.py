@@ -120,6 +120,8 @@ def _load_run_inputs(cfg, model_path, data_path=None):
 
 def cmd_make_data(args):
     cfg = parse_config(args.config)
+    # the resolved config it echoes is one every other command accepts
+    train_config(cfg)
     # the profile and the synthesis check every dataset key: a value they
     # refuse is a config error, found before data_dir is made
     with _refused_as(ConfigError):

@@ -52,6 +52,12 @@ def _parse_lr_steps(s):
     return tuple(steps)
 
 
+def _parse_path(s):
+    if s == "":
+        raise ValueError("expected a path, got ''")
+    return s
+
+
 def _parse_optional_int(s):
     if s.strip() in ("", "none"):
         return None
@@ -96,8 +102,8 @@ KEY_SPECS = {
     "many_thresh": (_TRAIN.many_thresh, int, "class counts above this are many-shot"),
     "few_thresh": (_TRAIN.few_thresh, int, "class counts below this are few-shot"),
     # paths
-    "data_dir": ("data", str, "directory holding train.csv/test.csv"),
-    "out_dir": ("out", str, "directory for run outputs"),
+    "data_dir": ("data", _parse_path, "directory holding train.csv/test.csv"),
+    "out_dir": ("out", _parse_path, "directory for run outputs"),
 }
 
 

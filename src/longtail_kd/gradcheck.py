@@ -3,8 +3,8 @@
 The checker knows nothing about how the analytic gradients are computed: it
 only re-evaluates loss values at perturbed logits, so it stays a fully
 independent oracle for them. Each trial builds the four objectives the way
-training does (``Objective()``, ``Objective(w)``, ``KDConfig.objective`` and
-``BKDConfig.objective``) and takes one finite difference per objective: one
+training does (``Objective()``, ``Objective(w)``, ``kd_objective`` and
+``bkd_objective``) and takes one finite difference per objective: one
 ``objective_loss_batch`` call on the 2C + 1 rows z + h e_i, z - h e_i and z
 gives the central differences and, from its last row, the analytic
 gradient. Both that gradient and, for ``cb``, ``kd`` and ``bkd``, the one
@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .losses import BKDConfig, KDConfig, Objective, distill_grad_formula, objective_loss_batch
+from .losses import Objective, bkd_objective, distill_grad_formula, kd_objective, objective_loss_batch
 from .mathutils import Rng, check_int, check_logits, softmax_with_temperature
 
 _CHECKS = ("ce", "cb", "kd", "bkd", "cb_formula", "kd_formula", "bkd_formula")
@@ -56,21 +56,16 @@ def _finite_differences(objective, z, y):
     return (values[:C] - values[C : 2 * C]) / (2.0 * FD_STEP), grads[-1]
 
 
-def _random_instance(rng, num_classes):
-    z = 2.0 * rng.normal(num_classes)
-    teacher_logits = 2.0 * rng.normal(num_classes)
-    y = int(rng.uniform() * num_classes)
-    w = np.exp(rng.normal(num_classes))  # positive, spread over ~2 decades
-    return z, teacher_logits, y, w
-
-
 def _instances(seed):
     """Every trial's random instance, in order, from the one ``Rng(seed)``
     stream: (trial, z, teacher logits, y, w, alpha)."""
     rng = Rng(seed)
     for trial in itertools.count():
         num_classes = 2 + int(rng.uniform() * 9)  # C in {2..10}
-        z, t_logits, y, w = _random_instance(rng, num_classes)
+        z = 2.0 * rng.normal(num_classes)
+        t_logits = 2.0 * rng.normal(num_classes)
+        y = int(rng.uniform() * num_classes)
+        w = np.exp(rng.normal(num_classes))  # positive, spread over ~2 decades
         yield trial, z, t_logits, y, w, rng.uniform()
 
 
@@ -94,13 +89,10 @@ def run_gradient_checks(trials, seed):
             "ce": (Objective(),),
             "cb": (Objective(w), distill_grad_formula(z, np.eye(z.size)[y], y, 0.0, w[y], 1.0)),
             "kd": (
-                KDConfig(alpha=alpha, temperature=T).objective(phat[None]),
+                kd_objective(phat[None], alpha=alpha, temperature=T),
                 distill_grad_formula(z, phat, y, alpha, 1.0 - alpha, T),
             ),
-            "bkd": (
-                BKDConfig(temperature=T).objective(phat[None], w),
-                distill_grad_formula(z, q, y, 1.0, 1.0, T),
-            ),
+            "bkd": (bkd_objective(phat[None], w, temperature=T), distill_grad_formula(z, q, y, 1.0, 1.0, T)),
         }
         for name, (objective, *formula) in audits.items():
             fd, grad = _finite_differences(objective, z, y)

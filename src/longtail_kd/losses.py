@@ -12,12 +12,11 @@ returns each row's value and logit gradient. The four losses:
 * ``ce``  — weights 1, no targets: instance-balanced cross-entropy.
 * ``cb``  — the class weights, no targets: the true class's weight times CE.
 * ``kd``  — weights alpha, the teacher's soft targets, kl_coef 1 - alpha
-  (``KDConfig.objective``).
+  (``kd_objective``).
 * ``bkd`` — weights 1, kl_coef 1, and the teacher's soft targets times the
-  per-class weights, renormalized to a distribution q
-  (``BKDConfig.objective``). Renormalizing keeps the distillation term
-  nonnegative while leaving its gradient direction tilted toward rare
-  classes.
+  per-class weights, renormalized to a distribution q (``bkd_objective``).
+  Renormalizing keeps the distillation term nonnegative while leaving its
+  gradient direction tilted toward rare classes.
 
 Teacher probabilities are constants everywhere: no gradient flows to them.
 The cross-entropy term is always at temperature 1; only the distillation
@@ -27,7 +26,8 @@ KL toward a one-hot row, so ``ce`` and ``cb`` keep the sign of a zero loss.
 The kernel shifts each logit row by its max once and takes both the
 temperature-1 and the temperature-T log-softmax from that one shift. The
 per-sample ``ce_loss``, ``cb_loss``, ``kd_loss`` and ``bkd_loss`` validate
-their inputs and call the kernel with a single row.
+their inputs and call the kernel with a single row; the distillation pair
+take alpha and T as numbers and build their objective as training does.
 
 ``distill_grad_formula`` is the one closed-form gradient, kept as an
 independent diagnostic for every loss the training loop runs:
@@ -83,14 +83,8 @@ class KDConfig:
     temperature: float = 2.0
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", check_real(self.alpha, "alpha", lambda a: 0.0 <= a <= 1.0, "lie in [0, 1]"))
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         object.__setattr__(self, "temperature", check_temperature(self.temperature))
-
-    def objective(self, teacher_probs):
-        """alpha * CE + (1 - alpha) * T^2 * KL toward the (N, C) teacher
-        soft targets, which must already be softened at T."""
-        alphas = np.full(teacher_probs.shape[1], self.alpha)
-        return Objective(alphas, teacher_probs, 1.0 - self.alpha, self.temperature)
 
 
 @dataclass(frozen=True)
@@ -104,13 +98,15 @@ class BKDConfig:
         object.__setattr__(self, "beta", check_beta(self.beta))
         object.__setattr__(self, "temperature", check_temperature(self.temperature))
 
-    def objective(self, teacher_probs, w):
-        """CE + T^2 * KL toward ``balanced_targets(teacher_probs, w)``."""
-        return Objective(None, balanced_targets(teacher_probs, w), 1.0, self.temperature)
-
 
 # ---------------------------------------------------------------------------
 # validation helpers
+
+
+def check_alpha(alpha):
+    """``alpha`` as a float, or ValueError unless it is a real in [0, 1]:
+    the one rule for the cross-entropy weight of plain distillation."""
+    return check_real(alpha, "alpha", lambda a: 0.0 <= a <= 1.0, "lie in [0, 1]")
 
 
 def _check_label(y, num_classes):
@@ -154,6 +150,18 @@ def balanced_targets(teacher_probs, w):
     if np.any(mass <= 0):
         raise RuntimeError("weighted teacher mass is zero: teacher targets put no probability anywhere")
     return weighted / mass
+
+
+def kd_objective(teacher_probs, *, alpha, temperature):
+    """alpha * CE + (1 - alpha) * T^2 * KL toward the (N, C) teacher soft
+    targets, which must already be softened at T."""
+    alpha = check_alpha(alpha)
+    return Objective(np.full(teacher_probs.shape[1], alpha), teacher_probs, 1.0 - alpha, check_temperature(temperature))
+
+
+def bkd_objective(teacher_probs, w, *, temperature):
+    """CE + T^2 * KL toward ``balanced_targets(teacher_probs, w)``."""
+    return Objective(None, balanced_targets(teacher_probs, w), 1.0, check_temperature(temperature))
 
 
 def objective_loss_batch(Z, ys, rows, objective):
@@ -207,22 +215,20 @@ def cb_loss(z, y, w):
     return _one_row(z, y, Objective(check_weights(w, z.size)))
 
 
-def kd_loss(z, teacher_probs, y, cfg):
+def kd_loss(z, teacher_probs, y, *, alpha, temperature):
     """Blend of cross-entropy and temperature-scaled distillation.
 
-    ``teacher_probs`` must already be softened at cfg.temperature; the KL
+    ``teacher_probs`` must already be softened at ``temperature``; the KL
     term compares them with softmax(z / T) and is scaled by T^2, so its
     logit gradient carries a single factor of T.
     """
     z = check_logits(z)
     y = _check_label(y, z.size)
     phat = _check_probs(teacher_probs, z.size)
-    if not isinstance(cfg, KDConfig):
-        raise ValueError("cfg must be a KDConfig")
-    return _one_row(z, y, cfg.objective(phat[None, :]))
+    return _one_row(z, y, kd_objective(phat[None, :], alpha=alpha, temperature=temperature))
 
 
-def bkd_loss(z, teacher_probs, y, w, cfg):
+def bkd_loss(z, teacher_probs, y, w, *, temperature):
     """Cross-entropy plus class-prior-weighted distillation.
 
     The teacher's soft targets are reweighted per class and renormalized to
@@ -233,9 +239,7 @@ def bkd_loss(z, teacher_probs, y, w, cfg):
     z = check_logits(z)
     y = _check_label(y, z.size)
     phat = _check_probs(teacher_probs, z.size)
-    if not isinstance(cfg, BKDConfig):
-        raise ValueError("cfg must be a BKDConfig")
-    return _one_row(z, y, cfg.objective(phat[None, :], w))  # w is checked in balanced_targets
+    return _one_row(z, y, bkd_objective(phat[None, :], w, temperature=temperature))  # w is checked in balanced_targets
 
 
 def distill_grad_formula(z, targets, y, ce_coef, kl_coef, temperature):

@@ -52,7 +52,7 @@ import numpy as np
 
 from . import evaluate
 from .data import check_thresholds, open_input, open_output, subset_tags
-from .losses import BKDConfig, KDConfig, Objective, objective_loss_batch, softmax_rows
+from .losses import BKDConfig, KDConfig, Objective, bkd_objective, kd_objective, objective_loss_batch, softmax_rows
 from .mathutils import Rng, check_int, check_real, check_temperature, derive_seed
 from .mlp import (
     BlobReader,
@@ -311,12 +311,15 @@ def _epoch_objective(cfg, epoch, teacher, train, objectives):
         elif kind == "cb":
             objectives[kind] = Objective(normalize_weights(w))
         else:
-            X, n, distill = train.features, cfg.batch_size, cfg.kd if kind == "kd" else cfg.bkd
+            X, n, T = train.features, cfg.batch_size, (cfg.kd if kind == "kd" else cfg.bkd).temperature
             t_logits = np.vstack([forward(teacher, X[s : s + n])[0] for s in range(0, len(X), n)])
             if not np.isfinite(t_logits).all():
                 raise ValueError("the teacher gives non-finite logits on the training split")
-            phat = softmax_rows(t_logits, distill.temperature)
-            objectives[kind] = cfg.kd.objective(phat) if kind == "kd" else cfg.bkd.objective(phat, w)
+            phat = softmax_rows(t_logits, T)
+            if kind == "kd":
+                objectives[kind] = kd_objective(phat, alpha=cfg.kd.alpha, temperature=T)
+            else:
+                objectives[kind] = bkd_objective(phat, w, temperature=T)
     return objectives[kind]
 
 

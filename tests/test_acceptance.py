@@ -18,9 +18,11 @@ from longtail_kd.losses import (
     KDConfig,
     Objective,
     bkd_loss,
+    bkd_objective,
     cb_loss,
     ce_loss,
     kd_loss,
+    kd_objective,
     distill_grad_formula,
     objective_loss_batch,
     softmax_rows,
@@ -78,16 +80,15 @@ def test_criterion_03_closed_form_oracle_agreement():
 
         q = w * phat
         q = q / q.sum()
-        bkd_cfg = BKDConfig(temperature=T)
         bkd_formula = distill_grad_formula(z, q, y, 1.0, 1.0, T)
         kd_formula = distill_grad_formula(z, phat, y, alpha, 1.0 - alpha, T)
         gap = max(
-            np.abs(bkd_formula - bkd_loss(z, phat, y, w, bkd_cfg).grad_logits).max(),
-            np.abs(kd_formula - kd_loss(z, phat, y, KDConfig(alpha=alpha, temperature=T)).grad_logits).max(),
+            np.abs(bkd_formula - bkd_loss(z, phat, y, w, temperature=T).grad_logits).max(),
+            np.abs(kd_formula - kd_loss(z, phat, y, alpha=alpha, temperature=T).grad_logits).max(),
         )
         worst_distill = max(worst_distill, float(gap))
 
-        fd = finite_difference_gradient(lambda v: bkd_loss(v, phat, y, w, bkd_cfg).value, z)
+        fd = finite_difference_gradient(lambda v: bkd_loss(v, phat, y, w, temperature=T).value, z)
         worst_fd = max(worst_fd, float(np.abs(bkd_formula - fd).max()))
 
     ok = worst_cb <= 1e-12 and worst_distill <= 1e-12 and worst_fd <= 1e-7
@@ -108,7 +109,7 @@ def test_criterion_04_distillation_term_nonnegative():
         w = np.exp(2.0 * rng.normal(C))
         T = (1.0, 2.0, 4.0)[int(rng.uniform() * 3)]
         phat = softmax_with_temperature(3.0 * rng.normal(C), T)
-        distill = bkd_loss(z, phat, y, w, BKDConfig(temperature=T)).value - ce_loss(z, y).value
+        distill = bkd_loss(z, phat, y, w, temperature=T).value - ce_loss(z, y).value
         worst = min(worst, distill)
     _report("04 balanced distillation term nonnegative (1000 instances)", worst >= -1e-12, f"min={worst:.2e}")
 
@@ -129,12 +130,12 @@ def test_criterion_05_reduction_laws():
             gaps["cb=ce"], abs(cb.value - ce.value), float(np.abs(cb.grad_logits - ce.grad_logits).max())
         )
 
-        kd = kd_loss(z, phat, y, KDConfig(alpha=1.0, temperature=T))
+        kd = kd_loss(z, phat, y, alpha=1.0, temperature=T)
         gaps["kd=ce"] = max(
             gaps["kd=ce"], abs(kd.value - ce.value), float(np.abs(kd.grad_logits - ce.grad_logits).max())
         )
 
-        bkd = bkd_loss(z, phat, y, 3.7 * np.ones(C), BKDConfig(temperature=T))
+        bkd = bkd_loss(z, phat, y, 3.7 * np.ones(C), temperature=T)
         p_T = softmax_with_temperature(z, T)
         mask = phat > 0
         kl = float((phat[mask] * (np.log(phat[mask]) - np.log(p_T[mask]))).sum())
@@ -252,15 +253,13 @@ def test_criterion_08_model_gradient_check():
     rng = Rng(23)
     d, hidden, C = 6, 8, 4
     w_vec = np.exp(rng.normal(C))
-    kd_cfg = KDConfig(alpha=0.4, temperature=2.0)
-    bkd_cfg = BKDConfig(temperature=2.0)
 
     def batch_loss(kind, logits, ys, phat):
         objective = {
             "ce": Objective(),
             "cb": Objective(w_vec),
-            "kd": kd_cfg.objective(phat),
-            "bkd": bkd_cfg.objective(phat, w_vec),
+            "kd": kd_objective(phat, alpha=0.4, temperature=2.0),
+            "bkd": bkd_objective(phat, w_vec, temperature=2.0),
         }[kind]
         values, grads = objective_loss_batch(logits, ys, np.arange(len(ys)), objective)
         return float(values.mean()), grads / logits.shape[0]

@@ -859,6 +859,7 @@ class TestConfigHandling:
         "key, value",
         [
             ("batch_size", 0), ("momentum", 1.5), ("temperature", -1), ("weight_decay", "nan"), ("weight_decay", "inf"),
+            ("lr", -1),
             # against the default pair (100, 20): inverted, equal, non-positive
             ("many_thresh", 10), ("few_thresh", 100), ("few_thresh", 0),
         ],
@@ -869,15 +870,29 @@ class TestConfigHandling:
             ("train", "--role", "teacher"),
             ("sweep-temp", "--temps", 2),
             ("eval", "--ckpt", "absent.ckpt", "--data", "absent.csv"),
+            # make-data once wrote its data and echoed the refused value into data/resolved_config.txt
+            ("make-data",),
         ],
     )
     def test_value_the_training_config_rejects_is_config_error(self, tmp_path, capsys, key, value, command):
-        # refused before any data is read: the data directory does not exist
-        out_dir = tmp_path / "out"
-        cfg = write_config(tmp_path / "bad.cfg", data_dir=tmp_path / "data", out_dir=out_dir, **{key: value})
+        # refused before any data is read or written: the data directory does not exist
+        out_dir, data_dir = tmp_path / "out", tmp_path / "data"
+        cfg = write_config(tmp_path / "bad.cfg", data_dir=data_dir, out_dir=out_dir, **{key: value})
         assert run(command[0], "--config", cfg, *command[1:]) == 1
         assert "config error" in capsys.readouterr().err
-        assert not out_dir.exists()
+        assert not out_dir.exists() and not data_dir.exists()
+
+    @pytest.mark.parametrize("key", ["data_dir", "out_dir"])
+    @pytest.mark.parametrize("command", [("make-data",), ("train", "--role", "teacher")])
+    def test_empty_path_is_config_error_naming_the_line(self, tmp_path, monkeypatch, capsys, key, command):
+        # make-data once exited 2 with "error: : cannot write the data_dir",
+        # and train read train.csv from the working directory
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "empty-path.cfg"
+        cfg.write_text(f"epochs = 1\n{key} =\n")
+        assert run(command[0], "--config", cfg, *command[1:]) == 1
+        assert capsys.readouterr().err == f"config error: {cfg}:2: bad value for '{key}': expected a path, got ''\n"
+        assert os.listdir(tmp_path) == ["empty-path.cfg"]
 
     @pytest.mark.parametrize("steps", ["1:0", "1:-0.5", "2:0.5,3:nan", "1:inf", "-1:0.5"])
     @pytest.mark.parametrize("role", ["teacher", "student"])

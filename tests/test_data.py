@@ -379,8 +379,10 @@ class TestSidecar:
             lambda blob: _reseal(b"longtail-bin v2" + _flip_last_feature_byte(blob)[15:]),
             # 40 x (3 + 1) values recast as 80 x (1 + 1): same size, d disagrees with the header
             lambda blob: _reseal(blob[:47] + struct.pack("<qq", 80, 1) + blob[63:]),
+            # shorter than its 63-byte header, which struct could not unpack
+            lambda blob: blob[:40],
         ],
-        ids=["flipped-payload-byte", "truncated", "wrong-magic", "wrong-shape"],
+        ids=["flipped-payload-byte", "truncated", "wrong-magic", "wrong-shape", "cut-inside-header"],
     )
     def test_damaged_sidecar_falls_back_to_text(self, tmp_path, corrupt):
         data = _awkward_dataset(rows=40)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from longtail_kd.gradcheck import _finite_differences, finite_difference_gradient, run_gradient_checks
-from longtail_kd.losses import BKDConfig, KDConfig, Objective, bkd_loss, cb_loss, ce_loss, kd_loss
+from longtail_kd.losses import Objective, bkd_loss, bkd_objective, cb_loss, ce_loss, kd_loss, kd_objective
 from longtail_kd.mathutils import Rng, softmax_with_temperature
 
 # the worst error per gradient, as float64 hex, that one finite difference
@@ -65,12 +65,15 @@ def test_batched_differences_equal_the_per_sample_path_bit_for_bit(num_classes, 
     phat = softmax_with_temperature(2.0 * rng.normal(num_classes), T)
     y = int(rng.uniform() * num_classes)
     w = np.exp(rng.normal(num_classes))
-    kd_cfg, bkd_cfg = KDConfig(alpha=rng.uniform(), temperature=T), BKDConfig(temperature=T)
+    alpha = rng.uniform()
     per_sample, objective = {
         "ce": (lambda v: ce_loss(v, y), Objective()),
         "cb": (lambda v: cb_loss(v, y, w), Objective(w)),
-        "kd": (lambda v: kd_loss(v, phat, y, kd_cfg), kd_cfg.objective(phat[None])),
-        "bkd": (lambda v: bkd_loss(v, phat, y, w, bkd_cfg), bkd_cfg.objective(phat[None], w)),
+        "kd": (
+            lambda v: kd_loss(v, phat, y, alpha=alpha, temperature=T),
+            kd_objective(phat[None], alpha=alpha, temperature=T),
+        ),
+        "bkd": (lambda v: bkd_loss(v, phat, y, w, temperature=T), bkd_objective(phat[None], w, temperature=T)),
     }[loss]
     fd, grad = _finite_differences(objective, z, y)
     assert fd.tobytes() == finite_difference_gradient(lambda v: per_sample(v).value, z).tobytes()

@@ -5,15 +5,16 @@ import pytest
 
 from longtail_kd.gradcheck import finite_difference_gradient
 from longtail_kd.losses import (
-    BKDConfig,
     KDConfig,
     Objective,
     bkd_loss,
+    bkd_objective,
     balanced_targets,
     cb_loss,
     ce_loss,
     distill_grad_formula,
     kd_loss,
+    kd_objective,
     objective_loss_batch,
     softmax_rows,
 )
@@ -128,16 +129,15 @@ class TestKdLoss:
     def test_student_matching_teacher_kills_kl_term(self):
         rng = Rng(38)
         z, y, _, _ = random_case(rng, 5)
-        cfg = KDConfig(alpha=0.3, temperature=2.0)
-        phat = softmax_with_temperature(z, cfg.temperature)
-        r = kd_loss(z, phat, y, cfg)
-        assert abs(r.value - cfg.alpha * ce_loss(z, y).value) < 1e-12
+        phat = softmax_with_temperature(z, 2.0)
+        r = kd_loss(z, phat, y, alpha=0.3, temperature=2.0)
+        assert abs(r.value - 0.3 * ce_loss(z, y).value) < 1e-12
 
     def test_alpha_one_is_plain_ce(self):
         rng = Rng(39)
         z, y, _, tl = random_case(rng, 6)
         phat = softmax_with_temperature(tl, 4.0)
-        r = kd_loss(z, phat, y, KDConfig(alpha=1.0, temperature=4.0))
+        r = kd_loss(z, phat, y, alpha=1.0, temperature=4.0)
         c = ce_loss(z, y)
         assert abs(r.value - c.value) < 1e-12
         assert np.abs(r.grad_logits - c.grad_logits).max() < 1e-12
@@ -146,37 +146,42 @@ class TestKdLoss:
         rng = Rng(40)
         for T in (1.0, 2.0, 4.0):
             z, y, _, tl = random_case(rng, 5)
-            cfg = KDConfig(alpha=0.5, temperature=T)
             phat = softmax_with_temperature(tl, T)
-            fd = finite_difference_gradient(lambda v: kd_loss(v, phat, y, cfg).value, z)
-            assert np.abs(kd_loss(z, phat, y, cfg).grad_logits - fd).max() < 1e-7
+            fd = finite_difference_gradient(lambda v: kd_loss(v, phat, y, alpha=0.5, temperature=T).value, z)
+            assert np.abs(kd_loss(z, phat, y, alpha=0.5, temperature=T).grad_logits - fd).max() < 1e-7
 
     def test_zero_teacher_entries_contribute_nothing(self):
         z = np.array([0.3, -0.2, 0.6])
         phat = np.array([0.0, 0.25, 0.75])
-        cfg = KDConfig(alpha=0.0, temperature=2.0)
-        r = kd_loss(z, phat, y=1, cfg=cfg)
+        r = kd_loss(z, phat, y=1, alpha=0.0, temperature=2.0)
         p = softmax_with_temperature(z, 2.0)
         assert abs(r.value - 4.0 * kl(phat, p)) < 1e-12
         assert np.isfinite(r.grad_logits).all()
 
     def test_huge_logit_below_unit_temperature_gives_no_nan(self):
         # KL(phat || p_T) correctly rounds to +inf here; the gradient is finite
-        r = kd_loss([1e308, 0.0], [0.5, 0.5], 0, KDConfig(alpha=0.5, temperature=0.5))
+        r = kd_loss([1e308, 0.0], [0.5, 0.5], 0, alpha=0.5, temperature=0.5)
         assert r.value == math.inf
         np.testing.assert_array_equal(r.grad_logits, [0.125, -0.125])
 
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            KDConfig(alpha=1.5)
-        with pytest.raises(ValueError):
-            KDConfig(temperature=0.0)
-        with pytest.raises(ValueError):
-            kd_loss(np.zeros(2), np.array([0.5, 0.5]), 0, cfg=None)
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"alpha": 1.5, "temperature": 2.0}, "alpha must lie in [0, 1], got 1.5"),
+            ({"alpha": 0.5, "temperature": 0}, "temperature must be a positive finite real, got 0"),
+        ],
+        ids=["alpha-1.5", "temperature-0"],
+    )
+    def test_invalid_settings_rejected(self, settings, message):
+        # the loss once took a KDConfig; the record and the loss share one rule per setting
+        for make in (lambda: kd_loss(np.zeros(2), np.array([0.5, 0.5]), 0, **settings), lambda: KDConfig(**settings)):
+            with pytest.raises(ValueError) as info:
+                make()
+            assert str(info.value) == message
 
     def test_teacher_probs_validated(self):
         with pytest.raises(ValueError):
-            kd_loss(np.zeros(2), np.array([0.9, 0.3]), 0, KDConfig())
+            kd_loss(np.zeros(2), np.array([0.9, 0.3]), 0, alpha=0.5, temperature=2.0)
 
 
 class TestBkdLoss:
@@ -185,16 +190,15 @@ class TestBkdLoss:
         for T in (1.0, 2.0, 4.0):
             z, y, _, tl = random_case(rng, 6)
             phat = softmax_with_temperature(tl, T)
-            cfg = BKDConfig(temperature=T)
-            r = bkd_loss(z, phat, y, 0.37 * np.ones(6), cfg)
+            r = bkd_loss(z, phat, y, 0.37 * np.ones(6), temperature=T)
             expected = ce_loss(z, y).value + T * T * kl(phat, softmax_with_temperature(z, T))
             assert abs(r.value - expected) < 1e-10
-            kd_r = kd_loss(z, phat, y, KDConfig(alpha=0.5, temperature=T))
+            kd_r = kd_loss(z, phat, y, alpha=0.5, temperature=T)
             assert np.abs(r.grad_logits - 2.0 * kd_r.grad_logits).max() < 1e-10
 
     def test_uniform_everything_leaves_pure_ce(self):
         C = 4
-        r = bkd_loss(np.zeros(C), np.full(C, 1.0 / C), 2, np.ones(C), BKDConfig(temperature=2.0))
+        r = bkd_loss(np.zeros(C), np.full(C, 1.0 / C), 2, np.ones(C), temperature=2.0)
         assert abs(r.value - math.log(C)) < 1e-12
 
     def test_gradient_matches_finite_differences(self):
@@ -203,10 +207,9 @@ class TestBkdLoss:
         w = effective_number_weights(counts, 0.99)
         for T in (1.0, 2.0, 4.0):
             z, y, _, tl = random_case(rng, 5)
-            cfg = BKDConfig(beta=0.99, temperature=T)
             phat = softmax_with_temperature(tl, T)
-            fd = finite_difference_gradient(lambda v: bkd_loss(v, phat, y, w, cfg).value, z)
-            assert np.abs(bkd_loss(z, phat, y, w, cfg).grad_logits - fd).max() < 1e-7
+            fd = finite_difference_gradient(lambda v: bkd_loss(v, phat, y, w, temperature=T).value, z)
+            assert np.abs(bkd_loss(z, phat, y, w, temperature=T).grad_logits - fd).max() < 1e-7
 
     def test_distillation_term_nonnegative(self):
         # Gibbs' inequality must survive the reweighting because the weighted
@@ -216,15 +219,15 @@ class TestBkdLoss:
             C = 2 + int(rng.uniform() * 9)
             z, y, w, tl = random_case(rng, C)
             T = (1.0, 2.0, 4.0)[int(rng.uniform() * 3)]
-            cfg = BKDConfig(temperature=T)
             phat = softmax_with_temperature(tl, T)
-            distill = bkd_loss(z, phat, y, w, cfg).value - ce_loss(z, y).value
+            distill = bkd_loss(z, phat, y, w, temperature=T).value - ce_loss(z, y).value
             assert distill >= -1e-12
 
-    def test_config_of_another_loss_rejected(self):
+    def test_invalid_temperature_rejected(self):
+        # the loss once took a BKDConfig, whose beta it never read
         with pytest.raises(ValueError) as info:
-            bkd_loss(np.zeros(2), np.array([0.5, 0.5]), 0, np.ones(2), KDConfig())
-        assert str(info.value) == "cfg must be a BKDConfig"
+            bkd_loss(np.zeros(2), np.array([0.5, 0.5]), 0, np.ones(2), temperature=0)
+        assert str(info.value) == "temperature must be a positive finite real, got 0"
 
     def test_zero_weighted_teacher_mass_is_internal_error(self):
         # unreachable through the validated entry point (weights are positive
@@ -236,9 +239,8 @@ class TestBkdLoss:
         rng = Rng(44)
         z, y, w, tl = random_case(rng, 5)
         phat = softmax_with_temperature(tl, 2.0)
-        cfg = BKDConfig(temperature=2.0)
-        a = bkd_loss(z, phat, y, w, cfg)
-        b = bkd_loss(z, phat, y, 1000.0 * w, cfg)
+        a = bkd_loss(z, phat, y, w, temperature=2.0)
+        b = bkd_loss(z, phat, y, 1000.0 * w, temperature=2.0)
         assert abs(a.value - b.value) < 1e-10
         assert np.abs(a.grad_logits - b.grad_logits).max() < 1e-12
 
@@ -257,9 +259,9 @@ class TestDistillGradFormula:
             T = (1.0, 2.0, 4.0)[i % 3]
             alpha = (i % 5) / 4
             phat = softmax_with_temperature(tl, T)
-            kd = kd_loss(z, phat, y, KDConfig(alpha=alpha, temperature=T)).grad_logits
+            kd = kd_loss(z, phat, y, alpha=alpha, temperature=T).grad_logits
             assert np.abs(distill_grad_formula(z, phat, y, alpha, 1.0 - alpha, T) - kd).max() <= 1e-12
-            bkd = bkd_loss(z, phat, y, w, BKDConfig(temperature=T)).grad_logits
+            bkd = bkd_loss(z, phat, y, w, temperature=T).grad_logits
             assert np.abs(distill_grad_formula(z, balanced(phat, w), y, 1.0, 1.0, T) - bkd).max() <= 1e-12
 
     def test_matches_finite_differences_of_bkd_loss(self):
@@ -268,8 +270,7 @@ class TestDistillGradFormula:
             z, y, w, tl = random_case(rng, 6)
             T = (1.0, 2.0, 4.0)[i % 3]
             phat = softmax_with_temperature(tl, T)
-            cfg = BKDConfig(temperature=T)
-            fd = finite_difference_gradient(lambda v: bkd_loss(v, phat, y, w, cfg).value, z)
+            fd = finite_difference_gradient(lambda v: bkd_loss(v, phat, y, w, temperature=T).value, z)
             assert np.abs(distill_grad_formula(z, balanced(phat, w), y, 1.0, 1.0, T) - fd).max() < 1e-7
 
     def test_zero_kl_coef_is_the_ce_gradient(self):
@@ -293,7 +294,7 @@ class TestDistillGradFormula:
         for T in (0.5, 1.0, 4.0):
             g = distill_grad_formula(z, phat, 1, 1.0, 1.0, T)
             assert np.isfinite(g).all()
-            kd = kd_loss(z, phat, 1, KDConfig(alpha=0.5, temperature=T)).grad_logits
+            kd = kd_loss(z, phat, 1, alpha=0.5, temperature=T).grad_logits
             assert np.abs(0.5 * g - kd).max() < 1e-12
 
     @pytest.mark.parametrize(
@@ -313,24 +314,22 @@ class TestBatchConsistency:
         TL = 2.0 * rng.normal((N, C))
         ys = (rng.uniform(N) * C).astype(np.int64)
         w = np.exp(rng.normal(C))
-        kd_cfg = KDConfig(alpha=0.3, temperature=2.0)
-        bkd_cfg = BKDConfig(temperature=2.0)
         phat = np.vstack([softmax_with_temperature(TL[i], 2.0) for i in range(N)])
 
         rows = np.arange(N)
         cev, ceg = objective_loss_batch(Z, ys, None, Objective())
         cbv, cbg = objective_loss_batch(Z, ys, None, Objective(w))
-        kdv, kdg = objective_loss_batch(Z, ys, rows, kd_cfg.objective(phat))
-        bkv, bkg = objective_loss_batch(Z, ys, rows, bkd_cfg.objective(phat, w))
+        kdv, kdg = objective_loss_batch(Z, ys, rows, kd_objective(phat, alpha=0.3, temperature=2.0))
+        bkv, bkg = objective_loss_batch(Z, ys, rows, bkd_objective(phat, w, temperature=2.0))
         for i in range(N):
             y = int(ys[i])
             r = ce_loss(Z[i], y)
             assert r.value == cev[i] and np.array_equal(r.grad_logits, ceg[i])
             r = cb_loss(Z[i], y, w)
             assert r.value == cbv[i] and np.array_equal(r.grad_logits, cbg[i])
-            r = kd_loss(Z[i], phat[i], y, kd_cfg)
+            r = kd_loss(Z[i], phat[i], y, alpha=0.3, temperature=2.0)
             assert r.value == kdv[i] and np.array_equal(r.grad_logits, kdg[i])
-            r = bkd_loss(Z[i], phat[i], y, w, bkd_cfg)
+            r = bkd_loss(Z[i], phat[i], y, w, temperature=2.0)
             assert r.value == bkv[i] and np.array_equal(r.grad_logits, bkg[i])
 
 
@@ -370,7 +369,7 @@ class TestDistillKernelBits:
             phat[:, 0] += 1e-3
             phat /= phat.sum(axis=1, keepdims=True)
             ys = (rng.uniform(N) * C).astype(np.int64)
-            kd, bkd = KDConfig(alpha=0.3, temperature=T).objective(phat), BKDConfig(temperature=T).objective(phat, w)
+            kd, bkd = kd_objective(phat, alpha=0.3, temperature=T), bkd_objective(phat, w, temperature=T)
             for objective, ce_coef in ((kd, 0.3), (bkd, 1.0)):
                 got = objective_loss_batch(Z, ys, np.arange(N), objective)
                 ref = two_softmax_reference(Z, objective.targets, ys, ce_coef, objective.kl_coef, T)

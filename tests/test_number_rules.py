@@ -72,6 +72,9 @@ REALS = {
     "KDConfig.alpha": (lambda v: KDConfig(alpha=v).alpha, 0.5, 1),
     "KDConfig.temperature": (lambda v: KDConfig(temperature=v).temperature, 2.5, 2),
     "BKDConfig.beta": (lambda v: BKDConfig(beta=v).beta, 0.5, None),
+    "kd_loss alpha": (lambda v: _loss(kd_loss(LOGITS, PROBS, 1, alpha=v, temperature=2)).tobytes(), 0.5, 1),
+    "kd_loss temperature": (lambda v: _loss(kd_loss(LOGITS, PROBS, 1, alpha=0.5, temperature=v)).tobytes(), 2.5, 2),
+    "bkd_loss temperature": (lambda v: _loss(bkd_loss(LOGITS, PROBS, 1, WEIGHTS, temperature=v)).tobytes(), 2.5, 2),
     "LrSchedule.base_lr": (lambda v: LrSchedule("cosine", v).base_lr, 0.5, 1),
     "LrSchedule step factor": (lambda v: LrSchedule("step", 0.5, ((2, v),)).steps[0][1], 0.25, 2),
     "ImbalanceProfile.rho": (lambda v: ImbalanceProfile("exponential", v, 100, 4).rho, 10.5, 10),
@@ -110,13 +113,15 @@ REAL_ARRAYS = {
     "ce_loss logits": ("logits", lambda v: _loss(ce_loss(v, 1)), LOGITS, [LOGITS]),
     "cb_loss logits": ("logits", lambda v: _loss(cb_loss(v, 1, WEIGHTS)), LOGITS, [LOGITS]),
     "cb_loss weights": ("weights", lambda v: _loss(cb_loss(LOGITS, 1, v)), WEIGHTS, WEIGHTS + [1.0]),
-    "kd_loss logits": ("logits", lambda v: _loss(kd_loss(v, PROBS, 1, KDConfig())), LOGITS, [LOGITS]),
-    "kd_loss teacher_probs": ("teacher_probs", lambda v: _loss(kd_loss(LOGITS, v, 1, KDConfig())), PROBS, PROBS[1:]),
-    "bkd_loss logits": ("logits", lambda v: _loss(bkd_loss(v, PROBS, 1, WEIGHTS, BKDConfig())), LOGITS, [LOGITS]),
-    "bkd_loss teacher_probs": (
-        "teacher_probs", lambda v: _loss(bkd_loss(LOGITS, v, 1, WEIGHTS, BKDConfig())), PROBS, [PROBS]
+    "kd_loss logits": ("logits", lambda v: _loss(kd_loss(v, PROBS, 1, alpha=0.5, temperature=2.0)), LOGITS, [LOGITS]),
+    "kd_loss teacher_probs": (
+        "teacher_probs", lambda v: _loss(kd_loss(LOGITS, v, 1, alpha=0.5, temperature=2.0)), PROBS, PROBS[1:]
     ),
-    "bkd_loss weights": ("weights", lambda v: _loss(bkd_loss(LOGITS, PROBS, 1, v, BKDConfig())), WEIGHTS, [1.0]),
+    "bkd_loss logits": ("logits", lambda v: _loss(bkd_loss(v, PROBS, 1, WEIGHTS, temperature=2.0)), LOGITS, [LOGITS]),
+    "bkd_loss teacher_probs": (
+        "teacher_probs", lambda v: _loss(bkd_loss(LOGITS, v, 1, WEIGHTS, temperature=2.0)), PROBS, [PROBS]
+    ),
+    "bkd_loss weights": ("weights", lambda v: _loss(bkd_loss(LOGITS, PROBS, 1, v, temperature=2.0)), WEIGHTS, [1.0]),
     "distill_grad_formula logits": ("logits", lambda v: distill_grad_formula(v, PROBS, 1, 0.5, 0.5, 2.0), LOGITS, []),
     "distill_grad_formula targets": (
         "targets", lambda v: distill_grad_formula(LOGITS, v, 1, 0.5, 0.5, 2.0), PROBS, PROBS + [0.0]

@@ -14,6 +14,7 @@ from longtail_kd.losses import (
     KDConfig,
     Objective,
     balanced_targets,
+    bkd_objective,
     objective_loss_batch,
     softmax_rows,
 )
@@ -347,7 +348,7 @@ class TestTrainStudent:
         t_logits, _ = forward(teacher, X)
         phat = softmax_rows(t_logits, cfg.bkd.temperature)
         w = effective_number_weights(train.class_counts, cfg.bkd.beta)
-        bkd_values, _ = objective_loss_batch(logits, ys, np.arange(len(ys)), cfg.bkd.objective(phat, w))
+        bkd_values, _ = objective_loss_batch(logits, ys, np.arange(len(ys)), bkd_objective(phat, w, temperature=cfg.bkd.temperature))
         ce_values, _ = objective_loss_batch(logits, ys, None, Objective())
         T = cfg.bkd.temperature
         log_pT = np.log(softmax_rows(logits, T))
