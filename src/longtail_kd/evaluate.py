@@ -45,8 +45,10 @@ def predict(params, data, out=None):
 
     ``out`` is passed on to ``forward``: per-layer (len(data), fan_out)
     buffers that a caller scoring the same split every epoch allocates once.
-    ``forward`` refuses data of another width than the model's input; it
-    overflows quietly, and non-finite logits, with no argmax, are a ValueError.
+    ``forward`` refuses data of another width than the model's input and
+    scores in the model's dtype, so a float32 checkpoint scores as the run
+    that wrote it did; it overflows quietly, and non-finite logits, with no
+    argmax, are a ValueError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         logits, _ = forward(params, data.features, out=out)

@@ -2,12 +2,13 @@
 
 The checker knows nothing about how the analytic gradients are computed: it
 only re-evaluates loss values at perturbed logits, so it stays a fully
-independent oracle for them. Each trial builds the four objectives the way
-training does (``Objective()``, ``Objective(w)``, ``kd_objective`` and
-``bkd_objective``) and takes one finite difference per objective: one
-``objective_loss_batch`` call on the 2C + 1 rows z + h e_i, z - h e_i and z
-gives the central differences and, from its last row, the analytic
-gradient. Both that gradient and, for ``cb``, ``kd`` and ``bkd``, the one
+independent oracle for them. Each trial builds the four objectives with
+training's constructors (``Objective()``, ``Objective(w)``, ``kd_objective``
+and ``bkd_objective``), but keeps them in float64, which a run rounds to
+float32, so the differences have float64's headroom. It takes one finite
+difference per objective: one ``objective_loss_batch`` call on the 2C + 1
+rows z + h e_i, z - h e_i and z gives the central differences and, from
+its last row, the analytic gradient. Both that gradient and, for ``cb``, ``kd`` and ``bkd``, the one
 closed form ``distill_grad_formula`` (the ``*_formula`` rows; ``cb`` is
 distillation toward the indicator of y at T = 1, scaled by w_y) are held
 against the differences. The trials run in order from one seeded stream of

@@ -129,7 +129,8 @@ def softmax_rows(Z, temperature=1.0):
     """Row-wise temperature softmax of a (N, C) logit matrix."""
     rule = "be a matrix of finite reals with at least one column"
     Z = check_real_array(Z, "logits", lambda Z: Z.shape[1] > 0, rule, (None, None))
-    return np.exp(log_softmax_rows(Z, check_temperature(temperature)))
+    with np.errstate(over="ignore"):
+        return np.exp(log_softmax_rows(Z, check_temperature(temperature)))
 
 
 def _ce_rows(log_p, ys):
@@ -141,10 +142,17 @@ def _ce_rows(log_p, ys):
     return values, grads
 
 
+def _check_prob_rows(teacher_probs):
+    """``teacher_probs`` as a float64 (N, C) matrix, or ValueError unless it
+    is one of nonnegative finite reals: the one rule for a distillation
+    objective's teacher matrix."""
+    rule = "be a matrix of nonnegative finite reals"
+    return check_real_array(teacher_probs, "teacher_probs", lambda p: p >= 0, rule, (None, None))
+
+
 def balanced_targets(teacher_probs, w):
     """Balanced distillation targets: each row of w * phat renormalized to q."""
-    rule = "be a matrix of nonnegative finite reals"
-    phat = check_real_array(teacher_probs, "teacher_probs", lambda p: p >= 0, rule, (None, None))
+    phat = _check_prob_rows(teacher_probs)
     weighted = phat * check_weights(w, phat.shape[1])[None, :]
     mass = weighted.sum(axis=1, keepdims=True)
     if np.any(mass <= 0):
@@ -155,8 +163,9 @@ def balanced_targets(teacher_probs, w):
 def kd_objective(teacher_probs, *, alpha, temperature):
     """alpha * CE + (1 - alpha) * T^2 * KL toward the (N, C) teacher soft
     targets, which must already be softened at T."""
+    phat = _check_prob_rows(teacher_probs)
     alpha = check_alpha(alpha)
-    return Objective(np.full(teacher_probs.shape[1], alpha), teacher_probs, 1.0 - alpha, check_temperature(temperature))
+    return Objective(np.full(phat.shape[1], alpha), phat, 1.0 - alpha, check_temperature(temperature))
 
 
 def bkd_objective(teacher_probs, w, *, temperature):
@@ -171,8 +180,11 @@ def objective_loss_batch(Z, ys, rows, objective):
     ``rows`` indexes the target matrix and is not read when there is none.
     The row max-shift is computed once and serves both the temperature-1
     softmax of the CE term and the temperature-T softmax of the KL term.
+    Every row computes in the dtype of ``Z`` and the objective's arrays,
+    which the caller keeps alike. The kernel opens no numpy error scope: a
+    target of 0 takes the log of 0, masked out, and the caller's scope
+    keeps that quiet.
     """
-    Z = np.asarray(Z, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.int64)
     shifted = shift_rows(Z)
     values, grads = _ce_rows(log_softmax_shifted(shifted), ys)
@@ -185,8 +197,7 @@ def objective_loss_batch(Z, ys, rows, objective):
     targets = objective.targets[rows]
     T = objective.temperature
     log_p_T = log_softmax_shifted(shifted, T)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kl = np.where(targets > 0, targets * (np.log(targets) - log_p_T), 0.0).sum(axis=1)
+    kl = np.where(targets > 0, targets * (np.log(targets) - log_p_T), 0.0).sum(axis=1)
     values += objective.kl_coef * (T * T) * kl
     grads += objective.kl_coef * T * (np.exp(log_p_T) - targets)
     return values, grads
@@ -197,7 +208,8 @@ def objective_loss_batch(Z, ys, rows, objective):
 
 
 def _one_row(z, y, objective):
-    values, grads = objective_loss_batch(z[None, :], [y], [0], objective)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        values, grads = objective_loss_batch(z[None, :], [y], [0], objective)
     return LossResult(float(values[0]), grads[0])
 
 

@@ -13,10 +13,14 @@ matrix a caller hands in; one of bool, text, object or complex dtype is
 refused, never converted. A ragged nested list, of which numpy makes no
 array, is refused by both array rules, naming the argument and its rule.
 
-All arithmetic is 64-bit float. The PRNG is SplitMix64 driven by a draw
-counter, so its full state is the pair (seed, counter) and any block of
-outputs can be produced either one at a time or vectorized with identical
-results.
+The softmax kernels compute in the dtype of the logits they are given:
+float32 in training, float64 behind every checked entry. They open no numpy
+error scope of their own, since they run once per minibatch; each public
+entry (``softmax_with_temperature`` here, the losses' per-sample API and
+``softmax_rows``, and the training loop) holds one around them. The PRNG is
+SplitMix64 driven by a draw counter, so its full state is the pair (seed,
+counter) and any block of outputs can be produced either one at a time or
+vectorized with identical results.
 """
 
 from __future__ import annotations
@@ -114,10 +118,10 @@ def shift_rows(Z):
     """Z minus its row max, so every entry is <= 0.
 
     A logit gap wider than the float range rounds to -inf, which is what
-    the softmax needs there, so that overflow is not reported.
+    the softmax needs there; the caller's error scope keeps that overflow
+    quiet.
     """
-    with np.errstate(over="ignore"):
-        return Z - np.maximum.reduce(Z, axis=1, keepdims=True)
+    return Z - np.maximum.reduce(Z, axis=1, keepdims=True)
 
 
 def log_softmax_shifted(S, temperature=1.0):
@@ -125,12 +129,10 @@ def log_softmax_shifted(S, temperature=1.0):
 
     Shifting before the division by T keeps every scaled entry <= 0, so
     finite logits cannot overflow to +inf for T < 1. One shift can serve
-    several temperatures. Dividing by 1 is exact, so T = 1 skips it.
+    several temperatures. Dividing by 1 is exact, so T = 1 skips it. An
+    entry that overflows at a small T is -inf, under the caller's scope.
     """
-    s = S
-    if temperature != 1:
-        with np.errstate(over="ignore"):
-            s = S / temperature
+    s = S if temperature == 1 else S / temperature
     return s - np.log(np.add.reduce(np.exp(s), axis=1, keepdims=True))
 
 
@@ -149,7 +151,8 @@ def softmax_with_temperature(z, temperature):
     """
     z = check_logits(z)
     check_temperature(temperature)
-    return np.exp(log_softmax_rows(z[None, :], temperature)[0])
+    with np.errstate(over="ignore"):
+        return np.exp(log_softmax_rows(z[None, :], temperature)[0])
 
 
 class Rng:
@@ -224,9 +227,14 @@ class Rng:
         return out.reshape(size)
 
     def permutation(self, n):
-        """Random permutation of range(n): argsort of fresh 64-bit keys."""
+        """Random permutation of range(n): argsort of fresh 64-bit keys.
+
+        The i-th key is the finalizer of seed + i * GOLDEN. With GOLDEN odd,
+        both maps are bijections of the 64-bit words, so no two keys tie,
+        every sort gives the stable order, and numpy's default sort, the
+        fastest, is used."""
         n = self._check_int(n, "n", 0)
-        return np.argsort(self._raw(n), kind="stable").astype(np.int64)
+        return np.argsort(self._raw(n)).astype(np.int64)
 
 
 def derive_seed(seed, stream):

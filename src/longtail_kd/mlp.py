@@ -12,13 +12,16 @@ and again can pass per-layer ``out`` buffers to ``forward`` and reuse them,
 and a gradient ``MlpParams`` to ``backward``, so no layer-sized array is
 allocated per call.
 
-Each model state is one flat float64 vector: parameters, the gradients
+Each model state is one flat float vector: parameters, the gradients
 ``backward`` returns and the SGD velocity are all ``MlpParams`` whose
 per-layer arrays are views of their ``flat``, so the SGD step and weight
 decay run once over whole vectors. The velocity is the one optimizer
 state; ``sgd_momentum_step`` takes the momentum from its caller.
-Forward, backward and the SGD step let values overflow, quietly under the
-training loop and ``evaluate.predict``, which refuse non-finite results.
+Forward, backward and the SGD step compute in the dtype of the parameters
+they are given: float32 for a model the training loop trains or a blob
+holds, float64 for ``init_mlp``'s draw and the gradient audits' models.
+They let values overflow, quietly under the training loop and
+``evaluate.predict``, which refuse non-finite results.
 """
 
 from __future__ import annotations
@@ -31,12 +34,12 @@ import numpy as np
 
 from .mathutils import Rng, check_int, check_real, is_positive_finite
 
-MLP_MAGIC = b"mlp-v1"
+MLP_MAGIC = b"mlp-v2"
 SCHEDULE_KINDS = ("constant", "step", "cosine")
 
 
 def _layer_views(flat, dims):
-    """Per-layer weight and bias views of ``flat``, in mlp-v1 payload order."""
+    """Per-layer weight and bias views of ``flat``, in mlp-v2 payload order."""
     weights, biases, off = [], [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         weights.append(flat[off : off + fan_out * fan_in].reshape(fan_out, fan_in))
@@ -49,18 +52,21 @@ def _layer_views(flat, dims):
 class MlpParams:
     """Per-layer weight matrices (fan_out, fan_in) and bias vectors (fan_out,).
 
-    Every array is a view of one float64 vector, ``flat``, laid out layer by
-    layer, weights then bias (the mlp-v1 payload order); ``dims`` holds the
+    Every array is a view of one float vector, ``flat``, laid out layer by
+    layer, weights then bias (the mlp-v2 payload order); ``dims`` holds the
     layer widths, input first. Gradients and the SGD velocity are MlpParams
-    too. The constructor copies the given arrays into a new vector;
-    ``from_flat`` wraps an existing one.
+    too. The constructor copies the given arrays into a new vector of their
+    float dtype (float64 for integer arrays); ``from_flat`` wraps an
+    existing one.
     """
 
     def __init__(self, weights, biases):
         if not weights or len(biases) != len(weights):
             raise ValueError("need at least one layer, and one bias vector per weight matrix")
         dims = (np.shape(weights[0])[-1], *[len(w) for w in weights])
-        self._bind(np.concatenate([np.ravel(a) for wb in zip(weights, biases) for a in wb], dtype=np.float64), dims)
+        arrays = [np.ravel(a) for wb in zip(weights, biases) for a in wb]
+        dtype = np.result_type(*arrays)
+        self._bind(np.concatenate(arrays, dtype=dtype if dtype.kind == "f" else np.float64), dims)
         if [np.shape(a) for a in (*weights, *biases)] != [v.shape for v in self.weights + self.biases]:
             raise ValueError("layer shapes do not chain into a network")
 
@@ -76,12 +82,16 @@ class MlpParams:
         return params
 
     @classmethod
-    def zeros(cls, dims):
+    def zeros(cls, dims, dtype=np.float64):
         """Zero parameters of widths ``dims`` (input first), in one new vector."""
-        return cls.from_flat(np.zeros(sum(o * i + o for i, o in zip(dims[:-1], dims[1:]))), dims)
+        return cls.from_flat(np.zeros(sum(o * i + o for i, o in zip(dims[:-1], dims[1:])), dtype), dims)
 
     def copy(self):
         return MlpParams.from_flat(self.flat.copy(), self.dims)
+
+    def astype(self, dtype):
+        """A copy of these parameters, each value rounded to ``dtype``."""
+        return MlpParams.from_flat(self.flat.astype(dtype), self.dims)
 
 
 def check_momentum(momentum):
@@ -123,7 +133,8 @@ class LrSchedule:
 
 
 def init_mlp(dims, seed):
-    """Weights uniform in +-sqrt(6 / fan_in), biases zero, deterministic in seed."""
+    """Weights uniform in +-sqrt(6 / fan_in), biases zero, deterministic in
+    seed: a float64 draw, which a training run rounds to float32 once."""
     dims = [check_int(d, "each layer width", 1) for d in dims]
     if len(dims) < 2:
         raise ValueError("need at least an input and an output layer")
@@ -137,15 +148,16 @@ def init_mlp(dims, seed):
 def forward(params, x, out=None):
     """Logits and an activation cache for ``backward``.
 
-    An (N, d) batch gives (N, C) logits; any other shape is refused. Each
-    layer adds its bias and rectifies in place, so a layer makes one array.
-    ``out``, if given, holds one (N, fan_out) float64 buffer per layer; the
-    layers are written into them, and the logits and the cache are views of
-    those buffers, valid until the buffers are written again. The cache
+    An (N, d) batch gives (N, C) logits; any other shape is refused. The
+    batch is cast to the parameters' dtype, in which every layer computes;
+    each adds its bias and rectifies in place, so a layer makes one array.
+    ``out``, if given, holds one (N, fan_out) buffer of that dtype per layer;
+    the layers are written into them, and the logits and the cache are views
+    of those buffers, valid until the buffers are written again. The cache
     keeps only each layer's input: relu(x) > 0 exactly when x > 0, so the
     rectified input of layer l is also the mask of layer l - 1.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params.flat.dtype)
     if x.ndim != 2 or x.shape[1] != params.dims[0]:
         raise ValueError(f"input of shape {x.shape} is not an (N, {params.dims[0]}) batch")
     inputs = [x]
@@ -164,11 +176,12 @@ def backward(params, cache, grad_logits, out=None):
     """Parameter gradients by reverse-mode chain rule, as an ``MlpParams``.
 
     The rectifier subgradient at exactly 0 is taken as 0. Gradients are
-    summed over the rows of ``grad_logits`` (numpy refuses any shape but
-    the logits') into the views of one flat vector: that of ``out``, a
-    caller-owned ``MlpParams`` of the same dims it overwrites, or a new one.
+    summed, in the parameters' dtype, over the rows of ``grad_logits``
+    (numpy refuses any shape but the logits') into the views of one flat
+    vector: that of ``out``, a caller-owned ``MlpParams`` of the same dims
+    it overwrites, or a new one.
     """
-    g = np.asarray(grad_logits, dtype=np.float64)
+    g = np.asarray(grad_logits, dtype=params.flat.dtype)
     inputs = cache["inputs"]
     grads = MlpParams.from_flat(np.empty_like(params.flat), params.dims) if out is None else out
     if grads.dims != params.dims:
@@ -177,7 +190,8 @@ def backward(params, cache, grad_logits, out=None):
         np.matmul(g.T, inputs[l], out=grads.weights[l])
         np.add.reduce(g, axis=0, out=grads.biases[l])
         if l > 0:
-            g = (g @ params.weights[l]) * (inputs[l] > 0)
+            g = g @ params.weights[l]
+            g *= inputs[l] > 0
     return grads
 
 
@@ -214,16 +228,17 @@ def lr_at(schedule, epoch, total_epochs):
 
 # ---------------------------------------------------------------------------
 # serialization: magic, layer count, then per layer fan_in/fan_out as little-
-# endian int64 followed by row-major weights and bias as little-endian float64
+# endian int64 followed by row-major weights and bias as little-endian float32
 
 
 def params_to_bytes(params):
+    """The mlp-v2 blob of ``params``, rounded to float32 if they are wider."""
     chunks = [MLP_MAGIC, struct.pack("<q", len(params.weights))]
     for w, b in zip(params.weights, params.biases):
         fan_out, fan_in = w.shape
         chunks.append(struct.pack("<qq", fan_in, fan_out))
-        chunks.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        chunks.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        chunks.append(np.ascontiguousarray(w, dtype="<f4").tobytes())
+        chunks.append(np.ascontiguousarray(b, dtype="<f4").tobytes())
     return b"".join(chunks)
 
 
@@ -246,18 +261,18 @@ class BlobReader:
 
 def params_from_bytes(blob):
     if blob[: len(MLP_MAGIC)] != MLP_MAGIC:
-        raise ValueError("not an mlp-v1 parameter blob")
-    r = BlobReader(blob, len(MLP_MAGIC), "truncated mlp-v1 parameter blob")
+        raise ValueError("not an mlp-v2 parameter blob")
+    r = BlobReader(blob, len(MLP_MAGIC), "truncated mlp-v2 parameter blob")
     (n_layers,) = r.unpack("<q")
     if n_layers < 1:
-        raise ValueError("mlp-v1 blob declares no layers")
+        raise ValueError("mlp-v2 blob declares no layers")
     weights, biases = [], []
     for _ in range(n_layers):
         fan_in, fan_out = r.unpack("<qq")
         if fan_in < 1 or fan_out < 1:
-            raise ValueError("mlp-v1 blob has non-positive layer dimensions")
-        weights.append(np.frombuffer(r.take(8 * fan_in * fan_out), dtype="<f8").reshape(fan_out, fan_in))
-        biases.append(np.frombuffer(r.take(8 * fan_out), dtype="<f8"))
+            raise ValueError("mlp-v2 blob has non-positive layer dimensions")
+        weights.append(np.frombuffer(r.take(4 * fan_in * fan_out), dtype="<f4").reshape(fan_out, fan_in))
+        biases.append(np.frombuffer(r.take(4 * fan_out), dtype="<f4"))
     if r.off != len(blob):
-        raise ValueError("trailing bytes after mlp-v1 parameter blob")
+        raise ValueError("trailing bytes after mlp-v2 parameter blob")
     return MlpParams(weights, biases)

@@ -20,24 +20,33 @@ allocates no layer-sized array; the buffers live for one ``_run`` call.
 Each epoch ends in the one divergence rule: a non-finite loss sum, then
 non-finite test logits, raise ``training diverged: non-finite loss`` (or
 ``test logits``) ``at epoch <e>``. The epochs run in one numpy error scope
-that keeps overflow quiet, so that line is all a diverging run prints.
+that keeps overflow, division by zero (a temperature that rounds to 0 in
+float32) and invalid values quiet, so that line is all a diverging run
+prints.
 ``temperature_sweep`` trains one such student per temperature, on every
 available CPU: each CPU trains a contiguous group of the temperatures, in
 this process or a forked child (``workers``), and the rows are the same
 bits whatever the CPU count.
 
+A run trains in float32: it rounds ``init_mlp``'s float64 draw once, and
+its velocity, gradient buffer, scoring buffers and each objective's arrays
+(computed in float64, then rounded once) are float32, so every minibatch
+runs single-precision BLAS. The datasets stay float64; ``forward`` casts
+each batch it is given.
+
 Every epoch visits the training rows in a fresh shuffled order. A run's
 state is one ``RunState``; each epoch logs one row to it, and a checkpoint
 holds it whole, so a resumed run matches an uninterrupted one bit for bit.
-A ``ckpt-v2`` file states each fact once: one fixed header
-(``_CKPT_HEAD``), the parameter blob behind its ``_BLOB_LEN`` length, the
-velocity as raw float64 values in the parameters' layout, and the metric
-log behind its length. The epoch is the log's length and the momentum is
-the config's, so neither is stored. ``_decode`` holds every rule of that
-format, finite parameters and velocity and a log in the writer's own form
-among them, and names the file in each refusal; the reader runs it on the
-bytes it reads and the writer on the bytes it will write, before opening
-any file, so the writer refuses exactly what the reader refuses.
+A ``ckpt-v3`` file states each fact once: one fixed header
+(``_CKPT_HEAD``), the float32 ``mlp-v2`` parameter blob behind its
+``_BLOB_LEN`` length, the velocity as raw float32 values in the
+parameters' layout, and the metric log behind its length. The epoch is
+the log's length and the momentum is the config's, so neither is stored.
+``_decode`` holds every rule of that format, finite parameters and
+velocity and a log in the writer's own form among them, and names the
+file in each refusal; the reader runs it on the bytes it reads and the
+writer on the bytes it will write, before opening any file, so the writer
+refuses exactly what the reader refuses.
 """
 
 from __future__ import annotations
@@ -70,7 +79,7 @@ from .mlp import (
 from .weights import effective_number_weights, normalize_weights
 from .workers import run_split, split
 
-CKPT_MAGIC = b"ckpt-v2"
+CKPT_MAGIC = b"ckpt-v3"
 _DIGEST_BYTES = 32  # sha256, as config_digest returns
 # magic, config digest, shuffle-stream seed and draw count
 _CKPT_HEAD = struct.Struct(f"<{len(CKPT_MAGIC)}s{_DIGEST_BYTES}sQQ")
@@ -201,7 +210,7 @@ class RunState:
 
 
 def _decode(blob, path):
-    """The ``RunState`` that ckpt-v2 bytes ``blob`` hold, under every rule
+    """The ``RunState`` that ckpt-v3 bytes ``blob`` hold, under every rule
     of the format, held here and nowhere else; each refusal is a ValueError
     that starts with ``path``."""
     try:
@@ -211,7 +220,7 @@ def _decode(blob, path):
         _, digest, seed, count = _CKPT_HEAD.unpack(r.take(_CKPT_HEAD.size))
         # each part is parsed as soon as it is read: a corrupt part is refused before a later truncation
         params = params_from_bytes(r.take(*r.unpack(_BLOB_LEN)))
-        vel = MlpParams.from_flat(np.frombuffer(r.take(params.flat.nbytes), "<f8").astype(np.float64), params.dims)
+        vel = MlpParams.from_flat(np.frombuffer(r.take(params.flat.nbytes), "<f4").astype(np.float32), params.dims)
         for name, blob_params in (("parameter", params), ("velocity", vel)):
             if not np.isfinite(blob_params.flat).all():
                 raise ValueError(f"the {name} blob holds a non-finite value")
@@ -235,18 +244,21 @@ def write_checkpoint(path, state):
     through ``_decode`` before any file is opened: it refuses what
     ``read_checkpoint`` refuses, a digest not ``_DIGEST_BYTES`` long, which
     the header would pad or cut, and a velocity of other dims than the
-    parameters', which the reader would take under the parameters' dims."""
+    parameters', which the reader would take under the parameters' dims.
+    A float64 state is rounded to float32; a value beyond float32's range
+    rounds to infinity, quietly, and is refused as a non-finite one."""
     if len(state.digest) != _DIGEST_BYTES:
         raise ValueError(f"{path}: config digest must be {_DIGEST_BYTES} bytes, got {len(state.digest)}")
     if state.vel.dims != state.params.dims:
         raise ValueError(f"{path}: velocity dimensions {state.vel.dims} do not match parameters {state.params.dims}")
-    params_blob = params_to_bytes(state.params)
+    with np.errstate(over="ignore"):
+        params_blob = params_to_bytes(state.params)
+        vel_blob = np.ascontiguousarray(state.vel.flat, dtype="<f4").tobytes()
     log_blob = metrics_to_csv(state.log_rows).encode("utf-8")
     encoded = b"".join(
         [
             _CKPT_HEAD.pack(CKPT_MAGIC, state.digest, *state.rng.state),
-            struct.pack(_BLOB_LEN, len(params_blob)), params_blob,
-            np.ascontiguousarray(state.vel.flat, dtype="<f8").tobytes(),
+            struct.pack(_BLOB_LEN, len(params_blob)), params_blob, vel_blob,
             struct.pack(_BLOB_LEN, len(log_blob)), log_blob,
         ]
     )
@@ -300,16 +312,18 @@ def _epoch_objective(cfg, epoch, teacher, train, objectives):
     first use and kept in ``objectives``. A distillation kind's targets are
     softmax(teacher(x) / T) of every training row, the teacher run on
     ``batch_size``-row chunks so only one chunk's activations are alive at
-    a time; non-finite teacher logits are refused."""
+    a time; non-finite teacher logits are refused. Its arrays are computed
+    in float64 (the targets from the teacher's logits) and rounded once to
+    float32, in which the run trains."""
     kind = cfg.loss
     if kind == "bkd" and cfg.defer_epoch is not None and epoch < cfg.defer_epoch:
         kind = "kd"
     if kind not in objectives:
         w = effective_number_weights(train.class_counts, cfg.bkd.beta) if kind in ("cb", "bkd") else None
         if kind == "ce":
-            objectives[kind] = Objective()
+            objective = Objective()
         elif kind == "cb":
-            objectives[kind] = Objective(normalize_weights(w))
+            objective = Objective(normalize_weights(w))
         else:
             X, n, T = train.features, cfg.batch_size, (cfg.kd if kind == "kd" else cfg.bkd).temperature
             t_logits = np.vstack([forward(teacher, X[s : s + n])[0] for s in range(0, len(X), n)])
@@ -317,9 +331,11 @@ def _epoch_objective(cfg, epoch, teacher, train, objectives):
                 raise ValueError("the teacher gives non-finite logits on the training split")
             phat = softmax_rows(t_logits, T)
             if kind == "kd":
-                objectives[kind] = kd_objective(phat, alpha=cfg.kd.alpha, temperature=T)
+                objective = kd_objective(phat, alpha=cfg.kd.alpha, temperature=T)
             else:
-                objectives[kind] = bkd_objective(phat, w, temperature=T)
+                objective = bkd_objective(phat, w, temperature=T)
+        rounded = lambda a: None if a is None else a.astype(np.float32)
+        objectives[kind] = replace(objective, ce_weights=rounded(objective.ce_weights), targets=rounded(objective.targets))
     return objectives[kind]
 
 
@@ -334,8 +350,8 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
     # writes its gradients into pgrads; on the wide-batch benchmark shape,
     # allocating the evaluation buffers before the parameters gave a lower
     # peak RSS than allocating them after
-    eval_out = [np.empty((len(test), width)) for width in dims[1:]]
-    pgrads = MlpParams.zeros(dims)
+    eval_out = [np.empty((len(test), width), np.float32) for width in dims[1:]]
+    pgrads = MlpParams.zeros(dims, np.float32)
 
     if resume_from is not None:
         state = read_checkpoint(resume_from)
@@ -344,14 +360,15 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
         if state.params.dims != dims:
             raise ValueError("checkpoint model dimensions do not match the datasets/config")
     else:
-        state = RunState(init_mlp(dims, cfg.seed), MlpParams.zeros(dims), Rng(derive_seed(cfg.seed, 1)), [], digest)
+        params = init_mlp(dims, cfg.seed).astype(np.float32)
+        state = RunState(params, MlpParams.zeros(dims, np.float32), Rng(derive_seed(cfg.seed, 1)), [], digest)
 
     N = len(train)
     objectives = {}  # loss kind -> its Objective, built on first use
     # a resumed run never ends before the epoch it resumed at
     end_epoch = cfg.epochs if stop_after_epoch is None else max(state.epoch, min(cfg.epochs, stop_after_epoch))
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for epoch in range(state.epoch, end_epoch):
             objective = _epoch_objective(cfg, epoch, teacher, train, objectives)
             lr = lr_at(cfg.schedule, epoch, cfg.epochs)
@@ -362,7 +379,8 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
                 logits, cache = forward(state.params, train.features[rows])
                 values, grads = objective_loss_batch(logits, train.labels[rows], rows, objective)
                 loss_sum += float(values.sum())
-                backward(state.params, cache, grads / rows.size, out=pgrads)
+                grads /= rows.size
+                backward(state.params, cache, grads, out=pgrads)
                 if cfg.weight_decay:
                     pgrads.flat += cfg.weight_decay * state.params.flat
                 sgd_momentum_step(state.params, pgrads, state.vel, cfg.momentum, lr)

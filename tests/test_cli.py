@@ -269,7 +269,7 @@ class TestTrain:
         )
         assert run("make-data", "--config", cfg) == 0
         params = init_mlp((4, 8, 3), 0)
-        params.flat *= 1e200
+        params.flat *= 1e30  # finite in float32, as a checkpoint stores it; the logits overflow
         ckpt = str(tmp_path / "huge.ckpt")
         pipeline.write_checkpoint(ckpt, pipeline.RunState(params, MlpParams.zeros(params.dims), Rng(1), [], bytes(32)))
         capsys.readouterr()
@@ -465,7 +465,7 @@ class TestEval:
         tmp, cfg, data_dir, _ = workspace
         assert run("make-data", "--config", cfg) == 0
         params = init_mlp((4, 8, 3), 0)
-        params.flat *= 1e200
+        params.flat *= 1e30  # finite in float32, as a checkpoint stores it; the logits overflow
         ckpt = str(tmp / "huge.ckpt")
         pipeline.write_checkpoint(ckpt, pipeline.RunState(params, MlpParams.zeros(params.dims), Rng(1), [], bytes(32)))
         capsys.readouterr()

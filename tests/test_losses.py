@@ -229,6 +229,20 @@ class TestBkdLoss:
             bkd_loss(np.zeros(2), np.array([0.5, 0.5]), 0, np.ones(2), temperature=0)
         assert str(info.value) == "temperature must be a positive finite real, got 0"
 
+    @pytest.mark.parametrize("build", [
+        lambda phat: kd_objective(phat, alpha=0.5, temperature=2.0),
+        lambda phat: bkd_objective(phat, np.ones(2), temperature=2.0),
+    ], ids=["kd", "bkd"])
+    def test_both_objectives_check_the_teacher_matrix_alike(self, build):
+        # kd_objective once raised AttributeError on a list and kept a NaN row as a target
+        objective = build([[0.5, 0.5]])
+        assert objective.targets.dtype == np.float64
+        np.testing.assert_array_equal(objective.targets, [[0.5, 0.5]])
+        for bad in ([[math.nan, 0.5]], [[-0.5, 1.5]], [0.5, 0.5], [["0.5", "0.5"]]):
+            with pytest.raises(ValueError) as info:
+                build(bad)
+            assert str(info.value).startswith("teacher_probs must be a matrix of nonnegative finite reals, got ")
+
     def test_zero_weighted_teacher_mass_is_internal_error(self):
         # unreachable through the validated entry point (weights are positive
         # and teacher probs sum to 1), so poke the batch core directly
@@ -371,7 +385,8 @@ class TestDistillKernelBits:
             ys = (rng.uniform(N) * C).astype(np.int64)
             kd, bkd = kd_objective(phat, alpha=0.3, temperature=T), bkd_objective(phat, w, temperature=T)
             for objective, ce_coef in ((kd, 0.3), (bkd, 1.0)):
-                got = objective_loss_batch(Z, ys, np.arange(N), objective)
+                with np.errstate(divide="ignore", invalid="ignore"):  # the kernel's caller holds its scope: zero targets
+                    got = objective_loss_batch(Z, ys, np.arange(N), objective)
                 ref = two_softmax_reference(Z, objective.targets, ys, ce_coef, objective.kl_coef, T)
                 for a, b in zip(got, ref):
                     assert a.tobytes() == b.tobytes()

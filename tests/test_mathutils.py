@@ -127,6 +127,15 @@ class TestRng:
         p = Rng(11).permutation(257)
         np.testing.assert_array_equal(np.sort(p), np.arange(257))
 
+    @pytest.mark.parametrize("seed", [0, 9, 7919, 2**64 - 5])
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, 1242, 15973])
+    def test_permutation_is_the_stable_order_of_its_keys(self, seed, n):
+        # the keys never tie, so the default sort gives what a stable one gives
+        rng = Rng.from_state((seed, 3))
+        keys = Rng.from_state(rng.state)._raw(n)
+        assert np.unique(keys).size == n
+        np.testing.assert_array_equal(rng.permutation(n), np.argsort(keys, kind="stable"))
+
     def test_derive_seed_is_stable(self):
         # pinned values guard against accidental constant or mask changes
         assert [derive_seed(s, k) for s in (0, 1, 7919) for k in (0, 1)] == [

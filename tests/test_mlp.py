@@ -349,14 +349,40 @@ class TestSgdMomentum:
             sgd_momentum_step(params, grads, MlpParams.zeros(params.dims), 1.0, lr=0.1)
 
 
+class TestFloatDtype:
+    """Forward, backward and the SGD step compute in the parameters' dtype."""
+
+    def test_a_float32_model_computes_in_float32(self):
+        params = init_mlp([5, 7, 3], seed=4).astype(np.float32)
+        X = Rng(6).normal((4, 5))
+        logits, cache = forward(params, X)  # the float64 batch is cast, not the model
+        assert logits.dtype == np.float32
+        assert logits.tobytes() == forward(params, X.astype(np.float32))[0].tobytes()
+        grads = backward(params, cache, np.ones((4, 3)))
+        vel = MlpParams.zeros(params.dims, np.float32)
+        sgd_momentum_step(params, grads, vel, momentum=0.9, lr=0.1)
+        assert params.flat.dtype == grads.flat.dtype == vel.flat.dtype == np.float32
+
+    def test_a_float64_model_stays_float64(self):
+        params = init_mlp([5, 7, 3], seed=4)
+        logits, cache = forward(params, np.ones((2, 5), np.float32))
+        assert logits.dtype == backward(params, cache, np.ones((2, 3), np.float32)).flat.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype, kept", [(np.float32, np.float32), (np.float64, np.float64), (np.int64, np.float64)])
+    def test_constructor_keeps_the_float_dtype_it_is_built_from(self, dtype, kept):
+        params = MlpParams([np.ones((2, 3), dtype)], [np.zeros(2, dtype)])
+        assert params.flat.dtype == kept
+        assert params.astype(np.float32).flat.dtype == np.float32
+
+
 class TestFlatStorage:
     """Parameters, gradients and velocities each live in one flat vector."""
 
     @staticmethod
-    def assert_views_of_own_flat(p):
-        assert p.flat.ndim == 1 and p.flat.dtype == np.float64
+    def assert_views_of_own_flat(p, dtype=np.float64):
+        assert p.flat.ndim == 1 and p.flat.dtype == dtype
         off = 0
-        for w, b in zip(p.weights, p.biases):  # mlp-v1 payload order: weights, then bias
+        for w, b in zip(p.weights, p.biases):  # mlp-v2 payload order: weights, then bias
             for a in (w, b):
                 assert np.shares_memory(a, p.flat)
                 assert a.reshape(-1).tobytes() == p.flat[off : off + a.size].tobytes()
@@ -367,8 +393,9 @@ class TestFlatStorage:
         params = init_mlp([5, 7, 3], seed=4)
         grads = backward(params, forward(params, np.ones((2, 5)))[1], np.ones((2, 3)))
         vel = MlpParams.zeros(params.dims)
-        for p in (params, grads, vel, params.copy(), params_from_bytes(params_to_bytes(params))):
+        for p in (params, grads, vel, params.copy()):
             self.assert_views_of_own_flat(p)
+        self.assert_views_of_own_flat(params_from_bytes(params_to_bytes(params)), np.float32)  # a blob holds float32
         flats = [params.flat, grads.flat, vel.flat, params.copy().flat]
         for i, a in enumerate(flats):
             for b in flats[i + 1 :]:
@@ -463,18 +490,30 @@ class TestLrSchedule:
 
 class TestSerialization:
     def test_round_trip_bit_exact(self):
-        params = init_mlp([5, 9, 3], seed=21)
+        params = init_mlp([5, 9, 3], seed=21).astype(np.float32)
         loaded = params_from_bytes(params_to_bytes(params))
+        assert loaded.flat.dtype == np.float32
         for a, b in zip(params.weights + params.biases, loaded.weights + loaded.biases):
             np.testing.assert_array_equal(a, b)
         x = Rng(56).normal((1, 5))
         np.testing.assert_array_equal(forward(params, x)[0], forward(loaded, x)[0])
 
     def test_width_one_layers_round_trip(self):
-        params = init_mlp([1, 1], seed=3)
+        params = init_mlp([1, 1], seed=3).astype(np.float32)
         loaded = params_from_bytes(params_to_bytes(params))
         assert loaded.dims == (1, 1)
         assert loaded.flat.tobytes() == params.flat.tobytes()
+
+    def test_a_float64_model_is_stored_rounded_to_float32(self):
+        params = init_mlp([4, 6, 3], seed=5)
+        loaded = params_from_bytes(params_to_bytes(params))
+        assert loaded.flat.tobytes() == params.flat.astype(np.float32).tobytes()
+        assert len(params_to_bytes(params)) == len(b"mlp-v2") + 8 + 2 * 16 + 4 * params.flat.size
+
+    def test_a_blob_of_the_previous_format_refused(self):
+        blob = params_to_bytes(init_mlp([3, 2], seed=0))
+        with pytest.raises(ValueError, match="^not an mlp-v2 parameter blob$"):
+            params_from_bytes(b"mlp-v1" + blob[len(b"mlp-v2") :])
 
     def test_magic_enforced(self):
         with pytest.raises(ValueError):
@@ -490,13 +529,13 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "body, message",
         [
-            (struct.pack("<q", 0), "mlp-v1 blob declares no layers"),
-            (struct.pack("<qqq", 1, 0, 2), "mlp-v1 blob has non-positive layer dimensions"),
-            (struct.pack("<qqq", 1, 3, -2), "mlp-v1 blob has non-positive layer dimensions"),
+            (struct.pack("<q", 0), "mlp-v2 blob declares no layers"),
+            (struct.pack("<qqq", 1, 0, 2), "mlp-v2 blob has non-positive layer dimensions"),
+            (struct.pack("<qqq", 1, 3, -2), "mlp-v2 blob has non-positive layer dimensions"),
         ],
         ids=["no-layers", "zero-fan-in", "negative-fan-out"],
     )
     def test_layer_count_and_widths_must_be_positive(self, body, message):
         with pytest.raises(ValueError) as info:
-            params_from_bytes(b"mlp-v1" + body)
+            params_from_bytes(b"mlp-v2" + body)
         assert str(info.value) == message

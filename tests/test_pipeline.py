@@ -6,9 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from longtail_kd import pipeline
+from longtail_kd import evaluate, pipeline
 from longtail_kd.config import default_config, imbalance_profile, train_config
-from longtail_kd.data import LabeledDataset, make_longtail_counts, synth_gaussian_mixture
+from longtail_kd.data import LabeledDataset, make_longtail_counts, subset_tags, synth_gaussian_mixture
 from longtail_kd.losses import (
     BKDConfig,
     KDConfig,
@@ -19,7 +19,7 @@ from longtail_kd.losses import (
     softmax_rows,
 )
 from longtail_kd.mathutils import Rng, derive_seed
-from longtail_kd.mlp import LrSchedule, MlpParams, backward, forward, init_mlp, lr_at, params_to_bytes
+from longtail_kd.mlp import LrSchedule, MlpParams, backward, forward, init_mlp, lr_at, params_to_bytes, sgd_momentum_step
 from longtail_kd.pipeline import (
     MetricRow,
     RunState,
@@ -32,7 +32,7 @@ from longtail_kd.pipeline import (
     train_teacher,
     write_checkpoint,
 )
-from longtail_kd.weights import effective_number_weights
+from longtail_kd.weights import effective_number_weights, normalize_weights
 
 
 def small_cfg(**overrides):
@@ -63,7 +63,7 @@ def write_checkpoint_with_bad_fan_in(path):
     params = init_mlp((4, 12, 2), seed=0)
     write_checkpoint(path, RunState(params, MlpParams.zeros(params.dims), Rng(1), [], config_digest(small_cfg())))
     with open(path, "rb") as fh:
-        fan_in = fh.read().index(params_to_bytes(params)) + len(b"mlp-v1") + 8  # past magic and layer count
+        fan_in = fh.read().index(params_to_bytes(params)) + len(b"mlp-v2") + 8  # past magic and layer count
     patch_checkpoint(path, fan_in, struct.pack("<q", 4), struct.pack("<q", 5))
     return path
 
@@ -81,17 +81,17 @@ PARAMS_AT = 55 + 8  # past the header (magic, digest, Rng state) and the paramet
 
 
 def _reference_checkpoint(state):
-    """The ckpt-v2 bytes of ``state``, built field by field."""
+    """The ckpt-v3 bytes of ``state``, built field by field."""
     seed, count = state.rng.state
     params, log = params_to_bytes(state.params), metrics_to_csv(state.log_rows).encode("utf-8")
     return b"".join(
         [
-            b"ckpt-v2",
+            b"ckpt-v3",
             state.digest,
             struct.pack("<Q", seed),
             struct.pack("<Q", count),
             struct.pack("<Q", len(params)), params,
-            struct.pack(f"<{state.vel.flat.size}d", *state.vel.flat),
+            struct.pack(f"<{state.vel.flat.size}f", *state.vel.flat),
             struct.pack("<Q", len(log)), log,
         ]
     )
@@ -159,7 +159,9 @@ class TestTrainTeacher:
         cfg = small_cfg(epochs=0)
         params, log = train_teacher(train, test, cfg)
         assert log == []
-        expected = init_mlp((train.dimension, *cfg.hidden_dims, train.num_classes), cfg.seed)
+        # the run rounds the float64 draw to float32 once
+        expected = init_mlp((train.dimension, *cfg.hidden_dims, train.num_classes), cfg.seed).astype(np.float32)
+        assert params.flat.dtype == np.float32
         for a, b in zip(params.weights, expected.weights):
             np.testing.assert_array_equal(a, b)
 
@@ -226,8 +228,8 @@ class TestTrainTeacher:
         # stay finite, so only the epoch's loss sum can refuse the run
         split = LabeledDataset(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]]), np.array([0, 1, 0, 1]), 2)
         cfg = TrainConfig(loss="ce", epochs=2, hidden_dims=(), schedule=LrSchedule("constant", 1e-300))
-        params = MlpParams.zeros((2, 2))
-        params.biases[0][:] = (9e307, -9e307)
+        params = MlpParams.zeros((2, 2), np.float32)
+        params.biases[0][:] = (3e38, -3e38)  # finite in float32, but their gap is not
         log = [MetricRow(0, 1.0, 1e-300, 0.5, None, None, None)]
         ckpt = str(tmp_path / "mid.ckpt")
         digest = config_digest(pipeline.teacher_config(cfg))
@@ -245,7 +247,7 @@ class TestTrainTeacher:
         params, _ = train_teacher(train, test, cfg)
         assert [len(X) for X in batches.inputs] == [n] * epochs
 
-        ref = init_mlp((train.dimension, *cfg.hidden_dims, train.num_classes), cfg.seed)
+        ref = init_mlp((train.dimension, *cfg.hidden_dims, train.num_classes), cfg.seed).astype(np.float32)
         vel = [np.zeros_like(p) for p in ref.weights + ref.biases]
         for epoch in range(epochs):
             logits, cache = forward(ref, batches.inputs[epoch])
@@ -340,7 +342,8 @@ class TestTrainStudent:
         train_student(train, test, teacher, cfg)
         recorded = batches.losses
 
-        # replay the first batch by hand (the rows the run drew, fresh student)
+        # replay the first batch by hand (the rows the run drew, fresh
+        # student), in float64 for the loss's own identity
         student = init_mlp((4, *cfg.hidden_dims, 2), cfg.seed)
         X, ys = batches.inputs[0], batches.labels[0]
         assert len(X) == cfg.batch_size
@@ -354,7 +357,12 @@ class TestTrainStudent:
         log_pT = np.log(softmax_rows(logits, T))
         kl = (phat * (np.log(phat) - log_pT)).sum(axis=1)
         np.testing.assert_allclose(bkd_values, ce_values + T * T * kl, atol=1e-10)
-        assert abs(recorded[0] - float(bkd_values.mean())) < 1e-12
+        # the run took that step in float32: the student and the targets rounded once
+        targets = bkd_objective(phat, w, temperature=T).targets.astype(np.float32)
+        run_values, _ = objective_loss_batch(
+            forward(student.astype(np.float32), X)[0], ys, np.arange(len(ys)), Objective(None, targets, 1.0, T)
+        )
+        assert abs(recorded[0] - float(run_values.mean())) < 1e-12
 
     def test_teacher_parameters_untouched(self):
         train, test = two_class_separable()
@@ -413,10 +421,12 @@ class TestTrainStudent:
         cfg = small_cfg(loss="cb", epochs=2)
         train_student(train, test, teacher, cfg)
         raw = effective_number_weights(train.class_counts, cfg.bkd.beta)
+        normalized = normalize_weights(raw)
+        assert abs(normalized.sum() - train.num_classes) <= 1e-12
+        np.testing.assert_allclose(normalized * raw.sum(), raw * train.num_classes, rtol=1e-14)
         assert len(seen) == cfg.epochs * math.ceil(len(train) / cfg.batch_size)
-        for w in seen:
-            assert abs(w.sum() - train.num_classes) <= 1e-12
-            np.testing.assert_allclose(w * raw.sum(), raw * train.num_classes, rtol=1e-14)
+        for w in seen:  # the run trains on those weights rounded to float32 once
+            assert w.tobytes() == normalized.astype(np.float32).tobytes()
 
     def test_bkd_targets_balance_the_raw_weights(self, monkeypatch):
         # one batch of every row, in row order, so the targets the loss sees
@@ -436,7 +446,7 @@ class TestTrainStudent:
         phat = softmax_rows(forward(teacher, train.features)[0], cfg.bkd.temperature)
         expected = balanced_targets(phat, effective_number_weights(train.class_counts, cfg.bkd.beta))
         assert len(seen) == 1
-        assert seen[0].tobytes() == expected.tobytes()
+        assert seen[0].tobytes() == expected.astype(np.float32).tobytes()  # computed in float64, rounded once
 
     def test_weights_function_of_train_counts_only(self):
         train, _ = two_class_separable()
@@ -477,7 +487,7 @@ class TestTeacherTargetCache:
             expected = softmax_rows(forward(teacher, batches[-1])[0], distill.temperature)
             if loss == "bkd":
                 expected = balanced_targets(expected, w)
-            np.testing.assert_allclose(objective.targets[rows], expected, rtol=1e-12)
+            np.testing.assert_allclose(objective.targets[rows], expected.astype(np.float32), rtol=1e-12)
             return objective_loss_batch(Z, ys, rows, objective)
 
         monkeypatch.setattr(pipeline, "forward", student_forward)
@@ -508,6 +518,70 @@ class TestTeacherTargetCache:
         train_student(train, test, teacher, cfg, resume_from=ckpt)
         train_student(train, test, teacher, cfg, stop_after_epoch=0)
         assert teacher_rows == []
+
+
+class TestFloat32Training:
+    """A run trains in float32: one float64 array left in the step would
+    upcast every minibatch to float64."""
+
+    @pytest.mark.parametrize("loss", pipeline.LOSS_KINDS)
+    def test_every_objective_a_run_builds_is_float32(self, loss):
+        train, test = two_class_separable()
+        teacher, _ = train_teacher(train, test, small_cfg(epochs=1))
+        for model in (teacher, teacher.astype(np.float64)):  # a library caller's teacher may be float64
+            objective = pipeline._epoch_objective(small_cfg(loss=loss), 0, model, train, {})
+            for array in (objective.ce_weights, objective.targets):
+                assert array is None or array.dtype == np.float32
+
+    def test_every_step_and_the_checkpoint_are_float32(self, tmp_path, monkeypatch):
+        train, test = two_class_separable()
+        teacher, _ = train_teacher(train, test, small_cfg(epochs=1))
+        seen = set()
+
+        def kernel(Z, ys, rows, objective):
+            values, grads = objective_loss_batch(Z, ys, rows, objective)
+            seen.update(a.dtype for a in (Z, values, grads))
+            return values, grads
+
+        def step(params, grads, vel, momentum, lr):
+            seen.update(p.flat.dtype for p in (params, grads, vel))
+            return sgd_momentum_step(params, grads, vel, momentum, lr)
+
+        monkeypatch.setattr(pipeline, "objective_loss_batch", kernel)
+        monkeypatch.setattr(pipeline, "sgd_momentum_step", step)
+        path = str(tmp_path / "student.ckpt")
+        params, _ = train_student(train, test, teacher, small_cfg(loss="bkd", epochs=3, defer_epoch=1), out_ckpt=path)
+        assert seen == {np.dtype(np.float32)}
+        state = read_checkpoint(path)
+        assert params.flat.dtype == state.params.flat.dtype == state.vel.flat.dtype == np.float32
+        assert state.params.flat.tobytes() == params.flat.tobytes()
+
+    @pytest.mark.parametrize("role", ["teacher", "bkd-student"])
+    def test_a_checkpoint_scores_as_its_run_did(self, tmp_path, role, monkeypatch):
+        train, test = synth_gaussian_mixture([80, 20, 5], 4, 1.0, seed=29, per_class_test=40)
+        cfg = small_cfg(epochs=3, many_thresh=50, few_thresh=10)
+        path = str(tmp_path / "run.ckpt")
+        scored = []  # the test logits of every evaluation
+
+        def recording_forward(params, X, out=None):
+            logits, cache = forward(params, X, out)
+            scored.append(logits.copy())
+            return logits, cache
+
+        monkeypatch.setattr(evaluate, "forward", recording_forward)
+        if role == "teacher":
+            _, log = train_teacher(train, test, cfg, out_ckpt=path)
+        else:
+            teacher, _ = train_teacher(train, test, cfg)
+            _, log = train_student(train, test, teacher, replace(cfg, loss="bkd"), out_ckpt=path)
+        preds = evaluate.predict(read_checkpoint(path).params, test)
+        report = evaluate.accuracy_report(preds, test.labels, subset_tags(train.class_counts, 50, 10))
+        last = log[-1]
+        assert (report.overall, report.many, report.medium, report.few) == (
+            last.acc_all, last.acc_many, last.acc_medium, last.acc_few
+        )
+        assert scored[-1].dtype == np.float32
+        assert scored[-1].tobytes() == scored[-2].tobytes()  # the run's last evaluation, bit for bit
 
 
 class TestCheckpointResume:
@@ -603,7 +677,7 @@ class TestCheckpointResume:
 
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(b"ckpt-v2" + b"\x00" * 10)
+        bad.write_bytes(b"ckpt-v3" + b"\x00" * 10)
         with pytest.raises(ValueError):
             read_checkpoint(str(bad))
         not_ckpt = tmp_path / "not.ckpt"
@@ -612,15 +686,20 @@ class TestCheckpointResume:
             read_checkpoint(str(not_ckpt))
 
     def test_checkpoint_of_the_previous_format_refused(self, tmp_path):
-        # ckpt-v1 stored the epoch and the momentum apart from the log and
-        # the config, and the velocity behind a header of its own
+        # ckpt-v2 stored the weights and the velocity as float64, and
+        # ckpt-v1 the epoch and the momentum apart from the log and the
+        # config, and the velocity behind a header of its own
         train, test = two_class_separable()
         path = str(tmp_path / "old.ckpt")
         train_teacher(train, test, small_cfg(epochs=2), out_ckpt=path)
-        patch_checkpoint(path, 0, b"ckpt-v2", b"ckpt-v1")
-        with pytest.raises(ValueError) as info:
-            read_checkpoint(path)
-        assert str(info.value) == f"{path}: not a ckpt-v2 checkpoint"
+        with open(path, "rb") as fh:
+            payload = fh.read()[len(pipeline.CKPT_MAGIC) :]
+        for old in (b"ckpt-v2", b"ckpt-v1"):
+            with open(path, "wb") as fh:
+                fh.write(old + payload)
+            with pytest.raises(ValueError) as info:
+                read_checkpoint(path)
+            assert str(info.value) == f"{path}: not a ckpt-v3 checkpoint"
 
     @pytest.mark.parametrize("values", [-1, 1], ids=["one-short", "one-long"])
     def test_velocity_that_does_not_fit_the_parameters_rejected(self, tmp_path, values):
@@ -631,8 +710,8 @@ class TestCheckpointResume:
         train_teacher(train, test, small_cfg(epochs=2), out_ckpt=path)
         state = read_checkpoint(path)
         end = PARAMS_AT + len(params_to_bytes(state.params)) + state.vel.flat.nbytes
-        last = struct.pack("<d", state.vel.flat[-1])
-        patch_checkpoint(path, end - 8, last, last * (1 + values))
+        last = struct.pack("<f", state.vel.flat[-1])
+        patch_checkpoint(path, end - 4, last, last * (1 + values))
         with pytest.raises(ValueError) as info:
             read_checkpoint(path)
         assert str(info.value) == f"{path}: truncated checkpoint"
@@ -653,10 +732,10 @@ class TestCheckpointResume:
     def test_non_finite_blob_refused_by_reader_and_writer(self, tmp_path, blob, value):
         # a NaN weight was once written and read back without complaint,
         # so eval scored whatever the NaN logits argmaxed to
-        params = init_mlp((4, 12, 2), seed=0)
-        state = RunState(params, MlpParams.zeros(params.dims), Rng(1), [], config_digest(small_cfg()))
+        params = init_mlp((4, 12, 2), seed=0).astype(np.float32)
+        state = RunState(params, MlpParams.zeros(params.dims, np.float32), Rng(1), [], config_digest(small_cfg()))
         array = state.params if blob == "parameter" else state.vel
-        # the parameters are stored as an mlp-v1 blob, the velocity as its raw values
+        # the parameters are stored as an mlp-v2 blob, the velocity as its raw float32 values
         stored = params_to_bytes if blob == "parameter" else lambda vel: vel.flat.tobytes()
         offset = PARAMS_AT + (0 if blob == "parameter" else len(params_to_bytes(params)))
         clean, kept = stored(array), array.flat[5]
@@ -675,6 +754,18 @@ class TestCheckpointResume:
         with pytest.raises(ValueError) as info:
             read_checkpoint(spliced)
         assert str(info.value) == f"{spliced}: the {blob} blob holds a non-finite value"
+
+    @pytest.mark.parametrize("blob", ["parameter", "velocity"])
+    def test_a_float64_state_beyond_float32_refused_by_name(self, tmp_path, blob):
+        # the writer rounds a float64 state to float32, where 1e39 is infinite
+        params = init_mlp((4, 12, 2), seed=0)
+        state = RunState(params, MlpParams.zeros(params.dims), Rng(1), [], config_digest(small_cfg()))
+        (state.params if blob == "parameter" else state.vel).flat[5] = 1e39
+        path = str(tmp_path / "wide.ckpt")
+        with pytest.raises(ValueError) as info:
+            write_checkpoint(path, state)
+        assert str(info.value) == f"{path}: the {blob} blob holds a non-finite value"
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_rename_leaves_no_temp_file(self, tmp_path):
         # a directory in the checkpoint's place once kept <path>.tmp behind
@@ -833,9 +924,9 @@ class TestCheckpointResume:
         # the state _run starts from, built here by hand
         train, test = two_class_separable()
         cfg = small_cfg(epochs=4)
-        params = init_mlp((train.dimension, *cfg.hidden_dims, train.num_classes), cfg.seed)
+        params = init_mlp((train.dimension, *cfg.hidden_dims, train.num_classes), cfg.seed).astype(np.float32)
         digest = config_digest(pipeline.teacher_config(cfg))
-        state = RunState(params, MlpParams.zeros(params.dims), Rng(derive_seed(cfg.seed, 1)), [], digest)
+        state = RunState(params, MlpParams.zeros(params.dims, np.float32), Rng(derive_seed(cfg.seed, 1)), [], digest)
         by_hand, by_run = str(tmp_path / "hand.ckpt"), str(tmp_path / "run.ckpt")
         write_checkpoint(by_hand, state)
         train_teacher(train, test, cfg, out_ckpt=by_run, stop_after_epoch=0)
