@@ -25,9 +25,9 @@ An objective with no targets has no distillation term at all, rather than
 KL toward a one-hot row, so ``ce`` and ``cb`` keep the sign of a zero loss.
 The kernel shifts each logit row by its max once and takes both the
 temperature-1 and the temperature-T log-softmax from that one shift. The
-per-sample ``ce_loss``, ``cb_loss``, ``kd_loss`` and ``bkd_loss`` validate
-their inputs and call the kernel with a single row; the distillation pair
-take alpha and T as numbers and build their objective as training does.
+two builders refuse a teacher row that is not a distribution (finite,
+nonnegative, summing to 1 within 1e-9); ``kd_loss`` and ``bkd_loss`` pass
+theirs as a one-row matrix, and each per-sample loss runs the kernel on one row.
 
 ``distill_grad_formula`` is the one closed-form gradient, kept as an
 independent diagnostic for every loss the training loop runs:
@@ -116,11 +116,6 @@ def _check_label(y, num_classes):
     return y
 
 
-def _check_probs(p, num_classes, name="teacher_probs"):
-    sums_to_one = lambda p: (p >= 0).all() and abs(p.sum() - 1.0) <= 1e-9
-    return check_real_array(p, name, sums_to_one, f"be {num_classes} nonnegative reals summing to 1", (num_classes,))
-
-
 # ---------------------------------------------------------------------------
 # vectorized cores (rows = samples)
 
@@ -142,12 +137,18 @@ def _ce_rows(log_p, ys):
     return values, grads
 
 
-def _check_prob_rows(teacher_probs):
-    """``teacher_probs`` as a float64 (N, C) matrix, or ValueError unless it
-    is one of nonnegative finite reals: the one rule for a distillation
-    objective's teacher matrix."""
-    rule = "be a matrix of nonnegative finite reals"
-    return check_real_array(teacher_probs, "teacher_probs", lambda p: p >= 0, rule, (None, None))
+def _check_prob_rows(teacher_probs, name="teacher_probs"):
+    """``teacher_probs`` as a float64 (N, C) matrix, or ValueError unless each
+    row is a distribution: the one rule for a teacher's probabilities."""
+    rule = "be a matrix of finite nonnegative rows that each sum to 1 within 1e-9"
+    is_distribution = lambda p: (p >= 0).all() and (np.abs(p.sum(axis=1) - 1.0) <= 1e-9).all()
+    return check_real_array(teacher_probs, name, is_distribution, rule, (None, None))
+
+
+def _check_width(p, num_classes, name="teacher_probs"):
+    if p is not None and p.shape[-1] != num_classes:
+        raise ValueError(f"{name} must have {num_classes} entries, one per logit, got {p!r}")
+    return p
 
 
 def balanced_targets(teacher_probs, w):
@@ -208,6 +209,7 @@ def objective_loss_batch(Z, ys, rows, objective):
 
 
 def _one_row(z, y, objective):
+    _check_width(objective.targets, z.size)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         values, grads = objective_loss_batch(z[None, :], [y], [0], objective)
     return LossResult(float(values[0]), grads[0])
@@ -236,8 +238,7 @@ def kd_loss(z, teacher_probs, y, *, alpha, temperature):
     """
     z = check_logits(z)
     y = _check_label(y, z.size)
-    phat = _check_probs(teacher_probs, z.size)
-    return _one_row(z, y, kd_objective(phat[None, :], alpha=alpha, temperature=temperature))
+    return _one_row(z, y, kd_objective([teacher_probs], alpha=alpha, temperature=temperature))
 
 
 def bkd_loss(z, teacher_probs, y, w, *, temperature):
@@ -250,8 +251,7 @@ def bkd_loss(z, teacher_probs, y, w, *, temperature):
     """
     z = check_logits(z)
     y = _check_label(y, z.size)
-    phat = _check_probs(teacher_probs, z.size)
-    return _one_row(z, y, bkd_objective(phat[None, :], w, temperature=temperature))  # w is checked in balanced_targets
+    return _one_row(z, y, bkd_objective([teacher_probs], w, temperature=temperature))
 
 
 def distill_grad_formula(z, targets, y, ce_coef, kl_coef, temperature):
@@ -266,7 +266,7 @@ def distill_grad_formula(z, targets, y, ce_coef, kl_coef, temperature):
     """
     z = check_logits(z)
     y = _check_label(y, z.size)
-    targets = _check_probs(targets, z.size, "targets")
+    targets = _check_width(_check_prob_rows([targets], "targets")[0], z.size, "targets")
     ce_coef = check_real(ce_coef, "ce_coef", math.isfinite, "be a finite real")
     kl_coef = check_real(kl_coef, "kl_coef", math.isfinite, "be a finite real")
     T = check_temperature(temperature)

@@ -42,8 +42,8 @@ def effective_number_weights(counts, beta):
     counts = check_counts(counts)
     one_minus_beta = 1.0 - check_beta(beta)
     n = counts.astype(np.float64)
-    # 1 - beta^n == -expm1(n * log(beta)), with log(beta) = log1p(-(1-beta))
-    denom = -np.expm1(n * np.log1p(-one_minus_beta))
+    # 1 - beta^n == -expm1(n * log1p(-(1-beta))), with 1 - beta capped below 1 (it rounds to 1 at beta < 2**-53)
+    denom = -np.expm1(n * np.log1p(-min(one_minus_beta, 1.0 - 2**-53)))
     w = np.where(counts == 1, 1.0, one_minus_beta / denom)
     return w
 

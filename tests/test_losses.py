@@ -229,25 +229,34 @@ class TestBkdLoss:
             bkd_loss(np.zeros(2), np.array([0.5, 0.5]), 0, np.ones(2), temperature=0)
         assert str(info.value) == "temperature must be a positive finite real, got 0"
 
-    @pytest.mark.parametrize("build", [
-        lambda phat: kd_objective(phat, alpha=0.5, temperature=2.0),
-        lambda phat: bkd_objective(phat, np.ones(2), temperature=2.0),
-    ], ids=["kd", "bkd"])
-    def test_both_objectives_check_the_teacher_matrix_alike(self, build):
-        # kd_objective once raised AttributeError on a list and kept a NaN row as a target
-        objective = build([[0.5, 0.5]])
-        assert objective.targets.dtype == np.float64
-        np.testing.assert_array_equal(objective.targets, [[0.5, 0.5]])
-        for bad in ([[math.nan, 0.5]], [[-0.5, 1.5]], [0.5, 0.5], [["0.5", "0.5"]]):
+    # each entry point under the one teacher-probability rule: the argument's
+    # name, what it returns for a teacher matrix (the per-sample three take
+    # its first row), and that value for [[0.5, 0.5]] at z = 0, y = 0
+    @pytest.mark.parametrize("name, build, valid", [
+        ("teacher_probs", lambda p: kd_objective(p, alpha=0.5, temperature=2.0).targets, [[0.5, 0.5]]),
+        ("teacher_probs", lambda p: bkd_objective(p, np.ones(2), temperature=2.0).targets, [[0.5, 0.5]]),
+        ("teacher_probs", lambda p: kd_loss(np.zeros(2), p[0], 0, alpha=0.5, temperature=2.0).grad_logits, [-0.25, 0.25]),
+        ("teacher_probs", lambda p: bkd_loss(np.zeros(2), p[0], 0, np.ones(2), temperature=2.0).grad_logits, [-0.5, 0.5]),
+        ("targets", lambda p: distill_grad_formula(np.zeros(2), p[0], 0, 0.5, 0.5, 2.0), [-0.25, 0.25]),
+    ], ids=["kd", "bkd", "kd_loss", "bkd_loss", "distill_grad_formula"])
+    def test_both_objectives_check_the_teacher_matrix_alike(self, name, build, valid):
+        # kd_objective once raised AttributeError on a list, kept a NaN row as
+        # a target, and took a row summing to 0.2, whose distillation term
+        # then went negative
+        got = build([[0.5, 0.5]])
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, valid)
+        for bad in ([[math.nan, 0.5]], [[-0.5, 1.5]], [[0.1, 0.1]], [0.5, 0.5], [["0.5", "0.5"]]):
             with pytest.raises(ValueError) as info:
                 build(bad)
-            assert str(info.value).startswith("teacher_probs must be a matrix of nonnegative finite reals, got ")
+            rule = "must be a matrix of finite nonnegative rows that each sum to 1 within 1e-9, got "
+            assert str(info.value).startswith(f"{name} {rule}")
 
     def test_zero_weighted_teacher_mass_is_internal_error(self):
-        # unreachable through the validated entry point (weights are positive
-        # and teacher probs sum to 1), so poke the batch core directly
+        # a distribution times positive weights has positive mass unless
+        # every product underflows, as with these subnormal weights
         with pytest.raises(RuntimeError, match="mass"):
-            balanced_targets(np.zeros((1, 3)), np.ones(3))
+            balanced_targets([[0.1] * 10], [5e-324] * 10)
 
     def test_weight_scale_cancels(self):
         rng = Rng(44)

@@ -37,8 +37,11 @@ class TestEffectiveNumberWeights:
         assert w[-1] == 1.0
 
     def test_small_beta_limit_all_near_one(self):
-        w = effective_number_weights([1, 10, 1000, 10_000_000], 1e-9)
-        assert np.abs(w - 1.0).max() < 1e-6
+        # at 1e-300 and 2**-54, 1 - beta rounds to 1.0, which once took
+        # log1p(-1) with numpy's divide warning
+        for beta in (1e-9, 1e-300, 2**-54):
+            w = effective_number_weights([1, 10, 1000, 10_000_000], beta)
+            assert np.abs(w - 1.0).max() < 1e-6
 
     def test_large_count_limit_approaches_one_minus_beta(self):
         w = effective_number_weights([10_000_000], 0.99)
