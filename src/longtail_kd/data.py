@@ -6,44 +6,32 @@ Counts, dimensions and labels go through the number rules of ``mathutils``
 and ``weights.check_counts``, so a ``bool`` or a fractional count or label
 is refused, never truncated.
 
-On disk a dataset is a ``longtail-csv v1`` text file, the one canonical form.
-``save_dataset`` also writes a ``longtail-bin v1`` sidecar next to it
-(``<path>.bin``) so that later loads skip parsing the text. All integers
-in it are little-endian int64. It holds:
-
-- the magic ``longtail-bin v1``;
-- the sha256 of the exact CSV bytes it was written with;
-- N and d;
-- N labels (int64), then N*d row-major features (little-endian float64);
-- a sha256 trailer over everything before it.
+On disk a dataset is a ``longtail-csv v2`` text file, the one canonical
+form. Its features are float32 (``LabeledDataset`` rounds them once), each
+written as ``format(x, "+.8e")``: nine significant digits, as many as any
+float32 needs to parse back to its own bits. ``save_dataset`` formats the
+rows in this process, one 1024-row chunk at a time through
+``_format_cells``, and hashes the CSV as it writes it. It also writes a
+``longtail-bin v2`` sidecar (``<path>.bin``): the magic, the sha256 of the
+CSV bytes, N and d (int64), N int64 labels, N*d row-major float32 features
+and a sha256 trailer over all of that, every number little-endian. Each
+file is committed through ``open_output``, so a failed save leaves no
+temporary file behind and a previous dataset at the same path untouched,
+and a save killed while it formats leaves only the CSV's temporary file.
 
 ``load_dataset`` always parses the CSV header. It takes the rows from the
-sidecar only when the magic, the CSV digest, d, the file size (N*(d+1)
-eight-byte values) and the trailer all check out. Otherwise (no sidecar,
-or a stale, truncated or corrupt one) it parses the CSV text, so a CSV
-from elsewhere, or one edited after saving, loads as written. Both paths
-give the same bits, and ``LabeledDataset`` validates either result.
-
-Formatting floats with ``repr`` is nearly all the cost of a save, so
-``save_dataset`` spreads it over every CPU it may run on, through the one
-fork path ``workers.run_split``. The rows are cut into contiguous ranges of
-whole 1024-row chunks, one range per CPU but never more ranges than chunks.
-The saving process formats the first range straight into the CSV while a
-forked child formats each other range; the children report only through
-their pipes, and their bytes follow in range order. Every byte of the CSV
-is hashed as it is written, so the CSV and its digest are the same bytes
-whatever the CPU count. With one CPU, one chunk, or a platform that cannot
-fork, nothing is forked and the same code formats every row in one range.
-The CSV and the sidecar are each committed through ``open_output``, so a
-failed save leaves no temporary file behind and a previous dataset at the
-same path untouched, and a save killed while it formats leaves only the
-CSV's temporary file.
+sidecar only when the magic, the CSV digest, d, the file size and the
+trailer all check out. Otherwise it parses the CSV text, which may hold
+any float text, so a CSV from elsewhere, or one edited after saving, loads
+as written. ``LabeledDataset`` validates and rounds either result, so both
+paths give the same bits.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import math
 import os
 import struct
@@ -53,10 +41,10 @@ import numpy as np
 
 from .mathutils import Rng, check_int, check_int_array, check_real, check_real_array
 from .weights import check_counts
-from .workers import blocks, run_split, split
+from .workers import blocks
 
-FORMAT_MAGIC = "longtail-csv v1"
-SIDECAR_MAGIC = b"longtail-bin v1"
+FORMAT_MAGIC = "longtail-csv v2"
+SIDECAR_MAGIC = b"longtail-bin v2"
 SIDECAR_SUFFIX = ".bin"
 _DIGEST_BYTES = 32  # sha256
 # magic, CSV digest, N, d
@@ -64,6 +52,11 @@ _SIDECAR_HEAD = struct.Struct(f"<{len(SIDECAR_MAGIC)}s{_DIGEST_BYTES}sqq")
 # rows formatted per write in save_dataset: it bounds the memory the saving
 # process holds beyond the arrays themselves
 _SAVE_CHUNK_ROWS = 1024
+# the least magnitude that rounds to float32's infinity: halfway between its
+# largest finite value and 2**128, where a tie rounds to the even 2**128
+_F32_OVERFLOW = 2.0**128 - 2.0**103
+# a feature cell and its separator, before its signs and digits are set
+_CELL = np.frombuffer(b"+0.00000000e+00,", np.uint8)
 
 PROFILE_KINDS = ("exponential", "step")
 
@@ -98,16 +91,17 @@ class ImbalanceProfile:
 
 @dataclass
 class LabeledDataset:
-    """Feature matrix with integer labels; class counts derive from labels."""
+    """Float32 feature matrix, checked as reals and then rounded once, with
+    integer labels; class counts derive from labels."""
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
 
     def __post_init__(self):
-        self.features = check_real_array(
-            self.features, "features", lambda f: True, "be an (N, d) matrix of finite reals", (None, None)
-        )
+        rule = "be an (N, d) matrix of finite reals within float32's range"
+        fits = lambda f: max(f.max(initial=0.0), -f.min(initial=0.0)) < _F32_OVERFLOW  # makes no (N, d) array
+        self.features = check_real_array(self.features, "features", fits, rule, (None, None)).astype(np.float32)
         self.labels = check_int_array(self.labels, "labels")
         self.num_classes = check_int(self.num_classes, "num_classes", 1)
         if self.labels.shape != (self.features.shape[0],):
@@ -217,63 +211,68 @@ def subset_tags(counts, many_thresh, few_thresh):
 
 def save_dataset(data, path):
     """Write the on-disk format: a header line
-    ``longtail-csv v1, C=<int>, d=<int>`` then one ``label,f_1,...,f_d``
-    row per sample with shortest round-trip float representations, plus
-    the ``longtail-bin v1`` sidecar ``<path>.bin`` (see the module
-    docstring).
-
-    The rows are split into contiguous ranges of whole save chunks, one per
-    available CPU (``workers.split``, never more ranges than chunks), and
-    formatted through ``workers.run_split``: this process formats the first
-    range into the CSV after the header, and the rows a forked child
-    formats for each other range follow in order. Every byte of the CSV is
-    hashed as it is written. With one CPU, one chunk, or a platform that
-    cannot fork, nothing is forked. The sidecar, then the CSV, is committed
-    through ``open_output``. A failed child raises OSError naming its rows.
-    The bytes do not depend on the CPU count.
-    """
-    n = len(data)
-    ranges = [(a * _SAVE_CHUNK_ROWS, min(b * _SAVE_CHUNK_ROWS, n)) for a, b in split(-(-n // _SAVE_CHUNK_ROWS))]
-
-    def failed(start, stop, n_sent):
-        return f"{path}: the worker formatting rows {start}-{stop}"
-
+    ``longtail-csv v2, C=<int>, d=<int>`` then one ``label,f_1,...,f_d``
+    row per sample, plus the ``longtail-bin v2`` sidecar ``<path>.bin``
+    (see the module docstring). The sidecar, then the CSV, is committed
+    through ``open_output``."""
     csv_digest = hashlib.sha256()
     with open_output(path) as fh:
-
-        def emit(blob):
+        header = f"{FORMAT_MAGIC}, C={data.num_classes}, d={data.dimension}\n".encode("ascii")
+        starts = range(0, len(data), _SAVE_CHUNK_ROWS)
+        for blob in itertools.chain([header], (_format_rows(data, s, s + _SAVE_CHUNK_ROWS) for s in starts)):
             csv_digest.update(blob)
             fh.write(blob)
-
-        emit(f"{FORMAT_MAGIC}, C={data.num_classes}, d={data.dimension}\n".encode("ascii"))
-        run_split(ranges, _format_range, failed, emit, data)
         with open_output(path + SIDECAR_SUFFIX) as sidecar:
             _write_sidecar(sidecar, csv_digest.digest(), data)
 
 
 def _format_rows(data, start, stop):
     """CSV lines of rows ``start:stop`` as ASCII bytes."""
-    rows = zip(data.labels[start:stop].tolist(), data.features[start:stop].tolist())
-    return "".join(f"{label},{','.join(map(repr, feats))}\n" for label, feats in rows).encode("ascii")
+    cells = _format_cells(data.features[start:stop])
+    cells[..., -1, -1] = ord("\n")
+    rows = cells.reshape(len(cells), -1)
+    return b"".join(b"%d,%b" % row for row in zip(data.labels[start:stop].tolist(), rows))
 
 
-def _format_range(send, data, start, stop):
-    """A save job: send the CSV lines of rows ``start:stop``, one save
-    chunk at a time."""
-    for chunk in range(start, stop, _SAVE_CHUNK_ROWS):
-        send(_format_rows(data, chunk, min(chunk + _SAVE_CHUNK_ROWS, stop)))
+def _format_cells(values):
+    """The cells ``format(v, "+.8e") + ","`` of a float32 array as a uint8
+    array of shape ``values.shape + (16,)``. Each magnitude is scaled by a
+    float64 power of ten to nine digits before the point, its decade from
+    ``log10``; a second scaling corrects a misestimated decade either way,
+    or a ninth digit that carries. The scaled value is within 1e-6 of
+    exact, so ``rint`` rounds it correctly unless it is that close to a
+    tie, and Python formats those few cells."""
+    a = np.abs(values, dtype=np.float64)
+    nonzero = a > 0
+    e = np.floor(np.log10(np.where(nonzero, a, 1.0))).astype(np.int64)
+    scaled = a * 10.0 ** (8 - e)
+    e += (np.rint(scaled) >= 1e9).astype(np.int64) - ((scaled < 1e8) & nonzero)
+    scaled = a * 10.0 ** (8 - e)
+    m = np.rint(scaled)
+    near_tie = nonzero & ((np.abs(scaled - m) > 0.5 - 1e-6) | (m < 1e8) | (m >= 1e9))
+    out = np.empty(values.shape + _CELL.shape, np.uint8)
+    out[...] = _CELL
+    out[..., 0][np.signbit(values)] = ord("-")
+    out[..., 12][e < 0] = ord("-")
+    for digits, columns in ((m.astype(np.uint32), (10, 9, 8, 7, 6, 5, 4, 3, 1)), (np.abs(e), (14, 13))):
+        for column in columns:
+            digits, digit = np.divmod(digits, 10)
+            out[..., column] += digit.astype(np.uint8)
+    cells = out.reshape(-1, _CELL.size)
+    for i in np.flatnonzero(near_tie):
+        cells[i, :-1] = np.frombuffer(format(float(values.flat[i]), "+.8e").encode("ascii"), np.uint8)
+    return out
 
 
 def _write_sidecar(fh, csv_digest, data):
-    labels = np.ascontiguousarray(data.labels, dtype="<i8")
-    features = np.ascontiguousarray(data.features, dtype="<f8")
-    head = _SIDECAR_HEAD.pack(SIDECAR_MAGIC, csv_digest, len(data), data.dimension)
-    trailer = hashlib.sha256(head)
-    trailer.update(labels)
-    trailer.update(features)
-    fh.write(head)
-    fh.write(labels)
-    fh.write(features)
+    trailer = hashlib.sha256()
+    for part in (
+        _SIDECAR_HEAD.pack(SIDECAR_MAGIC, csv_digest, len(data), data.dimension),
+        np.ascontiguousarray(data.labels, dtype="<i8"),
+        np.ascontiguousarray(data.features, dtype="<f4"),
+    ):
+        trailer.update(part)
+        fh.write(part)
     fh.write(trailer.digest())
 
 
@@ -297,7 +296,7 @@ def _read_sidecar(csv_path, dim):
         if len(head) != _SIDECAR_HEAD.size:
             return None
         magic, csv_digest, n, d = _SIDECAR_HEAD.unpack(head)
-        expected_size = _SIDECAR_HEAD.size + 8 * n * (d + 1) + _DIGEST_BYTES
+        expected_size = _SIDECAR_HEAD.size + 8 * n + 4 * n * d + _DIGEST_BYTES
         if (
             magic != SIDECAR_MAGIC
             or d != dim
@@ -307,7 +306,7 @@ def _read_sidecar(csv_path, dim):
         ):
             return None
         labels = np.fromfile(fh, dtype="<i8", count=n)
-        features = np.fromfile(fh, dtype="<f8", count=n * d).reshape(n, d)
+        features = np.fromfile(fh, dtype="<f4", count=n * d).reshape(n, d)
         trailer = fh.read(_DIGEST_BYTES)
     payload = hashlib.sha256(head)
     payload.update(labels)
@@ -333,8 +332,8 @@ def _parse_rows(fh, path, num_classes, dim):
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         if not 0 <= label < num_classes:
             raise ValueError(f"{path}:{lineno}: label {label} outside [0, {num_classes})")
-        if not all(map(math.isfinite, row)):
-            raise ValueError(f"{path}:{lineno}: features must be finite")
+        if not all(abs(v) < _F32_OVERFLOW for v in row):
+            raise ValueError(f"{path}:{lineno}: features must be finite and within float32's range")
         labels.append(label)
         rows.append(row)
     return np.array(labels, dtype=np.int64), np.array(rows, dtype=np.float64).reshape(len(rows), dim)

@@ -149,8 +149,10 @@ def forward(params, x, out=None):
     """Logits and an activation cache for ``backward``.
 
     An (N, d) batch gives (N, C) logits; any other shape is refused. The
-    batch is cast to the parameters' dtype, in which every layer computes;
-    each adds its bias and rectifies in place, so a layer makes one array.
+    batch is cast to the parameters' dtype, in which every layer computes:
+    a dataset's float32 rows need no cast for a trained model, and are
+    widened exactly for a float64 one. Each layer adds its bias and
+    rectifies in place, so a layer makes one array.
     ``out``, if given, holds one (N, fan_out) buffer of that dtype per layer;
     the layers are written into them, and the logits and the cache are views
     of those buffers, valid until the buffers are written again. The cache

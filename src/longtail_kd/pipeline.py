@@ -31,8 +31,8 @@ bits whatever the CPU count.
 A run trains in float32: it rounds ``init_mlp``'s float64 draw once, and
 its velocity, gradient buffer, scoring buffers and each objective's arrays
 (computed in float64, then rounded once) are float32, so every minibatch
-runs single-precision BLAS. The datasets stay float64; ``forward`` casts
-each batch it is given.
+runs single-precision BLAS. The datasets are float32 too, so a minibatch
+is gathered in the dtype it trains in and ``forward`` casts nothing.
 
 Every epoch visits the training rows in a fresh shuffled order. A run's
 state is one ``RunState``; each epoch logs one row to it, and a checkpoint

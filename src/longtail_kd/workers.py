@@ -1,26 +1,24 @@
 """Independent jobs spread over the CPUs this process may run on.
 
-``split(n)`` cuts ``n`` items into contiguous ``(start, stop)`` ranges, one
-per worker: as many workers as CPUs in this process's affinity mask, never
-more than there are items, and one where the platform cannot fork or
+``split(n)`` cuts ``n`` items into contiguous ``(start, stop)`` ranges,
+one per worker: as many workers as CPUs in this process's affinity mask,
+never more than there are items, and one where the platform cannot fork or
 report the mask. ``run_split`` runs a job over ranges the caller takes
-from ``split`` in the units it needs: ``temperature_sweep`` splits its
-temperatures and ``save_dataset`` whole 1024-row chunks of a dataset. It
-keeps the first range for this process and forks one child (``os.fork``)
-per other range. A child gathers what its job sends in memory and, when
-the job ends, writes all of it to its pipe, so the children work side by
-side whatever they send. The children are joined in the order they were
-forked, each pipe read through ``blocks`` into the caller's sink, so the
-sink sees the bytes in range order whatever the worker count. Each child
-leaves through ``os._exit``: it never returns into the caller's stack,
-flushes no inherited buffer and runs no atexit handler, and its exit
-status is 0 only if its work finished. On a failure on either side, every
-child not yet joined is killed and reaped before the error propagates, so
-no process is left behind. A caller killed outright cannot do that, so a
-child checks at each send that its caller is still its parent and, once
-it is gone, stops there through ``os._exit(1)``, silently: a save's
-child stops within one chunk, a sweep's child after the student it is
-training.
+from ``split``; its one caller, ``temperature_sweep``, splits its
+temperatures. It keeps the first range for this process and forks one
+child (``os.fork``) per other range. A child gathers what its job sends in
+memory and, when the job ends, writes all of it to its pipe, so the
+children work side by side whatever they send. The children are joined in
+the order they were forked, each pipe read through ``blocks`` into the
+caller's sink, so the sink sees the bytes in range order whatever the
+worker count. Each child leaves through ``os._exit``: it never returns
+into the caller's stack, flushes no inherited buffer and runs no atexit
+handler, and its exit status is 0 only if its work finished. On a failure
+on either side, every child not yet joined is killed and reaped before the
+error propagates, so no process is left behind. A caller killed outright
+cannot do that, so a child checks at each send that its caller is still
+its parent and, once it is gone, stops there through ``os._exit(1)``,
+silently: a sweep's child stops after the student it is training.
 
 Children start from a copy of the caller's memory and report back only
 through their pipes, so anything else a child records, such as a

@@ -176,7 +176,7 @@ class TestDiskFormat:
         path = tmp_path / "d.csv"
         save_dataset(train, str(path))
         header = path.read_text().splitlines()[0]
-        assert header == "longtail-csv v1, C=2, d=3"
+        assert header == "longtail-csv v2, C=2, d=3"
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
@@ -210,20 +210,29 @@ class TestDiskFormat:
         with pytest.raises(ValueError):
             load_dataset(str(path))
 
-    def test_header_count_that_is_not_an_integer_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("longtail-csv v1, C=x, d=2\n0,1.0,2.0\n")
+    def test_previous_format_refused_by_name(self, tmp_path):
+        # a v1 file held float64 text; there is no v1 reader, and make-data
+        # under the same config writes the v2 files again
+        path = tmp_path / "old.csv"
+        path.write_text("longtail-csv v1, C=2, d=2\n0,0.1,2.0\n")
         with pytest.raises(ValueError) as info:
             load_dataset(str(path))
-        assert str(info.value) == f"{path}: malformed header 'longtail-csv v1, C=x, d=2'"
+        assert str(info.value) == f"{path}: not a longtail-csv v2 file (header 'longtail-csv v1, C=2, d=2')"
+
+    def test_header_count_that_is_not_an_integer_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("longtail-csv v2, C=x, d=2\n0,1.0,2.0\n")
+        with pytest.raises(ValueError) as info:
+            load_dataset(str(path))
+        assert str(info.value) == f"{path}: malformed header 'longtail-csv v2, C=x, d=2'"
 
     @pytest.mark.parametrize(
         "text",
         [
-            "longtail-csv v1, C=2, d=0\n0\n1\n",
-            "longtail-csv v1, C=-1, d=2\n",
-            "longtail-csv v1, C=0, d=2\n",
-            "longtail-csv v1, C=2, d=-1\n",
+            "longtail-csv v2, C=2, d=0\n0\n1\n",
+            "longtail-csv v2, C=-1, d=2\n",
+            "longtail-csv v2, C=0, d=2\n",
+            "longtail-csv v2, C=2, d=-1\n",
         ],
         ids=["d=0", "C=-1", "C=0", "d=-1"],
     )
@@ -236,14 +245,14 @@ class TestDiskFormat:
     @pytest.mark.parametrize("C, d", [(1, 2), (2, 1)])
     def test_one_class_or_one_feature_loads(self, tmp_path, C, d):
         path = tmp_path / "narrow.csv"
-        path.write_text(f"longtail-csv v1, C={C}, d={d}\n0," + ",".join(["1.5"] * d) + "\n")
+        path.write_text(f"longtail-csv v2, C={C}, d={d}\n0," + ",".join(["1.5"] * d) + "\n")
         data = load_dataset(str(path))
         assert (data.num_classes, data.dimension) == (C, d)
         np.testing.assert_array_equal(data.features, [[1.5] * d])
 
     def test_label_equal_to_the_class_count_names_the_line(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("longtail-csv v1, C=2, d=2\n1,1.0,2.0\n2,1.0,2.0\n")
+        path.write_text("longtail-csv v2, C=2, d=2\n1,1.0,2.0\n2,1.0,2.0\n")
         with pytest.raises(ValueError) as info:
             load_dataset(str(path))
         assert str(info.value) == f"{path}:3: label 2 outside [0, 2)"
@@ -263,9 +272,26 @@ class TestDiskFormat:
     )
     def test_bad_row_rejected(self, tmp_path, row):
         path = tmp_path / "bad.csv"
-        path.write_text(f"longtail-csv v1, C=2, d=2\n{row}\n")
+        path.write_text(f"longtail-csv v2, C=2, d=2\n{row}\n")
         with pytest.raises(ValueError, match="bad.csv:2"):
             load_dataset(str(path))
+
+    @pytest.mark.parametrize("cell", ["1e39", "-3.4028236e38", "-inf", "nan"])
+    def test_feature_float32_cannot_hold_names_the_line(self, tmp_path, cell):
+        # 1e39 and 3.4028236e38 are finite in float64 but round to float32's infinity
+        path = tmp_path / "bad.csv"
+        path.write_text(f"longtail-csv v2, C=2, d=2\n0,1.0,2.0\n1,{cell},2.0\n")
+        with pytest.raises(ValueError) as info:
+            load_dataset(str(path))
+        assert str(info.value) == f"{path}:3: features must be finite and within float32's range"
+
+    def test_any_float_text_loads_rounded_to_float32(self, tmp_path):
+        # the largest text float32 can hold, one that underflows to zero, and shortest-repr text
+        path = tmp_path / "text.csv"
+        path.write_text("longtail-csv v2, C=2, d=3\n1,3.40282356e38,1e-50,0.1\n")
+        data = load_dataset(str(path))
+        assert data.features.dtype == np.float32
+        assert data.features.tobytes() == np.float32([[np.finfo(np.float32).max, 0.0, 0.1]]).tobytes()
 
     @pytest.mark.parametrize("line", [0, 1, 9], ids=["header", "first-row", "last-row"])
     def test_non_ascii_byte_names_the_file(self, tmp_path, line):
@@ -284,35 +310,44 @@ class TestDiskFormat:
 
 
 def _reference_csv(data):
-    """The row-at-a-time writer the streaming save_dataset must match."""
-    lines = [f"longtail-csv v1, C={data.num_classes}, d={data.dimension}"]
+    """The row-at-a-time writer the chunked, vectorized save_dataset must match."""
+    lines = [f"longtail-csv v2, C={data.num_classes}, d={data.dimension}"]
     for row in range(len(data)):
-        feats = ",".join(repr(float(v)) for v in data.features[row])
+        feats = ",".join(format(float(v), "+.8e") for v in data.features[row])
         lines.append(f"{int(data.labels[row])},{feats}")
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def _reference_sidecar(data, csv_bytes):
-    """The longtail-bin v1 sidecar of ``data`` saved as ``csv_bytes``, built field by field."""
+    """The longtail-bin v2 sidecar of ``data`` saved as ``csv_bytes``, built field by field."""
     body = b"".join(
         [
-            b"longtail-bin v1",
+            b"longtail-bin v2",
             hashlib.sha256(csv_bytes).digest(),
             struct.pack("<qq", len(data), data.dimension),
             data.labels.astype("<i8").tobytes(),
-            data.features.astype("<f8").tobytes(),
+            data.features.astype("<f4").tobytes(),
         ]
     )
     return body + hashlib.sha256(body).digest()
 
 
+F32 = np.finfo(np.float32)
+# the signed zero, the smallest and largest subnormals, the smallest normal,
+# the largest magnitude, the value whose nine digits carry into the next
+# decade (float32's 1e-23 is +1.00000000e-23 at nine digits) and a value
+# with no short decimal
+F32_SPECIALS = np.float32(
+    [-0.0, 0.0, F32.smallest_subnormal, -np.nextafter(F32.tiny, 0), F32.tiny, F32.max, -F32.max, 1e-23, 0.1]
+)
+
+
 def _awkward_dataset(rows=2500, dim=3):
-    """Signed zeros, subnormals and extreme magnitudes, over more rows than
-    one save chunk."""
+    """Signed zeros, subnormals and extreme magnitudes of float32, over
+    more rows than one save chunk."""
     rng = np.random.default_rng(4)
     features = rng.standard_normal((rows, dim))
-    special = [-0.0, 5e-324, -2.2250738585072014e-309, 1e16, 1e-5, 1e300, -1e300, 0.1]
-    features.flat[: len(special)] = special
+    features.flat[: len(F32_SPECIALS)] = F32_SPECIALS
     return LabeledDataset(features, rng.integers(0, 3, rows), num_classes=3)
 
 
@@ -364,9 +399,9 @@ class TestSidecar:
         path = self._saved(tmp_path, data)
         with open(path) as fh:
             text = fh.read()
-        assert text.count("0.25") == 1
+        assert text.count("+2.50000000e-01") == 1
         with open(path, "w") as fh:
-            fh.write(text.replace("0.25", "0.75"))
+            fh.write(text.replace("+2.50000000e-01", "0.75"))
         loaded = load_dataset(path)
         np.testing.assert_array_equal(loaded.features, [[0.75, 1.5], [2.5, -3.0]])
 
@@ -375,10 +410,10 @@ class TestSidecar:
         [
             _flip_last_feature_byte,
             lambda blob: blob[: len(blob) // 2],
-            # a sealed sidecar with a changed payload: only the magic check stops it
-            lambda blob: _reseal(b"longtail-bin v2" + _flip_last_feature_byte(blob)[15:]),
-            # 40 x (3 + 1) values recast as 80 x (1 + 1): same size, d disagrees with the header
-            lambda blob: _reseal(blob[:47] + struct.pack("<qq", 80, 1) + blob[63:]),
+            # a sealed sidecar of the previous format's magic: only the magic check stops it
+            lambda blob: _reseal(b"longtail-bin v1" + _flip_last_feature_byte(blob)[15:]),
+            # 40 rows of 8 + 4 * 3 bytes recast as 50 of 8 + 4 * 2: same size, d disagrees with the header
+            lambda blob: _reseal(blob[:47] + struct.pack("<qq", 50, 2) + blob[63:]),
             # shorter than its 63-byte header, which struct could not unpack
             lambda blob: blob[:40],
         ],
@@ -398,14 +433,14 @@ def _cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
-class TestParallelSave:
-    """Forked row-range workers: same bytes, no fork on one CPU, clean failures."""
+class TestSave:
+    """One process formats every chunk; a failure leaves the previous dataset."""
 
-    def test_one_cpu_never_forks(self, tmp_path, monkeypatch):
+    def test_save_forks_nothing_on_any_cpu_count(self, tmp_path, monkeypatch):
         def no_fork():
-            raise AssertionError("save_dataset forked on a one-CPU affinity")
+            raise AssertionError("save_dataset forked")
 
-        _cpus(monkeypatch, 1)
+        _cpus(monkeypatch, 3)
         monkeypatch.setattr(os, "fork", no_fork)
         data = _awkward_dataset()
         path = str(tmp_path / "train.csv")
@@ -413,61 +448,24 @@ class TestParallelSave:
         with open(path, "rb") as fh:
             assert fh.read() == _reference_csv(data)
 
-    def test_save_writes_no_file_but_its_own_temporary_files(self, tmp_path, monkeypatch):
-        # each forked child once formatted its range into <path>.part<start>,
-        # which a save killed mid-run left behind
-        path = str(tmp_path / "train.csv")
-        save_dataset(_awkward_dataset(rows=5), path)
-        allowed = {*os.listdir(tmp_path), "train.csv.tmp", "train.csv.bin.tmp"}
-        _cpus(monkeypatch, 3)
-        monkeypatch.setattr(data_module, "_SAVE_CHUNK_ROWS", 4)
-        assert len(split(7)) == 3  # 7 chunks of 4 rows
-        format_rows = data_module._format_rows
-
-        def checking_format(data, start, stop):
-            stray = set(os.listdir(tmp_path)) - allowed
-            if stray:
-                raise RuntimeError(f"the save wrote {sorted(stray)}")
-            return format_rows(data, start, stop)
-
-        # the patch is inherited by the forked workers
-        monkeypatch.setattr(data_module, "_format_rows", checking_format)
-        data = _awkward_dataset(rows=25)
-        save_dataset(data, path)
-        with open(path, "rb") as fh:
-            assert fh.read() == _reference_csv(data)
-        assert sorted(os.listdir(tmp_path)) == ["train.csv", "train.csv.bin"]
-
-    @pytest.mark.parametrize("failing", [0, 1, 2])
-    def test_failed_range_leaves_previous_dataset_and_no_temporary_files(self, tmp_path, monkeypatch, failing):
+    def test_failed_format_leaves_previous_dataset_and_no_temporary_files(self, tmp_path, monkeypatch):
         path = str(tmp_path / "train.csv")
         previous = _awkward_dataset(rows=5)
         save_dataset(previous, path)
         before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
-
-        _cpus(monkeypatch, 3)
-        monkeypatch.setattr(data_module, "_SAVE_CHUNK_ROWS", 4)
-        data = _awkward_dataset(rows=25)
-        ranges = [(a * 4, min(b * 4, len(data))) for a, b in split(7)]  # 7 chunks of 4 rows
-        assert len(ranges) == 3
-        owned = ranges[failing]
         format_rows = data_module._format_rows
 
         def failing_format(data, start, stop):
-            if owned[0] <= start < owned[1]:
+            if start == 8:  # the third chunk of 4 rows, after two were written
                 raise RuntimeError("formatter failed")
             return format_rows(data, start, stop)
 
-        # the patch is inherited by the forked workers
+        monkeypatch.setattr(data_module, "_SAVE_CHUNK_ROWS", 4)
         monkeypatch.setattr(data_module, "_format_rows", failing_format)
-        if failing == 0:  # the saving process's own range: its error propagates
-            with pytest.raises(RuntimeError, match="formatter failed"):
-                save_dataset(data, path)
-        else:
-            with pytest.raises(OSError, match=f"{path}: the worker formatting rows {owned[0]}-{owned[1]} failed"):
-                save_dataset(data, path)
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            save_dataset(_awkward_dataset(rows=25), path)
         assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
-        assert load_dataset(path).features.tobytes() == previous.features.tobytes()
+        _assert_same_bits(load_dataset(path), previous)
 
     def test_failed_sidecar_write_leaves_previous_dataset_and_no_temporary_files(self, tmp_path, monkeypatch):
         path = str(tmp_path / "train.csv")
@@ -479,14 +477,63 @@ class TestParallelSave:
             fh.write(b"partial")
             raise RuntimeError("sidecar write failed")
 
-        # three ranges, so two children formatted rows before the sidecar
-        _cpus(monkeypatch, 3)
         monkeypatch.setattr(data_module, "_SAVE_CHUNK_ROWS", 4)
         monkeypatch.setattr(data_module, "_write_sidecar", failing_sidecar)
         with pytest.raises(RuntimeError, match="sidecar write failed"):
             save_dataset(_awkward_dataset(rows=25), path)
         assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
         _assert_same_bits(load_dataset(path), previous)
+
+
+def _powers_of_ten_and_neighbours():
+    """Float32's nearest value to each power of ten from 1e-45 to 1e38, and
+    its float32 neighbours."""
+    powers = np.float32([float(f"1e{k}") for k in range(-45, 39)])
+    return np.concatenate([np.nextafter(powers, np.float32(0)), powers, np.nextafter(powers, np.float32(np.inf))])
+
+
+def _cells(values):
+    """``_format_cells`` of ``values`` as a list of cell strings."""
+    return data_module._format_cells(values).tobytes().decode("ascii").split(",")[:-1]
+
+
+class TestCellFormatter:
+    """``_format_cells``: fixed-width cells that parse back to the same float32 bits."""
+
+    def test_cells_have_their_layout_and_parse_back_to_the_same_bits(self):
+        bits = np.random.default_rng(35).integers(0, 2**32, 1_050_000, dtype=np.uint64).astype(np.uint32)
+        values = np.concatenate([bits.view(np.float32), F32_SPECIALS, _powers_of_ten_and_neighbours()])
+        values = values[np.isfinite(values)]
+        assert values.size > 1_000_000
+        cells = data_module._format_cells(values)
+        assert cells.shape == (values.size, 16)
+        # [+-]d.dddddddde[+-]dd, then the separator
+        for column, allowed in [(0, b"+-"), (2, b"."), (11, b"e"), (12, b"+-"), (13, b"01234"), (15, b",")]:
+            assert np.isin(cells[:, column], list(allowed)).all(), column
+        digits = cells[:, [1, 3, 4, 5, 6, 7, 8, 9, 10, 14]]
+        assert ((digits >= ord("0")) & (digits <= ord("9"))).all()
+        assert ((cells[:, 1] == ord("0")) == (values == 0)).all()  # a leading zero only for a zero
+        parsed = np.fromiter(map(float, cells.tobytes().split(b",")[:-1]), np.float64, values.size)
+        assert parsed.astype(np.float32).tobytes() == values.tobytes()
+
+    def test_cells_are_pythons_nine_digit_format(self):
+        # 2**-14 and 1704300.375 are exact ties at nine digits, which round to even
+        bits = np.random.default_rng(36).integers(0, 2**32, 50_000, dtype=np.uint64).astype(np.uint32)
+        ties = np.float32([2.0**-14, -(2.0**-14), 1704300.375, 629201.8125])
+        values = np.concatenate([bits.view(np.float32), F32_SPECIALS, _powers_of_ten_and_neighbours(), ties])
+        values = values[np.isfinite(values)]
+        assert _cells(values) == [format(float(v), "+.8e") for v in values]
+        assert _cells(ties) == ["+6.10351562e-05", "-6.10351562e-05", "+1.70430038e+06", "+6.29201812e+05"]
+
+    @pytest.mark.parametrize("shift", [-1.0, 1.0], ids=["decade-too-low", "decade-too-high"])
+    def test_a_misestimated_decade_is_corrected(self, monkeypatch, shift):
+        bits = np.random.default_rng(37).integers(0, 2**32, 20_000, dtype=np.uint64).astype(np.uint32)
+        values = np.concatenate([bits.view(np.float32), F32_SPECIALS, _powers_of_ten_and_neighbours()])
+        values = values[np.isfinite(values) & (values != 0)]
+        expected = _cells(values)
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+        assert _cells(values) == expected
 
 
 class TestLabeledDataset:
@@ -506,3 +553,18 @@ class TestLabeledDataset:
     def test_non_finite_features_rejected(self):
         with pytest.raises(ValueError):
             LabeledDataset(np.array([[np.inf, 0.0]]), np.array([0]), num_classes=1)
+
+    def test_features_are_stored_as_float32_rounded_once(self):
+        for dtype in (np.int64, np.float32, np.float64):
+            assert LabeledDataset(np.array([[1, 2], [3, -4]], dtype=dtype), [0, 1], 2).features.dtype == np.float32
+        assert LabeledDataset([[0.1, 1 / 3]], [0], 1).features.tobytes() == np.float32([[0.1, 1 / 3]]).tobytes()
+
+    def test_feature_float32_cannot_hold_refused(self):
+        # 1e300 was a valid float64 feature; the largest float64 that rounds
+        # to float32's largest value is accepted, the next one refused
+        rule = r"^features must be an \(N, d\) matrix of finite reals within float32's range, got"
+        for value in (1e300, -1e300, data_module._F32_OVERFLOW):
+            with pytest.raises(ValueError, match=rule):
+                LabeledDataset([[value, 0.0]], [0], 1)
+        below = np.nextafter(data_module._F32_OVERFLOW, 0.0)
+        assert LabeledDataset([[below, -below]], [0], 1).features.tolist() == [[F32.max, -F32.max]]

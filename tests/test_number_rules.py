@@ -133,8 +133,12 @@ REAL_ARRAYS = {
     "finite_difference_gradient logits": (
         "logits", lambda v: finite_difference_gradient(lambda u: float(u @ u), v), LOGITS, [LOGITS]
     ),
+    # stored as float32 (test_data checks that), widened back exactly here
     "LabeledDataset features": (
-        "features", lambda v: LabeledDataset(v, [0, 1], 2).features, [[1.0, 2.0], [3.0, -4.0]], [1.0, 2.0]
+        "features",
+        lambda v: LabeledDataset(v, [0, 1], 2).features.astype(np.float64),
+        [[1.0, 2.0], [3.0, -4.0]],
+        [1.0, 2.0],
     ),
 }
 

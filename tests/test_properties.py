@@ -1,5 +1,5 @@
 """Property tests for the softmax, the distillation kernels, the accuracy
-report, the parallel dataset writer and training under extreme finite
+report, the chunked dataset writer and training under extreme finite
 configs."""
 
 import functools
@@ -28,7 +28,7 @@ from longtail_kd.losses import BKDConfig, KDConfig, Objective, balanced_targets,
 from longtail_kd.mathutils import softmax_with_temperature
 from longtail_kd.mlp import LrSchedule, forward
 from longtail_kd.pipeline import LOSS_KINDS, TrainConfig, train_student, train_teacher
-from test_data import _reference_csv, _reference_sidecar
+from test_data import F32_SPECIALS, _reference_csv, _reference_sidecar
 
 # derandomized and without an example database, so every run checks the same cases
 property_settings = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -135,34 +135,29 @@ def test_bincount_confusion_equals_the_scattered_tally(case):
     np.testing.assert_array_equal(m, scattered_confusion_matrix(preds, labels, len(tags)))
 
 
-SPECIAL_FEATURES = (-0.0, 5e-324, -2.2250738585072014e-309, 1e16, 1e-5, 1e300, -1e300)
-
-
 def special_dataset(rows, dim=3):
-    """``rows`` rows cycling through the signed zero, subnormals and extreme magnitudes."""
-    features = np.resize(np.array(SPECIAL_FEATURES), rows * dim).reshape(rows, dim)
+    """``rows`` rows cycling through float32's signed zeros, subnormals and extreme magnitudes."""
+    features = np.resize(F32_SPECIALS, rows * dim).reshape(rows, dim)
     return LabeledDataset(features, np.arange(rows) % 2, num_classes=2)
 
 
 @st.composite
 def datasets(draw):
     n, d, c = draw(st.integers(1, 40)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    cells = st.one_of(st.sampled_from(SPECIAL_FEATURES), st.floats(allow_nan=False, allow_infinity=False))
-    features = draw(arrays(np.float64, (n, d), elements=cells))
+    finite = st.floats(allow_nan=False, allow_infinity=False, width=32)
+    features = draw(arrays(np.float32, (n, d), elements=st.one_of(st.sampled_from(F32_SPECIALS.tolist()), finite)))
     labels = draw(arrays(np.int64, n, elements=st.integers(0, c - 1)))
     return LabeledDataset(features, labels, c)
 
 
 @property_settings
-@given(datasets(), st.integers(1, 5), st.integers(1, 8))
-@example(special_dataset(1), 4, 1)  # one row: one range, nothing forked
-@example(special_dataset(10), 5, 4)  # more CPUs than chunks: 3 ranges of one chunk each
-@example(special_dataset(23), 3, 4)  # 5 chunks of 4 and 1 of 3: ranges of 8, 8 and 7 rows
-@example(special_dataset(40), 5, 3)  # 14 chunks over 5 ranges of 2 or 3 chunks
-def test_parallel_save_bytes_equal_the_row_at_a_time_writer(data, workers, chunk_rows):
+@given(datasets(), st.integers(1, 8))
+@example(special_dataset(1), 1)  # one row, one chunk
+@example(special_dataset(10), 4)  # chunks of 4, 4 and 2 rows
+@example(special_dataset(23), 4)  # 5 chunks of 4 and 1 of 3
+def test_save_bytes_equal_the_row_at_a_time_writer(data, chunk_rows):
     expected_csv = _reference_csv(data)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
         mp.setattr(data_module, "_SAVE_CHUNK_ROWS", chunk_rows)
         path = os.path.join(tmp, "train.csv")
         save_dataset(data, path)

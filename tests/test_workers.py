@@ -1,6 +1,6 @@
-"""The fork-worker helper, through the two jobs that use it: the dataset
-save (see also ``test_data.TestParallelSave``) and the temperature sweep;
-and the gradient audit, which runs in this process on any CPU count."""
+"""The fork-worker helper, through the job that uses it, the temperature
+sweep; and the gradient audit, which runs in this process on any CPU
+count."""
 
 import os
 import signal
@@ -12,15 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from longtail_kd import data as data_module
 from longtail_kd import gradcheck, pipeline
-from longtail_kd.data import LabeledDataset, load_dataset, save_dataset
+from longtail_kd.data import LabeledDataset
 from longtail_kd.gradcheck import run_gradient_checks
 from longtail_kd.mlp import init_mlp
 from longtail_kd.pipeline import temperature_sweep, train_teacher
 from longtail_kd.workers import run_split
 from test_cli import run, write_config
-from test_data import _awkward_dataset, _cpus
+from test_data import _cpus
 from test_pipeline import small_cfg, two_class_separable
 
 TEMPS = [1.0, 2.0, 4.0, 0.5]
@@ -126,22 +125,6 @@ def test_gradient_audit_is_the_same_bits_on_any_cpu_count(monkeypatch, cpus, tri
     assert forks == []
     assert list(worst) == list(serial)
     assert [err.hex() for err in worst.values()] == [err.hex() for err in serial.values()]
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("rows", [10, 25])
-@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-def test_save_forks_one_child_per_range_after_the_first(tmp_path, monkeypatch, cpus, rows):
-    # chunks of 4 rows: 10 rows are 3 chunks, 25 rows are 7
-    _cpus(monkeypatch, cpus)
-    monkeypatch.setattr(data_module, "_SAVE_CHUNK_ROWS", 4)
-    forks = count_forks(monkeypatch)
-    data = _awkward_dataset(rows=rows)
-    path = str(tmp_path / "train.csv")
-    save_dataset(data, path)
-    assert len(forks) == min(cpus, -(-rows // 4)) - 1
-    assert load_dataset(path).features.tobytes() == data.features.tobytes()
-    assert sorted(os.listdir(tmp_path)) == ["train.csv", "train.csv.bin"]
     assert_no_child_left()
 
 
