@@ -41,7 +41,6 @@ import numpy as np
 
 from .mathutils import Rng, check_int, check_int_array, check_real, check_real_array
 from .weights import check_counts
-from .workers import blocks
 
 FORMAT_MAGIC = "longtail-csv v2"
 SIDECAR_MAGIC = b"longtail-bin v2"
@@ -49,6 +48,8 @@ SIDECAR_SUFFIX = ".bin"
 _DIGEST_BYTES = 32  # sha256
 # magic, CSV digest, N, d
 _SIDECAR_HEAD = struct.Struct(f"<{len(SIDECAR_MAGIC)}s{_DIGEST_BYTES}sqq")
+# bytes per read of ``_file_sha256``: the buffer a file is hashed through
+_BLOCK_BYTES = 1 << 20
 # rows formatted per write in save_dataset: it bounds the memory the saving
 # process holds beyond the arrays themselves
 _SAVE_CHUNK_ROWS = 1024
@@ -277,10 +278,14 @@ def _write_sidecar(fh, csv_digest, data):
 
 
 def _file_sha256(path):
+    """sha256 of the file at ``path``, read into one reused ``_BLOCK_BYTES``
+    buffer: a fresh ``bytes`` per block would be a new memory mapping each
+    time under the CLI's malloc thresholds."""
     digest = hashlib.sha256()
+    buf = memoryview(bytearray(_BLOCK_BYTES))
     with open(path, "rb") as fh:
-        for block in blocks(fh):
-            digest.update(block)
+        while n := fh.readinto(buf):
+            digest.update(buf[:n])
     return digest.digest()
 
 

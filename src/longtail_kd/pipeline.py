@@ -23,10 +23,8 @@ non-finite test logits, raise ``training diverged: non-finite loss`` (or
 that keeps overflow, division by zero (a temperature that rounds to 0 in
 float32) and invalid values quiet, so that line is all a diverging run
 prints.
-``temperature_sweep`` trains one such student per temperature, on every
-available CPU: each CPU trains a contiguous group of the temperatures, in
-this process or a forked child (``workers``), and the rows are the same
-bits whatever the CPU count.
+``temperature_sweep`` trains one such student per temperature, one after
+another in the calling process.
 
 A run trains in float32: it rounds ``init_mlp``'s float64 draw once, and
 its velocity, gradient buffer, scoring buffers and each objective's arrays
@@ -77,7 +75,6 @@ from .mlp import (
     MlpParams,
 )
 from .weights import effective_number_weights, normalize_weights
-from .workers import run_split, split
 
 CKPT_MAGIC = b"ckpt-v3"
 _DIGEST_BYTES = 32  # sha256, as config_digest returns
@@ -424,17 +421,14 @@ def train_student(train, test, teacher, cfg, *, out_ckpt=None, resume_from=None,
 
     cfg.loss picks the objective; "ce"/"cb" are permitted as baselines that
     ignore the teacher. With ``defer_epoch`` set (bkd only), earlier epochs
-    use plain distillation and later ones the balanced loss.
+    use plain distillation and later ones the balanced loss. A missing
+    teacher, or one that does not fit ``train``, is refused before any
+    epoch.
     """
-    _check_teacher(teacher, train)
-    return _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch)
-
-
-def _check_teacher(teacher, train):
-    """ValueError unless there is a teacher and it fits ``train``."""
     if teacher is None:
         raise ValueError("student training requires a teacher model")
     check_model_fits(teacher, train, "teacher", "the data")
+    return _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch)
 
 
 def check_sweep_config(cfg):
@@ -447,48 +441,18 @@ def check_sweep_config(cfg):
         raise ValueError("a temperature sweep needs at least one training epoch")
 
 
-# one sweep accuracy as a worker sends it: exact float64 bits
-_ACC = struct.Struct("<d")
-
-
 def temperature_sweep(train, test, teacher, base_cfg, temps):
-    """Train one student per temperature (same teacher, same seed) and
-    report (temperature, final overall test accuracy) rows in ``temps``
-    order.
-
-    The temperatures are cut into contiguous groups, one per available CPU
-    (``workers.run_split``). This process trains the first group while a
-    forked child per other group trains the rest and sends back each
-    accuracy as its eight little-endian bytes, so the rows are the same
-    bits whatever the CPU count. A failed child raises OSError naming the
-    temperature it was training.
-    """
+    """Train one student per temperature (same teacher, same seed), one
+    after another in this process, and report (temperature, final overall
+    test accuracy) rows in ``temps`` order. The first student refuses a
+    teacher or a split pair that does not fit before any epoch trains."""
     temps = [check_temperature(t) for t in temps]
     if not temps:
         raise ValueError("temps must be a non-empty list")
     check_sweep_config(base_cfg)
-    # every student's refusals, raised here rather than in a forked child
-    _check_teacher(teacher, train)
-    check_splits(train, test)
-
-    def failed(start, stop, n_sent):
-        # name the first temperature whose accuracy the child had not sent
-        T = temps[min(start + n_sent // _ACC.size, stop - 1)]
-        return f"the sweep worker training the student at T={T:g}"
-
-    accs = bytearray()
-    run_split(split(len(temps)), _sweep_group, failed, accs.extend, train, test, teacher, base_cfg, temps)
-    return list(zip(temps, (acc for (acc,) in _ACC.iter_unpack(accs))))
-
-
-def _sweep_group(send, train, test, teacher, base_cfg, temps, start, stop):
-    """Train a student at each of ``temps[start:stop]`` in turn, sending
-    each final overall accuracy as it is reached."""
-    for T in temps[start:stop]:
-        cfg = replace(
-            base_cfg,
-            kd=replace(base_cfg.kd, temperature=T),
-            bkd=replace(base_cfg.bkd, temperature=T),
-        )
+    rows = []
+    for T in temps:
+        cfg = replace(base_cfg, kd=replace(base_cfg.kd, temperature=T), bkd=replace(base_cfg.bkd, temperature=T))
         _, log = train_student(train, test, teacher, cfg)
-        send(_ACC.pack(log[-1].acc_all))
+        rows.append((T, log[-1].acc_all))
+    return rows

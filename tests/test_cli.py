@@ -15,6 +15,7 @@ from longtail_kd.gradcheck import run_gradient_checks
 from longtail_kd.mathutils import Rng
 from longtail_kd.mlp import MlpParams, init_mlp, params_to_bytes
 from longtail_kd.pipeline import TrainConfig
+from test_data import _reference_csv
 from test_pipeline import OVERFLOWING_EVALUATION, write_checkpoint_with_bad_fan_in
 
 
@@ -588,6 +589,22 @@ class TestSweepTemp:
         assert message.format(teacher=teacher, data=tmp_path / "data") in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_failing_student_exits_2_with_its_error_and_writes_no_table(self, workspace, monkeypatch, capsys):
+        _, cfg, _, out_dir = workspace
+        assert run("make-data", "--config", cfg) == 0
+        real = pipeline.train_student
+
+        def train_student(train, test, teacher, cfg):
+            if cfg.kd.temperature == 2.0:
+                raise RuntimeError("student at T=2 failed")
+            return real(train, test, teacher, cfg)
+
+        monkeypatch.setattr(pipeline, "train_student", train_student)
+        capsys.readouterr()
+        assert run("sweep-temp", "--config", cfg, "--temps", 1, 2, 4) == 2
+        assert capsys.readouterr().err == "error: student at T=2 failed\n"
+        assert not (out_dir / "sweep.csv").exists()
+
     def test_duplicate_temps_identical(self, workspace):
         _, cfg, data_dir, out_dir = workspace
         assert run("make-data", "--config", cfg) == 0
@@ -658,11 +675,10 @@ def _tree(root):
 @pytest.fixture
 def work(monkeypatch):
     """The work commands start, by kind: epochs trained (``lr_at`` calls),
-    forks, dataset chunks formatted and predictions made."""
+    dataset chunks formatted and predictions made."""
     calls = {}
     for kind, module, name in [
         ("epochs", pipeline, "lr_at"),
-        ("forks", os, "fork"),
         ("formatted", data, "_format_rows"),
         ("predictions", evaluate, "predict"),
     ]:
@@ -947,6 +963,29 @@ class TestConfigHandling:
         cfg.write_text("kind = gaussian\n")
         assert run("make-data", "--config", cfg) == 1
         assert "unknown key" in capsys.readouterr().err
+
+
+def test_no_command_forks(tmp_path, monkeypatch):
+    # three CPUs in the affinity mask: sweep-temp once forked a child per
+    # group of temperatures there, and make-data one per group of chunks
+    def no_fork():
+        raise AssertionError("a command forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    data_dir = tmp_path / "data"
+    cfg = write_config(tmp_path / "exp.cfg", data_dir=data_dir, out_dir=tmp_path / "out")
+    teacher = tmp_path / "out" / "teacher.ckpt"
+    for args in [
+        ("make-data",),
+        ("train", "--role", "teacher"),
+        ("train", "--role", "student", "--teacher", teacher),
+        ("eval", "--ckpt", teacher, "--data", data_dir / "test.csv"),
+        ("sweep-temp", "--temps", 1, 2, 4),
+    ]:
+        assert run(*args, "--config", cfg) == 0, args
+    assert run("gradcheck", "--trials", 5) == 0
+    assert (data_dir / "train.csv").read_bytes() == _reference_csv(load_dataset(str(data_dir / "train.csv")))
 
 
 class _MallInfo2(ctypes.Structure):

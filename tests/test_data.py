@@ -20,7 +20,6 @@ from longtail_kd.data import (
     synth_gaussian_mixture,
 )
 from longtail_kd.pipeline import TrainConfig
-from longtail_kd.workers import split
 
 
 class TestMakeLongtailCounts:
@@ -429,24 +428,8 @@ class TestSidecar:
         _assert_same_bits(load_dataset(path), data)
 
 
-def _cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
 class TestSave:
-    """One process formats every chunk; a failure leaves the previous dataset."""
-
-    def test_save_forks_nothing_on_any_cpu_count(self, tmp_path, monkeypatch):
-        def no_fork():
-            raise AssertionError("save_dataset forked")
-
-        _cpus(monkeypatch, 3)
-        monkeypatch.setattr(os, "fork", no_fork)
-        data = _awkward_dataset()
-        path = str(tmp_path / "train.csv")
-        save_dataset(data, path)
-        with open(path, "rb") as fh:
-            assert fh.read() == _reference_csv(data)
+    """A failure leaves the previous dataset."""
 
     def test_failed_format_leaves_previous_dataset_and_no_temporary_files(self, tmp_path, monkeypatch):
         path = str(tmp_path / "train.csv")

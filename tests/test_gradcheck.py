@@ -1,12 +1,15 @@
 """The gradient audit's batched finite differences: the same bits as one
-per-sample loss call per perturbed logit vector, and the same report."""
+per-sample loss call per perturbed logit vector, and the same report; and
+a NaN gradient reported as the worst error."""
 
 import numpy as np
 import pytest
 
+from longtail_kd import gradcheck
 from longtail_kd.gradcheck import _finite_differences, finite_difference_gradient, run_gradient_checks
 from longtail_kd.losses import Objective, bkd_loss, bkd_objective, cb_loss, ce_loss, kd_loss, kd_objective
 from longtail_kd.mathutils import Rng, softmax_with_temperature
+from test_cli import run
 
 # the worst error per gradient, as float64 hex, that one finite difference
 # per perturbed logit vector (central differences of the per-sample losses)
@@ -47,6 +50,27 @@ def test_report_keeps_its_pinned_bits(trials, seed):
     worst = run_gradient_checks(trials=trials, seed=seed)
     assert {name: err.hex() for name, err in worst.items()} == PINNED[trials, seed]
     assert list(worst) == list(PINNED[trials, seed])
+
+
+def test_a_nan_gradient_is_the_worst_error(monkeypatch, capsys):
+    # only trial 0's closed-form cb gradient is NaN, and the finite trials
+    # after it must not replace it
+    first_z = next(gradcheck._instances(5))[1]
+    real = gradcheck.distill_grad_formula
+
+    def distill_grad_formula(z, targets, y, ce_coef, kl_coef, temperature):
+        g = real(z, targets, y, ce_coef, kl_coef, temperature)
+        # cb's closed form is the one call with ce_coef 0
+        return np.full_like(g, np.nan) if np.array_equal(z, first_z) and ce_coef == 0.0 else g
+
+    monkeypatch.setattr(gradcheck, "distill_grad_formula", distill_grad_formula)
+    worst = run_gradient_checks(trials=5, seed=5)
+    assert np.isnan(worst["cb_formula"])
+    assert all(np.isfinite(err) for name, err in worst.items() if name != "cb_formula")
+    assert run("gradcheck", "--trials", 5, "--seed", 5) == 2
+    out = capsys.readouterr().out
+    assert "cb_formula   max |analytic - finite difference| = nan  FAIL" in out
+    assert out.splitlines()[-1] == "worst case: cb_formula at nan"
 
 
 def _cases():

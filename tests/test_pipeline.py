@@ -28,6 +28,7 @@ from longtail_kd.pipeline import (
     metrics_from_csv,
     metrics_to_csv,
     read_checkpoint,
+    temperature_sweep,
     train_student,
     train_teacher,
     write_checkpoint,
@@ -453,6 +454,52 @@ class TestTrainStudent:
         w1 = effective_number_weights(train.class_counts, 0.999)
         w2 = effective_number_weights(train.class_counts, 0.999)
         np.testing.assert_array_equal(w1, w2)
+
+
+SWEEP_TEMPS = [1.0, 2.0, 4.0, 0.5]
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs():
+    train, test = two_class_separable()
+    teacher, _ = train_teacher(train, test, small_cfg(epochs=3))
+    return train, test, teacher, small_cfg(loss="bkd", epochs=3)
+
+
+class TestTemperatureSweep:
+    def test_rows_are_the_last_accuracies_of_its_students(self, sweep_inputs):
+        train, test, teacher, cfg = sweep_inputs
+        rows = temperature_sweep(train, test, teacher, cfg, SWEEP_TEMPS)
+        assert [T for T, _ in rows] == SWEEP_TEMPS
+        for T, acc in rows:
+            at_T = replace(cfg, kd=replace(cfg.kd, temperature=T), bkd=replace(cfg.bkd, temperature=T))
+            _, log = train_student(train, test, teacher, at_T)
+            assert acc.hex() == log[-1].acc_all.hex()
+
+    @pytest.mark.parametrize("fault", ["teacher", "splits", "ce", "cb"])
+    def test_refuses_what_a_student_would_before_any_epoch(self, sweep_inputs, monkeypatch, fault):
+        # a loss that reads no temperature once trained the same student at every T
+        train, test, teacher, cfg = sweep_inputs
+        if fault in ("ce", "cb"):
+            cfg = small_cfg(loss=fault, epochs=3)
+            message = f"a temperature sweep needs a distillation loss (kd or bkd), got '{fault}'"
+        elif fault == "teacher":
+            teacher = init_mlp((train.dimension + 1, 12, train.num_classes), seed=0)
+            message = f"teacher takes {train.dimension + 1} features but the data has {train.dimension}"
+        else:
+            test = LabeledDataset(np.hstack([test.features, test.features[:, :1]]), test.labels, test.num_classes)
+            message = f"train/test feature dimensions differ: {train.dimension} vs {train.dimension + 1}"
+        epochs = []
+
+        def counting(schedule, epoch, total):
+            epochs.append(epoch)
+            return lr_at(schedule, epoch, total)
+
+        monkeypatch.setattr(pipeline, "lr_at", counting)
+        with pytest.raises(ValueError) as info:
+            temperature_sweep(train, test, teacher, cfg, SWEEP_TEMPS)
+        assert str(info.value) == message
+        assert epochs == []
 
 
 def count_teacher_rows(monkeypatch, teacher):
