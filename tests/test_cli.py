@@ -589,20 +589,23 @@ class TestSweepTemp:
         assert message.format(teacher=teacher, data=tmp_path / "data") in capsys.readouterr().err
         assert not out_dir.exists()
 
-    def test_failing_student_exits_2_with_its_error_and_writes_no_table(self, workspace, monkeypatch, capsys):
+    @pytest.mark.parametrize("failing", [1, 2, 4])
+    def test_failing_student_exits_2_with_its_error_and_writes_no_table(self, workspace, monkeypatch, capsys, failing):
+        # the first, a middle and the last student: rows trained before the
+        # failure are not written either
         _, cfg, _, out_dir = workspace
         assert run("make-data", "--config", cfg) == 0
         real = pipeline.train_student
 
         def train_student(train, test, teacher, cfg):
-            if cfg.kd.temperature == 2.0:
-                raise RuntimeError("student at T=2 failed")
+            if cfg.kd.temperature == failing:
+                raise RuntimeError(f"student at T={failing} failed")
             return real(train, test, teacher, cfg)
 
         monkeypatch.setattr(pipeline, "train_student", train_student)
         capsys.readouterr()
         assert run("sweep-temp", "--config", cfg, "--temps", 1, 2, 4) == 2
-        assert capsys.readouterr().err == "error: student at T=2 failed\n"
+        assert capsys.readouterr().err == f"error: student at T={failing} failed\n"
         assert not (out_dir / "sweep.csv").exists()
 
     def test_duplicate_temps_identical(self, workspace):
@@ -965,27 +968,40 @@ class TestConfigHandling:
         assert "unknown key" in capsys.readouterr().err
 
 
-def test_no_command_forks(tmp_path, monkeypatch):
+def _no_fork():
+    raise AssertionError("a command forked")
+
+
+# each command, and the commands that make its inputs
+NO_FORK_COMMANDS = {
+    "make-data": (("make-data",), ()),
+    "train-teacher": (("train", "--role", "teacher"), ("make-data",)),
+    "train-student": (("train", "--role", "student", "--teacher", "{teacher}"), ("make-data", "train-teacher")),
+    "eval": (("eval", "--ckpt", "{teacher}", "--data", "{test}"), ("make-data", "train-teacher")),
+    "sweep-temp": (("sweep-temp", "--temps", 1, 2, 4), ("make-data", "train-teacher")),
+    "gradcheck": (("gradcheck", "--trials", 5), ()),
+}
+
+
+@pytest.mark.parametrize("command", list(NO_FORK_COMMANDS))
+def test_no_command_forks(tmp_path, monkeypatch, command):
     # three CPUs in the affinity mask: sweep-temp once forked a child per
     # group of temperatures there, and make-data one per group of chunks
-    def no_fork():
-        raise AssertionError("a command forked")
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(os, "fork", no_fork)
     data_dir = tmp_path / "data"
     cfg = write_config(tmp_path / "exp.cfg", data_dir=data_dir, out_dir=tmp_path / "out")
-    teacher = tmp_path / "out" / "teacher.ckpt"
-    for args in [
-        ("make-data",),
-        ("train", "--role", "teacher"),
-        ("train", "--role", "student", "--teacher", teacher),
-        ("eval", "--ckpt", teacher, "--data", data_dir / "test.csv"),
-        ("sweep-temp", "--temps", 1, 2, 4),
-    ]:
-        assert run(*args, "--config", cfg) == 0, args
-    assert run("gradcheck", "--trials", 5) == 0
-    assert (data_dir / "train.csv").read_bytes() == _reference_csv(load_dataset(str(data_dir / "train.csv")))
+    paths = {"teacher": tmp_path / "out" / "teacher.ckpt", "test": data_dir / "test.csv"}
+
+    def args_of(name):
+        args = [str(a).format(**paths) for a in NO_FORK_COMMANDS[name][0]]
+        return args if name == "gradcheck" else [*args, "--config", cfg]
+
+    for name in NO_FORK_COMMANDS[command][1]:
+        assert run(*args_of(name)) == 0, name
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert run(*args_of(command)) == 0
+    if command == "make-data":
+        assert (data_dir / "train.csv").read_bytes() == _reference_csv(load_dataset(str(data_dir / "train.csv")))
 
 
 class _MallInfo2(ctypes.Structure):

@@ -1,6 +1,8 @@
 """The gradient audit's batched finite differences: the same bits as one
-per-sample loss call per perturbed logit vector, and the same report; and
-a NaN gradient reported as the worst error."""
+per-sample loss call per perturbed logit vector, and the same report on
+any CPU count; and a NaN gradient reported as the worst error."""
+
+import os
 
 import numpy as np
 import pytest
@@ -50,6 +52,21 @@ def test_report_keeps_its_pinned_bits(trials, seed):
     worst = run_gradient_checks(trials=trials, seed=seed)
     assert {name: err.hex() for name, err in worst.items()} == PINNED[trials, seed]
     assert list(worst) == list(PINNED[trials, seed])
+
+
+@pytest.mark.parametrize("cpus, trials", [(1, 7), (2, 7), (3, 7), (8, 3)])
+def test_gradient_audit_is_the_same_bits_on_any_cpu_count(monkeypatch, cpus, trials):
+    # the audit runs in this process whatever the affinity mask holds
+    def no_fork():
+        raise AssertionError("the gradient audit forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    serial = run_gradient_checks(trials=trials, seed=4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", no_fork)
+    worst = run_gradient_checks(trials=trials, seed=4)
+    assert list(worst) == list(serial)
+    assert [err.hex() for err in worst.values()] == [err.hex() for err in serial.values()]
 
 
 def test_a_nan_gradient_is_the_worst_error(monkeypatch, capsys):

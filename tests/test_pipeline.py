@@ -466,15 +466,38 @@ def sweep_inputs():
     return train, test, teacher, small_cfg(loss="bkd", epochs=3)
 
 
+@pytest.fixture(scope="module")
+def sweep_rows(sweep_inputs):
+    return temperature_sweep(*sweep_inputs, SWEEP_TEMPS)
+
+
 class TestTemperatureSweep:
-    def test_rows_are_the_last_accuracies_of_its_students(self, sweep_inputs):
+    @pytest.mark.parametrize("T", SWEEP_TEMPS)
+    def test_rows_are_the_last_accuracies_of_its_students(self, sweep_inputs, sweep_rows, T):
         train, test, teacher, cfg = sweep_inputs
-        rows = temperature_sweep(train, test, teacher, cfg, SWEEP_TEMPS)
-        assert [T for T, _ in rows] == SWEEP_TEMPS
-        for T, acc in rows:
-            at_T = replace(cfg, kd=replace(cfg.kd, temperature=T), bkd=replace(cfg.bkd, temperature=T))
-            _, log = train_student(train, test, teacher, at_T)
-            assert acc.hex() == log[-1].acc_all.hex()
+        assert [row_T for row_T, _ in sweep_rows] == SWEEP_TEMPS
+        acc = dict(sweep_rows)[T]
+        at_T = replace(cfg, kd=replace(cfg.kd, temperature=T), bkd=replace(cfg.bkd, temperature=T))
+        _, log = train_student(train, test, teacher, at_T)
+        assert acc.hex() == log[-1].acc_all.hex()
+
+    @pytest.mark.parametrize("failing", SWEEP_TEMPS)
+    def test_a_failing_student_ends_the_sweep_with_its_own_error(self, sweep_inputs, monkeypatch, failing):
+        # the students after the failing one never start
+        trained = []
+        real = pipeline.train_student
+
+        def train_student(train, test, teacher, cfg):
+            trained.append(cfg.kd.temperature)
+            if cfg.kd.temperature == failing:
+                raise RuntimeError(f"student at T={failing:g} failed")
+            return real(train, test, teacher, cfg)
+
+        monkeypatch.setattr(pipeline, "train_student", train_student)
+        with pytest.raises(RuntimeError) as info:
+            temperature_sweep(*sweep_inputs, SWEEP_TEMPS)
+        assert str(info.value) == f"student at T={failing:g} failed"
+        assert trained == SWEEP_TEMPS[: SWEEP_TEMPS.index(failing) + 1]
 
     @pytest.mark.parametrize("fault", ["teacher", "splits", "ce", "cb"])
     def test_refuses_what_a_student_would_before_any_epoch(self, sweep_inputs, monkeypatch, fault):
