@@ -3,16 +3,13 @@
 Subcommands: make-data, train, eval, gradcheck, sweep-temp. Every command is
 deterministic given its config and seeds; output files never embed
 timestamps. Exit codes: 0 success, 1 usage or config error, 2 runtime or
-validation failure. Under glibc, ``main`` fixes malloc's mmap and trim
-thresholds, so a process that runs several commands returns each large
-buffer to the system when it is freed.
+validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import math
 import os
 import sys
@@ -294,28 +291,7 @@ def build_parser():
     return parser
 
 
-# glibc's malloc raises its mmap threshold to the size of each large block it
-# frees (up to 32 MiB), and its trim threshold to twice that. From then on
-# the datasets, hash buffers and formatted rows each command allocates come
-# from the heap, and how much of it goes back to the system depends on where
-# they land, so a process that runs several commands holds a different
-# resident size after each. Fixed thresholds keep every block of 1 MiB or
-# more in its own mapping, unmapped when it is freed, and trim a free heap
-# top past 2 MiB. Other C libraries are left as they are.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-
-def _fix_malloc_thresholds():
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, 1 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 2 << 20)
-
-
 def main(argv=None):
-    _fix_malloc_thresholds()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

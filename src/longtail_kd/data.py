@@ -279,8 +279,8 @@ def _write_sidecar(fh, csv_digest, data):
 
 def _file_sha256(path):
     """sha256 of the file at ``path``, read into one reused ``_BLOCK_BYTES``
-    buffer: a fresh ``bytes`` per block would be a new memory mapping each
-    time under the CLI's malloc thresholds."""
+    buffer, so hashing a file of any size allocates one block, not one per
+    block read."""
     digest = hashlib.sha256()
     buf = memoryview(bytearray(_BLOCK_BYTES))
     with open(path, "rb") as fh:

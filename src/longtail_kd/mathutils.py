@@ -159,10 +159,10 @@ class Rng:
     """Deterministic SplitMix64 random stream.
 
     The i-th raw output (i from 1) is the SplitMix64 finalizer of
-    ``seed + i * GOLDEN`` modulo 2^64, so state is just
-    (seed, number of draws emitted); equal seeds give identical streams on
-    every platform. Gaussians come from Box-Muller over the uniform stream.
-    One instance per worker; instances are not thread-safe.
+    ``seed + i * GOLDEN`` modulo 2^64, so the stream repeats after 2^64
+    draws and state is just (seed, draws emitted modulo 2^64); equal seeds
+    give identical streams on every platform. Gaussians come from Box-Muller
+    over the uniform stream. Instances are not thread-safe.
     """
 
     # bench/tracer.py wraps module names, not this one: an Rng records no span of the rule
@@ -182,6 +182,8 @@ class Rng:
         seed, count = state
         rng = cls(seed)
         rng._count = cls._check_int(count, "draw count", 0)
+        if rng._count > _U64_MASK:
+            raise ValueError(f"draw count must be below 2**64, got {count!r}")
         return rng
 
     def _count_of(self, size):
@@ -194,13 +196,13 @@ class Rng:
 
     def _raw(self, n):
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
-        lo = self._count + 1
-        idx = np.arange(lo, lo + n, dtype=np.uint64)
+        # uint64 array arithmetic wraps, so the draw index does too
+        idx = np.arange(n, dtype=np.uint64) + np.uint64((self._count + 1) & _U64_MASK)
         z = np.uint64(self._seed) + idx * np.uint64(_GOLDEN)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_2)
         z = z ^ (z >> np.uint64(31))
-        self._count += n
+        self._count = (self._count + n) & _U64_MASK
         return z
 
     def uniform(self, size=None):

@@ -1,4 +1,3 @@
-import ctypes
 import json
 import os
 import re
@@ -1002,26 +1001,3 @@ def test_no_command_forks(tmp_path, monkeypatch, command):
     assert run(*args_of(command)) == 0
     if command == "make-data":
         assert (data_dir / "train.csv").read_bytes() == _reference_csv(load_dataset(str(data_dir / "train.csv")))
-
-
-class _MallInfo2(ctypes.Structure):
-    _fields_ = [
-        (name, ctypes.c_size_t)
-        for name in "arena ordblks smblks hblks hblkhd usmblks fsmblks uordblks fordblks keepcost".split()
-    ]
-
-
-def test_large_blocks_stay_in_their_own_mappings_after_a_command(capsys):
-    # glibc alone would serve the second 8 MiB block from the heap, having
-    # raised its mmap threshold when the first one was freed
-    libc = ctypes.CDLL(None)
-    if not hasattr(libc, "mallinfo2"):
-        pytest.skip("needs glibc 2.33 or later")
-    libc.mallinfo2.restype = _MallInfo2
-    assert run("no-such-command") == 1
-    capsys.readouterr()
-    for _ in range(2):
-        mapped = libc.mallinfo2().hblkhd
-        block = bytearray(8 << 20)
-        assert libc.mallinfo2().hblkhd >= mapped + len(block)
-        del block

@@ -127,6 +127,24 @@ class TestRng:
         p = Rng(11).permutation(257)
         np.testing.assert_array_equal(np.sort(p), np.arange(257))
 
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 - 5])
+    def test_draws_across_two_to_the_64_follow_the_wrapped_stream(self, seed):
+        # draw i is the SplitMix64 finalizer of seed + i * GOLDEN modulo 2^64,
+        # so draw 2^64 + i is draw i; the first such draw once raised
+        # OverflowError
+        mask = 2**64 - 1
+
+        def splitmix(i):
+            z = (seed + i * 0x9E3779B97F4A7C15) & mask
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            return z ^ (z >> 31)
+
+        rng = Rng.from_state((seed, 2**64 - 3))
+        assert rng._raw(6).tolist() == [splitmix(i) for i in range(2**64 - 2, 2**64 + 4)]
+        assert rng.state == (seed, 3)
+        np.testing.assert_array_equal(Rng.from_state((seed, 2**64 - 1)).uniform(4)[1:], Rng(seed).uniform(3))
+
     @pytest.mark.parametrize("seed", [0, 9, 7919, 2**64 - 5])
     @pytest.mark.parametrize("n", [0, 1, 2, 17, 1242, 15973])
     def test_permutation_is_the_stable_order_of_its_keys(self, seed, n):

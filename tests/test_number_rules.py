@@ -262,6 +262,14 @@ def test_fractional_permutation_length_is_refused_and_leaves_the_stream_as_it_wa
     assert rng.permutation(3).tolist() == Rng.from_state((1, 4)).permutation(3).tolist()
 
 
+@pytest.mark.parametrize("count", [2**64, 2**70, -1])
+def test_draw_count_outside_the_checkpoints_field_is_refused(count):
+    # from_state((0, 2**64)) once passed, and write_checkpoint then failed
+    # with struct.error packing the count into its "<Q" field
+    with pytest.raises(ValueError, match="^draw count must be "):
+        Rng.from_state((0, count))
+
+
 @pytest.mark.parametrize("draw", ["uniform", "normal"])
 @pytest.mark.parametrize("size", [2.5, (2, 2.5), -1, (2, -1), True, "3"])
 def test_size_that_is_not_a_count_is_refused_before_anything_is_drawn(draw, size):

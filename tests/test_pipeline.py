@@ -704,6 +704,22 @@ class TestCheckpointResume:
         assert params_to_bytes(resumed_params) == params_to_bytes(full_params)
         assert metrics_to_csv(resumed_log) == metrics_to_csv(full_log)
 
+    def test_draw_count_near_two_to_the_64_resumes_through_the_wrap(self, tmp_path):
+        # ckpt-v3 stores the count as "<Q", and a count of 2**64 - 1 read back
+        # but once failed on resume with OverflowError from the first shuffle
+        train, test = two_class_separable()
+        cfg = small_cfg(epochs=4)
+        mid, full, resumed = (str(tmp_path / f"{name}.ckpt") for name in ("mid", "full", "resumed"))
+        train_teacher(train, test, cfg, out_ckpt=mid, stop_after_epoch=2)
+        train_teacher(train, test, cfg, out_ckpt=full)
+        seed, count = read_checkpoint(mid).rng.state
+        count_at = len(b"ckpt-v3") + 32 + 8  # past magic, config digest and seed
+        patch_checkpoint(mid, count_at, struct.pack("<Q", count), struct.pack("<Q", 2**64 - 1))
+        _, log = train_teacher(train, test, cfg, resume_from=mid, out_ckpt=resumed)
+        assert [row.epoch for row in log] == [0, 1, 2, 3]
+        # 2**64 - 1 draws, then those of epochs 2 and 3, modulo 2**64
+        assert read_checkpoint(resumed).rng.state == (seed, read_checkpoint(full).rng.state[1] - count - 1)
+
     def test_checkpoint_after_init_resumes_to_initial_state(self, tmp_path):
         train, test = two_class_separable()
         cfg = small_cfg(epochs=5)
