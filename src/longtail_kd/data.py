@@ -6,25 +6,32 @@ Counts, dimensions and labels go through the number rules of ``mathutils``
 and ``weights.check_counts``, so a ``bool`` or a fractional count or label
 is refused, never truncated.
 
+A split's features are one float32 (N, d) array, made once and kept:
+``synth_gaussian_mixture`` writes each class's float64 draws straight into
+its rows, rounding each value once, and ``LabeledDataset`` checks a float32
+matrix in place (a matrix of any other dtype it checks as reals and rounds
+once).
+
 On disk a dataset is a ``longtail-csv v2`` text file, the one canonical
-form. Its features are float32 (``LabeledDataset`` rounds them once), each
-written as ``format(x, "+.8e")``: nine significant digits, as many as any
-float32 needs to parse back to its own bits. ``save_dataset`` formats the
-rows in this process, one 1024-row chunk at a time through
-``_format_cells``, and hashes the CSV as it writes it. It also writes a
-``longtail-bin v2`` sidecar (``<path>.bin``): the magic, the sha256 of the
-CSV bytes, N and d (int64), N int64 labels, N*d row-major float32 features
-and a sha256 trailer over all of that, every number little-endian. Each
-file is committed through ``open_output``, so a failed save leaves no
-temporary file behind and a previous dataset at the same path untouched,
-and a save killed while it formats leaves only the CSV's temporary file.
+form. Its float32 features are each written as ``format(x, "+.8e")``: nine
+significant digits, as many as any float32 needs to parse back to its own
+bits. ``save_dataset`` formats the rows in this process, one 1024-row chunk
+at a time through ``_format_cells``, and hashes the CSV as it writes it. It
+also writes a ``longtail-bin v2`` sidecar (``<path>.bin``): the magic, the
+sha256 of the CSV bytes, N and d (int64), N int64 labels, N*d row-major
+float32 features and a sha256 trailer over all of that, every number
+little-endian. Each file is committed through ``open_output``, so a failed
+save leaves no temporary file behind and a previous dataset at the same
+path untouched, and a save killed while it formats leaves only the CSV's
+temporary file.
 
 ``load_dataset`` always parses the CSV header. It takes the rows from the
 sidecar only when the magic, the CSV digest, d, the file size and the
 trailer all check out. Otherwise it parses the CSV text, which may hold
 any float text, so a CSV from elsewhere, or one edited after saving, loads
-as written. ``LabeledDataset`` validates and rounds either result, so both
-paths give the same bits.
+as written, each cell rounded once to float32. Either path hands
+``LabeledDataset`` a float32 matrix, which it keeps, so both give the same
+bits and a load holds its features once.
 """
 
 from __future__ import annotations
@@ -92,17 +99,20 @@ class ImbalanceProfile:
 
 @dataclass
 class LabeledDataset:
-    """Float32 feature matrix, checked as reals and then rounded once, with
-    integer labels; class counts derive from labels."""
+    """Float32 feature matrix with integer labels; class counts derive from
+    labels. A float32 (N, d) array is checked in place and kept as it is,
+    as ``labels`` is; any other is checked as reals and rounded once."""
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
 
     def __post_init__(self):
-        rule = "be an (N, d) matrix of finite reals within float32's range"
-        fits = lambda f: max(f.max(initial=0.0), -f.min(initial=0.0)) < _F32_OVERFLOW  # makes no (N, d) array
-        self.features = check_real_array(self.features, "features", fits, rule, (None, None)).astype(np.float32)
+        f = self.features
+        if not (type(f) is np.ndarray and f.dtype == np.float32 and f.ndim == 2 and _fits_float32(f)):
+            rule = "be an (N, d) matrix of finite reals within float32's range"
+            f = check_real_array(f, "features", _fits_float32, rule, (None, None)).astype(np.float32)
+        self.features = f
         self.labels = check_int_array(self.labels, "labels")
         self.num_classes = check_int(self.num_classes, "num_classes", 1)
         if self.labels.shape != (self.features.shape[0],):
@@ -120,6 +130,15 @@ class LabeledDataset:
 
     def __len__(self):
         return self.features.shape[0]
+
+
+def _fits_float32(f):
+    """True when every entry of the real array ``f`` is a value float32
+    holds: its max and min, compared as Python floats, lie below
+    ``_F32_OVERFLOW`` in magnitude. A NaN or an infinity carries through
+    both reductions and fails, so a float32 array needs no other check and
+    no (N, d) temporary."""
+    return float(f.max(initial=0.0)) < _F32_OVERFLOW and -float(f.min(initial=0.0)) < _F32_OVERFLOW
 
 
 def make_longtail_counts(profile):
@@ -171,8 +190,10 @@ def synth_gaussian_mixture(counts, dim, separation, seed, per_class_test):
     Class means are a seeded orthonormal-ish frame scaled to radius
     ``separation``; samples are unit-variance isotropic around them. The
     train split follows ``counts`` per class, the test split is balanced
-    with ``per_class_test`` samples per class. Identical seeds reproduce
-    the datasets bit for bit.
+    with ``per_class_test`` samples per class. Each split is one float32
+    matrix, and each class's float64 draws are rounded once as they are
+    written into its rows. Identical seeds reproduce the datasets bit for
+    bit.
     """
     counts = check_counts(counts)
     dim = check_int(dim, "feature dimension", 2)
@@ -183,13 +204,21 @@ def synth_gaussian_mixture(counts, dim, separation, seed, per_class_test):
     rng = Rng(seed)
     means = separation * _orthonormalish_rows(rng, C, dim)
 
-    train_feats = [means[c] + rng.normal((int(counts[c]), dim)) for c in range(C)]
-    test_feats = [means[c] + rng.normal((per_class_test, dim)) for c in range(C)]
-    train_labels = np.repeat(np.arange(C, dtype=np.int64), counts)
-    test_labels = np.repeat(np.arange(C, dtype=np.int64), per_class_test)
-    train = LabeledDataset(np.vstack(train_feats), train_labels, C)
-    test = LabeledDataset(np.vstack(test_feats), test_labels, C)
-    return train, test
+    splits = []
+    for split_counts in (counts, np.full(C, per_class_test, np.int64)):
+        features = np.empty((int(split_counts.sum()), dim), np.float32)
+        start = 0
+        for c, n in enumerate(split_counts.tolist()):
+            rows = rng.normal((n, dim))
+            rows += means[c]
+            # each float64 value is rounded once as it is written; one that
+            # float32 cannot hold becomes inf, quietly, for LabeledDataset to refuse
+            with np.errstate(over="ignore"):
+                features[start : start + n] = rows
+            del rows  # freed before the next class's draws, which can reuse it
+            start += n
+        splits.append(LabeledDataset(features, np.repeat(np.arange(C, dtype=np.int64), split_counts), C))
+    return tuple(splits)
 
 
 def check_thresholds(many_thresh, few_thresh):
@@ -341,7 +370,7 @@ def _parse_rows(fh, path, num_classes, dim):
             raise ValueError(f"{path}:{lineno}: features must be finite and within float32's range")
         labels.append(label)
         rows.append(row)
-    return np.array(labels, dtype=np.int64), np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+    return np.array(labels, dtype=np.int64), np.array(rows, dtype=np.float32).reshape(len(rows), dim)
 
 
 def open_input(path, what, mode="rb", **kwargs):

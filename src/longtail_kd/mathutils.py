@@ -9,9 +9,11 @@ a float64 array, so a fractional count or label is refused. A real array is
 every logit vector (``check_logits``, behind ``softmax_with_temperature``,
 each per-sample loss and ``finite_difference_gradient``) and logit matrix,
 teacher probability and target array, class-weight vector and feature
-matrix a caller hands in; one of bool, text, object or complex dtype is
-refused, never converted. A ragged nested list, of which numpy makes no
-array, is refused by both array rules, naming the argument and its rule.
+matrix a caller hands in (a float32 feature matrix ``LabeledDataset``
+checks in place, to the same rule); one of bool, text, object or complex
+dtype is refused, never converted. A ragged nested list, of which numpy
+makes no array, is refused by both array rules, naming the argument and its
+rule.
 
 The softmax kernels compute in the dtype of the logits they are given:
 float32 in training, float64 behind every checked entry. They open no numpy

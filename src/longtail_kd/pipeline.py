@@ -8,10 +8,10 @@ variant from ``defer_epoch`` on). Each epoch trains one
 ``losses.Objective``, and every minibatch makes one call of the one kernel
 ``losses.objective_loss_batch``, whatever the loss. The teacher and the
 class weights are fixed for the whole run, so each loss kind's objective is
-built once, on the first epoch that trains it: a distillation kind forwards
-the teacher over the training split in ``batch_size``-row chunks for its
-(N, C) target matrix, and every minibatch gathers its rows from it. The
-class weights come from the training-split counts: ``cb`` scales them to
+built once, on the first epoch that trains it: a distillation kind builds
+its (N, C) target matrix one ``batch_size``-row chunk at a time (teacher
+forward, softmax, targets), and every minibatch gathers its rows from it.
+The class weights come from the training-split counts: ``cb`` scales them to
 sum to the number of classes (``weights.normalize_weights``), ``bkd`` uses
 them as they are, since their scale cancels in the balanced targets. Every
 epoch scores the test split through one set of per-layer (n_test, width)
@@ -28,9 +28,11 @@ another in the calling process.
 
 A run trains in float32: it rounds ``init_mlp``'s float64 draw once, and
 its velocity, gradient buffer, scoring buffers and each objective's arrays
-(computed in float64, then rounded once) are float32, so every minibatch
-runs single-precision BLAS. The datasets are float32 too, so a minibatch
-is gathered in the dtype it trains in and ``forward`` casts nothing.
+are float32, so every minibatch runs single-precision BLAS. The class
+weights and each chunk of target rows are computed in float64 and rounded
+once, so a target build holds the float32 matrix and one chunk. The
+datasets are float32 too, so a minibatch is gathered in the dtype it trains
+in and ``forward`` casts nothing.
 
 Every epoch visits the training rows in a fresh shuffled order. A run's
 state is one ``RunState``; each epoch logs one row to it, and a checkpoint
@@ -307,11 +309,13 @@ def _epoch_objective(cfg, epoch, teacher, train, objectives):
     """The objective that ``epoch`` trains: cfg.loss, with plain
     distillation before ``defer_epoch``. Each kind's objective is built on
     first use and kept in ``objectives``. A distillation kind's targets are
-    softmax(teacher(x) / T) of every training row, the teacher run on
-    ``batch_size``-row chunks so only one chunk's activations are alive at
-    a time; non-finite teacher logits are refused. Its arrays are computed
-    in float64 (the targets from the teacher's logits) and rounded once to
-    float32, in which the run trains."""
+    built one ``batch_size``-row chunk at a time, straight into one float32
+    (N, C) matrix: the teacher's logits of the chunk, refused if any is
+    non-finite, then their float64 softmax at T and the builder's rows, each
+    rounded once as it is written. Every step is row-wise, so the targets
+    are those of the whole matrix built at once, and only one chunk's
+    float64 rows are alive at a time. The class weights are computed in
+    float64 and rounded once to float32, in which the run trains."""
     kind = cfg.loss
     if kind == "bkd" and cfg.defer_epoch is not None and epoch < cfg.defer_epoch:
         kind = "kd"
@@ -323,15 +327,19 @@ def _epoch_objective(cfg, epoch, teacher, train, objectives):
             objective = Objective(normalize_weights(w))
         else:
             X, n, T = train.features, cfg.batch_size, (cfg.kd if kind == "kd" else cfg.bkd).temperature
-            t_logits = np.vstack([forward(teacher, X[s : s + n])[0] for s in range(0, len(X), n)])
-            if not np.isfinite(t_logits).all():
-                raise ValueError("the teacher gives non-finite logits on the training split")
-            phat = softmax_rows(t_logits, T)
             if kind == "kd":
-                objective = kd_objective(phat, alpha=cfg.kd.alpha, temperature=T)
+                build = lambda phat: kd_objective(phat, alpha=cfg.kd.alpha, temperature=T)
             else:
-                objective = bkd_objective(phat, w, temperature=T)
-        rounded = lambda a: None if a is None else a.astype(np.float32)
+                build = lambda phat: bkd_objective(phat, w, temperature=T)
+            targets = np.empty((len(X), train.num_classes), np.float32)
+            for s in range(0, len(X), n):
+                t_logits = forward(teacher, X[s : s + n])[0]
+                if not np.isfinite(t_logits).all():
+                    raise ValueError("the teacher gives non-finite logits on the training split")
+                objective = build(softmax_rows(t_logits, T))
+                targets[s : s + n] = objective.targets
+            objective = replace(objective, targets=targets)
+        rounded = lambda a: None if a is None else a.astype(np.float32, copy=False)
         objectives[kind] = replace(objective, ce_weights=rounded(objective.ce_weights), targets=rounded(objective.targets))
     return objectives[kind]
 

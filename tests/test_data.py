@@ -1,6 +1,7 @@
 import hashlib
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from longtail_kd.data import (
     subset_tags,
     synth_gaussian_mixture,
 )
+from longtail_kd.mathutils import Rng
 from longtail_kd.pipeline import TrainConfig
 
 
@@ -113,6 +115,29 @@ class TestSynthGaussianMixture:
         train, _ = synth_gaussian_mixture([5000], 8, separation=6.0, seed=2, per_class_test=1)
         mean = train.features.mean(axis=0)
         assert abs(np.linalg.norm(mean) - 6.0) < 0.2
+
+    @pytest.mark.parametrize(
+        "counts, dim, separation, per_class_test",
+        [([30, 20, 10], 5, 2.0, 40), ([1], 2, 0.0, 1), ([7, 7, 3, 1, 1], 11, 1e30, 3), ([200] * 12, 9, 3.0, 17)],
+    )
+    def test_features_equal_the_float64_formula_bit_for_bit(self, counts, dim, separation, per_class_test):
+        # the reference: one float64 array per class, stacked, then the
+        # whole stack rounded to float32 once
+        rng = Rng(13)
+        means = separation * data_module._orthonormalish_rows(rng, len(counts), dim)
+        train_rows = [means[c] + rng.normal((n, dim)) for c, n in enumerate(counts)]
+        test_rows = [means[c] + rng.normal((per_class_test, dim)) for c in range(len(counts))]
+        train, test = synth_gaussian_mixture(counts, dim, separation, 13, per_class_test)
+        for split, rows in ((train, train_rows), (test, test_rows)):
+            assert split.features.dtype == np.float32
+            assert split.features.tobytes() == np.vstack(rows).astype(np.float32).tobytes()
+
+    def test_separation_float32_cannot_hold_refused_by_the_features_rule(self):
+        rule = r"^features must be an \(N, d\) matrix of finite reals within float32's range, got"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rule):
+                synth_gaussian_mixture([5, 5], 3, 1e39, seed=0, per_class_test=2)
 
     def test_infinite_separation_refused_by_name(self):
         with pytest.raises(ValueError, match=r"^separation must be a nonnegative real, got inf$"):
@@ -541,6 +566,41 @@ class TestLabeledDataset:
         for dtype in (np.int64, np.float32, np.float64):
             assert LabeledDataset(np.array([[1, 2], [3, -4]], dtype=dtype), [0, 1], 2).features.dtype == np.float32
         assert LabeledDataset([[0.1, 1 / 3]], [0], 1).features.tobytes() == np.float32([[0.1, 1 / 3]]).tobytes()
+
+    @pytest.mark.parametrize(
+        "features",
+        [
+            np.float32([[0.0, np.nan], [1.0, 2.0]]),
+            np.float32([[0.0, 1.0], [np.inf, 2.0]]),
+            np.float32([[0.0, 1.0], [2.0, -np.inf]]),
+            np.float32([[np.inf, -np.inf]]),
+            np.float32([0.0, 1.0]),
+            np.zeros((2, 1, 2), np.float32),
+        ],
+        ids=["nan", "+inf", "-inf", "both-infinities", "1-d", "3-d"],
+    )
+    def test_float32_matrix_checked_in_place_refused_with_the_rule(self, features):
+        # refused with the message of the float64 path, which names the
+        # array as float64 reals when it has two dimensions
+        as_reals = np.asarray(features, np.float64) if features.ndim == 2 else features
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                LabeledDataset(features, np.zeros(len(features), np.int64), 1)
+        assert str(info.value) == (
+            f"features must be an (N, d) matrix of finite reals within float32's range, got {as_reals!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "features",
+        [np.zeros((0, 3), np.float32), np.float32([[F32.max, -F32.max], [F32.tiny, -0.0]]), np.float32([[1.5, -2.0]])],
+        ids=["empty", "float32-extremes", "plain"],
+    )
+    def test_float32_matrix_kept_as_it_is(self, features):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = LabeledDataset(features, np.zeros(len(features), np.int64), 1)
+        assert data.features is features
 
     def test_feature_float32_cannot_hold_refused(self):
         # 1e300 was a valid float64 feature; the largest float64 that rounds

@@ -15,6 +15,7 @@ from longtail_kd.losses import (
     Objective,
     balanced_targets,
     bkd_objective,
+    kd_objective,
     objective_loss_batch,
     softmax_rows,
 )
@@ -588,6 +589,81 @@ class TestTeacherTargetCache:
         train_student(train, test, teacher, cfg, resume_from=ckpt)
         train_student(train, test, teacher, cfg, stop_after_epoch=0)
         assert teacher_rows == []
+
+
+def whole_matrix_objective(cfg, kind, teacher, train):
+    """The ``kind`` objective built as one matrix: the teacher's logits of
+    every training row stacked, their softmax and the builder's targets
+    over all of them in float64, then every array rounded to float32."""
+    X, n = train.features, cfg.batch_size
+    T = (cfg.kd if kind == "kd" else cfg.bkd).temperature
+    phat = softmax_rows(np.vstack([forward(teacher, X[s : s + n])[0] for s in range(0, len(X), n)]), T)
+    if kind == "kd":
+        objective = kd_objective(phat, alpha=cfg.kd.alpha, temperature=T)
+    else:
+        objective = bkd_objective(phat, effective_number_weights(train.class_counts, cfg.bkd.beta), temperature=T)
+    rounded = lambda a: None if a is None else a.astype(np.float32)
+    return replace(objective, ce_weights=rounded(objective.ce_weights), targets=rounded(objective.targets))
+
+
+class TestChunkedTargets:
+    """A distillation objective's targets are built one ``batch_size``
+    chunk at a time; every step is row-wise, so they equal the whole
+    matrix's bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        train, test = synth_gaussian_mixture([90, 40, 17, 6], 5, 1.5, seed=41, per_class_test=10)
+        teacher, _ = train_teacher(train, test, small_cfg(epochs=2))
+        return train, teacher
+
+    @staticmethod
+    def assert_same_objective(built, expected):
+        assert built.targets.dtype == expected.targets.dtype == np.float32
+        assert built.targets.tobytes() == expected.targets.tobytes()
+        assert (built.kl_coef, built.temperature) == (expected.kl_coef, expected.temperature)
+        if expected.ce_weights is None:
+            assert built.ce_weights is None
+        else:
+            assert built.ce_weights.tobytes() == expected.ce_weights.tobytes()
+
+    @pytest.mark.parametrize("loss", ["kd", "bkd"])
+    @pytest.mark.parametrize("batch_size", [1, 16, 150, 153, 500])
+    def test_targets_equal_the_whole_matrix_build(self, inputs, loss, batch_size):
+        train, teacher = inputs
+        assert len(train) == 153
+        cfg = small_cfg(loss=loss, batch_size=batch_size)
+        built = pipeline._epoch_objective(cfg, 0, teacher, train, {})
+        self.assert_same_objective(built, whole_matrix_objective(cfg, loss, teacher, train))
+
+    def test_targets_equal_the_whole_matrix_build_across_a_deferred_switch(self, inputs):
+        train, teacher = inputs
+        cfg = small_cfg(loss="bkd", batch_size=40, epochs=4, defer_epoch=2)
+        objectives = {}
+        built = [pipeline._epoch_objective(cfg, epoch, teacher, train, objectives) for epoch in range(4)]
+        assert built[0] is built[1] is objectives["kd"] and built[2] is built[3] is objectives["bkd"]
+        self.assert_same_objective(built[0], whole_matrix_objective(cfg, "kd", teacher, train))
+        self.assert_same_objective(built[2], whole_matrix_objective(cfg, "bkd", teacher, train))
+
+    @pytest.mark.parametrize("chunk", [0, -1], ids=["first-chunk", "last-chunk"])
+    def test_non_finite_teacher_logits_in_any_chunk_refused(self, inputs, chunk, monkeypatch):
+        train, teacher = inputs
+        cfg = small_cfg(loss="bkd", batch_size=40)
+        bad = chunk % math.ceil(len(train) / cfg.batch_size)
+        calls = []
+
+        def overflowing_forward(params, X):
+            logits, cache = forward(params, X)
+            if len(calls) == bad:
+                logits[-1, 0] = np.inf
+            calls.append(len(X))
+            return logits, cache
+
+        monkeypatch.setattr(pipeline, "forward", overflowing_forward)
+        with pytest.raises(ValueError) as info:
+            pipeline._epoch_objective(cfg, 0, teacher, train, {})
+        assert str(info.value) == "the teacher gives non-finite logits on the training split"
+        assert len(calls) == bad + 1
 
 
 class TestFloat32Training:
