@@ -248,8 +248,6 @@ def cmd_sweep_temp(args):
         check_sweep_config(tcfg)
     teacher, train, test = _load_run_inputs(cfg, args.teacher)
     paths = _prepare_out(cfg, "out_dir", {"sweep table": "sweep.csv"})
-    if teacher is None:
-        teacher, _ = train_teacher(train, test, tcfg)
     rows = temperature_sweep(train, test, teacher, tcfg, temps)
     _write(paths["sweep table"], evaluate.sweep_to_csv(rows))
     for T, acc in rows:
@@ -285,7 +283,7 @@ def build_parser():
     p = sub.add_parser("sweep-temp", help="train one student per temperature and tabulate accuracy")
     p.add_argument("--config", required=True)
     p.add_argument("--temps", required=True, nargs="+", type=float)
-    p.add_argument("--teacher", help="reuse this teacher checkpoint instead of training one")
+    p.add_argument("--teacher", required=True, help="teacher checkpoint")
     p.set_defaults(fn=cmd_sweep_temp)
 
     return parser

@@ -2,7 +2,7 @@
 rules, and a seedable counter-based PRNG.
 
 The number rules alone decide what an integer, a real, an integer array or a
-real array is and which type is stored: ``is_int`` and ``is_real`` refuse
+real array is and which type is stored: ``is_real`` and ``check_int`` refuse
 ``bool``, and ``check_int``, ``check_real``, ``check_int_array`` and
 ``check_real_array`` return a Python int, a Python float, an int64 vector and
 a float64 array, so a fractional count or label is refused. A real array is
@@ -37,11 +37,6 @@ _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 
 
-def is_int(x):
-    """True for a Python or numpy integer other than a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def is_real(x):
     """True for a Python or numpy integer or float other than a bool."""
     return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
@@ -53,9 +48,8 @@ def is_positive_finite(x):
 
 
 def check_int(x, name, minimum=None):
-    """``x`` as a Python int, or ValueError naming ``name`` unless it is an
-    integer (``is_int``) of at least ``minimum``."""
-    # the test of ``is_int``, inline: an ``Rng`` calls this untraced (see there)
+    """``x`` as a Python int, or ValueError naming ``name`` unless it is a
+    Python or numpy integer other than a bool, of at least ``minimum``."""
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or (minimum is not None and x < minimum):
         bound = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
         raise ValueError(f"{name} must be {bound.get(minimum, f'an integer >= {minimum}')}, got {x!r}")
@@ -219,13 +213,20 @@ class Rng:
         """Standard normal draws via Box-Muller."""
         n = self._count_of(size)
         pairs = (n + 1) // 2
-        raw = self._raw(2 * pairs)
-        # u1 in (0, 1] so log never sees zero; u2 in [0, 1)
-        u1 = ((raw[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
-        u2 = (raw[pairs:] >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        u = (self._raw(2 * pairs) >> np.uint64(11)).astype(np.float64)
+        u1, u2 = u[:pairs], u[pairs:]
+        # u1 in (0, 1] so log never sees zero; u2 in [0, 1); r and theta overwrite them
+        u1 += 1.0
+        u *= 2.0 ** -53
+        np.log(u1, out=u1)
+        u1 *= -2.0
+        np.sqrt(u1, out=u1)
+        u2 *= 2.0 * np.pi
+        out = np.empty((2, pairs))
+        np.cos(u2, out=out[0])
+        np.sin(u2, out=out[1])
+        out *= u1
+        out = out.reshape(-1)[:n]
         if size is None:
             return float(out[0])
         return out.reshape(size)

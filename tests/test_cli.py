@@ -302,7 +302,7 @@ class TestTrain:
         teacher = tmp_path / "out" / "teacher.ckpt"
         assert teacher.read_bytes() == (tmp_path / "plain" / "teacher.ckpt").read_bytes()
         assert run("train", "--config", cfg, "--role", "student", "--teacher", teacher) == 0
-        assert run("sweep-temp", "--config", cfg, "--temps", 2) == 0
+        assert run("sweep-temp", "--config", cfg, "--temps", 2, "--teacher", teacher) == 0
 
     def test_library_resumes_the_teacher_checkpoint_under_the_same_config_file(self, tmp_path):
         # the library once resolved the file to its student config and
@@ -511,60 +511,88 @@ class TestGradcheck:
             run_gradient_checks(trials=trials, seed=0)
 
 
+def sweep_inputs(cfg, out_dir):
+    """Make the data of ``cfg`` and train its teacher; the checkpoint's path."""
+    assert run("make-data", "--config", cfg) == 0
+    assert run("train", "--config", cfg, "--role", "teacher") == 0
+    return out_dir / "teacher.ckpt"
+
+
 class TestSweepTemp:
     def test_four_temps_four_rows(self, workspace):
         _, cfg, data_dir, out_dir = workspace
-        assert run("make-data", "--config", cfg) == 0
-        assert run("sweep-temp", "--config", cfg, "--temps", 1, 2, 3, 4) == 0
+        teacher = sweep_inputs(cfg, out_dir)
+        assert run("sweep-temp", "--config", cfg, "--temps", 1, 2, 3, 4, "--teacher", teacher) == 0
         rows = (out_dir / "sweep.csv").read_text().splitlines()
         assert rows[0] == "temperature,accuracy"
         assert len(rows) == 5
         accs = [float(r.split(",")[1]) for r in rows[1:]]
         assert all(0.0 <= a <= 1.0 for a in accs)
 
+    def test_sweep_of_the_teacher_checkpoint_is_the_library_sweep(self, workspace):
+        # sweep-temp once trained its own teacher, unsaved, when given none;
+        # the checkpoint of train --role teacher gives that sweep's table
+        _, cfg, data_dir, out_dir = workspace
+        teacher = sweep_inputs(cfg, out_dir)
+        assert run("sweep-temp", "--config", cfg, "--temps", 1, 2, 4, "--teacher", teacher) == 0
+        tcfg = train_config(parse_config(cfg))
+        train, test = (load_dataset(str(data_dir / name)) for name in ("train.csv", "test.csv"))
+        rows = pipeline.temperature_sweep(train, test, pipeline.train_teacher(train, test, tcfg)[0], tcfg, [1, 2, 4])
+        assert (out_dir / "sweep.csv").read_text() == evaluate.sweep_to_csv(rows)
+
+    def test_missing_teacher_is_usage_error_before_the_config_is_read(self, tmp_path, capsys):
+        # the sweep once trained a teacher of its own; neither the config
+        # nor the data directory exists, so reading either would fail
+        assert run("sweep-temp", "--config", tmp_path / "absent.cfg", "--temps", 2) == 1
+        assert capsys.readouterr().err == "error: the following arguments are required: --teacher\n"
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("temp", ["0", "-1", "nan", "inf"])
     def test_bad_temperature_is_usage_error_before_any_data_is_read(self, tmp_path, capsys, temp):
-        # the data directory does not exist, so reading it or training a
-        # teacher would exit 2
-        out_dir = tmp_path / "out"
+        # neither the data directory nor the teacher exists, so reading
+        # either would exit 2
+        out_dir, teacher = tmp_path / "out", tmp_path / "absent.ckpt"
         cfg = write_config(tmp_path / "exp.cfg", data_dir=tmp_path / "data", out_dir=out_dir)
-        assert run("sweep-temp", "--config", cfg, "--temps", 2, temp) == 1
+        assert run("sweep-temp", "--config", cfg, "--temps", 2, temp, "--teacher", teacher) == 1
         assert "--temps: temperature must be a positive finite real" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_zero_epochs_is_config_error_before_any_data_is_read(self, tmp_path, capsys):
-        # the sweep reports each student's last epoch; the data directory
-        # does not exist, so reading it would exit 2
-        out_dir = tmp_path / "out"
+        # the sweep reports each student's last epoch; neither the data
+        # directory nor the teacher exists, so reading either would exit 2
+        out_dir, teacher = tmp_path / "out", tmp_path / "absent.ckpt"
         cfg = write_config(tmp_path / "exp.cfg", epochs=0, data_dir=tmp_path / "data", out_dir=out_dir)
-        assert run("sweep-temp", "--config", cfg, "--temps", 2) == 1
+        assert run("sweep-temp", "--config", cfg, "--temps", 2, "--teacher", teacher) == 1
         assert capsys.readouterr().err == "config error: a temperature sweep needs at least one training epoch\n"
         # a bad --temps is still reported first, as a usage error
-        assert run("sweep-temp", "--config", cfg, "--temps", 0) == 1
+        assert run("sweep-temp", "--config", cfg, "--temps", 0, "--teacher", teacher) == 1
         assert "--temps: temperature must be a positive finite real" in capsys.readouterr().err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("loss", ["ce", "cb"])
     def test_loss_without_a_temperature_is_config_error_before_any_data_is_read(self, tmp_path, capsys, loss):
         # ce and cb never read T, so the sweep once wrote one identical row
-        # per temperature; the data directory does not exist, so reading it
-        # would exit 2
-        out_dir = tmp_path / "out"
+        # per temperature; neither the data directory nor the teacher
+        # exists, so reading either would exit 2
+        out_dir, teacher = tmp_path / "out", tmp_path / "absent.ckpt"
         cfg = write_config(tmp_path / "exp.cfg", loss=loss, data_dir=tmp_path / "data", out_dir=out_dir)
-        assert run("sweep-temp", "--config", cfg, "--temps", 1, 2, 4, 8) == 1
+        assert run("sweep-temp", "--config", cfg, "--temps", 1, 2, 4, 8, "--teacher", teacher) == 1
         assert capsys.readouterr().err == (
             f"config error: a temperature sweep needs a distillation loss (kd or bkd), got '{loss}'\n"
         )
         assert not out_dir.exists()
 
     def test_mismatched_splits_refused_before_out_dir(self, workspace, capsys):
+        # the teacher of the data as made takes 4 features, and the test
+        # split is checked against it first
         tmp, cfg, data_dir, out_dir = workspace
+        teacher = tmp / "teacher.ckpt"
+        shutil.move(sweep_inputs(cfg, out_dir), teacher)
+        shutil.rmtree(out_dir)
         replace_test_split_with_a_wider_one(tmp, cfg, data_dir)
         capsys.readouterr()
-        assert run("sweep-temp", "--config", cfg, "--temps", 2) == 2
-        assert capsys.readouterr().err == (
-            f"error: {data_dir / 'train.csv'}, {data_dir / 'test.csv'}: train/test feature dimensions differ: 4 vs 5\n"
-        )
+        assert run("sweep-temp", "--config", cfg, "--temps", 2, "--teacher", teacher) == 2
+        assert capsys.readouterr().err == f"error: {teacher} takes 4 features but {data_dir / 'test.csv'} has 5\n"
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
@@ -593,7 +621,7 @@ class TestSweepTemp:
         # the first, a middle and the last student: rows trained before the
         # failure are not written either
         _, cfg, _, out_dir = workspace
-        assert run("make-data", "--config", cfg) == 0
+        teacher = sweep_inputs(cfg, out_dir)
         real = pipeline.train_student
 
         def train_student(train, test, teacher, cfg):
@@ -603,14 +631,14 @@ class TestSweepTemp:
 
         monkeypatch.setattr(pipeline, "train_student", train_student)
         capsys.readouterr()
-        assert run("sweep-temp", "--config", cfg, "--temps", 1, 2, 4) == 2
+        assert run("sweep-temp", "--config", cfg, "--temps", 1, 2, 4, "--teacher", teacher) == 2
         assert capsys.readouterr().err == f"error: student at T={failing} failed\n"
         assert not (out_dir / "sweep.csv").exists()
 
     def test_duplicate_temps_identical(self, workspace):
         _, cfg, data_dir, out_dir = workspace
-        assert run("make-data", "--config", cfg) == 0
-        assert run("sweep-temp", "--config", cfg, "--temps", 2, 2) == 0
+        teacher = sweep_inputs(cfg, out_dir)
+        assert run("sweep-temp", "--config", cfg, "--temps", 2, 2, "--teacher", teacher) == 0
         rows = (out_dir / "sweep.csv").read_text().splitlines()[1:]
         assert rows[0].split(",")[1] == rows[1].split(",")[1]
 
@@ -656,15 +684,14 @@ def planned_run(tmp_path, command):
     if command == "make-data":
         return ["make-data", "--config", prep], data_dir
     assert run("make-data", "--config", prep) == 0
-    if command in ("student", "eval"):
+    if command in ("student", "eval", "sweep-temp"):
         assert run("train", "--config", prep, "--role", "teacher") == 0
     cfg = write_config(tmp_path / "run.cfg", data_dir=data_dir, out_dir=tmp_path / "out")
     args = {
         "teacher": ["train", "--role", "teacher"],
         "student": ["train", "--role", "student", "--teacher", teacher],
         "eval": ["eval", "--ckpt", teacher, "--data", data_dir / "test.csv"],
-        # no --teacher: the sweep trains its own after its outputs are probed
-        "sweep-temp": ["sweep-temp", "--temps", 1, 2],
+        "sweep-temp": ["sweep-temp", "--temps", 1, 2, "--teacher", teacher],
     }[command]
     return [*args, "--config", cfg], tmp_path / "out"
 
@@ -844,7 +871,9 @@ class TestConfigHandling:
     def test_missing_config_file(self, tmp_path):
         assert run("make-data", "--config", tmp_path / "absent.cfg") == 1
 
-    @pytest.mark.parametrize("command", [["make-data"], ["train", "--role", "teacher"], ["sweep-temp", "--temps", 2]])
+    @pytest.mark.parametrize(
+        "command", [["make-data"], ["train", "--role", "teacher"], ["sweep-temp", "--temps", 2, "--teacher", "absent.ckpt"]]
+    )
     def test_config_that_cannot_be_opened_is_config_error_naming_the_file(self, tmp_path, capsys, command):
         # a directory once exited 2 with the bare OSError; a missing file
         # keeps its own message
@@ -886,7 +915,7 @@ class TestConfigHandling:
         "command",
         [
             ("train", "--role", "teacher"),
-            ("sweep-temp", "--temps", 2),
+            ("sweep-temp", "--temps", 2, "--teacher", "absent.ckpt"),
             ("eval", "--ckpt", "absent.ckpt", "--data", "absent.csv"),
             # make-data once wrote its data and echoed the refused value into data/resolved_config.txt
             ("make-data",),
@@ -948,7 +977,7 @@ class TestConfigHandling:
             ("make-data",),
             ("train", "--role", "teacher"),
             ("eval", "--ckpt", "absent.ckpt", "--data", "absent.csv"),
-            ("sweep-temp", "--temps", 2),
+            ("sweep-temp", "--temps", 2, "--teacher", "absent.ckpt"),
         ],
     )
     def test_removed_out_flag_unrecognised(self, workspace, capsys, command):
@@ -977,7 +1006,7 @@ NO_FORK_COMMANDS = {
     "train-teacher": (("train", "--role", "teacher"), ("make-data",)),
     "train-student": (("train", "--role", "student", "--teacher", "{teacher}"), ("make-data", "train-teacher")),
     "eval": (("eval", "--ckpt", "{teacher}", "--data", "{test}"), ("make-data", "train-teacher")),
-    "sweep-temp": (("sweep-temp", "--temps", 1, 2, 4), ("make-data", "train-teacher")),
+    "sweep-temp": (("sweep-temp", "--temps", 1, 2, 4, "--teacher", "{teacher}"), ("make-data", "train-teacher")),
     "gradcheck": (("gradcheck", "--trials", 5), ()),
 }
 

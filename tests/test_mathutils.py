@@ -118,6 +118,30 @@ class TestRng:
         assert u.min() >= 0.0 and u.max() < 1.0
         assert abs(u.mean() - 0.5) < 2e-3
 
+    @pytest.mark.parametrize("size", [None, 0, (0, 5), 1, 7, (5, 3), (33, 20), (2000, 64)])
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
+    def test_normal_is_the_box_muller_formula_bit_for_bit(self, seed, size):
+        # the formula as written before the draw ran in place, from an odd
+        # stream position; the stream ends where the formula leaves it
+        rng, ref = Rng(seed), Rng(seed)
+        rng.normal(3)
+        ref.normal(3)
+        n = ref._count_of(size)
+        pairs = (n + 1) // 2
+        raw = ref._raw(2 * pairs)
+        u1 = ((raw[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
+        u2 = (raw[pairs:] >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        r = np.sqrt(-2.0 * np.log(u1))
+        theta = 2.0 * np.pi * u2
+        expected = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        drawn = rng.normal(size)
+        if size is None:
+            assert type(drawn) is float and np.float64(drawn).tobytes() == expected[0].tobytes()
+        else:
+            assert drawn.shape == expected.reshape(size).shape and drawn.dtype == np.float64
+            assert drawn.tobytes() == expected.tobytes()
+        assert rng.state == ref.state
+
     def test_normal_moments(self):
         x = Rng(4).normal(200_000)
         assert abs(x.mean()) < 8e-3

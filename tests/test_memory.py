@@ -15,6 +15,7 @@ import pytest
 
 from longtail_kd import pipeline
 from longtail_kd.data import load_dataset, save_dataset, synth_gaussian_mixture
+from longtail_kd.mathutils import Rng
 from longtail_kd.mlp import init_mlp
 
 from test_pipeline import small_cfg
@@ -38,6 +39,13 @@ def test_synthesis_holds_its_splits_once():
     (train, test), peak = traced_peak(lambda: synth_gaussian_mixture([200] * 40, 64, 3.0, seed=5, per_class_test=50))
     kept = sum(split.features.nbytes + split.labels.nbytes for split in (train, test))
     assert peak < 1.25 * kept
+
+
+def test_normal_draw_holds_its_result_and_the_raw_stream():
+    # measured 3.0x the draw's bytes, the peak of the raw SplitMix64 block's
+    # mixing; the Box-Muller halves built apart and concatenated peak at 5.0x
+    draw, peak = traced_peak(lambda: Rng(1).normal((2000, 64)))
+    assert peak < 3.5 * draw.nbytes
 
 
 def test_sidecar_load_holds_the_features_once(tmp_path):

@@ -15,7 +15,7 @@ from longtail_kd.evaluate import accuracy_report, confusion_matrix
 from longtail_kd.gradcheck import finite_difference_gradient, run_gradient_checks
 from longtail_kd.losses import BKDConfig, KDConfig, balanced_targets, bkd_loss, cb_loss, ce_loss, distill_grad_formula
 from longtail_kd.losses import kd_loss, softmax_rows
-from longtail_kd.mathutils import Rng, check_int, check_int_array, check_real, check_real_array, is_int, is_real
+from longtail_kd.mathutils import Rng, check_int, check_int_array, check_real, check_real_array, is_real
 from longtail_kd.mathutils import softmax_with_temperature
 from longtail_kd.mlp import LrSchedule, MlpParams, init_mlp, sgd_momentum_step
 from longtail_kd.pipeline import metrics_to_csv, train_teacher
@@ -289,10 +289,13 @@ RAGGED = [[1.0, [2.0, 3.0]], [[1, 2], [3]], [np.zeros((2, 2)), np.zeros((2, 3))]
 
 class TestRules:
     def test_bool_is_neither_an_integer_nor_a_real(self):
+        for value in (True, False, np.bool_(True), 3.0):
+            with pytest.raises(ValueError, match="^n must be an integer, got "):
+                check_int(value, "n")
         for flag in (True, False, np.bool_(True)):
-            assert not is_int(flag) and not is_real(flag)
-        assert is_int(np.uint8(3)) and is_real(np.uint8(3)) and is_real(np.float16(0.5))
-        assert not is_int(3.0) and not is_real(1j) and not is_real("1")
+            assert not is_real(flag)
+        assert check_int(np.uint8(3), "n") == 3 and is_real(np.uint8(3)) and is_real(np.float16(0.5))
+        assert not is_real(1j) and not is_real("1")
 
     def test_check_int_names_the_value_and_its_bound(self):
         assert type(check_int(np.int16(-3), "x")) is int
