@@ -57,9 +57,9 @@ _DIGEST_BYTES = 32  # sha256
 _SIDECAR_HEAD = struct.Struct(f"<{len(SIDECAR_MAGIC)}s{_DIGEST_BYTES}sqq")
 # bytes per read of ``_file_sha256``: the buffer a file is hashed through
 _BLOCK_BYTES = 1 << 20
-# rows formatted per write in save_dataset: it bounds the memory the saving
-# process holds beyond the arrays themselves
-_SAVE_CHUNK_ROWS = 1024
+# rows formatted per write in save_dataset, and parsed per float32 block in
+# _parse_rows: it bounds the memory each holds beyond the arrays themselves
+_CHUNK_ROWS = 1024
 # the least magnitude that rounds to float32's infinity: halfway between its
 # largest finite value and 2**128, where a tie rounds to the even 2**128
 _F32_OVERFLOW = 2.0**128 - 2.0**103
@@ -248,8 +248,8 @@ def save_dataset(data, path):
     csv_digest = hashlib.sha256()
     with open_output(path) as fh:
         header = f"{FORMAT_MAGIC}, C={data.num_classes}, d={data.dimension}\n".encode("ascii")
-        starts = range(0, len(data), _SAVE_CHUNK_ROWS)
-        for blob in itertools.chain([header], (_format_rows(data, s, s + _SAVE_CHUNK_ROWS) for s in starts)):
+        starts = range(0, len(data), _CHUNK_ROWS)
+        for blob in itertools.chain([header], (_format_rows(data, s, s + _CHUNK_ROWS) for s in starts)):
             csv_digest.update(blob)
             fh.write(blob)
         with open_output(path + SIDECAR_SUFFIX) as sidecar:
@@ -351,8 +351,11 @@ def _read_sidecar(csv_path, dim):
 
 
 def _parse_rows(fh, path, num_classes, dim):
-    labels = []
-    rows = []
+    """``(labels, features)`` from the text rows after the header. Every
+    ``_CHUNK_ROWS`` parsed rows are rounded into one float32 block, so the
+    parse holds one block of Python floats, not the whole split."""
+    labels, blocks, rows = [], [], []
+    block = lambda: np.array(rows, dtype=np.float32).reshape(len(rows), dim)
     for lineno, line in enumerate(fh, start=2):
         line = line.strip()
         if not line:
@@ -370,7 +373,11 @@ def _parse_rows(fh, path, num_classes, dim):
             raise ValueError(f"{path}:{lineno}: features must be finite and within float32's range")
         labels.append(label)
         rows.append(row)
-    return np.array(labels, dtype=np.int64), np.array(rows, dtype=np.float32).reshape(len(rows), dim)
+        if len(rows) == _CHUNK_ROWS:
+            blocks.append(block())
+            rows = []
+    blocks.append(block())
+    return np.array(labels, dtype=np.int64), np.concatenate(blocks)
 
 
 def open_input(path, what, mode="rb", **kwargs):

@@ -191,13 +191,19 @@ class Rng:
         return math.prod(self._check_int(n, "size", 0) for n in lengths)
 
     def _raw(self, n):
-        """Next ``n`` raw 64-bit outputs as a uint64 array."""
+        """Next ``n`` raw 64-bit outputs as a uint64 array, mixed in place
+        in it and one shift buffer, so a block holds twice its output."""
         # uint64 array arithmetic wraps, so the draw index does too
-        idx = np.arange(n, dtype=np.uint64) + np.uint64((self._count + 1) & _U64_MASK)
-        z = np.uint64(self._seed) + idx * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_2)
-        z = z ^ (z >> np.uint64(31))
+        z = np.arange(n, dtype=np.uint64)
+        z += np.uint64((self._count + 1) & _U64_MASK)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self._seed)
+        t = np.empty_like(z)
+        for shift, mix in ((30, _MIX_1), (27, _MIX_2), (31, None)):
+            np.right_shift(z, np.uint64(shift), out=t)
+            z ^= t
+            if mix is not None:
+                z *= np.uint64(mix)
         self._count = (self._count + n) & _U64_MASK
         return z
 
@@ -239,7 +245,7 @@ class Rng:
         every sort gives the stable order, and numpy's default sort, the
         fastest, is used."""
         n = self._check_int(n, "n", 0)
-        return np.argsort(self._raw(n)).astype(np.int64)
+        return np.argsort(self._raw(n)).astype(np.int64, copy=False)
 
 
 def derive_seed(seed, stream):

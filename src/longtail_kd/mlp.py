@@ -1,5 +1,5 @@
 """Dense rectifier network with explicit forward/backward passes, SGD with
-momentum, learning-rate schedules, and a versioned binary parameter format.
+momentum, learning-rate schedules, and a model's canonical bytes.
 
 Layers are affine maps with rectified-linear hidden activations; the final
 layer emits raw logits. ``forward`` takes an (N, d) batch (one sample is a
@@ -18,9 +18,9 @@ per-layer arrays are views of their ``flat``, so the SGD step and weight
 decay run once over whole vectors. The velocity is the one optimizer
 state; ``sgd_momentum_step`` takes the momentum from its caller.
 Forward, backward and the SGD step compute in the dtype of the parameters
-they are given: float32 for a model the training loop trains or a blob
-holds, float64 for ``init_mlp``'s draw and the gradient audits' models.
-They let values overflow, quietly under the training loop and
+they are given: float32 for a model the training loop trains or a
+checkpoint holds, float64 for ``init_mlp``'s draw and the gradient audits'
+models. They let values overflow, quietly under the training loop and
 ``evaluate.predict``, which refuse non-finite results.
 """
 
@@ -38,8 +38,14 @@ MLP_MAGIC = b"mlp-v2"
 SCHEDULE_KINDS = ("constant", "step", "cosine")
 
 
+def flat_size(dims):
+    """The number of values an ``MlpParams`` of widths ``dims`` holds."""
+    return sum(fan_out * fan_in + fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+
+
 def _layer_views(flat, dims):
-    """Per-layer weight and bias views of ``flat``, in mlp-v2 payload order."""
+    """Per-layer weight and bias views of ``flat``: layer by layer, weights
+    then bias, the order of ``params_to_bytes`` and of a checkpoint."""
     weights, biases, off = [], [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         weights.append(flat[off : off + fan_out * fan_in].reshape(fan_out, fan_in))
@@ -53,7 +59,7 @@ class MlpParams:
     """Per-layer weight matrices (fan_out, fan_in) and bias vectors (fan_out,).
 
     Every array is a view of one float vector, ``flat``, laid out layer by
-    layer, weights then bias (the mlp-v2 payload order); ``dims`` holds the
+    layer, weights then bias (``_layer_views``); ``dims`` holds the
     layer widths, input first. Gradients and the SGD velocity are MlpParams
     too. The constructor copies the given arrays into a new vector of their
     float dtype (float64 for integer arrays); ``from_flat`` wraps an
@@ -84,7 +90,7 @@ class MlpParams:
     @classmethod
     def zeros(cls, dims, dtype=np.float64):
         """Zero parameters of widths ``dims`` (input first), in one new vector."""
-        return cls.from_flat(np.zeros(sum(o * i + o for i, o in zip(dims[:-1], dims[1:])), dtype), dims)
+        return cls.from_flat(np.zeros(flat_size(dims), dtype), dims)
 
     def copy(self):
         return MlpParams.from_flat(self.flat.copy(), self.dims)
@@ -229,12 +235,15 @@ def lr_at(schedule, epoch, total_epochs):
 
 
 # ---------------------------------------------------------------------------
-# serialization: magic, layer count, then per layer fan_in/fan_out as little-
-# endian int64 followed by row-major weights and bias as little-endian float32
+# a model's canonical bytes: magic, layer count, then per layer fan_in/fan_out
+# as little-endian int64 followed by row-major weights and bias as
+# little-endian float32
 
 
 def params_to_bytes(params):
-    """The mlp-v2 blob of ``params``, rounded to float32 if they are wider."""
+    """The mlp-v2 bytes of ``params``, rounded to float32 if they are wider:
+    the bytes two models compare and digest by. Nothing reads them back; a
+    checkpoint (``pipeline``) stores a model its own way."""
     chunks = [MLP_MAGIC, struct.pack("<q", len(params.weights))]
     for w, b in zip(params.weights, params.biases):
         fan_out, fan_in = w.shape
@@ -242,39 +251,3 @@ def params_to_bytes(params):
         chunks.append(np.ascontiguousarray(w, dtype="<f4").tobytes())
         chunks.append(np.ascontiguousarray(b, dtype="<f4").tobytes())
     return b"".join(chunks)
-
-
-class BlobReader:
-    """Bounds-checked reads from a bytes blob, starting at ``off``; a read
-    past the end raises ValueError(``truncated``)."""
-
-    def __init__(self, blob, off, truncated):
-        self.blob, self.off, self.truncated = blob, off, truncated
-
-    def take(self, n):
-        if self.off + n > len(self.blob):
-            raise ValueError(self.truncated)
-        self.off += n
-        return self.blob[self.off - n : self.off]
-
-    def unpack(self, fmt):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
-def params_from_bytes(blob):
-    if blob[: len(MLP_MAGIC)] != MLP_MAGIC:
-        raise ValueError("not an mlp-v2 parameter blob")
-    r = BlobReader(blob, len(MLP_MAGIC), "truncated mlp-v2 parameter blob")
-    (n_layers,) = r.unpack("<q")
-    if n_layers < 1:
-        raise ValueError("mlp-v2 blob declares no layers")
-    weights, biases = [], []
-    for _ in range(n_layers):
-        fan_in, fan_out = r.unpack("<qq")
-        if fan_in < 1 or fan_out < 1:
-            raise ValueError("mlp-v2 blob has non-positive layer dimensions")
-        weights.append(np.frombuffer(r.take(4 * fan_in * fan_out), dtype="<f4").reshape(fan_out, fan_in))
-        biases.append(np.frombuffer(r.take(4 * fan_out), dtype="<f4"))
-    if r.off != len(blob):
-        raise ValueError("trailing bytes after mlp-v2 parameter blob")
-    return MlpParams(weights, biases)

@@ -37,11 +37,12 @@ in and ``forward`` casts nothing.
 Every epoch visits the training rows in a fresh shuffled order. A run's
 state is one ``RunState``; each epoch logs one row to it, and a checkpoint
 holds it whole, so a resumed run matches an uninterrupted one bit for bit.
-A ``ckpt-v3`` file states each fact once: one fixed header
-(``_CKPT_HEAD``), the float32 ``mlp-v2`` parameter blob behind its
-``_BLOB_LEN`` length, the velocity as raw float32 values in the
-parameters' layout, and the metric log behind its length. The epoch is
-the log's length and the momentum is the config's, so neither is stored.
+A ``ckpt-v4`` file states each fact once: one fixed header
+(``_CKPT_HEAD``, ending in the layer count), the layer widths, the
+parameters and then the velocity as flat float32 vectors in the
+``MlpParams`` layout, and the metric log behind its length. The vectors'
+lengths follow from the widths, and the epoch is the log's length and the
+momentum the config's, so none of them is stored.
 ``_decode`` holds every rule of that format, finite parameters and
 velocity and a log in the writer's own form among them, and names the
 file in each refusal; the reader runs it on the bytes it reads and the
@@ -63,27 +64,15 @@ from . import evaluate
 from .data import check_thresholds, open_input, open_output, subset_tags
 from .losses import BKDConfig, KDConfig, Objective, bkd_objective, kd_objective, objective_loss_batch, softmax_rows
 from .mathutils import Rng, check_int, check_real, check_temperature, derive_seed
-from .mlp import (
-    BlobReader,
-    LrSchedule,
-    forward,
-    backward,
-    check_momentum,
-    init_mlp,
-    lr_at,
-    params_from_bytes,
-    params_to_bytes,
-    sgd_momentum_step,
-    MlpParams,
-)
+from .mlp import LrSchedule, forward, backward, check_momentum, flat_size, init_mlp, lr_at, sgd_momentum_step, MlpParams
 from .weights import effective_number_weights, normalize_weights
 
-CKPT_MAGIC = b"ckpt-v3"
+CKPT_MAGIC = b"ckpt-v4"
 _DIGEST_BYTES = 32  # sha256, as config_digest returns
-# magic, config digest, shuffle-stream seed and draw count
-_CKPT_HEAD = struct.Struct(f"<{len(CKPT_MAGIC)}s{_DIGEST_BYTES}sQQ")
-# the byte length in front of the parameter blob and of the metric log
-_BLOB_LEN = "<Q"
+# magic, config digest, shuffle-stream seed and draw count, layer count
+_CKPT_HEAD = struct.Struct(f"<{len(CKPT_MAGIC)}s{_DIGEST_BYTES}sQQq")
+# the byte length in front of the metric log
+_LOG_LEN = "<Q"
 
 LOSS_KINDS = ("ce", "cb", "kd", "bkd")
 
@@ -208,22 +197,44 @@ class RunState:
         return len(self.log_rows)
 
 
+class BlobReader:
+    """Bounds-checked reads from a bytes blob, from its start; a read past
+    the end raises ValueError("truncated checkpoint")."""
+
+    def __init__(self, blob):
+        self.blob, self.off = blob, 0
+
+    def take(self, n):
+        if self.off + n > len(self.blob):
+            raise ValueError("truncated checkpoint")
+        self.off += n
+        return self.blob[self.off - n : self.off]
+
+    def unpack(self, fmt):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+
 def _decode(blob, path):
-    """The ``RunState`` that ckpt-v3 bytes ``blob`` hold, under every rule
+    """The ``RunState`` that ckpt-v4 bytes ``blob`` hold, under every rule
     of the format, held here and nowhere else; each refusal is a ValueError
-    that starts with ``path``."""
+    that starts with ``path``. The widths give the parameters' and the
+    velocity's lengths, so a layer count or width that runs past the end
+    of ``blob`` is a truncated checkpoint."""
     try:
         if blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
             raise ValueError(f"not a {CKPT_MAGIC.decode()} checkpoint")
-        r = BlobReader(blob, 0, "truncated checkpoint")
-        _, digest, seed, count = _CKPT_HEAD.unpack(r.take(_CKPT_HEAD.size))
+        r = BlobReader(blob)
+        _, digest, seed, count, n_layers = _CKPT_HEAD.unpack(r.take(_CKPT_HEAD.size))
         # each part is parsed as soon as it is read: a corrupt part is refused before a later truncation
-        params = params_from_bytes(r.take(*r.unpack(_BLOB_LEN)))
-        vel = MlpParams.from_flat(np.frombuffer(r.take(params.flat.nbytes), "<f4").astype(np.float32), params.dims)
+        n_layers = check_int(n_layers, "the layer count", 1)
+        dims = [check_int(d, "each layer width", 1) for d in np.frombuffer(r.take(8 * (n_layers + 1)), "<i8").tolist()]
+        nbytes = 4 * flat_size(dims)
+        read_flat = lambda: MlpParams.from_flat(np.frombuffer(r.take(nbytes), "<f4").astype(np.float32), dims)
+        params, vel = read_flat(), read_flat()
         for name, blob_params in (("parameter", params), ("velocity", vel)):
             if not np.isfinite(blob_params.flat).all():
                 raise ValueError(f"the {name} blob holds a non-finite value")
-        log_blob = r.take(*r.unpack(_BLOB_LEN))
+        log_blob = r.take(*r.unpack(_LOG_LEN))
         log_rows = metrics_from_csv(log_blob.decode("utf-8"))
         # so that rewriting what was read reproduces the file
         if metrics_to_csv(log_rows).encode("utf-8") != log_blob:
@@ -251,14 +262,13 @@ def write_checkpoint(path, state):
     if state.vel.dims != state.params.dims:
         raise ValueError(f"{path}: velocity dimensions {state.vel.dims} do not match parameters {state.params.dims}")
     with np.errstate(over="ignore"):
-        params_blob = params_to_bytes(state.params)
-        vel_blob = np.ascontiguousarray(state.vel.flat, dtype="<f4").tobytes()
+        flats = [np.ascontiguousarray(v.flat, dtype="<f4").tobytes() for v in (state.params, state.vel)]
     log_blob = metrics_to_csv(state.log_rows).encode("utf-8")
     encoded = b"".join(
         [
-            _CKPT_HEAD.pack(CKPT_MAGIC, state.digest, *state.rng.state),
-            struct.pack(_BLOB_LEN, len(params_blob)), params_blob, vel_blob,
-            struct.pack(_BLOB_LEN, len(log_blob)), log_blob,
+            _CKPT_HEAD.pack(CKPT_MAGIC, state.digest, *state.rng.state, len(state.params.dims) - 1),
+            np.array(state.params.dims, "<i8").tobytes(), *flats,
+            struct.pack(_LOG_LEN, len(log_blob)), log_blob,
         ]
     )
     _decode(encoded, path)

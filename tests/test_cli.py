@@ -15,7 +15,7 @@ from longtail_kd.mathutils import Rng
 from longtail_kd.mlp import MlpParams, init_mlp, params_to_bytes
 from longtail_kd.pipeline import TrainConfig
 from test_data import _reference_csv
-from test_pipeline import OVERFLOWING_EVALUATION, write_checkpoint_with_bad_fan_in
+from test_pipeline import OVERFLOWING_EVALUATION, write_checkpoint_with_bad_width
 
 
 def run(*args):
@@ -394,9 +394,9 @@ class TestEval:
 
     def test_corrupt_parameter_blob_is_runtime_error_naming_the_file(self, workspace, capsys):
         tmp, cfg, data_dir, _ = workspace
-        ckpt = write_checkpoint_with_bad_fan_in(str(tmp / "bad-layer.ckpt"))
+        ckpt = write_checkpoint_with_bad_width(str(tmp / "bad-layer.ckpt"))
         assert run("eval", "--ckpt", ckpt, "--data", data_dir / "test.csv", "--config", cfg) == 2
-        assert f"error: {ckpt}: " in capsys.readouterr().err
+        assert f"error: {ckpt}: each layer width must be a positive integer, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mismatch", ["data", "train split"])
     def test_class_count_mismatch_refused(self, workspace, capsys, mismatch):

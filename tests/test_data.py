@@ -418,6 +418,21 @@ class TestSidecar:
         _assert_same_bits(via_sidecar, data)
         _assert_same_bits(via_text, data)
 
+    @pytest.mark.parametrize("rows", [3, 4, 9])
+    def test_text_parse_in_blocks_keeps_the_bits_and_line_numbers(self, tmp_path, monkeypatch, rows):
+        # the rows are rounded to float32 one block at a time: one partial
+        # block, one whole block, and two whole blocks and a partial one
+        monkeypatch.setattr(data_module, "_CHUNK_ROWS", 4)
+        data = _awkward_dataset(rows=rows)
+        path = self._saved(tmp_path, data)
+        os.remove(path + ".bin")
+        _assert_same_bits(load_dataset(path), data)
+        with open(path, "a") as fh:
+            fh.write("3,1.0,2.0,3.0\n")
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}:{rows + 2}: label 3 outside [0, 3)"
+
     def test_csv_edited_after_save_wins(self, tmp_path):
         data = LabeledDataset(np.array([[0.25, 1.5], [2.5, -3.0]]), np.array([0, 1]), 2)
         path = self._saved(tmp_path, data)
@@ -468,7 +483,7 @@ class TestSave:
                 raise RuntimeError("formatter failed")
             return format_rows(data, start, stop)
 
-        monkeypatch.setattr(data_module, "_SAVE_CHUNK_ROWS", 4)
+        monkeypatch.setattr(data_module, "_CHUNK_ROWS", 4)
         monkeypatch.setattr(data_module, "_format_rows", failing_format)
         with pytest.raises(RuntimeError, match="formatter failed"):
             save_dataset(_awkward_dataset(rows=25), path)
@@ -485,7 +500,7 @@ class TestSave:
             fh.write(b"partial")
             raise RuntimeError("sidecar write failed")
 
-        monkeypatch.setattr(data_module, "_SAVE_CHUNK_ROWS", 4)
+        monkeypatch.setattr(data_module, "_CHUNK_ROWS", 4)
         monkeypatch.setattr(data_module, "_write_sidecar", failing_sidecar)
         with pytest.raises(RuntimeError, match="sidecar write failed"):
             save_dataset(_awkward_dataset(rows=25), path)

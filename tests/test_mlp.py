@@ -1,5 +1,4 @@
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -13,10 +12,10 @@ from longtail_kd.mlp import (
     forward,
     init_mlp,
     lr_at,
-    params_from_bytes,
     params_to_bytes,
     sgd_momentum_step,
 )
+from longtail_kd.pipeline import RunState, read_checkpoint, write_checkpoint
 
 
 def naive_forward(params, x):
@@ -389,14 +388,18 @@ class TestFlatStorage:
                 off += a.size
         assert off == p.flat.size
 
-    def test_params_gradients_and_velocities_view_their_own_flat(self):
+    def test_params_gradients_and_velocities_view_their_own_flat(self, tmp_path):
         params = init_mlp([5, 7, 3], seed=4)
         grads = backward(params, forward(params, np.ones((2, 5)))[1], np.ones((2, 3)))
         vel = MlpParams.zeros(params.dims)
         for p in (params, grads, vel, params.copy()):
             self.assert_views_of_own_flat(p)
-        self.assert_views_of_own_flat(params_from_bytes(params_to_bytes(params)), np.float32)  # a blob holds float32
-        flats = [params.flat, grads.flat, vel.flat, params.copy().flat]
+        path = str(tmp_path / "a.ckpt")
+        write_checkpoint(path, RunState(params, vel, Rng(1), [], bytes(32)))
+        read = read_checkpoint(path)
+        for p in (read.params, read.vel):
+            self.assert_views_of_own_flat(p, np.float32)  # a checkpoint holds float32
+        flats = [params.flat, grads.flat, vel.flat, params.copy().flat, read.params.flat, read.vel.flat]
         for i, a in enumerate(flats):
             for b in flats[i + 1 :]:
                 assert not np.shares_memory(a, b)
@@ -489,53 +492,7 @@ class TestLrSchedule:
 
 
 class TestSerialization:
-    def test_round_trip_bit_exact(self):
-        params = init_mlp([5, 9, 3], seed=21).astype(np.float32)
-        loaded = params_from_bytes(params_to_bytes(params))
-        assert loaded.flat.dtype == np.float32
-        for a, b in zip(params.weights + params.biases, loaded.weights + loaded.biases):
-            np.testing.assert_array_equal(a, b)
-        x = Rng(56).normal((1, 5))
-        np.testing.assert_array_equal(forward(params, x)[0], forward(loaded, x)[0])
-
-    def test_width_one_layers_round_trip(self):
-        params = init_mlp([1, 1], seed=3).astype(np.float32)
-        loaded = params_from_bytes(params_to_bytes(params))
-        assert loaded.dims == (1, 1)
-        assert loaded.flat.tobytes() == params.flat.tobytes()
-
     def test_a_float64_model_is_stored_rounded_to_float32(self):
         params = init_mlp([4, 6, 3], seed=5)
-        loaded = params_from_bytes(params_to_bytes(params))
-        assert loaded.flat.tobytes() == params.flat.astype(np.float32).tobytes()
+        assert params_to_bytes(params) == params_to_bytes(params.astype(np.float32))
         assert len(params_to_bytes(params)) == len(b"mlp-v2") + 8 + 2 * 16 + 4 * params.flat.size
-
-    def test_a_blob_of_the_previous_format_refused(self):
-        blob = params_to_bytes(init_mlp([3, 2], seed=0))
-        with pytest.raises(ValueError, match="^not an mlp-v2 parameter blob$"):
-            params_from_bytes(b"mlp-v1" + blob[len(b"mlp-v2") :])
-
-    def test_magic_enforced(self):
-        with pytest.raises(ValueError):
-            params_from_bytes(b"not-a-model")
-
-    def test_truncation_detected(self):
-        blob = params_to_bytes(init_mlp([3, 2], seed=0))
-        with pytest.raises(ValueError):
-            params_from_bytes(blob[:-4])
-        with pytest.raises(ValueError):
-            params_from_bytes(blob + b"xx")
-
-    @pytest.mark.parametrize(
-        "body, message",
-        [
-            (struct.pack("<q", 0), "mlp-v2 blob declares no layers"),
-            (struct.pack("<qqq", 1, 0, 2), "mlp-v2 blob has non-positive layer dimensions"),
-            (struct.pack("<qqq", 1, 3, -2), "mlp-v2 blob has non-positive layer dimensions"),
-        ],
-        ids=["no-layers", "zero-fan-in", "negative-fan-out"],
-    )
-    def test_layer_count_and_widths_must_be_positive(self, body, message):
-        with pytest.raises(ValueError) as info:
-            params_from_bytes(b"mlp-v2" + body)
-        assert str(info.value) == message

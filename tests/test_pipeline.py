@@ -60,13 +60,11 @@ OVERFLOWING_EVALUATION = {
 }
 
 
-def write_checkpoint_with_bad_fan_in(path):
-    """A (4, 12, 2) checkpoint whose first layer's fan_in field reads 5."""
+def write_checkpoint_with_bad_width(path):
+    """A (4, 12, 2) checkpoint whose hidden width field reads 0."""
     params = init_mlp((4, 12, 2), seed=0)
     write_checkpoint(path, RunState(params, MlpParams.zeros(params.dims), Rng(1), [], config_digest(small_cfg())))
-    with open(path, "rb") as fh:
-        fan_in = fh.read().index(params_to_bytes(params)) + len(b"mlp-v2") + 8  # past magic and layer count
-    patch_checkpoint(path, fan_in, struct.pack("<q", 4), struct.pack("<q", 5))
+    patch_checkpoint(path, WIDTHS_AT + 8, struct.pack("<q", 12), struct.pack("<q", 0))
     return path
 
 
@@ -79,21 +77,31 @@ def patch_checkpoint(path, offset, old, new):
         fh.write(blob[:offset] + new + blob[offset + len(old) :])
 
 
-PARAMS_AT = 55 + 8  # past the header (magic, digest, Rng state) and the parameter blob's length
+LAYERS_AT = 7 + 32 + 16  # past the magic, the config digest and the Rng state
+WIDTHS_AT = LAYERS_AT + 8  # past the layer count
+
+
+def params_at(dims):
+    """The offset of the parameters in a checkpoint of widths ``dims``."""
+    return WIDTHS_AT + 8 * len(dims)
 
 
 def _reference_checkpoint(state):
-    """The ckpt-v3 bytes of ``state``, built field by field."""
+    """The ckpt-v4 bytes of ``state``, built field by field: each vector
+    layer by layer, weights then bias."""
     seed, count = state.rng.state
-    params, log = params_to_bytes(state.params), metrics_to_csv(state.log_rows).encode("utf-8")
+    dims, log = state.params.dims, metrics_to_csv(state.log_rows).encode("utf-8")
+    layers = lambda p: [struct.pack(f"<{a.size}f", *a.ravel()) for wb in zip(p.weights, p.biases) for a in wb]
     return b"".join(
         [
-            b"ckpt-v3",
+            b"ckpt-v4",
             state.digest,
             struct.pack("<Q", seed),
             struct.pack("<Q", count),
-            struct.pack("<Q", len(params)), params,
-            struct.pack(f"<{state.vel.flat.size}f", *state.vel.flat),
+            struct.pack("<q", len(dims) - 1),
+            struct.pack(f"<{len(dims)}q", *dims),
+            *layers(state.params),
+            *layers(state.vel),
             struct.pack("<Q", len(log)), log,
         ]
     )
@@ -781,7 +789,7 @@ class TestCheckpointResume:
         assert metrics_to_csv(resumed_log) == metrics_to_csv(full_log)
 
     def test_draw_count_near_two_to_the_64_resumes_through_the_wrap(self, tmp_path):
-        # ckpt-v3 stores the count as "<Q", and a count of 2**64 - 1 read back
+        # a checkpoint stores the count as "<Q", and a count of 2**64 - 1 read back
         # but once failed on resume with OverflowError from the first shuffle
         train, test = two_class_separable()
         cfg = small_cfg(epochs=4)
@@ -789,7 +797,7 @@ class TestCheckpointResume:
         train_teacher(train, test, cfg, out_ckpt=mid, stop_after_epoch=2)
         train_teacher(train, test, cfg, out_ckpt=full)
         seed, count = read_checkpoint(mid).rng.state
-        count_at = len(b"ckpt-v3") + 32 + 8  # past magic, config digest and seed
+        count_at = LAYERS_AT - 8  # past magic, config digest and seed
         patch_checkpoint(mid, count_at, struct.pack("<Q", count), struct.pack("<Q", 2**64 - 1))
         _, log = train_teacher(train, test, cfg, resume_from=mid, out_ckpt=resumed)
         assert [row.epoch for row in log] == [0, 1, 2, 3]
@@ -839,7 +847,7 @@ class TestCheckpointResume:
 
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(b"ckpt-v3" + b"\x00" * 10)
+        bad.write_bytes(b"ckpt-v4" + b"\x00" * 10)
         with pytest.raises(ValueError):
             read_checkpoint(str(bad))
         not_ckpt = tmp_path / "not.ckpt"
@@ -848,30 +856,64 @@ class TestCheckpointResume:
             read_checkpoint(str(not_ckpt))
 
     def test_checkpoint_of_the_previous_format_refused(self, tmp_path):
-        # ckpt-v2 stored the weights and the velocity as float64, and
-        # ckpt-v1 the epoch and the momentum apart from the log and the
-        # config, and the velocity behind a header of its own
+        # ckpt-v3 stored the parameters as an mlp-v2 blob behind its length,
+        # ckpt-v2 the weights and the velocity as float64, and ckpt-v1 the
+        # epoch and the momentum apart from the log and the config, and the
+        # velocity behind a header of its own
         train, test = two_class_separable()
         path = str(tmp_path / "old.ckpt")
         train_teacher(train, test, small_cfg(epochs=2), out_ckpt=path)
         with open(path, "rb") as fh:
             payload = fh.read()[len(pipeline.CKPT_MAGIC) :]
-        for old in (b"ckpt-v2", b"ckpt-v1"):
+        for old in (b"ckpt-v3", b"ckpt-v2", b"ckpt-v1"):
             with open(path, "wb") as fh:
                 fh.write(old + payload)
             with pytest.raises(ValueError) as info:
                 read_checkpoint(path)
-            assert str(info.value) == f"{path}: not a ckpt-v3 checkpoint"
+            assert str(info.value) == f"{path}: not a ckpt-v4 checkpoint"
+
+    @pytest.mark.parametrize(
+        "offset, old, new, message",
+        [
+            (LAYERS_AT, 2, 0, "the layer count must be a positive integer, got 0"),
+            (LAYERS_AT, 2, -1, "the layer count must be a positive integer, got -1"),
+            (WIDTHS_AT + 8, 12, 0, "each layer width must be a positive integer, got 0"),
+            (WIDTHS_AT, 4, -4, "each layer width must be a positive integer, got -4"),
+            (LAYERS_AT, 2, 2**62, "truncated checkpoint"),
+            (WIDTHS_AT + 8, 12, 2**40, "truncated checkpoint"),
+        ],
+        ids=[
+            "no-layers", "negative-layers", "zero-width", "negative-width", "layers-past-the-end", "width-past-the-end",
+        ],
+    )
+    def test_layer_count_and_widths_refused_by_name(self, tmp_path, offset, old, new, message):
+        # the widths are stored once, ahead of the two vectors whose lengths they give
+        params = init_mlp((4, 12, 2), seed=0)
+        path = str(tmp_path / "widths.ckpt")
+        write_checkpoint(path, RunState(params, MlpParams.zeros(params.dims), Rng(1), [], config_digest(small_cfg())))
+        patch_checkpoint(path, offset, struct.pack("<q", old), struct.pack("<q", new))
+        with pytest.raises(ValueError) as info:
+            read_checkpoint(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_width_one_model_round_trips(self, tmp_path):
+        params = init_mlp((1, 1), seed=3).astype(np.float32)
+        vel = MlpParams.from_flat(np.float32([0.5, -0.25]), params.dims)
+        path = str(tmp_path / "one.ckpt")
+        write_checkpoint(path, RunState(params, vel, Rng(1), [], config_digest(small_cfg())))
+        state = read_checkpoint(path)
+        assert state.params.dims == (1, 1)
+        assert (state.params.flat.tobytes(), state.vel.flat.tobytes()) == (params.flat.tobytes(), vel.flat.tobytes())
 
     @pytest.mark.parametrize("values", [-1, 1], ids=["one-short", "one-long"])
     def test_velocity_that_does_not_fit_the_parameters_rejected(self, tmp_path, values):
         # the velocity has no length of its own: one value fewer or more
-        # than the parameters hold moves the log's length field
+        # than the widths give moves the log's length field
         train, test = two_class_separable()
         path = str(tmp_path / "spliced.ckpt")
         train_teacher(train, test, small_cfg(epochs=2), out_ckpt=path)
         state = read_checkpoint(path)
-        end = PARAMS_AT + len(params_to_bytes(state.params)) + state.vel.flat.nbytes
+        end = params_at(state.params.dims) + state.params.flat.nbytes + state.vel.flat.nbytes
         last = struct.pack("<f", state.vel.flat[-1])
         patch_checkpoint(path, end - 4, last, last * (1 + values))
         with pytest.raises(ValueError) as info:
@@ -897,10 +939,9 @@ class TestCheckpointResume:
         params = init_mlp((4, 12, 2), seed=0).astype(np.float32)
         state = RunState(params, MlpParams.zeros(params.dims, np.float32), Rng(1), [], config_digest(small_cfg()))
         array = state.params if blob == "parameter" else state.vel
-        # the parameters are stored as an mlp-v2 blob, the velocity as its raw float32 values
-        stored = params_to_bytes if blob == "parameter" else lambda vel: vel.flat.tobytes()
-        offset = PARAMS_AT + (0 if blob == "parameter" else len(params_to_bytes(params)))
-        clean, kept = stored(array), array.flat[5]
+        # the parameters and then the velocity are stored as their raw float32 values
+        offset = params_at(params.dims) + (0 if blob == "parameter" else params.flat.nbytes)
+        clean, kept = array.flat.tobytes(), array.flat[5]
         array.flat[5] = value
         written = str(tmp_path / "written.ckpt")
         with pytest.raises(ValueError) as info:
@@ -912,7 +953,7 @@ class TestCheckpointResume:
         spliced = str(tmp_path / "spliced.ckpt")
         write_checkpoint(spliced, state)
         array.flat[5] = value
-        patch_checkpoint(spliced, offset, clean, stored(array))
+        patch_checkpoint(spliced, offset, clean, array.flat.tobytes())
         with pytest.raises(ValueError) as info:
             read_checkpoint(spliced)
         assert str(info.value) == f"{spliced}: the {blob} blob holds a non-finite value"
@@ -1142,12 +1183,6 @@ class TestCheckpointResume:
         with open(path, "rb") as fh:
             offset = fh.read().index(old)
         patch_checkpoint(path, offset, old, new)
-        with pytest.raises(ValueError) as info:
-            read_checkpoint(path)
-        assert str(info.value).startswith(f"{path}: ")
-
-    def test_corrupt_parameter_blob_names_the_file(self, tmp_path):
-        path = write_checkpoint_with_bad_fan_in(str(tmp_path / "bad-layer.ckpt"))
         with pytest.raises(ValueError) as info:
             read_checkpoint(path)
         assert str(info.value).startswith(f"{path}: ")

@@ -158,7 +158,7 @@ def datasets(draw):
 def test_save_bytes_equal_the_row_at_a_time_writer(data, chunk_rows):
     expected_csv = _reference_csv(data)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(data_module, "_SAVE_CHUNK_ROWS", chunk_rows)
+        mp.setattr(data_module, "_CHUNK_ROWS", chunk_rows)
         path = os.path.join(tmp, "train.csv")
         save_dataset(data, path)
         with open(path, "rb") as fh:
