@@ -16,14 +16,15 @@ On disk a dataset is a ``longtail-csv v2`` text file, the one canonical
 form. Its float32 features are each written as ``format(x, "+.8e")``: nine
 significant digits, as many as any float32 needs to parse back to its own
 bits. ``save_dataset`` formats the rows in this process, one 1024-row chunk
-at a time through ``_format_cells``, and hashes the CSV as it writes it. It
-also writes a ``longtail-bin v2`` sidecar (``<path>.bin``): the magic, the
-sha256 of the CSV bytes, N and d (int64), N int64 labels, N*d row-major
-float32 features and a sha256 trailer over all of that, every number
-little-endian. Each file is committed through ``open_output``, so a failed
-save leaves no temporary file behind and a previous dataset at the same
-path untouched, and a save killed while it formats leaves only the CSV's
-temporary file.
+at a time through ``_format_cells``, which gathers each 16-byte cell as four
+4-byte words from small tables of text built on the first save, and it
+hashes the CSV as it writes it. It also writes a ``longtail-bin v2`` sidecar
+(``<path>.bin``): the magic, the sha256 of the CSV bytes, N and d (int64), N
+int64 labels, N*d row-major float32 features and a sha256 trailer over all
+of that, every number little-endian. Each file is committed through
+``open_output``, so a failed save leaves no temporary file behind and a
+previous dataset at the same path untouched, and a save killed while it
+formats leaves only the CSV's temporary file.
 
 ``load_dataset`` always parses the CSV header. It takes the rows from the
 sidecar only when the magic, the CSV digest, d, the file size and the
@@ -37,6 +38,7 @@ bits and a load holds its features once.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import itertools
 import math
@@ -63,8 +65,15 @@ _CHUNK_ROWS = 1024
 # the least magnitude that rounds to float32's infinity: halfway between its
 # largest finite value and 2**128, where a tie rounds to the even 2**128
 _F32_OVERFLOW = 2.0**128 - 2.0**103
-# a feature cell and its separator, before its signs and digits are set
-_CELL = np.frombuffer(b"+0.00000000e+00,", np.uint8)
+# bytes of a feature cell and its separator, ``[+-]d.dddddddde[+-]dd,``
+_CELL_BYTES = 16
+# 10.0**k for k in [-_EXP_BIAS, _EXP_BIAS), indexed by k + _EXP_BIAS; it
+# spans every decade a float32 has, with room for a misestimated one
+_EXP_BIAS = 64
+_POW10 = 10.0 ** np.arange(-_EXP_BIAS, _EXP_BIAS)
+# entries of each sign in the lead-word table: one per value of m // 10**7
+# for every uint32 m, so a cell the fallback patches still indexes in range
+_LEADS = 430
 
 PROFILE_KINDS = ("exponential", "step")
 
@@ -271,27 +280,47 @@ def _format_cells(values):
     ``log10``; a second scaling corrects a misestimated decade either way,
     or a ninth digit that carries. The scaled value is within 1e-6 of
     exact, so ``rint`` rounds it correctly unless it is that close to a
-    tie, and Python formats those few cells."""
+    tie, and Python formats those few cells. The rounded nine digits m and
+    the exponent e index the four words of a cell in ``_cell_words``' tables:
+    the sign and m // 10**7 (``+d.d``), (m // 1000) % 10000 (``dddd``),
+    m % 1000 (``ddde``) and e (``+dd,``)."""
     a = np.abs(values, dtype=np.float64)
     nonzero = a > 0
     e = np.floor(np.log10(np.where(nonzero, a, 1.0))).astype(np.int64)
-    scaled = a * 10.0 ** (8 - e)
+    scaled = a * _POW10[8 + _EXP_BIAS - e]
     e += (np.rint(scaled) >= 1e9).astype(np.int64) - ((scaled < 1e8) & nonzero)
-    scaled = a * 10.0 ** (8 - e)
+    scaled = a * _POW10[8 + _EXP_BIAS - e]
     m = np.rint(scaled)
     near_tie = nonzero & ((np.abs(scaled - m) > 0.5 - 1e-6) | (m < 1e8) | (m >= 1e9))
-    out = np.empty(values.shape + _CELL.shape, np.uint8)
-    out[...] = _CELL
-    out[..., 0][np.signbit(values)] = ord("-")
-    out[..., 12][e < 0] = ord("-")
-    for digits, columns in ((m.astype(np.uint32), (10, 9, 8, 7, 6, 5, 4, 3, 1)), (np.abs(e), (14, 13))):
-        for column in columns:
-            digits, digit = np.divmod(digits, 10)
-            out[..., column] += digit.astype(np.uint8)
-    cells = out.reshape(-1, _CELL.size)
+    m = m.astype(np.uint32)
+    lead = m // 10**7
+    lead[np.signbit(values)] += _LEADS
+    out = np.empty(values.shape + (4,), "<u4")
+    # every index is in range by construction; a mode other than "raise"
+    # spares np.take a buffered copy of its strided output
+    for k, (table, index) in enumerate(zip(_cell_words(), (lead, m // 1000 % 10000, m % 1000, e + _EXP_BIAS))):
+        np.take(table, index, out=out[..., k], mode="wrap")
+    cells = out.view(np.uint8)
+    flat = cells.reshape(-1, _CELL_BYTES)
     for i in np.flatnonzero(near_tie):
-        cells[i, :-1] = np.frombuffer(format(float(values.flat[i]), "+.8e").encode("ascii"), np.uint8)
-    return out
+        flat[i, :-1] = np.frombuffer(format(float(values.flat[i]), "+.8e").encode("ascii"), np.uint8)
+    return cells
+
+
+@functools.cache
+def _cell_words():
+    """The four ``<u4`` word tables of ``_format_cells``, each 4-byte word
+    the ASCII text of one entry: ``+d.d`` then ``-d.d`` for each lead value
+    below ``_LEADS`` (tens digit mod 10), ``dddd``, ``ddde`` and ``+dd,``
+    for each exponent from -``_EXP_BIAS``. Built on the first save, not at
+    import."""
+    words = lambda texts: np.frombuffer("".join(texts).encode("ascii"), "<u4")
+    return (
+        words(f"{sign}{n // 10 % 10}.{n % 10}" for sign in "+-" for n in range(_LEADS)),
+        words(f"{n:04d}" for n in range(10000)),
+        words(f"{n:03d}e" for n in range(1000)),
+        words(f"{n:+03d}," for n in range(-_EXP_BIAS, _EXP_BIAS)),
+    )
 
 
 def _write_sidecar(fh, csv_digest, data):

@@ -1,0 +1,95 @@
+"""``tools/bench_pairs.py``: its parser and pairing, on canned
+``bench/run.py`` output. No benchmark runs here."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+DIGEST = "0a28bbfbfbd7019791757247b0b28ac623d4b6d06f2f183e7598c179a1582cd6"
+
+
+def canned_output(wall_s, digest=DIGEST, correct=True, git_sha="c9d418e", make_data_s=1.0):
+    """The ``--trace 0`` output of ``bench/run.py``, cut to two metrics."""
+    env = {"OPENBLAS_NUM_THREADS": "1", "git_sha": git_sha, "nproc": 2, "numpy": "2.4.6", "source_sha256": "ab"}
+    result = {
+        "correct": correct,
+        "attempted": 2,
+        "failed": 0 if correct else 1,
+        "metrics": {"wall_s": {"value": wall_s, "unit": "s"}, "acc_all": {"value": 0.66, "unit": "ratio"}},
+    }
+    return "\n".join(
+        [
+            "workload cli-roundtrip seed 9 trace 0 spec CliSpec(units=1)",
+            "env " + json.dumps(env, sort_keys=True),
+            "op unit0/make-data 0.2465 s paced ok",
+            "op unit0/train-teacher 0.1067 s paced ok",
+            f"step_s make-data={make_data_s!r} train-teacher=0.5059340581405332",
+            f"unpaced wall_s = {wall_s - 1.0!r} s (as the clock read it)",
+            f"metric wall_s = {wall_s!r} s",
+            "metric acc_all = 0.66 ratio",
+            "acc_few_gain = 0.276 ratio (bkd few-shot accuracy minus the teacher's; reported, not gated)",
+            "error_rate = 0/2 = 0.0",
+            f"artifacts_sha256 {digest}",
+            json.dumps(result),
+        ]
+    )
+
+
+def test_parse_run_reads_every_field():
+    run = bench_pairs.parse_run(canned_output(4.125, make_data_s=1.0755))
+    assert run["correct"] is True
+    assert run["artifacts_sha256"] == DIGEST
+    assert run["env"]["git_sha"] == "c9d418e"
+    assert run["metrics"] == {
+        "wall_s": 4.125,
+        "acc_all": 0.66,
+        "unpaced_wall_s": 3.125,
+        "step_s.make-data": 1.0755,
+        "step_s.train-teacher": 0.5059340581405332,
+    }
+
+
+def test_parse_run_refuses_output_without_its_result_or_digest():
+    with pytest.raises(ValueError, match="not the result JSON"):
+        bench_pairs.parse_run(canned_output(4.0).rsplit("\n", 1)[0])
+    no_digest = "\n".join(line for line in canned_output(4.0).splitlines() if not line.startswith("artifacts"))
+    with pytest.raises(ValueError, match=r"lacks \['artifacts_sha256'\]"):
+        bench_pairs.parse_run(no_digest)
+    with pytest.raises(ValueError, match="no output"):
+        bench_pairs.parse_run("")
+
+
+def test_summarize_gives_each_sides_median_and_iqr_and_the_pairs_won():
+    base = [bench_pairs.parse_run(canned_output(w)) for w in (4.0, 4.2, 4.1, 4.3, 3.9)]
+    change_walls = (3.7, 3.6, 4.2, 3.8, 3.5)
+    change = [bench_pairs.parse_run(canned_output(w, correct=w < 3.8, git_sha="f00")) for w in change_walls]
+    entry = bench_pairs.summarize({"base": base, "change": change}, {"wall_s": "lower", "acc_all": "higher"})
+    assert entry["artifacts_sha256"] == DIGEST and entry["pairs"] == 5
+    wall = entry["sides"]["base"]["metrics"]["wall_s"]
+    assert (wall["median"], wall["q1"], wall["q3"]) == pytest.approx((4.1, 4.0, 4.2))
+    assert wall["iqr"] == pytest.approx(0.2) and wall["runs"] == [4.0, 4.2, 4.1, 4.3, 3.9]
+    assert entry["sides"]["change"]["metrics"]["wall_s"]["median"] == pytest.approx(3.7)
+    assert entry["sides"]["change"]["git_sha"] == "f00"
+    assert entry["sides"]["base"]["correct"] == [True] * 5
+    assert entry["sides"]["change"]["correct"] == [True, True, False, False, True]
+    # the change read lower in 4 of 5 pairs; equal accuracies are ties, which count for neither
+    assert entry["change_better_pairs"]["wall_s"] == 4
+    assert entry["change_better_pairs"]["unpaced_wall_s"] == 4
+    assert entry["change_better_pairs"]["acc_all"] == 0
+
+
+def test_summarize_refuses_to_pair_runs_whose_digests_differ():
+    base = [bench_pairs.parse_run(canned_output(4.0))]
+    change = [bench_pairs.parse_run(canned_output(3.7, digest="1a" * 32))]
+    with pytest.raises(ValueError, match="refusing to pair runs whose artifacts_sha256 differ"):
+        bench_pairs.summarize({"base": base, "change": change}, {})
+    moved = [bench_pairs.parse_run(canned_output(4.0)), bench_pairs.parse_run(canned_output(4.0, digest="1a" * 32))]
+    with pytest.raises(ValueError, match="artifacts_sha256 differ"):
+        bench_pairs.summarize({"base": moved, "change": moved}, {})

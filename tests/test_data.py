@@ -1,6 +1,8 @@
 import hashlib
 import os
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -543,10 +545,22 @@ class TestCellFormatter:
         # 2**-14 and 1704300.375 are exact ties at nine digits, which round to even
         bits = np.random.default_rng(36).integers(0, 2**32, 50_000, dtype=np.uint64).astype(np.uint32)
         ties = np.float32([2.0**-14, -(2.0**-14), 1704300.375, 629201.8125])
-        values = np.concatenate([bits.view(np.float32), F32_SPECIALS, _powers_of_ten_and_neighbours(), ties])
+        # the first and last entry of each word table: lead 10 and 99 of
+        # either sign, mid 0000 and 9999, low 000 and 999, exponents -45 and +38
+        edges = np.float32([1.0, -1.0, 9.99999905, -9.99999905, 8.75139999, F32.smallest_subnormal, F32.max])
+        values = np.concatenate([bits.view(np.float32), F32_SPECIALS, _powers_of_ten_and_neighbours(), ties, edges])
         values = values[np.isfinite(values)]
         assert _cells(values) == [format(float(v), "+.8e") for v in values]
         assert _cells(ties) == ["+6.10351562e-05", "-6.10351562e-05", "+1.70430038e+06", "+6.29201812e+05"]
+        assert _cells(edges) == [
+            "+1.00000000e+00",
+            "-1.00000000e+00",
+            "+9.99999905e+00",
+            "-9.99999905e+00",
+            "+8.75139999e+00",
+            "+1.40129846e-45",
+            "+3.40282347e+38",
+        ]
 
     @pytest.mark.parametrize("shift", [-1.0, 1.0], ids=["decade-too-low", "decade-too-high"])
     def test_a_misestimated_decade_is_corrected(self, monkeypatch, shift):
@@ -557,6 +571,15 @@ class TestCellFormatter:
         log10 = np.log10
         monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
         assert _cells(values) == expected
+
+    def test_import_builds_no_word_tables(self):
+        # the tables are built by the first save: an import that built them
+        # would add to the start-up of every command
+        src = os.path.dirname(os.path.dirname(data_module.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import longtail_kd; print(longtail_kd.data._cell_words.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
 class TestLabeledDataset:

@@ -67,6 +67,21 @@ def test_sidecar_load_holds_the_features_once(tmp_path):
     assert peak < 1.25 * (data.features.nbytes + data.labels.nbytes)
 
 
+def test_save_holds_the_text_of_one_chunk(tmp_path, monkeypatch):
+    # beyond the split's arrays, a save holds one 1024-row chunk's cells,
+    # their numpy temporaries and text: measured 5.9x the CSV bytes of one
+    # chunk on an 8000 x 64 split. Formatting the whole split as one chunk
+    # peaks at 38x, and the bound is checked to catch it
+    train, _ = synth_gaussian_mixture([400] * 20, 64, 3.0, seed=5, per_class_test=1)
+    path = str(tmp_path / "train.csv")
+    _, peak = traced_peak(lambda: save_dataset(train, path))
+    bound = 8 * os.path.getsize(path) / len(train) * data_module._CHUNK_ROWS
+    assert peak < bound
+    monkeypatch.setattr(data_module, "_CHUNK_ROWS", len(train))
+    _, whole_split_peak = traced_peak(lambda: save_dataset(train, path))
+    assert whole_split_peak > bound
+
+
 def test_text_parse_holds_one_block_of_python_floats(tmp_path, monkeypatch):
     # 4000 rows parsed in blocks of 128 measured 2.14x the loaded arrays'
     # bytes: the float32 blocks and their concatenation. Lists of Python
