@@ -21,9 +21,9 @@ class ConfigError(ValueError):
     """Malformed configuration file or value."""
 
 
-def _parse_str(allowed=None):
+def _parse_str(allowed):
     def parse(s):
-        if allowed is not None and s not in allowed:
+        if s not in allowed:
             raise ValueError(f"expected one of {sorted(allowed)}, got {s!r}")
         return s
 

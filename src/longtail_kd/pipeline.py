@@ -26,13 +26,15 @@ prints.
 ``temperature_sweep`` trains one such student per temperature, one after
 another in the calling process.
 
-A run trains in float32: it rounds ``init_mlp``'s float64 draw once, and
-its velocity, gradient buffer, scoring buffers and each objective's arrays
-are float32, so every minibatch runs single-precision BLAS. The class
-weights and each chunk of target rows are computed in float64 and rounded
-once, so a target build holds the float32 matrix and one chunk. The
-datasets are float32 too, so a minibatch is gathered in the dtype it trains
-in and ``forward`` casts nothing.
+A run trains in ``RUN_DTYPE``, float32, which is the one statement of that
+choice: a run rounds ``init_mlp``'s float64 draw to it once, and its
+velocity, gradient buffer, scoring buffers and each objective's arrays are
+of it, so every minibatch runs single-precision BLAS. The class weights and
+each chunk of target rows are computed in float64 and rounded once, so a
+target build holds the float32 matrix and one chunk. The datasets are
+float32 too, so a minibatch is gathered in the dtype it trains in and
+``forward`` casts nothing. Set to float64, the constant trains a run's
+float64 twin, which the acceptance suite checks each float32 run against.
 
 Every epoch visits the training rows in a fresh shuffled order. A run's
 state is one ``RunState``; each epoch logs one row to it, and a checkpoint
@@ -75,6 +77,9 @@ _CKPT_HEAD = struct.Struct(f"<{len(CKPT_MAGIC)}s{_DIGEST_BYTES}sQQq")
 _LOG_LEN = "<Q"
 
 LOSS_KINDS = ("ce", "cb", "kd", "bkd")
+# the dtype a run trains in: its parameters, velocity, gradient and scoring
+# buffers and each objective's arrays
+RUN_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -151,21 +156,31 @@ def metrics_to_csv(rows):
 
 
 def metrics_from_csv(text):
+    """The ``MetricRow``s of a metric log. A row of other than seven cells,
+    or with a cell that is not a number where one is due, is malformed; a
+    row that no run logs is refused too: a non-finite loss, an lr that is
+    not finite and positive, or an accuracy outside [0, 1]."""
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != METRIC_HEADER:
         raise ValueError("malformed metric log")
     rows = []
     for ln in lines[1:]:
         cells = ln.split(",")
-        if len(cells) != 7:
-            raise ValueError(f"malformed metric row: {ln!r}")
-        parse = lambda s: None if s == "" else float(s)
-        rows.append(
-            MetricRow(
-                int(cells[0]), float(cells[1]), float(cells[2]), float(cells[3]),
-                parse(cells[4]), parse(cells[5]), parse(cells[6]),
-            )
-        )
+        try:
+            if len(cells) != 7:
+                raise ValueError
+            subsets = [None if s == "" else float(s) for s in cells[4:]]
+            row = MetricRow(int(cells[0]), float(cells[1]), float(cells[2]), float(cells[3]), *subsets)
+        except ValueError:
+            raise ValueError(f"malformed metric row: {ln!r}") from None
+        for ok, rule in (
+            (math.isfinite(row.loss), "a finite loss"),
+            (0.0 < row.lr < math.inf, "a finite, positive lr"),
+            (all(0.0 <= a <= 1.0 for a in [row.acc_all, *subsets] if a is not None), "accuracies in [0, 1]"),
+        ):
+            if not ok:
+                raise ValueError(f"metric row {ln!r} does not hold {rule}")
+        rows.append(row)
     return rows
 
 
@@ -319,13 +334,13 @@ def _epoch_objective(cfg, epoch, teacher, train, objectives):
     """The objective that ``epoch`` trains: cfg.loss, with plain
     distillation before ``defer_epoch``. Each kind's objective is built on
     first use and kept in ``objectives``. A distillation kind's targets are
-    built one ``batch_size``-row chunk at a time, straight into one float32
-    (N, C) matrix: the teacher's logits of the chunk, refused if any is
-    non-finite, then their float64 softmax at T and the builder's rows, each
-    rounded once as it is written. Every step is row-wise, so the targets
+    built one ``batch_size``-row chunk at a time, straight into one
+    ``RUN_DTYPE`` (N, C) matrix: the teacher's logits of the chunk, refused
+    if any is non-finite, then their float64 softmax at T and the builder's
+    rows, each rounded once as it is written. Every step is row-wise, so the targets
     are those of the whole matrix built at once, and only one chunk's
     float64 rows are alive at a time. The class weights are computed in
-    float64 and rounded once to float32, in which the run trains."""
+    float64 and rounded once to ``RUN_DTYPE``, in which the run trains."""
     kind = cfg.loss
     if kind == "bkd" and cfg.defer_epoch is not None and epoch < cfg.defer_epoch:
         kind = "kd"
@@ -341,7 +356,7 @@ def _epoch_objective(cfg, epoch, teacher, train, objectives):
                 build = lambda phat: kd_objective(phat, alpha=cfg.kd.alpha, temperature=T)
             else:
                 build = lambda phat: bkd_objective(phat, w, temperature=T)
-            targets = np.empty((len(X), train.num_classes), np.float32)
+            targets = np.empty((len(X), train.num_classes), RUN_DTYPE)
             for s in range(0, len(X), n):
                 t_logits = forward(teacher, X[s : s + n])[0]
                 if not np.isfinite(t_logits).all():
@@ -349,7 +364,7 @@ def _epoch_objective(cfg, epoch, teacher, train, objectives):
                 objective = build(softmax_rows(t_logits, T))
                 targets[s : s + n] = objective.targets
             objective = replace(objective, targets=targets)
-        rounded = lambda a: None if a is None else a.astype(np.float32, copy=False)
+        rounded = lambda a: None if a is None else a.astype(RUN_DTYPE, copy=False)
         objectives[kind] = replace(objective, ce_weights=rounded(objective.ce_weights), targets=rounded(objective.targets))
     return objectives[kind]
 
@@ -365,8 +380,8 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
     # writes its gradients into pgrads; on the wide-batch benchmark shape,
     # allocating the evaluation buffers before the parameters gave a lower
     # peak RSS than allocating them after
-    eval_out = [np.empty((len(test), width), np.float32) for width in dims[1:]]
-    pgrads = MlpParams.zeros(dims, np.float32)
+    eval_out = [np.empty((len(test), width), RUN_DTYPE) for width in dims[1:]]
+    pgrads = MlpParams.zeros(dims, RUN_DTYPE)
 
     if resume_from is not None:
         state = read_checkpoint(resume_from)
@@ -375,8 +390,8 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
         if state.params.dims != dims:
             raise ValueError("checkpoint model dimensions do not match the datasets/config")
     else:
-        params = init_mlp(dims, cfg.seed).astype(np.float32)
-        state = RunState(params, MlpParams.zeros(dims, np.float32), Rng(derive_seed(cfg.seed, 1)), [], digest)
+        params = init_mlp(dims, cfg.seed).astype(RUN_DTYPE)
+        state = RunState(params, MlpParams.zeros(dims, RUN_DTYPE), Rng(derive_seed(cfg.seed, 1)), [], digest)
 
     N = len(train)
     objectives = {}  # loss kind -> its Objective, built on first use

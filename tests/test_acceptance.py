@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from longtail_kd import pipeline
 from longtail_kd.data import ImbalanceProfile, make_longtail_counts, subset_tags, synth_gaussian_mixture
 from longtail_kd.evaluate import accuracy_report, confusion_matrix
 from longtail_kd.gradcheck import finite_difference_gradient, run_gradient_checks
@@ -224,6 +225,72 @@ def test_criterion_07_direction_of_effect():
         ok,
         f"ce={ce_mean:.3f}, kd={kd_mean:.3f}, bkd={bkd_mean:.3f}, "
         f"few margins={[f'{m:+.3f}' for m in margins]}, {elapsed:.0f}s",
+    )
+
+
+TWIN_EPOCHS = 10
+# A twin's gap to its float32 run is a rounding gap, below 6e-7 as the
+# median of 5 seeds at every epoch, but one run's gap jumps now and then as
+# rounding moves its trajectory: in 160 probe runs of this shape under each
+# of SkylakeX, Haswell and Prescott (other seeds, and learning rates x0.999
+# to x1.002), single runs of correct code reached 2.9e-3 by epoch 10. A
+# float32 run with its targets rounded to float16 reads 2.2e-3 as a median,
+# and one with its learning rate x1.001 reads 4.1e-3. So the bound is on
+# each epoch's median over the seeds: 17x the worst correct median
+# (5.7e-7), and 220x below the float16 fault's
+TWIN_BOUND = 1e-5
+
+
+def test_criterion_07_float64_twin(monkeypatch):
+    # pipeline.RUN_DTYPE is the one statement of a run's dtype, so setting
+    # it to float64 trains the float64 twin of each criterion-07 run and of
+    # criterion 11's cb student, each student learning from the float32
+    # teacher. Its parameters, gradients, velocity, scoring buffers and every
+    # objective array must be float64, and the targets in value too: targets
+    # built in a float32 matrix and then widened are reported as float32
+    runs = {(seed, loss): _desk_run(seed, loss) for seed in range(5) for loss in ("ce", "cb", "kd", "bkd")}
+    t0 = time.monotonic()
+    build, step, predict = pipeline._epoch_objective, pipeline.sgd_momentum_step, pipeline.evaluate.predict
+    dtypes, objectives = set(), []
+
+    def recording_objective(*args):
+        objectives.append(build(*args))
+        return objectives[-1]
+
+    def recording_step(params, grads, vel, momentum, lr):
+        dtypes.update(p.flat.dtype for p in (params, grads, vel))
+        return step(params, grads, vel, momentum, lr)
+
+    def recording_predict(params, data, out):
+        dtypes.update(buffer.dtype for buffer in out)
+        return predict(params, data, out=out)
+
+    monkeypatch.setattr(pipeline, "RUN_DTYPE", np.float64)
+    monkeypatch.setattr(pipeline, "_epoch_objective", recording_objective)
+    monkeypatch.setattr(pipeline, "sgd_momentum_step", recording_step)
+    monkeypatch.setattr(pipeline.evaluate, "predict", recording_predict)
+    gaps = {}  # loss -> one row of per-epoch relative loss gaps per seed
+    for (seed, loss), (_, log) in runs.items():
+        train, test = _desk_data(seed)
+        if loss == "ce":
+            _, twin = train_teacher(train, test, _desk_cfg(loss, seed), stop_after_epoch=TWIN_EPOCHS)
+        else:
+            teacher = runs[seed, "ce"][0]
+            _, twin = train_student(train, test, teacher, _desk_cfg(loss, seed), stop_after_epoch=TWIN_EPOCHS)
+        assert len(twin) == TWIN_EPOCHS
+        gaps.setdefault(loss, []).append([abs(a.loss - b.loss) / b.loss for a, b in zip(twin, log)])
+    targets = [o.targets for o in objectives if o.targets is not None]
+    assert targets, "no distillation objective was recorded"
+    dtypes.update(o.ce_weights.dtype for o in objectives if o.ce_weights is not None)
+    dtypes.update(t.dtype if (t != t.astype(np.float32)).any() else np.dtype(np.float32) for t in targets)
+    medians = {loss: float(np.median(rows, axis=0).max()) for loss, rows in gaps.items()}
+    worst_run = {loss: float(np.max(rows)) for loss, rows in gaps.items()}
+    ok = dtypes == {np.dtype(np.float64)} and max(medians.values()) <= TWIN_BOUND
+    _report(
+        f"07 twin: {TWIN_EPOCHS} float64 epochs per run; each epoch's median loss gap over 5 seeds <= {TWIN_BOUND:.0e}",
+        ok,
+        f"dtypes {sorted(map(str, dtypes))}, worst median { {k: f'{v:.1e}' for k, v in medians.items()} }, "
+        f"worst run (not gated) { {k: f'{v:.1e}' for k, v in worst_run.items()} }, {time.monotonic() - t0:.1f}s",
     )
 
 

@@ -1,4 +1,4 @@
-"""``tools/bench_pairs.py``: its parser and pairing, on canned
+"""``tools/bench_pairs.py``: its parser, pairing and refusals, on canned
 ``bench/run.py`` output. No benchmark runs here."""
 
 import importlib.util
@@ -93,3 +93,50 @@ def test_summarize_refuses_to_pair_runs_whose_digests_differ():
     moved = [bench_pairs.parse_run(canned_output(4.0)), bench_pairs.parse_run(canned_output(4.0, digest="1a" * 32))]
     with pytest.raises(ValueError, match="artifacts_sha256 differ"):
         bench_pairs.summarize({"base": moved, "change": moved}, {})
+
+
+@pytest.fixture
+def fake_runs(monkeypatch, tmp_path):
+    """(main, runs): ``main`` runs the tool on one workload, writing
+    ``pairs.json``, with each ``bench/run.py`` run replaced by canned output,
+    recorded in ``runs``, and the OpenBLAS core by ``core``."""
+    runs = []
+
+    def run_once(directory, workload, seed, seconds):
+        runs.append((workload, seed, seconds))
+        return bench_pairs.parse_run(canned_output(4.0))
+
+    def main(*args, seconds="25", core="SkylakeX"):
+        monkeypatch.setattr(bench_pairs, "openblas_core", lambda: core)
+        base = ["--base", str(tmp_path), "--change", str(tmp_path), "--workload", "cli-roundtrip"]
+        return bench_pairs.main([*base, "--seconds", seconds, "--out", str(tmp_path / "pairs.json"), *args])
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    return main, runs
+
+
+def test_pairs_below_one_refused_before_any_run(fake_runs, tmp_path, capsys):
+    main, runs = fake_runs
+    with pytest.raises(SystemExit) as info:
+        main("--seed", "9", "--pairs", "0")
+    assert info.value.code == 2
+    assert "--pairs must be at least 1, got 0" in capsys.readouterr().err
+    assert runs == [] and not (tmp_path / "pairs.json").exists()
+
+
+def test_append_refused_unless_seconds_and_core_match_the_file(fake_runs, tmp_path, capsys):
+    main, runs = fake_runs
+    out = tmp_path / "pairs.json"
+    assert main("--seed", "9", "--pairs", "1") == 0
+    written = out.read_bytes()
+    for seconds, core in (("10", "SkylakeX"), ("25", "Haswell")):
+        with pytest.raises(SystemExit) as info:
+            main("--seed", "7919", "--pairs", "1", seconds=seconds, core=core)
+        assert info.value.code == 2
+        assert "use another --out" in capsys.readouterr().err
+        assert out.read_bytes() == written
+    assert len(runs) == 2  # the first call's pair only
+    assert main("--seed", "7919", "--pairs", "1") == 0
+    report = json.loads(out.read_text())
+    assert (report["seconds"], report["openblas_core"]) == (25.0, "SkylakeX")
+    assert sorted(report["results"]) == ["cli-roundtrip seed 7919", "cli-roundtrip seed 9"]

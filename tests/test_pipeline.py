@@ -1066,6 +1066,59 @@ class TestCheckpointResume:
         assert str(info.value) == f"{path}: the log's 1 epochs are numbered [5]"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0,nan,0.1,0.5,,,", "does not hold a finite loss"),
+            ("0,inf,0.1,0.5,,,", "does not hold a finite loss"),
+            ("0,0.5,inf,0.5,,,", "does not hold a finite, positive lr"),
+            ("0,0.5,0.0,0.5,,,", "does not hold a finite, positive lr"),
+            ("0,0.5,-0.1,0.5,,,", "does not hold a finite, positive lr"),
+            ("0,0.5,0.1,-3.0,,,", "does not hold accuracies in [0, 1]"),
+            ("0,0.5,0.1,0.5,1.5,,", "does not hold accuracies in [0, 1]"),
+            ("0,0.5,0.1,0.5,,nan,", "does not hold accuracies in [0, 1]"),
+            ("0,x,0.1,0.5,,,", None),
+            ("abc,0.5,0.1,0.5,,,", None),
+            ("0,0.5,0.1,,,,", None),
+        ],
+        ids=["nan-loss", "inf-loss", "inf-lr", "zero-lr", "negative-lr", "negative-acc", "acc-above-1", "nan-acc",
+             "letter-loss", "word-epoch", "empty-acc"],
+    )
+    def test_log_row_no_run_logs_refused_by_name(self, tmp_path, line, message):
+        # each was once read: a run resumed from a NaN loss wrote it into its
+        # metric CSV, and a non-numeric cell raised int()'s or float()'s own
+        # message, naming no file. Spliced over a clean file's one-row log
+        clean = MetricRow(0, 0.5, 0.1, 0.5, None, None, None)
+        params = init_mlp((4, 12, 2), seed=0)
+        path = str(tmp_path / "log.ckpt")
+        write_checkpoint(path, RunState(params, MlpParams.zeros(params.dims), Rng(1), [clean], config_digest(small_cfg())))
+        log, bad = metrics_to_csv([clean]).encode("utf-8"), f"{pipeline.METRIC_HEADER}\n{line}\n".encode("utf-8")
+        patch_checkpoint(path, os.path.getsize(path) - len(log) - 8,
+                         struct.pack("<Q", len(log)) + log, struct.pack("<Q", len(bad)) + bad)
+        with pytest.raises(ValueError) as info:
+            read_checkpoint(path)
+        expected = f"malformed metric row: {line!r}" if message is None else f"metric row {line!r} {message}"
+        assert str(info.value) == f"{path}: {expected}"
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            MetricRow(0, math.nan, 0.1, 0.5, None, None, None),
+            MetricRow(0, 0.5, math.inf, 0.5, None, None, None),
+            MetricRow(0, 0.5, 0.1, -3.0, None, None, None),
+        ],
+        ids=["nan-loss", "inf-lr", "negative-acc"],
+    )
+    def test_log_row_no_run_logs_refused_at_write_time(self, tmp_path, row):
+        params = init_mlp((4, 12, 2), seed=0)
+        state = RunState(params, MlpParams.zeros(params.dims), Rng(1), [row], config_digest(small_cfg()))
+        path = str(tmp_path / "hand.ckpt")
+        with pytest.raises(ValueError) as info:
+            write_checkpoint(path, state)
+        line = metrics_to_csv([row]).splitlines()[1]
+        assert str(info.value).startswith(f"{path}: metric row {line!r} does not hold ")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("stop", [0, 3, None], ids=["0-epoch", "stopped", "finished"])
     @pytest.mark.parametrize("role", ["ce-teacher", "bkd-deferred-student"])
     def test_rewriting_a_read_checkpoint_reproduces_its_bytes(self, tmp_path, role, stop):

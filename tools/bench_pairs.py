@@ -17,7 +17,9 @@ and IQR of every end-to-end metric, of the unpaced ``wall_s`` and of each
 step's paced seconds, every run's ``correct``, and the number of pairs in
 which the change read better. It records the OpenBLAS core name, which
 decides the training bits and which ``bench/run.py`` does not print. An
-existing output file keeps its entries for other workloads and seeds.
+existing output file keeps its entries for other workloads and seeds; it is
+appended to only by runs of its own ``--seconds`` and OpenBLAS core, which
+it records once for all its entries.
 """
 
 from __future__ import annotations
@@ -155,18 +157,21 @@ def main(argv=None):
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--out", default="BENCH_1.json")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    settings = {"seconds": args.seconds, "openblas_core": openblas_core()}
     report = {"results": {}}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             report = json.load(fh)
-    report.update(
-        command="python3 bench/run.py --workload W --seed S --seconds T --trace 0",
-        seconds=args.seconds,
-        openblas_core=openblas_core(),
-    )
+        # the file states these once for all its entries
+        recorded = {key: report.get(key) for key in settings}
+        if recorded != settings:
+            parser.error(f"{args.out} holds runs of {recorded}, not of this run's {settings}; use another --out")
+    report.update(command="python3 bench/run.py --workload W --seed S --seconds T --trace 0", **settings)
     with checkout(args.base) as base, checkout(args.change) as change:
         dirs = {"base": base, "change": change}
         for workload in args.workload:
