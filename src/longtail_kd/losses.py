@@ -23,11 +23,16 @@ The cross-entropy term is always at temperature 1; only the distillation
 term uses T. 0 * log 0 is taken as 0, so targets may contain exact zeros.
 An objective with no targets has no distillation term at all, rather than
 KL toward a one-hot row, so ``ce`` and ``cb`` keep the sign of a zero loss.
-The kernel shifts each logit row by its max once and takes both the
-temperature-1 and the temperature-T log-softmax from that one shift. The
-two builders refuse a teacher row that is not a distribution (finite,
-nonnegative, summing to 1 within 1e-9); ``kd_loss`` and ``bkd_loss`` pass
-theirs as a one-row matrix, and each per-sample loss runs the kernel on one row.
+The kernel puts the class axis first: it copies a minibatch's (B, C)
+logits once into a C-contiguous (C, B) array, shifts each column by its max
+once and takes both the temperature-1 and the temperature-T log-softmax
+from that one shift. Every class sum, there, in the teacher targets
+(``softmax_rows``) and in the balanced targets' mass, runs in class order
+over a (C, B) array (``mathutils.class_sums``), for a batch of one row
+too, so a row's bits do not depend on the batch it is in. The two builders
+refuse a teacher row that is not a distribution (finite, nonnegative,
+summing to 1 within 1e-9); ``kd_loss`` and ``bkd_loss`` pass theirs as a
+one-row matrix, and each per-sample loss runs the kernel on one row.
 
 ``distill_grad_formula`` is the one closed-form gradient, kept as an
 independent diagnostic for every loss the training loop runs:
@@ -36,8 +41,8 @@ vector of class y. The single factor of T is what the T^2 scaling of the KL
 term leaves (Hinton et al.). Plain cross-entropy is distillation toward e_y
 at T = 1 (ce_coef 0, kl_coef 1), since KL(e_y || p) = -log p_y, and ``cb``
 is the same with kl_coef w_y. The formula writes its softmax out itself
-rather than through the shared row shift, so a fault in that shift shows up
-as a disagreement.
+rather than through the shared class-major shift, so a fault in that shift
+shows up as a disagreement.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mathutils import check_int, check_logits, check_real, check_real_array, check_temperature
-from .mathutils import log_softmax_rows, log_softmax_shifted, shift_rows
+from .mathutils import class_sums, log_softmax_rows, log_softmax_shifted, shift_classes
 from .weights import check_beta, check_weights
 
 
@@ -121,18 +126,21 @@ def _check_label(y, num_classes):
 
 
 def softmax_rows(Z, temperature=1.0):
-    """Row-wise temperature softmax of a (N, C) logit matrix."""
+    """Row-wise temperature softmax of a (N, C) logit matrix, computed over
+    its class-major (C, N) copy and returned as that array's transpose."""
     rule = "be a matrix of finite reals with at least one column"
     Z = check_real_array(Z, "logits", lambda Z: Z.shape[1] > 0, rule, (None, None))
     with np.errstate(over="ignore"):
         return np.exp(log_softmax_rows(Z, check_temperature(temperature)))
 
 
-def _ce_rows(log_p, ys):
-    """Cross-entropy values -log p_y and logit gradients p - e_y."""
-    at_y = np.arange(0, log_p.size, log_p.shape[1]) + ys  # flat index of each row's label
+def _ce_columns(log_p, ys):
+    """Cross-entropy values -log p_y and logit gradients p - e_y of a
+    C-contiguous (C, B) log-softmax, the gradients written over it."""
+    B = log_p.shape[1]
+    at_y = ys * B + np.arange(B)  # flat index of each column's label
     values = -log_p.ravel()[at_y]
-    grads = np.exp(log_p, order="C")  # so that ravel() is a view
+    grads = np.exp(log_p, out=log_p)
     grads.ravel()[at_y] -= 1.0
     return values, grads
 
@@ -152,13 +160,16 @@ def _check_width(p, num_classes, name="teacher_probs"):
 
 
 def balanced_targets(teacher_probs, w):
-    """Balanced distillation targets: each row of w * phat renormalized to q."""
+    """Balanced distillation targets: each row of w * phat renormalized to
+    q, its mass summed in class order over the (C, N) transpose."""
     phat = _check_prob_rows(teacher_probs)
-    weighted = phat * check_weights(w, phat.shape[1])[None, :]
-    mass = weighted.sum(axis=1, keepdims=True)
+    weighted = np.array(phat.T, order="C")
+    weighted *= check_weights(w, phat.shape[1])[:, None]
+    mass = class_sums(weighted)
     if np.any(mass <= 0):
         raise RuntimeError("weighted teacher mass is zero: teacher targets put no probability anywhere")
-    return weighted / mass
+    weighted /= mass
+    return weighted.T
 
 
 def kd_objective(teacher_probs, *, alpha, temperature):
@@ -179,29 +190,38 @@ def objective_loss_batch(Z, ys, rows, objective):
     ce_weights[ys[i]] * CE + kl_coef * T^2 * KL(targets[rows[i]] || p_T).
 
     ``rows`` indexes the target matrix and is not read when there is none.
-    The row max-shift is computed once and serves both the temperature-1
-    softmax of the CE term and the temperature-T softmax of the KL term.
-    Every row computes in the dtype of ``Z`` and the objective's arrays,
-    which the caller keeps alike. The kernel opens no numpy error scope: a
-    target of 0 takes the log of 0, masked out, and the caller's scope
-    keeps that quiet.
+    The kernel works on the class-major copy of ``Z`` (``shift_classes``),
+    whose one max-shift serves both the temperature-1 softmax of the CE
+    term and the temperature-T softmax of the KL term; it builds the KL
+    term in place and returns the (B, C) gradient as the transpose view of
+    a (C, B) buffer. Every row computes in the dtype of ``Z`` and the
+    objective's arrays, which the caller keeps alike, and has the bits it
+    has in a batch of one. The kernel opens no numpy error scope: a target
+    of 0 takes the log of 0, masked out, and the caller's scope keeps that
+    quiet.
     """
     ys = np.asarray(ys, dtype=np.int64)
-    shifted = shift_rows(Z)
-    values, grads = _ce_rows(log_softmax_shifted(shifted), ys)
+    shifted = shift_classes(Z)
+    values, grads = _ce_columns(log_softmax_shifted(shifted), ys)
     if objective.ce_weights is not None:
         scale = objective.ce_weights[ys]
         values *= scale
-        grads *= scale[:, None]
+        grads *= scale
     if objective.targets is None:
-        return values, grads
-    targets = objective.targets[rows]
+        return values, grads.T
+    targets = np.ascontiguousarray(objective.targets[rows].T)
     T = objective.temperature
     log_p_T = log_softmax_shifted(shifted, T)
-    kl = np.where(targets > 0, targets * (np.log(targets) - log_p_T), 0.0).sum(axis=1)
-    values += objective.kl_coef * (T * T) * kl
-    grads += objective.kl_coef * T * (np.exp(log_p_T) - targets)
-    return values, grads
+    kl = np.log(targets)
+    kl -= log_p_T
+    kl *= targets
+    kl[targets == 0] = 0.0
+    values += objective.kl_coef * (T * T) * class_sums(kl)
+    p_T = np.exp(log_p_T, out=log_p_T)
+    p_T -= targets
+    p_T *= objective.kl_coef * T
+    grads += p_T
+    return values, grads.T
 
 
 # ---------------------------------------------------------------------------

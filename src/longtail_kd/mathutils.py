@@ -15,11 +15,15 @@ dtype is refused, never converted. A ragged nested list, of which numpy
 makes no array, is refused by both array rules, naming the argument and its
 rule.
 
-The softmax kernels compute in the dtype of the logits they are given:
-float32 in training, float64 behind every checked entry. They open no numpy
-error scope of their own, since they run once per minibatch; each public
-entry (``softmax_with_temperature`` here, the losses' per-sample API and
-``softmax_rows``, and the training loop) holds one around them. The PRNG is
+The softmax kernels put the class axis first: they copy a (B, C) logit
+matrix into a C-contiguous (C, B) array once, and every max and sum over
+the classes is a reduction over its axis 0, summed in class order
+(``class_sums``) for every B, one row included, so a row's softmax has the
+same bits in any batch. They compute in the dtype of the logits they are
+given: float32 in training, float64 behind every checked entry. They open
+no numpy error scope of their own, since they run once per minibatch; each
+public entry (``softmax_with_temperature`` here, the losses' per-sample API
+and ``softmax_rows``, and the training loop) holds one around them. The PRNG is
 SplitMix64 driven by a draw counter, so its full state is the pair (seed,
 counter) and any block of outputs can be produced either one at a time or
 vectorized with identical results.
@@ -110,18 +114,34 @@ def check_temperature(temperature):
     return check_real(temperature, "temperature", is_positive_finite, "be a positive finite real")
 
 
-def shift_rows(Z):
-    """Z minus its row max, so every entry is <= 0.
+def shift_classes(Z):
+    """The (B, C) rows of Z as the columns of a new C-contiguous (C, B)
+    array, each minus its max, so every entry is <= 0.
 
-    A logit gap wider than the float range rounds to -inf, which is what
-    the softmax needs there; the caller's error scope keeps that overflow
-    quiet.
+    Classes first, each per-row max and sum is a reduction over axis 0,
+    which numpy runs as one vector op per class rather than one call per
+    row. A logit gap wider than the float range rounds to -inf, which is
+    what the softmax needs there; the caller's error scope keeps that
+    overflow quiet.
     """
-    return Z - np.maximum.reduce(Z, axis=1, keepdims=True)
+    S = np.array(Z.T, order="C")
+    S -= np.maximum.reduce(S, axis=0)
+    return S
+
+
+def class_sums(S):
+    """Each column's sum over the classes of a C-contiguous (C, B) array,
+    added in class order: ((s_0 + s_1) + s_2) + ...
+
+    numpy's axis-0 reduce adds in that order for B >= 2, but sums a single
+    (C, 1) column pairwise, which differs from C = 8 on; so one column is
+    accumulated instead, and a row's sums do not depend on its batch.
+    """
+    return np.add.reduce(S, axis=0) if S.shape[1] != 1 else np.add.accumulate(S, axis=0)[-1]
 
 
 def log_softmax_shifted(S, temperature=1.0):
-    """Row-wise log-softmax of S / T for rows already shifted by ``shift_rows``.
+    """Column-wise log-softmax of S / T for a (C, B) array from ``shift_classes``.
 
     Shifting before the division by T keeps every scaled entry <= 0, so
     finite logits cannot overflow to +inf for T < 1. One shift can serve
@@ -129,13 +149,13 @@ def log_softmax_shifted(S, temperature=1.0):
     entry that overflows at a small T is -inf, under the caller's scope.
     """
     s = S if temperature == 1 else S / temperature
-    return s - np.log(np.add.reduce(np.exp(s), axis=1, keepdims=True))
+    return s - np.log(class_sums(np.exp(s)))
 
 
 def log_softmax_rows(Z, temperature=1.0):
-    """Row-wise log of the temperature softmax of a (N, C) logit matrix,
-    computed via max-shifted exponentials."""
-    return log_softmax_shifted(shift_rows(Z), temperature)
+    """Row-wise log of the temperature softmax of a (N, C) logit matrix, as
+    the (N, C) transpose of the class-major ``log_softmax_shifted``."""
+    return log_softmax_shifted(shift_classes(Z), temperature).T
 
 
 def softmax_with_temperature(z, temperature):

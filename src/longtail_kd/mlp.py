@@ -114,9 +114,11 @@ class LrSchedule:
     applies from its epoch onward. Steps act only under kind "step": any
     other kind stores ``()`` whatever it is given, so two schedules that
     train alike compare and digest alike. The base rate and every factor
-    must be positive and finite, and step epochs nonnegative integers, so
-    every epoch's rate is a valid SGD step size. They are stored as Python
-    floats and ints, so equal schedules digest the same.
+    must be positive and finite, and step epochs nonnegative integers. A
+    rate made of them can still round to 0 or overflow to inf, which
+    ``check_schedule`` refuses for the epochs a ``TrainConfig`` trains.
+    They are stored as Python floats and ints, so equal schedules digest
+    the same.
     """
 
     kind: str = "cosine"
@@ -232,6 +234,17 @@ def lr_at(schedule, epoch, total_epochs):
                 lr *= factor
         return lr
     return schedule.base_lr * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
+
+
+def check_schedule(schedule, total_epochs):
+    """ValueError unless ``schedule`` gives a positive, finite rate at each
+    of ``total_epochs`` epochs: a base rate and factors that each are can
+    still multiply to 0 or overflow to inf."""
+    for epoch in range(total_epochs):
+        lr = lr_at(schedule, epoch, total_epochs)
+        if not is_positive_finite(lr):
+            rule = "each epoch's must be positive and finite"
+            raise ValueError(f"schedule gives learning rate {lr!r} at epoch {epoch}; {rule}")
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,8 @@ from . import evaluate
 from .data import check_thresholds, open_input, open_output, subset_tags
 from .losses import BKDConfig, KDConfig, Objective, bkd_objective, kd_objective, objective_loss_batch, softmax_rows
 from .mathutils import Rng, check_int, check_real, check_temperature, derive_seed
-from .mlp import LrSchedule, forward, backward, check_momentum, flat_size, init_mlp, lr_at, sgd_momentum_step, MlpParams
+from .mlp import LrSchedule, MlpParams, backward, check_momentum, check_schedule, flat_size, forward, init_mlp, lr_at
+from .mlp import sgd_momentum_step
 from .weights import effective_number_weights, normalize_weights
 
 CKPT_MAGIC = b"ckpt-v4"
@@ -128,6 +129,7 @@ class TrainConfig:
             raise ValueError(f"hidden_dims must be a sequence of layer widths, got {self.hidden_dims!r}")
         stored["hidden_dims"] = tuple(check_int(h, "each hidden layer width", 1) for h in self.hidden_dims)
         stored["many_thresh"], stored["few_thresh"] = check_thresholds(self.many_thresh, self.few_thresh)
+        check_schedule(self.schedule, stored["epochs"])
         for name, value in stored.items():
             object.__setattr__(self, name, value)
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from longtail_kd import pipeline
 from longtail_kd.data import ImbalanceProfile, make_longtail_counts, subset_tags, synth_gaussian_mixture
-from longtail_kd.evaluate import accuracy_report, confusion_matrix
+from longtail_kd.evaluate import accuracy_report, confusion_matrix, predict
 from longtail_kd.gradcheck import finite_difference_gradient, run_gradient_checks
 from longtail_kd.losses import (
     BKDConfig,
@@ -291,6 +291,40 @@ def test_criterion_07_float64_twin(monkeypatch):
         ok,
         f"dtypes {sorted(map(str, dtypes))}, worst median { {k: f'{v:.1e}' for k, v in medians.items()} }, "
         f"worst run (not gated) { {k: f'{v:.1e}' for k, v in worst_run.items()} }, {time.monotonic() - t0:.1f}s",
+    )
+
+
+# The full-length twin: each criterion-07 bkd student trained all 100 epochs
+# again in float64, from its float32 teacher. Under each of the SkylakeX,
+# Haswell and Prescott kernels, with the row-major and with the class-major
+# loss kernel, correct code agreed on at least 0.996 of the test argmaxes
+# and moved acc_all by at most 0.001 on every seed. These gates catch a
+# model that ends elsewhere, not a rounding fault: float32 runs with their
+# targets rounded to float16 still agreed on at least 0.994 and moved
+# acc_all by at most 0.004, so none failed them; the 10-epoch gate above
+# catches that fault
+TWIN_AGREEMENT = 0.99
+TWIN_ACC_GAP = 0.005
+
+
+def test_criterion_07_float64_twin_full_length(monkeypatch):
+    runs = {seed: _desk_run(seed, "bkd") for seed in range(5)}
+    t0 = time.monotonic()
+    monkeypatch.setattr(pipeline, "RUN_DTYPE", np.float64)
+    agreement, gaps = [], []
+    for seed, (params, log) in runs.items():
+        train, test = _desk_data(seed)
+        twin, twin_log = train_student(train, test, _desk_run(seed, "ce")[0], _desk_cfg("bkd", seed))
+        assert twin.flat.dtype == np.float64 and len(twin_log) == len(log)
+        agreement.append(float(np.mean(predict(twin, test) == predict(params, test))))
+        gaps.append(abs(twin_log[-1].acc_all - log[-1].acc_all))
+    ok = min(agreement) >= TWIN_AGREEMENT and max(gaps) <= TWIN_ACC_GAP
+    _report(
+        f"07 full-length twin: each bkd student's float64 twin agrees on >= {TWIN_AGREEMENT} of the test "
+        f"argmaxes and moves acc_all by <= {TWIN_ACC_GAP}",
+        ok,
+        f"agreement {[f'{a:.3f}' for a in agreement]}, |d acc_all| {[f'{g:.3f}' for g in gaps]}, "
+        f"{time.monotonic() - t0:.1f}s",
     )
 
 

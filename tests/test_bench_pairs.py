@@ -95,6 +95,43 @@ def test_summarize_refuses_to_pair_runs_whose_digests_differ():
         bench_pairs.summarize({"base": moved, "change": moved}, {})
 
 
+def test_summarize_pairs_a_declared_rebaseline_by_side():
+    base = [bench_pairs.parse_run(canned_output(w)) for w in (4.0, 4.2)]
+    change = [bench_pairs.parse_run(canned_output(w, digest="1a" * 32)) for w in (3.7, 3.9)]
+    entry = bench_pairs.summarize({"base": base, "change": change}, {"wall_s": "lower"}, bits_moved=True)
+    assert entry["artifacts_sha256"] == {"base": DIGEST, "change": "1a" * 32}
+    assert entry["bits_moved"] is True and entry["pairs"] == 2
+    assert entry["change_better_pairs"]["wall_s"] == 2
+    # without the flag the same runs are refused, as is any entry's moving within a side
+    with pytest.raises(ValueError, match="refusing to pair runs whose artifacts_sha256 differ"):
+        bench_pairs.summarize({"base": base, "change": change}, {})
+    moved = [change[0], bench_pairs.parse_run(canned_output(3.9, digest="2b" * 32))]
+    with pytest.raises(ValueError, match="refusing to pair runs whose artifacts_sha256 differ"):
+        bench_pairs.summarize({"base": base, "change": moved}, {}, bits_moved=True)
+    # a re-baseline whose bits did not move is no re-baseline
+    with pytest.raises(ValueError, match=r"^--bits-moved, but both sides wrote artifacts_sha256"):
+        bench_pairs.summarize({"base": base, "change": base}, {}, bits_moved=True)
+
+
+def test_bits_moved_flag_decides_whether_main_pairs_differing_digests(monkeypatch, tmp_path):
+    dirs = {side: tmp_path / side for side in ("base", "change")}
+    for d in dirs.values():
+        d.mkdir()
+    digests = {str(dirs["base"]): DIGEST, str(dirs["change"]): "1a" * 32}
+    monkeypatch.setattr(bench_pairs, "run_once", lambda d, *_: bench_pairs.parse_run(canned_output(4.0, digests[d])))
+    monkeypatch.setattr(bench_pairs, "openblas_core", lambda: "SkylakeX")
+    out = tmp_path / "pairs.json"
+    argv = ["--base", str(dirs["base"]), "--change", str(dirs["change"]), "--workload", "cli-roundtrip"]
+    argv += ["--seed", "9", "--pairs", "2", "--out", str(out)]
+    with pytest.raises(ValueError, match="refusing to pair runs whose artifacts_sha256 differ"):
+        bench_pairs.main(argv)
+    assert not out.exists()
+    assert bench_pairs.main([*argv, "--bits-moved"]) == 0
+    entry = json.loads(out.read_text())["results"]["cli-roundtrip seed 9"]
+    assert entry["artifacts_sha256"] == {"base": DIGEST, "change": "1a" * 32}
+    assert entry["bits_moved"] is True and entry["pairs"] == 2
+
+
 @pytest.fixture
 def fake_runs(monkeypatch, tmp_path):
     """(main, runs): ``main`` runs the tool on one workload, writing

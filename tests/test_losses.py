@@ -1,4 +1,6 @@
+import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -355,15 +357,47 @@ class TestBatchConsistency:
             r = bkd_loss(Z[i], phat[i], y, w, temperature=2.0)
             assert r.value == bkv[i] and np.array_equal(r.grad_logits, bkg[i])
 
+    @pytest.mark.parametrize("loss", ["ce", "cb", "kd", "bkd"])
+    def test_minibatches_ending_in_one_row_equal_the_whole_batch(self, loss):
+        # in float32, as a run trains, and with N % batch_size == 1, so the
+        # last minibatch is a single row
+        rng = Rng(50)
+        C, N, batch_size = 20, 129, 64
+        Z = (2.0 * rng.normal((N, C))).astype(np.float32)
+        ys = (rng.uniform(N) * C).astype(np.int64)
+        w = np.exp(rng.normal(C))
+        phat = softmax_rows(2.0 * rng.normal((N, C)), 2.0)
+        objective = {
+            "ce": Objective(),
+            "cb": Objective(w),
+            "kd": kd_objective(phat, alpha=0.3, temperature=2.0),
+            "bkd": bkd_objective(phat, w, temperature=2.0),
+        }[loss]
+        rounded = lambda a: None if a is None else a.astype(np.float32)
+        objective = replace(objective, ce_weights=rounded(objective.ce_weights), targets=rounded(objective.targets))
+        rows = np.arange(N)
+        whole = objective_loss_batch(Z, ys, rows, objective)
+        parts = [
+            objective_loss_batch(Z[s : s + batch_size], ys[s : s + batch_size], rows[s : s + batch_size], objective)
+            for s in range(0, N, batch_size)
+        ]
+        assert [len(values) for values, _ in parts] == [64, 64, 1]
+        for got, want in zip(map(np.concatenate, zip(*parts)), whole):
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
 
 def two_softmax_reference(Z, targets, ys, ce_coef, kl_coef, T):
     """The distillation kernel with one max-shift per softmax and the KL
-    summed over a masked gather."""
+    summed over a masked gather, each row's sum added in class order, one
+    class column after another."""
+
+    def class_sum(A):
+        return functools.reduce(np.add, A.T)
 
     def log_softmax(Z, T):
         with np.errstate(over="ignore"):
             s = (Z - Z.max(axis=1, keepdims=True)) / T
-        return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
+        return s - np.log(class_sum(np.exp(s)))[:, None]
 
     rows = np.arange(Z.shape[0])
     log_p = log_softmax(Z, 1.0)
@@ -374,7 +408,7 @@ def two_softmax_reference(Z, targets, ys, ce_coef, kl_coef, T):
     mask = targets > 0
     contrib = np.zeros_like(targets)
     contrib[mask] = targets[mask] * (np.log(targets[mask]) - log_p_T[mask])
-    values = ce_coef * ce_values + kl_coef * (T * T) * contrib.sum(axis=1)
+    values = ce_coef * ce_values + kl_coef * (T * T) * class_sum(contrib)
     grads = ce_coef * ce_grads + kl_coef * T * (np.exp(log_p_T) - targets)
     return values, grads
 

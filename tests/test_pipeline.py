@@ -1326,6 +1326,20 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match=message):
             small_cfg(loss="bkd", **{field: value})
 
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            (LrSchedule("step", 1e-200, ((1, 1e-200),)), "learning rate 0.0 at epoch 1;"),
+            (LrSchedule("cosine", 5e-324), "learning rate 0.0 at epoch 0;"),
+            (LrSchedule("step", 1e200, ((0, 1.0), (2, 1e200))), "learning rate inf at epoch 2;"),
+        ],
+    )
+    def test_schedule_with_an_unusable_rate_refused_at_construction(self, schedule, message):
+        # each factor and the base rate are positive and finite, but a
+        # product underflows to 0 or overflows to inf at some epoch
+        with pytest.raises(ValueError, match=f"^schedule gives {message} each epoch's must be positive and finite$"):
+            small_cfg(schedule=schedule, epochs=3)
+
     def test_unknown_loss_refused_at_construction(self):
         with pytest.raises(ValueError) as info:
             small_cfg(loss="x")

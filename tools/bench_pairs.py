@@ -10,7 +10,10 @@ alternating which side goes first. ``--base`` and ``--change`` are each a
 checkout directory or a git revision, which is checked out with
 ``git worktree`` into a temporary directory while it runs. Every run's
 ``artifacts_sha256`` must be the same on both sides: a change that moved
-output bits is refused, not paired.
+output bits is refused, not paired. A change that moves them on purpose, a
+declared re-baseline, is paired under ``--bits-moved``: each side's runs
+must still agree with each other, the two sides must differ, and the entry
+records both digests and ``bits_moved: true``.
 
 The output file holds, per workload and seed, each side's median, quartiles
 and IQR of every end-to-end metric, of the unpaced ``wall_s`` and of each
@@ -77,19 +80,25 @@ def _quartiles(values):
     return q1, median, q3
 
 
-def summarize(runs, better):
+def summarize(runs, better, bits_moved=False):
     """One (workload, seed) entry from ``runs`` = {side: [run, ...]}, the
     runs of pair i at index i on both sides. ``better`` maps each metric
     that has a direction to "lower" or "higher"; any other is lower-better.
-    ValueError unless every run on both sides has one ``artifacts_sha256``
-    and the sides ran as many times."""
-    digests = {run["artifacts_sha256"] for side in SIDES for run in runs[side]}
-    if len(digests) != 1:
-        per_side = {side: sorted({run["artifacts_sha256"] for run in runs[side]}) for side in SIDES}
-        raise ValueError(f"refusing to pair runs whose artifacts_sha256 differ: {per_side}")
+    ValueError unless the sides ran as many times and every run on both
+    sides has one ``artifacts_sha256``; under ``bits_moved``, unless each
+    side's runs have one and the two sides' differ, and the entry then
+    holds both, by side."""
     if len(runs["base"]) != len(runs["change"]) or not runs["base"]:
         raise ValueError("each side needs the same number of runs, at least one")
-    entry = {"artifacts_sha256": digests.pop(), "pairs": len(runs["base"]), "sides": {}, "change_better_pairs": {}}
+    per_side = {side: sorted({run["artifacts_sha256"] for run in runs[side]}) for side in SIDES}
+    if any(len(d) > 1 for d in per_side.values()) or (not bits_moved and per_side["base"] != per_side["change"]):
+        raise ValueError(f"refusing to pair runs whose artifacts_sha256 differ: {per_side}")
+    if bits_moved and per_side["base"] == per_side["change"]:
+        raise ValueError(f"--bits-moved, but both sides wrote artifacts_sha256 {per_side['base']}")
+    digests = {side: digests[0] for side, digests in per_side.items()} if bits_moved else per_side["base"][0]
+    entry = {"artifacts_sha256": digests, "pairs": len(runs["base"]), "sides": {}, "change_better_pairs": {}}
+    if bits_moved:
+        entry["bits_moved"] = True
     names = list(runs["base"][0]["metrics"])
     for side in SIDES:
         env = runs[side][0]["env"]
@@ -156,6 +165,11 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--out", default="BENCH_1.json")
+    parser.add_argument(
+        "--bits-moved",
+        action="store_true",
+        help="the change is a declared re-baseline: pair sides whose artifacts_sha256 differ",
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
@@ -183,7 +197,7 @@ def main(argv=None):
                         wall = runs[side][-1]["metrics"]["wall_s"]
                         print(f"{workload} seed {seed} pair {i} {side} wall_s {wall:.3f}", file=sys.stderr)
                     # summarized after every pair, so differing digests stop the tool at once
-                    entry = summarize(runs, better)
+                    entry = summarize(runs, better, args.bits_moved)
                     env = runs["base"][0]["env"]
                     entry["env"] = {k: v for k, v in env.items() if k not in ("git_sha", "source_sha256")}
                     report["results"][f"{workload} seed {seed}"] = entry
