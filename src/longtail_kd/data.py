@@ -12,27 +12,28 @@ its rows, rounding each value once, and ``LabeledDataset`` checks a float32
 matrix in place (a matrix of any other dtype it checks as reals and rounds
 once).
 
-On disk a dataset is a ``longtail-csv v2`` text file, the one canonical
-form. Its float32 features are each written as ``format(x, "+.8e")``: nine
-significant digits, as many as any float32 needs to parse back to its own
-bits. ``save_dataset`` formats the rows in this process, one 1024-row chunk
-at a time through ``_format_cells``, which gathers each 16-byte cell as four
-4-byte words from small tables of text built on the first save, and it
-hashes the CSV as it writes it. It also writes a ``longtail-bin v2`` sidecar
-(``<path>.bin``): the magic, the sha256 of the CSV bytes, N and d (int64), N
-int64 labels, N*d row-major float32 features and a sha256 trailer over all
-of that, every number little-endian. Each file is committed through
-``open_output``, so a failed save leaves no temporary file behind and a
-previous dataset at the same path untouched, and a save killed while it
-formats leaves only the CSV's temporary file.
+On disk a dataset is a pair of files. ``<path>`` is a ``longtail-csv v2``
+text file, the human-readable form: its float32 features are each written
+as ``format(x, "+.8e")``, nine significant digits, as many as any float32
+needs to parse back to its own bits. ``save_dataset`` formats the rows in
+this process, one 1024-row chunk at a time through ``_format_cells``, which
+gathers each 16-byte cell as four 4-byte words from small tables of text
+built on the first save, and it hashes the CSV as it writes it. Its
+``longtail-bin v3`` sidecar ``<path>.bin`` states the whole split: the
+magic, the sha256 of the CSV bytes, N, d and C (int64), N int64 labels, N*d
+row-major float32 features and a sha256 trailer over all of that, every
+number little-endian. Each file is committed through ``open_output``, so a
+failed save leaves no temporary file behind and a previous dataset at the
+same path untouched, and a save killed while it formats leaves only the
+CSV's temporary file.
 
-``load_dataset`` always parses the CSV header. It takes the rows from the
-sidecar only when the magic, the CSV digest, d, the file size and the
-trailer all check out. Otherwise it parses the CSV text, which may hold
-any float text, so a CSV from elsewhere, or one edited after saving, loads
-as written, each cell rounded once to float32. Either path hands
-``LabeledDataset`` a float32 matrix, which it keeps, so both give the same
-bits and a load holds its features once.
+``load_dataset`` reads the split from the sidecar alone. It opens the CSV
+only to hash it, and refuses, naming the file and "rerun make-data", a
+missing sidecar, one of another format, one whose size does not fit N and
+d, whose C or d is below 1, whose trailer does not verify, or whose
+recorded CSV digest is not that of the CSV beside it. It hands
+``LabeledDataset`` the float32 matrix it read, which it keeps, so a load
+holds its features once.
 """
 
 from __future__ import annotations
@@ -52,15 +53,15 @@ from .mathutils import Rng, check_int, check_int_array, check_real, check_real_a
 from .weights import check_counts
 
 FORMAT_MAGIC = "longtail-csv v2"
-SIDECAR_MAGIC = b"longtail-bin v2"
+SIDECAR_MAGIC = b"longtail-bin v3"
 SIDECAR_SUFFIX = ".bin"
 _DIGEST_BYTES = 32  # sha256
-# magic, CSV digest, N, d
-_SIDECAR_HEAD = struct.Struct(f"<{len(SIDECAR_MAGIC)}s{_DIGEST_BYTES}sqq")
+# magic, CSV digest, N, d, C
+_SIDECAR_HEAD = struct.Struct(f"<{len(SIDECAR_MAGIC)}s{_DIGEST_BYTES}sqqq")
 # bytes per read of ``_file_sha256``: the buffer a file is hashed through
 _BLOCK_BYTES = 1 << 20
-# rows formatted per write in save_dataset, and parsed per float32 block in
-# _parse_rows: it bounds the memory each holds beyond the arrays themselves
+# rows formatted per write in save_dataset: it bounds the memory a save
+# holds beyond the split's arrays
 _CHUNK_ROWS = 1024
 # the least magnitude that rounds to float32's infinity: halfway between its
 # largest finite value and 2**128, where a tie rounds to the even 2**128
@@ -251,7 +252,7 @@ def subset_tags(counts, many_thresh, few_thresh):
 def save_dataset(data, path):
     """Write the on-disk format: a header line
     ``longtail-csv v2, C=<int>, d=<int>`` then one ``label,f_1,...,f_d``
-    row per sample, plus the ``longtail-bin v2`` sidecar ``<path>.bin``
+    row per sample, plus the ``longtail-bin v3`` sidecar ``<path>.bin``
     (see the module docstring). The sidecar, then the CSV, is committed
     through ``open_output``."""
     csv_digest = hashlib.sha256()
@@ -326,7 +327,7 @@ def _cell_words():
 def _write_sidecar(fh, csv_digest, data):
     trailer = hashlib.sha256()
     for part in (
-        _SIDECAR_HEAD.pack(SIDECAR_MAGIC, csv_digest, len(data), data.dimension),
+        _SIDECAR_HEAD.pack(SIDECAR_MAGIC, csv_digest, len(data), data.dimension, data.num_classes),
         np.ascontiguousarray(data.labels, dtype="<i8"),
         np.ascontiguousarray(data.features, dtype="<f4"),
     ):
@@ -335,78 +336,42 @@ def _write_sidecar(fh, csv_digest, data):
     fh.write(trailer.digest())
 
 
-def _file_sha256(path):
-    """sha256 of the file at ``path``, read into one reused ``_BLOCK_BYTES``
-    buffer, so hashing a file of any size allocates one block, not one per
-    block read."""
+def _file_sha256(fh):
+    """sha256 of the open binary file ``fh``, read into one reused
+    ``_BLOCK_BYTES`` buffer, so hashing a file of any size allocates one
+    block, not one per block read."""
     digest = hashlib.sha256()
     buf = memoryview(bytearray(_BLOCK_BYTES))
-    with open(path, "rb") as fh:
-        while n := fh.readinto(buf):
-            digest.update(buf[:n])
+    while n := fh.readinto(buf):
+        digest.update(buf[:n])
     return digest.digest()
 
 
-def _read_sidecar(csv_path, dim):
-    """``(labels, features)`` from the sidecar of ``csv_path`` when it is
-    intact and was written for the CSV's current bytes, else None."""
-    try:
-        fh = open(csv_path + SIDECAR_SUFFIX, "rb")
-    except OSError:
-        return None
-    with fh:
-        head = fh.read(_SIDECAR_HEAD.size)
-        if len(head) != _SIDECAR_HEAD.size:
-            return None
-        magic, csv_digest, n, d = _SIDECAR_HEAD.unpack(head)
-        expected_size = _SIDECAR_HEAD.size + 8 * n + 4 * n * d + _DIGEST_BYTES
-        if (
-            magic != SIDECAR_MAGIC
-            or d != dim
-            or n < 0
-            or os.fstat(fh.fileno()).st_size != expected_size
-            or csv_digest != _file_sha256(csv_path)
-        ):
-            return None
-        labels = np.fromfile(fh, dtype="<i8", count=n)
-        features = np.fromfile(fh, dtype="<f4", count=n * d).reshape(n, d)
-        trailer = fh.read(_DIGEST_BYTES)
+def _read_sidecar(fh, csv_path, csv_digest):
+    """``(labels, features, num_classes)`` from the open sidecar ``fh`` of
+    ``csv_path``, whose bytes hash to ``csv_digest``. ValueError says what
+    does not check out."""
+    head = fh.read(_SIDECAR_HEAD.size)
+    if head[: len(SIDECAR_MAGIC)] != SIDECAR_MAGIC:
+        raise ValueError(f"not a {SIDECAR_MAGIC.decode()} sidecar")
+    size = os.fstat(fh.fileno()).st_size
+    if len(head) != _SIDECAR_HEAD.size:
+        raise ValueError(f"{size} bytes, fewer than its {_SIDECAR_HEAD.size}-byte header")
+    _, recorded, n, d, num_classes = _SIDECAR_HEAD.unpack(head)
+    if d < 1 or num_classes < 1:
+        raise ValueError(f"needs C >= 1 and d >= 1, got C={num_classes}, d={d}")
+    if n < 0 or size != _SIDECAR_HEAD.size + 8 * n + 4 * n * d + _DIGEST_BYTES:
+        raise ValueError(f"{size} bytes do not fit N={n} and d={d}")
+    if recorded != csv_digest:
+        raise ValueError(f"the CSV digest it records is not that of {csv_path}")
+    labels = np.fromfile(fh, dtype="<i8", count=n)
+    features = np.fromfile(fh, dtype="<f4", count=n * d).reshape(n, d)
     payload = hashlib.sha256(head)
     payload.update(labels)
     payload.update(features)
-    if payload.digest() != trailer:
-        return None
-    return labels, features
-
-
-def _parse_rows(fh, path, num_classes, dim):
-    """``(labels, features)`` from the text rows after the header. Every
-    ``_CHUNK_ROWS`` parsed rows are rounded into one float32 block, so the
-    parse holds one block of Python floats, not the whole split."""
-    labels, blocks, rows = [], [], []
-    block = lambda: np.array(rows, dtype=np.float32).reshape(len(rows), dim)
-    for lineno, line in enumerate(fh, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != dim + 1:
-            raise ValueError(f"{path}:{lineno}: expected {dim + 1} fields, got {len(cells)}")
-        try:
-            label, row = int(cells[0]), [float(v) for v in cells[1:]]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if not 0 <= label < num_classes:
-            raise ValueError(f"{path}:{lineno}: label {label} outside [0, {num_classes})")
-        if not all(abs(v) < _F32_OVERFLOW for v in row):
-            raise ValueError(f"{path}:{lineno}: features must be finite and within float32's range")
-        labels.append(label)
-        rows.append(row)
-        if len(rows) == _CHUNK_ROWS:
-            blocks.append(block())
-            rows = []
-    blocks.append(block())
-    return np.array(labels, dtype=np.int64), np.concatenate(blocks)
+    if payload.digest() != fh.read(_DIGEST_BYTES):
+        raise ValueError("its sha256 trailer does not match its contents")
+    return labels, features, num_classes
 
 
 def open_input(path, what, mode="rb", **kwargs):
@@ -461,28 +426,20 @@ def open_output(path, mode="wb", **kwargs):
 
 
 def load_dataset(path):
-    """Read a file written by ``save_dataset``; counts derive from labels.
-    The rows come from the sidecar when it verifies, else from the text."""
+    """The split ``save_dataset`` wrote to ``path``; counts derive from
+    labels. The CSV is hashed first, through ``open_input``, then the whole
+    split is read from its sidecar ``<path>.bin``. Every refusal of the
+    sidecar, ``LabeledDataset``'s included, is a ValueError
+    ``<path>.bin: <reason>; rerun make-data``."""
+    with open_input(path, "dataset file") as fh:
+        csv_digest = _file_sha256(fh)
+    sidecar = path + SIDECAR_SUFFIX
     try:
-        with open_input(path, "dataset file", "r", encoding="ascii") as fh:
-            header = fh.readline().strip()
-            parts = [p.strip() for p in header.split(",")]
-            if (
-                len(parts) != 3
-                or parts[0] != FORMAT_MAGIC
-                or not parts[1].startswith("C=")
-                or not parts[2].startswith("d=")
-            ):
-                raise ValueError(f"{path}: not a {FORMAT_MAGIC} file (header {header!r})")
-            try:
-                num_classes = int(parts[1][2:])
-                dim = int(parts[2][2:])
-            except ValueError:
-                raise ValueError(f"{path}: malformed header {header!r}") from None
-            if num_classes < 1 or dim < 1:
-                raise ValueError(f"{path}: header needs C >= 1 and d >= 1 (header {header!r})")
-            cached = _read_sidecar(path, dim)
-            labels, features = cached if cached is not None else _parse_rows(fh, path, num_classes, dim)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not ASCII text: {exc}") from None
-    return LabeledDataset(features, labels, num_classes)
+        with open(sidecar, "rb") as fh:
+            labels, features, num_classes = _read_sidecar(fh, path, csv_digest)
+        return LabeledDataset(features, labels, num_classes)
+    except OSError as exc:
+        reason = f"cannot read the dataset sidecar: {exc.strerror}"
+    except ValueError as exc:
+        reason = str(exc)
+    raise ValueError(f"{sidecar}: {reason}; rerun make-data")

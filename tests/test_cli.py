@@ -56,10 +56,10 @@ def replace_test_split_with_a_wider_one(tmp, cfg, data_dir):
         shutil.copyfile(tmp / "wide" / name, data_dir / name)
 
 
-def keep_header_only(path):
-    """Cut a dataset file down to its header line and remove its sidecar."""
-    path.write_text(path.read_text().splitlines()[0] + "\n")
-    path.with_name(path.name + ".bin").unlink(missing_ok=True)
+def save_empty_split(source, path):
+    """Save at ``path`` a split with the classes and width of the dataset at ``source`` and no rows."""
+    split = load_dataset(str(source))
+    save_dataset(LabeledDataset(split.features[:0], split.labels[:0], split.num_classes), str(path))
 
 
 @pytest.fixture
@@ -190,11 +190,11 @@ class TestTrain:
         assert not out_dir.exists()
 
     def test_empty_test_split_refused_before_out_dir(self, workspace, capsys):
-        # a header-only test split once trained a full epoch, then exited 2
+        # an empty test split once trained a full epoch, then exited 2
         # with out/resolved_config.txt left behind
         tmp, cfg, data_dir, out_dir = workspace
         assert run("make-data", "--config", cfg) == 0
-        keep_header_only(data_dir / "test.csv")
+        save_empty_split(data_dir / "test.csv", data_dir / "test.csv")
         capsys.readouterr()
         assert run("train", "--config", cfg, "--role", "teacher") == 2
         assert capsys.readouterr().err == (
@@ -211,13 +211,13 @@ class TestTrain:
         # file it is written to, once trained every epoch, then failed on
         # the rename or the open with out/resolved_config.txt left behind
         tmp, cfg, _, out_dir = workspace
-        epochs, lr_at = [], pipeline.lr_at
+        epochs, epoch_objective = [], pipeline._epoch_objective
 
-        def counting(schedule, epoch, total):
+        def counting(train_cfg, epoch, *args):
             epochs.append(epoch)
-            return lr_at(schedule, epoch, total)
+            return epoch_objective(train_cfg, epoch, *args)
 
-        monkeypatch.setattr(pipeline, "lr_at", counting)
+        monkeypatch.setattr(pipeline, "_epoch_objective", counting)
         assert run("make-data", "--config", cfg) == 0
         teacher = []
         if role == "student":
@@ -435,8 +435,7 @@ class TestEval:
         assert run("make-data", "--config", cfg) == 0
         assert run("train", "--config", cfg, "--role", "teacher") == 0
         empty = tmp / "empty.csv"
-        shutil.copyfile(data_dir / "test.csv", empty)
-        keep_header_only(empty)
+        save_empty_split(data_dir / "test.csv", empty)
         other = write_config(tmp / "other.cfg", data_dir=data_dir, out_dir=tmp / "other-out")
         capsys.readouterr()
         assert run("eval", "--ckpt", out_dir / "teacher.ckpt", "--data", empty, "--config", other) == 2
@@ -703,11 +702,11 @@ def _tree(root):
 
 @pytest.fixture
 def work(monkeypatch):
-    """The work commands start, by kind: epochs trained (``lr_at`` calls),
+    """The work commands start, by kind: epochs trained (``_epoch_objective`` calls),
     dataset chunks formatted and predictions made."""
     calls = {}
     for kind, module, name in [
-        ("epochs", pipeline, "lr_at"),
+        ("epochs", pipeline, "_epoch_objective"),
         ("formatted", data, "_format_rows"),
         ("predictions", evaluate, "predict"),
     ]:

@@ -230,109 +230,13 @@ class TestDiskFormat:
         assert os.listdir(tmp_path) == ["out.txt"]
         assert (tmp_path / "out.txt").read_bytes() == b"next\n"
 
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("something-else v9, C=2, d=2\n0,1.0,2.0\n")
-        with pytest.raises(ValueError):
-            load_dataset(str(path))
-
-    def test_previous_format_refused_by_name(self, tmp_path):
-        # a v1 file held float64 text; there is no v1 reader, and make-data
-        # under the same config writes the v2 files again
-        path = tmp_path / "old.csv"
-        path.write_text("longtail-csv v1, C=2, d=2\n0,0.1,2.0\n")
-        with pytest.raises(ValueError) as info:
-            load_dataset(str(path))
-        assert str(info.value) == f"{path}: not a longtail-csv v2 file (header 'longtail-csv v1, C=2, d=2')"
-
-    def test_header_count_that_is_not_an_integer_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("longtail-csv v2, C=x, d=2\n0,1.0,2.0\n")
-        with pytest.raises(ValueError) as info:
-            load_dataset(str(path))
-        assert str(info.value) == f"{path}: malformed header 'longtail-csv v2, C=x, d=2'"
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "longtail-csv v2, C=2, d=0\n0\n1\n",
-            "longtail-csv v2, C=-1, d=2\n",
-            "longtail-csv v2, C=0, d=2\n",
-            "longtail-csv v2, C=2, d=-1\n",
-        ],
-        ids=["d=0", "C=-1", "C=0", "d=-1"],
-    )
-    def test_nonpositive_header_counts_rejected(self, tmp_path, text):
-        path = tmp_path / "bad.csv"
-        path.write_text(text)
-        with pytest.raises(ValueError, match="bad.csv"):
-            load_dataset(str(path))
-
     @pytest.mark.parametrize("C, d", [(1, 2), (2, 1)])
     def test_one_class_or_one_feature_loads(self, tmp_path, C, d):
-        path = tmp_path / "narrow.csv"
-        path.write_text(f"longtail-csv v2, C={C}, d={d}\n0," + ",".join(["1.5"] * d) + "\n")
-        data = load_dataset(str(path))
+        path = str(tmp_path / "narrow.csv")
+        save_dataset(LabeledDataset(np.full((1, d), 1.5, np.float32), [0], C), path)
+        data = load_dataset(path)
         assert (data.num_classes, data.dimension) == (C, d)
         np.testing.assert_array_equal(data.features, [[1.5] * d])
-
-    def test_label_equal_to_the_class_count_names_the_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("longtail-csv v2, C=2, d=2\n1,1.0,2.0\n2,1.0,2.0\n")
-        with pytest.raises(ValueError) as info:
-            load_dataset(str(path))
-        assert str(info.value) == f"{path}:3: label 2 outside [0, 2)"
-
-    @pytest.mark.parametrize(
-        "row",
-        ["0,1.0", "1.0,1.0,2.0", "0,x,2.0", "5,1.0,2.0", "-1,1.0,2.0", "0,nan,2.0", "0,inf,2.0"],
-        ids=[
-            "short-row",
-            "float-label",
-            "text-feature",
-            "label-too-large",
-            "negative-label",
-            "nan-feature",
-            "inf-feature",
-        ],
-    )
-    def test_bad_row_rejected(self, tmp_path, row):
-        path = tmp_path / "bad.csv"
-        path.write_text(f"longtail-csv v2, C=2, d=2\n{row}\n")
-        with pytest.raises(ValueError, match="bad.csv:2"):
-            load_dataset(str(path))
-
-    @pytest.mark.parametrize("cell", ["1e39", "-3.4028236e38", "-inf", "nan"])
-    def test_feature_float32_cannot_hold_names_the_line(self, tmp_path, cell):
-        # 1e39 and 3.4028236e38 are finite in float64 but round to float32's infinity
-        path = tmp_path / "bad.csv"
-        path.write_text(f"longtail-csv v2, C=2, d=2\n0,1.0,2.0\n1,{cell},2.0\n")
-        with pytest.raises(ValueError) as info:
-            load_dataset(str(path))
-        assert str(info.value) == f"{path}:3: features must be finite and within float32's range"
-
-    def test_any_float_text_loads_rounded_to_float32(self, tmp_path):
-        # the largest text float32 can hold, one that underflows to zero, and shortest-repr text
-        path = tmp_path / "text.csv"
-        path.write_text("longtail-csv v2, C=2, d=3\n1,3.40282356e38,1e-50,0.1\n")
-        data = load_dataset(str(path))
-        assert data.features.dtype == np.float32
-        assert data.features.tobytes() == np.float32([[np.finfo(np.float32).max, 0.0, 0.1]]).tobytes()
-
-    @pytest.mark.parametrize("line", [0, 1, 9], ids=["header", "first-row", "last-row"])
-    def test_non_ascii_byte_names_the_file(self, tmp_path, line):
-        train, _ = synth_gaussian_mixture([5, 4], 3, 1.0, seed=2, per_class_test=1)
-        path = str(tmp_path / "bad.csv")
-        save_dataset(train, path)
-        with open(path, "rb") as fh:
-            lines = fh.read().split(b"\n")
-        lines[line] = lines[line].replace(b",", b",\xc3\xa9", 1)  # an e-acute, in UTF-8
-        with open(path, "wb") as fh:
-            fh.write(b"\n".join(lines))
-        with pytest.raises(ValueError) as info:
-            load_dataset(path)
-        assert str(info.value).startswith(f"{path}: ")
-        assert "ascii" in str(info.value)
 
 
 def _reference_csv(data):
@@ -345,12 +249,12 @@ def _reference_csv(data):
 
 
 def _reference_sidecar(data, csv_bytes):
-    """The longtail-bin v2 sidecar of ``data`` saved as ``csv_bytes``, built field by field."""
+    """The longtail-bin v3 sidecar of ``data`` saved as ``csv_bytes``, built field by field."""
     body = b"".join(
         [
-            b"longtail-bin v2",
+            b"longtail-bin v3",
             hashlib.sha256(csv_bytes).digest(),
-            struct.pack("<qq", len(data), data.dimension),
+            struct.pack("<qqq", len(data), data.dimension, data.num_classes),
             data.labels.astype("<i8").tobytes(),
             data.features.astype("<f4").tobytes(),
         ]
@@ -394,6 +298,85 @@ def _flip_last_feature_byte(blob):
     return blob[:-33] + bytes([blob[-33] ^ 0x40]) + blob[-32:]
 
 
+def _rewrite(path, edit):
+    """Replace the bytes of the file at ``path`` with ``edit`` of them."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(edit(blob))
+
+
+def _non_ascii_row(blob):
+    lines = blob.split(b"\n")
+    lines[1] = lines[1].replace(b",", b",\xc3\xa9", 1)  # an e-acute, in UTF-8
+    return b"\n".join(lines)
+
+
+# The 135-byte sidecar of TINY: the magic, the CSV digest, then N, d and C
+# from byte 47, the labels from byte 71, the features from byte 87 and the
+# trailer from byte 103. Each case damages the saved pair through
+# ``(csv path, sidecar path)``; its message names ``{csv}`` and ``{bin}``.
+TINY = LabeledDataset(np.float32([[0.25, 1.5], [2.5, -3.0]]), np.array([0, 1]), 2)
+_side = lambda edit: lambda csv, sidecar: _rewrite(sidecar, edit)
+RERUN = "; rerun make-data"
+SIDECAR_REFUSALS = {
+    "missing-sidecar": (
+        lambda csv, sidecar: os.remove(sidecar),
+        "{bin}: cannot read the dataset sidecar: No such file or directory" + RERUN,
+    ),
+    "sidecar-is-a-directory": (
+        lambda csv, sidecar: (os.remove(sidecar), os.mkdir(sidecar)),
+        "{bin}: cannot read the dataset sidecar: Is a directory" + RERUN,
+    ),
+    # a sealed sidecar of the previous format, which has no C: it gets no reader
+    "v2-magic": (
+        _side(lambda blob: _reseal(b"longtail-bin v2" + blob[15:63] + blob[71:])),
+        "{bin}: not a longtail-bin v3 sidecar" + RERUN,
+    ),
+    "cut-inside-header": (_side(lambda blob: blob[:40]), "{bin}: 40 bytes, fewer than its 71-byte header" + RERUN),
+    "truncated": (_side(lambda blob: blob[:-1]), "{bin}: 134 bytes do not fit N=2 and d=2" + RERUN),
+    "more-rows-than-bytes": (
+        _side(lambda blob: _reseal(blob[:47] + struct.pack("<qqq", 3, 2, 2) + blob[71:])),
+        "{bin}: 135 bytes do not fit N=3 and d=2" + RERUN,
+    ),
+    # 91 bytes are what N = -1 and d = 1 would take
+    "negative-N": (
+        _side(lambda blob: blob[:47] + struct.pack("<qqq", -1, 1, 2) + blob[71:91]),
+        "{bin}: 91 bytes do not fit N=-1 and d=1" + RERUN,
+    ),
+    # a sealed sidecar of two rows of no features, which LabeledDataset would accept
+    "d=0": (
+        _side(lambda blob: _reseal(blob[:47] + struct.pack("<qqq", 2, 0, 2) + blob[71:87] + blob[103:])),
+        "{bin}: needs C >= 1 and d >= 1, got C=2, d=0" + RERUN,
+    ),
+    "C=0": (
+        _side(lambda blob: _reseal(blob[:63] + struct.pack("<q", 0) + blob[71:])),
+        "{bin}: needs C >= 1 and d >= 1, got C=0, d=2" + RERUN,
+    ),
+    "flipped-payload-byte": (
+        _side(_flip_last_feature_byte),
+        "{bin}: its sha256 trailer does not match its contents" + RERUN,
+    ),
+    "label-equal-to-C": (
+        _side(lambda blob: _reseal(blob[:79] + struct.pack("<q", 2) + blob[87:])),
+        "{bin}: labels must lie in [0, num_classes)" + RERUN,
+    ),
+    "nan-feature": (
+        _side(lambda blob: _reseal(blob[:95] + np.float32(np.nan).tobytes() + blob[99:])),
+        "{bin}: features must be an (N, d) matrix of finite reals within float32's range, got "
+        "array([[ 0.25,  1.5 ],\n       [  nan, -3.  ]])" + RERUN,
+    ),
+    "csv-edited-after-save": (
+        lambda csv, sidecar: _rewrite(csv, lambda blob: blob.replace(b"+2.50000000e-01", b"0.75")),
+        "{bin}: the CSV digest it records is not that of {csv}" + RERUN,
+    ),
+    "non-ascii-byte-in-csv": (
+        lambda csv, sidecar: _rewrite(csv, _non_ascii_row),
+        "{bin}: the CSV digest it records is not that of {csv}" + RERUN,
+    ),
+}
+
+
 class TestSidecar:
     def _saved(self, tmp_path, data):
         path = str(tmp_path / "train.csv")
@@ -409,65 +392,18 @@ class TestSidecar:
         with open(path + ".bin", "rb") as fh:
             assert fh.read() == _reference_sidecar(data, _reference_csv(data))
         assert sorted(os.listdir(tmp_path)) == ["train.csv", "train.csv.bin"]
-
-    def test_sidecar_load_equals_text_parse(self, tmp_path):
-        data = _awkward_dataset()
-        path = self._saved(tmp_path, data)
-        via_sidecar = load_dataset(path)
-        os.remove(path + ".bin")
-        via_text = load_dataset(path)
-        assert not os.path.exists(path + ".bin")  # loading never writes
-        _assert_same_bits(via_sidecar, data)
-        _assert_same_bits(via_text, data)
-
-    @pytest.mark.parametrize("rows", [3, 4, 9])
-    def test_text_parse_in_blocks_keeps_the_bits_and_line_numbers(self, tmp_path, monkeypatch, rows):
-        # the rows are rounded to float32 one block at a time: one partial
-        # block, one whole block, and two whole blocks and a partial one
-        monkeypatch.setattr(data_module, "_CHUNK_ROWS", 4)
-        data = _awkward_dataset(rows=rows)
-        path = self._saved(tmp_path, data)
-        os.remove(path + ".bin")
         _assert_same_bits(load_dataset(path), data)
-        with open(path, "a") as fh:
-            fh.write("3,1.0,2.0,3.0\n")
+
+    @pytest.mark.parametrize("damage, message", SIDECAR_REFUSALS.values(), ids=SIDECAR_REFUSALS.keys())
+    def test_damaged_or_stale_pair_refused_by_name(self, tmp_path, damage, message):
+        path = self._saved(tmp_path, TINY)
+        _assert_same_bits(load_dataset(path), TINY)
+        damage(path, path + ".bin")
+        before = sorted(os.listdir(tmp_path))
         with pytest.raises(ValueError) as info:
             load_dataset(path)
-        assert str(info.value) == f"{path}:{rows + 2}: label 3 outside [0, 3)"
-
-    def test_csv_edited_after_save_wins(self, tmp_path):
-        data = LabeledDataset(np.array([[0.25, 1.5], [2.5, -3.0]]), np.array([0, 1]), 2)
-        path = self._saved(tmp_path, data)
-        with open(path) as fh:
-            text = fh.read()
-        assert text.count("+2.50000000e-01") == 1
-        with open(path, "w") as fh:
-            fh.write(text.replace("+2.50000000e-01", "0.75"))
-        loaded = load_dataset(path)
-        np.testing.assert_array_equal(loaded.features, [[0.75, 1.5], [2.5, -3.0]])
-
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            _flip_last_feature_byte,
-            lambda blob: blob[: len(blob) // 2],
-            # a sealed sidecar of the previous format's magic: only the magic check stops it
-            lambda blob: _reseal(b"longtail-bin v1" + _flip_last_feature_byte(blob)[15:]),
-            # 40 rows of 8 + 4 * 3 bytes recast as 50 of 8 + 4 * 2: same size, d disagrees with the header
-            lambda blob: _reseal(blob[:47] + struct.pack("<qq", 50, 2) + blob[63:]),
-            # shorter than its 63-byte header, which struct could not unpack
-            lambda blob: blob[:40],
-        ],
-        ids=["flipped-payload-byte", "truncated", "wrong-magic", "wrong-shape", "cut-inside-header"],
-    )
-    def test_damaged_sidecar_falls_back_to_text(self, tmp_path, corrupt):
-        data = _awkward_dataset(rows=40)
-        path = self._saved(tmp_path, data)
-        with open(path + ".bin", "rb") as fh:
-            blob = fh.read()
-        with open(path + ".bin", "wb") as fh:
-            fh.write(corrupt(blob))
-        _assert_same_bits(load_dataset(path), data)
+        assert str(info.value) == message.format(csv=path, bin=path + ".bin")
+        assert sorted(os.listdir(tmp_path)) == before  # loading never writes
 
 
 class TestSave:

@@ -82,21 +82,6 @@ def test_save_holds_the_text_of_one_chunk(tmp_path, monkeypatch):
     assert whole_split_peak > bound
 
 
-def test_text_parse_holds_one_block_of_python_floats(tmp_path, monkeypatch):
-    # 4000 rows parsed in blocks of 128 measured 2.14x the loaded arrays'
-    # bytes: the float32 blocks and their concatenation. Lists of Python
-    # floats for the whole split, rounded after, peak at 9.4x. The shipped
-    # 1024-row block gave 2.33x on a 16000 x 64 split
-    train, _ = synth_gaussian_mixture([200] * 20, 32, 3.0, seed=5, per_class_test=1)
-    path = str(tmp_path / "train.csv")
-    save_dataset(train, path)
-    os.remove(path + ".bin")
-    monkeypatch.setattr(data_module, "_CHUNK_ROWS", 128)
-    data, peak = traced_peak(lambda: load_dataset(path))
-    assert data.features.tobytes() == train.features.tobytes()
-    assert peak < 3 * (data.features.nbytes + data.labels.nbytes)
-
-
 @pytest.mark.parametrize("loss", ["kd", "bkd"])
 def test_target_build_holds_the_targets_and_one_chunk(loss):
     # one chunk: the teacher's activations of ``batch_size`` rows at every

@@ -521,13 +521,13 @@ class TestTemperatureSweep:
         else:
             test = LabeledDataset(np.hstack([test.features, test.features[:, :1]]), test.labels, test.num_classes)
             message = f"train/test feature dimensions differ: {train.dimension} vs {train.dimension + 1}"
-        epochs = []
+        epochs, epoch_objective = [], pipeline._epoch_objective
 
-        def counting(schedule, epoch, total):
+        def counting(train_cfg, epoch, *args):
             epochs.append(epoch)
-            return lr_at(schedule, epoch, total)
+            return epoch_objective(train_cfg, epoch, *args)
 
-        monkeypatch.setattr(pipeline, "lr_at", counting)
+        monkeypatch.setattr(pipeline, "_epoch_objective", counting)
         with pytest.raises(ValueError) as info:
             temperature_sweep(train, test, teacher, cfg, SWEEP_TEMPS)
         assert str(info.value) == message
