@@ -833,6 +833,25 @@ class TestUnopenableInputs:
         assert err == f"error: {data_dir / 'train.csv'}: cannot read the dataset file: Is a directory\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("split", ["train.csv", "test.csv"])
+    @pytest.mark.parametrize("command", ["teacher", "student", "eval", "sweep-temp"])
+    def test_split_without_its_sidecar_refused_before_any_work(self, tmp_path, capsys, work, command, split):
+        # a CSV is read only through its sidecar: without one, every command
+        # that reads the split names the sidecar and make-data, as CI's
+        # installed round trip checks for eval
+        args, out_dir = planned_run(tmp_path, command)
+        sidecar = tmp_path / "data" / f"{split}.bin"
+        sidecar.unlink()
+        for calls in work.values():
+            calls.clear()
+        capsys.readouterr()
+        assert run(*args) == 2
+        assert capsys.readouterr().err == (
+            f"error: {sidecar}: cannot read the dataset sidecar: No such file or directory; rerun make-data\n"
+        )
+        assert work == {kind: [] for kind in work}
+        assert not out_dir.exists()
+
 
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path, capsys):

@@ -306,10 +306,22 @@ def _rewrite(path, edit):
         fh.write(edit(blob))
 
 
-def _non_ascii_row(blob):
-    lines = blob.split(b"\n")
-    lines[1] = lines[1].replace(b",", b",\xc3\xa9", 1)  # an e-acute, in UTF-8
-    return b"\n".join(lines)
+def _non_ascii_byte(line):
+    """An edit that puts an e-acute, in UTF-8, after the first comma of CSV line ``line``."""
+
+    def edit(blob):
+        lines = blob.split(b"\n")
+        lines[line] = lines[line].replace(b",", b",\xc3\xa9", 1)
+        return b"\n".join(lines)
+
+    return edit
+
+
+def _swap_in_the_sidecar_of_another_save(csv, sidecar):
+    other = csv + ".other"
+    save_dataset(LabeledDataset(np.float32([[0.25, 1.5, 2.0]]), np.array([1]), 3), other)
+    os.replace(other + ".bin", sidecar)
+    os.remove(other)
 
 
 # The 135-byte sidecar of TINY: the magic, the CSV digest, then N, d and C
@@ -370,9 +382,63 @@ SIDECAR_REFUSALS = {
         lambda csv, sidecar: _rewrite(csv, lambda blob: blob.replace(b"+2.50000000e-01", b"0.75")),
         "{bin}: the CSV digest it records is not that of {csv}" + RERUN,
     ),
-    "non-ascii-byte-in-csv": (
-        lambda csv, sidecar: _rewrite(csv, _non_ascii_row),
+    **{
+        f"non-ascii-byte-in-csv{where}": (
+            lambda csv, sidecar, line=line: _rewrite(csv, _non_ascii_byte(line)),
+            "{bin}: the CSV digest it records is not that of {csv}" + RERUN,
+        )
+        for where, line in [("", 1), ("-header", 0), ("-last-row", 2)]
+    },
+    # the magic of a format with no reader: a made-up one and the first sidecar's
+    "unknown-magic": (
+        _side(lambda blob: _reseal(b"something-else!" + blob[15:])),
+        "{bin}: not a longtail-bin v3 sidecar" + RERUN,
+    ),
+    "v1-magic": (
+        _side(lambda blob: _reseal(b"longtail-bin v1" + blob[15:])),
+        "{bin}: not a longtail-bin v3 sidecar" + RERUN,
+    ),
+    "empty-sidecar": (_side(lambda blob: b""), "{bin}: not a longtail-bin v3 sidecar" + RERUN),
+    "C=-1": (
+        _side(lambda blob: _reseal(blob[:63] + struct.pack("<q", -1) + blob[71:])),
+        "{bin}: needs C >= 1 and d >= 1, got C=-1, d=2" + RERUN,
+    ),
+    "d=-1": (
+        _side(lambda blob: _reseal(blob[:55] + struct.pack("<q", -1) + blob[63:])),
+        "{bin}: needs C >= 1 and d >= 1, got C=2, d=-1" + RERUN,
+    ),
+    # an N whose byte count overflows int64 is compared as a Python int
+    "N=2**62": (
+        _side(lambda blob: _reseal(blob[:47] + struct.pack("<q", 2**62) + blob[55:])),
+        "{bin}: 135 bytes do not fit N=4611686018427387904 and d=2" + RERUN,
+    ),
+    "trailing-byte": (_side(lambda blob: blob + b"\0"), "{bin}: 136 bytes do not fit N=2 and d=2" + RERUN),
+    # a damaged recorded digest is met before the trailer that would also catch it
+    "flipped-recorded-digest-byte": (
+        _side(lambda blob: blob[:15] + bytes([blob[15] ^ 0x01]) + blob[16:]),
         "{bin}: the CSV digest it records is not that of {csv}" + RERUN,
+    ),
+    "sidecar-of-another-save": (
+        _swap_in_the_sidecar_of_another_save,
+        "{bin}: the CSV digest it records is not that of {csv}" + RERUN,
+    ),
+    "label-above-C": (
+        _side(lambda blob: _reseal(blob[:79] + struct.pack("<q", 5) + blob[87:])),
+        "{bin}: labels must lie in [0, num_classes)" + RERUN,
+    ),
+    "negative-label": (
+        _side(lambda blob: _reseal(blob[:71] + struct.pack("<q", -1) + blob[79:])),
+        "{bin}: labels must lie in [0, num_classes)" + RERUN,
+    ),
+    "inf-feature": (
+        _side(lambda blob: _reseal(blob[:95] + np.float32(np.inf).tobytes() + blob[99:])),
+        "{bin}: features must be an (N, d) matrix of finite reals within float32's range, got "
+        "array([[ 0.25,  1.5 ],\n       [  inf, -3.  ]])" + RERUN,
+    ),
+    "negative-inf-feature": (
+        _side(lambda blob: _reseal(blob[:91] + np.float32(-np.inf).tobytes() + blob[95:])),
+        "{bin}: features must be an (N, d) matrix of finite reals within float32's range, got "
+        "array([[ 0.25,  -inf],\n       [ 2.5 , -3.  ]])" + RERUN,
     ),
 }
 
