@@ -58,12 +58,6 @@ def _parse_path(s):
     return s
 
 
-def _parse_optional_int(s):
-    if s.strip() in ("", "none"):
-        return None
-    return int(s, 10)
-
-
 # where the defaults of the keys that set their fields are stated
 _TRAIN, _PROFILE = TrainConfig(), ImbalanceProfile()
 
@@ -93,16 +87,11 @@ KEY_SPECS = {
     "alpha": (_TRAIN.kd.alpha, float, "cross-entropy weight in the plain distillation blend"),
     "beta": (_TRAIN.bkd.beta, float, "effective-number hyperparameter for class weights"),
     "temperature": (_TRAIN.bkd.temperature, float, "distillation temperature"),
-    "defer_epoch": (
-        _TRAIN.defer_epoch,
-        _parse_optional_int,
-        "switch plain->balanced distillation at this epoch (empty = off)",
-    ),
     # evaluation
     "many_thresh": (_TRAIN.many_thresh, int, "class counts above this are many-shot"),
     "few_thresh": (_TRAIN.few_thresh, int, "class counts below this are few-shot"),
     # paths
-    "data_dir": ("data", _parse_path, "directory holding train.csv/test.csv"),
+    "data_dir": ("data", _parse_path, "directory holding train.csv/test.csv, their .bin sidecars and counts.csv"),
     "out_dir": ("out", _parse_path, "directory for run outputs"),
 }
 
@@ -151,8 +140,6 @@ def render_config(cfg):
             text = ",".join(str(v) for v in value)
         elif key == "lr_steps":
             text = ",".join(f"{e}:{f!r}" for e, f in value)
-        elif value is None:
-            text = ""
         elif isinstance(value, float):
             text = repr(value)
         else:
@@ -183,7 +170,6 @@ def train_config(cfg):
             seed=cfg["seed"],
             kd=KDConfig(alpha=cfg["alpha"], temperature=cfg["temperature"]),
             bkd=BKDConfig(beta=cfg["beta"], temperature=cfg["temperature"]),
-            defer_epoch=cfg["defer_epoch"],
             many_thresh=cfg["many_thresh"],
             few_thresh=cfg["few_thresh"],
         )

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathutils import Rng, check_int, check_int_array, check_real, check_real_array
+from .mathutils import Rng, as_real_array, check_int, check_int_array, check_real
 from .weights import check_counts
 
 FORMAT_MAGIC = "longtail-csv v2"
@@ -111,7 +111,9 @@ class ImbalanceProfile:
 class LabeledDataset:
     """Float32 feature matrix with integer labels; class counts derive from
     labels. A float32 (N, d) array is checked in place and kept as it is,
-    as ``labels`` is; any other is checked as reals and rounded once."""
+    as ``labels`` is; any other is checked as reals and rounded once. A
+    NaN, an infinity or a real beyond float32's range is refused by its
+    value, row and column."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -119,10 +121,14 @@ class LabeledDataset:
 
     def __post_init__(self):
         f = self.features
-        if not (type(f) is np.ndarray and f.dtype == np.float32 and f.ndim == 2 and _fits_float32(f)):
-            rule = "be an (N, d) matrix of finite reals within float32's range"
-            f = check_real_array(f, "features", _fits_float32, rule, (None, None)).astype(np.float32)
-        self.features = f
+        rule = "be an (N, d) matrix of finite reals within float32's range"
+        if not (type(f) is np.ndarray and f.dtype == np.float32 and f.ndim == 2):
+            f = as_real_array(f, "features", rule, (None, None))
+        if not _fits_float32(f):
+            # the first entry in row-major order that is not below the bound
+            i, j = divmod(int(np.argmin(np.abs(f, dtype=np.float64) < _F32_OVERFLOW)), f.shape[1])
+            raise ValueError(f"features must {rule}, got {float(f[i, j])!r} at row {i}, column {j}")
+        self.features = f.astype(np.float32, copy=False)
         self.labels = check_int_array(self.labels, "labels")
         self.num_classes = check_int(self.num_classes, "num_classes", 1)
         if self.labels.shape != (self.features.shape[0],):

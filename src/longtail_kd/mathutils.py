@@ -9,8 +9,9 @@ a float64 array, so a fractional count or label is refused. A real array is
 every logit vector (``check_logits``, behind ``softmax_with_temperature``,
 each per-sample loss and ``finite_difference_gradient``) and logit matrix,
 teacher probability and target array, class-weight vector and feature
-matrix a caller hands in (a float32 feature matrix ``LabeledDataset``
-checks in place, to the same rule); one of bool, text, object or complex
+matrix a caller hands in (a feature matrix takes ``as_real_array``, the
+rule's dtype and shape half, and ``LabeledDataset`` checks its entries,
+a float32 matrix in place); one of bool, text, object or complex
 dtype is refused, never converted. A ragged nested list, of which numpy
 makes no array, is refused by both array rules, naming the argument and its
 rule.
@@ -89,17 +90,24 @@ def check_int_array(a, name):
     return a.astype(np.int64, copy=False)
 
 
-def check_real_array(a, name, valid, rule, shape):
+def as_real_array(a, name, rule, shape):
     """``a`` as a float64 array (``a`` itself if it is one), or ValueError "<name>
     must <rule>" unless it has an integer or floating dtype (not bool, text,
-    object or complex), the ``shape`` given (None matching any length), and
-    finite entries that ``valid``, a predicate on the float64 array, accepts."""
+    object or complex) and the ``shape`` given (None matching any length)."""
     a = _as_array(a, name, rule)
     fits = len(a.shape) == len(shape) and all(n in (None, m) for n, m in zip(shape, a.shape))
     if a.dtype.kind in "iuf" and fits:
-        a = a.astype(np.float64, copy=False)
-        if np.isfinite(a).all() and np.all(valid(a)):
-            return a
+        return a.astype(np.float64, copy=False)
+    raise ValueError(f"{name} must {rule}, got {a!r}")
+
+
+def check_real_array(a, name, valid, rule, shape):
+    """``as_real_array(a, name, rule, shape)``, or ValueError "<name> must
+    <rule>" unless its entries are finite and ``valid``, a predicate on the
+    float64 array, accepts them."""
+    a = as_real_array(a, name, rule, shape)
+    if np.isfinite(a).all() and np.all(valid(a)):
+        return a
     raise ValueError(f"{name} must {rule}, got {a!r}")
 
 

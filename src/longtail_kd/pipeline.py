@@ -3,14 +3,13 @@
 Phase one trains the teacher with plain cross-entropy, under the
 ``teacher_config`` of whatever config it is given. Phase two trains the
 student against the frozen teacher: the student minimizes the configured
-loss (optionally plain distillation for the first epochs, then the balanced
-variant from ``defer_epoch`` on). Each epoch trains one
-``losses.Objective``, and every minibatch makes one call of the one kernel
-``losses.objective_loss_batch``, whatever the loss. The teacher and the
-class weights are fixed for the whole run, so each loss kind's objective is
-built once, on the first epoch that trains it: a distillation kind builds
-its (N, C) target matrix one ``batch_size``-row chunk at a time (teacher
-forward, softmax, targets), and every minibatch gathers its rows from it.
+loss for the whole run. A run trains one ``losses.Objective``, and every
+minibatch makes one call of the one kernel ``losses.objective_loss_batch``,
+whatever the loss. The teacher and the class weights are fixed for the
+whole run, so a run that trains an epoch builds its objective once, before
+the first: a distillation kind builds its (N, C) target matrix one
+``batch_size``-row chunk at a time (teacher forward, softmax, targets), and
+every minibatch gathers its rows from it.
 The class weights come from the training-split counts: ``cb`` scales them to
 sum to the number of classes (``weights.normalize_weights``), ``bkd`` uses
 them as they are, since their scale cancels in the balanced targets. Every
@@ -19,10 +18,11 @@ buffers that the run allocates up front, so the per-epoch evaluation
 allocates no layer-sized array; the buffers live for one ``_run`` call.
 Each epoch ends in the one divergence rule: a non-finite loss sum, then
 non-finite test logits, raise ``training diverged: non-finite loss`` (or
-``test logits``) ``at epoch <e>``. The epochs run in one numpy error scope
-that keeps overflow, division by zero (a temperature that rounds to 0 in
-float32) and invalid values quiet, so that line is all a diverging run
-prints.
+``test logits``) ``at epoch <e>``. The objective's build and the epochs run
+in one numpy error scope that keeps overflow, division by zero (a
+temperature that rounds to 0 in float32) and invalid values quiet, so that
+line, or the build's refusal of a teacher's non-finite logits, is all a
+diverging run prints.
 ``temperature_sweep`` trains one such student per temperature, one after
 another in the calling process.
 
@@ -99,7 +99,6 @@ class TrainConfig:
     seed: int = 0
     kd: KDConfig = field(default_factory=KDConfig)
     bkd: BKDConfig = field(default_factory=BKDConfig)
-    defer_epoch: int | None = None
     many_thresh: int = 100
     few_thresh: int = 20
 
@@ -119,12 +118,6 @@ class TrainConfig:
                 self.weight_decay, "weight_decay", lambda w: 0.0 <= w < math.inf, "be finite and nonnegative"
             ),
         }
-        if self.defer_epoch is not None:
-            if self.loss != "bkd":
-                raise ValueError("defer_epoch is only valid with loss='bkd'")
-            stored["defer_epoch"] = check_int(self.defer_epoch, "defer_epoch", 0)
-            if stored["defer_epoch"] >= stored["epochs"]:
-                raise ValueError(f"defer_epoch must be an integer in [0, epochs), got {self.defer_epoch!r}")
         if np.ndim(self.hidden_dims) != 1:
             raise ValueError(f"hidden_dims must be a sequence of layer widths, got {self.hidden_dims!r}")
         stored["hidden_dims"] = tuple(check_int(h, "each hidden layer width", 1) for h in self.hidden_dims)
@@ -332,43 +325,39 @@ def check_splits(train, test):
         raise ValueError("every class needs at least one training sample")
 
 
-def _epoch_objective(cfg, epoch, teacher, train, objectives):
-    """The objective that ``epoch`` trains: cfg.loss, with plain
-    distillation before ``defer_epoch``. Each kind's objective is built on
-    first use and kept in ``objectives``. A distillation kind's targets are
-    built one ``batch_size``-row chunk at a time, straight into one
-    ``RUN_DTYPE`` (N, C) matrix: the teacher's logits of the chunk, refused
-    if any is non-finite, then their float64 softmax at T and the builder's
-    rows, each rounded once as it is written. Every step is row-wise, so the targets
-    are those of the whole matrix built at once, and only one chunk's
-    float64 rows are alive at a time. The class weights are computed in
-    float64 and rounded once to ``RUN_DTYPE``, in which the run trains."""
+def _objective(cfg, teacher, train):
+    """The objective a run of ``cfg`` trains: cfg.loss, for every epoch. A
+    distillation kind's targets are built one ``batch_size``-row chunk at a
+    time, straight into one ``RUN_DTYPE`` (N, C) matrix: the teacher's
+    logits of the chunk, refused if any is non-finite, then their float64
+    softmax at T and its kd or bkd target rows, each rounded once as it is
+    written.
+    Every step is row-wise, so the targets are those of the whole matrix
+    built at once, and only one chunk's float64 rows are alive at a time.
+    The class weights are computed in float64 and rounded once to
+    ``RUN_DTYPE``, in which the run trains."""
     kind = cfg.loss
-    if kind == "bkd" and cfg.defer_epoch is not None and epoch < cfg.defer_epoch:
-        kind = "kd"
-    if kind not in objectives:
-        w = effective_number_weights(train.class_counts, cfg.bkd.beta) if kind in ("cb", "bkd") else None
-        if kind == "ce":
-            objective = Objective()
-        elif kind == "cb":
-            objective = Objective(normalize_weights(w))
+    w = effective_number_weights(train.class_counts, cfg.bkd.beta) if kind in ("cb", "bkd") else None
+    if kind == "ce":
+        objective = Objective()
+    elif kind == "cb":
+        objective = Objective(normalize_weights(w))
+    else:
+        X, n, T = train.features, cfg.batch_size, (cfg.kd if kind == "kd" else cfg.bkd).temperature
+        if kind == "kd":
+            build = lambda phat: kd_objective(phat, alpha=cfg.kd.alpha, temperature=T)
         else:
-            X, n, T = train.features, cfg.batch_size, (cfg.kd if kind == "kd" else cfg.bkd).temperature
-            if kind == "kd":
-                build = lambda phat: kd_objective(phat, alpha=cfg.kd.alpha, temperature=T)
-            else:
-                build = lambda phat: bkd_objective(phat, w, temperature=T)
-            targets = np.empty((len(X), train.num_classes), RUN_DTYPE)
-            for s in range(0, len(X), n):
-                t_logits = forward(teacher, X[s : s + n])[0]
-                if not np.isfinite(t_logits).all():
-                    raise ValueError("the teacher gives non-finite logits on the training split")
-                objective = build(softmax_rows(t_logits, T))
-                targets[s : s + n] = objective.targets
-            objective = replace(objective, targets=targets)
-        rounded = lambda a: None if a is None else a.astype(RUN_DTYPE, copy=False)
-        objectives[kind] = replace(objective, ce_weights=rounded(objective.ce_weights), targets=rounded(objective.targets))
-    return objectives[kind]
+            build = lambda phat: bkd_objective(phat, w, temperature=T)
+        targets = np.empty((len(X), train.num_classes), RUN_DTYPE)
+        for s in range(0, len(X), n):
+            t_logits = forward(teacher, X[s : s + n])[0]
+            if not np.isfinite(t_logits).all():
+                raise ValueError("the teacher gives non-finite logits on the training split")
+            objective = build(softmax_rows(t_logits, T))
+            targets[s : s + n] = objective.targets
+        objective = replace(objective, targets=targets)
+    rounded = lambda a: None if a is None else a.astype(RUN_DTYPE, copy=False)
+    return replace(objective, ce_weights=rounded(objective.ce_weights), targets=rounded(objective.targets))
 
 
 def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
@@ -396,13 +385,14 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
         state = RunState(params, MlpParams.zeros(dims, RUN_DTYPE), Rng(derive_seed(cfg.seed, 1)), [], digest)
 
     N = len(train)
-    objectives = {}  # loss kind -> its Objective, built on first use
     # a resumed run never ends before the epoch it resumed at
     end_epoch = cfg.epochs if stop_after_epoch is None else max(state.epoch, min(cfg.epochs, stop_after_epoch))
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # a run that trains no epoch forwards no teacher row
+        if state.epoch < end_epoch:
+            objective = _objective(cfg, teacher, train)
         for epoch in range(state.epoch, end_epoch):
-            objective = _epoch_objective(cfg, epoch, teacher, train, objectives)
             lr = lr_at(cfg.schedule, epoch, cfg.epochs)
             order = state.rng.permutation(N)
             loss_sum = 0.0
@@ -435,10 +425,10 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
 
 def teacher_config(cfg):
     """The config a teacher trains under: ``cfg`` as plain cross-entropy,
-    with the default ``kd`` and ``bkd`` and no ``defer_epoch``, the
-    settings of a student's loss that plain cross-entropy never reads. The
-    one place that says what a teacher is."""
-    return replace(cfg, loss="ce", kd=KDConfig(), bkd=BKDConfig(), defer_epoch=None)
+    with the default ``kd`` and ``bkd``, the settings of a student's loss
+    that plain cross-entropy never reads. The one place that says what a
+    teacher is."""
+    return replace(cfg, loss="ce", kd=KDConfig(), bkd=BKDConfig())
 
 
 def train_teacher(train, test, cfg, *, out_ckpt=None, resume_from=None, stop_after_epoch=None):
@@ -454,11 +444,9 @@ def train_teacher(train, test, cfg, *, out_ckpt=None, resume_from=None, stop_aft
 def train_student(train, test, teacher, cfg, *, out_ckpt=None, resume_from=None, stop_after_epoch=None):
     """Phase two: train against frozen teacher predictions.
 
-    cfg.loss picks the objective; "ce"/"cb" are permitted as baselines that
-    ignore the teacher. With ``defer_epoch`` set (bkd only), earlier epochs
-    use plain distillation and later ones the balanced loss. A missing
-    teacher, or one that does not fit ``train``, is refused before any
-    epoch.
+    cfg.loss picks the objective, which every epoch trains; "ce"/"cb" are
+    permitted as baselines that ignore the teacher. A missing teacher, or
+    one that does not fit ``train``, is refused before any epoch.
     """
     if teacher is None:
         raise ValueError("student training requires a teacher model")

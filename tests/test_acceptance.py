@@ -250,7 +250,7 @@ def test_criterion_07_float64_twin(monkeypatch):
     # built in a float32 matrix and then widened are reported as float32
     runs = {(seed, loss): _desk_run(seed, loss) for seed in range(5) for loss in ("ce", "cb", "kd", "bkd")}
     t0 = time.monotonic()
-    build, step, predict = pipeline._epoch_objective, pipeline.sgd_momentum_step, pipeline.evaluate.predict
+    build, step, predict = pipeline._objective, pipeline.sgd_momentum_step, pipeline.evaluate.predict
     dtypes, objectives = set(), []
 
     def recording_objective(*args):
@@ -266,7 +266,7 @@ def test_criterion_07_float64_twin(monkeypatch):
         return predict(params, data, out=out)
 
     monkeypatch.setattr(pipeline, "RUN_DTYPE", np.float64)
-    monkeypatch.setattr(pipeline, "_epoch_objective", recording_objective)
+    monkeypatch.setattr(pipeline, "_objective", recording_objective)
     monkeypatch.setattr(pipeline, "sgd_momentum_step", recording_step)
     monkeypatch.setattr(pipeline.evaluate, "predict", recording_predict)
     gaps = {}  # loss -> one row of per-epoch relative loss gaps per seed

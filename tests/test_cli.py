@@ -211,13 +211,13 @@ class TestTrain:
         # file it is written to, once trained every epoch, then failed on
         # the rename or the open with out/resolved_config.txt left behind
         tmp, cfg, _, out_dir = workspace
-        epochs, epoch_objective = [], pipeline._epoch_objective
+        epochs, lr_at = [], pipeline.lr_at
 
-        def counting(train_cfg, epoch, *args):
+        def counting(schedule, epoch, *args):
             epochs.append(epoch)
-            return epoch_objective(train_cfg, epoch, *args)
+            return lr_at(schedule, epoch, *args)
 
-        monkeypatch.setattr(pipeline, "_epoch_objective", counting)
+        monkeypatch.setattr(pipeline, "lr_at", counting)
         assert run("make-data", "--config", cfg) == 0
         teacher = []
         if role == "student":
@@ -290,26 +290,12 @@ class TestTrain:
         losses = [float(r.split(",")[1]) for r in rows]
         assert all(np.isfinite(losses))
 
-    def test_defer_epoch_config_trains_teacher_student_and_sweep(self, tmp_path):
-        # the teacher drops defer_epoch, so its config and checkpoint equal
-        # those of the same config without the key
-        data_dir = tmp_path / "data"
-        plain = write_config(tmp_path / "plain.cfg", epochs=3, data_dir=data_dir, out_dir=tmp_path / "plain")
-        cfg = write_config(tmp_path / "defer.cfg", epochs=3, defer_epoch=1, data_dir=data_dir, out_dir=tmp_path / "out")
-        assert run("make-data", "--config", cfg) == 0
-        assert run("train", "--config", cfg, "--role", "teacher") == 0
-        assert run("train", "--config", plain, "--role", "teacher") == 0
-        teacher = tmp_path / "out" / "teacher.ckpt"
-        assert teacher.read_bytes() == (tmp_path / "plain" / "teacher.ckpt").read_bytes()
-        assert run("train", "--config", cfg, "--role", "student", "--teacher", teacher) == 0
-        assert run("sweep-temp", "--config", cfg, "--temps", 2, "--teacher", teacher) == 0
-
     def test_library_resumes_the_teacher_checkpoint_under_the_same_config_file(self, tmp_path):
         # the library once resolved the file to its student config and
         # refused the teacher's checkpoint as "written under a different
         # training config"
         data_dir, out_dir = tmp_path / "data", tmp_path / "out"
-        cfg = write_config(tmp_path / "defer.cfg", epochs=3, defer_epoch=1, data_dir=data_dir, out_dir=out_dir)
+        cfg = write_config(tmp_path / "student.cfg", epochs=3, data_dir=data_dir, out_dir=out_dir)
         assert run("make-data", "--config", cfg) == 0
         assert run("train", "--config", cfg, "--role", "teacher") == 0
         train, test = (load_dataset(str(data_dir / name)) for name in ("train.csv", "test.csv"))
@@ -317,16 +303,6 @@ class TestTrain:
         params, log = pipeline.train_teacher(train, test, train_config(parse_config(cfg)), resume_from=ckpt)
         assert params_to_bytes(params) == params_to_bytes(pipeline.read_checkpoint(ckpt).params)
         assert pipeline.metrics_to_csv(log) == (out_dir / "teacher_metrics.csv").read_text()
-
-    def test_teacher_of_a_config_no_student_could_train_is_config_error(self, tmp_path, capsys):
-        # defer_epoch belongs to bkd: eval, sweep-temp and a student refused
-        # this config, while the teacher once trained under it; refused
-        # before any data is read: the data directory does not exist
-        out_dir = tmp_path / "out"
-        cfg = write_config(tmp_path / "kd.cfg", loss="kd", defer_epoch=1, data_dir=tmp_path / "data", out_dir=out_dir)
-        assert run("train", "--config", cfg, "--role", "teacher") == 1
-        assert capsys.readouterr().err == "config error: defer_epoch is only valid with loss='bkd'\n"
-        assert not out_dir.exists()
 
     def test_resolved_config_reruns_the_command_byte_for_byte(self, workspace):
         _, cfg, data_dir, out_dir = workspace
@@ -702,11 +678,11 @@ def _tree(root):
 
 @pytest.fixture
 def work(monkeypatch):
-    """The work commands start, by kind: epochs trained (``_epoch_objective`` calls),
+    """The work commands start, by kind: epochs trained (``pipeline.lr_at`` calls),
     dataset chunks formatted and predictions made."""
     calls = {}
     for kind, module, name in [
-        ("epochs", pipeline, "_epoch_objective"),
+        ("epochs", pipeline, "lr_at"),
         ("formatted", data, "_format_rows"),
         ("predictions", evaluate, "predict"),
     ]:
@@ -1006,6 +982,27 @@ class TestConfigHandling:
         assert run(command[0], "--config", cfg, *command[1:], "--out", elsewhere) == 1
         assert "unrecognized arguments: --out" in capsys.readouterr().err
         assert not any(d.exists() for d in (data_dir, out_dir, elsewhere))
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("make-data",),
+            ("train", "--role", "teacher"),
+            ("train", "--role", "student", "--teacher", "absent.ckpt"),
+            ("eval", "--ckpt", "absent.ckpt", "--data", "absent.csv"),
+            ("sweep-temp", "--temps", 2, "--teacher", "absent.ckpt"),
+        ],
+        ids=["make-data", "teacher", "student", "eval", "sweep-temp"],
+    )
+    def test_removed_defer_epoch_key_refused_before_any_data_is_read(self, workspace, capsys, command):
+        # a run trains one objective for every epoch: the key that once
+        # switched a bkd student from plain distillation is unknown
+        tmp, _, data_dir, out_dir = workspace
+        cfg = write_config(tmp / "defer.cfg", data_dir=data_dir, out_dir=out_dir, defer_epoch=50)
+        lineno = open(cfg).read().splitlines().index("defer_epoch = 50") + 1
+        assert run(command[0], "--config", cfg, *command[1:]) == 1
+        assert capsys.readouterr().err == f"config error: {cfg}:{lineno}: unknown key 'defer_epoch'\n"
+        assert not data_dir.exists() and not out_dir.exists()
 
     def test_removed_kind_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

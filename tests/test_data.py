@@ -376,7 +376,7 @@ SIDECAR_REFUSALS = {
     "nan-feature": (
         _side(lambda blob: _reseal(blob[:95] + np.float32(np.nan).tobytes() + blob[99:])),
         "{bin}: features must be an (N, d) matrix of finite reals within float32's range, got "
-        "array([[ 0.25,  1.5 ],\n       [  nan, -3.  ]])" + RERUN,
+        "nan at row 1, column 0" + RERUN,
     ),
     "csv-edited-after-save": (
         lambda csv, sidecar: _rewrite(csv, lambda blob: blob.replace(b"+2.50000000e-01", b"0.75")),
@@ -433,12 +433,12 @@ SIDECAR_REFUSALS = {
     "inf-feature": (
         _side(lambda blob: _reseal(blob[:95] + np.float32(np.inf).tobytes() + blob[99:])),
         "{bin}: features must be an (N, d) matrix of finite reals within float32's range, got "
-        "array([[ 0.25,  1.5 ],\n       [  inf, -3.  ]])" + RERUN,
+        "inf at row 1, column 0" + RERUN,
     ),
     "negative-inf-feature": (
         _side(lambda blob: _reseal(blob[:91] + np.float32(-np.inf).tobytes() + blob[95:])),
         "{bin}: features must be an (N, d) matrix of finite reals within float32's range, got "
-        "array([[ 0.25,  -inf],\n       [ 2.5 , -3.  ]])" + RERUN,
+        "-inf at row 0, column 1" + RERUN,
     ),
 }
 
@@ -608,27 +608,36 @@ class TestLabeledDataset:
         assert LabeledDataset([[0.1, 1 / 3]], [0], 1).features.tobytes() == np.float32([[0.1, 1 / 3]]).tobytes()
 
     @pytest.mark.parametrize(
-        "features",
+        "features, got",
         [
-            np.float32([[0.0, np.nan], [1.0, 2.0]]),
-            np.float32([[0.0, 1.0], [np.inf, 2.0]]),
-            np.float32([[0.0, 1.0], [2.0, -np.inf]]),
-            np.float32([[np.inf, -np.inf]]),
-            np.float32([0.0, 1.0]),
-            np.zeros((2, 1, 2), np.float32),
+            (np.float32([[0.0, np.nan], [1.0, 2.0]]), "nan at row 0, column 1"),
+            (np.float32([[0.0, 1.0], [np.inf, 2.0]]), "inf at row 1, column 0"),
+            (np.float32([[0.0, 1.0], [2.0, -np.inf]]), "-inf at row 1, column 1"),
+            (np.float32([[np.inf, -np.inf]]), "inf at row 0, column 0"),
+            (np.float32([0.0, 1.0]), "array([0., 1.], dtype=float32)"),
+            (np.zeros((2, 1, 2), np.float32), repr(np.zeros((2, 1, 2), np.float32))),
         ],
         ids=["nan", "+inf", "-inf", "both-infinities", "1-d", "3-d"],
     )
-    def test_float32_matrix_checked_in_place_refused_with_the_rule(self, features):
-        # refused with the message of the float64 path, which names the
-        # array as float64 reals when it has two dimensions
-        as_reals = np.asarray(features, np.float64) if features.ndim == 2 else features
+    def test_float32_matrix_checked_in_place_refused_with_the_rule(self, features, got):
+        # an entry float32 cannot hold is named by its place, the first in
+        # row-major order; an array of another shape by its repr
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as info:
                 LabeledDataset(features, np.zeros(len(features), np.int64), 1)
+        assert str(info.value) == f"features must be an (N, d) matrix of finite reals within float32's range, got {got}"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bad_entry_of_a_large_split_named_in_a_short_message(self, dtype):
+        # numpy's summarized repr of the whole matrix once stood here: 708
+        # characters for this split, whose "..." hid the NaN
+        features = np.zeros((8000, 64), dtype)
+        features[5000, 3] = np.nan
+        with pytest.raises(ValueError) as info:
+            LabeledDataset(features, np.zeros(8000, np.int64), 1)
         assert str(info.value) == (
-            f"features must be an (N, d) matrix of finite reals within float32's range, got {as_reals!r}"
+            "features must be an (N, d) matrix of finite reals within float32's range, got nan at row 5000, column 3"
         )
 
     @pytest.mark.parametrize(
@@ -645,9 +654,10 @@ class TestLabeledDataset:
     def test_feature_float32_cannot_hold_refused(self):
         # 1e300 was a valid float64 feature; the largest float64 that rounds
         # to float32's largest value is accepted, the next one refused
-        rule = r"^features must be an \(N, d\) matrix of finite reals within float32's range, got"
+        rule = "features must be an (N, d) matrix of finite reals within float32's range, got"
         for value in (1e300, -1e300, data_module._F32_OVERFLOW):
-            with pytest.raises(ValueError, match=rule):
-                LabeledDataset([[value, 0.0]], [0], 1)
+            with pytest.raises(ValueError) as info:
+                LabeledDataset([[0.0, 1.0], [value, 0.0]], [0, 0], 1)
+            assert str(info.value) == f"{rule} {value!r} at row 1, column 0"
         below = np.nextafter(data_module._F32_OVERFLOW, 0.0)
         assert LabeledDataset([[below, -below]], [0], 1).features.tolist() == [[F32.max, -F32.max]]

@@ -92,6 +92,6 @@ def test_target_build_holds_the_targets_and_one_chunk(loss):
     train, _ = synth_gaussian_mixture([800] * C, 16, 3.0, seed=5, per_class_test=1)
     teacher = init_mlp((16, 32, C), 1).astype(np.float32)
     cfg = small_cfg(loss=loss, batch_size=64, hidden_dims=(32,))
-    objective, peak = traced_peak(lambda: pipeline._epoch_objective(cfg, 0, teacher, train, {}))
+    objective, peak = traced_peak(lambda: pipeline._objective(cfg, teacher, train))
     chunk = cfg.batch_size * sum(teacher.dims[1:]) * 8
     assert peak < 1.25 * objective.targets.nbytes + chunk

@@ -181,7 +181,7 @@ class TestTrainTeacher:
         # checkpoint's digest is that of the ce config with the default
         # distillation settings
         train, test = two_class_separable()
-        bkd = small_cfg(loss="bkd", epochs=4, defer_epoch=2)
+        bkd = small_cfg(loss="bkd", epochs=4)
         assert pipeline.teacher_config(bkd) == small_cfg(epochs=4, kd=KDConfig(), bkd=BKDConfig())
         ce_params, ce_log = train_teacher(train, test, small_cfg(epochs=4))
         ckpt = str(tmp_path / "teacher.ckpt")
@@ -284,26 +284,24 @@ class TestTrainTeacher:
             ("epochs", 2.5, "epochs must be a nonnegative integer"),
             ("batch_size", 8.5, "batch_size must be a positive integer"),
             ("seed", 1.5, "seed must be an integer"),
-            ("defer_epoch", 1.5, "defer_epoch must be a nonnegative integer, got 1.5"),
             ("hidden_dims", (8.7,), "each hidden layer width must be a positive integer, got 8.7"),
         ],
     )
     def test_non_integer_count_refused_at_construction(self, field, value, message):
         # these once constructed, then failed in training (epochs,
-        # batch_size, seed) or were truncated (defer_epoch acted as 2, and
-        # width 8.7 trained as 8 under its own config digest)
+        # batch_size, seed) or were truncated (width 8.7 trained as 8 under
+        # its own config digest)
         with pytest.raises(ValueError, match=message):
             small_cfg(loss="bkd", **{field: value})
 
     def test_numpy_integer_counts_accepted(self):
         cfg = small_cfg(
-            loss="bkd", epochs=np.int64(4), batch_size=np.int32(16), seed=np.int64(3),
-            defer_epoch=np.int64(2), hidden_dims=(np.int64(12),),
+            loss="bkd", epochs=np.int64(4), batch_size=np.int32(16), seed=np.int64(3), hidden_dims=(np.int64(12),),
         )
         train, test = two_class_separable()
         teacher, _ = train_teacher(train, test, small_cfg(epochs=1))
         _, log = train_student(train, test, teacher, cfg)
-        _, expected = train_student(train, test, teacher, small_cfg(loss="bkd", epochs=4, defer_epoch=2))
+        _, expected = train_student(train, test, teacher, small_cfg(loss="bkd", epochs=4))
         assert metrics_to_csv(log) == metrics_to_csv(expected)
 
     def test_empty_test_split_refused_before_training(self, monkeypatch):
@@ -380,30 +378,6 @@ class TestTrainStudent:
         before = params_to_bytes(teacher)
         train_student(train, test, teacher, small_cfg(loss="bkd", epochs=4))
         assert params_to_bytes(teacher) == before
-
-    def test_defer_epoch_switches_loss(self, monkeypatch):
-        train, test = two_class_separable()
-        teacher, _ = train_teacher(train, test, small_cfg(epochs=3))
-        cfg = small_cfg(loss="bkd", epochs=4, defer_epoch=2)
-        batches_per_epoch = math.ceil(len(train) / cfg.batch_size)
-        batches = BatchRecorder(monkeypatch, teacher)
-        train_student(train, test, teacher, cfg)
-        per_epoch_first_batch = batches.take_losses()[::batches_per_epoch]
-
-        # identical to a pure-kd run until the switch, different from it after
-        cfg_kd = small_cfg(loss="kd", epochs=4)
-        train_student(train, test, teacher, cfg_kd)
-        kd_first_batch = batches.take_losses()[::batches_per_epoch]
-        assert len(per_epoch_first_batch) == len(kd_first_batch) == cfg.epochs
-        assert per_epoch_first_batch[0] == kd_first_batch[0]
-        assert per_epoch_first_batch[1] == kd_first_batch[1]
-        assert per_epoch_first_batch[2] != kd_first_batch[2]
-
-    def test_defer_epoch_validation(self):
-        with pytest.raises(ValueError):
-            small_cfg(loss="kd", defer_epoch=2)
-        with pytest.raises(ValueError):
-            small_cfg(loss="bkd", defer_epoch=8)
 
     def test_teacher_class_count_mismatch_rejected(self):
         train, test = two_class_separable()
@@ -521,13 +495,13 @@ class TestTemperatureSweep:
         else:
             test = LabeledDataset(np.hstack([test.features, test.features[:, :1]]), test.labels, test.num_classes)
             message = f"train/test feature dimensions differ: {train.dimension} vs {train.dimension + 1}"
-        epochs, epoch_objective = [], pipeline._epoch_objective
+        epochs, lr_at = [], pipeline.lr_at
 
-        def counting(train_cfg, epoch, *args):
+        def counting(schedule, epoch, *args):
             epochs.append(epoch)
-            return epoch_objective(train_cfg, epoch, *args)
+            return lr_at(schedule, epoch, *args)
 
-        monkeypatch.setattr(pipeline, "_epoch_objective", counting)
+        monkeypatch.setattr(pipeline, "lr_at", counting)
         with pytest.raises(ValueError) as info:
             temperature_sweep(train, test, teacher, cfg, SWEEP_TEMPS)
         assert str(info.value) == message
@@ -574,14 +548,11 @@ class TestTeacherTargetCache:
         train_student(train, test, teacher, cfg)
         assert len(batches) == cfg.epochs * math.ceil(len(train) / cfg.batch_size)
 
-    @pytest.mark.parametrize(
-        "loss, defer_epoch, builds",
-        [("ce", None, 0), ("cb", None, 0), ("kd", None, 1), ("bkd", None, 1), ("bkd", 2, 2)],
-    )
-    def test_teacher_forwarded_once_per_row_in_batch_sized_chunks(self, loss, defer_epoch, builds, monkeypatch):
+    @pytest.mark.parametrize("loss, builds", [("ce", 0), ("cb", 0), ("kd", 1), ("bkd", 1)])
+    def test_teacher_forwarded_once_per_row_in_batch_sized_chunks(self, loss, builds, monkeypatch):
         train, test = two_class_separable()
         teacher, _ = train_teacher(train, test, small_cfg(epochs=3))
-        cfg = small_cfg(loss=loss, epochs=4, defer_epoch=defer_epoch)
+        cfg = small_cfg(loss=loss, epochs=4)
         teacher_rows = count_teacher_rows(monkeypatch, teacher)
         train_student(train, test, teacher, cfg)
         assert sum(teacher_rows) == builds * len(train)
@@ -641,17 +612,8 @@ class TestChunkedTargets:
         train, teacher = inputs
         assert len(train) == 153
         cfg = small_cfg(loss=loss, batch_size=batch_size)
-        built = pipeline._epoch_objective(cfg, 0, teacher, train, {})
+        built = pipeline._objective(cfg, teacher, train)
         self.assert_same_objective(built, whole_matrix_objective(cfg, loss, teacher, train))
-
-    def test_targets_equal_the_whole_matrix_build_across_a_deferred_switch(self, inputs):
-        train, teacher = inputs
-        cfg = small_cfg(loss="bkd", batch_size=40, epochs=4, defer_epoch=2)
-        objectives = {}
-        built = [pipeline._epoch_objective(cfg, epoch, teacher, train, objectives) for epoch in range(4)]
-        assert built[0] is built[1] is objectives["kd"] and built[2] is built[3] is objectives["bkd"]
-        self.assert_same_objective(built[0], whole_matrix_objective(cfg, "kd", teacher, train))
-        self.assert_same_objective(built[2], whole_matrix_objective(cfg, "bkd", teacher, train))
 
     @pytest.mark.parametrize("chunk", [0, -1], ids=["first-chunk", "last-chunk"])
     def test_non_finite_teacher_logits_in_any_chunk_refused(self, inputs, chunk, monkeypatch):
@@ -669,7 +631,7 @@ class TestChunkedTargets:
 
         monkeypatch.setattr(pipeline, "forward", overflowing_forward)
         with pytest.raises(ValueError) as info:
-            pipeline._epoch_objective(cfg, 0, teacher, train, {})
+            pipeline._objective(cfg, teacher, train)
         assert str(info.value) == "the teacher gives non-finite logits on the training split"
         assert len(calls) == bad + 1
 
@@ -683,7 +645,7 @@ class TestFloat32Training:
         train, test = two_class_separable()
         teacher, _ = train_teacher(train, test, small_cfg(epochs=1))
         for model in (teacher, teacher.astype(np.float64)):  # a library caller's teacher may be float64
-            objective = pipeline._epoch_objective(small_cfg(loss=loss), 0, model, train, {})
+            objective = pipeline._objective(small_cfg(loss=loss), model, train)
             for array in (objective.ce_weights, objective.targets):
                 assert array is None or array.dtype == np.float32
 
@@ -704,7 +666,7 @@ class TestFloat32Training:
         monkeypatch.setattr(pipeline, "objective_loss_batch", kernel)
         monkeypatch.setattr(pipeline, "sgd_momentum_step", step)
         path = str(tmp_path / "student.ckpt")
-        params, _ = train_student(train, test, teacher, small_cfg(loss="bkd", epochs=3, defer_epoch=1), out_ckpt=path)
+        params, _ = train_student(train, test, teacher, small_cfg(loss="bkd", epochs=3), out_ckpt=path)
         assert seen == {np.dtype(np.float32)}
         state = read_checkpoint(path)
         assert params.flat.dtype == state.params.flat.dtype == state.vel.flat.dtype == np.float32
@@ -761,15 +723,20 @@ class TestCheckpointResume:
         resumed_params, _ = train_student(train, test, teacher, cfg, resume_from=ckpt)
         assert params_to_bytes(resumed_params) == params_to_bytes(full_params)
 
-    def test_student_resume_across_deferred_switch(self, tmp_path):
-        # stop in the kd phase, resume through the switch to bkd
+    def test_resumed_student_builds_its_objective_again(self, tmp_path, monkeypatch):
+        # each run builds the objective it trains, so a run stopped after
+        # one epoch and its resumption each forward the teacher over every
+        # training row once, and together train the uninterrupted run
         train, test = two_class_separable()
         teacher, _ = train_teacher(train, test, small_cfg(epochs=3))
-        cfg = small_cfg(loss="bkd", epochs=4, defer_epoch=2)
+        cfg = small_cfg(loss="bkd", epochs=4)
         full_params, full_log = train_student(train, test, teacher, cfg)
         ckpt = str(tmp_path / "mid.ckpt")
+        teacher_rows = count_teacher_rows(monkeypatch, teacher)
         train_student(train, test, teacher, cfg, out_ckpt=ckpt, stop_after_epoch=1)
+        assert sum(teacher_rows) == len(train)
         resumed_params, resumed_log = train_student(train, test, teacher, cfg, resume_from=ckpt)
+        assert sum(teacher_rows) == 2 * len(train)
         assert params_to_bytes(resumed_params) == params_to_bytes(full_params)
         assert metrics_to_csv(resumed_log) == metrics_to_csv(full_log)
 
@@ -1120,7 +1087,7 @@ class TestCheckpointResume:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("stop", [0, 3, None], ids=["0-epoch", "stopped", "finished"])
-    @pytest.mark.parametrize("role", ["ce-teacher", "bkd-deferred-student"])
+    @pytest.mark.parametrize("role", ["ce-teacher", "bkd-student"])
     def test_rewriting_a_read_checkpoint_reproduces_its_bytes(self, tmp_path, role, stop):
         # a RunState holds everything the file holds, and its epoch is the
         # length of its log
@@ -1130,7 +1097,7 @@ class TestCheckpointResume:
             train_teacher(train, test, small_cfg(epochs=4), out_ckpt=a, stop_after_epoch=stop)
         else:
             teacher, _ = train_teacher(train, test, small_cfg(epochs=3))
-            cfg = small_cfg(loss="bkd", epochs=4, defer_epoch=2)
+            cfg = small_cfg(loss="bkd", epochs=4)
             train_student(train, test, teacher, cfg, out_ckpt=a, stop_after_epoch=stop)
         state = read_checkpoint(a)
         assert state.epoch == len(state.log_rows) == (4 if stop is None else stop)
@@ -1191,11 +1158,11 @@ class TestCheckpointResume:
                 assert fh.read() == _reference_checkpoint(state)
 
     def test_mid_run_student_checkpoint_has_the_reference_bytes(self, tmp_path):
-        # stopped in the bkd phase of a deferred student: a moved stream, a
-        # nonzero velocity and three logged epochs
+        # a bkd student stopped mid-run: a moved stream, a nonzero velocity
+        # and three logged epochs
         train, test = two_class_separable()
         teacher, _ = train_teacher(train, test, small_cfg(epochs=3))
-        cfg = small_cfg(loss="bkd", epochs=5, defer_epoch=1)
+        cfg = small_cfg(loss="bkd", epochs=5)
         path = str(tmp_path / "mid.ckpt")
         train_student(train, test, teacher, cfg, out_ckpt=path, stop_after_epoch=3)
         state = read_checkpoint(path)
@@ -1255,17 +1222,17 @@ class TestCheckpointResume:
     def test_numpy_integer_config_has_the_python_integer_digest_and_resumes(self, tmp_path):
         # a numpy integer once rendered as a string in the digest, so a
         # checkpoint written under one config was refused under its equal
-        python_ints = small_cfg(loss="bkd", epochs=4, defer_epoch=2, hidden_dims=[12])
+        python_ints = small_cfg(loss="bkd", epochs=4, hidden_dims=[12])
         numpy_ints = small_cfg(
             loss="bkd", epochs=np.int64(4), batch_size=np.int32(16), seed=np.int64(3),
-            defer_epoch=np.int64(2), hidden_dims=np.array([12]), many_thresh=np.int64(100), few_thresh=np.int16(20),
+            hidden_dims=np.array([12]), many_thresh=np.int64(100), few_thresh=np.int16(20),
         )
         assert numpy_ints == python_ints
         assert type(numpy_ints.epochs) is int and numpy_ints.hidden_dims == (12,)
-        # pinned: configs of Python ints keep their digest bytes, so the
-        # checkpoints written before numpy integers were normalized resume
-        assert config_digest(numpy_ints).hex() == "f3cfb11423e0d4a516237b1a3c22df431cac545d20724b45dd83a55798f8462d"
-        assert config_digest(small_cfg()).hex() == "1b023586d02e99a92a2659288c2919acd09bbe5061f05243192aa722f3a595c2"
+        # pinned: the sha256 of the JSON of each config's fields, its
+        # numbers rendered as Python ints and floats
+        assert config_digest(numpy_ints).hex() == "2468a024d49ce6c07c8509680ce75c0983545dcd2bf4bee6df909d02a6644f3c"
+        assert config_digest(small_cfg()).hex() == "84f97c56f386d209638308d50672e7da483eb020da6b5a79e0cdca183d3b85e3"
         train, test = two_class_separable()
         teacher, _ = train_teacher(train, test, small_cfg(epochs=3))
         full_params, _ = train_student(train, test, teacher, numpy_ints)
