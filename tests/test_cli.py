@@ -290,6 +290,24 @@ class TestTrain:
         losses = [float(r.split(",")[1]) for r in rows]
         assert all(np.isfinite(losses))
 
+    def test_teacher_of_a_kd_config_is_that_of_the_ce_config(self, tmp_path):
+        # the teacher drops the student's loss and distillation settings, so
+        # its checkpoint equals that of the ce config; the kd config then
+        # trains a student and sweeps temperatures against it
+        data_dir = tmp_path / "data"
+        plain = write_config(tmp_path / "ce.cfg", loss="ce", epochs=3, data_dir=data_dir, out_dir=tmp_path / "ce")
+        cfg = write_config(
+            tmp_path / "kd.cfg", loss="kd", alpha=0.25, temperature=3.0, epochs=3,
+            data_dir=data_dir, out_dir=tmp_path / "out",
+        )
+        assert run("make-data", "--config", cfg) == 0
+        assert run("train", "--config", cfg, "--role", "teacher") == 0
+        assert run("train", "--config", plain, "--role", "teacher") == 0
+        teacher = tmp_path / "out" / "teacher.ckpt"
+        assert teacher.read_bytes() == (tmp_path / "ce" / "teacher.ckpt").read_bytes()
+        assert run("train", "--config", cfg, "--role", "student", "--teacher", teacher) == 0
+        assert run("sweep-temp", "--config", cfg, "--temps", 2, "--teacher", teacher) == 0
+
     def test_library_resumes_the_teacher_checkpoint_under_the_same_config_file(self, tmp_path):
         # the library once resolved the file to its student config and
         # refused the teacher's checkpoint as "written under a different

@@ -628,6 +628,21 @@ class TestLabeledDataset:
                 LabeledDataset(features, np.zeros(len(features), np.int64), 1)
         assert str(info.value) == f"features must be an (N, d) matrix of finite reals within float32's range, got {got}"
 
+    @pytest.mark.parametrize(
+        "features, got",
+        [
+            (np.float64([[0.0, 0.0, 0.0], [0.0, 0.0, -1e39], [np.nan, 0.0, 0.0]]), "-1e+39 at row 1, column 2"),
+            (np.float32([[0.0, 0.0], [0.0, np.inf], [np.nan, np.nan]]), "inf at row 1, column 1"),
+            ([[0.0, 1.0], [2.0, 3.0], [4.0, float("nan")]], "nan at row 2, column 1"),
+        ],
+        ids=["float64-beyond-float32", "float32-infinity", "list-nan"],
+    )
+    def test_first_refused_entry_in_row_major_order_named(self, features, got):
+        # an earlier row wins over a later one, whatever the entries' kinds
+        with pytest.raises(ValueError) as info:
+            LabeledDataset(features, np.zeros(len(features), np.int64), 1)
+        assert str(info.value) == f"features must be an (N, d) matrix of finite reals within float32's range, got {got}"
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bad_entry_of_a_large_split_named_in_a_short_message(self, dtype):
         # numpy's summarized repr of the whole matrix once stood here: 708

@@ -558,6 +558,28 @@ class TestTeacherTargetCache:
         assert sum(teacher_rows) == builds * len(train)
         assert max(teacher_rows, default=0) <= cfg.batch_size
 
+    @pytest.mark.parametrize("loss", ["ce", "cb", "kd", "bkd"])
+    def test_each_run_builds_its_objective_once_before_its_first_epoch(self, loss, monkeypatch):
+        # a run trains one objective: built once, before the first epoch's
+        # rate is read, and never again in the epochs that follow
+        train, test = two_class_separable()
+        teacher, _ = train_teacher(train, test, small_cfg(epochs=3))
+        cfg = small_cfg(loss=loss, epochs=4)
+        calls, build, rate = [], pipeline._objective, pipeline.lr_at
+
+        def counting_build(*args):
+            calls.append("build")
+            return build(*args)
+
+        def counting_rate(*args):
+            calls.append("epoch")
+            return rate(*args)
+
+        monkeypatch.setattr(pipeline, "_objective", counting_build)
+        monkeypatch.setattr(pipeline, "lr_at", counting_rate)
+        train_student(train, test, teacher, cfg)
+        assert calls == ["build"] + ["epoch"] * cfg.epochs
+
     def test_zero_epoch_run_never_forwards_teacher(self, monkeypatch, tmp_path):
         train, test = two_class_separable()
         teacher, _ = train_teacher(train, test, small_cfg(epochs=3))
