@@ -34,6 +34,7 @@ from .pipeline import (
     MetricRow,
     RunState,
     TrainConfig,
+    open_run,
     read_checkpoint,
     temperature_sweep,
     train_student,

@@ -33,11 +33,11 @@ from .pipeline import (
     check_splits,
     check_sweep_config,
     metrics_to_csv,
+    open_run,
     read_checkpoint,
     teacher_config,
     temperature_sweep,
-    train_student,
-    train_teacher,
+    write_checkpoint,
 )
 
 EXIT_OK = 0
@@ -175,13 +175,15 @@ def cmd_train(args):
         },
     )
 
-    if teacher is None:
-        params, log = train_teacher(train, test, tcfg, out_ckpt=paths["checkpoint"])
-    else:
-        params, log = train_student(train, test, teacher, tcfg, out_ckpt=paths["checkpoint"])
-
-    _write(paths["metric log"], metrics_to_csv(log))
-    _, report = _score(params, train, test, tcfg)
+    state, epochs = open_run(train, test, tcfg, teacher)
+    report = None
+    for report in epochs:
+        pass
+    write_checkpoint(paths["checkpoint"], state)
+    _write(paths["metric log"], metrics_to_csv(state.log_rows))
+    # the last epoch scored the final model; a run of no epoch scores it here
+    if report is None:
+        _, report = _score(state.params, train, test, tcfg)
     _write(paths["report"], evaluate.report_to_json(report))
     subset_bits = ", ".join(
         f"{name}={getattr(report, name):.4f}"

@@ -3,26 +3,31 @@
 Phase one trains the teacher with plain cross-entropy, under the
 ``teacher_config`` of whatever config it is given. Phase two trains the
 student against the frozen teacher: the student minimizes the configured
-loss for the whole run. A run trains one ``losses.Objective``, and every
-minibatch makes one call of the one kernel ``losses.objective_loss_batch``,
-whatever the loss. The teacher and the class weights are fixed for the
-whole run, so a run that trains an epoch builds its objective once, before
-the first: a distillation kind builds its (N, C) target matrix one
+loss for the whole run. Both phases run the one epoch loop: ``open_run``
+makes a run's refusals and state and returns a generator that trains one
+epoch per step and yields its ``EvalReport``; ``train_teacher`` and
+``train_student`` run it to its end. A run trains one
+``losses.Objective``, and every minibatch makes one call of the one kernel
+``losses.objective_loss_batch``, whatever the loss. The teacher and the class weights are fixed for the
+whole run, so a run that trains an epoch builds its objective once, in the
+first: a distillation kind builds its (N, C) target matrix one
 ``batch_size``-row chunk at a time (teacher forward, softmax, targets), and
 every minibatch gathers its rows from it.
 The class weights come from the training-split counts: ``cb`` scales them to
 sum to the number of classes (``weights.normalize_weights``), ``bkd`` uses
 them as they are, since their scale cancels in the balanced targets. Every
 epoch scores the test split through one set of per-layer (n_test, width)
-buffers that the run allocates up front, so the per-epoch evaluation
-allocates no layer-sized array; the buffers live for one ``_run`` call.
+buffers that ``open_run`` allocates up front, so the per-epoch evaluation
+allocates no layer-sized array; the buffers live as long as the run's
+generator.
 Each epoch ends in the one divergence rule: a non-finite loss sum, then
 non-finite test logits, raise ``training diverged: non-finite loss`` (or
-``test logits``) ``at epoch <e>``. The objective's build and the epochs run
-in one numpy error scope that keeps overflow, division by zero (a
-temperature that rounds to 0 in float32) and invalid values quiet, so that
-line, or the build's refusal of a teacher's non-finite logits, is all a
-diverging run prints.
+``test logits``) ``at epoch <e>``. Each epoch's work, the objective's build
+included, runs in its own numpy error scope that keeps every floating-point
+error quiet (division by zero is a temperature that rounds to 0 in
+float32), so that line, or the build's refusal of a teacher's non-finite
+logits, is all a diverging run prints. The scope closes before each yield,
+so between epochs the caller's own error state holds.
 ``temperature_sweep`` trains one such student per temperature, one after
 another in the calling process.
 
@@ -360,13 +365,22 @@ def _objective(cfg, teacher, train):
     return replace(objective, ce_weights=rounded(objective.ce_weights), targets=rounded(objective.targets))
 
 
-def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
+def open_run(train, test, cfg, teacher=None, *, resume_from=None):
+    """A run of ``cfg`` as ``(state, epochs)``: its ``RunState``, fresh or
+    resumed from the checkpoint ``resume_from``, and a generator that
+    trains the remaining epochs one per ``next()``, logs each to
+    ``state.log_rows`` and yields its ``EvalReport`` on ``test``. Without a
+    ``teacher`` the run is a teacher's, under ``teacher_config(cfg)``.
+    Every refusal comes here, before any epoch: a teacher that does not fit,
+    a split pair, or a checkpoint of another config or model. To stop
+    early, take k epochs and ``write_checkpoint`` the state."""
+    if teacher is None:
+        cfg = teacher_config(cfg)
+    else:
+        check_model_fits(teacher, train, "teacher", "the data")
     check_splits(train, test)
-    if stop_after_epoch is not None:
-        stop_after_epoch = check_int(stop_after_epoch, "stop_after_epoch", 0)
     dims = (train.dimension, *cfg.hidden_dims, train.num_classes)
     digest = config_digest(cfg)
-    tags = subset_tags(train.class_counts, cfg.many_thresh, cfg.few_thresh)
     # every epoch scores the test split into these, and every minibatch
     # writes its gradients into pgrads; on the wide-batch benchmark shape,
     # allocating the evaluation buffers before the parameters gave a lower
@@ -383,16 +397,18 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
     else:
         params = init_mlp(dims, cfg.seed).astype(RUN_DTYPE)
         state = RunState(params, MlpParams.zeros(dims, RUN_DTYPE), Rng(derive_seed(cfg.seed, 1)), [], digest)
+    return state, _epochs(train, test, cfg, teacher, state, eval_out, pgrads)
 
+
+def _epochs(train, test, cfg, teacher, state, eval_out, pgrads):
+    """The epoch loop of ``open_run``; its error scope closes before each yield."""
     N = len(train)
-    # a resumed run never ends before the epoch it resumed at
-    end_epoch = cfg.epochs if stop_after_epoch is None else max(state.epoch, min(cfg.epochs, stop_after_epoch))
-
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # a run that trains no epoch forwards no teacher row
-        if state.epoch < end_epoch:
-            objective = _objective(cfg, teacher, train)
-        for epoch in range(state.epoch, end_epoch):
+    tags = subset_tags(train.class_counts, cfg.many_thresh, cfg.few_thresh)
+    objective = None  # a run that trains no epoch forwards no teacher row
+    for epoch in range(state.epoch, cfg.epochs):
+        with np.errstate(all="ignore"):
+            if objective is None:
+                objective = _objective(cfg, teacher, train)
             lr = lr_at(cfg.schedule, epoch, cfg.epochs)
             order = state.rng.permutation(N)
             loss_sum = 0.0
@@ -417,7 +433,15 @@ def _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch):
             state.log_rows.append(
                 MetricRow(epoch, loss_sum / N, lr, report.overall, report.many, report.medium, report.few)
             )
+        yield report
 
+
+def _train(run, out_ckpt):
+    """Run ``open_run``'s ``run`` to its end, commit its state to
+    ``out_ckpt`` if one is given, and return ``(params, log)``."""
+    state, epochs = run
+    for _ in epochs:
+        pass
     if out_ckpt is not None:
         write_checkpoint(out_ckpt, state)
     return state.params, state.log_rows
@@ -431,17 +455,17 @@ def teacher_config(cfg):
     return replace(cfg, loss="ce", kd=KDConfig(), bkd=BKDConfig())
 
 
-def train_teacher(train, test, cfg, *, out_ckpt=None, resume_from=None, stop_after_epoch=None):
+def train_teacher(train, test, cfg, *, out_ckpt=None, resume_from=None):
     """Phase one: minibatch SGD under ``teacher_config(cfg)``, so plain
     cross-entropy whatever cfg.loss says, and one config file serves the
     teacher and its students. A checkpoint's digest covers the teacher's
     config, so any ``cfg`` that gives the same ``teacher_config`` writes
     the same bytes and resumes it, whatever its loss and distillation
     settings."""
-    return _run(train, test, teacher_config(cfg), None, out_ckpt, resume_from, stop_after_epoch)
+    return _train(open_run(train, test, cfg, resume_from=resume_from), out_ckpt)
 
 
-def train_student(train, test, teacher, cfg, *, out_ckpt=None, resume_from=None, stop_after_epoch=None):
+def train_student(train, test, teacher, cfg, *, out_ckpt=None, resume_from=None):
     """Phase two: train against frozen teacher predictions.
 
     cfg.loss picks the objective, which every epoch trains; "ce"/"cb" are
@@ -450,8 +474,7 @@ def train_student(train, test, teacher, cfg, *, out_ckpt=None, resume_from=None,
     """
     if teacher is None:
         raise ValueError("student training requires a teacher model")
-    check_model_fits(teacher, train, "teacher", "the data")
-    return _run(train, test, cfg, teacher, out_ckpt, resume_from, stop_after_epoch)
+    return _train(open_run(train, test, cfg, teacher, resume_from=resume_from), out_ckpt)
 
 
 def check_sweep_config(cfg):

@@ -32,6 +32,7 @@ from longtail_kd.mathutils import Rng, softmax_with_temperature
 from longtail_kd.mlp import LrSchedule, backward, forward, init_mlp, params_to_bytes
 from longtail_kd.pipeline import TrainConfig, metrics_to_csv, train_student, train_teacher
 from longtail_kd.weights import effective_number_weights
+from test_pipeline import stop_after
 
 
 def _report(name, ok, detail=""):
@@ -273,10 +274,10 @@ def test_criterion_07_float64_twin(monkeypatch):
     for (seed, loss), (_, log) in runs.items():
         train, test = _desk_data(seed)
         if loss == "ce":
-            _, twin = train_teacher(train, test, _desk_cfg(loss, seed), stop_after_epoch=TWIN_EPOCHS)
+            _, twin = stop_after(TWIN_EPOCHS, train, test, _desk_cfg(loss, seed))
         else:
             teacher = runs[seed, "ce"][0]
-            _, twin = train_student(train, test, teacher, _desk_cfg(loss, seed), stop_after_epoch=TWIN_EPOCHS)
+            _, twin = stop_after(TWIN_EPOCHS, train, test, _desk_cfg(loss, seed), teacher)
         assert len(twin) == TWIN_EPOCHS
         gaps.setdefault(loss, []).append([abs(a.loss - b.loss) / b.loss for a, b in zip(twin, log)])
     targets = [o.targets for o in objectives if o.targets is not None]
@@ -451,7 +452,7 @@ def test_criterion_09_determinism(tmp_path):
     )
     full_params, full_log = train_teacher(train, test, cfg)
     ckpt = str(tmp_path / "mid.ckpt")
-    train_teacher(train, test, cfg, out_ckpt=ckpt, stop_after_epoch=4)
+    stop_after(4, train, test, cfg, out_ckpt=ckpt)
     resumed_params, resumed_log = train_teacher(train, test, cfg, resume_from=ckpt)
     resume_exact = params_to_bytes(resumed_params) == params_to_bytes(full_params) and metrics_to_csv(
         resumed_log

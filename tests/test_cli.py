@@ -15,7 +15,7 @@ from longtail_kd.mathutils import Rng
 from longtail_kd.mlp import MlpParams, init_mlp, params_to_bytes
 from longtail_kd.pipeline import TrainConfig
 from test_data import _reference_csv
-from test_pipeline import OVERFLOWING_EVALUATION, write_checkpoint_with_bad_width
+from test_pipeline import OVERFLOWING_EVALUATION, count_epochs, write_checkpoint_with_bad_width
 
 
 def run(*args):
@@ -211,18 +211,12 @@ class TestTrain:
         # file it is written to, once trained every epoch, then failed on
         # the rename or the open with out/resolved_config.txt left behind
         tmp, cfg, _, out_dir = workspace
-        epochs, lr_at = [], pipeline.lr_at
-
-        def counting(schedule, epoch, *args):
-            epochs.append(epoch)
-            return lr_at(schedule, epoch, *args)
-
-        monkeypatch.setattr(pipeline, "lr_at", counting)
+        epochs = count_epochs(monkeypatch)
         assert run("make-data", "--config", cfg) == 0
         teacher = []
         if role == "student":
             assert run("train", "--config", cfg, "--role", "teacher") == 0
-            assert epochs == list(range(6))  # the counter sees every epoch
+            assert len(epochs) == 6  # the counter sees every epoch
             epochs.clear()
             teacher = ["--teacher", tmp / "teacher.ckpt"]
             shutil.move(out_dir / "teacher.ckpt", teacher[1])
@@ -237,6 +231,29 @@ class TestTrain:
         assert epochs == []
         assert os.listdir(out_dir) == [adir.name]
         assert os.listdir(adir) == []
+
+    @pytest.mark.parametrize("role", ["teacher", "student"])
+    def test_each_model_is_scored_once_and_the_last_epoch_is_the_report(self, tmp_path, work, role):
+        # train once predicted the test split again after its last epoch,
+        # on the parameters that epoch had just scored
+        args, out_dir = planned_run(tmp_path, role)
+        for calls in work.values():
+            calls.clear()
+        assert run(*args) == 0
+        assert len(work["epochs"]) == len(work["predictions"]) == 6
+        assert (out_dir / f"{role}_report.json").read_text() == evaluate.report_to_json(work["epochs"][-1])
+
+    def test_teacher_of_no_epoch_reports_what_eval_reports(self, tmp_path, work):
+        # no epoch scored the model, so train scores it itself, once
+        data_dir, out_dir = tmp_path / "data", tmp_path / "out"
+        cfg = write_config(tmp_path / "zero.cfg", epochs=0, data_dir=data_dir, out_dir=out_dir)
+        assert run("make-data", "--config", cfg) == 0
+        assert run("train", "--config", cfg, "--role", "teacher") == 0
+        assert work["epochs"] == []
+        assert len(work["predictions"]) == 1
+        assert (out_dir / "teacher_metrics.csv").read_text() == pipeline.METRIC_HEADER + "\n"
+        assert run("eval", "--ckpt", out_dir / "teacher.ckpt", "--data", data_dir / "test.csv", "--config", cfg) == 0
+        assert (out_dir / "teacher_report.json").read_bytes() == (out_dir / "eval_report.json").read_bytes()
 
     def test_non_finite_test_logits_exit_2_with_no_artifact(self, tmp_path, capsys):
         # the run once exited 0, printing accuracies of argmax classes made
@@ -696,11 +713,10 @@ def _tree(root):
 
 @pytest.fixture
 def work(monkeypatch):
-    """The work commands start, by kind: epochs trained (``pipeline.lr_at`` calls),
-    dataset chunks formatted and predictions made."""
-    calls = {}
+    """The work commands start, by kind: epochs trained (the records the
+    epoch loop yields), dataset chunks formatted and predictions made."""
+    calls = {"epochs": count_epochs(monkeypatch)}
     for kind, module, name in [
-        ("epochs", pipeline, "lr_at"),
         ("formatted", data, "_format_rows"),
         ("predictions", evaluate, "predict"),
     ]:

@@ -18,7 +18,6 @@ from longtail_kd.losses import kd_loss, softmax_rows
 from longtail_kd.mathutils import Rng, check_int, check_int_array, check_real, check_real_array, is_real
 from longtail_kd.mathutils import softmax_with_temperature
 from longtail_kd.mlp import LrSchedule, MlpParams, init_mlp, sgd_momentum_step
-from longtail_kd.pipeline import metrics_to_csv, train_teacher
 from longtail_kd.weights import effective_number_weights, normalize_weights
 from test_pipeline import small_cfg
 
@@ -58,9 +57,6 @@ INTS = {
     "confusion_matrix num_classes": (lambda v: confusion_matrix([0, 1], [0, 1], v).tolist(), 2),
     "Rng.uniform size": (lambda v: Rng(1).uniform((2, v)).tolist(), 3),
     "Rng.normal size": (lambda v: Rng(1).normal(v).tolist(), 3),
-    "train_teacher stop_after_epoch": (
-        lambda v: metrics_to_csv(train_teacher(*_synth(), small_cfg(epochs=3), stop_after_epoch=v)[1]), 2
-    ),
 }
 
 # entry point -> (what it stores for a value, a valid fractional real, a
@@ -226,7 +222,6 @@ def test_real_array_argument_takes_any_integer_or_float_dtype_as_the_float64_it_
         pytest.param(lambda: distill_grad_formula([1, 0], [0, 1], 0, math.nan, 1, 2), id="ce_coef nan"),
         pytest.param(lambda: distill_grad_formula([1, 0], [0, 1], 0, 1, math.inf, 2), id="kl_coef inf"),
         pytest.param(lambda: confusion_matrix([0, 1], [0, 1], 0), id="confusion_matrix num_classes 0"),
-        pytest.param(lambda: train_teacher(*_synth(), small_cfg(), stop_after_epoch=-1), id="stop_after_epoch -1"),
     ],
 )
 def test_real_or_count_outside_its_range_is_refused(call):
