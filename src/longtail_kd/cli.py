@@ -17,7 +17,7 @@ import sys
 from . import evaluate
 from .config import ConfigError, imbalance_profile, parse_config, render_config, train_config
 from .data import (
-    SIDECAR_SUFFIX,
+    SPLIT_SUFFIX,
     check_output,
     load_dataset,
     make_longtail_counts,
@@ -45,7 +45,8 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
 
-# the files of a data directory's two splits
+# the names of a data directory's two splits, each saved as its
+# ``<name>.bin`` file
 TRAIN_SPLIT, TEST_SPLIT = "train.csv", "test.csv"
 
 
@@ -126,20 +127,17 @@ def cmd_make_data(args):
         train, test = synth_gaussian_mixture(
             counts, cfg["d"], cfg["separation"], cfg["data_seed"], cfg["per_class_test"]
         )
-    # save_dataset commits each split's sidecar next to it
     paths = _prepare_out(
         cfg,
         "data_dir",
         {
-            "train split": TRAIN_SPLIT,
-            "train split sidecar": TRAIN_SPLIT + SIDECAR_SUFFIX,
-            "test split": TEST_SPLIT,
-            "test split sidecar": TEST_SPLIT + SIDECAR_SUFFIX,
+            "train split": TRAIN_SPLIT + SPLIT_SUFFIX,
+            "test split": TEST_SPLIT + SPLIT_SUFFIX,
             "class counts": "counts.csv",
         },
     )
-    save_dataset(train, paths["train split"])
-    save_dataset(test, paths["test split"])
+    save_dataset(train, os.path.join(cfg["data_dir"], TRAIN_SPLIT))
+    save_dataset(test, os.path.join(cfg["data_dir"], TEST_SPLIT))
     lines = ["class,count"] + [f"{c},{int(n)}" for c, n in enumerate(counts)]
     _write(paths["class counts"], "\n".join(lines) + "\n")
     print(f"wrote {len(train)} train / {len(test)} test samples to {cfg['data_dir']}")
@@ -273,7 +271,7 @@ def build_parser():
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset file")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", required=True)
+    p.add_argument("--data", required=True, help="the split to score, such as data/test.csv, read from its .bin file")
     p.add_argument("--config", required=True)
     p.set_defaults(fn=cmd_eval)
 

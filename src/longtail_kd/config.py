@@ -91,7 +91,7 @@ KEY_SPECS = {
     "many_thresh": (_TRAIN.many_thresh, int, "class counts above this are many-shot"),
     "few_thresh": (_TRAIN.few_thresh, int, "class counts below this are few-shot"),
     # paths
-    "data_dir": ("data", _parse_path, "directory holding train.csv/test.csv, their .bin sidecars and counts.csv"),
+    "data_dir": ("data", _parse_path, "directory of counts.csv and the splits train.csv, test.csv (as .bin files)"),
     "out_dir": ("out", _parse_path, "directory for run outputs"),
 }
 

@@ -1,5 +1,5 @@
 """Long-tailed dataset construction, synthesis, subset tagging, and the
-on-disk CSV format.
+on-disk format of a split.
 
 Train splits follow an imbalance profile; test splits are always balanced.
 Counts, dimensions and labels go through the number rules of ``mathutils``
@@ -12,36 +12,26 @@ its rows, rounding each value once, and ``LabeledDataset`` checks a float32
 matrix in place (a matrix of any other dtype it checks as reals and rounds
 once).
 
-On disk a dataset is a pair of files. ``<path>`` is a ``longtail-csv v2``
-text file, the human-readable form: its float32 features are each written
-as ``format(x, "+.8e")``, nine significant digits, as many as any float32
-needs to parse back to its own bits. ``save_dataset`` formats the rows in
-this process, one 1024-row chunk at a time through ``_format_cells``, which
-gathers each 16-byte cell as four 4-byte words from small tables of text
-built on the first save, and it hashes the CSV as it writes it. Its
-``longtail-bin v3`` sidecar ``<path>.bin`` states the whole split: the
-magic, the sha256 of the CSV bytes, N, d and C (int64), N int64 labels, N*d
+On disk a split is one ``longtail-bin v4`` file, ``<path>.bin`` for the
+split named ``<path>``: the magic, N, d and C (int64), N int64 labels, N*d
 row-major float32 features and a sha256 trailer over all of that, every
-number little-endian. Each file is committed through ``open_output``, so a
-failed save leaves no temporary file behind and a previous dataset at the
-same path untouched, and a save killed while it formats leaves only the
-CSV's temporary file.
+number little-endian. ``save_dataset`` writes the split's own arrays, so a
+save holds nothing split-sized beyond them, and commits the file through
+``open_output``, so a failed save leaves no temporary file behind and a
+previous dataset at the same path untouched.
 
-``load_dataset`` reads the split from the sidecar alone. It opens the CSV
-only to hash it, and refuses, naming the file and "rerun make-data", a
-missing sidecar, one of another format, one whose size does not fit N and
-d, whose C or d is below 1, whose trailer does not verify, or whose
-recorded CSV digest is not that of the CSV beside it. It hands
-``LabeledDataset`` the float32 matrix it read, which it keeps, so a load
-holds its features once.
+``load_dataset`` opens that file alone, through ``open_input``, and refuses,
+naming the file and "rerun make-data", one that is missing or cannot be
+opened, one of another format (an older ``longtail-bin`` among them), one
+whose size does not fit N and d, whose C or d is below 1, or whose trailer
+does not verify. It hands ``LabeledDataset`` the float32 matrix it read,
+which it keeps, so a load holds its features once.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
-import itertools
 import math
 import os
 import struct
@@ -52,29 +42,14 @@ import numpy as np
 from .mathutils import Rng, as_real_array, check_int, check_int_array, check_real
 from .weights import check_counts
 
-FORMAT_MAGIC = "longtail-csv v2"
-SIDECAR_MAGIC = b"longtail-bin v3"
-SIDECAR_SUFFIX = ".bin"
+SPLIT_MAGIC = b"longtail-bin v4"
+SPLIT_SUFFIX = ".bin"
 _DIGEST_BYTES = 32  # sha256
-# magic, CSV digest, N, d, C
-_SIDECAR_HEAD = struct.Struct(f"<{len(SIDECAR_MAGIC)}s{_DIGEST_BYTES}sqqq")
-# bytes per read of ``_file_sha256``: the buffer a file is hashed through
-_BLOCK_BYTES = 1 << 20
-# rows formatted per write in save_dataset: it bounds the memory a save
-# holds beyond the split's arrays
-_CHUNK_ROWS = 1024
+# magic, N, d, C
+_SPLIT_HEAD = struct.Struct(f"<{len(SPLIT_MAGIC)}sqqq")
 # the least magnitude that rounds to float32's infinity: halfway between its
 # largest finite value and 2**128, where a tie rounds to the even 2**128
 _F32_OVERFLOW = 2.0**128 - 2.0**103
-# bytes of a feature cell and its separator, ``[+-]d.dddddddde[+-]dd,``
-_CELL_BYTES = 16
-# 10.0**k for k in [-_EXP_BIAS, _EXP_BIAS), indexed by k + _EXP_BIAS; it
-# spans every decade a float32 has, with room for a misestimated one
-_EXP_BIAS = 64
-_POW10 = 10.0 ** np.arange(-_EXP_BIAS, _EXP_BIAS)
-# entries of each sign in the lead-word table: one per value of m // 10**7
-# for every uint32 m, so a cell the fallback patches still indexes in range
-_LEADS = 430
 
 PROFILE_KINDS = ("exponential", "step")
 
@@ -256,120 +231,34 @@ def subset_tags(counts, many_thresh, few_thresh):
 
 
 def save_dataset(data, path):
-    """Write the on-disk format: a header line
-    ``longtail-csv v2, C=<int>, d=<int>`` then one ``label,f_1,...,f_d``
-    row per sample, plus the ``longtail-bin v3`` sidecar ``<path>.bin``
-    (see the module docstring). The sidecar, then the CSV, is committed
-    through ``open_output``."""
-    csv_digest = hashlib.sha256()
-    with open_output(path) as fh:
-        header = f"{FORMAT_MAGIC}, C={data.num_classes}, d={data.dimension}\n".encode("ascii")
-        starts = range(0, len(data), _CHUNK_ROWS)
-        for blob in itertools.chain([header], (_format_rows(data, s, s + _CHUNK_ROWS) for s in starts)):
-            csv_digest.update(blob)
-            fh.write(blob)
-        with open_output(path + SIDECAR_SUFFIX) as sidecar:
-            _write_sidecar(sidecar, csv_digest.digest(), data)
-
-
-def _format_rows(data, start, stop):
-    """CSV lines of rows ``start:stop`` as ASCII bytes."""
-    cells = _format_cells(data.features[start:stop])
-    cells[..., -1, -1] = ord("\n")
-    rows = cells.reshape(len(cells), -1)
-    return b"".join(b"%d,%b" % row for row in zip(data.labels[start:stop].tolist(), rows))
-
-
-def _format_cells(values):
-    """The cells ``format(v, "+.8e") + ","`` of a float32 array as a uint8
-    array of shape ``values.shape + (16,)``. Each magnitude is scaled by a
-    float64 power of ten to nine digits before the point, its decade from
-    ``log10``; a second scaling corrects a misestimated decade either way,
-    or a ninth digit that carries. The scaled value is within 1e-6 of
-    exact, so ``rint`` rounds it correctly unless it is that close to a
-    tie, and Python formats those few cells. The rounded nine digits m and
-    the exponent e index the four words of a cell in ``_cell_words``' tables:
-    the sign and m // 10**7 (``+d.d``), (m // 1000) % 10000 (``dddd``),
-    m % 1000 (``ddde``) and e (``+dd,``)."""
-    a = np.abs(values, dtype=np.float64)
-    nonzero = a > 0
-    e = np.floor(np.log10(np.where(nonzero, a, 1.0))).astype(np.int64)
-    scaled = a * _POW10[8 + _EXP_BIAS - e]
-    e += (np.rint(scaled) >= 1e9).astype(np.int64) - ((scaled < 1e8) & nonzero)
-    scaled = a * _POW10[8 + _EXP_BIAS - e]
-    m = np.rint(scaled)
-    near_tie = nonzero & ((np.abs(scaled - m) > 0.5 - 1e-6) | (m < 1e8) | (m >= 1e9))
-    m = m.astype(np.uint32)
-    lead = m // 10**7
-    lead[np.signbit(values)] += _LEADS
-    out = np.empty(values.shape + (4,), "<u4")
-    # every index is in range by construction; a mode other than "raise"
-    # spares np.take a buffered copy of its strided output
-    for k, (table, index) in enumerate(zip(_cell_words(), (lead, m // 1000 % 10000, m % 1000, e + _EXP_BIAS))):
-        np.take(table, index, out=out[..., k], mode="wrap")
-    cells = out.view(np.uint8)
-    flat = cells.reshape(-1, _CELL_BYTES)
-    for i in np.flatnonzero(near_tie):
-        flat[i, :-1] = np.frombuffer(format(float(values.flat[i]), "+.8e").encode("ascii"), np.uint8)
-    return cells
-
-
-@functools.cache
-def _cell_words():
-    """The four ``<u4`` word tables of ``_format_cells``, each 4-byte word
-    the ASCII text of one entry: ``+d.d`` then ``-d.d`` for each lead value
-    below ``_LEADS`` (tens digit mod 10), ``dddd``, ``ddde`` and ``+dd,``
-    for each exponent from -``_EXP_BIAS``. Built on the first save, not at
-    import."""
-    words = lambda texts: np.frombuffer("".join(texts).encode("ascii"), "<u4")
-    return (
-        words(f"{sign}{n // 10 % 10}.{n % 10}" for sign in "+-" for n in range(_LEADS)),
-        words(f"{n:04d}" for n in range(10000)),
-        words(f"{n:03d}e" for n in range(1000)),
-        words(f"{n:+03d}," for n in range(-_EXP_BIAS, _EXP_BIAS)),
-    )
-
-
-def _write_sidecar(fh, csv_digest, data):
+    """Commit the split to ``<path>.bin`` (``open_output``) in the
+    ``longtail-bin v4`` format of the module docstring."""
     trailer = hashlib.sha256()
-    for part in (
-        _SIDECAR_HEAD.pack(SIDECAR_MAGIC, csv_digest, len(data), data.dimension, data.num_classes),
-        np.ascontiguousarray(data.labels, dtype="<i8"),
-        np.ascontiguousarray(data.features, dtype="<f4"),
-    ):
-        trailer.update(part)
-        fh.write(part)
-    fh.write(trailer.digest())
+    with open_output(path + SPLIT_SUFFIX) as fh:
+        for part in (
+            _SPLIT_HEAD.pack(SPLIT_MAGIC, len(data), data.dimension, data.num_classes),
+            np.ascontiguousarray(data.labels, dtype="<i8"),
+            np.ascontiguousarray(data.features, dtype="<f4"),
+        ):
+            trailer.update(part)
+            fh.write(part)
+        fh.write(trailer.digest())
 
 
-def _file_sha256(fh):
-    """sha256 of the open binary file ``fh``, read into one reused
-    ``_BLOCK_BYTES`` buffer, so hashing a file of any size allocates one
-    block, not one per block read."""
-    digest = hashlib.sha256()
-    buf = memoryview(bytearray(_BLOCK_BYTES))
-    while n := fh.readinto(buf):
-        digest.update(buf[:n])
-    return digest.digest()
-
-
-def _read_sidecar(fh, csv_path, csv_digest):
-    """``(labels, features, num_classes)`` from the open sidecar ``fh`` of
-    ``csv_path``, whose bytes hash to ``csv_digest``. ValueError says what
-    does not check out."""
-    head = fh.read(_SIDECAR_HEAD.size)
-    if head[: len(SIDECAR_MAGIC)] != SIDECAR_MAGIC:
-        raise ValueError(f"not a {SIDECAR_MAGIC.decode()} sidecar")
+def _read_split(fh):
+    """``(features, labels, num_classes)`` from the open ``longtail-bin v4``
+    file ``fh``. ValueError says what does not check out."""
+    head = fh.read(_SPLIT_HEAD.size)
+    if head[: len(SPLIT_MAGIC)] != SPLIT_MAGIC:
+        raise ValueError(f"not a {SPLIT_MAGIC.decode()} file")
     size = os.fstat(fh.fileno()).st_size
-    if len(head) != _SIDECAR_HEAD.size:
-        raise ValueError(f"{size} bytes, fewer than its {_SIDECAR_HEAD.size}-byte header")
-    _, recorded, n, d, num_classes = _SIDECAR_HEAD.unpack(head)
+    if len(head) != _SPLIT_HEAD.size:
+        raise ValueError(f"{size} bytes, fewer than its {_SPLIT_HEAD.size}-byte header")
+    _, n, d, num_classes = _SPLIT_HEAD.unpack(head)
     if d < 1 or num_classes < 1:
         raise ValueError(f"needs C >= 1 and d >= 1, got C={num_classes}, d={d}")
-    if n < 0 or size != _SIDECAR_HEAD.size + 8 * n + 4 * n * d + _DIGEST_BYTES:
+    if n < 0 or size != _SPLIT_HEAD.size + 8 * n + 4 * n * d + _DIGEST_BYTES:
         raise ValueError(f"{size} bytes do not fit N={n} and d={d}")
-    if recorded != csv_digest:
-        raise ValueError(f"the CSV digest it records is not that of {csv_path}")
     labels = np.fromfile(fh, dtype="<i8", count=n)
     features = np.fromfile(fh, dtype="<f4", count=n * d).reshape(n, d)
     payload = hashlib.sha256(head)
@@ -377,7 +266,7 @@ def _read_sidecar(fh, csv_path, csv_digest):
     payload.update(features)
     if payload.digest() != fh.read(_DIGEST_BYTES):
         raise ValueError("its sha256 trailer does not match its contents")
-    return labels, features, num_classes
+    return features, labels, num_classes
 
 
 def open_input(path, what, mode="rb", **kwargs):
@@ -432,20 +321,19 @@ def open_output(path, mode="wb", **kwargs):
 
 
 def load_dataset(path):
-    """The split ``save_dataset`` wrote to ``path``; counts derive from
-    labels. The CSV is hashed first, through ``open_input``, then the whole
-    split is read from its sidecar ``<path>.bin``. Every refusal of the
-    sidecar, ``LabeledDataset``'s included, is a ValueError
-    ``<path>.bin: <reason>; rerun make-data``."""
-    with open_input(path, "dataset file") as fh:
-        csv_digest = _file_sha256(fh)
-    sidecar = path + SIDECAR_SUFFIX
+    """The split ``save_dataset`` wrote for ``path``, read from
+    ``<path>.bin`` alone; ``<path>`` itself is never opened. Counts derive
+    from labels. Every refusal names the file and ends "; rerun make-data":
+    ``open_input``'s, keeping its type, and as a ValueError
+    ``<path>.bin: <reason>`` every refusal of what the file holds,
+    ``LabeledDataset``'s included."""
+    path += SPLIT_SUFFIX
     try:
-        with open(sidecar, "rb") as fh:
-            labels, features, num_classes = _read_sidecar(fh, path, csv_digest)
-        return LabeledDataset(features, labels, num_classes)
-    except OSError as exc:
-        reason = f"cannot read the dataset sidecar: {exc.strerror}"
-    except ValueError as exc:
-        reason = str(exc)
-    raise ValueError(f"{sidecar}: {reason}; rerun make-data")
+        fh = open_input(path, "dataset file")
+    except (FileNotFoundError, ValueError) as exc:
+        raise type(exc)(f"{exc}; rerun make-data") from None
+    with fh:
+        try:
+            return LabeledDataset(*_read_split(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}; rerun make-data") from None

@@ -14,7 +14,7 @@ from longtail_kd.gradcheck import run_gradient_checks
 from longtail_kd.mathutils import Rng
 from longtail_kd.mlp import MlpParams, init_mlp, params_to_bytes
 from longtail_kd.pipeline import TrainConfig
-from test_data import _reference_csv
+from test_data import _reference_file
 from test_pipeline import OVERFLOWING_EVALUATION, count_epochs, write_checkpoint_with_bad_width
 
 
@@ -52,8 +52,7 @@ def replace_test_split_with_a_wider_one(tmp, cfg, data_dir):
     assert run("make-data", "--config", cfg) == 0
     wide = write_config(tmp / "wide.cfg", d=5, data_dir=tmp / "wide", out_dir=tmp / "wide-out")
     assert run("make-data", "--config", wide) == 0
-    for name in ("test.csv", "test.csv.bin"):
-        shutil.copyfile(tmp / "wide" / name, data_dir / name)
+    shutil.copyfile(tmp / "wide" / "test.csv.bin", data_dir / "test.csv.bin")
 
 
 def save_empty_split(source, path):
@@ -80,8 +79,7 @@ class TestMakeData:
         )
         values = [int(v) for v in counts.values()]
         assert max(values) / min(values) == 10.0
-        assert (data_dir / "train.csv").exists() and (data_dir / "test.csv").exists()
-        assert (data_dir / "resolved_config.txt").exists()
+        assert sorted(os.listdir(data_dir)) == ["counts.csv", "resolved_config.txt", "test.csv.bin", "train.csv.bin"]
 
     def test_balanced_when_rho_one(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", rho=1.0, data_dir=tmp_path / "d", out_dir=tmp_path / "o")
@@ -92,9 +90,9 @@ class TestMakeData:
     def test_rerun_identical_bytes(self, workspace):
         _, cfg, data_dir, _ = workspace
         assert run("make-data", "--config", cfg) == 0
-        first = (data_dir / "train.csv").read_bytes()
+        first = (data_dir / "train.csv.bin").read_bytes()
         assert run("make-data", "--config", cfg) == 0
-        assert (data_dir / "train.csv").read_bytes() == first
+        assert (data_dir / "train.csv.bin").read_bytes() == first
 
     @pytest.mark.parametrize(
         "key, value",
@@ -659,10 +657,8 @@ OUTPUTS = {
     "make-data": {
         "resolved config": "resolved_config.txt",
         "class counts": "counts.csv",
-        "train split": "train.csv",
-        "train split sidecar": "train.csv.bin",
-        "test split": "test.csv",
-        "test split sidecar": "test.csv.bin",
+        "train split": "train.csv.bin",
+        "test split": "test.csv.bin",
     },
     **{
         role: {
@@ -714,10 +710,10 @@ def _tree(root):
 @pytest.fixture
 def work(monkeypatch):
     """The work commands start, by kind: epochs trained (the records the
-    epoch loop yields), dataset chunks formatted and predictions made."""
+    epoch loop yields), splits saved and predictions made."""
     calls = {"epochs": count_epochs(monkeypatch)}
     for kind, module, name in [
-        ("formatted", data, "_format_rows"),
+        ("saved", cli, "save_dataset"),
         ("predictions", evaluate, "predict"),
     ]:
         def counting(*args, _kind=kind, _real=getattr(module, name), **kwargs):
@@ -769,7 +765,7 @@ class TestOutputPlan:
         assert probed == {what: str(out_dir / name) for what, name in OUTPUTS[command].items()}
         assert sorted(os.listdir(out_dir)) == sorted(OUTPUTS[command].values())
         # the counters see the work the refusals above must not start
-        assert work[{"make-data": "formatted", "eval": "predictions"}.get(command, "epochs")]
+        assert work[{"make-data": "saved", "eval": "predictions"}.get(command, "epochs")]
 
 
     @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
@@ -826,39 +822,40 @@ class TestUnopenableInputs:
         assert run("make-data", "--config", cfg) == 0
         assert run("train", "--config", cfg, "--role", "teacher") == 0
         ckpt, report = out_dir / "teacher.ckpt", out_dir / "eval_report.json"
-        adir, absent = tmp / "adir", tmp / "absent.csv"
-        adir.mkdir()
+        # the split named ``--data`` is read from its ``.bin`` file
+        adir, absent = tmp / "adir.csv", tmp / "absent.csv"
+        (tmp / "adir.csv.bin").mkdir()
         capsys.readouterr()
         assert run("eval", "--ckpt", ckpt, "--data", adir, "--config", cfg) == 2
-        assert capsys.readouterr().err == f"error: {adir}: cannot read the dataset file: Is a directory\n"
+        err = capsys.readouterr().err
+        assert err == f"error: {adir}.bin: cannot read the dataset file: Is a directory; rerun make-data\n"
         assert run("eval", "--ckpt", ckpt, "--data", absent, "--config", cfg) == 2
-        assert capsys.readouterr().err == f"error: dataset file not found: {absent}\n"
+        assert capsys.readouterr().err == f"error: dataset file not found: {absent}.bin; rerun make-data\n"
         assert not report.exists()
 
     def test_train_split_that_cannot_be_opened_is_refused_before_out_dir(self, workspace, capsys):
         _, cfg, data_dir, out_dir = workspace
-        (data_dir / "train.csv").mkdir(parents=True)
+        file = data_dir / "train.csv.bin"
+        file.mkdir(parents=True)
         assert run("train", "--config", cfg, "--role", "teacher") == 2
         err = capsys.readouterr().err
-        assert err == f"error: {data_dir / 'train.csv'}: cannot read the dataset file: Is a directory\n"
+        assert err == f"error: {file}: cannot read the dataset file: Is a directory; rerun make-data\n"
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("split", ["train.csv", "test.csv"])
     @pytest.mark.parametrize("command", ["teacher", "student", "eval", "sweep-temp"])
     def test_split_without_its_sidecar_refused_before_any_work(self, tmp_path, capsys, work, command, split):
-        # a CSV is read only through its sidecar: without one, every command
-        # that reads the split names the sidecar and make-data, as CI's
-        # installed round trip checks for eval
+        # a split is read from its .bin file alone: without one, every
+        # command that reads the split names the file and make-data, as
+        # CI's installed round trip checks for eval
         args, out_dir = planned_run(tmp_path, command)
-        sidecar = tmp_path / "data" / f"{split}.bin"
-        sidecar.unlink()
+        file = tmp_path / "data" / f"{split}.bin"
+        file.unlink()
         for calls in work.values():
             calls.clear()
         capsys.readouterr()
         assert run(*args) == 2
-        assert capsys.readouterr().err == (
-            f"error: {sidecar}: cannot read the dataset sidecar: No such file or directory; rerun make-data\n"
-        )
+        assert capsys.readouterr().err == f"error: dataset file not found: {file}; rerun make-data\n"
         assert work == {kind: [] for kind in work}
         assert not out_dir.exists()
 
@@ -1078,4 +1075,4 @@ def test_no_command_forks(tmp_path, monkeypatch, command):
     monkeypatch.setattr(os, "fork", _no_fork)
     assert run(*args_of(command)) == 0
     if command == "make-data":
-        assert (data_dir / "train.csv").read_bytes() == _reference_csv(load_dataset(str(data_dir / "train.csv")))
+        assert (data_dir / "train.csv.bin").read_bytes() == _reference_file(load_dataset(str(data_dir / "train.csv")))

@@ -1,8 +1,6 @@
 import hashlib
 import os
 import struct
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -197,24 +195,20 @@ class TestDiskFormat:
         np.testing.assert_array_equal(loaded.labels, train.labels)
         assert loaded.num_classes == train.num_classes
 
-    def test_header_format(self, tmp_path):
-        train, _ = synth_gaussian_mixture([2, 2], 3, 1.0, seed=1, per_class_test=1)
-        path = tmp_path / "d.csv"
-        save_dataset(train, str(path))
-        header = path.read_text().splitlines()[0]
-        assert header == "longtail-csv v2, C=2, d=3"
-
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             load_dataset("/nonexistent/nope.csv")
 
     def test_file_that_cannot_be_opened_names_the_file(self, tmp_path):
+        # a split named ``<path>`` is read from ``<path>.bin`` alone
+        adir = tmp_path / "adir.csv.bin"
+        adir.mkdir()
         with pytest.raises(ValueError) as info:
-            load_dataset(str(tmp_path))
-        assert str(info.value) == f"{tmp_path}: cannot read the dataset file: Is a directory"
+            load_dataset(str(tmp_path / "adir.csv"))
+        assert str(info.value) == f"{adir}: cannot read the dataset file: Is a directory; rerun make-data"
         with pytest.raises(FileNotFoundError) as info:
             load_dataset(str(tmp_path / "absent.csv"))
-        assert str(info.value) == f"dataset file not found: {tmp_path / 'absent.csv'}"
+        assert str(info.value) == f"dataset file not found: {tmp_path / 'absent.csv.bin'}; rerun make-data"
 
     def test_open_output_replaces_the_file_only_when_the_block_ends_cleanly(self, tmp_path):
         path = str(tmp_path / "out.txt")
@@ -239,26 +233,31 @@ class TestDiskFormat:
         np.testing.assert_array_equal(data.features, [[1.5] * d])
 
 
-def _reference_csv(data):
-    """The row-at-a-time writer the chunked, vectorized save_dataset must match."""
-    lines = [f"longtail-csv v2, C={data.num_classes}, d={data.dimension}"]
-    for row in range(len(data)):
-        feats = ",".join(format(float(v), "+.8e") for v in data.features[row])
-        lines.append(f"{int(data.labels[row])},{feats}")
-    return ("\n".join(lines) + "\n").encode("ascii")
-
-
-def _reference_sidecar(data, csv_bytes):
-    """The longtail-bin v3 sidecar of ``data`` saved as ``csv_bytes``, built field by field."""
+def _reference_file(data):
+    """The longtail-bin v4 file of ``data``, built field by field."""
     body = b"".join(
         [
-            b"longtail-bin v3",
-            hashlib.sha256(csv_bytes).digest(),
+            b"longtail-bin v4",
             struct.pack("<qqq", len(data), data.dimension, data.num_classes),
             data.labels.astype("<i8").tobytes(),
             data.features.astype("<f4").tobytes(),
         ]
     )
+    return body + hashlib.sha256(body).digest()
+
+
+def _v2_csv(data):
+    """The longtail-csv v2 text the previous format saved for ``data``."""
+    lines = [f"longtail-csv v2, C={data.num_classes}, d={data.dimension}"]
+    for label, row in zip(data.labels, data.features):
+        lines.append(f"{label}," + ",".join(format(float(v), "+.8e") for v in row))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _v3_file(data):
+    """The longtail-bin v3 sidecar the previous format saved beside the CSV
+    of ``data``: the v4 fields with that CSV's sha256 after the magic."""
+    body = b"longtail-bin v3" + hashlib.sha256(_v2_csv(data)).digest() + _reference_file(data)[15:-32]
     return body + hashlib.sha256(body).digest()
 
 
@@ -273,8 +272,7 @@ F32_SPECIALS = np.float32(
 
 
 def _awkward_dataset(rows=2500, dim=3):
-    """Signed zeros, subnormals and extreme magnitudes of float32, over
-    more rows than one save chunk."""
+    """Signed zeros, subnormals and extreme magnitudes of float32."""
     rng = np.random.default_rng(4)
     features = rng.standard_normal((rows, dim))
     features.flat[: len(F32_SPECIALS)] = F32_SPECIALS
@@ -289,7 +287,7 @@ def _assert_same_bits(a, b):
 
 
 def _reseal(blob):
-    """Recompute the sidecar's sha256 trailer over its edited body."""
+    """Recompute the file's sha256 trailer over its edited body."""
     body = blob[:-32]
     return body + hashlib.sha256(body).digest()
 
@@ -298,290 +296,183 @@ def _flip_last_feature_byte(blob):
     return blob[:-33] + bytes([blob[-33] ^ 0x40]) + blob[-32:]
 
 
+def _write_bytes(path, blob):
+    with open(path, "wb") as fh:
+        fh.write(blob)
+
+
 def _rewrite(path, edit):
     """Replace the bytes of the file at ``path`` with ``edit`` of them."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    with open(path, "wb") as fh:
-        fh.write(edit(blob))
+    _write_bytes(path, edit(blob))
 
 
-def _non_ascii_byte(line):
-    """An edit that puts an e-acute, in UTF-8, after the first comma of CSV line ``line``."""
-
-    def edit(blob):
-        lines = blob.split(b"\n")
-        lines[line] = lines[line].replace(b",", b",\xc3\xa9", 1)
-        return b"\n".join(lines)
-
-    return edit
-
-
-def _swap_in_the_sidecar_of_another_save(csv, sidecar):
-    other = csv + ".other"
-    save_dataset(LabeledDataset(np.float32([[0.25, 1.5, 2.0]]), np.array([1]), 3), other)
-    os.replace(other + ".bin", sidecar)
-    os.remove(other)
-
-
-# The 135-byte sidecar of TINY: the magic, the CSV digest, then N, d and C
-# from byte 47, the labels from byte 71, the features from byte 87 and the
-# trailer from byte 103. Each case damages the saved pair through
-# ``(csv path, sidecar path)``; its message names ``{csv}`` and ``{bin}``.
+# The 103-byte file of TINY: the magic, then N, d and C from byte 15, the
+# labels from byte 39, the features from byte 55 and the trailer from byte
+# 71. Each case damages the saved split through ``(path, file path)``; its
+# message names ``{bin}``, and a case of no message loads the same bits.
 TINY = LabeledDataset(np.float32([[0.25, 1.5], [2.5, -3.0]]), np.array([0, 1]), 2)
-_side = lambda edit: lambda csv, sidecar: _rewrite(sidecar, edit)
+_file = lambda edit: lambda path, file: _rewrite(file, edit)
 RERUN = "; rerun make-data"
-SIDECAR_REFUSALS = {
+SPLIT_REFUSALS = {
     "missing-sidecar": (
-        lambda csv, sidecar: os.remove(sidecar),
-        "{bin}: cannot read the dataset sidecar: No such file or directory" + RERUN,
+        lambda path, file: os.remove(file),
+        "dataset file not found: {bin}" + RERUN,
     ),
     "sidecar-is-a-directory": (
-        lambda csv, sidecar: (os.remove(sidecar), os.mkdir(sidecar)),
-        "{bin}: cannot read the dataset sidecar: Is a directory" + RERUN,
+        lambda path, file: (os.remove(file), os.mkdir(file)),
+        "{bin}: cannot read the dataset file: Is a directory" + RERUN,
     ),
-    # a sealed sidecar of the previous format, which has no C: it gets no reader
+    # the file of the previous format, byte for byte, and a sealed one of
+    # the format before it, which has no C: neither gets a reader
+    "v3-file": (_file(lambda blob: _v3_file(TINY)), "{bin}: not a longtail-bin v4 file" + RERUN),
     "v2-magic": (
-        _side(lambda blob: _reseal(b"longtail-bin v2" + blob[15:63] + blob[71:])),
-        "{bin}: not a longtail-bin v3 sidecar" + RERUN,
+        _file(lambda blob: _reseal(b"longtail-bin v2" + _v3_file(TINY)[15:63] + blob[39:])),
+        "{bin}: not a longtail-bin v4 file" + RERUN,
     ),
-    "cut-inside-header": (_side(lambda blob: blob[:40]), "{bin}: 40 bytes, fewer than its 71-byte header" + RERUN),
-    "truncated": (_side(lambda blob: blob[:-1]), "{bin}: 134 bytes do not fit N=2 and d=2" + RERUN),
+    "cut-inside-header": (_file(lambda blob: blob[:20]), "{bin}: 20 bytes, fewer than its 39-byte header" + RERUN),
+    "truncated": (_file(lambda blob: blob[:-1]), "{bin}: 102 bytes do not fit N=2 and d=2" + RERUN),
     "more-rows-than-bytes": (
-        _side(lambda blob: _reseal(blob[:47] + struct.pack("<qqq", 3, 2, 2) + blob[71:])),
-        "{bin}: 135 bytes do not fit N=3 and d=2" + RERUN,
+        _file(lambda blob: _reseal(blob[:15] + struct.pack("<qqq", 3, 2, 2) + blob[39:])),
+        "{bin}: 103 bytes do not fit N=3 and d=2" + RERUN,
     ),
-    # 91 bytes are what N = -1 and d = 1 would take
+    # 59 bytes are what N = -1 and d = 1 would take
     "negative-N": (
-        _side(lambda blob: blob[:47] + struct.pack("<qqq", -1, 1, 2) + blob[71:91]),
-        "{bin}: 91 bytes do not fit N=-1 and d=1" + RERUN,
+        _file(lambda blob: blob[:15] + struct.pack("<qqq", -1, 1, 2) + blob[39:59]),
+        "{bin}: 59 bytes do not fit N=-1 and d=1" + RERUN,
     ),
-    # a sealed sidecar of two rows of no features, which LabeledDataset would accept
+    # a sealed file of two rows of no features, which LabeledDataset would accept
     "d=0": (
-        _side(lambda blob: _reseal(blob[:47] + struct.pack("<qqq", 2, 0, 2) + blob[71:87] + blob[103:])),
+        _file(lambda blob: _reseal(blob[:15] + struct.pack("<qqq", 2, 0, 2) + blob[39:55] + blob[71:])),
         "{bin}: needs C >= 1 and d >= 1, got C=2, d=0" + RERUN,
     ),
     "C=0": (
-        _side(lambda blob: _reseal(blob[:63] + struct.pack("<q", 0) + blob[71:])),
+        _file(lambda blob: _reseal(blob[:31] + struct.pack("<q", 0) + blob[39:])),
         "{bin}: needs C >= 1 and d >= 1, got C=0, d=2" + RERUN,
     ),
     "flipped-payload-byte": (
-        _side(_flip_last_feature_byte),
+        _file(_flip_last_feature_byte),
         "{bin}: its sha256 trailer does not match its contents" + RERUN,
     ),
     "label-equal-to-C": (
-        _side(lambda blob: _reseal(blob[:79] + struct.pack("<q", 2) + blob[87:])),
+        _file(lambda blob: _reseal(blob[:47] + struct.pack("<q", 2) + blob[55:])),
         "{bin}: labels must lie in [0, num_classes)" + RERUN,
     ),
     "nan-feature": (
-        _side(lambda blob: _reseal(blob[:95] + np.float32(np.nan).tobytes() + blob[99:])),
+        _file(lambda blob: _reseal(blob[:63] + np.float32(np.nan).tobytes() + blob[67:])),
         "{bin}: features must be an (N, d) matrix of finite reals within float32's range, got "
         "nan at row 1, column 0" + RERUN,
     ),
-    "csv-edited-after-save": (
-        lambda csv, sidecar: _rewrite(csv, lambda blob: blob.replace(b"+2.50000000e-01", b"0.75")),
-        "{bin}: the CSV digest it records is not that of {csv}" + RERUN,
-    ),
-    **{
-        f"non-ascii-byte-in-csv{where}": (
-            lambda csv, sidecar, line=line: _rewrite(csv, _non_ascii_byte(line)),
-            "{bin}: the CSV digest it records is not that of {csv}" + RERUN,
-        )
-        for where, line in [("", 1), ("-header", 0), ("-last-row", 2)]
-    },
-    # the magic of a format with no reader: a made-up one and the first sidecar's
+    # the magic of a format with no reader: a made-up one and the first file's
     "unknown-magic": (
-        _side(lambda blob: _reseal(b"something-else!" + blob[15:])),
-        "{bin}: not a longtail-bin v3 sidecar" + RERUN,
+        _file(lambda blob: _reseal(b"something-else!" + blob[15:])),
+        "{bin}: not a longtail-bin v4 file" + RERUN,
     ),
     "v1-magic": (
-        _side(lambda blob: _reseal(b"longtail-bin v1" + blob[15:])),
-        "{bin}: not a longtail-bin v3 sidecar" + RERUN,
+        _file(lambda blob: _reseal(b"longtail-bin v1" + blob[15:])),
+        "{bin}: not a longtail-bin v4 file" + RERUN,
     ),
-    "empty-sidecar": (_side(lambda blob: b""), "{bin}: not a longtail-bin v3 sidecar" + RERUN),
+    "empty-sidecar": (_file(lambda blob: b""), "{bin}: not a longtail-bin v4 file" + RERUN),
     "C=-1": (
-        _side(lambda blob: _reseal(blob[:63] + struct.pack("<q", -1) + blob[71:])),
+        _file(lambda blob: _reseal(blob[:31] + struct.pack("<q", -1) + blob[39:])),
         "{bin}: needs C >= 1 and d >= 1, got C=-1, d=2" + RERUN,
     ),
     "d=-1": (
-        _side(lambda blob: _reseal(blob[:55] + struct.pack("<q", -1) + blob[63:])),
+        _file(lambda blob: _reseal(blob[:23] + struct.pack("<q", -1) + blob[31:])),
         "{bin}: needs C >= 1 and d >= 1, got C=2, d=-1" + RERUN,
     ),
     # an N whose byte count overflows int64 is compared as a Python int
     "N=2**62": (
-        _side(lambda blob: _reseal(blob[:47] + struct.pack("<q", 2**62) + blob[55:])),
-        "{bin}: 135 bytes do not fit N=4611686018427387904 and d=2" + RERUN,
+        _file(lambda blob: _reseal(blob[:15] + struct.pack("<q", 2**62) + blob[23:])),
+        "{bin}: 103 bytes do not fit N=4611686018427387904 and d=2" + RERUN,
     ),
-    "trailing-byte": (_side(lambda blob: blob + b"\0"), "{bin}: 136 bytes do not fit N=2 and d=2" + RERUN),
-    # a damaged recorded digest is met before the trailer that would also catch it
-    "flipped-recorded-digest-byte": (
-        _side(lambda blob: blob[:15] + bytes([blob[15] ^ 0x01]) + blob[16:]),
-        "{bin}: the CSV digest it records is not that of {csv}" + RERUN,
-    ),
-    "sidecar-of-another-save": (
-        _swap_in_the_sidecar_of_another_save,
-        "{bin}: the CSV digest it records is not that of {csv}" + RERUN,
-    ),
+    "trailing-byte": (_file(lambda blob: blob + b"\0"), "{bin}: 104 bytes do not fit N=2 and d=2" + RERUN),
     "label-above-C": (
-        _side(lambda blob: _reseal(blob[:79] + struct.pack("<q", 5) + blob[87:])),
+        _file(lambda blob: _reseal(blob[:47] + struct.pack("<q", 5) + blob[55:])),
         "{bin}: labels must lie in [0, num_classes)" + RERUN,
     ),
     "negative-label": (
-        _side(lambda blob: _reseal(blob[:71] + struct.pack("<q", -1) + blob[79:])),
+        _file(lambda blob: _reseal(blob[:39] + struct.pack("<q", -1) + blob[47:])),
         "{bin}: labels must lie in [0, num_classes)" + RERUN,
     ),
     "inf-feature": (
-        _side(lambda blob: _reseal(blob[:95] + np.float32(np.inf).tobytes() + blob[99:])),
+        _file(lambda blob: _reseal(blob[:63] + np.float32(np.inf).tobytes() + blob[67:])),
         "{bin}: features must be an (N, d) matrix of finite reals within float32's range, got "
         "inf at row 1, column 0" + RERUN,
     ),
     "negative-inf-feature": (
-        _side(lambda blob: _reseal(blob[:91] + np.float32(-np.inf).tobytes() + blob[95:])),
+        _file(lambda blob: _reseal(blob[:59] + np.float32(-np.inf).tobytes() + blob[63:])),
         "{bin}: features must be an (N, d) matrix of finite reals within float32's range, got "
         "-inf at row 0, column 1" + RERUN,
     ),
+    # ``<path>`` itself is never opened: a stale CSV of other rows, or a
+    # directory, in its place leaves the split as it was saved
+    "stale-csv-at-path": (
+        lambda path, file: _write_bytes(path, _v2_csv(LabeledDataset(np.float32([[9.0, 9.0]]), [1], 2))),
+        None,
+    ),
+    "directory-at-path": (lambda path, file: os.mkdir(path), None),
 }
 
 
 class TestSidecar:
+    """The split's .bin file, a sidecar of its CSV before longtail-bin v4;
+    the test and case names keep the word."""
+
     def _saved(self, tmp_path, data):
         path = str(tmp_path / "train.csv")
         save_dataset(data, path)
-        assert os.path.exists(path + ".bin")
+        assert os.listdir(tmp_path) == ["train.csv.bin"]
         return path
 
     def test_save_bytes_match_reference_writer(self, tmp_path):
         data = _awkward_dataset()
         path = self._saved(tmp_path, data)
-        with open(path, "rb") as fh:
-            assert fh.read() == _reference_csv(data)
         with open(path + ".bin", "rb") as fh:
-            assert fh.read() == _reference_sidecar(data, _reference_csv(data))
-        assert sorted(os.listdir(tmp_path)) == ["train.csv", "train.csv.bin"]
+            assert fh.read() == _reference_file(data)
         _assert_same_bits(load_dataset(path), data)
 
-    @pytest.mark.parametrize("damage, message", SIDECAR_REFUSALS.values(), ids=SIDECAR_REFUSALS.keys())
+    @pytest.mark.parametrize("damage, message", SPLIT_REFUSALS.values(), ids=SPLIT_REFUSALS.keys())
     def test_damaged_or_stale_pair_refused_by_name(self, tmp_path, damage, message):
         path = self._saved(tmp_path, TINY)
         _assert_same_bits(load_dataset(path), TINY)
         damage(path, path + ".bin")
         before = sorted(os.listdir(tmp_path))
-        with pytest.raises(ValueError) as info:
-            load_dataset(path)
-        assert str(info.value) == message.format(csv=path, bin=path + ".bin")
+        if message is None:
+            _assert_same_bits(load_dataset(path), TINY)
+        else:
+            with pytest.raises((FileNotFoundError, ValueError)) as info:
+                load_dataset(path)
+            assert str(info.value) == message.format(bin=path + ".bin")
         assert sorted(os.listdir(tmp_path)) == before  # loading never writes
+
+
+class _UnreadableFeatures:
+    """A feature matrix of a given shape whose values cannot be read."""
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def __array__(self, *args, **kwargs):
+        raise RuntimeError("features unreadable")
 
 
 class TestSave:
     """A failure leaves the previous dataset."""
 
-    def test_failed_format_leaves_previous_dataset_and_no_temporary_files(self, tmp_path, monkeypatch):
+    def test_failed_sidecar_write_leaves_previous_dataset_and_no_temporary_files(self, tmp_path):
         path = str(tmp_path / "train.csv")
         previous = _awkward_dataset(rows=5)
         save_dataset(previous, path)
         before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
-        format_rows = data_module._format_rows
-
-        def failing_format(data, start, stop):
-            if start == 8:  # the third chunk of 4 rows, after two were written
-                raise RuntimeError("formatter failed")
-            return format_rows(data, start, stop)
-
-        monkeypatch.setattr(data_module, "_CHUNK_ROWS", 4)
-        monkeypatch.setattr(data_module, "_format_rows", failing_format)
-        with pytest.raises(RuntimeError, match="formatter failed"):
-            save_dataset(_awkward_dataset(rows=25), path)
+        # the header and the labels are written before the features fail
+        failing = _awkward_dataset(rows=25)
+        failing.features = _UnreadableFeatures(failing.features.shape)
+        with pytest.raises(RuntimeError, match="features unreadable"):
+            save_dataset(failing, path)
         assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
         _assert_same_bits(load_dataset(path), previous)
-
-    def test_failed_sidecar_write_leaves_previous_dataset_and_no_temporary_files(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "train.csv")
-        previous = _awkward_dataset(rows=5)
-        save_dataset(previous, path)
-        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
-
-        def failing_sidecar(fh, csv_digest, data):
-            fh.write(b"partial")
-            raise RuntimeError("sidecar write failed")
-
-        monkeypatch.setattr(data_module, "_CHUNK_ROWS", 4)
-        monkeypatch.setattr(data_module, "_write_sidecar", failing_sidecar)
-        with pytest.raises(RuntimeError, match="sidecar write failed"):
-            save_dataset(_awkward_dataset(rows=25), path)
-        assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
-        _assert_same_bits(load_dataset(path), previous)
-
-
-def _powers_of_ten_and_neighbours():
-    """Float32's nearest value to each power of ten from 1e-45 to 1e38, and
-    its float32 neighbours."""
-    powers = np.float32([float(f"1e{k}") for k in range(-45, 39)])
-    return np.concatenate([np.nextafter(powers, np.float32(0)), powers, np.nextafter(powers, np.float32(np.inf))])
-
-
-def _cells(values):
-    """``_format_cells`` of ``values`` as a list of cell strings."""
-    return data_module._format_cells(values).tobytes().decode("ascii").split(",")[:-1]
-
-
-class TestCellFormatter:
-    """``_format_cells``: fixed-width cells that parse back to the same float32 bits."""
-
-    def test_cells_have_their_layout_and_parse_back_to_the_same_bits(self):
-        bits = np.random.default_rng(35).integers(0, 2**32, 1_050_000, dtype=np.uint64).astype(np.uint32)
-        values = np.concatenate([bits.view(np.float32), F32_SPECIALS, _powers_of_ten_and_neighbours()])
-        values = values[np.isfinite(values)]
-        assert values.size > 1_000_000
-        cells = data_module._format_cells(values)
-        assert cells.shape == (values.size, 16)
-        # [+-]d.dddddddde[+-]dd, then the separator
-        for column, allowed in [(0, b"+-"), (2, b"."), (11, b"e"), (12, b"+-"), (13, b"01234"), (15, b",")]:
-            assert np.isin(cells[:, column], list(allowed)).all(), column
-        digits = cells[:, [1, 3, 4, 5, 6, 7, 8, 9, 10, 14]]
-        assert ((digits >= ord("0")) & (digits <= ord("9"))).all()
-        assert ((cells[:, 1] == ord("0")) == (values == 0)).all()  # a leading zero only for a zero
-        parsed = np.fromiter(map(float, cells.tobytes().split(b",")[:-1]), np.float64, values.size)
-        assert parsed.astype(np.float32).tobytes() == values.tobytes()
-
-    def test_cells_are_pythons_nine_digit_format(self):
-        # 2**-14 and 1704300.375 are exact ties at nine digits, which round to even
-        bits = np.random.default_rng(36).integers(0, 2**32, 50_000, dtype=np.uint64).astype(np.uint32)
-        ties = np.float32([2.0**-14, -(2.0**-14), 1704300.375, 629201.8125])
-        # the first and last entry of each word table: lead 10 and 99 of
-        # either sign, mid 0000 and 9999, low 000 and 999, exponents -45 and +38
-        edges = np.float32([1.0, -1.0, 9.99999905, -9.99999905, 8.75139999, F32.smallest_subnormal, F32.max])
-        values = np.concatenate([bits.view(np.float32), F32_SPECIALS, _powers_of_ten_and_neighbours(), ties, edges])
-        values = values[np.isfinite(values)]
-        assert _cells(values) == [format(float(v), "+.8e") for v in values]
-        assert _cells(ties) == ["+6.10351562e-05", "-6.10351562e-05", "+1.70430038e+06", "+6.29201812e+05"]
-        assert _cells(edges) == [
-            "+1.00000000e+00",
-            "-1.00000000e+00",
-            "+9.99999905e+00",
-            "-9.99999905e+00",
-            "+8.75139999e+00",
-            "+1.40129846e-45",
-            "+3.40282347e+38",
-        ]
-
-    @pytest.mark.parametrize("shift", [-1.0, 1.0], ids=["decade-too-low", "decade-too-high"])
-    def test_a_misestimated_decade_is_corrected(self, monkeypatch, shift):
-        bits = np.random.default_rng(37).integers(0, 2**32, 20_000, dtype=np.uint64).astype(np.uint32)
-        values = np.concatenate([bits.view(np.float32), F32_SPECIALS, _powers_of_ten_and_neighbours()])
-        values = values[np.isfinite(values) & (values != 0)]
-        expected = _cells(values)
-        log10 = np.log10
-        monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
-        assert _cells(values) == expected
-
-    def test_import_builds_no_word_tables(self):
-        # the tables are built by the first save: an import that built them
-        # would add to the start-up of every command
-        src = os.path.dirname(os.path.dirname(data_module.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = "import longtail_kd; print(longtail_kd.data._cell_words.cache_info().currsize)"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-        assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
 class TestLabeledDataset:

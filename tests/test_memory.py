@@ -8,13 +8,12 @@ copy of the array, so a second copy of the result breaks it.
 """
 
 import gc
-import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from longtail_kd import data as data_module, pipeline
+from longtail_kd import pipeline
 from longtail_kd.data import load_dataset, save_dataset, synth_gaussian_mixture
 from longtail_kd.mathutils import Rng
 from longtail_kd.mlp import init_mlp
@@ -67,19 +66,13 @@ def test_sidecar_load_holds_the_features_once(tmp_path):
     assert peak < 1.25 * (data.features.nbytes + data.labels.nbytes)
 
 
-def test_save_holds_the_text_of_one_chunk(tmp_path, monkeypatch):
-    # beyond the split's arrays, a save holds one 1024-row chunk's cells,
-    # their numpy temporaries and text: measured 5.9x the CSV bytes of one
-    # chunk on an 8000 x 64 split. Formatting the whole split as one chunk
-    # peaks at 38x, and the bound is checked to catch it
-    train, _ = synth_gaussian_mixture([400] * 20, 64, 3.0, seed=5, per_class_test=1)
-    path = str(tmp_path / "train.csv")
-    _, peak = traced_peak(lambda: save_dataset(train, path))
-    bound = 8 * os.path.getsize(path) / len(train) * data_module._CHUNK_ROWS
-    assert peak < bound
-    monkeypatch.setattr(data_module, "_CHUNK_ROWS", len(train))
-    _, whole_split_peak = traced_peak(lambda: save_dataset(train, path))
-    assert whole_split_peak > bound
+def test_save_holds_nothing_split_sized(tmp_path):
+    # measured 0.03x the split's bytes: a save writes the split's own
+    # arrays. Formatting its rows as text, one 1024-row chunk of this
+    # 1000 x 64 split, peaks at 19x
+    train, _ = synth_gaussian_mixture([50] * 20, 64, 3.0, seed=5, per_class_test=1)
+    _, peak = traced_peak(lambda: save_dataset(train, str(tmp_path / "train.csv")))
+    assert peak < 1.25 * (train.features.nbytes + train.labels.nbytes)
 
 
 @pytest.mark.parametrize("loss", ["kd", "bkd"])

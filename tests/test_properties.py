@@ -1,5 +1,5 @@
 """Property tests for the softmax, the distillation kernels, the accuracy
-report, the chunked dataset writer and training under extreme finite
+report, the dataset writer and training under extreme finite
 configs."""
 
 import functools
@@ -12,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from longtail_kd import data as data_module
 from longtail_kd.data import (
     FEW,
     MANY,
@@ -28,7 +27,7 @@ from longtail_kd.losses import BKDConfig, KDConfig, Objective, balanced_targets,
 from longtail_kd.mathutils import softmax_with_temperature
 from longtail_kd.mlp import LrSchedule, forward
 from longtail_kd.pipeline import LOSS_KINDS, TrainConfig, train_student, train_teacher
-from test_data import F32_SPECIALS, _reference_csv, _reference_sidecar
+from test_data import F32_SPECIALS, _reference_file
 
 # derandomized and without an example database, so every run checks the same cases
 property_settings = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -151,21 +150,16 @@ def datasets(draw):
 
 
 @property_settings
-@given(datasets(), st.integers(1, 8))
-@example(special_dataset(1), 1)  # one row, one chunk
-@example(special_dataset(10), 4)  # chunks of 4, 4 and 2 rows
-@example(special_dataset(23), 4)  # 5 chunks of 4 and 1 of 3
-def test_save_bytes_equal_the_row_at_a_time_writer(data, chunk_rows):
-    expected_csv = _reference_csv(data)
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(data_module, "_CHUNK_ROWS", chunk_rows)
+@given(datasets())
+@example(special_dataset(1))
+@example(special_dataset(23))
+def test_save_bytes_equal_the_field_by_field_writer(data):
+    with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "train.csv")
         save_dataset(data, path)
-        with open(path, "rb") as fh:
-            assert fh.read() == expected_csv
         with open(path + ".bin", "rb") as fh:
-            assert fh.read() == _reference_sidecar(data, expected_csv)
-        assert sorted(os.listdir(tmp)) == ["train.csv", "train.csv.bin"]
+            assert fh.read() == _reference_file(data)
+        assert os.listdir(tmp) == ["train.csv.bin"]
 
 
 @functools.cache
