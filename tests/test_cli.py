@@ -94,6 +94,30 @@ class TestMakeData:
         assert run("make-data", "--config", cfg) == 0
         assert (data_dir / "train.csv.bin").read_bytes() == first
 
+    @pytest.mark.parametrize("kind", ["file", "directory"])
+    @pytest.mark.parametrize("split", ["train.csv", "test.csv"])
+    def test_older_csv_of_a_split_left_alone_and_never_read(self, workspace, split, kind):
+        # make-data commits each split as ``<name>.bin`` alone: an older
+        # CSV text, or a directory, at ``<name>`` stays as it was, and the
+        # split loads the bits of its .bin file
+        _, cfg, data_dir, _ = workspace
+        stale = data_dir / split
+        data_dir.mkdir()
+        if kind == "file":
+            stale.write_bytes(b"longtail-csv v2, C=2, d=1\n0,+1.00000000e+00\n")
+        else:
+            stale.mkdir()
+        assert run("make-data", "--config", cfg) == 0
+        if kind == "file":
+            assert stale.read_bytes() == b"longtail-csv v2, C=2, d=1\n0,+1.00000000e+00\n"
+        else:
+            assert stale.is_dir() and not os.listdir(stale)
+        assert sorted(os.listdir(data_dir)) == sorted(
+            ["counts.csv", "resolved_config.txt", "test.csv.bin", "train.csv.bin", split]
+        )
+        loaded = load_dataset(str(stale))
+        assert (data_dir / f"{split}.bin").read_bytes() == _reference_file(loaded)
+
     @pytest.mark.parametrize(
         "key, value",
         [("C", 0), ("d", 1), ("rho", 0.5), ("n_max", 0), ("per_class_test", 0), ("separation", -1)],

@@ -224,6 +224,15 @@ class TestDiskFormat:
         assert os.listdir(tmp_path) == ["out.txt"]
         assert (tmp_path / "out.txt").read_bytes() == b"next\n"
 
+    def test_header_format(self, tmp_path):
+        # the magic, then N, d and C as little-endian int64, and the file
+        # is exactly the labels, the features and the trailer after that
+        train, _ = synth_gaussian_mixture([7, 3], 4, 1.5, seed=13, per_class_test=1)
+        save_dataset(train, str(tmp_path / "train.csv"))
+        blob = (tmp_path / "train.csv.bin").read_bytes()
+        assert blob[:39] == b"longtail-bin v4" + struct.pack("<qqq", 10, 4, 2)
+        assert len(blob) == 39 + 8 * 10 + 4 * 10 * 4 + 32
+
     @pytest.mark.parametrize("C, d", [(1, 2), (2, 1)])
     def test_one_class_or_one_feature_loads(self, tmp_path, C, d):
         path = str(tmp_path / "narrow.csv")
@@ -406,6 +415,32 @@ SPLIT_REFUSALS = {
         "{bin}: features must be an (N, d) matrix of finite reals within float32's range, got "
         "-inf at row 0, column 1" + RERUN,
     ),
+    # a damaged byte that every field check lets through: the trailer alone
+    # refuses it, whether it is in the labels, in C or in the trailer
+    "flipped-label-byte": (
+        _file(lambda blob: blob[:47] + bytes([blob[47] ^ 0x01]) + blob[48:]),
+        "{bin}: its sha256 trailer does not match its contents" + RERUN,
+    ),
+    "flipped-C-byte": (
+        _file(lambda blob: blob[:31] + bytes([blob[31] ^ 0x01]) + blob[32:]),
+        "{bin}: its sha256 trailer does not match its contents" + RERUN,
+    ),
+    "flipped-trailer-byte": (
+        _file(lambda blob: blob[:-1] + bytes([blob[-1] ^ 0x01])),
+        "{bin}: its sha256 trailer does not match its contents" + RERUN,
+    ),
+    "magic-only": (_file(lambda blob: blob[:15]), "{bin}: 15 bytes, fewer than its 39-byte header" + RERUN),
+    "header-only": (_file(lambda blob: blob[:39]), "{bin}: 39 bytes do not fit N=2 and d=2" + RERUN),
+    "trailer-cut-off": (_file(lambda blob: blob[:-32]), "{bin}: 71 bytes do not fit N=2 and d=2" + RERUN),
+    # the split's CSV text of the previous format saved under the file's name
+    "csv-text-at-bin": (_file(lambda blob: _v2_csv(TINY)), "{bin}: not a longtail-bin v4 file" + RERUN),
+    "dangling-symlink": (
+        lambda path, file: (os.remove(file), os.symlink(file + ".gone", file)),
+        "dataset file not found: {bin}" + RERUN,
+    ),
+    # the temporary file of a save is never read: one left over beside the
+    # file leaves the split as it was saved
+    "stale-temporary-file": (lambda path, file: _write_bytes(file + ".tmp", b"longtail-bin v4 partial"), None),
     # ``<path>`` itself is never opened: a stale CSV of other rows, or a
     # directory, in its place leaves the split as it was saved
     "stale-csv-at-path": (
@@ -448,14 +483,14 @@ class TestSidecar:
         assert sorted(os.listdir(tmp_path)) == before  # loading never writes
 
 
-class _UnreadableFeatures:
-    """A feature matrix of a given shape whose values cannot be read."""
+class _Unreadable:
+    """An array of a given shape whose values cannot be read."""
 
-    def __init__(self, shape):
-        self.shape = shape
+    def __init__(self, shape, what="features"):
+        self.shape, self.what = shape, what
 
     def __array__(self, *args, **kwargs):
-        raise RuntimeError("features unreadable")
+        raise RuntimeError(f"{self.what} unreadable")
 
 
 class TestSave:
@@ -468,9 +503,35 @@ class TestSave:
         before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
         # the header and the labels are written before the features fail
         failing = _awkward_dataset(rows=25)
-        failing.features = _UnreadableFeatures(failing.features.shape)
+        failing.features = _Unreadable(failing.features.shape)
         with pytest.raises(RuntimeError, match="features unreadable"):
             save_dataset(failing, path)
+        assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+        _assert_same_bits(load_dataset(path), previous)
+
+    @pytest.mark.parametrize("fail", ["labels", "commit"])
+    def test_failed_label_write_or_commit_leaves_previous_dataset_and_no_temporary_files(
+        self, tmp_path, monkeypatch, fail
+    ):
+        path = str(tmp_path / "train.csv")
+        previous = _awkward_dataset(rows=5)
+        save_dataset(previous, path)
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        failing = _awkward_dataset(rows=25)
+        if fail == "labels":
+            # only the header is written before the labels fail
+            failing.labels = _Unreadable(failing.labels.shape, "labels")
+            expected = "labels unreadable"
+        else:
+            # the whole file is written, and putting it onto the path fails
+            def replace(src, dst):
+                raise OSError("replace refused")
+
+            monkeypatch.setattr(os, "replace", replace)
+            expected = "replace refused"
+        with pytest.raises((RuntimeError, OSError), match=expected):
+            save_dataset(failing, path)
+        monkeypatch.undo()
         assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
         _assert_same_bits(load_dataset(path), previous)
 
