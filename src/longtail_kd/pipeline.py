@@ -370,10 +370,14 @@ def open_run(train, test, cfg, teacher=None, *, resume_from=None):
     resumed from the checkpoint ``resume_from``, and a generator that
     trains the remaining epochs one per ``next()``, logs each to
     ``state.log_rows`` and yields its ``EvalReport`` on ``test``. Without a
-    ``teacher`` the run is a teacher's, under ``teacher_config(cfg)``.
+    ``teacher`` the run is a teacher's, under ``teacher_config(cfg)``, so
+    its digest covers the teacher's config: any ``cfg`` that gives the same
+    ``teacher_config`` writes the same bytes and resumes them, whatever its
+    loss and distillation settings.
     Every refusal comes here, before any epoch: a teacher that does not fit,
-    a split pair, or a checkpoint of another config or model. To stop
-    early, take k epochs and ``write_checkpoint`` the state."""
+    a split pair, or a checkpoint of another config or model. The one way
+    to stop early and checkpoint: take k epochs and ``write_checkpoint``
+    the state; ``resume_from`` that file goes on bit for bit."""
     if teacher is None:
         cfg = teacher_config(cfg)
     else:
@@ -436,17 +440,6 @@ def _epochs(train, test, cfg, teacher, state, eval_out, pgrads):
         yield report
 
 
-def _train(run, out_ckpt):
-    """Run ``open_run``'s ``run`` to its end, commit its state to
-    ``out_ckpt`` if one is given, and return ``(params, log)``."""
-    state, epochs = run
-    for _ in epochs:
-        pass
-    if out_ckpt is not None:
-        write_checkpoint(out_ckpt, state)
-    return state.params, state.log_rows
-
-
 def teacher_config(cfg):
     """The config a teacher trains under: ``cfg`` as plain cross-entropy,
     with the default ``kd`` and ``bkd``, the settings of a student's loss
@@ -455,18 +448,24 @@ def teacher_config(cfg):
     return replace(cfg, loss="ce", kd=KDConfig(), bkd=BKDConfig())
 
 
-def train_teacher(train, test, cfg, *, out_ckpt=None, resume_from=None):
+def _drain(run):
+    """Run ``open_run``'s ``run`` to its end; its ``(params, log)``."""
+    state, epochs = run
+    for _ in epochs:
+        pass
+    return state.params, state.log_rows
+
+
+def train_teacher(train, test, cfg):
     """Phase one: minibatch SGD under ``teacher_config(cfg)``, so plain
     cross-entropy whatever cfg.loss says, and one config file serves the
-    teacher and its students. A checkpoint's digest covers the teacher's
-    config, so any ``cfg`` that gives the same ``teacher_config`` writes
-    the same bytes and resumes it, whatever its loss and distillation
-    settings."""
-    return _train(open_run(train, test, cfg, resume_from=resume_from), out_ckpt)
+    teacher and its students; ``open_run`` trained to its end."""
+    return _drain(open_run(train, test, cfg))
 
 
-def train_student(train, test, teacher, cfg, *, out_ckpt=None, resume_from=None):
-    """Phase two: train against frozen teacher predictions.
+def train_student(train, test, teacher, cfg):
+    """Phase two: train against frozen teacher predictions, ``open_run``
+    trained to its end.
 
     cfg.loss picks the objective, which every epoch trains; "ce"/"cb" are
     permitted as baselines that ignore the teacher. A missing teacher, or
@@ -474,7 +473,7 @@ def train_student(train, test, teacher, cfg, *, out_ckpt=None, resume_from=None)
     """
     if teacher is None:
         raise ValueError("student training requires a teacher model")
-    return _train(open_run(train, test, cfg, teacher, resume_from=resume_from), out_ckpt)
+    return _drain(open_run(train, test, cfg, teacher))
 
 
 def check_sweep_config(cfg):

@@ -453,7 +453,7 @@ def test_criterion_09_determinism(tmp_path):
     full_params, full_log = train_teacher(train, test, cfg)
     ckpt = str(tmp_path / "mid.ckpt")
     stop_after(4, train, test, cfg, out_ckpt=ckpt)
-    resumed_params, resumed_log = train_teacher(train, test, cfg, resume_from=ckpt)
+    resumed_params, resumed_log = stop_after(cfg.epochs, train, test, cfg, resume_from=ckpt)
     resume_exact = params_to_bytes(resumed_params) == params_to_bytes(full_params) and metrics_to_csv(
         resumed_log
     ) == metrics_to_csv(full_log)

@@ -15,7 +15,7 @@ from longtail_kd.mathutils import Rng
 from longtail_kd.mlp import MlpParams, init_mlp, params_to_bytes
 from longtail_kd.pipeline import TrainConfig
 from test_data import _reference_file
-from test_pipeline import OVERFLOWING_EVALUATION, count_epochs, write_checkpoint_with_bad_width
+from test_pipeline import OVERFLOWING_EVALUATION, count_epochs, stop_after, write_checkpoint_with_bad_width
 
 
 def run(*args):
@@ -357,7 +357,8 @@ class TestTrain:
         assert run("train", "--config", cfg, "--role", "teacher") == 0
         train, test = (load_dataset(str(data_dir / name)) for name in ("train.csv", "test.csv"))
         ckpt = str(out_dir / "teacher.ckpt")
-        params, log = pipeline.train_teacher(train, test, train_config(parse_config(cfg)), resume_from=ckpt)
+        tcfg = train_config(parse_config(cfg))
+        params, log = stop_after(tcfg.epochs, train, test, tcfg, resume_from=ckpt)
         assert params_to_bytes(params) == params_to_bytes(pipeline.read_checkpoint(ckpt).params)
         assert pipeline.metrics_to_csv(log) == (out_dir / "teacher_metrics.csv").read_text()
 
@@ -1054,7 +1055,8 @@ class TestConfigHandling:
         # switched a bkd student from plain distillation is unknown
         tmp, _, data_dir, out_dir = workspace
         cfg = write_config(tmp / "defer.cfg", data_dir=data_dir, out_dir=out_dir, defer_epoch=50)
-        lineno = open(cfg).read().splitlines().index("defer_epoch = 50") + 1
+        with open(cfg) as fh:
+            lineno = fh.read().splitlines().index("defer_epoch = 50") + 1
         assert run(command[0], "--config", cfg, *command[1:]) == 1
         assert capsys.readouterr().err == f"config error: {cfg}:{lineno}: unknown key 'defer_epoch'\n"
         assert not data_dir.exists() and not out_dir.exists()

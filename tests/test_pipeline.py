@@ -40,8 +40,8 @@ from longtail_kd.weights import effective_number_weights, normalize_weights
 
 def stop_after(k, train, test, cfg, teacher=None, *, out_ckpt=None, resume_from=None):
     """A run of ``open_run`` stopped after its next ``k`` epochs (fewer if
-    fewer remain), its state committed to ``out_ckpt`` when one is given,
-    as ``(params, log)``."""
+    fewer remain, so ``k = cfg.epochs`` trains it to its end), its state
+    committed to ``out_ckpt`` when one is given, as ``(params, log)``."""
     state, epochs = pipeline.open_run(train, test, cfg, teacher, resume_from=resume_from)
     for _ in itertools.islice(epochs, k):
         pass
@@ -216,7 +216,7 @@ class TestTrainTeacher:
         stop_after(2, train, test, bkd, out_ckpt=ckpt)
         assert read_checkpoint(ckpt).digest == config_digest(pipeline.teacher_config(small_cfg(epochs=4)))
         for cfg in (bkd, small_cfg(loss="kd", epochs=4), small_cfg(epochs=4)):
-            params, log = train_teacher(train, test, cfg, resume_from=ckpt)
+            params, log = stop_after(cfg.epochs, train, test, cfg, resume_from=ckpt)
             assert params_to_bytes(params) == params_to_bytes(ce_params)
             assert metrics_to_csv(log) == metrics_to_csv(ce_log)
 
@@ -229,10 +229,10 @@ class TestTrainTeacher:
         other = replace(cfg, kd=KDConfig(0.3, 4.0), bkd=BKDConfig(0.99, 4.0))
         assert pipeline.teacher_config(cfg) == pipeline.teacher_config(other)
         path = {name: tmp_path / f"{name}.ckpt" for name in ("cfg", "other", "mid", "resumed")}
-        train_teacher(train, test, cfg, out_ckpt=str(path["cfg"]))
-        train_teacher(train, test, other, out_ckpt=str(path["other"]))
+        stop_after(cfg.epochs, train, test, cfg, out_ckpt=str(path["cfg"]))
+        stop_after(other.epochs, train, test, other, out_ckpt=str(path["other"]))
         stop_after(2, train, test, cfg, out_ckpt=str(path["mid"]))
-        train_teacher(train, test, other, out_ckpt=str(path["resumed"]), resume_from=str(path["mid"]))
+        stop_after(other.epochs, train, test, other, out_ckpt=str(path["resumed"]), resume_from=str(path["mid"]))
         assert path["cfg"].read_bytes() == path["other"].read_bytes() == path["resumed"].read_bytes()
 
     def test_same_seed_identical_metric_log(self):
@@ -273,7 +273,7 @@ class TestTrainTeacher:
         digest = config_digest(pipeline.teacher_config(cfg))
         write_checkpoint(ckpt, RunState(params, MlpParams.zeros(params.dims), Rng(1), log, digest))
         with pytest.raises(RuntimeError, match=r"^training diverged: non-finite loss at epoch 1$"):
-            train_teacher(split, split, cfg, resume_from=ckpt)
+            stop_after(cfg.epochs, split, split, cfg, resume_from=ckpt)
 
     @pytest.mark.parametrize("epochs", [1, 2])  # biases start at 0: only a 2nd step decays them
     def test_weight_decay_matches_a_layer_by_layer_replay(self, epochs, monkeypatch):
@@ -605,9 +605,9 @@ class TestTeacherTargetCache:
         teacher, _ = train_teacher(train, test, small_cfg(epochs=3))
         cfg = small_cfg(loss="bkd", epochs=2)
         ckpt = str(tmp_path / "done.ckpt")
-        train_student(train, test, teacher, cfg, out_ckpt=ckpt)
+        stop_after(cfg.epochs, train, test, cfg, teacher, out_ckpt=ckpt)
         teacher_rows = count_teacher_rows(monkeypatch, teacher)
-        train_student(train, test, teacher, cfg, resume_from=ckpt)
+        stop_after(cfg.epochs, train, test, cfg, teacher, resume_from=ckpt)
         stop_after(0, train, test, cfg, teacher)
         assert teacher_rows == []
 
@@ -708,7 +708,7 @@ class TestFloat32Training:
         monkeypatch.setattr(pipeline, "objective_loss_batch", kernel)
         monkeypatch.setattr(pipeline, "sgd_momentum_step", step)
         path = str(tmp_path / "student.ckpt")
-        params, _ = train_student(train, test, teacher, small_cfg(loss="bkd", epochs=3), out_ckpt=path)
+        params, _ = stop_after(3, train, test, small_cfg(loss="bkd", epochs=3), teacher, out_ckpt=path)
         assert seen == {np.dtype(np.float32)}
         state = read_checkpoint(path)
         assert params.flat.dtype == state.params.flat.dtype == state.vel.flat.dtype == np.float32
@@ -728,10 +728,10 @@ class TestFloat32Training:
 
         monkeypatch.setattr(evaluate, "forward", recording_forward)
         if role == "teacher":
-            _, log = train_teacher(train, test, cfg, out_ckpt=path)
+            _, log = stop_after(cfg.epochs, train, test, cfg, out_ckpt=path)
         else:
             teacher, _ = train_teacher(train, test, cfg)
-            _, log = train_student(train, test, teacher, replace(cfg, loss="bkd"), out_ckpt=path)
+            _, log = stop_after(cfg.epochs, train, test, replace(cfg, loss="bkd"), teacher, out_ckpt=path)
         preds = evaluate.predict(read_checkpoint(path).params, test)
         report = evaluate.accuracy_report(preds, test.labels, subset_tags(train.class_counts, 50, 10))
         last = log[-1]
@@ -775,6 +775,29 @@ class TestOpenRun:
         assert k == 3
 
     @pytest.mark.parametrize(
+        "role, epochs",
+        [("teacher", 3), ("teacher", 0), ("kd", 3), ("bkd", 3)],
+        ids=["teacher", "0-epoch-teacher", "kd-student", "bkd-student"],
+    )
+    def test_train_teacher_and_train_student_return_open_run_drained(self, role, epochs):
+        # the (params, log) that the benchmark, the demos and the sweep read
+        train, test = two_class_separable()
+        if role == "teacher":
+            cfg, teacher = small_cfg(loss="bkd", epochs=epochs), None
+            params, log = train_teacher(train, test, cfg)
+        else:
+            teacher, _ = train_teacher(train, test, small_cfg(epochs=2))
+            cfg = small_cfg(loss=role, epochs=epochs)
+            params, log = train_student(train, test, teacher, cfg)
+        state, run = pipeline.open_run(train, test, cfg, teacher)
+        assert len(list(run)) == epochs
+        assert params_to_bytes(params) == params_to_bytes(state.params)
+        assert metrics_to_csv(log) == metrics_to_csv(state.log_rows)
+        if epochs == 0:
+            initial = init_mlp((train.dimension, *cfg.hidden_dims, train.num_classes), cfg.seed)
+            assert log == [] and params_to_bytes(params) == params_to_bytes(initial.astype(np.float32))
+
+    @pytest.mark.parametrize(
         "fault, message",
         [
             ("splits", "train/test class counts differ"),
@@ -812,7 +835,7 @@ class TestCheckpointResume:
 
         ckpt = str(tmp_path / "mid.ckpt")
         stop_after(4, train, test, cfg, out_ckpt=ckpt)
-        resumed_params, resumed_log = train_teacher(train, test, cfg, resume_from=ckpt)
+        resumed_params, resumed_log = stop_after(cfg.epochs, train, test, cfg, resume_from=ckpt)
 
         assert params_to_bytes(resumed_params) == params_to_bytes(full_params)
         assert metrics_to_csv(resumed_log) == metrics_to_csv(full_log)
@@ -824,7 +847,7 @@ class TestCheckpointResume:
         full_params, _ = train_student(train, test, teacher, cfg)
         ckpt = str(tmp_path / "mid.ckpt")
         stop_after(3, train, test, cfg, teacher, out_ckpt=ckpt)
-        resumed_params, _ = train_student(train, test, teacher, cfg, resume_from=ckpt)
+        resumed_params, _ = stop_after(cfg.epochs, train, test, cfg, teacher, resume_from=ckpt)
         assert params_to_bytes(resumed_params) == params_to_bytes(full_params)
 
     def test_resumed_student_builds_its_objective_again(self, tmp_path, monkeypatch):
@@ -839,7 +862,7 @@ class TestCheckpointResume:
         teacher_rows = count_teacher_rows(monkeypatch, teacher)
         stop_after(1, train, test, cfg, teacher, out_ckpt=ckpt)
         assert sum(teacher_rows) == len(train)
-        resumed_params, resumed_log = train_student(train, test, teacher, cfg, resume_from=ckpt)
+        resumed_params, resumed_log = stop_after(cfg.epochs, train, test, cfg, teacher, resume_from=ckpt)
         assert sum(teacher_rows) == 2 * len(train)
         assert params_to_bytes(resumed_params) == params_to_bytes(full_params)
         assert metrics_to_csv(resumed_log) == metrics_to_csv(full_log)
@@ -855,7 +878,7 @@ class TestCheckpointResume:
         full_params, full_log = train_teacher(train, test, plain)
         ckpt = str(tmp_path / "mid.ckpt")
         stop_after(2, train, test, with_steps, out_ckpt=ckpt)
-        resumed_params, resumed_log = train_teacher(train, test, plain, resume_from=ckpt)
+        resumed_params, resumed_log = stop_after(plain.epochs, train, test, plain, resume_from=ckpt)
         assert params_to_bytes(resumed_params) == params_to_bytes(full_params)
         assert metrics_to_csv(resumed_log) == metrics_to_csv(full_log)
 
@@ -866,11 +889,11 @@ class TestCheckpointResume:
         cfg = small_cfg(epochs=4)
         mid, full, resumed = (str(tmp_path / f"{name}.ckpt") for name in ("mid", "full", "resumed"))
         stop_after(2, train, test, cfg, out_ckpt=mid)
-        train_teacher(train, test, cfg, out_ckpt=full)
+        stop_after(cfg.epochs, train, test, cfg, out_ckpt=full)
         seed, count = read_checkpoint(mid).rng.state
         count_at = LAYERS_AT - 8  # past magic, config digest and seed
         patch_checkpoint(mid, count_at, struct.pack("<Q", count), struct.pack("<Q", 2**64 - 1))
-        _, log = train_teacher(train, test, cfg, resume_from=mid, out_ckpt=resumed)
+        _, log = stop_after(cfg.epochs, train, test, cfg, out_ckpt=resumed, resume_from=mid)
         assert [row.epoch for row in log] == [0, 1, 2, 3]
         # 2**64 - 1 draws, then those of epochs 2 and 3, modulo 2**64
         assert read_checkpoint(resumed).rng.state == (seed, read_checkpoint(full).rng.state[1] - count - 1)
@@ -891,13 +914,13 @@ class TestCheckpointResume:
         stop_after(2, train, test, small_cfg(epochs=4), out_ckpt=ckpt)
         wide_train, wide_test = synth_gaussian_mixture([120, 80], 5, separation=8.0, seed=17, per_class_test=50)
         with pytest.raises(ValueError) as info:
-            train_teacher(wide_train, wide_test, small_cfg(epochs=4), resume_from=ckpt)
+            pipeline.open_run(wide_train, wide_test, small_cfg(epochs=4), resume_from=ckpt)
         assert str(info.value) == "checkpoint model dimensions do not match the datasets/config"
 
     def test_trailing_bytes_after_the_payload_rejected(self, tmp_path):
         train, test = two_class_separable()
         path = str(tmp_path / "long.ckpt")
-        train_teacher(train, test, small_cfg(epochs=2), out_ckpt=path)
+        stop_after(2, train, test, small_cfg(epochs=2), out_ckpt=path)
         with open(path, "ab") as fh:
             fh.write(b"x")
         with pytest.raises(ValueError) as info:
@@ -907,14 +930,14 @@ class TestCheckpointResume:
     def test_resume_from_missing_path(self):
         train, test = two_class_separable()
         with pytest.raises(FileNotFoundError):
-            train_teacher(train, test, small_cfg(), resume_from="/nonexistent/x.ckpt")
+            pipeline.open_run(train, test, small_cfg(), resume_from="/nonexistent/x.ckpt")
 
     def test_resume_under_different_config_rejected(self, tmp_path):
         train, test = two_class_separable()
         ckpt = str(tmp_path / "a.ckpt")
         stop_after(2, train, test, small_cfg(epochs=4), out_ckpt=ckpt)
         with pytest.raises(ValueError, match="config"):
-            train_teacher(train, test, small_cfg(epochs=4, seed=99), resume_from=ckpt)
+            pipeline.open_run(train, test, small_cfg(epochs=4, seed=99), resume_from=ckpt)
 
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         bad = tmp_path / "bad.ckpt"
@@ -933,7 +956,7 @@ class TestCheckpointResume:
         # velocity behind a header of its own
         train, test = two_class_separable()
         path = str(tmp_path / "old.ckpt")
-        train_teacher(train, test, small_cfg(epochs=2), out_ckpt=path)
+        stop_after(2, train, test, small_cfg(epochs=2), out_ckpt=path)
         with open(path, "rb") as fh:
             payload = fh.read()[len(pipeline.CKPT_MAGIC) :]
         for old in (b"ckpt-v3", b"ckpt-v2", b"ckpt-v1"):
@@ -982,7 +1005,7 @@ class TestCheckpointResume:
         # than the widths give moves the log's length field
         train, test = two_class_separable()
         path = str(tmp_path / "spliced.ckpt")
-        train_teacher(train, test, small_cfg(epochs=2), out_ckpt=path)
+        stop_after(2, train, test, small_cfg(epochs=2), out_ckpt=path)
         state = read_checkpoint(path)
         end = params_at(state.params.dims) + state.params.flat.nbytes + state.vel.flat.nbytes
         last = struct.pack("<f", state.vel.flat[-1])
@@ -1078,7 +1101,7 @@ class TestCheckpointResume:
         path = str(tmp_path / "mid.ckpt")
         stop_after(2, train, test, small_cfg(epochs=4), out_ckpt=path)
         with pytest.raises(ValueError) as info:
-            train_teacher(train, test, small_cfg(epochs=4, momentum=0.5), resume_from=path)
+            pipeline.open_run(train, test, small_cfg(epochs=4, momentum=0.5), resume_from=path)
         assert str(info.value) == "checkpoint was written under a different training config"
 
     @pytest.mark.parametrize(
@@ -1095,7 +1118,7 @@ class TestCheckpointResume:
         # rows the writer's log holds, so rewriting gave other bytes
         train, test = two_class_separable()
         path = str(tmp_path / "log.ckpt")
-        train_teacher(train, test, small_cfg(epochs=2), out_ckpt=path)
+        stop_after(2, train, test, small_cfg(epochs=2), out_ckpt=path)
         log = metrics_to_csv(read_checkpoint(path).log_rows).encode("utf-8")
         edited = b"" if old == "all" else log.replace(old.encode(), new.encode(), 1)
         assert edited != log
@@ -1123,7 +1146,7 @@ class TestCheckpointResume:
         logged[row] = numbered
         assert str(info.value) == f"{path}: the log's 4 epochs are numbered {logged}"
         with pytest.raises(ValueError, match="the log's 4 epochs are numbered"):
-            train_teacher(train, test, cfg, resume_from=path)
+            pipeline.open_run(train, test, cfg, resume_from=path)
 
     def test_log_not_numbered_from_zero_refused_at_write_time(self, tmp_path):
         # the rule read_checkpoint applies, so no file is written that it
@@ -1293,7 +1316,7 @@ class TestCheckpointResume:
     def test_undecodable_metric_log_names_the_file(self, tmp_path, old, new):
         train, test = two_class_separable()
         path = str(tmp_path / "logged.ckpt")
-        train_teacher(train, test, small_cfg(epochs=2), out_ckpt=path)
+        stop_after(2, train, test, small_cfg(epochs=2), out_ckpt=path)
         with open(path, "rb") as fh:
             offset = fh.read().index(old)
         patch_checkpoint(path, offset, old, new)
@@ -1305,7 +1328,7 @@ class TestCheckpointResume:
         # the temp file must not survive a successful write
         train, test = two_class_separable()
         ckpt = str(tmp_path / "final.ckpt")
-        train_teacher(train, test, small_cfg(epochs=2), out_ckpt=ckpt)
+        stop_after(2, train, test, small_cfg(epochs=2), out_ckpt=ckpt)
         assert (tmp_path / "final.ckpt").exists()
         assert not (tmp_path / "final.ckpt.tmp").exists()
 
@@ -1332,7 +1355,7 @@ class TestCheckpointResume:
         full_params, _ = train_student(train, test, teacher, numpy_ints)
         ckpt = str(tmp_path / "mid.ckpt")
         stop_after(1, train, test, python_ints, teacher, out_ckpt=ckpt)
-        resumed_params, _ = train_student(train, test, teacher, numpy_ints, resume_from=ckpt)
+        resumed_params, _ = stop_after(numpy_ints.epochs, train, test, numpy_ints, teacher, resume_from=ckpt)
         assert params_to_bytes(resumed_params) == params_to_bytes(full_params)
 
 
