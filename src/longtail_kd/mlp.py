@@ -56,48 +56,36 @@ def _layer_views(flat, dims):
 
 
 class MlpParams:
-    """Per-layer weight matrices (fan_out, fan_in) and bias vectors (fan_out,).
+    """Per-layer weight matrices (fan_out, fan_in) and bias vectors (fan_out,),
+    all views of one float vector.
 
-    Every array is a view of one float vector, ``flat``, laid out layer by
-    layer, weights then bias (``_layer_views``); ``dims`` holds the
-    layer widths, input first. Gradients and the SGD velocity are MlpParams
-    too. The constructor copies the given arrays into a new vector of their
-    float dtype (float64 for integer arrays); ``from_flat`` wraps an
-    existing one.
+    ``MlpParams(flat, dims)`` views ``flat`` without a copy, layer by layer,
+    weights then bias (``_layer_views``); ``dims`` holds the layer widths,
+    input first. A ``flat`` that is not a 1-D float array of
+    ``flat_size(dims)`` values is refused, so the layers chain by
+    construction. Gradients and the SGD velocity are MlpParams too.
     """
 
-    def __init__(self, weights, biases):
-        if not weights or len(biases) != len(weights):
-            raise ValueError("need at least one layer, and one bias vector per weight matrix")
-        dims = (np.shape(weights[0])[-1], *[len(w) for w in weights])
-        arrays = [np.ravel(a) for wb in zip(weights, biases) for a in wb]
-        dtype = np.result_type(*arrays)
-        self._bind(np.concatenate(arrays, dtype=dtype if dtype.kind == "f" else np.float64), dims)
-        if [np.shape(a) for a in (*weights, *biases)] != [v.shape for v in self.weights + self.biases]:
-            raise ValueError("layer shapes do not chain into a network")
-
-    def _bind(self, flat, dims):
-        self.flat, self.dims = flat, tuple(int(d) for d in dims)
+    def __init__(self, flat, dims):
+        self.dims = tuple(int(d) for d in dims)
+        size = flat_size(self.dims)
+        if not (isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.dtype.kind == "f" and flat.size == size):
+            got = f"{flat.dtype} of shape {flat.shape}" if isinstance(flat, np.ndarray) else type(flat).__name__
+            raise ValueError(f"dims {self.dims} need a 1-D float vector of {size} values, got {got}")
+        self.flat = flat
         self.weights, self.biases = _layer_views(flat, self.dims)
-
-    @classmethod
-    def from_flat(cls, flat, dims):
-        """Parameters of widths ``dims`` (input first) viewing ``flat``, without a copy."""
-        params = cls.__new__(cls)
-        params._bind(flat, dims)
-        return params
 
     @classmethod
     def zeros(cls, dims, dtype=np.float64):
         """Zero parameters of widths ``dims`` (input first), in one new vector."""
-        return cls.from_flat(np.zeros(flat_size(dims), dtype), dims)
+        return cls(np.zeros(flat_size(dims), dtype), dims)
 
     def copy(self):
-        return MlpParams.from_flat(self.flat.copy(), self.dims)
+        return MlpParams(self.flat.copy(), self.dims)
 
     def astype(self, dtype):
         """A copy of these parameters, each value rounded to ``dtype``."""
-        return MlpParams.from_flat(self.flat.astype(dtype), self.dims)
+        return MlpParams(self.flat.astype(dtype), self.dims)
 
 
 def check_momentum(momentum):
@@ -193,7 +181,7 @@ def backward(params, cache, grad_logits, out=None):
     """
     g = np.asarray(grad_logits, dtype=params.flat.dtype)
     inputs = cache["inputs"]
-    grads = MlpParams.from_flat(np.empty_like(params.flat), params.dims) if out is None else out
+    grads = MlpParams(np.empty_like(params.flat), params.dims) if out is None else out
     if grads.dims != params.dims:
         raise ValueError(f"gradient buffer dims {grads.dims} do not match parameters {params.dims}")
     for l in range(len(params.weights) - 1, -1, -1):

@@ -244,7 +244,7 @@ def _decode(blob, path):
         n_layers = check_int(n_layers, "the layer count", 1)
         dims = [check_int(d, "each layer width", 1) for d in np.frombuffer(r.take(8 * (n_layers + 1)), "<i8").tolist()]
         nbytes = 4 * flat_size(dims)
-        read_flat = lambda: MlpParams.from_flat(np.frombuffer(r.take(nbytes), "<f4").astype(np.float32), dims)
+        read_flat = lambda: MlpParams(np.frombuffer(r.take(nbytes), "<f4").astype(np.float32), dims)
         params, vel = read_flat(), read_flat()
         for name, blob_params in (("parameter", params), ("velocity", vel)):
             if not np.isfinite(blob_params.flat).all():

@@ -24,7 +24,8 @@ from longtail_kd.pipeline import TrainConfig, temperature_sweep, train_student, 
 class TestPredict:
     def test_argmax_and_tie_rule(self):
         # single linear layer turns identity-ish features into chosen logits
-        params = MlpParams([np.eye(3)], [np.zeros(3)])
+        params = MlpParams.zeros((3, 3))
+        params.weights[0][...] = np.eye(3)
         from longtail_kd.data import LabeledDataset
 
         data = LabeledDataset(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ class TestForward:
         rng = Rng(50)
         w = rng.normal((3, 4))
         b = rng.normal(3)
-        params = MlpParams([w], [b])
+        params = MlpParams(np.concatenate([w.ravel(), b]), (4, 3))
         x = rng.normal((1, 4))
         logits, _ = forward(params, x)
         np.testing.assert_allclose(logits[0], w @ x[0] + b, atol=1e-15)
@@ -113,7 +114,7 @@ class TestBackward:
 
     def test_single_linear_layer_outer_product(self):
         rng = Rng(53)
-        params = MlpParams([rng.normal((3, 4))], [rng.normal(3)])
+        params = MlpParams(np.concatenate([rng.normal((3, 4)).ravel(), rng.normal(3)]), (4, 3))
         x = rng.normal((1, 4))
         g = rng.normal((1, 3))
         _, cache = forward(params, x)
@@ -237,7 +238,7 @@ class TestBuffers:
     @pytest.mark.parametrize("dims", [(6, 8, 4), (20, 64, 64, 10)])
     def test_buffered_backward_matches_allocating_call_bit_for_bit(self, dims):
         params, X = random_net(dims, 64, seed=75)
-        out = MlpParams.from_flat(np.full(params.flat.size, np.nan), params.dims)
+        out = MlpParams(np.full(params.flat.size, np.nan), params.dims)
         for seed in (76, 77):  # the second call overwrites the first call's gradients
             G = Rng(seed).normal((64, dims[-1]))
             cache = forward(params, X)[1]
@@ -367,9 +368,9 @@ class TestFloatDtype:
         logits, cache = forward(params, np.ones((2, 5), np.float32))
         assert logits.dtype == backward(params, cache, np.ones((2, 3), np.float32)).flat.dtype == np.float64
 
-    @pytest.mark.parametrize("dtype, kept", [(np.float32, np.float32), (np.float64, np.float64), (np.int64, np.float64)])
+    @pytest.mark.parametrize("dtype, kept", [(np.float32, np.float32), (np.float64, np.float64)])
     def test_constructor_keeps_the_float_dtype_it_is_built_from(self, dtype, kept):
-        params = MlpParams([np.ones((2, 3), dtype)], [np.zeros(2, dtype)])
+        params = MlpParams(np.ones(8, dtype), (3, 2))
         assert params.flat.dtype == kept
         assert params.astype(np.float32).flat.dtype == np.float32
 
@@ -404,21 +405,31 @@ class TestFlatStorage:
             for b in flats[i + 1 :]:
                 assert not np.shares_memory(a, b)
 
-    def test_constructor_copies_into_a_new_vector(self):
-        w, b = np.arange(6.0).reshape(2, 3), np.array([1.0, 2.0])
-        params = MlpParams([w], [b])
+    def test_constructor_views_the_given_vector(self):
+        flat = np.arange(8.0)
+        params = MlpParams(flat, (3, 2))
         self.assert_views_of_own_flat(params)
-        assert params.dims == (3, 2)
-        assert params.flat.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 1.0, 2.0]
-        assert not np.shares_memory(params.flat, w)
+        assert params.flat is flat and params.dims == (3, 2)
+        assert params.weights[0].tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+        assert params.biases[0].tolist() == [6.0, 7.0]
+        flat[:] = -1.0  # a view, not a copy: the layers see a write to ``flat``
+        assert (params.weights[0] == -1.0).all() and (params.biases[0] == -1.0).all()
 
-    def test_constructor_rejects_shapes_that_do_not_chain(self):
-        with pytest.raises(ValueError):
-            MlpParams([np.ones((2, 3)), np.ones((4, 3))], [np.ones(2), np.ones(4)])
-        with pytest.raises(ValueError):
-            MlpParams([np.ones((2, 3))], [np.ones(3)])
-        with pytest.raises(ValueError):
-            MlpParams([], [])
+    @pytest.mark.parametrize(
+        "flat, got",
+        [
+            (np.zeros(7), "float64 of shape (7,)"),
+            (np.zeros(9), "float64 of shape (9,)"),
+            (np.zeros((2, 4)), "float64 of shape (2, 4)"),
+            (np.zeros(8, np.int64), "int64 of shape (8,)"),
+            ([0.0] * 8, "list"),
+        ],
+        ids=["one-short", "one-long", "2-D", "int64", "list"],
+    )
+    def test_constructor_refuses_a_flat_of_the_wrong_length_rank_or_dtype(self, flat, got):
+        message = f"dims (3, 2) need a 1-D float vector of 8 values, got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MlpParams(flat, (3, 2))
 
 
 class TestLrSchedule:

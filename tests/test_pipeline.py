@@ -992,7 +992,7 @@ class TestCheckpointResume:
 
     def test_width_one_model_round_trips(self, tmp_path):
         params = init_mlp((1, 1), seed=3).astype(np.float32)
-        vel = MlpParams.from_flat(np.float32([0.5, -0.25]), params.dims)
+        vel = MlpParams(np.float32([0.5, -0.25]), params.dims)
         path = str(tmp_path / "one.ckpt")
         write_checkpoint(path, RunState(params, vel, Rng(1), [], config_digest(small_cfg())))
         state = read_checkpoint(path)
@@ -1239,7 +1239,7 @@ class TestCheckpointResume:
         # same bytes. A log line ended by "\v", which splitlines also
         # splits on, or an lr of "5e-04" once loaded and rewrote otherwise
         params = init_mlp((4, 5, 2), seed=0)
-        vel = MlpParams.from_flat(Rng(2).normal(params.flat.size), params.dims)
+        vel = MlpParams(Rng(2).normal(params.flat.size), params.dims)
         rng = Rng(5)
         rng.permutation(10)
         rows = [MetricRow(0, 0.75, 0.05, 0.5, 0.625, None, 0.25), MetricRow(1, 0.5, 5e-05, 0.75, 1.0, None, 0.5)]

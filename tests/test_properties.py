@@ -1,10 +1,11 @@
 """Property tests for the softmax, the distillation kernels, the accuracy
-report, the dataset writer and training under extreme finite
-configs."""
+report, the dataset writer, the layout of a model state and training
+under extreme finite configs."""
 
 import functools
 import math
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -24,9 +25,17 @@ from longtail_kd.data import (
 )
 from longtail_kd.evaluate import accuracy_report, confusion_matrix
 from longtail_kd.losses import BKDConfig, KDConfig, Objective, balanced_targets, objective_loss_batch, softmax_rows
-from longtail_kd.mathutils import softmax_with_temperature
-from longtail_kd.mlp import LrSchedule, forward
-from longtail_kd.pipeline import LOSS_KINDS, TrainConfig, train_student, train_teacher
+from longtail_kd.mathutils import Rng, softmax_with_temperature
+from longtail_kd.mlp import MLP_MAGIC, LrSchedule, MlpParams, backward, forward, init_mlp, params_to_bytes
+from longtail_kd.pipeline import (
+    LOSS_KINDS,
+    RunState,
+    TrainConfig,
+    read_checkpoint,
+    train_student,
+    train_teacher,
+    write_checkpoint,
+)
 from test_data import F32_SPECIALS, _reference_file
 
 # derandomized and without an example database, so every run checks the same cases
@@ -160,6 +169,48 @@ def test_save_bytes_equal_the_field_by_field_writer(data):
         with open(path + ".bin", "rb") as fh:
             assert fh.read() == _reference_file(data)
         assert os.listdir(tmp) == ["train.csv.bin"]
+
+
+def model_states(dims):
+    """A model state of widths ``dims`` made each way the program makes one."""
+    params = init_mlp(dims, seed=0)
+    x = np.ones((2, dims[0]))
+    states = {
+        "init_mlp": params,
+        "zeros": MlpParams.zeros(dims),
+        "copy": params.copy(),
+        "astype": params.astype(np.float32),
+        "backward": backward(params, forward(params, x)[1], np.ones((2, dims[-1]))),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ckpt")
+        write_checkpoint(path, RunState(params, MlpParams.zeros(dims), Rng(1), [], bytes(32)))
+        read = read_checkpoint(path)
+    states.update(checkpoint_params=read.params, checkpoint_vel=read.vel)
+    return states
+
+
+@property_settings
+@given(st.lists(st.integers(1, 9), min_size=2, max_size=5))
+def test_every_model_state_views_its_own_flat_in_the_byte_layout(dims):
+    # numbered values make each layer's slice of ``flat`` tell where it came from
+    states = model_states(dims)
+    for name, p in states.items():
+        assert p.dims == tuple(dims) and p.flat.ndim == 1, name
+        p.flat[:] = np.arange(p.flat.size)
+        off, expected = 0, [MLP_MAGIC, struct.pack("<q", len(dims) - 1)]
+        for l, (w, b) in enumerate(zip(p.weights, p.biases)):
+            assert w.shape == (dims[l + 1], dims[l]) and b.shape == (dims[l + 1],), name
+            expected.append(struct.pack("<qq", dims[l], dims[l + 1]))
+            for a in (w, b):
+                assert np.shares_memory(a, p.flat), name
+                assert a.ravel().tolist() == list(range(off, off + a.size)), name
+                expected.append(np.arange(off, off + a.size, dtype="<f4").tobytes())
+                off += a.size
+        assert off == p.flat.size and len(p.weights) == len(dims) - 1, name
+        assert params_to_bytes(p) == b"".join(expected), name
+    flats = [p.flat for p in states.values()]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(flats) for b in flats[i + 1 :])
 
 
 @functools.cache
